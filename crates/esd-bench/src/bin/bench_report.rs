@@ -617,7 +617,7 @@ fn measure_service_curve(config: &esd_sim::SystemConfig) -> ServiceCurve {
     use esd_server::{run_load, LoadSpec, Service, ServiceConfig};
     const REQUESTS_PER_TENANT: u64 = 2_000;
     let shape = ServiceConfig {
-        system: config.clone(),
+        system: *config,
         ..ServiceConfig::default()
     };
     let mut points = Vec::new();

@@ -33,7 +33,10 @@ A full admission queue rejects with a retry hint; `offered` always equals
 
 TCP mode serves the length-prefixed frame protocol: each frame is one
 request envelope (tenant id, sequence number, write/read), answered in
-order. `--connections N` exits after N sessions close (default 1).
+order. A connection is one tenant's session (its first frame names the
+tenant); sessions run concurrently, and a malformed frame closes only the
+connection it arrived on. `--connections N` exits after N sessions have
+closed (default 1).
 
 OPTIONS:
     --scheme NAME      baseline|sha1|md5|pde|dewrite|esd|esd-full|esd-noverify

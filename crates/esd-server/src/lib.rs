@@ -45,7 +45,8 @@ pub mod service;
 pub use live::{serve_tcp, ChannelServer, TenantClient};
 pub use load::{run_load, LoadReport, LoadSpec};
 pub use proto::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    DecodeError, Envelope, Request, Response, MAX_FRAME_BYTES,
+    decode_request, decode_response, encode_request, encode_response, frame_response, peek_frame,
+    read_frame, read_frame_into, write_frame, DecodeError, Envelope, Request, Response,
+    FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
 };
 pub use service::{Service, ServiceConfig, ServiceSummary, TenantSummary};

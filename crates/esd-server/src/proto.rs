@@ -18,6 +18,13 @@
 //! `Rejected` is the admission queue's backpressure signal: the tenant's
 //! bounded queue was full, nothing was enqueued, and the client should wait
 //! roughly `retry_after` (simulated time) before retrying.
+//!
+//! A frame always reaches the writer as **one** `write_all`: on a TCP
+//! socket a length prefix sent apart from its payload is a small segment
+//! that Nagle's algorithm holds until the peer's delayed ACK, 40 ms later.
+//! Senders of many frames append them to one buffer ([`frame_response`])
+//! and write that; receivers that read through a [`std::io::BufReader`]
+//! take the frames it already holds with [`peek_frame`].
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -28,6 +35,9 @@ use esd_trace::CacheLine;
 /// Hard ceiling on a frame payload, far above any legal message — a
 /// corrupt or hostile length prefix must not trigger a giant allocation.
 pub const MAX_FRAME_BYTES: u32 = 4096;
+
+/// Bytes of the little-endian `u32` length prefix ahead of every payload.
+pub const FRAME_HEADER_BYTES: usize = 4;
 
 /// One tenant operation against its private namespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,6 +207,11 @@ pub fn decode_request(mut payload: &[u8]) -> Result<Envelope, DecodeError> {
 #[must_use]
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::with_capacity(81);
+    put_response(&mut out, resp);
+    out
+}
+
+fn put_response(out: &mut Vec<u8>, resp: &Response) {
     match *resp {
         Response::Written { seq, deduplicated, latency } => {
             out.push(0x81);
@@ -216,7 +231,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             out.extend_from_slice(&retry_after.as_ps().to_le_bytes());
         }
     }
-    out
 }
 
 /// Decodes a response frame payload.
@@ -257,16 +271,50 @@ pub fn decode_response(mut payload: &[u8]) -> Result<Response, DecodeError> {
     Ok(resp)
 }
 
-/// Writes one length-prefixed frame.
+/// Appends one frame to `out`: the length prefix, then whatever `payload`
+/// appends.
+fn append_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+    payload(out);
+    let len = u32::try_from(out.len() - start - FRAME_HEADER_BYTES).expect("frames are tiny");
+    assert!(len <= MAX_FRAME_BYTES, "oversized frame");
+    out[start..start + FRAME_HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Appends `resp` to `out` as one complete frame (length prefix and
+/// payload), so a caller that owes several responses can send them all in
+/// one write from a buffer it reuses.
+pub fn frame_response(out: &mut Vec<u8>, resp: &Response) {
+    append_frame(out, |out| put_response(out, resp));
+}
+
+/// Writes one length-prefixed frame, in a single `write_all`.
 ///
 /// # Errors
 ///
 /// Propagates the underlying I/O error.
+///
+/// # Panics
+///
+/// Panics on a payload above [`MAX_FRAME_BYTES`].
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len()).expect("frames are tiny");
-    assert!(len <= MAX_FRAME_BYTES, "oversized frame");
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    append_frame(&mut frame, |out| out.extend_from_slice(payload));
+    w.write_all(&frame)
+}
+
+/// The payload length a length prefix announces, bounded before anything
+/// is allocated or awaited for it.
+fn checked_len(prefix: [u8; FRAME_HEADER_BYTES]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix);
+    if len > MAX_FRAME_BYTES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
+        ));
+    }
+    Ok(len as usize)
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on clean EOF at a frame
@@ -277,22 +325,53 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Returns `InvalidData` for an oversized length prefix, `UnexpectedEof`
 /// for mid-frame truncation, and propagates other I/O errors.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
+}
+
+/// [`read_frame`] into a caller-owned buffer, which is overwritten and
+/// keeps its capacity from frame to frame; `Ok(false)` on clean EOF at a
+/// frame boundary.
+///
+/// # Errors
+///
+/// As [`read_frame`]. EOF after part of a length prefix is mid-frame
+/// truncation like any other.
+pub fn read_frame_into(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<bool> {
+    let mut prefix = [0u8; FRAME_HEADER_BYTES];
+    let mut got = 0;
+    while got < prefix.len() {
+        match r.read(&mut prefix[got..]) {
+            Ok(0) if got == 0 => return Ok(false),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "connection closed inside a length prefix",
+                ))
+            }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    payload.resize(checked_len(prefix)?, 0);
+    r.read_exact(payload)?;
+    Ok(true)
+}
+
+/// The payload of the frame at the head of `buffered` if all of it is
+/// there, `Ok(None)` if more bytes have to arrive first. `buffered` is what
+/// a reader already holds (`BufReader::buffer`); after using the payload
+/// the caller consumes [`FRAME_HEADER_BYTES`] plus its length.
+///
+/// # Errors
+///
+/// Returns `InvalidData` for an oversized length prefix.
+pub fn peek_frame(buffered: &[u8]) -> io::Result<Option<&[u8]>> {
+    let Some((prefix, rest)) = buffered.split_first_chunk::<FRAME_HEADER_BYTES>() else {
+        return Ok(None);
+    };
+    Ok(rest.get(..checked_len(*prefix)?))
 }
 
 #[cfg(test)]
@@ -381,5 +460,74 @@ mod tests {
         let wire = u32::MAX.to_le_bytes();
         let err = read_frame(&mut wire.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = peek_frame(&wire).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Counts the writes it receives: on a socket each one is a segment.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        let payload = encode_request(&envelope(Request::Read { local: 0x40 }));
+        let mut w = CountingWriter { writes: 0, bytes: Vec::new() };
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.writes, 1, "prefix and payload must not be separate segments");
+        assert_eq!(read_frame(&mut w.bytes.as_slice()).unwrap(), Some(payload));
+    }
+
+    #[test]
+    fn framed_responses_append_to_one_buffer() {
+        let responses = [
+            Response::Written {
+                seq: 1,
+                deduplicated: false,
+                latency: Ps::from_ns(170),
+            },
+            Response::Data {
+                seq: 2,
+                latency: Ps::from_ns(60),
+                line: CacheLine::from_seed(5),
+            },
+        ];
+        let (mut batched, mut one_by_one) = (Vec::new(), Vec::new());
+        for resp in &responses {
+            frame_response(&mut batched, resp);
+            write_frame(&mut one_by_one, &encode_response(resp)).unwrap();
+        }
+        assert_eq!(batched, one_by_one);
+    }
+
+    #[test]
+    fn peek_takes_only_whole_frames() {
+        let payload = encode_request(&envelope(Request::Read { local: 0x40 }));
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        for cut in 0..wire.len() {
+            assert_eq!(peek_frame(&wire[..cut]).unwrap(), None, "cut at {cut}");
+        }
+        wire.push(0xEE); // the first byte of a following frame
+        assert_eq!(peek_frame(&wire).unwrap(), Some(payload.as_slice()));
+    }
+
+    #[test]
+    fn eof_inside_a_length_prefix_is_truncation_not_a_clean_close() {
+        let err = read_frame(&mut [21u8, 0].as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 }
