@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use esd_collections::{ShardedU64Map, U64Map};
-use esd_core::{build_scheme, run_trace, Amt, Efit, EfitPolicy, SchemeKind};
+use esd_core::{build_scheme, run_trace, Amt, Efit, EfitPolicy, PhysicalAllocator, SchemeKind};
 use esd_crypto::{Aes128, CmeEngine};
 use esd_ecc::{decode_line, encode_line, encode_word, encode_word_ref, EccFingerprint};
 use esd_hash::{crc32, crc64, md5, sha1};
@@ -232,6 +232,52 @@ fn bench_metadata(c: &mut Criterion) {
         b.iter(|| {
             fp += 1;
             efit.insert(black_box(fp), fp * 64)
+        })
+    });
+    group.bench_function("efit_bump_ref", |b| {
+        // Counts spread over 1..=8 and never decay: a bump moves an entry
+        // within the ordered `refer >= 2` set, a re-insert takes it out.
+        let mut efit = Efit::new(14 * 1024, EfitPolicy::Lrcu);
+        efit.set_decay_interval(u64::MAX);
+        for fp in 0..1024u64 {
+            efit.insert(fp, fp * 64);
+        }
+        let mut fp = 0u64;
+        b.iter(|| {
+            fp = (fp + 1) % 1024;
+            if efit.bump_ref(black_box(fp)) == Some(8) {
+                efit.insert(fp, fp * 64);
+            }
+        })
+    });
+    group.bench_function("efit_decay_tick", |b| {
+        // 64 bumps promote 64 entries to refer 2, then one decay pass
+        // merges them back into the refer-1 list: a bump plus 1/64 pass.
+        let mut efit = Efit::new(14 * 1024, EfitPolicy::Lrcu);
+        efit.set_decay_interval(64);
+        for fp in 0..1024u64 {
+            efit.insert(fp, fp * 64);
+        }
+        let mut fp = 0u64;
+        b.iter(|| {
+            fp = (fp + 1) % 1024;
+            efit.bump_ref(black_box(fp))
+        })
+    });
+    group.bench_function("alloc_churn", |b| {
+        // What one unique write over a full EFIT costs the allocator: a
+        // new line, the EFIT's pin on it, the displaced pin, and the last
+        // reference to an older line, whose address is then recycled.
+        let mut alloc = PhysicalAllocator::new();
+        let mut lines: Vec<u64> = (0..4096).map(|_| alloc.allocate()).collect();
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 1) % lines.len();
+            let line = alloc.allocate();
+            alloc.incref(line);
+            alloc.decref(line);
+            let old = std::mem::replace(&mut lines[i], line);
+            alloc.decref(black_box(old))
         })
     });
     group.bench_function("amt_translate_cached", |b| {

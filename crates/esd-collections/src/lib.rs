@@ -2,7 +2,7 @@
 
 //! Flat, cache-friendly collections for the replay hot path.
 //!
-//! The simulator's metadata structures (AMT, fingerprint stores, refcounts,
+//! The simulator's metadata structures (AMT, fingerprint stores, EFIT index,
 //! predictor counters, encryption counters, the verify shadow map) are all
 //! keyed by 64-bit addresses or fingerprints and live on the critical path
 //! of every simulated access. `std::collections::HashMap` spends most of a

@@ -11,7 +11,7 @@ const MIN_SLOTS: usize = 8;
 /// Designed for the simulator's metadata hot paths: one multiply-xor hash,
 /// a linear probe over a contiguous slot array, and **backward-shift
 /// deletion** instead of tombstones, so long-lived tables (the AMT and the
-/// allocator's refcounts live for an entire replay) never accumulate
+/// fingerprint indexes live for an entire replay) never accumulate
 /// deleted-entry litter that lengthens probes.
 ///
 /// The table resizes at 7/8 occupancy and never shrinks. Iteration order is

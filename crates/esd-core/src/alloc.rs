@@ -6,8 +6,9 @@
 //! from the address-mapping table, and recycles lines whose last reference
 //! dropped.
 
-use esd_collections::U64Map;
 use esd_sim::LINE_BYTES;
+
+const LINE: u64 = LINE_BYTES as u64;
 
 /// Allocates physical line addresses and tracks per-line reference counts.
 ///
@@ -25,7 +26,11 @@ use esd_sim::LINE_BYTES;
 pub struct PhysicalAllocator {
     next: u64,
     free: Vec<u64>,
-    refcounts: U64Map<u32>,
+    /// Reference count of line `addr / LINE_BYTES`, zero while the line is
+    /// unallocated. Lines are handed out densely from address zero, so the
+    /// table is exactly `next / LINE_BYTES` long.
+    counts: Vec<u32>,
+    live: usize,
 }
 
 impl PhysicalAllocator {
@@ -39,11 +44,20 @@ impl PhysicalAllocator {
     pub fn allocate(&mut self) -> u64 {
         let addr = self.free.pop().unwrap_or_else(|| {
             let addr = self.next;
-            self.next += LINE_BYTES as u64;
+            self.next += LINE;
+            self.counts.push(0);
             addr
         });
-        self.refcounts.insert(addr, 1);
+        self.counts[(addr / LINE) as usize] = 1;
+        self.live += 1;
         addr
+    }
+
+    /// The count of an allocated line; `None` for a free, never handed
+    /// out or misaligned address.
+    fn count_mut(&mut self, addr: u64) -> Option<&mut u32> {
+        let count = self.counts.get_mut((addr / LINE) as usize)?;
+        (addr.is_multiple_of(LINE) && *count != 0).then_some(count)
     }
 
     /// Adds a reference to an allocated line.
@@ -53,8 +67,7 @@ impl PhysicalAllocator {
     /// Panics if the line is not currently allocated.
     pub fn incref(&mut self, addr: u64) {
         let count = self
-            .refcounts
-            .get_mut(addr)
+            .count_mut(addr)
             .expect("incref of unallocated physical line");
         *count += 1;
     }
@@ -66,12 +79,11 @@ impl PhysicalAllocator {
     /// Panics if the line is not currently allocated.
     pub fn decref(&mut self, addr: u64) -> bool {
         let count = self
-            .refcounts
-            .get_mut(addr)
+            .count_mut(addr)
             .expect("decref of unallocated physical line");
         *count -= 1;
         if *count == 0 {
-            self.refcounts.remove(addr);
+            self.live -= 1;
             self.free.push(addr);
             true
         } else {
@@ -82,13 +94,16 @@ impl PhysicalAllocator {
     /// Current reference count of a line (zero if unallocated).
     #[must_use]
     pub fn refcount(&self, addr: u64) -> u32 {
-        self.refcounts.get(addr).copied().unwrap_or(0)
+        match self.counts.get((addr / LINE) as usize) {
+            Some(&count) if addr.is_multiple_of(LINE) => count,
+            _ => 0,
+        }
     }
 
     /// Number of physical lines currently allocated.
     #[must_use]
     pub fn live_lines(&self) -> usize {
-        self.refcounts.len()
+        self.live
     }
 
     /// Highest physical address ever handed out (capacity watermark).
@@ -98,9 +113,13 @@ impl PhysicalAllocator {
     }
 
     /// Iterates `(physical, refcount)` for every currently allocated line
-    /// (crash-recovery audit).
+    /// in address order (crash-recovery audit).
     pub fn refcounts(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.refcounts.iter().map(|(addr, &count)| (addr, count))
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count != 0)
+            .map(|(line, &count)| (line as u64 * LINE, count))
     }
 }
 
@@ -148,5 +167,25 @@ mod tests {
     fn decref_of_free_line_panics() {
         let mut a = PhysicalAllocator::new();
         a.decref(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "incref of unallocated")]
+    fn incref_of_recycled_line_panics() {
+        let mut a = PhysicalAllocator::new();
+        let p = a.allocate();
+        a.decref(p);
+        a.incref(p);
+    }
+
+    #[test]
+    #[should_panic(expected = "incref of unallocated")]
+    fn incref_inside_an_allocated_line_panics() {
+        // A dense table indexed by `addr / LINE_BYTES` must not let a
+        // misaligned address alias the line it falls in.
+        let mut a = PhysicalAllocator::new();
+        let p = a.allocate();
+        assert_eq!(a.refcount(p + 8), 0);
+        a.incref(p + 8);
     }
 }

@@ -42,14 +42,31 @@ pub struct EfitEntry {
     pub refer: u8,
 }
 
+/// Null link of the intrusive list.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry. `prev`/`next` are meaningful only while the node is on
+/// the stamp-ordered list.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
+struct Node {
+    fingerprint: u64,
     physical: u64,
-    refer: u8,
     stamp: u64,
+    prev: u32,
+    next: u32,
+    refer: u8,
 }
 
 /// The EFIT: an SRAM-resident ECC-fingerprint index with LRCU replacement.
+///
+/// Entries live in a slab behind one fingerprint index. Eviction order is
+/// ascending `(refer, stamp)` with unique, monotone stamps, kept in two
+/// parts: an intrusive stamp-ordered list of the `refer == 1` entries
+/// (every entry under [`EfitPolicy::Lru`]), whose head is the victim, and
+/// an ordered set of the LRCU entries with `refer >= 2`, consulted only
+/// when the list is empty. Inserts and LRU refreshes take a fresh stamp
+/// and append; [`Efit::bump_ref`] keeps the stamp, so only it and decay
+/// touch the ordered set.
 ///
 /// # Examples
 ///
@@ -64,11 +81,16 @@ struct Slot {
 pub struct Efit {
     policy: EfitPolicy,
     capacity: usize,
-    entries: U64Map<Slot>,
-    /// Eviction order: (priority, stamp, fingerprint) — for LRCU the
-    /// priority is the reference count, for LRU it is constant.
-    order: BTreeSet<(u8, u64, u64)>,
-    by_physical: U64Map<u64>,
+    /// Fingerprint → slab slot. Its iteration order is the order of
+    /// [`Efit::pinned_physicals`], which decides the allocator's free-list
+    /// order after a crash; see [`Efit::touch`].
+    index: U64Map<u32>,
+    nodes: Vec<Node>,
+    /// Oldest and newest node of the stamp-ordered list.
+    head: u32,
+    tail: u32,
+    /// `(refer, stamp, slot)` of the LRCU entries with `refer >= 2`.
+    hot: BTreeSet<(u8, u64, u32)>,
     stamp_counter: u64,
     decay_interval: u64,
     ops_since_decay: u64,
@@ -83,16 +105,19 @@ impl Efit {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity holds fewer than one entry.
+    /// Panics if the capacity exceeds what a 32-bit slot number addresses.
     #[must_use]
     pub fn new(capacity_bytes: u64, policy: EfitPolicy) -> Self {
         let capacity = (capacity_bytes as usize / EFIT_ENTRY_BYTES).max(1);
+        assert!(capacity < NIL as usize, "EFIT capacity exceeds u32 slots");
         Efit {
             policy,
             capacity,
-            entries: U64Map::with_capacity(capacity),
-            order: BTreeSet::new(),
-            by_physical: U64Map::with_capacity(capacity),
+            index: U64Map::with_capacity(capacity),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            hot: BTreeSet::new(),
             stamp_counter: 0,
             decay_interval: Self::DEFAULT_DECAY_INTERVAL,
             ops_since_decay: 0,
@@ -120,13 +145,13 @@ impl Efit {
     /// Current entry count.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Whether the table is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Hit/miss statistics.
@@ -144,25 +169,27 @@ impl Efit {
     /// SRAM bytes occupied by live entries.
     #[must_use]
     pub fn sram_bytes(&self) -> u64 {
-        (self.entries.len() * EFIT_ENTRY_BYTES) as u64
+        (self.index.len() * EFIT_ENTRY_BYTES) as u64
     }
 
     /// Looks up a fingerprint, counting the probe in the statistics and
     /// (under LRU) refreshing recency.
     pub fn lookup(&mut self, fingerprint: u64) -> Option<EfitEntry> {
-        if let Some(slot) = self.entries.get(fingerprint).copied() {
-            self.stats.hits += 1;
-            if self.policy == EfitPolicy::Lru {
-                self.retag(fingerprint);
-            }
-            Some(EfitEntry {
-                physical: slot.physical,
-                refer: slot.refer,
-            })
-        } else {
+        let Some(&slot) = self.index.get(fingerprint) else {
             self.stats.misses += 1;
-            None
+            return None;
+        };
+        self.stats.hits += 1;
+        if self.policy == EfitPolicy::Lru {
+            self.unlink(slot);
+            self.push_back(slot);
+            self.touch(fingerprint, slot);
         }
+        let node = &self.nodes[slot as usize];
+        Some(EfitEntry {
+            physical: node.physical,
+            refer: node.refer,
+        })
     }
 
     /// Increments a fingerprint's reference count, returning the new value
@@ -171,17 +198,16 @@ impl Efit {
     /// Returns `None` if the fingerprint is not resident.
     pub fn bump_ref(&mut self, fingerprint: u64) -> Option<u8> {
         self.tick();
-        let slot = self.entries.get(fingerprint).copied()?;
-        let key = self.order_key(&slot, fingerprint);
-        self.order.remove(&key);
-        let new_refer = slot.refer.saturating_add(1);
-        let new_slot = Slot {
-            refer: new_refer,
-            ..slot
-        };
-        self.order.insert(self.order_key(&new_slot, fingerprint));
-        self.entries.insert(fingerprint, new_slot);
-        Some(new_refer)
+        let slot = *self.index.get(fingerprint)?;
+        let node = self.nodes[slot as usize];
+        let refer = node.refer.saturating_add(1);
+        if self.policy == EfitPolicy::Lrcu && refer != node.refer {
+            self.detach(slot);
+            self.hot.insert((refer, node.stamp, slot));
+        }
+        self.nodes[slot as usize].refer = refer;
+        self.touch(fingerprint, slot);
+        Some(refer)
     }
 
     /// Inserts a fingerprint → physical mapping with `referH = 1`, evicting
@@ -193,47 +219,51 @@ impl Efit {
     /// must `decref` the returned physical.
     pub fn insert(&mut self, fingerprint: u64, physical: u64) -> Option<u64> {
         self.tick();
-        // Replace an existing mapping in place.
-        if let Some(old) = self.entries.get(fingerprint).copied() {
-            let key = self.order_key(&old, fingerprint);
-            self.order.remove(&key);
-            self.by_physical.remove(old.physical);
-            let slot = Slot {
-                physical,
-                refer: 1,
-                stamp: self.bump_stamp(),
-            };
-            self.order.insert(self.order_key(&slot, fingerprint));
-            self.entries.insert(fingerprint, slot);
-            self.by_physical.insert(physical, fingerprint);
-            return Some(old.physical);
-        }
-        let displaced = if self.entries.len() >= self.capacity {
-            let &victim_key = self.order.iter().next().expect("full table has entries");
-            let (_, _, victim_fp) = victim_key;
-            self.order.remove(&victim_key);
-            let victim = self.entries.remove(victim_fp).expect("victim resident");
-            self.by_physical.remove(victim.physical);
-            self.stats.evictions += 1;
-            Some(victim.physical)
+        let (slot, displaced) = if let Some(&slot) = self.index.get(fingerprint) {
+            // Replace an existing mapping in place.
+            self.detach(slot);
+            (slot, Some(self.nodes[slot as usize].physical))
+        } else if self.nodes.len() < self.capacity {
+            (self.nodes.len() as u32, None)
         } else {
-            None
+            // The victim's slot is reused at once, so the slab never has
+            // holes and needs no free list.
+            let slot = if self.head != NIL {
+                self.head
+            } else {
+                let &(_, _, slot) = self.hot.first().expect("a full table has entries");
+                slot
+            };
+            self.detach(slot);
+            let victim = self.nodes[slot as usize];
+            self.index.remove(victim.fingerprint);
+            self.stats.evictions += 1;
+            (slot, Some(victim.physical))
         };
-        let slot = Slot {
+        let node = Node {
+            fingerprint,
             physical,
+            stamp: 0,
+            prev: NIL,
+            next: NIL,
             refer: 1,
-            stamp: self.bump_stamp(),
         };
-        self.order.insert(self.order_key(&slot, fingerprint));
-        self.entries.insert(fingerprint, slot);
-        self.by_physical.insert(physical, fingerprint);
+        match self.nodes.get_mut(slot as usize) {
+            Some(resident) => *resident = node,
+            None => self.nodes.push(node),
+        }
+        self.push_back(slot);
+        self.index.insert(fingerprint, slot);
         displaced
     }
 
     /// Physical lines currently pinned by resident entries (one per entry).
     #[must_use]
     pub fn pinned_physicals(&self) -> Vec<u64> {
-        self.entries.values().map(|slot| slot.physical).collect()
+        self.index
+            .values()
+            .map(|&slot| self.nodes[slot as usize].physical)
+            .collect()
     }
 
     /// Empties the table as a power-loss event would (the EFIT is SRAM-only
@@ -241,48 +271,67 @@ impl Efit {
     /// replacement policy, and any decay-interval override a sensitivity
     /// study has set. Statistics reset with the contents.
     pub fn reset(&mut self) {
-        self.entries = U64Map::with_capacity(self.capacity);
-        self.order = BTreeSet::new();
-        self.by_physical = U64Map::with_capacity(self.capacity);
+        self.index = U64Map::with_capacity(self.capacity);
+        self.nodes.clear();
+        self.head = NIL;
+        self.tail = NIL;
+        self.hot.clear();
         self.stamp_counter = 0;
         self.ops_since_decay = 0;
         self.stats = CacheStats::default();
     }
 
-    /// Drops the entry (if any) whose target physical line was freed, so a
-    /// stale fingerprint can never dedup against recycled storage.
-    pub fn invalidate_physical(&mut self, physical: u64) {
-        if let Some(fp) = self.by_physical.remove(physical) {
-            if let Some(slot) = self.entries.remove(fp) {
-                let key = self.order_key(&slot, fp);
-                self.order.remove(&key);
-            }
+    /// Re-inserts a resident key on every hit that changes the entry.
+    /// `U64Map::insert` grows at 7/8 load before it probes, even for a key
+    /// it already holds, so a full table of 7·2^k entries doubles at the
+    /// first such hit; iteration order, and with it `pinned_physicals` and
+    /// every report after a crash, depends on when that happens.
+    fn touch(&mut self, fingerprint: u64, slot: u32) {
+        self.index.insert(fingerprint, slot);
+    }
+
+    /// Takes `slot` out of whichever order structure holds it.
+    fn detach(&mut self, slot: u32) {
+        let node = self.nodes[slot as usize];
+        if self.policy == EfitPolicy::Lru || node.refer == 1 {
+            self.unlink(slot);
+        } else {
+            self.hot.remove(&(node.refer, node.stamp, slot));
         }
     }
 
-    fn order_key(&self, slot: &Slot, fp: u64) -> (u8, u64, u64) {
-        match self.policy {
-            EfitPolicy::Lrcu => (slot.refer, slot.stamp, fp),
-            EfitPolicy::Lru => (0, slot.stamp, fp),
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            _ => self.nodes[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            _ => self.nodes[next as usize].prev = prev,
         }
     }
 
-    fn bump_stamp(&mut self) -> u64 {
+    /// Links `slot` in front of list node `at` (`NIL` appends).
+    fn link_before(&mut self, slot: u32, at: u32) {
+        let prev = match at {
+            NIL => std::mem::replace(&mut self.tail, slot),
+            _ => std::mem::replace(&mut self.nodes[at as usize].prev, slot),
+        };
+        match prev {
+            NIL => self.head = slot,
+            _ => self.nodes[prev as usize].next = slot,
+        }
+        let node = &mut self.nodes[slot as usize];
+        node.prev = prev;
+        node.next = at;
+    }
+
+    /// Gives `slot` a fresh stamp, which is the largest, and appends it.
+    fn push_back(&mut self, slot: u32) {
         self.stamp_counter += 1;
-        self.stamp_counter
-    }
-
-    fn retag(&mut self, fingerprint: u64) {
-        if let Some(slot) = self.entries.get(fingerprint).copied() {
-            let key = self.order_key(&slot, fingerprint);
-            self.order.remove(&key);
-            let new_slot = Slot {
-                stamp: self.bump_stamp(),
-                ..slot
-            };
-            self.order.insert(self.order_key(&new_slot, fingerprint));
-            self.entries.insert(fingerprint, new_slot);
-        }
+        self.nodes[slot as usize].stamp = self.stamp_counter;
+        self.link_before(slot, NIL);
     }
 
     /// Advances the decay clock; under LRCU, periodically subtracts one from
@@ -296,12 +345,26 @@ impl Efit {
             return;
         }
         self.ops_since_decay = 0;
-        let mut rebuilt = BTreeSet::new();
-        for (fp, slot) in self.entries.iter_mut() {
-            slot.refer = slot.refer.saturating_sub(1).max(1);
-            rebuilt.insert((slot.refer, slot.stamp, fp));
-        }
-        self.order = rebuilt;
+        // One pass over `hot` in order. Counts of 3 and above keep their
+        // relative order one lower. The `refer == 2` run comes first and
+        // in stamp order, so it merges into the list, whose entries were
+        // stamped at any time, with a cursor that only moves forward.
+        let hot = std::mem::take(&mut self.hot);
+        let mut cursor = self.head;
+        self.hot = hot
+            .into_iter()
+            .filter_map(|(refer, stamp, slot)| {
+                self.nodes[slot as usize].refer = refer - 1;
+                if refer > 2 {
+                    return Some((refer - 1, stamp, slot));
+                }
+                while cursor != NIL && self.nodes[cursor as usize].stamp < stamp {
+                    cursor = self.nodes[cursor as usize].next;
+                }
+                self.link_before(slot, cursor);
+                None
+            })
+            .collect();
     }
 }
 
@@ -381,32 +444,29 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_physical_removes_entry() {
-        let mut efit = small(EfitPolicy::Lrcu);
-        efit.insert(1, 0x40);
-        efit.invalidate_physical(0x40);
-        assert!(efit.lookup(1).is_none());
-        assert_eq!(efit.len(), 0);
-        // Idempotent on unknown physicals.
-        efit.invalidate_physical(0xDEAD);
-    }
-
-    #[test]
-    fn decay_lowers_counts_toward_one() {
+    fn decay_subtracts_one_and_merges_by_stamp() {
         let mut efit = small(EfitPolicy::Lrcu);
         efit.set_decay_interval(4);
-        efit.insert(1, 0x40);
-        efit.bump_ref(1);
-        efit.bump_ref(1);
-        assert_eq!(efit.lookup(1).unwrap().refer, 3);
-        // Trigger decay via ticks.
-        for fp in 10..14 {
-            efit.insert(fp, fp * 64);
-        }
-        assert!(
-            efit.lookup(1).map(|e| e.refer).unwrap_or(1) <= 3,
-            "decay must not raise counts"
-        );
+        let refer = |efit: &mut Efit, fp| efit.lookup(fp).map(|e| e.refer);
+        efit.insert(1, 0x40); // op 1
+        efit.bump_ref(1); // op 2
+        efit.bump_ref(1); // op 3
+        assert_eq!(refer(&mut efit, 1), Some(3));
+        efit.insert(2, 0x80); // op 4: decay (3 -> 2), then the insert
+        assert_eq!(refer(&mut efit, 1), Some(2));
+        assert_eq!(refer(&mut efit, 2), Some(1), "inserted after the pass");
+        efit.insert(3, 0xC0); // op 5
+        efit.bump_ref(3); // op 6
+        efit.bump_ref(2); // op 7: bumped after 3, stamped before it
+
+        // op 8: decay brings all three to 1. They rejoin the eviction
+        // order by stamp, not in the order they were bumped or decayed.
+        assert_eq!(efit.insert(4, 0x100), Some(0x40));
+        assert_eq!(efit.insert(5, 0x140), Some(0x80));
+        assert_eq!(efit.insert(6, 0x180), Some(0xC0)); // op 10
+        efit.bump_ref(99); // op 11: absent fingerprints advance the clock too
+        efit.bump_ref(99); // op 12: decay
+        assert_eq!(refer(&mut efit, 4), Some(1), "counts floor at one");
     }
 
     #[test]

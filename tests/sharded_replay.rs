@@ -7,7 +7,9 @@
 //! observability collector — so any scheduling-dependent divergence in any
 //! subsystem fails the equality check.
 
-use esd::core::{replay_with, RunOptions, RunReport, SchemeKind};
+use esd::core::{
+    replay_with, run_trace_with, CrashPoint, CrashStage, Esd, RunOptions, RunReport, SchemeKind,
+};
 use esd::sim::SystemConfig;
 use esd::trace::{generate_trace, AppProfile};
 
@@ -79,6 +81,86 @@ fn report_is_identical_at_every_batch_size_for_every_scheme() {
                      {shards} worker threads"
                 );
             }
+        }
+    }
+}
+
+/// FNV-1a of the report's `Debug` rendering, the same digest the repo
+/// benchmark pins as `sim.report_digest`.
+fn report_digest(report: &RunReport) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+const PINNED_DECAY_DIGEST: u64 = 12_875_313_727_373_447_909;
+const PINNED_CRASH_DIGEST: u64 = 2_373_682_976_565_372_192;
+
+/// ESD on mostly-unique content with a 292-entry EFIT per slice (the
+/// 4 KB floor of `slice_config`) that decays every `decay` operations.
+fn decay_run(decay: u64, shards: u32, batch: u32, crash_at: Option<CrashPoint>) -> RunReport {
+    let mut config = SystemConfig::default();
+    config.controller.fingerprint_cache_bytes = 32 << 10;
+    let mut template = Esd::new(&config);
+    template.efit_decay_interval(decay);
+    // A small working set makes overwrites common, which leaves lines that
+    // only the EFIT pins: the crash frees those in `pinned_physicals` order.
+    let mut app = AppProfile::by_name("leela").expect("paper workload");
+    app.working_set_lines = 4_096;
+    let trace = generate_trace(&app, 53, 40_000);
+    let options = RunOptions {
+        crash_at,
+        journal_every: crash_at.map(|_| 128),
+        // A crash resets the EFIT's hit counters, which `merge_epochs`
+        // subtracts as if they were cumulative; keep the two apart.
+        epoch_interval: crash_at.map_or(Some(2_048), |_| None),
+        ..stress_options(shards, batch)
+    };
+    run_trace_with(&mut template, &trace, &config, &options).expect("verified run")
+}
+
+#[test]
+fn efit_decay_is_deterministic_and_pinned() {
+    // The default decay interval (65 536 operations per slice) never fires
+    // in any other matrix here, so this leg makes it fire every 64. The
+    // report must not depend on the engine configuration, and its digest
+    // is pinned to what the `BTreeSet` EFIT and hash-map refcounts
+    // produced at the commit before the slab rewrite: a decay that appends
+    // cooled entries instead of merging them by stamp picks other victims
+    // and moves it. The crash leg releases every EFIT pin (one to twelve
+    // lines per slice become free) and runs on over recycled lines.
+    let crash = CrashPoint {
+        access: 25_000,
+        stage: CrashStage::UniqueWrite,
+    };
+    for (crash_at, pinned) in [
+        (None, PINNED_DECAY_DIGEST),
+        (Some(crash), PINNED_CRASH_DIGEST),
+    ] {
+        let serial = decay_run(64, 1, 1, crash_at);
+        let cache = serial.fingerprint_cache.expect("ESD reports its EFIT");
+        assert!(cache.evictions > 1_000, "the small EFIT must overflow");
+        assert!(
+            serial.stats.writes_deduplicated > 1_000,
+            "bump_ref must run"
+        );
+        assert_eq!(serial.recovery.is_some(), crash_at.is_some());
+        for (shards, batch) in [(1, 64), (4, 1), (4, 64)] {
+            assert_eq!(
+                serial,
+                decay_run(64, shards, batch, crash_at),
+                "diverged at shards={shards} batch={batch} crash={crash_at:?}"
+            );
+        }
+        assert_eq!(report_digest(&serial), pinned, "crash={crash_at:?}");
+        if crash_at.is_none() {
+            assert_ne!(
+                serial.stats,
+                decay_run(u64::MAX, 1, 1, None).stats,
+                "decay every 64 operations must change what the EFIT keeps"
+            );
         }
     }
 }
