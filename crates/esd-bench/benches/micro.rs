@@ -306,8 +306,8 @@ fn bench_schemes_end_to_end(c: &mut Criterion) {
     for kind in SchemeKind::ALL {
         group.bench_function(kind.name(), |b| {
             b.iter(|| {
-                let mut scheme = build_scheme(kind, &config);
-                run_trace(scheme.as_mut(), black_box(&trace), &config, false).expect("run")
+                let scheme = build_scheme(kind, &config);
+                run_trace(&scheme, black_box(&trace), &config, false).expect("run")
             })
         });
     }

@@ -40,8 +40,8 @@ fn main() {
         ] {
             let mut config = sweep.config;
             config.controller.counter_cache_bytes = bytes;
-            let mut scheme = build_scheme(SchemeKind::Esd, &config);
-            let report = run_trace(scheme.as_mut(), &trace, &config, true).expect("verified");
+            let scheme = build_scheme(SchemeKind::Esd, &config);
+            let report = run_trace(&scheme, &trace, &config, true).expect("verified");
             println!(
                 "{}",
                 format_row(

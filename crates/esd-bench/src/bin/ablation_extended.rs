@@ -37,9 +37,9 @@ fn main() {
             )
         );
         for kind in SchemeKind::EXTENDED {
-            let mut scheme = build_scheme(kind, &sweep.config);
+            let scheme = build_scheme(kind, &sweep.config);
             let verify = kind != SchemeKind::EsdNoVerify;
-            let report = run_trace(scheme.as_mut(), &trace, &sweep.config, verify)
+            let report = run_trace(&scheme, &trace, &sweep.config, verify)
                 .unwrap_or_else(|e| panic!("{kind}: {e}"));
             println!(
                 "{}",

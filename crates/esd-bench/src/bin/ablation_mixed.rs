@@ -40,9 +40,9 @@ fn main() {
             )
         );
         for kind in SchemeKind::ALL {
-            let mut scheme = build_scheme(kind, &sweep.config);
+            let scheme = build_scheme(kind, &sweep.config);
             let report =
-                run_trace(scheme.as_mut(), &mixed, &sweep.config, true).expect("verified");
+                run_trace(&scheme, &mixed, &sweep.config, true).expect("verified");
             println!(
                 "{}",
                 format_row(

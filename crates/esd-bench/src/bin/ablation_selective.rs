@@ -46,11 +46,11 @@ fn main() {
         let trace = generate_trace(app, sweep.seed, sweep.accesses);
         let mut baseline_write = None;
         for kind in SCHEMES {
-            let mut scheme = build_scheme(kind, &sweep.config);
+            let scheme = build_scheme(kind, &sweep.config);
             // ESD_NoVerify can alias collided lines; skip verification so
             // the ablation still reports its (unsafe) performance.
             let verify = kind != SchemeKind::EsdNoVerify;
-            let report = run_trace(scheme.as_mut(), &trace, &sweep.config, verify)
+            let report = run_trace(&scheme, &trace, &sweep.config, verify)
                 .unwrap_or_else(|e| panic!("{kind}: {e}"));
             let write_ns = report.avg_write_latency().as_ns_f64();
             let speedup = match baseline_write {

@@ -33,8 +33,8 @@ fn main() {
         let mut cells = Vec::new();
         let mut ipcs = Vec::new();
         for kind in [SchemeKind::Baseline, SchemeKind::Esd] {
-            let mut scheme = build_scheme(kind, &config);
-            let report = run_trace(scheme.as_mut(), &trace, &config, false).expect("run");
+            let scheme = build_scheme(kind, &config);
+            let report = run_trace(&scheme, &trace, &config, false).expect("run");
             cells.push(report.avg_write_latency().to_string());
             ipcs.push(format!("{:.2}", report.ipc));
         }
@@ -56,8 +56,8 @@ fn main() {
         config.pcm.banks = banks;
         let mut latencies = Vec::new();
         for kind in [SchemeKind::Baseline, SchemeKind::Esd] {
-            let mut scheme = build_scheme(kind, &config);
-            let report = run_trace(scheme.as_mut(), &trace, &config, false).expect("run");
+            let scheme = build_scheme(kind, &config);
+            let report = run_trace(&scheme, &trace, &config, false).expect("run");
             latencies.push(report.avg_write_latency().as_ns_f64());
         }
         println!(
@@ -83,9 +83,9 @@ fn main() {
     );
     for interval in [1024u64, 4096, 8192, 32768, u64::MAX] {
         let config = sweep.config;
-        let mut scheme = esd_core::Esd::new(&config);
+        let mut scheme = build_scheme(SchemeKind::Esd, &config);
         scheme.efit_decay_interval(interval);
-        let report = run_trace(&mut scheme, &gcc_trace, &config, false).expect("run");
+        let report = run_trace(&scheme, &gcc_trace, &config, false).expect("run");
         let label = if interval == u64::MAX {
             "never".to_owned()
         } else {

@@ -11,9 +11,9 @@ fn main() {
             ("lrcu-never", esd_core::EfitPolicy::Lrcu, u64::MAX),
             ("lru", esd_core::EfitPolicy::Lru, 8192),
         ] {
-            let mut s = esd_core::Esd::with_policy(&config, policy);
+            let mut s = esd_core::Scheme::with_policy(&config, policy);
             s.efit_decay_interval(decay);
-            let r = esd_core::run_trace(&mut s, &trace, &config, false).unwrap();
+            let r = esd_core::run_trace(&s, &trace, &config, false).unwrap();
             println!("{name}/{label}: efit_hit {:.4} dedup {}",
                 r.fingerprint_cache.map_or(0.0,|c| c.hit_rate()),
                 r.stats.writes_deduplicated);

@@ -6,7 +6,7 @@
 //! plain LRU at every size.
 
 use esd_bench::{format_row, print_figure_header, Sweep};
-use esd_core::{run_trace, Esd, EfitPolicy};
+use esd_core::{run_trace, EfitPolicy, Scheme, SchemeKind};
 use esd_trace::{generate_trace, AppProfile};
 
 const SIZES_KB: [u64; 6] = [64, 128, 256, 512, 1024, 2048];
@@ -39,9 +39,8 @@ fn main() {
                 let trace = generate_trace(app, sweep.seed, sweep.accesses);
                 let mut config = sweep.config;
                 config.controller.fingerprint_cache_bytes = kb << 10;
-                let mut scheme = Esd::with_policy(&config, policy);
-                let report =
-                    run_trace(&mut scheme, &trace, &config, false).expect("unverified run");
+                let scheme = Scheme::with_policy(&config, policy);
+                let report = run_trace(&scheme, &trace, &config, false).expect("unverified run");
                 sum += report
                     .fingerprint_cache
                     .expect("ESD has an EFIT")
@@ -67,8 +66,8 @@ fn main() {
             let trace = generate_trace(app, sweep.seed, sweep.accesses);
             let mut config = sweep.config;
             config.controller.mapping_cache_bytes = kb << 10;
-            let mut scheme = Esd::new(&config);
-            let report = run_trace(&mut scheme, &trace, &config, false).expect("unverified run");
+            let scheme = Scheme::new(SchemeKind::Esd, &config);
+            let report = run_trace(&scheme, &trace, &config, false).expect("unverified run");
             sum += report.amt_cache.expect("ESD has an AMT").hit_rate();
         }
         let rate = sum / sweep.apps.len() as f64;

@@ -37,6 +37,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use esd_core::{replay_with, RunOptions, RunReport, SchemeKind};
+use esd_kernels::env_or;
 use esd_sim::SystemConfig;
 use esd_trace::{generate_trace, AppProfile, Trace};
 
@@ -81,20 +82,20 @@ impl Sweep {
     #[must_use]
     pub fn new(apps: Vec<AppProfile>) -> Self {
         let mut config = SystemConfig::default();
-        config.pcm.rber_per_tbit = env_u64("ESD_RBER", config.pcm.rber_per_tbit);
-        config.pcm.rber_seed = env_u64("ESD_RBER_SEED", config.pcm.rber_seed);
-        let accesses = env_usize("ESD_ACCESSES", DEFAULT_ACCESSES);
+        config.pcm.rber_per_tbit = env_or("ESD_RBER", config.pcm.rber_per_tbit);
+        config.pcm.rber_seed = env_or("ESD_RBER_SEED", config.pcm.rber_seed);
+        let accesses = env_or("ESD_ACCESSES", DEFAULT_ACCESSES);
         Sweep {
             apps,
             accesses,
-            seed: env_u64("ESD_SEED", DEFAULT_SEED),
+            seed: env_or("ESD_SEED", DEFAULT_SEED),
             config,
             threads: env_threads(),
-            scrub_interval: match env_u64("ESD_SCRUB_EVERY", 0) {
+            scrub_interval: match env_or("ESD_SCRUB_EVERY", 0) {
                 0 => None,
                 n => Some(n),
             },
-            epoch_interval: match env_u64("ESD_EPOCH_EVERY", (accesses as u64 / 10).max(1)) {
+            epoch_interval: match env_or("ESD_EPOCH_EVERY", (accesses as u64 / 10).max(1)) {
                 0 => None,
                 n => Some(n),
             },
@@ -361,14 +362,6 @@ pub struct TaskTiming {
     pub seconds: f64,
 }
 
-fn env_usize(key: &str, default: usize) -> usize {
-    parse_env(key, default)
-}
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    parse_env(key, default)
-}
-
 /// `ESD_THREADS`: a positive worker-thread cap, or `None` for auto.
 /// An explicit `ESD_THREADS=0` is almost certainly a mistaken attempt to
 /// disable parallelism (that would be `ESD_THREADS=1`), so it warns
@@ -380,29 +373,9 @@ fn env_threads() -> Option<usize> {
              use ESD_THREADS=1 to pin a single worker"
         );
     }
-    match parse_env::<usize>("ESD_THREADS", 0) {
+    match env_or::<usize>("ESD_THREADS", 0) {
         0 => None,
         n => Some(n),
-    }
-}
-
-/// Reads an integer environment variable; on a set-but-unparseable value,
-/// warns on stderr (instead of silently masking the typo) and falls back.
-fn parse_env<T>(key: &str, default: T) -> T
-where
-    T: std::str::FromStr + std::fmt::Display + Copy,
-{
-    match std::env::var(key) {
-        Ok(raw) => match raw.parse() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!(
-                    "warning: ignoring {key}={raw:?} (expected an integer); using default {default}"
-                );
-                default
-            }
-        },
-        Err(_) => default,
     }
 }
 
@@ -522,17 +495,6 @@ mod tests {
         assert_eq!(claim_task(&queues, 1), Some(2));
         assert_eq!(claim_task(&queues, 0), None);
         assert_eq!(claim_task(&queues, 1), None);
-    }
-
-    #[test]
-    fn unparseable_env_warns_and_falls_back() {
-        // Unique variable names: tests in this binary run concurrently and
-        // the environment is process-global.
-        std::env::set_var("ESD_TEST_BAD_INT", "12abc");
-        assert_eq!(parse_env("ESD_TEST_BAD_INT", 7usize), 7);
-        std::env::set_var("ESD_TEST_GOOD_INT", "12");
-        assert_eq!(parse_env("ESD_TEST_GOOD_INT", 7u64), 12);
-        assert_eq!(parse_env("ESD_TEST_UNSET_INT", 9u64), 9);
     }
 
     #[test]

@@ -356,13 +356,13 @@ fn run_one(
     config: &SystemConfig,
     options: &RunOptions,
 ) -> Result<RunReport, String> {
-    let mut scheme = build_scheme(kind, config);
+    let scheme = build_scheme(kind, config);
     // The no-verify ablation aliases colliding lines by design.
     let options = RunOptions {
         verify: options.verify && kind != SchemeKind::EsdNoVerify,
         ..*options
     };
-    run_trace_with(scheme.as_mut(), trace, config, &options).map_err(|e| e.to_string())
+    run_trace_with(&scheme, trace, config, &options).map_err(|e| e.to_string())
 }
 
 fn cmd_run(rest: Vec<String>) -> Result<(), String> {

@@ -290,7 +290,7 @@ impl Default for MetadataJournal {
 }
 
 /// Per-slice recovery accounting, produced by
-/// [`crate::DedupScheme::crash_recover_at`].
+/// [`crate::Scheme::crash_recover_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoverySummary {
     /// Time the slice's recovery completed (the core stalls until then).

@@ -22,8 +22,10 @@
 //!
 //! # Crate contents
 //!
-//! * [`Esd`] — the paper's scheme; [`Baseline`], [`DedupSha1`], [`DeWrite`]
-//!   — its comparison points, all implementing [`DedupScheme`].
+//! * [`Scheme`] — the one write-path pipeline: fingerprint → index probe →
+//!   optional verify read → remap or encrypt-and-write. A [`SchemeKind`]
+//!   (the paper's ESD, its comparison points Baseline, Dedup_SHA1 and
+//!   DeWrite, and four variants) only selects which stages run.
 //! * [`Efit`] (LRCU), [`Amt`], [`FingerprintStore`], [`DupPredictor`],
 //!   [`PhysicalAllocator`] — the building blocks.
 //! * [`run_trace`] / [`run_app`] — replay a workload and collect a
@@ -47,12 +49,9 @@
 
 mod alloc;
 mod amt;
-mod baseline;
+mod machinery;
 mod counter_cache;
-mod dedup_sha1;
-mod dewrite;
 mod efit;
-mod esd;
 mod fpstore;
 mod journal;
 mod predictor;
@@ -62,16 +61,11 @@ mod scheme;
 mod scrub;
 mod shard;
 pub mod tenant;
-mod variants;
 
 pub use alloc::PhysicalAllocator;
 pub use amt::{Amt, AMT_ENTRY_BYTES};
-pub use baseline::Baseline;
 pub use counter_cache::{CounterCache, COUNTER_BLOCK_LINES, COUNTER_ENTRY_BYTES};
-pub use dedup_sha1::{DedupSha1, SHA1_ENTRY_BYTES};
-pub use dewrite::{DeWrite, DEWRITE_ENTRY_BYTES};
 pub use efit::{Efit, EfitEntry, EfitPolicy, EFIT_ENTRY_BYTES, REFER_MAX};
-pub use esd::Esd;
 pub use fpstore::{FingerprintStore, FpLookup, LookupSource};
 pub use journal::{
     CrashPoint, CrashStage, MetadataJournal, RecoveryReport, RecoverySummary, JOURNAL_NVMM_BASE,
@@ -83,11 +77,10 @@ pub use runner::{
     run_app, run_trace, run_trace_with, RunOptions, VerifyError, DEFAULT_BATCH, DEFAULT_QUANTUM,
 };
 pub use scheme::{
-    DedupScheme, FingerprintSpec, MetadataFootprint, ReadOutcome, ReadResult, SchemeKind,
-    SchemeStats, ShardCtx, WriteResult,
+    FingerprintSpec, MetadataFootprint, ReadOutcome, ReadResult, Scheme, SchemeKind, SchemeStats,
+    WriteResult, DEWRITE_ENTRY_BYTES, MD5_ENTRY_BYTES, SHA1_ENTRY_BYTES,
 };
 pub use scrub::{ScrubStats, Scrubber};
-pub use variants::{EsdFull, EsdNoVerify, HashDedup, MD5_ENTRY_BYTES};
 
 #[cfg(test)]
 mod tests {
@@ -96,10 +89,7 @@ mod tests {
     #[test]
     fn public_types_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Esd>();
-        assert_send_sync::<Baseline>();
-        assert_send_sync::<DedupSha1>();
-        assert_send_sync::<DeWrite>();
+        assert_send_sync::<Scheme>();
         assert_send_sync::<RunReport>();
         assert_send_sync::<VerifyError>();
     }

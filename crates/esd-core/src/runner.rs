@@ -4,31 +4,19 @@
 use std::error::Error;
 use std::fmt;
 
+use esd_kernels::{env_or, env_parse};
 use esd_sim::SystemConfig;
 use esd_trace::{AppProfile, Trace};
 
-use crate::baseline::Baseline;
-use crate::dedup_sha1::DedupSha1;
-use crate::dewrite::DeWrite;
-use crate::esd::Esd;
 use crate::journal::CrashPoint;
 use crate::report::RunReport;
-use crate::scheme::{DedupScheme, SchemeKind};
-use crate::variants::{EsdFull, EsdNoVerify, HashDedup};
+use crate::scheme::{Scheme, SchemeKind};
 
-/// Constructs a scheme of the given kind over a fresh simulated system.
+/// Constructs a scheme of the given kind over a fresh simulated system
+/// ([`Scheme::new`] under the name the harnesses use).
 #[must_use]
-pub fn build_scheme(kind: SchemeKind, config: &SystemConfig) -> Box<dyn DedupScheme> {
-    match kind {
-        SchemeKind::Baseline => Box::new(Baseline::new(config)),
-        SchemeKind::DedupSha1 => Box::new(DedupSha1::new(config)),
-        SchemeKind::DeWrite => Box::new(DeWrite::new(config)),
-        SchemeKind::Esd => Box::new(Esd::new(config)),
-        SchemeKind::DedupMd5 => Box::new(HashDedup::md5(config)),
-        SchemeKind::Pde => Box::new(HashDedup::pde(config)),
-        SchemeKind::EsdFull => Box::new(EsdFull::new(config)),
-        SchemeKind::EsdNoVerify => Box::new(EsdNoVerify::new(config)),
-    }
+pub fn build_scheme(kind: SchemeKind, config: &SystemConfig) -> Scheme {
+    Scheme::new(kind, config)
 }
 
 /// A data-integrity violation detected during a verified run: a read
@@ -137,6 +125,11 @@ pub struct RunOptions {
 }
 
 impl Default for RunOptions {
+    /// Verification on, everything else off — except the six fields the
+    /// environment can set (`ESD_SHARDS`, `ESD_BATCH`, `ESD_QUANTUM`,
+    /// `ESD_CRASH_AT`, `ESD_JOURNAL_EVERY`, `ESD_KERNEL`), each read through
+    /// [`esd_kernels::env_parse`]: a malformed value warns on stderr and
+    /// falls back to the built-in default.
     fn default() -> Self {
         RunOptions {
             verify: true,
@@ -145,88 +138,14 @@ impl Default for RunOptions {
             observe: false,
             trace_capacity: 0,
             epoch_interval: None,
-            shards: default_shards(),
-            batch: default_batch(),
-            quantum: default_quantum(),
-            crash_at: default_crash_at(),
-            journal_every: default_journal_every(),
-            kernels: default_kernels(),
+            shards: env_or("ESD_SHARDS", 1),
+            batch: env_or("ESD_BATCH", DEFAULT_BATCH),
+            quantum: env_or("ESD_QUANTUM", DEFAULT_QUANTUM),
+            crash_at: env_parse("ESD_CRASH_AT", "crash injection stays off"),
+            journal_every: env_parse("ESD_JOURNAL_EVERY", "journaling stays off")
+                .filter(|&interval: &u64| interval > 0),
+            kernels: esd_kernels::backend_from_env(),
         }
-    }
-}
-
-/// The default kernel backend: `ESD_KERNEL` when set to a valid backend
-/// name (`scalar`, `simd`, `auto`), else `Auto`. A set-but-malformed value
-/// warns on stderr and falls back, matching the other `ESD_*` knobs.
-fn default_kernels() -> esd_kernels::KernelBackend {
-    esd_kernels::backend_from_env()
-}
-
-/// The default worker-thread count: the `ESD_SHARDS` environment variable
-/// when set to a valid integer, else 1 (single-threaded).
-fn default_shards() -> u32 {
-    env_knob("ESD_SHARDS", 1)
-}
-
-/// The default batch-block size: `ESD_BATCH` when set, else 64.
-fn default_batch() -> u32 {
-    env_knob("ESD_BATCH", DEFAULT_BATCH)
-}
-
-/// The default sync quantum: `ESD_QUANTUM` when set, else 4096.
-fn default_quantum() -> u32 {
-    env_knob("ESD_QUANTUM", DEFAULT_QUANTUM)
-}
-
-/// The default crash injection point: `ESD_CRASH_AT` parsed as
-/// `access[:stage]` when set, else `None` (no injection).
-fn default_crash_at() -> Option<CrashPoint> {
-    match std::env::var("ESD_CRASH_AT") {
-        Ok(raw) => match raw.trim().parse() {
-            Ok(point) => Some(point),
-            Err(err) => {
-                eprintln!("warning: ignoring ESD_CRASH_AT={raw:?} ({err}); crash injection stays off");
-                None
-            }
-        },
-        Err(_) => None,
-    }
-}
-
-/// The default journal checkpoint interval: `ESD_JOURNAL_EVERY` when set
-/// to a positive integer, else `None` (journaling off). `0` means off.
-fn default_journal_every() -> Option<u64> {
-    match std::env::var("ESD_JOURNAL_EVERY") {
-        Ok(raw) => match raw.trim().parse::<u64>() {
-            Ok(0) => None,
-            Ok(interval) => Some(interval),
-            Err(_) => {
-                eprintln!(
-                    "warning: ignoring ESD_JOURNAL_EVERY={raw:?} (expected an integer); journaling stays off"
-                );
-                None
-            }
-        },
-        Err(_) => None,
-    }
-}
-
-/// Reads an integer knob from the environment. A set-but-malformed value
-/// warns on stderr (matching `ESD_THREADS` in `esd-bench`) instead of
-/// silently falling back — silent fallback meant a typo like
-/// `ESD_SHARDS=4x` quietly ran single-threaded.
-fn env_knob(name: &str, default: u32) -> u32 {
-    match std::env::var(name) {
-        Ok(raw) => match raw.trim().parse() {
-            Ok(value) => value,
-            Err(_) => {
-                eprintln!(
-                    "warning: ignoring {name}={raw:?} (expected an integer); using default {default}"
-                );
-                default
-            }
-        },
-        Err(_) => default,
     }
 }
 
@@ -285,7 +204,7 @@ pub fn effective_batch(requested: u32) -> u32 {
 /// With `verify` set, returns [`VerifyError`] if any read returns content
 /// that differs from the most recent write to that logical address.
 pub fn run_trace(
-    scheme: &mut dyn DedupScheme,
+    scheme: &Scheme,
     trace: &Trace,
     config: &SystemConfig,
     verify: bool,
@@ -310,7 +229,8 @@ pub fn run_trace(
 /// scheme instance over a one-bank slice of the system, on
 /// [`RunOptions::shards`] worker threads. The passed `scheme` acts as a
 /// **template**: it supplies the scheme kind and construction-time knobs
-/// through [`DedupScheme::fork_slice`] and is not itself driven — inspect
+/// (EFIT policy and decay interval, codec, wear leveling), every slice is
+/// forked from it, and it is not itself driven — inspect
 /// the returned [`RunReport`] (e.g. [`RunReport::fingerprint_cache`])
 /// rather than the scheme object after the run.
 ///
@@ -322,7 +242,7 @@ pub fn run_trace(
 /// Reads flagged uncorrectable or miscorrected are surfaced through
 /// [`crate::SchemeStats`], not as errors.
 pub fn run_trace_with(
-    scheme: &mut dyn DedupScheme,
+    scheme: &Scheme,
     trace: &Trace,
     config: &SystemConfig,
     options: &RunOptions,
@@ -362,8 +282,7 @@ pub fn replay_with(
     config: &SystemConfig,
     options: &RunOptions,
 ) -> Result<RunReport, VerifyError> {
-    let mut scheme = build_scheme(kind, config);
-    run_trace_with(scheme.as_mut(), trace, config, options)
+    run_trace_with(&Scheme::new(kind, config), trace, config, options)
 }
 
 /// Convenience: generate a workload's trace and replay it through one
@@ -380,8 +299,7 @@ pub fn run_app(
     config: &SystemConfig,
 ) -> Result<RunReport, VerifyError> {
     let trace = esd_trace::generate_trace(profile, seed, accesses);
-    let mut scheme = build_scheme(kind, config);
-    run_trace(scheme.as_mut(), &trace, config, true)
+    run_trace(&Scheme::new(kind, config), &trace, config, true)
 }
 
 #[cfg(test)]
@@ -416,8 +334,7 @@ mod tests {
         let config = SystemConfig::default();
         let trace = demo_trace();
         for kind in SchemeKind::ALL {
-            let mut scheme = build_scheme(kind, &config);
-            let report = run_trace(scheme.as_mut(), &trace, &config, true)
+            let report = run_trace(&build_scheme(kind, &config), &trace, &config, true)
                 .unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert_eq!(report.stats.writes_received as usize, trace.write_count());
             assert_eq!(report.stats.reads_served as usize, trace.read_count());
@@ -431,8 +348,7 @@ mod tests {
         let trace = demo_trace();
         let mut reports = Vec::new();
         for kind in SchemeKind::ALL {
-            let mut scheme = build_scheme(kind, &config);
-            reports.push(run_trace(scheme.as_mut(), &trace, &config, true).unwrap());
+            reports.push(run_trace(&build_scheme(kind, &config), &trace, &config, true).unwrap());
         }
         let baseline_writes = reports[0].nvmm_data_writes();
         for report in &reports[1..] {
@@ -452,10 +368,8 @@ mod tests {
         // never more.
         let config = SystemConfig::default();
         let trace = demo_trace();
-        let mut sha1 = build_scheme(SchemeKind::DedupSha1, &config);
-        let mut esd = build_scheme(SchemeKind::Esd, &config);
-        let r_sha1 = run_trace(sha1.as_mut(), &trace, &config, true).unwrap();
-        let r_esd = run_trace(esd.as_mut(), &trace, &config, true).unwrap();
+        let r_sha1 = replay(SchemeKind::DedupSha1, &trace, &config).unwrap();
+        let r_esd = replay(SchemeKind::Esd, &trace, &config).unwrap();
         assert!(r_esd.write_reduction() <= r_sha1.write_reduction() + 1e-9);
         assert!(r_esd.write_reduction() > 0.0);
     }
@@ -529,19 +443,6 @@ mod tests {
         assert!(p.total() > 0, "outcomes must be scored");
         let base = replay(SchemeKind::Baseline, &trace, &config).unwrap();
         assert!(base.predictor.is_none(), "Baseline does not predict");
-    }
-
-    #[test]
-    fn env_knob_warns_and_falls_back_on_malformed_values() {
-        // Unique variable names: tests in this binary run concurrently and
-        // the environment is process-global.
-        std::env::set_var("ESD_CORE_TEST_KNOB_BAD", "4x");
-        assert_eq!(env_knob("ESD_CORE_TEST_KNOB_BAD", 7), 7);
-        std::env::set_var("ESD_CORE_TEST_KNOB_GOOD", " 12 ");
-        assert_eq!(env_knob("ESD_CORE_TEST_KNOB_GOOD", 7), 12);
-        assert_eq!(env_knob("ESD_CORE_TEST_KNOB_UNSET", 7), 7);
-        std::env::remove_var("ESD_CORE_TEST_KNOB_BAD");
-        std::env::remove_var("ESD_CORE_TEST_KNOB_GOOD");
     }
 
     #[test]

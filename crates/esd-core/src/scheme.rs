@@ -1,25 +1,22 @@
-//! The write-path scheme abstraction shared by Baseline, Dedup_SHA1,
-//! DeWrite and ESD, plus the common machinery (encryption, allocation,
-//! address mapping, accounting) they build on.
+//! The write path, once: [`Scheme`] is the single pipeline every
+//! [`SchemeKind`] runs — fingerprint → index probe → optional verify read →
+//! remap or encrypt-and-write — with the stages a kind takes selected by
+//! its [`Policy`] row. Baseline (paper §IV), Dedup_SHA1, DeWrite (Figure 4),
+//! ESD (Figure 9), PDE (§II-C) and the ablations differ only in that row.
 
-use std::sync::Arc;
-
-use esd_collections::{ShardedU64Map, U64Map};
-use esd_crypto::CmeEngine;
 use esd_ecc::EccCodec;
 use esd_hash::FingerprintKind;
 use esd_obs::Obs;
-use esd_sim::{
-    Energy, NvmmSystem, Ps, SystemConfig, WriteLatencyBreakdown,
-};
+use esd_sim::{CacheStats, Energy, NvmmSystem, Ps, SystemConfig, WriteLatencyBreakdown};
 use esd_trace::CacheLine;
 
-use crate::alloc::PhysicalAllocator;
-use crate::amt::Amt;
-use crate::counter_cache::CounterCache;
-use crate::journal::{CrashStage, MetadataJournal, RecoverySummary};
+use crate::efit::{Efit, EfitPolicy, EFIT_ENTRY_BYTES, REFER_MAX};
+use crate::fpstore::{FingerprintStore, LookupSource};
+use crate::journal::{MetadataJournal, RecoverySummary};
+use crate::machinery::{Core, RemoteEntry, RemoteProbe, ShardCtx, Stage};
+use crate::predictor::{DupPredictor, PredictorStats};
 
-/// Identifies the four evaluated schemes.
+/// Identifies the eight schemes: the paper's four and four variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// Encrypt-and-write, no deduplication.
@@ -244,219 +241,6 @@ impl MetadataFootprint {
     }
 }
 
-/// Marker physical address meaning "this logical line deduplicated onto a
-/// line owned by another replay slice". Never produced by
-/// [`PhysicalAllocator`]; mapping-release and read paths special-case it so
-/// it can never reach the reference counter or the medium.
-pub(crate) const REMOTE_SENTINEL: u64 = u64::MAX;
-
-/// One advertisement in the cross-slice dedup directory: a slice that wrote
-/// `line` as unique at `physical` offers it as a dedup target to the other
-/// slices. The owner pins `physical` with one reference count for the rest
-/// of the run, so the advertised plaintext can never be recycled under a
-/// remote sharer.
-#[derive(Debug, Clone)]
-pub(crate) struct RemoteEntry {
-    /// Replay slice that owns the physical line.
-    pub owner: u32,
-    /// The advertised plaintext, byte-compared by verifying remote probes.
-    pub line: CacheLine,
-}
-
-/// Per-slice handle onto the sharded replay engine's shared state.
-///
-/// The engine installs one into each slice's scheme (via
-/// [`DedupScheme::shard_slot`]) before replay. It carries the slice's
-/// identity, a read-only view of the cross-slice dedup directory (only
-/// mutated at epoch barriers, so hot-path probes never contend with
-/// writers), the slice's outgoing publish queue (drained by the engine at
-/// each barrier), and the plaintext mirror for logical lines this slice has
-/// deduplicated onto remote physical lines.
-#[derive(Debug)]
-pub struct ShardCtx {
-    pub(crate) slice: u32,
-    pub(crate) directory: Arc<ShardedU64Map<RemoteEntry>>,
-    pub(crate) publishes: Vec<(u64, RemoteEntry)>,
-    pub(crate) remote_lines: U64Map<CacheLine>,
-}
-
-impl ShardCtx {
-    pub(crate) fn new(slice: u32, directory: Arc<ShardedU64Map<RemoteEntry>>) -> Self {
-        ShardCtx {
-            slice,
-            directory,
-            publishes: Vec::new(),
-            remote_lines: U64Map::new(),
-        }
-    }
-}
-
-/// Outcome of probing the cross-slice dedup directory on the write path.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RemoteProbe {
-    /// No usable remote candidate (no shard context, fingerprint absent,
-    /// the entry is this slice's own, or a trust-mode content mismatch).
-    /// Nothing was charged; the caller proceeds as if never probing.
-    Miss,
-    /// A cross-slice duplicate: the remap is complete and the result is
-    /// final.
-    Dedup(WriteResult),
-    /// The verify read found different bytes — a fingerprint collision
-    /// across slices. The compare read and comparator time were charged;
-    /// the caller resumes its unique-write path at the returned instant.
-    Collision(Ps),
-}
-
-/// A complete write-path scheme over the simulated NVMM.
-///
-/// Implementations own their simulator instance; the trace runner drives
-/// [`DedupScheme::write`] / [`DedupScheme::read`] in program order.
-/// Schemes are `Send` so the sharded replay engine can move per-slice
-/// instances onto worker threads.
-pub trait DedupScheme: Send {
-    /// Which scheme this is.
-    fn kind(&self) -> SchemeKind;
-
-    /// Processes one LLC eviction arriving at `now`.
-    fn write(&mut self, now: Ps, logical: u64, line: CacheLine) -> WriteResult;
-
-    /// Processes one demand read arriving at `now`.
-    fn read(&mut self, now: Ps, logical: u64) -> ReadResult;
-
-    /// Scheme-level counters.
-    fn stats(&self) -> SchemeStats;
-
-    /// The paper's four-bucket write-latency decomposition (Figure 17).
-    fn breakdown(&self) -> WriteLatencyBreakdown;
-
-    /// Current metadata footprint (Figure 19).
-    fn metadata_footprint(&self) -> MetadataFootprint;
-
-    /// The underlying memory system (device counters, medium, energy).
-    fn nvmm(&self) -> &NvmmSystem;
-
-    /// Mutable access to the memory system (fault injection in tests).
-    fn nvmm_mut(&mut self) -> &mut NvmmSystem;
-
-    /// Fingerprint-cache statistics, if the scheme has a fingerprint
-    /// structure (`None` for Baseline).
-    fn fingerprint_cache_stats(&self) -> Option<esd_sim::CacheStats> {
-        None
-    }
-
-    /// AMT-cache statistics, if the scheme remaps addresses.
-    fn amt_cache_stats(&self) -> Option<esd_sim::CacheStats> {
-        None
-    }
-
-    /// The scheme's observability sink, for the runner to install an
-    /// enabled collector into and to drain at the end of a run. `None`
-    /// means the scheme carries no instrumentation.
-    fn obs_mut(&mut self) -> Option<&mut Obs> {
-        None
-    }
-
-    /// Duplication-predictor accuracy counters, for schemes that predict
-    /// (DeWrite); `None` otherwise.
-    fn predictor_stats(&self) -> Option<crate::predictor::PredictorStats> {
-        None
-    }
-
-    /// Builds a fresh instance of this scheme over `config`, carrying the
-    /// template's constructor-level knobs (e.g. ESD's EFIT replacement
-    /// policy and decay interval) that the plain [`crate::build_scheme`]
-    /// factory would not know about. The sharded replay engine forks one
-    /// instance per slice from the caller's scheme.
-    fn fork_slice(&self, config: &SystemConfig) -> Box<dyn DedupScheme> {
-        crate::runner::build_scheme(self.kind(), config)
-    }
-
-    /// The slot the sharded replay engine installs a [`ShardCtx`] into.
-    /// `None` (the default) opts the scheme out of cross-slice
-    /// deduplication: its slices then only ever deduplicate within their
-    /// own bank partition.
-    fn shard_slot(&mut self) -> Option<&mut Option<ShardCtx>> {
-        None
-    }
-
-    /// How this scheme derives its write-path fingerprint, if the
-    /// fingerprint is a pure function of line content the batched engine
-    /// can precompute with the multi-lane kernels. `None` (the default)
-    /// means the scheme computes no content fingerprint (Baseline) and the
-    /// batch fingerprint stage skips it.
-    fn fingerprint_spec(&self) -> Option<FingerprintSpec> {
-        None
-    }
-
-    /// [`DedupScheme::write`] with an optionally precomputed fingerprint
-    /// key for this line, as produced by the kernels named in
-    /// [`DedupScheme::fingerprint_spec`].
-    ///
-    /// Implementations must charge exactly the latency/energy/observability
-    /// they would have charged computing the fingerprint inline — the
-    /// precomputation saves host wall-clock, never simulated time — so the
-    /// batched engine's reports stay byte-identical to scalar replay. The
-    /// default ignores the hint and recomputes.
-    fn write_prepared(
-        &mut self,
-        now: Ps,
-        logical: u64,
-        line: CacheLine,
-        fingerprint: Option<u64>,
-    ) -> WriteResult {
-        let _ = fingerprint;
-        self.write(now, logical, line)
-    }
-
-    /// Hints the fingerprints of an upcoming batch so the scheme can warm
-    /// its index structures (host-cache prefetch only — no model side
-    /// effects allowed). The default does nothing.
-    fn prefetch_fingerprints(&mut self, fingerprints: &[u64]) {
-        let _ = fingerprints;
-    }
-
-    /// Sets the metadata-journal checkpoint interval (in records) before
-    /// replay starts; `None` disables journaling, making recovery pay a
-    /// full metadata scan instead of a journal-tail replay. The default
-    /// ignores it — correct for schemes with no durable dedup metadata
-    /// (Baseline).
-    fn journal_configure(&mut self, interval: Option<u64>) {
-        let _ = interval;
-    }
-
-    /// Switches the scheme's encryption engine into multi-tenant service
-    /// mode: subsequent [`DedupScheme::set_active_tenant`] calls select a
-    /// per-tenant key derived from `master`
-    /// (`esd_crypto::derive_tenant_key`). Returns `false` when the scheme
-    /// has no per-tenant key support — the service must refuse such a
-    /// scheme rather than silently share one keystream across tenants.
-    fn tenancy_configure(&mut self, master: [u8; 16]) -> bool {
-        let _ = master;
-        false
-    }
-
-    /// Selects the tenant whose derived key encrypts subsequent writes.
-    /// Only meaningful after [`DedupScheme::tenancy_configure`] returned
-    /// `true`; the default is a no-op for schemes without tenancy support.
-    fn set_active_tenant(&mut self, tenant: u32) {
-        let _ = tenant;
-    }
-
-    /// Simulates a power loss at `now` with an access in flight at `stage`
-    /// and recovers this scheme to a consistent state: advisory SRAM
-    /// structures are dropped, durable metadata is replayed from the
-    /// journal (or rebuilt by a full scan), and — when `torn_write` — the
-    /// in-flight access's torn tail record is detected and rolled back.
-    ///
-    /// The default models a scheme with no durable dedup metadata: the
-    /// torn in-flight line never reached an acknowledgment, the interrupted
-    /// access simply re-executes, and recovery is free.
-    fn crash_recover_at(&mut self, now: Ps, stage: CrashStage, torn_write: bool) -> RecoverySummary {
-        let _ = (stage, torn_write);
-        RecoverySummary::trivial(now)
-    }
-}
-
 /// The fingerprint function a scheme's write path applies to line content,
 /// advertised to the batched replay engine so it can precompute a whole
 /// block of keys through the multi-lane kernels.
@@ -479,596 +263,711 @@ impl FingerprintSpec {
             FingerprintSpec::Ecc(codec) => codec.line_fingerprints(lines, out),
         }
     }
+
+    /// The key of one line.
+    fn compute_key(self, line: &[u8; 64]) -> u64 {
+        match self {
+            FingerprintSpec::Hash(kind) => {
+                kind.compute_key(line).expect("hash kinds compute a key")
+            }
+            FingerprintSpec::Ecc(codec) => codec.line_fingerprint(line),
+        }
+    }
 }
 
-/// Shared machinery for the deduplicating schemes: NVMM, encryption engine,
-/// address mapping, physical allocation, and accounting.
+/// Bytes per stored SHA-1 index entry: 20 B digest + 5 B physical address +
+/// 4 B reference count.
+pub const SHA1_ENTRY_BYTES: usize = 29;
+
+/// Bytes per stored MD5 index entry: 16 B digest + 5 B physical address +
+/// 4 B reference count.
+pub const MD5_ENTRY_BYTES: usize = 25;
+
+/// Bytes per stored CRC index entry (the paper cites 16 B + 3 bits per
+/// physical line for DeWrite's metadata).
+pub const DEWRITE_ENTRY_BYTES: usize = 17;
+
+/// The fingerprint index a scheme keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IndexPolicy {
+    /// No index: nothing is ever deduplicated.
+    None,
+    /// A full [`FingerprintStore`] — authoritative table in NVMM, hot slice
+    /// in SRAM — with entries this wide. Entries pin their lines for good
+    /// (full deduplication never reclaims).
+    Store { entry_bytes: usize },
+    /// The selective, SRAM-only [`Efit`]. `decay` overrides the LRCU decay
+    /// interval (sensitivity studies); `None` keeps the built-in one.
+    Efit {
+        policy: EfitPolicy,
+        decay: Option<u64>,
+    },
+}
+
+/// When encryption overlaps fingerprinting instead of following it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Overlap {
+    /// Fingerprint, decide, then encrypt what turned out unique.
+    Never,
+    /// PDE (§II-C): every line is encrypted alongside its hash, so the
+    /// cheaper of the two is hidden and the work on duplicates is wasted.
+    Always,
+    /// DeWrite: overlapped only for lines predicted non-duplicate. A wrong
+    /// "non-duplicate" wastes the encryption (the paper's F4); a wrong
+    /// "duplicate" serialises it behind the whole front end (F2).
+    Predicted,
+}
+
+/// Where a logical line is stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mapping {
+    /// At its own address: no AMT, no allocator, no counter cache, no
+    /// durable dedup metadata to journal or recover.
+    Identity,
+    /// Wherever the allocator put its content, through the AMT.
+    Amt,
+}
+
+/// Which stages of the one write path a scheme takes — the whole
+/// difference between the eight [`SchemeKind`]s (DESIGN.md §3b has the
+/// table).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Policy {
+    /// The kind this row describes.
+    pub kind: SchemeKind,
+    /// Fill byte of the (documented, fixed) CME key.
+    pub key: u8,
+    /// Fingerprint source; `None` skips fingerprinting and the index.
+    pub fingerprint: Option<FingerprintSpec>,
+    /// The fingerprint index.
+    pub index: IndexPolicy,
+    /// Byte-compare a fingerprint match against a read-back of the
+    /// candidate before deduplicating (local and cross-slice alike).
+    pub verify: bool,
+    /// Encryption/fingerprint overlap.
+    pub overlap: Overlap,
+    /// Logical-to-physical mapping.
+    pub mapping: Mapping,
+    /// Take part in the sharded engine's cross-slice dedup directory.
+    /// Quirk kept from the per-scheme code: `ESD_NoVerify` never did.
+    pub cross_slice: bool,
+    /// Advertise a unique line to the other slices even when a colliding
+    /// local index entry kept it out of the index. Quirk kept from the
+    /// per-scheme code: DeWrite publishes only what it indexed.
+    pub publish_unindexed: bool,
+}
+
+impl Policy {
+    /// The row for `kind`.
+    pub(crate) fn of(kind: SchemeKind) -> Policy {
+        use FingerprintKind::{Crc32, Md5, Sha1};
+        use Overlap::{Always, Never, Predicted};
+        let hash = |kind| Some(FingerprintSpec::Hash(kind));
+        let ecc = Some(FingerprintSpec::Ecc(EccCodec::Hamming));
+        let store = |entry_bytes| IndexPolicy::Store { entry_bytes };
+        let efit = IndexPolicy::Efit {
+            policy: EfitPolicy::Lrcu,
+            decay: None,
+        };
+        // An ECC store entry: 8 B fingerprint + 5 B physical + 1 B refer.
+        #[rustfmt::skip]
+        let (key, fingerprint, index, verify, overlap) = match kind {
+            SchemeKind::Baseline    => (0xB0, None,        IndexPolicy::None,          false, Never),
+            SchemeKind::DedupSha1   => (0x51, hash(Sha1),  store(SHA1_ENTRY_BYTES),    false, Never),
+            SchemeKind::DedupMd5    => (0x1D, hash(Md5),   store(MD5_ENTRY_BYTES),     false, Never),
+            SchemeKind::Pde         => (0x1D, hash(Sha1),  store(SHA1_ENTRY_BYTES),    false, Always),
+            SchemeKind::DeWrite     => (0xDE, hash(Crc32), store(DEWRITE_ENTRY_BYTES), true,  Predicted),
+            SchemeKind::Esd         => (0xE5, ecc,         efit,                       true,  Never),
+            SchemeKind::EsdFull     => (0xEF, ecc,         store(EFIT_ENTRY_BYTES),    true,  Never),
+            SchemeKind::EsdNoVerify => (0xEA, ecc,         efit,                       false, Never),
+        };
+        let deduplicates = fingerprint.is_some();
+        Policy {
+            kind,
+            key,
+            fingerprint,
+            index,
+            verify,
+            overlap,
+            mapping: if deduplicates {
+                Mapping::Amt
+            } else {
+                Mapping::Identity
+            },
+            cross_slice: deduplicates && kind != SchemeKind::EsdNoVerify,
+            publish_unindexed: kind != SchemeKind::DeWrite,
+        }
+    }
+}
+
+/// The live fingerprint index behind an [`IndexPolicy`].
 #[derive(Debug)]
-pub(crate) struct Core {
-    pub nvmm: NvmmSystem,
-    pub cme: CmeEngine,
-    pub amt: Amt,
-    pub alloc: PhysicalAllocator,
-    pub stats: SchemeStats,
-    pub breakdown: WriteLatencyBreakdown,
-    pub sram_latency: Ps,
-    /// Exposed byte-compare latency after the candidate line is read.
-    pub compare_latency: Ps,
-    /// Finite encryption-counter cache; `None` models always-resident
-    /// counters (the paper's assumption).
-    pub counters: Option<CounterCache>,
-    /// Observability sink: disabled (a single-branch no-op on every
-    /// record) unless the runner installs an enabled collector.
-    pub obs: Obs,
-    /// Cross-slice dedup context; `None` outside the sharded replay
-    /// engine (then all remote paths are dead code).
-    pub shard: Option<ShardCtx>,
-    /// NVMM-resident metadata journal (disabled unless the run sets a
-    /// checkpoint interval).
-    pub journal: MetadataJournal,
-    /// Permanent directory-publish pins this slice has taken, by physical
-    /// line — the recovery refcount audit's record of intentional pins.
-    pub publish_pins: U64Map<u64>,
+enum Index {
+    None,
+    Store(FingerprintStore),
+    Efit(Efit),
 }
 
-impl Core {
-    pub fn new(config: &SystemConfig, key: [u8; 16]) -> Self {
-        Core {
-            nvmm: NvmmSystem::new(config.pcm),
-            cme: CmeEngine::new(key),
-            amt: Amt::with_sram_latency(
-                config.controller.mapping_cache_bytes,
-                config.controller.sram_latency,
-            ),
-            alloc: PhysicalAllocator::new(),
-            stats: SchemeStats::default(),
-            breakdown: WriteLatencyBreakdown::default(),
-            sram_latency: config.controller.sram_latency,
-            compare_latency: Ps::from_ns(2),
-            counters: (config.controller.counter_cache_bytes > 0)
-                .then(|| CounterCache::new(config.controller.counter_cache_bytes)),
-            obs: Obs::disabled(),
-            shard: None,
-            journal: MetadataJournal::default(),
-            publish_pins: U64Map::new(),
+/// A local dedup candidate the index probe produced.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    physical: u64,
+    /// Resolved from SRAM (EFIT or the store's cache) rather than NVMM.
+    in_sram: bool,
+    /// Its one-byte `referH` is full: the paper rewrites the line as new
+    /// instead of deduplicating (§III-D).
+    saturated: bool,
+}
+
+/// A complete write-path scheme over its own simulated NVMM: one concrete
+/// type for all eight [`SchemeKind`]s. The trace runner drives
+/// [`Scheme::write`] / [`Scheme::read`] in program order; `Scheme` is
+/// `Send`, so the sharded replay engine moves per-slice instances onto
+/// worker threads.
+///
+/// # Examples
+///
+/// ```
+/// use esd_core::{Scheme, SchemeKind};
+/// use esd_sim::{Ps, SystemConfig};
+/// use esd_trace::CacheLine;
+///
+/// let mut esd = Scheme::new(SchemeKind::Esd, &SystemConfig::default());
+/// let first = esd.write(Ps::ZERO, 0x40, CacheLine::from_fill(7));
+/// let second = esd.write(first.latency, 0x80, CacheLine::from_fill(7));
+/// assert!(!first.deduplicated);
+/// assert!(second.deduplicated);
+/// // ESD's fingerprint is the ECC the controller computed anyway:
+/// assert_eq!(esd.stats().fingerprint_computations, 0);
+/// assert_eq!(esd.read(Ps::from_us(1), 0x80).data, CacheLine::from_fill(7));
+/// ```
+#[derive(Debug)]
+pub struct Scheme {
+    core: Core,
+    index: Index,
+    predictor: DupPredictor,
+    policy: Policy,
+}
+
+impl Scheme {
+    /// Constructs a scheme of the given kind over a fresh simulated system,
+    /// with a fixed (documented) per-kind CME key.
+    #[must_use]
+    pub fn new(kind: SchemeKind, config: &SystemConfig) -> Self {
+        Scheme::from_policy(config, Policy::of(kind))
+    }
+
+    /// ESD with an explicit EFIT replacement policy (LRU is the Figure 18
+    /// ablation).
+    #[must_use]
+    pub fn with_policy(config: &SystemConfig, policy: EfitPolicy) -> Self {
+        let mut row = Policy::of(SchemeKind::Esd);
+        row.index = IndexPolicy::Efit {
+            policy,
+            decay: None,
+        };
+        Scheme::from_policy(config, row)
+    }
+
+    /// ESD fingerprinting with an explicit SEC-DED codec (Hamming vs the
+    /// Hsiao code most controllers actually ship) — the collision
+    /// structure of the fingerprint space differs between the two.
+    #[must_use]
+    pub fn with_codec(config: &SystemConfig, codec: EccCodec) -> Self {
+        let mut row = Policy::of(SchemeKind::Esd);
+        row.fingerprint = Some(FingerprintSpec::Ecc(codec));
+        Scheme::from_policy(config, row)
+    }
+
+    /// ESD with Start-Gap wear leveling under the deduplicated store:
+    /// dedup removes writes, the leveler spreads the remainder.
+    ///
+    /// # Panics
+    ///
+    /// Panics on zero `region_lines` or `gap_interval`.
+    #[must_use]
+    pub fn with_wear_leveling(config: &SystemConfig, region_lines: u64, gap_interval: u32) -> Self {
+        let mut scheme = Scheme::new(SchemeKind::Esd, config);
+        scheme
+            .core
+            .nvmm
+            .enable_wear_leveling(region_lines, gap_interval);
+        scheme
+    }
+
+    fn from_policy(config: &SystemConfig, policy: Policy) -> Self {
+        let cache_bytes = config.controller.fingerprint_cache_bytes;
+        let index = match policy.index {
+            IndexPolicy::None => Index::None,
+            IndexPolicy::Store { entry_bytes } => {
+                Index::Store(FingerprintStore::new(cache_bytes, entry_bytes))
+            }
+            IndexPolicy::Efit { policy, decay } => {
+                let mut efit = Efit::new(cache_bytes, policy);
+                if let Some(interval) = decay {
+                    efit.set_decay_interval(interval);
+                }
+                Index::Efit(efit)
+            }
+        };
+        Scheme {
+            core: Core::new(config, &policy),
+            index,
+            predictor: DupPredictor::new(),
+            policy,
         }
     }
 
-    /// Appends one metadata-journal record at `t` (posted NVMM traffic:
-    /// energy and bank occupancy only, never write latency).
-    pub fn journal_record(&mut self, t: Ps) {
-        self.journal.record(t, &mut self.nvmm);
+    /// Builds a fresh instance of this scheme over `config`, carrying the
+    /// template's constructor-level knobs — EFIT replacement policy and
+    /// decay interval, fingerprint codec, wear leveling. The sharded replay
+    /// engine forks one instance per slice from the caller's scheme.
+    ///
+    /// The wear-leveling region is NOT scaled down to the slice: in-place
+    /// schemes keep their original (sparse) logical addresses inside each
+    /// slice, so a shrunken region would alias distinct lines.
+    pub(crate) fn fork_slice(&self, config: &SystemConfig) -> Scheme {
+        let mut fork = Scheme::from_policy(config, self.policy);
+        if let Some(leveler) = self.core.nvmm.wear_leveler() {
+            fork.core
+                .nvmm
+                .enable_wear_leveling(leveler.lines(), leveler.gap_interval());
+        }
+        fork
     }
 
-    /// Switches this core's CME engine into multi-tenant mode (see
-    /// [`esd_crypto::CmeEngine::enable_tenancy`]).
-    pub fn enable_tenancy(&mut self, master: [u8; 16]) {
-        self.cme.enable_tenancy(master);
+    /// Which scheme this is.
+    #[must_use]
+    pub fn kind(&self) -> SchemeKind {
+        self.policy.kind
+    }
+
+    /// Processes one LLC eviction arriving at `now`.
+    pub fn write(&mut self, now: Ps, logical: u64, line: CacheLine) -> WriteResult {
+        self.write_prepared(now, logical, line, None)
+    }
+
+    /// [`Scheme::write`] with an optionally precomputed fingerprint key for
+    /// this line, as produced by the kernels named in
+    /// [`Scheme::fingerprint_spec`].
+    ///
+    /// Exactly the latency, energy and observability of computing the
+    /// fingerprint inline are charged — the precomputation saves host
+    /// wall-clock, never simulated time — so the batched engine's reports
+    /// stay byte-identical to scalar replay.
+    ///
+    /// This is the one body that charges the write path, for every kind:
+    /// each stage runs or not by the scheme's policy row, and every
+    /// breakdown bucket is charged through one helper (`Core::charge`),
+    /// which also emits the stage's span.
+    pub fn write_prepared(
+        &mut self,
+        now: Ps,
+        logical: u64,
+        line: CacheLine,
+        fingerprint: Option<u64>,
+    ) -> WriteResult {
+        let Scheme {
+            core,
+            index,
+            predictor,
+            policy,
+        } = self;
+        core.stats.writes_received += 1;
+        let mut t = now;
+
+        // Stage 1 — fingerprint. An ECC fingerprint is free: the controller
+        // computed it already. A hash is on the critical path for every
+        // line; a precomputed key skips only the host-side hash. Encryption
+        // that overlaps the hash leaves only the longer of the two exposed.
+        let fp = policy
+            .fingerprint
+            .map(|spec| fingerprint.unwrap_or_else(|| spec.compute_key(line.as_bytes())));
+        let mut encrypted = false;
+        if let Some(FingerprintSpec::Hash(kind)) = policy.fingerprint {
+            let cost = kind.cost();
+            core.stats.fingerprint_computations += 1;
+            core.stats.compute_energy += Energy::from_pj(cost.energy_pj);
+            encrypted = match policy.overlap {
+                Overlap::Never => false,
+                Overlap::Always => true,
+                Overlap::Predicted => !predictor.predict(logical),
+            };
+            let mut exposed = Ps::from_ns(cost.latency_ns);
+            if encrypted {
+                core.charge_crypt_energy(); // the work happens even if wasted
+                exposed = exposed.max(core.encrypt_latency());
+            }
+            t = core.charge(Stage::Fingerprint, now, now + exposed);
+        }
+
+        // Stage 2 — index probe: the SRAM-only EFIT, or the store's SRAM
+        // cache and then its NVMM-resident table. An EFIT miss definitively
+        // classifies the line as not deduplicable here: no NVMM lookup.
+        let candidate = match (&mut *index, fp) {
+            (Index::Store(store), Some(fp)) => {
+                let lookup = store.lookup(t, fp, &mut core.nvmm);
+                let in_sram = lookup.source == LookupSource::Cache;
+                t = if in_sram {
+                    core.charge(Stage::CacheProbe, t, lookup.done)
+                } else {
+                    core.charge(Stage::NvmmLookup, t, lookup.done)
+                };
+                lookup.physical.map(|physical| Candidate {
+                    physical,
+                    in_sram,
+                    saturated: false,
+                })
+            }
+            (Index::Efit(efit), Some(fp)) => {
+                t = core.charge(Stage::EfitProbe, t, t + core.sram_latency);
+                efit.lookup(fp).map(|entry| Candidate {
+                    physical: entry.physical,
+                    in_sram: true,
+                    saturated: entry.refer == REFER_MAX,
+                })
+            }
+            _ => None,
+        };
+
+        // Stage 3 — verify read: a fingerprint match only marks the line
+        // *similar*; read the candidate back (PCM reads are cheap next to
+        // writes — the asymmetry ESD exploits) and compare byte by byte.
+        // Hash-trusting schemes skip this and take equality on faith.
+        let mut duplicate = candidate;
+        if let (Some(found), true) = (candidate, policy.verify) {
+            let (finish, read) = core.read_physical(t, found.physical);
+            core.charge(Stage::CompareRead, t, finish);
+            t = core.charge(Stage::Compare, finish, finish + core.compare_latency);
+            core.stats.compare_reads += 1;
+            if read.ecc_bit_corrections > 0
+                && matches!(policy.fingerprint, Some(FingerprintSpec::Ecc(_)))
+            {
+                // The stored ECC bits of the candidate drifted: the
+                // fingerprint material itself no longer matches the index.
+                core.stats.efit_fingerprint_drift += 1;
+            }
+            // An unreadable or untrustworthy candidate is not a duplicate.
+            if read.outcome.is_data_valid() && read.plain == Some(line) {
+                core.stats.compare_hits += 1;
+            } else {
+                duplicate = None;
+            }
+        }
+
+        // Stage 4 — resolve: deduplicate onto the local candidate; failing
+        // one, onto a line a sibling slice advertises (a no-op outside
+        // sharded replay); else the line is unique. A saturated candidate
+        // is rewritten as new without asking the other slices.
+        let deduplicated = match (duplicate, fp) {
+            (Some(found), Some(fp)) if !found.saturated => {
+                core.stats.writes_deduplicated += 1;
+                if found.in_sram {
+                    core.stats.dedup_cache_filtered += 1;
+                } else {
+                    core.stats.dedup_nvmm_filtered += 1;
+                }
+                if let Index::Efit(efit) = index {
+                    efit.bump_ref(fp);
+                }
+                let done = core.remap_to(t, logical, found.physical);
+                core.charge(Stage::MappingUpdate, t, done);
+                Some(WriteResult {
+                    processing_done: done,
+                    device_finish: None,
+                    latency: write_latency(now, done),
+                    deduplicated: true,
+                })
+            }
+            (None, Some(fp)) => {
+                match core.try_remote_dedup(now, t, logical, &line, fp, policy.verify) {
+                    RemoteProbe::Dedup(result) => Some(result),
+                    RemoteProbe::Collision(resumed) => {
+                        t = resumed;
+                        None
+                    }
+                    RemoteProbe::Miss => None,
+                }
+            }
+            _ => None,
+        };
+        if policy.overlap == Overlap::Predicted {
+            predictor.update(logical, deduplicated.is_some());
+            // F4: overlapped encryption wasted on a duplicate. F2: a unique
+            // line that was predicted duplicate, still unencrypted.
+            if deduplicated.is_some() == encrypted {
+                core.stats.mispredictions += 1;
+            }
+        }
+        if let Some(result) = deduplicated {
+            return result;
+        }
+
+        // Stage 5 — unique write: encrypt (unless already overlapped),
+        // write, map, then index and advertise the new line.
+        let before_write = t;
+        if policy.overlap == Overlap::Predicted && !encrypted {
+            // The F2 penalty: encryption serialises behind everything else,
+            // as part of this write's unique-write stage.
+            let encrypted_at = t + core.encrypt_latency();
+            core.obs.span("write", "encrypt", t, encrypted_at);
+            t = encrypted_at;
+            encrypted = true;
+        }
+        let (done, finish, physical) = core.write_unique(t, logical, &line, encrypted);
+        match (index, fp) {
+            (Index::Store(store), Some(fp)) => {
+                // A colliding entry keeps its first owner; this line is then
+                // stored unindexed. Otherwise the new entry pins its line:
+                // full deduplication never reclaims (the space cost
+                // Figure 19 charges these schemes for).
+                let indexed = candidate.is_none();
+                if indexed {
+                    core.alloc.incref(physical);
+                    store.insert(done, fp, physical, &mut core.nvmm);
+                    core.journal_record(done);
+                }
+                if indexed || policy.publish_unindexed {
+                    core.publish(fp, physical, &line);
+                }
+            }
+            (Index::Efit(efit), Some(fp)) => {
+                core.publish(fp, physical, &line);
+                // The EFIT entry pins its target line (one reference
+                // count), so a fingerprint can never point at recycled
+                // storage; the pin of any displaced entry is released.
+                core.alloc.incref(physical);
+                if let Some(displaced) = efit.insert(fp, physical) {
+                    core.alloc.decref(displaced);
+                }
+            }
+            _ => {}
+        }
+        core.charge(Stage::UniqueWrite, before_write, finish);
+        WriteResult {
+            processing_done: done,
+            device_finish: Some(finish),
+            latency: write_latency(now, finish),
+            deduplicated: false,
+        }
+    }
+
+    /// Processes one demand read arriving at `now`.
+    pub fn read(&mut self, now: Ps, logical: u64) -> ReadResult {
+        self.core.read_logical(now, logical)
+    }
+
+    /// Scheme-level counters.
+    #[must_use]
+    pub fn stats(&self) -> SchemeStats {
+        self.core.stats
+    }
+
+    /// The paper's write-latency decomposition (Figure 17).
+    #[must_use]
+    pub fn breakdown(&self) -> WriteLatencyBreakdown {
+        self.core.breakdown
+    }
+
+    /// Current metadata footprint (Figure 19): the AMT and a full store's
+    /// table live in NVMM; the EFIT is SRAM only.
+    #[must_use]
+    pub fn metadata_footprint(&self) -> MetadataFootprint {
+        let (index_nvmm, sram_bytes) = match &self.index {
+            Index::None => (0, 0),
+            Index::Store(store) => (store.nvmm_bytes(), 0),
+            Index::Efit(efit) => (0, efit.sram_bytes()),
+        };
+        MetadataFootprint {
+            nvmm_bytes: index_nvmm + self.core.amt.nvmm_bytes(),
+            sram_bytes,
+        }
+    }
+
+    /// The underlying memory system (device counters, medium, energy).
+    #[must_use]
+    pub fn nvmm(&self) -> &NvmmSystem {
+        &self.core.nvmm
+    }
+
+    /// Mutable access to the memory system (fault injection in tests).
+    pub fn nvmm_mut(&mut self) -> &mut NvmmSystem {
+        &mut self.core.nvmm
+    }
+
+    /// Fingerprint-cache statistics, if the scheme has a fingerprint
+    /// structure (`None` for Baseline).
+    #[must_use]
+    pub fn fingerprint_cache_stats(&self) -> Option<CacheStats> {
+        match &self.index {
+            Index::None => None,
+            Index::Store(store) => Some(store.cache_stats()),
+            Index::Efit(efit) => Some(efit.stats()),
+        }
+    }
+
+    /// AMT-cache statistics, if the scheme remaps addresses.
+    #[must_use]
+    pub fn amt_cache_stats(&self) -> Option<CacheStats> {
+        (self.policy.mapping == Mapping::Amt).then(|| self.core.amt.cache_stats())
+    }
+
+    /// The scheme's observability sink, for the runner to install an
+    /// enabled collector into and to drain at the end of a run.
+    pub fn obs_mut(&mut self) -> &mut Obs {
+        &mut self.core.obs
+    }
+
+    /// Duplication-predictor accuracy counters, for schemes that predict
+    /// (DeWrite); `None` otherwise.
+    #[must_use]
+    pub fn predictor_stats(&self) -> Option<PredictorStats> {
+        (self.policy.overlap == Overlap::Predicted).then(|| self.predictor.stats())
+    }
+
+    /// How this scheme derives its write-path fingerprint — always a pure
+    /// function of line content, so the batched engine can precompute it
+    /// with the multi-lane kernels. `None` means the scheme computes no
+    /// fingerprint (Baseline) and the batch fingerprint stage skips it.
+    #[must_use]
+    pub fn fingerprint_spec(&self) -> Option<FingerprintSpec> {
+        self.policy.fingerprint
+    }
+
+    /// Hints the fingerprints of an upcoming batch so the scheme can warm
+    /// its index structures (host-cache prefetch only — no model side
+    /// effects).
+    pub fn prefetch_fingerprints(&mut self, fingerprints: &[u64]) {
+        if let Index::Store(store) = &self.index {
+            store.prefetch(fingerprints);
+        }
+    }
+
+    /// Sets the metadata-journal checkpoint interval (in records) before
+    /// replay starts; `None` disables journaling, making recovery pay a
+    /// full metadata scan instead of a journal-tail replay. A scheme with
+    /// no durable dedup metadata (Baseline) never appends a record.
+    pub fn journal_configure(&mut self, interval: Option<u64>) {
+        self.core.journal = MetadataJournal::new(interval);
+    }
+
+    /// Switches the scheme's encryption engine into multi-tenant service
+    /// mode: subsequent [`Scheme::set_active_tenant`] calls select a
+    /// per-tenant key derived from `master`
+    /// (`esd_crypto::derive_tenant_key`).
+    pub fn tenancy_configure(&mut self, master: [u8; 16]) {
+        self.core.cme.enable_tenancy(master);
     }
 
     /// Selects the tenant whose derived key encrypts subsequent writes.
+    /// Only meaningful after [`Scheme::tenancy_configure`].
     pub fn set_active_tenant(&mut self, tenant: u32) {
-        self.cme.set_active_tenant(tenant);
+        self.core.cme.set_active_tenant(tenant);
     }
 
-    /// Charges one cryptographic operation's energy.
-    pub fn charge_crypt_energy(&mut self) {
-        self.stats.compute_energy += Energy::from_pj(self.cme.cost_model().crypt_energy_pj);
-    }
-
-    /// Encryption latency on the write path.
-    pub fn encrypt_latency(&self) -> Ps {
-        Ps::from_ns(self.cme.cost_model().encrypt_latency_ns)
-    }
-
-    /// Releases `logical`'s previous mapping (if different from
-    /// `keep_physical`); when the old physical line's last reference drops,
-    /// `on_free` is called so the scheme can purge its fingerprint index.
-    pub fn release_old_mapping(
-        &mut self,
-        logical: u64,
-        keep_physical: Option<u64>,
-        on_free: &mut dyn FnMut(u64),
-    ) {
-        if let Some(old) = self.amt.peek(logical) {
-            if Some(old) == keep_physical {
-                return;
-            }
-            if old == REMOTE_SENTINEL {
-                // The old mapping pointed at another slice's line: drop the
-                // plaintext mirror. The remote physical stays pinned by its
-                // owner's directory entry, never by this slice's refcounts.
-                if let Some(ctx) = self.shard.as_mut() {
-                    ctx.remote_lines.remove(logical);
-                }
-                return;
-            }
-            if self.alloc.decref(old) {
-                on_free(old);
-            }
+    /// The EFIT, for inspection (hit rates, occupancy); `None` for kinds
+    /// that index in a full store or not at all.
+    #[must_use]
+    pub fn efit(&self) -> Option<&Efit> {
+        match &self.index {
+            Index::Efit(efit) => Some(efit),
+            _ => None,
         }
     }
 
-    /// Remaps `logical` onto an existing physical line (a successful
-    /// deduplication), handling reference counts. Returns the completion
-    /// time of the mapping update.
-    pub fn remap_to(&mut self, t: Ps, logical: u64, physical: u64, on_free: &mut dyn FnMut(u64)) -> Ps {
-        let old = self.amt.peek(logical);
-        if old == Some(physical) {
-            // Same mapping rewritten with identical content: nothing to do.
-            return t + self.sram_latency;
-        }
-        self.alloc.incref(physical);
-        self.release_old_mapping(logical, Some(physical), on_free);
-        let done = self.amt.update(t, logical, physical, &mut self.nvmm);
-        self.journal_record(done);
-        done
-    }
-
-    /// Remaps `logical` onto a line owned by another replay slice: installs
-    /// the [`REMOTE_SENTINEL`] in the AMT and mirrors the plaintext so
-    /// demand reads can be served without touching the remote slice's
-    /// simulator. Returns the completion time of the mapping update.
-    fn remap_remote(
-        &mut self,
-        t: Ps,
-        logical: u64,
-        line: CacheLine,
-        on_free: &mut dyn FnMut(u64),
-    ) -> Ps {
-        if self.amt.peek(logical) == Some(REMOTE_SENTINEL) {
-            // Already remote: refresh the mirrored plaintext in place.
-            self.shard
-                .as_mut()
-                .expect("remote remap requires a shard context")
-                .remote_lines
-                .insert(logical, line);
-            return t + self.sram_latency;
-        }
-        self.release_old_mapping(logical, None, on_free);
-        let done = self.amt.update(t, logical, REMOTE_SENTINEL, &mut self.nvmm);
-        self.journal_record(done);
-        self.shard
-            .as_mut()
-            .expect("remote remap requires a shard context")
-            .remote_lines
-            .insert(logical, line);
-        done
-    }
-
-    /// Probes the cross-slice dedup directory for `fingerprint` at `t`
-    /// (with the interval `now..t` already charged by the caller).
+    /// Overrides the EFIT's LRCU decay interval (for sensitivity studies);
+    /// the override survives crashes and is carried into replay slices.
     ///
-    /// With `verify_read` set, a matching entry from another slice is
-    /// byte-verified first: one remote read is charged against this slice's
-    /// device statistics (without occupying a local bank) plus the exposed
-    /// comparator time, and a mismatch returns
-    /// [`RemoteProbe::Collision`] with those charges kept, so the latency
-    /// buckets still partition the write exactly. Without `verify_read`
-    /// (hash-fingerprint schemes that trust equality), a mismatch is
-    /// reported as a plain [`RemoteProbe::Miss`] and nothing is charged —
-    /// the plaintext compare is the simulator's free correctness guard
-    /// against cross-slice hash collisions, mirroring the trust those
-    /// schemes place in their local stores.
+    /// # Panics
     ///
-    /// Remote deduplications count as `dedup_cache_filtered`: the directory
-    /// is a controller-level structure and no NVMM fingerprint store is
-    /// consulted.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_remote_dedup(
-        &mut self,
-        now: Ps,
-        t: Ps,
-        logical: u64,
-        line: &CacheLine,
-        fingerprint: u64,
-        verify_read: bool,
-        on_free: &mut dyn FnMut(u64),
-    ) -> RemoteProbe {
-        let entry = {
-            let Some(ctx) = self.shard.as_ref() else {
-                return RemoteProbe::Miss;
-            };
-            let Some(entry) = ctx.directory.get(fingerprint) else {
-                return RemoteProbe::Miss;
-            };
-            if entry.owner == ctx.slice {
-                return RemoteProbe::Miss;
-            }
-            entry
+    /// Panics if this scheme has no EFIT.
+    pub fn efit_decay_interval(&mut self, interval: u64) {
+        let (Index::Efit(efit), IndexPolicy::Efit { decay, .. }) =
+            (&mut self.index, &mut self.policy.index)
+        else {
+            panic!("{} has no EFIT", self.policy.kind);
         };
-        let mut t = t;
-        if verify_read {
-            let completion = self.nvmm.charge_remote_read(t);
-            self.stats.compare_reads += 1;
-            self.breakdown.compare_read += write_latency(t, completion.finish);
-            self.obs.span("write", "compare_read", t, completion.finish);
-            let compared = completion.finish + self.compare_latency;
-            self.breakdown.compare += self.compare_latency;
-            self.obs.span("write", "compare", completion.finish, compared);
-            if entry.line != *line {
-                return RemoteProbe::Collision(compared);
-            }
-            self.stats.compare_hits += 1;
-            t = compared;
-        } else if entry.line != *line {
-            return RemoteProbe::Miss;
-        }
-        self.stats.writes_deduplicated += 1;
-        self.stats.dedup_cache_filtered += 1;
-        self.obs.counter_add("remote_dedup", 1);
-        let done = self.remap_remote(t, logical, entry.line, on_free);
-        self.breakdown.mapping_update += write_latency(t, done);
-        self.obs.span("write", "mapping_update", t, done);
-        RemoteProbe::Dedup(WriteResult {
-            processing_done: done,
-            device_finish: None,
-            latency: write_latency(now, done),
-            deduplicated: true,
-        })
+        efit.set_decay_interval(interval);
+        *decay = Some(interval);
     }
 
-    /// Advertises a freshly written unique line to the other replay slices.
+    /// Simulates a power-loss event and recovery, per the paper's §III-E:
+    /// every SRAM structure is lost — the EFIT or the fingerprint store's
+    /// cache (harmless: only future deduplication opportunities disappear,
+    /// never data) and the AMT's hot-entry cache (refilled from the
+    /// NVMM-resident table on demand). Encryption counters are persisted
+    /// with eADR and survive.
     ///
-    /// Publishing is selective: if the directory already has an entry for
-    /// `fingerprint` (any owner), nothing is queued — at most roughly one
-    /// line per distinct published content is ever pinned. Otherwise the
-    /// physical line gains one permanent reference count (so the advertised
-    /// plaintext can never be recycled) and the entry is queued for the
-    /// engine to merge into the directory at the next epoch barrier,
-    /// first-writer-wins in slice order. A publish that loses that race
-    /// keeps its pin — a deterministic, bounded leak documented in the
-    /// design notes.
-    pub fn publish(&mut self, fingerprint: u64, physical: u64, line: &CacheLine) {
-        let Some(ctx) = self.shard.as_mut() else {
-            return;
-        };
-        if ctx.directory.contains_key(fingerprint) {
-            return;
-        }
-        let entry = RemoteEntry {
-            owner: ctx.slice,
-            line: *line,
-        };
-        ctx.publishes.push((fingerprint, entry));
-        self.alloc.incref(physical);
-        let pins = self.publish_pins.get(physical).copied().unwrap_or(0);
-        self.publish_pins.insert(physical, pins + 1);
+    /// Every reference-count pin held by the discarded EFIT is released.
+    /// The EFIT's configuration — capacity, policy and any decay-interval
+    /// override — survives the crash (it is controller provisioning, not
+    /// volatile state).
+    pub fn crash_and_recover(&mut self) {
+        self.drop_index_sram();
+        self.core.amt.drop_sram_cache();
     }
 
-    /// Encrypts and writes a unique line at a freshly allocated physical
-    /// address, updating the mapping. Encryption is charged starting at `t`
-    /// unless `already_encrypted` (DeWrite's parallel path). Returns
-    /// `(processing_done, device_finish, physical)`.
-    pub fn write_unique(
-        &mut self,
-        t: Ps,
-        logical: u64,
-        line: &CacheLine,
-        already_encrypted: bool,
-        on_free: &mut dyn FnMut(u64),
-    ) -> (Ps, Ps, u64) {
-        self.release_old_mapping(logical, None, on_free);
-        let physical = self.alloc.allocate();
-        let mut t = t;
-        if let Some(counters) = self.counters.as_mut() {
-            t = counters.access(t, physical, true, &mut self.nvmm);
-        }
-        if !already_encrypted {
-            let encrypted_at = t + self.encrypt_latency();
-            self.obs.span("write", "encrypt", t, encrypted_at);
-            t = encrypted_at;
-        }
-        self.charge_crypt_energy();
-        let cipher = self.cme.encrypt_line(physical, line.as_bytes());
-        let ecc = esd_ecc::encode_line(&cipher).to_u64();
-        let completion = self.nvmm.write_line(t, physical, cipher, ecc);
-        self.obs.span("write", "device_write", t, completion.finish);
-        let processing_done = self.amt.update(t, logical, physical, &mut self.nvmm);
-        self.journal_record(processing_done);
-        self.stats.writes_unique += 1;
-        (processing_done, completion.finish, physical)
-    }
-
-    /// Reads, ECC-corrects and decrypts the line at a *physical* address.
-    /// The returned [`PhysicalRead`] distinguishes never-written addresses,
-    /// clean and corrected decodes, uncorrectable errors and detected
-    /// miscorrections — nothing is silently masked.
-    pub fn read_physical(&mut self, t: Ps, physical: u64) -> (Ps, PhysicalRead) {
-        let (completion, stored) = self.nvmm.read_line(t, physical);
-        // The counter fetch proceeds in parallel with the data read.
-        let counter_ready = match self.counters.as_mut() {
-            Some(counters) => counters.access(t, physical, false, &mut self.nvmm),
-            None => t,
-        };
-        let finish = completion.finish.max(counter_ready)
-            + Ps::from_ns(self.cme.cost_model().decrypt_exposed_latency_ns);
-        let read = match stored {
-            Some(s) => {
-                let pristine = self.nvmm.pristine_line(physical).copied();
-                let decoded = decode_stored(&mut self.stats, &s, pristine.as_ref());
-                match decoded.outcome {
-                    ReadOutcome::Corrected { .. } => {
-                        self.obs.instant("ecc", "ecc_corrected", finish);
-                    }
-                    ReadOutcome::Uncorrectable => {
-                        self.obs.instant("ecc", "ecc_uncorrectable", finish);
-                    }
-                    ReadOutcome::Miscorrected => {
-                        self.obs.instant("ecc", "ecc_miscorrected", finish);
-                    }
-                    ReadOutcome::Clean | ReadOutcome::Unmapped => {}
-                }
-                let plain = decoded.cipher.and_then(|cipher| {
-                    self.charge_crypt_energy();
-                    self.cme
-                        .decrypt_line(physical, &cipher)
-                        .ok()
-                        .map(CacheLine::new)
-                });
-                // A missing decrypt counter (cannot normally happen for a
-                // stored line) must not surface as a valid zero read.
-                let outcome = if plain.is_none() && decoded.outcome.is_data_valid() {
-                    self.stats.reads_uncorrectable += 1;
-                    ReadOutcome::Uncorrectable
-                } else {
-                    decoded.outcome
-                };
-                PhysicalRead {
-                    plain,
-                    outcome,
-                    ecc_bit_corrections: decoded.ecc_bit_corrections,
-                }
+    /// Loses the index's SRAM part. A store keeps its NVMM-resident table;
+    /// the EFIT is emptied in place (preserving its configured knobs) and
+    /// the reference-count pins of its entries are released. Returns how
+    /// many pins dropped.
+    fn drop_index_sram(&mut self) -> u64 {
+        match &mut self.index {
+            Index::None => 0,
+            Index::Store(store) => {
+                store.drop_sram_cache();
+                0
             }
-            None => PhysicalRead {
-                plain: None,
-                outcome: ReadOutcome::Unmapped,
-                ecc_bit_corrections: 0,
-            },
-        };
-        (finish, read)
-    }
-
-    /// The full mapped read path: translate via the AMT, read, decrypt.
-    /// Invalid reads (uncorrectable or miscorrected) are counted together
-    /// with their dedup blast radius and flagged in the result's `outcome`;
-    /// the data of an uncorrectable read is a zero line, never fabricated
-    /// content presented as valid.
-    pub fn read_logical(&mut self, now: Ps, logical: u64) -> ReadResult {
-        self.stats.reads_served += 1;
-        let (mapped, t) = self.amt.translate(now, logical, &mut self.nvmm);
-        match mapped {
-            Some(REMOTE_SENTINEL) => {
-                // The line lives in another replay slice's bank partition.
-                // Charge one remote read (latency, energy and counters on
-                // this slice, no local bank occupancy) plus the exposed
-                // decrypt, and serve the mirrored plaintext. Remote reads
-                // bypass the fault injector — a documented simplification:
-                // the owner's copy is scrubbed and ECC-protected there.
-                let completion = self.nvmm.charge_remote_read(t);
-                let finish = completion.finish
-                    + Ps::from_ns(self.cme.cost_model().decrypt_exposed_latency_ns);
-                self.charge_crypt_energy();
-                let data = self
-                    .shard
-                    .as_ref()
-                    .and_then(|ctx| ctx.remote_lines.get(logical))
-                    .copied()
-                    .expect("remote sentinel mapping must mirror its plaintext");
-                ReadResult {
-                    finish,
-                    data,
-                    outcome: ReadOutcome::Clean,
+            Index::Efit(efit) => {
+                let pinned = efit.pinned_physicals();
+                for &physical in &pinned {
+                    self.core.alloc.decref(physical);
                 }
+                efit.reset();
+                pinned.len() as u64
             }
-            Some(physical) => {
-                let (finish, read) = self.read_physical(t, physical);
-                if !read.outcome.is_data_valid() {
-                    // Dedup blast radius: every logical line mapped onto
-                    // this physical line — its reference count, including
-                    // fingerprint-index pins — is affected by the loss.
-                    self.stats.uncorrectable_blast_logicals +=
-                        u64::from(self.alloc.refcount(physical)).max(1);
-                }
-                ReadResult {
-                    finish,
-                    data: read.plain.unwrap_or(CacheLine::ZERO),
-                    outcome: read.outcome,
-                }
-            }
-            None => ReadResult {
-                finish: t,
-                data: CacheLine::ZERO,
-                outcome: ReadOutcome::Unmapped,
-            },
         }
     }
 
-    /// Power-loss recovery over this core's durable metadata.
+    /// Simulates a power loss at `now` and recovers this scheme to a
+    /// consistent state: advisory SRAM structures are dropped, durable
+    /// metadata is replayed from the journal (or rebuilt by a full scan),
+    /// and — when `torn_write` — the in-flight access's torn tail record is
+    /// detected and rolled back. (The engine decides `torn_write` from the
+    /// crash stage and the interrupted access.)
     ///
-    /// Drops the advisory AMT SRAM cache, detects and rolls back a torn
-    /// tail record (`torn_write`), replays the journal window since the
-    /// last checkpoint — or, with journaling off, scans the authoritative
-    /// AMT region plus the scheme's index region (`index_scan_lines`) to
-    /// rebuild — then folds a fresh checkpoint and audits the allocator's
-    /// reference counts against the rebuilt mapping state. `index_pins`
-    /// are the physical lines the scheme's durable fingerprint index pins
-    /// (one reference each); EFIT pins must be released by the caller
-    /// *before* recovery since the EFIT is advisory SRAM.
-    ///
-    /// All recovery traffic is charged as chained NVMM metadata reads (plus
-    /// the checkpoint's posted write), so recovery latency and energy scale
-    /// with the journal interval — the tradeoff BENCH_sweep's recovery
-    /// curve measures.
-    pub fn recover(
-        &mut self,
-        now: Ps,
-        torn_write: bool,
-        index_pins: &[u64],
-        index_scan_lines: u64,
-    ) -> RecoverySummary {
-        let energy_before = self.nvmm.stats().total_energy().as_pj();
-        self.amt.drop_sram_cache();
-        let mut t = now;
-        let mut replay_reads = 0u64;
-        let mut torn_rollbacks = 0u64;
-        if torn_write {
-            // The in-flight write reached durable structures but its tail
-            // record never committed: detection reads the journal tail (a
-            // scan finds the tear as part of the rebuild) and the record is
-            // rolled back. The access was never acknowledged; the engine
-            // re-executes it after recovery, so nothing acknowledged is
-            // lost.
-            if self.journal.enabled() {
-                let completion = self.nvmm.metadata_read(t, self.journal.line_addr());
-                t = completion.finish;
-                replay_reads += 1;
-            }
-            torn_rollbacks = 1;
+    /// An identity-mapped scheme (Baseline) has no durable dedup metadata: the
+    /// torn in-flight line never reached an acknowledgment, the interrupted
+    /// access simply re-executes, and recovery is free.
+    pub fn crash_recover_at(&mut self, now: Ps, torn_write: bool) -> RecoverySummary {
+        if self.policy.mapping == Mapping::Identity {
+            return RecoverySummary::trivial(now);
         }
-        let records_replayed = self.journal.records_since_checkpoint();
-        if self.journal.enabled() {
-            // Replay: checkpoint root plus every journal line in the window,
-            // read back in order.
-            for _ in 0..self.journal.replay_reads() {
-                let completion = self.nvmm.metadata_read(t, self.journal.line_addr());
-                t = completion.finish;
-                replay_reads += 1;
-            }
-        } else {
-            // No journal: rebuild by scanning the authoritative AMT region
-            // and the scheme's index region line by line.
-            let scan_lines = self.amt.nvmm_bytes().div_ceil(64) + index_scan_lines;
-            for i in 0..scan_lines {
-                let completion = self
-                    .nvmm
-                    .metadata_read(t, crate::amt::AMT_NVMM_BASE + i * 64);
-                t = completion.finish;
-            }
-            replay_reads += scan_lines;
-        }
-        // Start the post-crash epoch from a clean checkpoint.
-        self.journal.checkpoint(t, &mut self.nvmm);
-        self.obs.span("crash", "recovery", now, t);
-
-        // Refcount audit: every allocated line's count must equal the
-        // references the rebuilt metadata holds on it — AMT mappings (the
-        // remote sentinel pins nothing locally), the scheme's index pins,
-        // and this slice's intentional directory-publish pins.
-        let mut expected: U64Map<u64> = U64Map::new();
-        let expect = |map: &mut U64Map<u64>, physical: u64, n: u64| {
-            let count = map.get(physical).copied().unwrap_or(0);
-            map.insert(physical, count + n);
+        // EFIT pins evaporate with power, so the lines they held alive go
+        // back to refcount parity before the audit; a store's entries are
+        // durable and keep pinning theirs.
+        let pins_released = self.drop_index_sram();
+        let (pins, scan_lines) = match &self.index {
+            Index::Store(store) => (store.pinned_physicals(), store.scan_lines()),
+            _ => (Vec::new(), 0),
         };
-        for (_logical, physical) in self.amt.mappings() {
-            if physical != REMOTE_SENTINEL {
-                expect(&mut expected, physical, 1);
-            }
-        }
-        for &physical in index_pins {
-            expect(&mut expected, physical, 1);
-        }
-        for (physical, &pins) in self.publish_pins.iter() {
-            expect(&mut expected, physical, pins);
-        }
-        let mut leaked = 0u64;
-        for (physical, count) in self.alloc.refcounts() {
-            let wanted = expected.remove(physical).unwrap_or(0);
-            leaked += u64::from(count).abs_diff(wanted);
-        }
-        for (_physical, &wanted) in expected.iter() {
-            leaked += wanted; // expected pins on lines no longer allocated
-        }
+        let mut summary = self.core.recover(now, torn_write, &pins, scan_lines);
+        summary.pins_released = pins_released;
+        summary
+    }
 
-        RecoverySummary {
-            finish: t,
-            latency: elapsed_latency(now, t),
-            records_replayed,
-            replay_reads,
-            pins_released: 0,
-            torn_rollbacks,
-            refcounts_leaked: leaked,
-            energy_pj: self.nvmm.stats().total_energy().as_pj() - energy_before,
+    /// Installs the sharded engine's per-slice context, if this scheme
+    /// takes part in cross-slice deduplication; otherwise its slices only
+    /// ever deduplicate within their own bank partition.
+    pub(crate) fn attach_shard(&mut self, ctx: ShardCtx) {
+        if self.policy.cross_slice {
+            self.core.shard = Some(ctx);
         }
     }
-}
 
-/// What [`Core::read_physical`] hands back to the schemes: the decrypted
-/// plaintext when one exists, the read's integrity classification, and how
-/// many of its corrections repaired stored-ECC (fingerprint) bits.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PhysicalRead {
-    /// Decrypted plaintext; `None` for unmapped addresses and uncorrectable
-    /// lines. Present for miscorrections — hardware returns the wrong
-    /// bytes — so always gate use on `outcome.is_data_valid()`.
-    pub plain: Option<CacheLine>,
-    /// Integrity classification of the read.
-    pub outcome: ReadOutcome,
-    /// Words whose *stored ECC* bits (check/parity) were repaired.
-    pub ecc_bit_corrections: u8,
-}
-
-/// Decodes one stored line against its ECC and the fault injector's ground
-/// truth, updating the reliability counters. Shared by [`Core`] and the
-/// non-deduplicating `Baseline` so the accounting cannot drift apart.
-pub(crate) struct DecodedStore {
-    /// The corrected ciphertext when decode produced bytes (including
-    /// miscorrections); `None` when uncorrectable.
-    pub cipher: Option<[u8; esd_sim::LINE_BYTES]>,
-    /// Integrity classification (never `Unmapped` — a line was stored).
-    pub outcome: ReadOutcome,
-    /// Words whose stored-ECC bits were repaired.
-    pub ecc_bit_corrections: u8,
-}
-
-pub(crate) fn decode_stored(
-    stats: &mut SchemeStats,
-    stored: &esd_sim::StoredLine,
-    pristine: Option<&esd_sim::StoredLine>,
-) -> DecodedStore {
-    match esd_ecc::decode_line(&stored.data, esd_ecc::LineEcc::from_u64(stored.ecc)) {
-        Ok(decoded) => {
-            let mut ecc_bit_corrections = 0u8;
-            if decoded.corrected_words > 0 {
-                stats.reads_corrected += 1;
-                stats.corrected_words += decoded.corrected_words as u64;
-                for (w, c) in decoded.corrected.iter().enumerate() {
-                    if c.is_some() {
-                        stats.corrected_by_word[w] += 1;
-                    }
-                }
-                ecc_bit_corrections = decoded.corrected_ecc_bits() as u8;
-                stats.corrected_ecc_bits += u64::from(ecc_bit_corrections);
-            }
-            // A decode that "succeeds" with wrong bytes is a SEC-DED
-            // miscorrection (three or more flips aliased onto a clean or
-            // correctable syndrome) — only detectable against the fault
-            // injector's pristine shadow.
-            let miscorrected = pristine.is_some_and(|p| decoded.line != p.data);
-            let outcome = if miscorrected {
-                stats.miscorrections += 1;
-                ReadOutcome::Miscorrected
-            } else if decoded.corrected_words > 0 {
-                ReadOutcome::Corrected {
-                    words: decoded.corrected_words as u8,
-                }
-            } else {
-                ReadOutcome::Clean
-            };
-            DecodedStore {
-                cipher: Some(decoded.line),
-                outcome,
-                ecc_bit_corrections,
-            }
-        }
-        Err(_) => {
-            stats.reads_uncorrectable += 1;
-            DecodedStore {
-                cipher: None,
-                outcome: ReadOutcome::Uncorrectable,
-                ecc_bit_corrections: 0,
-            }
-        }
+    /// The directory publishes queued since the last barrier.
+    pub(crate) fn queued_publishes(&mut self) -> Option<&mut Vec<(u64, RemoteEntry)>> {
+        self.core.shard.as_mut().map(|ctx| &mut ctx.publishes)
     }
 }
 
@@ -1084,60 +983,6 @@ mod tests {
         assert_eq!(SchemeKind::Esd.name(), "ESD");
         assert_eq!(SchemeKind::ALL.len(), 4);
         assert_eq!(SchemeKind::Esd.to_string(), "ESD");
-    }
-
-    #[test]
-    fn core_unique_write_then_read_round_trips() {
-        let config = SystemConfig::default();
-        let mut core = Core::new(&config, [1u8; 16]);
-        let line = CacheLine::from_fill(0x5A);
-        let mut freed = Vec::new();
-        let (done, finish, phys) =
-            core.write_unique(Ps::ZERO, 0x40, &line, false, &mut |p| freed.push(p));
-        assert!(finish >= done - core.sram_latency);
-        assert!(freed.is_empty());
-        let result = core.read_logical(finish, 0x40);
-        assert_eq!(result.data, line);
-        assert_eq!(core.amt.peek(0x40), Some(phys));
-    }
-
-    #[test]
-    fn overwrite_frees_previous_physical() {
-        let config = SystemConfig::default();
-        let mut core = Core::new(&config, [1u8; 16]);
-        let mut freed = Vec::new();
-        let (_, _, p1) =
-            core.write_unique(Ps::ZERO, 0x40, &CacheLine::from_fill(1), false, &mut |p| {
-                freed.push(p)
-            });
-        let (_, _, p2) =
-            core.write_unique(Ps::ZERO, 0x40, &CacheLine::from_fill(2), false, &mut |p| {
-                freed.push(p)
-            });
-        assert_eq!(freed, vec![p1]);
-        assert_ne!(core.alloc.refcount(p2), 0);
-    }
-
-    #[test]
-    fn remap_shares_physical_and_releases_old() {
-        let config = SystemConfig::default();
-        let mut core = Core::new(&config, [1u8; 16]);
-        let mut freed = Vec::new();
-        let (_, _, p1) =
-            core.write_unique(Ps::ZERO, 0x40, &CacheLine::from_fill(1), false, &mut |p| {
-                freed.push(p)
-            });
-        let (_, _, p2) =
-            core.write_unique(Ps::ZERO, 0x80, &CacheLine::from_fill(2), false, &mut |p| {
-                freed.push(p)
-            });
-        // Dedup 0x40 onto p2: p1 loses its only reference.
-        core.remap_to(Ps::ZERO, 0x40, p2, &mut |p| freed.push(p));
-        assert_eq!(freed, vec![p1]);
-        assert_eq!(core.alloc.refcount(p2), 2);
-        // Re-dedup of the same mapping is a no-op.
-        core.remap_to(Ps::ZERO, 0x40, p2, &mut |p| freed.push(p));
-        assert_eq!(core.alloc.refcount(p2), 2);
     }
 
     #[test]
@@ -1160,58 +1005,76 @@ mod tests {
             write_latency(Ps::from_ns(5), Ps::from_ns(12)),
             Ps::from_ns(7)
         );
+        assert_eq!(elapsed_latency(Ps::from_ns(5), Ps::from_ns(5)), Ps::ZERO);
+    }
+
+    #[test]
+    fn policy_rows_differ_only_where_the_schemes_do() {
+        let row = Policy::of;
+        // Dedup_SHA1 and PDE: same fingerprint and index, only the overlap.
+        let (sha1, pde) = (row(SchemeKind::DedupSha1), row(SchemeKind::Pde));
+        assert_eq!(sha1.index, pde.index);
         assert_eq!(
-            elapsed_latency(Ps::from_ns(5), Ps::from_ns(5)),
-            Ps::ZERO
+            (sha1.overlap, pde.overlap),
+            (Overlap::Never, Overlap::Always)
+        );
+        // ESD and its ablations: the index, and the verify read.
+        let (esd, full, trusting) = (
+            row(SchemeKind::Esd),
+            row(SchemeKind::EsdFull),
+            row(SchemeKind::EsdNoVerify),
+        );
+        assert_eq!(esd.fingerprint, full.fingerprint);
+        assert_eq!(
+            full.index,
+            IndexPolicy::Store {
+                entry_bytes: EFIT_ENTRY_BYTES
+            }
+        );
+        assert_eq!(esd.index, trusting.index);
+        assert!(esd.verify && full.verify && !trusting.verify);
+        // Only Baseline stores in place, and only it has no fingerprint.
+        for kind in SchemeKind::EXTENDED {
+            let baseline = kind == SchemeKind::Baseline;
+            assert_eq!(row(kind).mapping == Mapping::Identity, baseline, "{kind}");
+            assert_eq!(row(kind).fingerprint.is_none(), baseline, "{kind}");
+            assert_eq!(row(kind).kind, kind);
+        }
+        // The two cross-slice quirks.
+        assert!(!trusting.cross_slice && esd.cross_slice);
+        assert!(!row(SchemeKind::DeWrite).publish_unindexed && full.publish_unindexed);
+        // Entry widths order as the paper's metadata comparison does.
+        const _: () = assert!(DEWRITE_ENTRY_BYTES < MD5_ENTRY_BYTES);
+        const _: () = assert!(MD5_ENTRY_BYTES < SHA1_ENTRY_BYTES);
+    }
+
+    #[test]
+    fn fork_carries_constructor_knobs_into_the_slice() {
+        let config = SystemConfig::default();
+        let mut template = Scheme::with_policy(&config, EfitPolicy::Lru);
+        template.efit_decay_interval(77);
+        template.nvmm_mut().enable_wear_leveling(1 << 10, 16);
+        let fork = template.fork_slice(&config);
+        let efit = fork.efit().expect("ESD forks keep their EFIT");
+        assert_eq!(efit.policy(), EfitPolicy::Lru);
+        assert_eq!(efit.decay_interval(), 77);
+        assert_eq!(fork.nvmm().wear_leveler().map(|l| l.lines()), Some(1 << 10));
+        let hsiao = Scheme::with_codec(&config, EccCodec::Hsiao).fork_slice(&config);
+        assert_eq!(
+            hsiao.fingerprint_spec(),
+            Some(FingerprintSpec::Ecc(EccCodec::Hsiao))
         );
     }
 
     #[test]
-    fn read_of_unmapped_logical_returns_zero_line() {
+    fn only_cross_slice_kinds_accept_a_shard_context() {
         let config = SystemConfig::default();
-        let mut core = Core::new(&config, [1u8; 16]);
-        let r = core.read_logical(Ps::ZERO, 0xFFFF_0040);
-        assert!(r.data.is_zero());
-        assert_eq!(r.outcome, ReadOutcome::Unmapped);
-        assert_eq!(core.stats.reads_uncorrectable, 0);
-    }
-
-    #[test]
-    fn corrected_read_counts_word_position_and_stays_valid() {
-        let config = SystemConfig::default();
-        let mut core = Core::new(&config, [1u8; 16]);
-        let line = CacheLine::from_fill(0x77);
-        let (_, finish, phys) =
-            core.write_unique(Ps::ZERO, 0x40, &line, false, &mut |_| {});
-        core.nvmm.medium_mut().inject_bit_flip(phys, 26, 1); // word 3
-        let r = core.read_logical(finish, 0x40);
-        assert_eq!(r.outcome, ReadOutcome::Corrected { words: 1 });
-        assert_eq!(r.data, line, "single flips must round-trip");
-        assert_eq!(core.stats.reads_corrected, 1);
-        assert_eq!(core.stats.corrected_words, 1);
-        assert_eq!(core.stats.corrected_by_word[3], 1);
-        assert_eq!(core.stats.corrected_ecc_bits, 0);
-    }
-
-    #[test]
-    fn uncorrectable_read_is_flagged_and_counts_blast_radius() {
-        let config = SystemConfig::default();
-        let mut core = Core::new(&config, [1u8; 16]);
-        let line = CacheLine::from_fill(0x3C);
-        let (_, finish, phys) =
-            core.write_unique(Ps::ZERO, 0x40, &line, false, &mut |_| {});
-        // Share the physical line with a second logical address.
-        core.remap_to(finish, 0x80, phys, &mut |_| {});
-        core.nvmm.medium_mut().inject_bit_flip(phys, 0, 0);
-        core.nvmm.medium_mut().inject_bit_flip(phys, 0, 1);
-        let r = core.read_logical(finish, 0x40);
-        assert_eq!(r.outcome, ReadOutcome::Uncorrectable);
-        assert!(r.data.is_zero(), "no fabricated content");
-        assert!(!r.outcome.is_data_valid());
-        assert_eq!(core.stats.reads_uncorrectable, 1);
-        assert_eq!(
-            core.stats.uncorrectable_blast_logicals, 2,
-            "both sharers of the physical line are lost"
-        );
+        for kind in SchemeKind::EXTENDED {
+            let mut scheme = Scheme::new(kind, &config);
+            let directory = std::sync::Arc::new(esd_collections::ShardedU64Map::new(4));
+            scheme.attach_shard(ShardCtx::new(0, directory));
+            let expected = !matches!(kind, SchemeKind::Baseline | SchemeKind::EsdNoVerify);
+            assert_eq!(scheme.queued_publishes().is_some(), expected, "{kind}");
+        }
     }
 }

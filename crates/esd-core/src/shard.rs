@@ -43,10 +43,11 @@ use esd_sim::{
 use esd_trace::{AccessKind, CacheLine, Trace};
 
 use crate::journal::{CrashStage, RecoveryReport, RecoverySummary};
+use crate::machinery::{RemoteEntry, ShardCtx};
 use crate::predictor::PredictorStats;
 use crate::report::{ReliabilityReport, RunReport};
 use crate::runner::{RunOptions, VerifyError};
-use crate::scheme::{DedupScheme, MetadataFootprint, RemoteEntry, SchemeStats, ShardCtx};
+use crate::scheme::{MetadataFootprint, Scheme, SchemeStats};
 use crate::scrub::{ScrubStats, Scrubber};
 
 /// Stripe count of the cross-slice dedup directory (rounded up to a power
@@ -119,7 +120,7 @@ struct BatchBuffers {
 /// Everything one replay slice owns for the duration of the run.
 struct SliceState {
     index: usize,
-    scheme: Box<dyn DedupScheme>,
+    scheme: Scheme,
     cpu: CpuModel,
     scrubber: Option<Scrubber>,
     shadow: U64Map<CacheLine>,
@@ -228,9 +229,10 @@ fn replay_access(
     {
         if u64::from(g).is_multiple_of(interval.max(1)) && g > 0 {
             let scrub_end = scrubber.tick(slice.scheme.nvmm_mut(), now);
-            if let Some(obs) = slice.scheme.obs_mut() {
-                obs.span("scrub", "scrub_tick", now, scrub_end.max(now));
-            }
+            slice
+                .scheme
+                .obs_mut()
+                .span("scrub", "scrub_tick", now, scrub_end.max(now));
         }
     }
     let access = &trace.accesses[g as usize];
@@ -271,7 +273,8 @@ fn replay_access(
 /// Replays every owned access with global index `< end` (starting from the
 /// slice's cursor), recording epoch marks at each crossed global boundary.
 ///
-/// With `batch > 1` and a scheme that exposes a [`FingerprintSpec`], the
+/// With `batch >= MIN_BATCH` and a scheme that fingerprints
+/// ([`Scheme::fingerprint_spec`]), the
 /// quantum is staged through the pipeline in blocks of up to `batch`
 /// accesses: gather the block's write lines into a struct-of-arrays
 /// buffer, run the multi-lane fingerprint kernels over the whole block,
@@ -280,8 +283,6 @@ fn replay_access(
 /// Fingerprints are pure functions of line content and every modeled
 /// latency/energy charge still happens in the execute stage in the same
 /// order, so the report is byte-identical to the scalar path.
-///
-/// [`FingerprintSpec`]: crate::scheme::FingerprintSpec
 fn process_quantum(
     slice: &mut SliceState,
     trace: &Trace,
@@ -361,11 +362,11 @@ fn process_quantum(
 /// report takes the max latency across slices. `torn_slice` names the
 /// slice whose in-flight metadata write was torn (the owner of the crash
 /// access, when that access is a write and the crash stage mutates durable
-/// metadata).
-fn crash_slice(slice: &mut SliceState, stage: CrashStage, torn_slice: Option<usize>) {
+/// metadata) — the crash stage reaches the scheme only through that.
+fn crash_slice(slice: &mut SliceState, torn_slice: Option<usize>) {
     let torn = torn_slice == Some(slice.index);
     let now = slice.cpu.now();
-    let summary = slice.scheme.crash_recover_at(now, stage, torn);
+    let summary = slice.scheme.crash_recover_at(now, torn);
     slice.cpu.stall_until(summary.finish);
     slice.recovery = Some(summary);
 }
@@ -373,14 +374,12 @@ fn crash_slice(slice: &mut SliceState, stage: CrashStage, torn_slice: Option<usi
 /// Moves a slice's queued directory publishes into its slot for the merger.
 fn drain_publishes(slice: &mut SliceState, slots: &[Mutex<Vec<(u64, RemoteEntry)>>]) {
     let index = slice.index;
-    if let Some(slot) = slice.scheme.shard_slot() {
-        if let Some(ctx) = slot.as_mut() {
-            if !ctx.publishes.is_empty() {
-                slots[index]
-                    .lock()
-                    .expect("publish slot lock")
-                    .append(&mut ctx.publishes);
-            }
+    if let Some(publishes) = slice.scheme.queued_publishes() {
+        if !publishes.is_empty() {
+            slots[index]
+                .lock()
+                .expect("publish slot lock")
+                .append(publishes);
         }
     }
 }
@@ -534,12 +533,10 @@ fn merge_obs(
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut dropped = 0u64;
     for slice in slices.iter_mut() {
-        if let Some(obs) = slice.scheme.obs_mut() {
-            let taken = std::mem::take(obs);
-            dropped += taken.tracer().dropped();
-            events.extend(taken.tracer().events().copied());
-            merged.registry_mut().merge(taken.registry());
-        }
+        let taken = std::mem::take(slice.scheme.obs_mut());
+        dropped += taken.tracer().dropped();
+        events.extend(taken.tracer().events().copied());
+        merged.registry_mut().merge(taken.registry());
     }
     for e in epochs {
         for (name, value) in [
@@ -577,7 +574,7 @@ fn merge_obs(
 /// Runs the bank-sharded replay on `threads` workers (clamped to the slice
 /// count) and merges the slices into one deterministic [`RunReport`].
 pub(crate) fn run_sharded(
-    template: &mut dyn DedupScheme,
+    template: &Scheme,
     trace: &Trace,
     config: &SystemConfig,
     options: &RunOptions,
@@ -596,25 +593,10 @@ pub(crate) fn run_sharded(
         .map(|s| {
             let cfg = slice_config(config, s as u32, nslices as u32);
             let mut scheme = template.fork_slice(&cfg);
-            // Wear leveling is enabled post-construction on the memory
-            // system, so `fork_slice` cannot carry it; re-enable it here
-            // with the template's exact parameters. The region is NOT
-            // scaled down: in-place schemes keep their original (sparse)
-            // logical addresses inside each slice, so a shrunken region
-            // would alias distinct lines.
-            if let Some(leveler) = template.nvmm().wear_leveler() {
-                scheme
-                    .nvmm_mut()
-                    .enable_wear_leveling(leveler.lines(), leveler.gap_interval());
-            }
-            if let Some(slot) = scheme.shard_slot() {
-                *slot = Some(ShardCtx::new(s as u32, Arc::clone(&directory)));
-            }
+            scheme.attach_shard(ShardCtx::new(s as u32, Arc::clone(&directory)));
             scheme.journal_configure(options.journal_every);
             if options.observe {
-                if let Some(obs) = scheme.obs_mut() {
-                    *obs = Obs::enabled(options.trace_capacity);
-                }
+                *scheme.obs_mut() = Obs::enabled(options.trace_capacity);
             }
             SliceState {
                 index: s,
@@ -661,7 +643,8 @@ pub(crate) fn run_sharded(
             .map(|g| (g, point.stage))
     });
     // The torn slice: the owner of the crash access, when that access is a
-    // write and the stage it crashed in mutates durable metadata.
+    // write and the stage it crashed in mutates durable metadata. This is
+    // all the schemes need to know of the stage.
     let torn_slice: Option<usize> = crash.and_then(|(g, stage)| {
         let access = &trace.accesses[g as usize];
         (matches!(access.kind, AccessKind::Write) && stage.tears_metadata())
@@ -674,10 +657,10 @@ pub(crate) fn run_sharded(
         let mut start = 0u32;
         while start < total {
             let mut end = total.min(start.saturating_add(quantum));
-            if let Some((g, stage)) = crash {
+            if let Some((g, _)) = crash {
                 if start == g {
                     for slice in slices.iter_mut() {
-                        crash_slice(slice, stage, torn_slice);
+                        crash_slice(slice, torn_slice);
                     }
                 } else if start < g && g < end {
                     end = g;
@@ -710,10 +693,10 @@ pub(crate) fn run_sharded(
                         // same crash firing) from `start` alone, so the
                         // barriers stay aligned.
                         let mut end = total.min(start.saturating_add(quantum));
-                        if let Some((g, stage)) = crash {
+                        if let Some((g, _)) = crash {
                             if start == g {
                                 for slice in chunk.iter_mut() {
-                                    crash_slice(slice, stage, torn_slice);
+                                    crash_slice(slice, torn_slice);
                                 }
                             } else if start < g && g < end {
                                 end = g;

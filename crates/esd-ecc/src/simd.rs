@@ -82,14 +82,19 @@ const fn position_masks() -> [[u8; 32]; 8] {
 /// [`available`].
 #[inline]
 pub(crate) fn line_codes(line: &[u8; LINE_BYTES]) -> [u8; WORDS_PER_LINE] {
-    debug_assert!(available());
+    // Only the CPU half of `available`: the backend half is a process-wide
+    // switch another thread may flip between the caller's check and here
+    // (tests that force `Scalar` while others run), and soundness does not
+    // depend on it.
+    debug_assert!(esd_kernels::cpu_features().ssse3);
     if esd_kernels::cpu_features().avx2 {
         // SAFETY: `cpu_features().avx2` confirmed the `avx2` CPU feature
         // at runtime before taking this path.
         unsafe { line_codes_avx2(line) }
     } else {
-        // SAFETY: `available` (debug-asserted above, checked by every
-        // caller) confirmed the `ssse3`+`sse2` CPU features at runtime.
+        // SAFETY: `available` (its CPU half debug-asserted above, checked
+        // by every caller) confirmed the `ssse3`+`sse2` CPU features at
+        // runtime.
         unsafe { line_codes_ssse3(line) }
     }
 }

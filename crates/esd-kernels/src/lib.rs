@@ -142,21 +142,43 @@ fn decode(raw: u8) -> KernelBackend {
     }
 }
 
-/// Parses `ESD_KERNEL` the way every other `ESD_*` knob is parsed: unset
-/// means the default (`auto`), a malformed value warns once on stderr and
-/// falls back to the default rather than aborting the run.
+/// Reads and parses the environment variable `name` — the one parser
+/// behind every `ESD_*` knob. Unset yields `None` silently. A set but
+/// malformed value also yields `None`, after one stderr line
+/// `warning: ignoring NAME="raw" (<parse error>); <fallback>`, so a typo
+/// like `ESD_SHARDS=4x` neither aborts the run nor passes unnoticed;
+/// `fallback` says what the caller does instead (formatted only if the
+/// warning is printed).
+pub fn env_parse<T>(name: &str, fallback: impl std::fmt::Display) -> Option<T>
+where
+    T: FromStr,
+    T::Err: std::fmt::Display,
+{
+    let raw = std::env::var(name).ok()?;
+    match raw.trim().parse() {
+        Ok(value) => Some(value),
+        Err(err) => {
+            eprintln!("warning: ignoring {name}={raw:?} ({err}); {fallback}");
+            None
+        }
+    }
+}
+
+/// [`env_parse`] for a knob with a printable default: the default is what
+/// the warning names as the fallback.
+pub fn env_or<T>(name: &str, default: T) -> T
+where
+    T: FromStr + std::fmt::Display,
+    T::Err: std::fmt::Display,
+{
+    env_parse(name, format_args!("using default {default}")).unwrap_or(default)
+}
+
+/// The backend `ESD_KERNEL` names: unset, or malformed (with a warning),
+/// means `auto`.
 #[must_use]
 pub fn backend_from_env() -> KernelBackend {
-    match std::env::var("ESD_KERNEL") {
-        Ok(raw) => match raw.parse() {
-            Ok(backend) => backend,
-            Err(err) => {
-                eprintln!("warning: ignoring ESD_KERNEL={raw:?}: {err}; using auto");
-                KernelBackend::Auto
-            }
-        },
-        Err(_) => KernelBackend::Auto,
-    }
+    env_parse("ESD_KERNEL", "using auto").unwrap_or(KernelBackend::Auto)
 }
 
 /// Selects the process-wide backend, overriding `ESD_KERNEL` and any
@@ -243,6 +265,26 @@ mod tests {
         set_backend(KernelBackend::Auto);
         assert!(simd_allowed());
         assert!(dispatch_report().starts_with("kernel dispatch (auto):"));
+    }
+
+    #[test]
+    fn env_parse_warns_and_falls_back_on_malformed_values() {
+        // Unique variable names: tests in this binary run concurrently and
+        // the environment is process-global.
+        std::env::set_var("ESD_KERNELS_TEST_BAD", "4x");
+        assert_eq!(env_or("ESD_KERNELS_TEST_BAD", 7u32), 7);
+        assert_eq!(env_parse::<u64>("ESD_KERNELS_TEST_BAD", "staying off"), None);
+        std::env::set_var("ESD_KERNELS_TEST_GOOD", " 12 ");
+        assert_eq!(env_or("ESD_KERNELS_TEST_GOOD", 7u32), 12);
+        assert_eq!(env_or("ESD_KERNELS_TEST_UNSET", 7usize), 7);
+        std::env::set_var("ESD_KERNELS_TEST_BACKEND", "Scalar");
+        assert_eq!(
+            env_parse("ESD_KERNELS_TEST_BACKEND", "using auto"),
+            Some(KernelBackend::Scalar)
+        );
+        for name in ["BAD", "GOOD", "BACKEND"] {
+            std::env::remove_var(format!("ESD_KERNELS_TEST_{name}"));
+        }
     }
 
     #[test]

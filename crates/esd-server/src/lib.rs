@@ -4,7 +4,7 @@
 //! scheme instance.
 //!
 //! Many tenants stream write/read requests into a single [`Service`]
-//! holding one [`esd_core::DedupScheme`]. Each tenant gets:
+//! holding one [`esd_core::Scheme`]. Each tenant gets:
 //!
 //! * a **private namespace** — the tenant id occupies the high bits of
 //!   every logical address ([`esd_core::tenant`]), so address maps never

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
 
-use esd_core::{build_scheme, tenant as ns, DedupScheme, FingerprintSpec, SchemeKind};
+use esd_core::{tenant as ns, FingerprintSpec, Scheme, SchemeKind};
 use esd_obs::Registry;
 use esd_sim::{Ps, SystemConfig};
 
@@ -225,7 +225,7 @@ pub struct ServiceSummary {
 ///     Response::Written { deduplicated: true, .. })));
 /// ```
 pub struct Service {
-    scheme: Box<dyn DedupScheme>,
+    scheme: Scheme,
     spec: Option<FingerprintSpec>,
     tenants: Vec<TenantState>,
     registry: Registry,
@@ -257,10 +257,8 @@ impl Service {
     ///
     /// # Panics
     ///
-    /// Panics on zero tenants/queue depth, on a tenant count above
-    /// [`esd_core::tenant::MAX_TENANT`], and on a scheme without
-    /// per-tenant key support (sharing one keystream across tenants would
-    /// silently void the isolation contract).
+    /// Panics on zero tenants/queue depth and on a tenant count above
+    /// [`esd_core::tenant::MAX_TENANT`].
     #[must_use]
     pub fn new(config: &ServiceConfig) -> Self {
         assert!(config.tenants > 0, "a service needs at least one tenant");
@@ -269,12 +267,8 @@ impl Service {
             "tenant count exceeds the namespace field"
         );
         assert!(config.queue_depth > 0, "queue depth must be nonzero");
-        let mut scheme = build_scheme(config.scheme, &config.system);
-        assert!(
-            scheme.tenancy_configure(config.master_key),
-            "scheme {:?} has no per-tenant key support",
-            config.scheme
-        );
+        let mut scheme = Scheme::new(config.scheme, &config.system);
+        scheme.tenancy_configure(config.master_key);
         let spec = scheme.fingerprint_spec();
         Service {
             scheme,
@@ -323,8 +317,8 @@ impl Service {
 
     /// The shared scheme, for store-level inspection.
     #[must_use]
-    pub fn scheme(&self) -> &dyn DedupScheme {
-        self.scheme.as_ref()
+    pub fn scheme(&self) -> &Scheme {
+        &self.scheme
     }
 
     /// Offers one request for admission. Returns `None` when it was

@@ -31,8 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut reports: Vec<RunReport> = Vec::new();
     for kind in SchemeKind::ALL {
-        let mut scheme = build_scheme(kind, &config);
-        reports.push(run_trace(scheme.as_mut(), &trace, &config, true)?);
+        let scheme = build_scheme(kind, &config);
+        reports.push(run_trace(&scheme, &trace, &config, true)?);
     }
 
     println!(

@@ -6,7 +6,7 @@
 //! cargo run --release --example ecc_inspector
 //! ```
 
-use esd::core::{DedupScheme, Esd};
+use esd::core::{Scheme, SchemeKind};
 use esd::crypto::CmeEngine;
 use esd::ecc::{decode_line, encode_line, encode_word, EccFingerprint};
 use esd::sim::{Ps, SystemConfig};
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. End to end through the ESD scheme: inject a fault into the
     //    simulated PCM and read back the correct data anyway.
     let config = SystemConfig::default();
-    let mut esd = Esd::new(&config);
+    let mut esd = Scheme::new(SchemeKind::Esd, &config);
     let data = CacheLine::from_fill(0x77);
     esd.write(Ps::ZERO, 0x1000, data);
     // ESD allocates physical lines from 0 upward; flip a bit there.

@@ -32,8 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let mut results = Vec::new();
         for kind in [SchemeKind::Baseline, SchemeKind::Esd, SchemeKind::DedupSha1] {
-            let mut scheme = build_scheme(kind, &config);
-            results.push(run_trace(scheme.as_mut(), &trace, &config, true)?);
+            let scheme = build_scheme(kind, &config);
+            results.push(run_trace(&scheme, &trace, &config, true)?);
         }
         let base = results[0].nvmm_data_writes();
         let esd = &results[1];

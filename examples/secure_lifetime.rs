@@ -5,7 +5,7 @@
 //! cargo run --release --example secure_lifetime
 //! ```
 
-use esd::core::{Baseline, Esd};
+use esd::core::{run_trace, Scheme, SchemeKind};
 use esd::sim::SystemConfig;
 use esd::trace::{generate_trace, AppProfile};
 
@@ -18,23 +18,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     const ACCESSES: usize = 120_000;
     let trace = generate_trace(&app, 42, ACCESSES);
 
-    let mut baseline = Baseline::new(&config);
-    let mut esd = Esd::new(&config);
-    let mut esd_leveled = Esd::with_wear_leveling(
+    let baseline = Scheme::new(SchemeKind::Baseline, &config);
+    let esd = Scheme::new(SchemeKind::Esd, &config);
+    let esd_leveled = Scheme::with_wear_leveling(
         &config,
         2 * app.working_set_lines as u64, // leveled region covers the store
         64,
     );
 
     let reports = [
-        (
-            "Baseline",
-            esd::core::run_trace(&mut baseline, &trace, &config, true)?,
-        ),
-        ("ESD", esd::core::run_trace(&mut esd, &trace, &config, true)?),
+        ("Baseline", run_trace(&baseline, &trace, &config, true)?),
+        ("ESD", run_trace(&esd, &trace, &config, true)?),
         (
             "ESD + Start-Gap",
-            esd::core::run_trace(&mut esd_leveled, &trace, &config, true)?,
+            run_trace(&esd_leveled, &trace, &config, true)?,
         ),
     ];
 

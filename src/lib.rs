@@ -9,7 +9,7 @@
 //! * [`crypto`] — AES-128 counter-mode encryption (CME).
 //! * [`sim`] — the cycle-approximate encrypted-NVMM (PCM) simulator.
 //! * [`trace`] — SPEC/PARSEC-calibrated synthetic workload generation.
-//! * [`core`] — the ESD scheme, its baselines, and the trace runner.
+//! * [`core`] — the one write-path `Scheme`, its eight kinds, the trace runner.
 //!
 //! # Quick start
 //!
@@ -24,6 +24,31 @@
 //! let esd = run_app(SchemeKind::Esd, &app, 42, 5_000, &config)?;
 //! let n = esd.normalized_to(&baseline);
 //! println!("write speedup {:.2}x, energy ratio {:.2}", n.write_speedup, n.energy_ratio);
+//! # Ok::<(), esd::core::VerifyError>(())
+//! ```
+//!
+//! # One scheme type
+//!
+//! Every kind is the same [`core::Scheme`]; ESD-only knobs are constructors
+//! and methods of it (`with_policy`, `with_codec`, `with_wear_leveling`,
+//! `efit_decay_interval`, `efit()`, `crash_and_recover`).
+//!
+//! ```
+//! use esd::core::{run_trace, Scheme, SchemeKind};
+//! use esd::sim::{Ps, SystemConfig};
+//! use esd::trace::{generate_trace, AppProfile, CacheLine};
+//!
+//! let config = SystemConfig::default();
+//! // Drive one scheme by hand...
+//! let mut esd = Scheme::new(SchemeKind::Esd, &config);
+//! let first = esd.write(Ps::ZERO, 0x40, CacheLine::from_fill(7));
+//! let second = esd.write(first.latency, 0x80, CacheLine::from_fill(7));
+//! assert!(second.deduplicated && esd.stats().fingerprint_computations == 0);
+//! // ...or replay a trace through it (the scheme is the template every
+//! // bank slice is forked from) and read the report.
+//! let trace = generate_trace(&AppProfile::demo(), 1, 2_000);
+//! let report = run_trace(&Scheme::new(SchemeKind::DeWrite, &config), &trace, &config, true)?;
+//! println!("{}", report.summary());
 //! # Ok::<(), esd::core::VerifyError>(())
 //! ```
 //!

@@ -3,8 +3,7 @@
 //! authoritative copy lives in NVMM.
 
 use esd::core::{
-    replay_with, run_trace, CrashPoint, CrashStage, DedupScheme, Esd, RunOptions, RunReport,
-    SchemeKind,
+    replay_with, run_trace, CrashPoint, CrashStage, RunOptions, RunReport, Scheme, SchemeKind,
 };
 use esd::sim::{Ps, SystemConfig};
 use esd::trace::{generate_trace, AppProfile, CacheLine};
@@ -12,7 +11,7 @@ use esd::trace::{generate_trace, AppProfile, CacheLine};
 #[test]
 fn crash_preserves_all_data() {
     let config = SystemConfig::default();
-    let mut esd = Esd::new(&config);
+    let mut esd = Scheme::new(SchemeKind::Esd, &config);
     let lines: Vec<CacheLine> = (0..64).map(CacheLine::from_seed).collect();
     for (i, line) in lines.iter().enumerate() {
         // Write each content twice so plenty of dedup state exists.
@@ -35,7 +34,7 @@ fn crash_preserves_all_data() {
 #[test]
 fn post_crash_writes_rebuild_dedup_state() {
     let config = SystemConfig::default();
-    let mut esd = Esd::new(&config);
+    let mut esd = Scheme::new(SchemeKind::Esd, &config);
     let line = CacheLine::from_fill(0x42);
     esd.write(Ps::ZERO, 0x00, line);
     let pre = esd.write(Ps::from_us(1), 0x40, line);
@@ -59,7 +58,7 @@ fn repeated_crashes_under_load_never_corrupt() {
     let config = SystemConfig::default();
     let app = AppProfile::demo();
     let trace = generate_trace(&app, 23, 6_000);
-    let mut esd = Esd::new(&config);
+    let mut esd = Scheme::new(SchemeKind::Esd, &config);
 
     // Replay in three chunks with a crash between each, verifying reads
     // against a shadow copy across the whole run.
@@ -91,10 +90,10 @@ fn crash_is_idempotent_and_runs_keep_working() {
     let config = SystemConfig::default();
     let app = AppProfile::demo();
     let trace = generate_trace(&app, 31, 2_000);
-    let mut esd = Esd::new(&config);
+    let mut esd = Scheme::new(SchemeKind::Esd, &config);
     esd.crash_and_recover();
     esd.crash_and_recover(); // crash with empty state is fine
-    let report = run_trace(&mut esd, &trace, &config, true).expect("verified run");
+    let report = run_trace(&esd, &trace, &config, true).expect("verified run");
     assert!(report.stats.writes_received > 0);
 }
 
@@ -104,7 +103,7 @@ fn efit_decay_interval_survives_crash() {
     // silently reset a configured decay interval back to the default — a
     // mid-study crash would quietly change the experiment's parameters.
     let config = SystemConfig::default();
-    let mut esd = Esd::new(&config);
+    let mut esd = Scheme::new(SchemeKind::Esd, &config);
     esd.efit_decay_interval(123);
     let line = CacheLine::from_fill(0x5A);
     esd.write(Ps::ZERO, 0x00, line);
@@ -113,7 +112,7 @@ fn efit_decay_interval_survives_crash() {
     esd.crash_and_recover();
 
     assert_eq!(
-        esd.efit().decay_interval(),
+        esd.efit().expect("ESD has an EFIT").decay_interval(),
         123,
         "a crash must not revert the configured EFIT decay interval"
     );

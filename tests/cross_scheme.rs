@@ -11,8 +11,8 @@ fn run_all(trace: &Trace, config: &SystemConfig) -> Vec<RunReport> {
     SchemeKind::ALL
         .iter()
         .map(|&kind| {
-            let mut scheme = build_scheme(kind, config);
-            run_trace(scheme.as_mut(), trace, config, true).expect("verified run")
+            let scheme = build_scheme(kind, config);
+            run_trace(&scheme, trace, config, true).expect("verified run")
         })
         .collect()
 }
@@ -112,10 +112,10 @@ fn reports_are_reproducible_across_runs() {
     let config = SystemConfig::default();
     let trace = generate_trace(&AppProfile::demo(), 1234, 4_000);
     for kind in SchemeKind::ALL {
-        let mut a = build_scheme(kind, &config);
-        let mut b = build_scheme(kind, &config);
-        let ra = run_trace(a.as_mut(), &trace, &config, true).unwrap();
-        let rb = run_trace(b.as_mut(), &trace, &config, true).unwrap();
+        let a = build_scheme(kind, &config);
+        let b = build_scheme(kind, &config);
+        let ra = run_trace(&a, &trace, &config, true).unwrap();
+        let rb = run_trace(&b, &trace, &config, true).unwrap();
         assert_eq!(ra.stats, rb.stats, "{kind}");
         assert_eq!(ra.write_latency, rb.write_latency, "{kind}");
         assert_eq!(ra.pcm, rb.pcm, "{kind}");

@@ -1,7 +1,7 @@
 //! Fault injection: the ECC path must recover single-bit medium errors end
 //! to end, for every scheme, without disturbing deduplication correctness.
 
-use esd::core::{build_scheme, DedupScheme, Esd, ReadOutcome, SchemeKind};
+use esd::core::{build_scheme, ReadOutcome, SchemeKind};
 use esd::sim::{Ps, SystemConfig};
 use esd::trace::CacheLine;
 
@@ -22,7 +22,7 @@ fn baseline_recovers_single_bit_flips_in_any_byte() {
 #[test]
 fn esd_recovers_faults_on_deduplicated_lines() {
     let config = SystemConfig::default();
-    let mut esd = Esd::new(&config);
+    let mut esd = build_scheme(SchemeKind::Esd, &config);
     let line = CacheLine::from_fill(0x3C);
     // Three logicals share one physical line after dedup.
     esd.write(Ps::ZERO, 0x000, line);
@@ -41,7 +41,7 @@ fn esd_verify_read_survives_fault_during_dedup_check() {
     // A fault on the stored candidate must not break the byte comparison:
     // ECC corrects the read, the compare still matches, the line dedups.
     let config = SystemConfig::default();
-    let mut esd = Esd::new(&config);
+    let mut esd = build_scheme(SchemeKind::Esd, &config);
     let line = CacheLine::from_seed(5);
     esd.write(Ps::ZERO, 0x000, line);
     assert!(esd.nvmm_mut().medium_mut().inject_bit_flip(0, 0, 0));

@@ -38,8 +38,8 @@ fn every_scheme_preserves_data_on_every_paper_workload() {
     for app in AppProfile::all() {
         let trace = generate_trace(&app, 11, ACCESSES);
         for kind in SchemeKind::ALL {
-            let mut scheme = build_scheme(kind, &config);
-            run_trace(scheme.as_mut(), &trace, &config, true)
+            let scheme = build_scheme(kind, &config);
+            run_trace(&scheme, &trace, &config, true)
                 .unwrap_or_else(|e| panic!("{} corrupted data on {}: {e}", kind, app.name));
         }
     }
@@ -50,11 +50,11 @@ fn dedup_schemes_reduce_write_traffic_on_all_workloads() {
     let config = SystemConfig::default();
     for app in AppProfile::all() {
         let trace = generate_trace(&app, 3, ACCESSES);
-        let mut baseline = build_scheme(SchemeKind::Baseline, &config);
-        let base = run_trace(baseline.as_mut(), &trace, &config, false).unwrap();
+        let baseline = build_scheme(SchemeKind::Baseline, &config);
+        let base = run_trace(&baseline, &trace, &config, false).unwrap();
         for kind in [SchemeKind::DedupSha1, SchemeKind::DeWrite, SchemeKind::Esd] {
-            let mut scheme = build_scheme(kind, &config);
-            let report = run_trace(scheme.as_mut(), &trace, &config, false).unwrap();
+            let scheme = build_scheme(kind, &config);
+            let report = run_trace(&scheme, &trace, &config, false).unwrap();
             assert!(
                 report.nvmm_data_writes() < base.nvmm_data_writes(),
                 "{kind} did not reduce writes on {}",
@@ -70,8 +70,8 @@ fn esd_never_computes_hashes_or_touches_nvmm_fingerprints() {
     for name in ["lbm", "leela", "deepsjeng", "x264"] {
         let app = AppProfile::by_name(name).unwrap();
         let trace = generate_trace(&app, 5, ACCESSES);
-        let mut scheme = build_scheme(SchemeKind::Esd, &config);
-        let report = run_trace(scheme.as_mut(), &trace, &config, true).unwrap();
+        let scheme = build_scheme(SchemeKind::Esd, &config);
+        let report = run_trace(&scheme, &trace, &config, true).unwrap();
         assert_eq!(report.stats.fingerprint_computations, 0, "{name}");
         assert_eq!(
             report.breakdown.fingerprint_compute,
@@ -89,8 +89,8 @@ fn full_dedup_schemes_pay_for_fingerprints() {
     let app = AppProfile::by_name("gcc").unwrap();
     let trace = generate_trace(&app, 5, ACCESSES);
     for kind in [SchemeKind::DedupSha1, SchemeKind::DeWrite] {
-        let mut scheme = build_scheme(kind, &config);
-        let report = run_trace(scheme.as_mut(), &trace, &config, true).unwrap();
+        let scheme = build_scheme(kind, &config);
+        let report = run_trace(&scheme, &trace, &config, true).unwrap();
         assert_eq!(
             report.stats.fingerprint_computations,
             report.stats.writes_received,
@@ -109,8 +109,8 @@ fn zero_heavy_workloads_collapse_to_almost_no_writes() {
     for name in ["deepsjeng", "roms"] {
         let app = AppProfile::by_name(name).unwrap();
         let trace = generate_trace(&app, 9, ACCESSES);
-        let mut scheme = build_scheme(SchemeKind::Esd, &config);
-        let report = run_trace(scheme.as_mut(), &trace, &config, true).unwrap();
+        let scheme = build_scheme(SchemeKind::Esd, &config);
+        let report = run_trace(&scheme, &trace, &config, true).unwrap();
         assert!(
             report.write_reduction() > 0.97,
             "{name}: reduction only {:.3}",
@@ -126,8 +126,8 @@ fn medium_stores_only_ciphertext() {
     let app = AppProfile::demo();
     let trace = generate_trace(&app, 21, 2_000);
     for kind in SchemeKind::ALL {
-        let mut scheme = build_scheme(kind, &config);
-        run_trace(scheme.as_mut(), &trace, &config, true).unwrap();
+        let scheme = build_scheme(kind, &config);
+        run_trace(&scheme, &trace, &config, true).unwrap();
         let medium = scheme.nvmm().medium();
         for access in &trace {
             if let Some(line) = access.data {

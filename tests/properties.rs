@@ -41,8 +41,8 @@ proptest! {
     fn no_scheme_ever_loses_data(trace in arb_trace()) {
         let config = SystemConfig::default();
         for kind in SchemeKind::ALL {
-            let mut scheme = build_scheme(kind, &config);
-            let result = run_trace(scheme.as_mut(), &trace, &config, true);
+            let scheme = build_scheme(kind, &config);
+            let result = run_trace(&scheme, &trace, &config, true);
             prop_assert!(result.is_ok(), "{kind}: {:?}", result.err());
         }
     }
@@ -53,8 +53,8 @@ proptest! {
     fn write_accounting_balances(trace in arb_trace()) {
         let config = SystemConfig::default();
         for kind in SchemeKind::ALL {
-            let mut scheme = build_scheme(kind, &config);
-            let report = run_trace(scheme.as_mut(), &trace, &config, false).unwrap();
+            let scheme = build_scheme(kind, &config);
+            let report = run_trace(&scheme, &trace, &config, false).unwrap();
             prop_assert_eq!(
                 report.stats.writes_unique + report.stats.writes_deduplicated,
                 report.stats.writes_received,
@@ -69,8 +69,8 @@ proptest! {
     #[test]
     fn latency_histograms_are_sane(trace in arb_trace()) {
         let config = SystemConfig::default();
-        let mut scheme = build_scheme(SchemeKind::Esd, &config);
-        let report = run_trace(scheme.as_mut(), &trace, &config, false).unwrap();
+        let scheme = build_scheme(SchemeKind::Esd, &config);
+        let report = run_trace(&scheme, &trace, &config, false).unwrap();
         prop_assert_eq!(report.write_latency.count() as usize, trace.write_count());
         prop_assert_eq!(report.read_latency.count() as usize, trace.read_count());
         prop_assert!(report.write_latency.min() <= report.write_latency.max());
