@@ -3,12 +3,12 @@
 //! metadata structures, and short end-to-end scheme runs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use esd_collections::{ShardedU64Map, U64Map};
+use esd_collections::U64Map;
 use esd_core::{build_scheme, run_trace, Amt, Efit, EfitPolicy, PhysicalAllocator, SchemeKind};
 use esd_crypto::{Aes128, CmeEngine};
 use esd_ecc::{decode_line, encode_line, encode_word, encode_word_ref, EccFingerprint};
 use esd_hash::{crc32, crc64, md5, sha1};
-use esd_sim::{NvmmSystem, PcmConfig, Ps, SystemConfig};
+use esd_sim::{Medium, NvmmSystem, PcmConfig, Ps, SystemConfig};
 use esd_trace::{generate_trace, AppProfile};
 
 fn bench_fingerprints(c: &mut Criterion) {
@@ -190,28 +190,18 @@ fn bench_structures_vs_reference(c: &mut Criterion) {
             map.get(black_box(&(k * 64))).copied()
         })
     });
-    // The striped cross-shard dedup directory: probe cost vs the flat map
-    // above, and the barrier-time merge insert against existing keys.
-    group.bench_function("sharded_u64map_get_hit", |b| {
-        let map: ShardedU64Map<u64> = ShardedU64Map::new(64);
+    // The content store under every device read and write: a rewrite of a
+    // stored line followed by its read-back.
+    group.bench_function("medium_store_load", |b| {
+        let mut medium = Medium::new();
         for i in 0..ENTRIES {
-            map.insert(i * 64, i);
+            medium.store(i * 64, [0; 64], i);
         }
         let mut k = 0u64;
         b.iter(|| {
             k = k.wrapping_add(0x9E37_79B9) % ENTRIES;
-            map.get(black_box(k * 64))
-        })
-    });
-    group.bench_function("cross_shard_merge_insert", |b| {
-        let map: ShardedU64Map<u64> = ShardedU64Map::new(64);
-        for i in 0..ENTRIES {
-            map.insert(i * 64, i);
-        }
-        let mut k = 0u64;
-        b.iter(|| {
-            k = k.wrapping_add(0x9E37_79B9) % ENTRIES;
-            map.insert_if_absent(black_box(k * 64), 1)
+            medium.store(black_box(k * 64), [k as u8; 64], k);
+            medium.load(k * 64).map(|line| line.ecc)
         })
     });
     group.finish();

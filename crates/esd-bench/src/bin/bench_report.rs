@@ -46,11 +46,12 @@ use esd_bench::report_json::{
     ServiceCurve, ServicePoint, ServiceTenantRow, ShardScaling,
 };
 use esd_bench::Sweep;
-use esd_collections::{ShardedU64Map, U64Map};
+use esd_collections::U64Map;
 use esd_core::SchemeKind;
 use esd_crypto::{Aes128, CmeEngine};
 use esd_kernels::KernelBackend;
 use esd_ecc::{encode_line, encode_word_ref, LINE_BYTES};
+use esd_sim::{Medium, StoredLine};
 
 /// Nanoseconds per call of `op`, timed over enough iterations to dwarf
 /// clock granularity (best of three passes).
@@ -355,54 +356,44 @@ fn measure_structures() -> Vec<KernelSpeedup> {
         }),
     });
 
-    // Striped concurrent map (the cross-shard dedup directory) vs the flat
-    // single-thread U64Map on the same hit pattern: the per-probe price of
-    // atomically shared state. A speedup below 1 here is expected — it is
-    // the contention/striping cost the sharded engine pays off the hot path.
-    let sharded: ShardedU64Map<u64> = ShardedU64Map::new(64);
+    // The content store under every device read and write: one Fx-hashed
+    // table of {line, wear} vs the two SipHash maps it replaced, on a
+    // rewrite of a stored line followed by its read-back.
+    let mut two_maps: (HashMap<u64, StoredLine>, HashMap<u64, u64>) = Default::default();
+    let mut medium = Medium::new();
     for i in 0..ENTRIES {
-        sharded.insert(i * 64, i);
+        two_maps.0.insert(
+            i * 64,
+            StoredLine {
+                data: [0; LINE_BYTES],
+                ecc: i,
+            },
+        );
+        two_maps.1.insert(i * 64, 1);
+        medium.store(i * 64, [0; LINE_BYTES], i);
     }
     let mut k_ref = 0u64;
     let mut k_fast = 0u64;
     structures.push(KernelSpeedup {
-        name: "sharded_u64map_get_hit".into(),
+        name: "medium_store_load".into(),
         backend: String::new(),
         reference_ns: time_ns(|| {
             k_ref = k_ref.wrapping_add(0x9E37_79B9) % ENTRIES;
-            black_box(u64_map.get(k_ref * 64));
+            let (lines, wear) = &mut two_maps;
+            lines.insert(
+                k_ref * 64,
+                StoredLine {
+                    data: [k_ref as u8; LINE_BYTES],
+                    ecc: k_ref,
+                },
+            );
+            *wear.entry(k_ref * 64).or_insert(0) += 1;
+            black_box(lines.get(&(k_ref * 64)));
         }),
         fast_ns: time_ns(|| {
             k_fast = k_fast.wrapping_add(0x9E37_79B9) % ENTRIES;
-            black_box(sharded.get(k_fast * 64));
-        }),
-    });
-
-    // Cross-shard merge: the barrier-time publish drain is one
-    // `insert_if_absent` per published fingerprint, almost always against
-    // an already-present key. Reference is the equivalent probe-then-skip
-    // on the flat map.
-    let mut merge_flat: U64Map<u64> = U64Map::with_capacity(ENTRIES as usize);
-    let merge_sharded: ShardedU64Map<u64> = ShardedU64Map::new(64);
-    for i in 0..ENTRIES {
-        merge_flat.insert(i * 64, i);
-        merge_sharded.insert(i * 64, i);
-    }
-    let mut k_ref = 0u64;
-    let mut k_fast = 0u64;
-    structures.push(KernelSpeedup {
-        name: "cross_shard_merge_insert".into(),
-        backend: String::new(),
-        reference_ns: time_ns(|| {
-            k_ref = k_ref.wrapping_add(0x9E37_79B9) % ENTRIES;
-            let key = k_ref * 64;
-            if merge_flat.get(key).is_none() {
-                merge_flat.insert(key, 1);
-            }
-        }),
-        fast_ns: time_ns(|| {
-            k_fast = k_fast.wrapping_add(0x9E37_79B9) % ENTRIES;
-            black_box(merge_sharded.insert_if_absent(k_fast * 64, 1));
+            medium.store(k_fast * 64, [k_fast as u8; LINE_BYTES], k_fast);
+            black_box(medium.load(k_fast * 64));
         }),
     });
 

@@ -14,19 +14,14 @@
 //!   workspace stays dependency-free;
 //! * [`U64Map`] — an open-addressed `u64 → V` table with linear probing and
 //!   tombstone-free (backward-shift) removal, so long-lived tables never
-//!   degrade from deleted-entry litter;
-//! * [`ShardedU64Map`] — a lock-striped concurrent variant for state shared
-//!   across replay shards (the cross-shard dedup directory), where probes
-//!   from different threads must not contend on one global lock.
+//!   degrade from deleted-entry litter.
 //!
-//! All are deterministic: no per-process hash seeding, so replay results
+//! Both are deterministic: no per-process hash seeding, so replay results
 //! and iteration-free algorithms built on them reproduce exactly across
 //! runs and thread counts.
 
 pub mod fx;
 mod map;
-mod sharded;
 
 pub use fx::{FxBuildHasher, FxHasher};
 pub use map::U64Map;
-pub use sharded::ShardedU64Map;

@@ -89,17 +89,24 @@ impl<V> U64Map<V> {
         hash_u64(key) as usize & self.mask
     }
 
-    /// Index of the slot holding `key`, if present.
+    /// Index of the slot holding `key`, or of the vacancy that ends its
+    /// probe path (where an insert would put it).
     #[inline]
-    fn find(&self, key: u64) -> Option<usize> {
+    fn probe(&self, key: u64) -> usize {
         let mut i = self.ideal(key);
         loop {
             match &self.slots[i] {
-                Some((k, _)) if *k == key => return Some(i),
-                Some(_) => i = (i + 1) & self.mask,
-                None => return None,
+                Some((k, _)) if *k != key => i = (i + 1) & self.mask,
+                _ => return i,
             }
         }
+    }
+
+    /// Index of the slot holding `key`, if present.
+    #[inline]
+    fn find(&self, key: u64) -> Option<usize> {
+        let i = self.probe(key);
+        self.slots[i].is_some().then_some(i)
     }
 
     /// A shared reference to the value for `key`.
@@ -146,11 +153,19 @@ impl<V> U64Map<V> {
     /// A mutable reference to the value for `key`, inserting
     /// `default(key)` first if absent.
     pub fn get_or_insert_with(&mut self, key: u64, default: impl FnOnce() -> V) -> &mut V {
-        if self.find(key).is_none() {
-            self.insert(key, default());
+        let mut i = self.probe(key);
+        if self.slots[i].is_none() {
+            // As in `insert`, a table at its load limit grows before it
+            // takes a new key (never on a look-up of a resident one), and
+            // growth moves the vacancy.
+            if (self.len + 1) * 8 > self.slots.len() * 7 {
+                self.grow();
+                i = self.probe(key);
+            }
+            self.slots[i] = Some((key, default()));
+            self.len += 1;
         }
-        let i = self.find(key).expect("just inserted");
-        &mut self.slots[i].as_mut().unwrap().1
+        &mut self.slots[i].as_mut().expect("probed slot is occupied").1
     }
 
     /// Removes `key`, returning its value. Uses backward-shift deletion:
@@ -285,6 +300,27 @@ mod tests {
         *map.get_or_insert_with(5, || 999) += 1;
         assert_eq!(map.get(5), Some(&12));
         assert_eq!(map.len(), 1);
+    }
+
+    #[test]
+    fn get_or_insert_with_lays_the_table_out_as_find_then_insert_does() {
+        // Iteration order feeds replay reports, so the one-probe form must
+        // grow exactly when the two-step form it replaced did.
+        let mut one_probe = U64Map::new();
+        let mut two_step = U64Map::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = x % 6_000;
+            *one_probe.get_or_insert_with(key, || step) += 1;
+            if !two_step.contains_key(key) {
+                two_step.insert(key, step);
+            }
+            *two_step.get_mut(key).unwrap() += 1;
+        }
+        assert!(one_probe.iter().eq(two_step.iter()));
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! recovery and accounting. [`crate::Scheme`] decides *which* stages a
 //! write takes; everything a stage does to the simulated system is here.
 
-use std::sync::Arc;
-
-use esd_collections::{ShardedU64Map, U64Map};
+use esd_collections::U64Map;
 use esd_crypto::CmeEngine;
 use esd_obs::Obs;
 use esd_sim::{Energy, NvmmSystem, Ps, SystemConfig, WriteLatencyBreakdown};
@@ -39,27 +37,65 @@ pub(crate) struct RemoteEntry {
     pub line: CacheLine,
 }
 
-/// Per-slice handle onto the sharded replay engine's shared state.
+/// The cross-slice dedup directory: every advertisement the slices have
+/// made, by fingerprint.
 ///
-/// The engine installs one into each slice's scheme before replay. It
-/// carries the slice's identity, a read-only view of the cross-slice dedup
-/// directory (only mutated at epoch barriers, so hot-path probes never
-/// contend with writers), the slice's outgoing publish queue (drained by
+/// The sharded engine owns the one instance. For the length of a quantum
+/// it is frozen and every slice probes it through a shared reference; at
+/// the barrier the merger alone holds it mutably and folds the slices'
+/// publish queues in. No probe ever races a mutation, so the hot path
+/// takes no lock and copies nothing: [`Directory::get`] hands out a
+/// reference into the arena.
+///
+/// The probed table holds 24-byte `fingerprint → position` slots; the
+/// 68-byte entries sit in an append-only arena beside it, so a probe that
+/// misses (every first write of new content) touches no entry at all.
+#[derive(Debug, Default)]
+pub(crate) struct Directory {
+    index: U64Map<u32>,
+    entries: Vec<RemoteEntry>,
+}
+
+impl Directory {
+    /// The advertisement for `fingerprint`, if any slice has made one.
+    #[inline]
+    pub(crate) fn get(&self, fingerprint: u64) -> Option<&RemoteEntry> {
+        self.index
+            .get(fingerprint)
+            .map(|&at| &self.entries[at as usize])
+    }
+
+    /// Folds one slice's queued publishes in, first writer wins: the engine
+    /// calls this in slice order, so which of two slices that advertised
+    /// the same fingerprint in one quantum keeps it never depends on
+    /// scheduling.
+    pub(crate) fn merge(&mut self, publishes: impl IntoIterator<Item = (u64, RemoteEntry)>) {
+        for (fingerprint, entry) in publishes {
+            let next = u32::try_from(self.entries.len()).expect("directory indexes with u32");
+            // One probe: a resident fingerprint answers with an older position.
+            if *self.index.get_or_insert_with(fingerprint, || next) == next {
+                self.entries.push(entry);
+            }
+        }
+    }
+}
+
+/// What the sharded replay engine installs into each slice's scheme before
+/// replay: the slice's identity, its outgoing publish queue (drained by
 /// the engine at each barrier), and the plaintext mirror for logical lines
-/// this slice has deduplicated onto remote physical lines.
+/// this slice has deduplicated onto remote physical lines. The directory
+/// itself is lent to the write path per call (see [`Directory`]).
 #[derive(Debug)]
 pub(crate) struct ShardCtx {
     pub(crate) slice: u32,
-    pub(crate) directory: Arc<ShardedU64Map<RemoteEntry>>,
     pub(crate) publishes: Vec<(u64, RemoteEntry)>,
     pub(crate) remote_lines: U64Map<CacheLine>,
 }
 
 impl ShardCtx {
-    pub(crate) fn new(slice: u32, directory: Arc<ShardedU64Map<RemoteEntry>>) -> Self {
+    pub(crate) fn new(slice: u32) -> Self {
         ShardCtx {
             slice,
-            directory,
             publishes: Vec::new(),
             remote_lines: U64Map::new(),
         }
@@ -69,8 +105,8 @@ impl ShardCtx {
 /// Outcome of probing the cross-slice dedup directory on the write path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RemoteProbe {
-    /// No usable remote candidate (no shard context, fingerprint absent,
-    /// the entry is this slice's own, or a trust-mode content mismatch).
+    /// No usable remote candidate (nothing advertised, the entry is this
+    /// slice's own, or a trust-mode content mismatch).
     /// Nothing was charged; the caller proceeds as if never probing.
     Miss,
     /// A cross-slice duplicate: the remap is complete and the result is
@@ -153,9 +189,11 @@ pub(crate) struct Core {
     /// NVMM-resident metadata journal (disabled unless the run sets a
     /// checkpoint interval).
     pub journal: MetadataJournal,
-    /// Permanent directory-publish pins this slice has taken, by physical
-    /// line — the recovery refcount audit's record of intentional pins.
-    pub publish_pins: U64Map<u64>,
+    /// The physical line of every permanent directory-publish pin this
+    /// slice has taken, one element per pin — the recovery refcount audit's
+    /// record of intentional pins. Only recovery reads it, so a publish
+    /// appends and hashes nothing.
+    pub publish_pins: Vec<u64>,
 }
 
 impl Core {
@@ -182,7 +220,7 @@ impl Core {
             obs: Obs::disabled(),
             shard: None,
             journal: MetadataJournal::default(),
-            publish_pins: U64Map::new(),
+            publish_pins: Vec::new(),
         }
     }
 
@@ -269,8 +307,21 @@ impl Core {
         done
     }
 
-    /// Probes the cross-slice dedup directory for `fingerprint` at `t`
-    /// (with the interval `now..t` already charged by the caller).
+    /// What the other slices can see advertised under `fingerprint` this
+    /// quantum: `None` outside sharded replay, for a scheme that takes no
+    /// part in cross-slice dedup, or when no slice has advertised it.
+    #[inline]
+    pub fn advertised<'d>(
+        &self,
+        directory: Option<&'d Directory>,
+        fingerprint: u64,
+    ) -> Option<&'d RemoteEntry> {
+        self.shard.as_ref().and(directory)?.get(fingerprint)
+    }
+
+    /// Tries to deduplicate onto `advertised`, the directory's entry for
+    /// this line's fingerprint ([`Core::advertised`]), at `t` (with the
+    /// interval `now..t` already charged by the caller).
     ///
     /// With `verify_read` set, a matching entry from another slice is
     /// byte-verified first: one remote read is charged against this slice's
@@ -293,21 +344,15 @@ impl Core {
         t: Ps,
         logical: u64,
         line: &CacheLine,
-        fingerprint: u64,
+        advertised: Option<&RemoteEntry>,
         verify_read: bool,
     ) -> RemoteProbe {
-        let entry = {
-            let Some(ctx) = self.shard.as_ref() else {
-                return RemoteProbe::Miss;
-            };
-            let Some(entry) = ctx.directory.get(fingerprint) else {
-                return RemoteProbe::Miss;
-            };
-            if entry.owner == ctx.slice {
-                return RemoteProbe::Miss;
-            }
-            entry
+        let Some(entry) = advertised else {
+            return RemoteProbe::Miss;
         };
+        if self.shard.as_ref().map(|ctx| ctx.slice) == Some(entry.owner) {
+            return RemoteProbe::Miss;
+        }
         let mut t = t;
         if verify_read {
             let completion = self.nvmm.charge_remote_read(t);
@@ -338,12 +383,12 @@ impl Core {
 
     /// Advertises a freshly written unique line to the other replay slices.
     ///
-    /// Publishing is selective: if the directory already has an entry for
-    /// `fingerprint` (any owner), nothing is queued — at most roughly one
-    /// line per distinct published content is ever pinned. Otherwise the
-    /// physical line gains one permanent reference count (so the advertised
-    /// plaintext can never be recycled) and the entry is queued for the
-    /// engine to merge into the directory at the next epoch barrier,
+    /// Publishing is selective: the caller asks only when the directory has
+    /// no entry for `fingerprint` yet (any owner, [`Core::advertised`]), so
+    /// at most roughly one line per distinct published content is ever
+    /// pinned. The physical line gains one permanent reference count (so the
+    /// advertised plaintext can never be recycled) and the entry is queued
+    /// for the engine to merge into the directory at the next barrier,
     /// first-writer-wins in slice order. A publish that loses that race
     /// keeps its pin — a deterministic, bounded leak documented in the
     /// design notes.
@@ -351,17 +396,13 @@ impl Core {
         let Some(ctx) = self.shard.as_mut() else {
             return;
         };
-        if ctx.directory.contains_key(fingerprint) {
-            return;
-        }
         let entry = RemoteEntry {
             owner: ctx.slice,
             line: *line,
         };
         ctx.publishes.push((fingerprint, entry));
         self.alloc.incref(physical);
-        let pins = self.publish_pins.get(physical).copied().unwrap_or(0);
-        self.publish_pins.insert(physical, pins + 1);
+        self.publish_pins.push(physical);
     }
 
     /// Encrypts and writes a unique line, updating the mapping: at a
@@ -591,21 +632,14 @@ impl Core {
         // remote sentinel pins nothing locally), the scheme's index pins,
         // and this slice's intentional directory-publish pins.
         let mut expected: U64Map<u64> = U64Map::new();
-        let expect = |map: &mut U64Map<u64>, physical: u64, n: u64| {
-            let count = map.get(physical).copied().unwrap_or(0);
-            map.insert(physical, count + n);
-        };
+        let mut expect = |physical: u64| *expected.get_or_insert_with(physical, || 0) += 1;
         for (_logical, physical) in self.amt.mappings() {
             if physical != REMOTE_SENTINEL {
-                expect(&mut expected, physical, 1);
+                expect(physical);
             }
         }
-        for &physical in index_pins {
-            expect(&mut expected, physical, 1);
-        }
-        for (physical, &pins) in self.publish_pins.iter() {
-            expect(&mut expected, physical, pins);
-        }
+        index_pins.iter().copied().for_each(&mut expect);
+        self.publish_pins.iter().copied().for_each(&mut expect);
         let mut leaked = 0u64;
         for (physical, count) in self.alloc.refcounts() {
             let wanted = expected.remove(physical).unwrap_or(0);
@@ -788,6 +822,52 @@ mod tests {
     #[should_panic]
     fn mis_ordered_charge_panics_instead_of_flattening_to_zero() {
         core().charge(Stage::UniqueWrite, Ps::from_ns(10), Ps::from_ns(5));
+    }
+
+    fn entry(owner: u32, fill: u8) -> RemoteEntry {
+        RemoteEntry {
+            owner,
+            line: CacheLine::from_fill(fill),
+        }
+    }
+
+    #[test]
+    fn directory_keeps_the_first_advertisement_of_a_fingerprint() {
+        let mut directory = Directory::default();
+        assert!(directory.get(7).is_none());
+        directory.merge([(7, entry(2, 0xAA)), (9, entry(2, 0xBB))]);
+        // A later merge — a higher slice in the same barrier, or any slice
+        // at a later one — never displaces an entry.
+        directory.merge([(7, entry(5, 0xCC)), (11, entry(5, 0xDD))]);
+        let owners = |fp| directory.get(fp).map(|e| (e.owner, e.line));
+        assert_eq!(owners(7), Some((2, CacheLine::from_fill(0xAA))));
+        assert_eq!(owners(9), Some((2, CacheLine::from_fill(0xBB))));
+        assert_eq!(owners(11), Some((5, CacheLine::from_fill(0xDD))));
+        assert!(directory.get(8).is_none());
+    }
+
+    #[test]
+    fn an_owners_own_advertisement_is_a_miss_and_charges_nothing() {
+        let line = CacheLine::from_fill(0x42);
+        let mut directory = Directory::default();
+        directory.merge([(7, entry(3, 0x42))]);
+        let probe = |slice: u32| {
+            let mut core = core();
+            core.shard = Some(ShardCtx::new(slice));
+            let advertised = core.advertised(Some(&directory), 7);
+            assert!(advertised.is_some());
+            let result = core.try_remote_dedup(Ps::ZERO, Ps::ZERO, 0x40, &line, advertised, true);
+            (result, core.stats, core.breakdown)
+        };
+        let (own, stats, breakdown) = probe(3);
+        assert!(matches!(own, RemoteProbe::Miss));
+        assert_eq!(stats, SchemeStats::default());
+        assert_eq!(breakdown, WriteLatencyBreakdown::default());
+        let (other, stats, _) = probe(4);
+        assert!(matches!(other, RemoteProbe::Dedup(r) if r.deduplicated));
+        assert_eq!((stats.compare_reads, stats.writes_deduplicated), (1, 1));
+        // Without a shard context the directory is never consulted.
+        assert!(core().advertised(Some(&directory), 7).is_none());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use esd_trace::CacheLine;
 use crate::efit::{Efit, EfitPolicy, EFIT_ENTRY_BYTES, REFER_MAX};
 use crate::fpstore::{FingerprintStore, LookupSource};
 use crate::journal::{MetadataJournal, RecoverySummary};
-use crate::machinery::{Core, RemoteEntry, RemoteProbe, ShardCtx, Stage};
+use crate::machinery::{Core, Directory, RemoteEntry, RemoteProbe, ShardCtx, Stage};
 use crate::predictor::{DupPredictor, PredictorStats};
 
 /// Identifies the eight schemes: the paper's four and four variants.
@@ -567,6 +567,21 @@ impl Scheme {
         line: CacheLine,
         fingerprint: Option<u64>,
     ) -> WriteResult {
+        self.write_in_slice(None, now, logical, line, fingerprint)
+    }
+
+    /// [`Scheme::write_prepared`] as the sharded engine calls it, with the
+    /// quantum's frozen cross-slice `directory` on loan for the length of
+    /// the call (`None` everywhere else: nothing to deduplicate onto and
+    /// nobody to advertise to).
+    pub(crate) fn write_in_slice(
+        &mut self,
+        directory: Option<&Directory>,
+        now: Ps,
+        logical: u64,
+        line: CacheLine,
+        fingerprint: Option<u64>,
+    ) -> WriteResult {
         let Scheme {
             core,
             index,
@@ -658,7 +673,11 @@ impl Scheme {
         // Stage 4 — resolve: deduplicate onto the local candidate; failing
         // one, onto a line a sibling slice advertises (a no-op outside
         // sharded replay); else the line is unique. A saturated candidate
-        // is rewritten as new without asking the other slices.
+        // is rewritten as new without asking the other slices. The
+        // directory is probed once per write that is not a local duplicate:
+        // what it holds also decides whether a unique line is advertised
+        // below.
+        let mut advertised = None;
         let deduplicated = match (duplicate, fp) {
             (Some(found), Some(fp)) if !found.saturated => {
                 core.stats.writes_deduplicated += 1;
@@ -679,8 +698,10 @@ impl Scheme {
                     deduplicated: true,
                 })
             }
-            (None, Some(fp)) => {
-                match core.try_remote_dedup(now, t, logical, &line, fp, policy.verify) {
+            (saturated, Some(fp)) => {
+                advertised = core.advertised(directory, fp);
+                let remote = advertised.filter(|_| saturated.is_none());
+                match core.try_remote_dedup(now, t, logical, &line, remote, policy.verify) {
                     RemoteProbe::Dedup(result) => Some(result),
                     RemoteProbe::Collision(resumed) => {
                         t = resumed;
@@ -715,6 +736,8 @@ impl Scheme {
             encrypted = true;
         }
         let (done, finish, physical) = core.write_unique(t, logical, &line, encrypted);
+        // Advertise only content no slice has advertised yet.
+        let publish = advertised.is_none();
         match (index, fp) {
             (Index::Store(store), Some(fp)) => {
                 // A colliding entry keeps its first owner; this line is then
@@ -727,12 +750,14 @@ impl Scheme {
                     store.insert(done, fp, physical, &mut core.nvmm);
                     core.journal_record(done);
                 }
-                if indexed || policy.publish_unindexed {
+                if publish && (indexed || policy.publish_unindexed) {
                     core.publish(fp, physical, &line);
                 }
             }
             (Index::Efit(efit), Some(fp)) => {
-                core.publish(fp, physical, &line);
+                if publish {
+                    core.publish(fp, physical, &line);
+                }
                 // The EFIT entry pins its target line (one reference
                 // count), so a fingerprint can never point at recycled
                 // storage; the pin of any displaced entry is released.
@@ -1071,8 +1096,7 @@ mod tests {
         let config = SystemConfig::default();
         for kind in SchemeKind::EXTENDED {
             let mut scheme = Scheme::new(kind, &config);
-            let directory = std::sync::Arc::new(esd_collections::ShardedU64Map::new(4));
-            scheme.attach_shard(ShardCtx::new(0, directory));
+            scheme.attach_shard(ShardCtx::new(0));
             let expected = !matches!(kind, SchemeKind::Baseline | SchemeKind::EsdNoVerify);
             assert_eq!(scheme.queued_publishes().is_some(), expected, "{kind}");
         }

@@ -21,8 +21,10 @@
 //!
 //! * the slice count is always `banks`, regardless of threads;
 //! * slices are data-independent within a quantum — cross-slice
-//!   deduplication goes through a directory that is only mutated at
-//!   quantum barriers, so hot-path probes read frozen state;
+//!   deduplication goes through a [`Directory`] the engine owns and lends
+//!   out: shared and frozen to every slice for the length of a quantum,
+//!   exclusive to the merger at the barrier, so hot-path probes take no
+//!   lock;
 //! * at each barrier the designated merger (the worker owning slice 0)
 //!   folds the slices' publish queues into the directory **in slice
 //!   order**, first-writer-wins;
@@ -32,27 +34,23 @@
 //! One worker therefore produces bit-for-bit the same [`RunReport`] as
 //! eight: the single-thread path runs the same per-quantum code inline.
 
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex, RwLock};
 
-use esd_collections::{ShardedU64Map, U64Map};
+use esd_collections::U64Map;
 use esd_obs::{EpochSnapshot, EventKind, Obs, TraceEvent};
 use esd_sim::{
     CacheStats, CpuModel, FaultStats, LatencyHistogram, PcmStats, Ps, SystemConfig,
     WriteLatencyBreakdown, LINE_BYTES,
 };
-use esd_trace::{AccessKind, CacheLine, Trace};
+use esd_trace::{AccessKind, Trace};
 
 use crate::journal::{CrashStage, RecoveryReport, RecoverySummary};
-use crate::machinery::{RemoteEntry, ShardCtx};
+use crate::machinery::{Directory, RemoteEntry, ShardCtx};
 use crate::predictor::PredictorStats;
 use crate::report::{ReliabilityReport, RunReport};
 use crate::runner::{RunOptions, VerifyError};
-use crate::scheme::{MetadataFootprint, Scheme, SchemeStats};
+use crate::scheme::{elapsed_latency, MetadataFootprint, Scheme, SchemeStats};
 use crate::scrub::{ScrubStats, Scrubber};
-
-/// Stripe count of the cross-slice dedup directory (rounded up to a power
-/// of two internally).
-const DIRECTORY_STRIPES: usize = 64;
 
 /// Smallest batch size worth staging through [`BatchBuffers`]: below the
 /// 4-lane kernel width, the gather/prefetch stages pay their full fixed
@@ -123,7 +121,9 @@ struct SliceState {
     scheme: Scheme,
     cpu: CpuModel,
     scrubber: Option<Scrubber>,
-    shadow: U64Map<CacheLine>,
+    /// Verification shadow: logical address → global trace index of the
+    /// last write to it (whose `data` is what a read must return).
+    shadow: U64Map<u32>,
     write_latency: LatencyHistogram,
     read_latency: LatencyHistogram,
     /// `(global access index, instructions to execute before it)` for every
@@ -136,6 +136,10 @@ struct SliceState {
     /// What recovery cost this slice after an injected crash (`None` when
     /// no crash fired).
     recovery: Option<RecoverySummary>,
+    /// Fingerprint-cache `(hits, misses)` the crash erased from the
+    /// scheme's own counters (the EFIT's reset with its contents), kept so
+    /// the epoch marks stay cumulative.
+    fp_erased: (u64, u64),
 }
 
 impl SliceState {
@@ -150,8 +154,8 @@ impl SliceState {
             end_time: now,
             writes_received: stats.writes_received,
             writes_deduplicated: stats.writes_deduplicated,
-            fp_hits,
-            fp_misses,
+            fp_hits: fp_hits + self.fp_erased.0,
+            fp_misses: fp_misses + self.fp_erased.1,
             energy_pj: (self.scheme.nvmm().stats().total_energy() + stats.compute_energy)
                 .as_pj(),
             write_buffer_depth: self.cpu.write_buffer_occupancy() as u64,
@@ -211,14 +215,14 @@ fn partition_trace(trace: &Trace, nslices: usize, epoch_n: Option<u64>) -> Parti
 /// are report-identical.
 fn replay_access(
     slice: &mut SliceState,
+    directory: &Directory,
     trace: &Trace,
     options: &RunOptions,
-    epoch_n: Option<u64>,
     g: u32,
     exec: u64,
     fingerprint: Option<u64>,
 ) {
-    if let Some(n) = epoch_n {
+    if let Some(n) = options.epoch_interval.map(|n| n.max(1)) {
         while (slice.marks.len() as u64 + 1) * n <= u64::from(g) {
             slice.record_mark();
         }
@@ -239,25 +243,28 @@ fn replay_access(
     match access.kind {
         AccessKind::Write => {
             let line = access.data.expect("write carries data");
-            let result = slice
-                .scheme
-                .write_prepared(now, access.addr, line, fingerprint);
+            let result =
+                slice
+                    .scheme
+                    .write_in_slice(Some(directory), now, access.addr, line, fingerprint);
             slice.write_latency.record(result.latency);
             let release = result
                 .device_finish
                 .map_or(result.processing_done, |f| f.max(result.processing_done));
             slice.cpu.admit_write(release);
             if options.verify {
-                slice.shadow.insert(access.addr, line);
+                slice.shadow.insert(access.addr, g);
             }
         }
         AccessKind::Read => {
             let result = slice.scheme.read(now, access.addr);
-            slice.read_latency.record(result.finish.saturating_sub(now));
+            slice
+                .read_latency
+                .record(elapsed_latency(now, result.finish));
             slice.cpu.complete_read(result.finish);
             if options.verify && result.outcome.is_data_valid() && slice.error.is_none() {
-                if let Some(expected) = slice.shadow.get(access.addr) {
-                    if *expected != result.data {
+                if let Some(&written) = slice.shadow.get(access.addr) {
+                    if trace.accesses[written as usize].data.as_ref() != Some(&result.data) {
                         slice.error = Some(VerifyError {
                             scheme: slice.scheme.kind(),
                             addr: access.addr,
@@ -285,12 +292,12 @@ fn replay_access(
 /// order, so the report is byte-identical to the scalar path.
 fn process_quantum(
     slice: &mut SliceState,
+    directory: &Directory,
     trace: &Trace,
     options: &RunOptions,
     end: u32,
     batch: u32,
 ) {
-    let epoch_n = options.epoch_interval.map(|n| n.max(1));
     let spec = if batch >= MIN_BATCH {
         slice.scheme.fingerprint_spec()
     } else {
@@ -305,7 +312,7 @@ fn process_quantum(
                 break;
             }
             slice.cursor += 1;
-            replay_access(slice, trace, options, epoch_n, g, exec, None);
+            replay_access(slice, directory, trace, options, g, exec, None);
         }
         return;
     };
@@ -350,7 +357,7 @@ fn process_quantum(
             } else {
                 None
             };
-            replay_access(slice, trace, options, epoch_n, g, exec, fp);
+            replay_access(slice, directory, trace, options, g, exec, fp);
         }
     }
 }
@@ -366,7 +373,16 @@ fn process_quantum(
 fn crash_slice(slice: &mut SliceState, torn_slice: Option<usize>) {
     let torn = torn_slice == Some(slice.index);
     let now = slice.cpu.now();
+    let counters = |scheme: &Scheme| {
+        scheme
+            .fingerprint_cache_stats()
+            .map_or((0, 0), |c| (c.hits, c.misses))
+    };
+    let before = counters(&slice.scheme);
     let summary = slice.scheme.crash_recover_at(now, torn);
+    let after = counters(&slice.scheme);
+    slice.fp_erased.0 += before.0 - after.0;
+    slice.fp_erased.1 += before.1 - after.1;
     slice.cpu.stall_until(summary.finish);
     slice.recovery = Some(summary);
 }
@@ -384,17 +400,11 @@ fn drain_publishes(slice: &mut SliceState, slots: &[Mutex<Vec<(u64, RemoteEntry)
     }
 }
 
-/// Folds every slot into the shared directory, in slice order (the
-/// deterministic first-writer-wins tiebreak).
-fn merge_publishes(
-    slots: &[Mutex<Vec<(u64, RemoteEntry)>>],
-    directory: &ShardedU64Map<RemoteEntry>,
-) {
+/// Folds every slot into the directory, in slice order (the deterministic
+/// first-writer-wins tiebreak).
+fn merge_publishes(slots: &[Mutex<Vec<(u64, RemoteEntry)>>], directory: &mut Directory) {
     for slot in slots {
-        let drained = std::mem::take(&mut *slot.lock().expect("publish slot lock"));
-        for (fp, entry) in drained {
-            directory.insert_if_absent(fp, entry);
-        }
+        directory.merge(slot.lock().expect("publish slot lock").drain(..));
     }
 }
 
@@ -498,7 +508,7 @@ fn merge_epochs(
         let d_cycles = config
             .cpu
             .clock
-            .ps_to_cycles_f64(end_time.saturating_sub(prev_time));
+            .ps_to_cycles_f64(elapsed_latency(prev_time, end_time));
         let d_writes = cum.writes_received - prev.writes_received;
         let d_dedup = cum.writes_deduplicated - prev.writes_deduplicated;
         let d_hits = cum.fp_hits - prev.fp_hits;
@@ -586,14 +596,12 @@ pub(crate) fn run_sharded(
     let partition = partition_trace(trace, nslices, epoch_n);
     let num_epochs = partition.instr_at_boundary.len();
 
-    let directory: Arc<ShardedU64Map<RemoteEntry>> =
-        Arc::new(ShardedU64Map::new(DIRECTORY_STRIPES));
     let mut owned = partition.owned;
     let mut slices: Vec<SliceState> = (0..nslices)
         .map(|s| {
             let cfg = slice_config(config, s as u32, nslices as u32);
             let mut scheme = template.fork_slice(&cfg);
-            scheme.attach_shard(ShardCtx::new(s as u32, Arc::clone(&directory)));
+            scheme.attach_shard(ShardCtx::new(s as u32));
             scheme.journal_configure(options.journal_every);
             if options.observe {
                 *scheme.obs_mut() = Obs::enabled(options.trace_capacity);
@@ -618,6 +626,7 @@ pub(crate) fn run_sharded(
                 error: None,
                 buffers: BatchBuffers::default(),
                 recovery: None,
+                fp_erased: (0, 0),
             }
         })
         .collect();
@@ -653,7 +662,12 @@ pub(crate) fn run_sharded(
     let slots: Vec<Mutex<Vec<(u64, RemoteEntry)>>> =
         (0..nslices).map(|_| Mutex::new(Vec::new())).collect();
 
+    // The directory is mutated only between quanta, by one thread, so the
+    // slices probe it lock-free: a plain borrow here, and on the threaded
+    // path one uncontended read guard per worker per quantum (the barriers
+    // already order it against the merger's write guard).
     if threads <= 1 {
+        let mut directory = Directory::default();
         let mut start = 0u32;
         while start < total {
             let mut end = total.min(start.saturating_add(quantum));
@@ -667,13 +681,14 @@ pub(crate) fn run_sharded(
                 }
             }
             for slice in slices.iter_mut() {
-                process_quantum(slice, trace, options, end, batch);
+                process_quantum(slice, &directory, trace, options, end, batch);
                 drain_publishes(slice, &slots);
             }
-            merge_publishes(&slots, &directory);
+            merge_publishes(&slots, &mut directory);
             start = end;
         }
     } else {
+        let directory = RwLock::new(Directory::default());
         let barrier = Barrier::new(threads);
         let base = nslices / threads;
         let extra = nslices % threads;
@@ -702,9 +717,12 @@ pub(crate) fn run_sharded(
                                 end = g;
                             }
                         }
-                        for slice in chunk.iter_mut() {
-                            process_quantum(slice, trace, options, end, batch);
-                            drain_publishes(slice, slots);
+                        {
+                            let frozen = directory.read().expect("directory lock");
+                            for slice in chunk.iter_mut() {
+                                process_quantum(slice, &frozen, trace, options, end, batch);
+                                drain_publishes(slice, slots);
+                            }
                         }
                         barrier.wait();
                         // The worker owning slice 0 is the designated
@@ -712,7 +730,7 @@ pub(crate) fn run_sharded(
                         // barrier, so the directory mutates race-free and
                         // in slice order.
                         if w == 0 {
-                            merge_publishes(slots, directory);
+                            merge_publishes(slots, &mut directory.write().expect("directory lock"));
                         }
                         barrier.wait();
                         start = end;
@@ -847,4 +865,63 @@ pub(crate) fn run_sharded(
         obs,
         recovery,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheme::SchemeKind;
+    use esd_trace::{Access, CacheLine};
+
+    #[test]
+    fn barrier_merge_resolves_a_same_quantum_race_in_slice_order() {
+        let advert = |owner: u32| {
+            let entry = RemoteEntry {
+                owner,
+                line: CacheLine::from_fill(9),
+            };
+            (7u64, entry)
+        };
+        let slots: Vec<Mutex<Vec<(u64, RemoteEntry)>>> =
+            (0..4).map(|_| Mutex::new(Vec::new())).collect();
+        // Slice 3's worker reached the barrier before slice 1's did.
+        slots[3].lock().unwrap().push(advert(3));
+        slots[1].lock().unwrap().push(advert(1));
+        let mut directory = Directory::default();
+        merge_publishes(&slots, &mut directory);
+        assert_eq!(directory.get(7).map(|e| e.owner), Some(1));
+        assert!(slots.iter().all(|slot| slot.lock().unwrap().is_empty()));
+    }
+
+    #[test]
+    fn a_publish_becomes_visible_at_the_next_quantum_not_before() {
+        // Three writes of one content to lines in three different slices.
+        let line = CacheLine::from_fill(0x5D);
+        let mut trace = Trace::new("hand-built");
+        for slice in 0..3u64 {
+            trace.accesses.push(Access::write(slice * 64, line, 10));
+        }
+        let config = SystemConfig::default();
+        let deduplicated = |quantum: u32, shards: u32| {
+            let options = RunOptions {
+                quantum,
+                shards,
+                ..RunOptions::default()
+            };
+            let template = Scheme::new(SchemeKind::Esd, &config);
+            let report = run_sharded(&template, &trace, &config, &options, shards as usize)
+                .expect("verified run");
+            assert_eq!(report.stats.writes_received, 3);
+            report.stats.writes_deduplicated
+        };
+        for shards in [1, 4] {
+            // One quantum: nobody sees anybody's advertisement.
+            assert_eq!(deduplicated(3, shards), 0, "shards={shards}");
+            // The first two share a quantum and both write; the third runs
+            // after the barrier that published them.
+            assert_eq!(deduplicated(2, shards), 1, "shards={shards}");
+            // A barrier after every access: only the first is unique.
+            assert_eq!(deduplicated(1, shards), 2, "shards={shards}");
+        }
+    }
 }

@@ -21,7 +21,14 @@
 
 use std::collections::HashMap;
 
+use esd_collections::FxBuildHasher;
+
 use crate::config::LINE_BYTES;
+
+/// Line-address-keyed table under the repo's unseeded multiply-xor hasher:
+/// every consumer of the medium is order-independent, and SipHash-ing a
+/// line address was most of a store.
+type LineMap<V> = HashMap<u64, V, FxBuildHasher>;
 
 /// Stored bits per line that the fault model samples: 512 data bits plus
 /// the 64-bit packed ECC word.
@@ -68,7 +75,7 @@ struct FaultState {
     threshold: u64,
     /// Ground truth for corrupted lines: content as of the last store.
     /// Lines absent from this map have not drifted since their last write.
-    pristine: HashMap<u64, StoredLine>,
+    pristine: LineMap<StoredLine>,
     stats: FaultStats,
 }
 
@@ -94,9 +101,17 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Medium {
-    lines: HashMap<u64, StoredLine>,
-    wear: HashMap<u64, u64>,
+    /// Every line ever stored, with its write count: one table, so a store
+    /// is one probe.
+    cells: LineMap<Cell>,
     faults: Option<FaultState>,
+}
+
+/// One line of the array: what it holds and how often it was written.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    line: StoredLine,
+    wear: u64,
 }
 
 impl Medium {
@@ -117,7 +132,7 @@ impl Medium {
         self.faults = Some(FaultState {
             rng: seed,
             threshold,
-            pristine: HashMap::new(),
+            pristine: LineMap::default(),
             stats: FaultStats::default(),
         });
     }
@@ -143,14 +158,20 @@ impl Medium {
         faults
             .pristine
             .get(&line_addr)
-            .or_else(|| self.lines.get(&line_addr))
+            .or_else(|| self.load(line_addr))
     }
 
     /// Stores a line, bumping its wear counter. A store rewrites every cell,
     /// so any accumulated fault drift on the line is cleared.
     pub fn store(&mut self, line_addr: u64, data: [u8; LINE_BYTES], ecc: u64) {
-        self.lines.insert(line_addr, StoredLine { data, ecc });
-        *self.wear.entry(line_addr).or_insert(0) += 1;
+        let line = StoredLine { data, ecc };
+        self.cells
+            .entry(line_addr)
+            .and_modify(|cell| {
+                cell.line = line;
+                cell.wear += 1;
+            })
+            .or_insert(Cell { line, wear: 1 });
         if let Some(faults) = self.faults.as_mut() {
             faults.pristine.remove(&line_addr);
         }
@@ -159,7 +180,7 @@ impl Medium {
     /// Loads a line, or `None` if the address was never written.
     #[must_use]
     pub fn load(&self, line_addr: u64) -> Option<&StoredLine> {
-        self.lines.get(&line_addr)
+        self.cells.get(&line_addr).map(|cell| &cell.line)
     }
 
     /// Runs the RBER sampler over one stored line, as part of a read.
@@ -169,7 +190,7 @@ impl Medium {
         let Some(faults) = self.faults.as_mut() else {
             return;
         };
-        let Some(stored) = self.lines.get_mut(&line_addr) else {
+        let Some(Cell { line: stored, .. }) = self.cells.get_mut(&line_addr) else {
             return;
         };
         faults.stats.reads_sampled += 1;
@@ -215,7 +236,7 @@ impl Medium {
     /// are copied verbatim, and the pristine shadow migrates with them so
     /// ground truth stays attached to the content, not the address.
     pub(crate) fn copy_line(&mut self, from: u64, to: u64) {
-        let Some(line) = self.lines.get(&from).copied() else {
+        let Some(line) = self.load(from).copied() else {
             return;
         };
         let pristine = self
@@ -231,14 +252,14 @@ impl Medium {
     /// Number of distinct lines currently stored.
     #[must_use]
     pub fn lines_stored(&self) -> usize {
-        self.lines.len()
+        self.cells.len()
     }
 
     /// All stored line addresses in ascending order (scrub walk order —
     /// sorted so walks are deterministic regardless of map iteration).
     #[must_use]
     pub fn addresses_sorted(&self) -> Vec<u64> {
-        let mut addrs: Vec<u64> = self.lines.keys().copied().collect();
+        let mut addrs: Vec<u64> = self.cells.keys().copied().collect();
         addrs.sort_unstable();
         addrs
     }
@@ -246,19 +267,19 @@ impl Medium {
     /// Write count for a line (endurance accounting).
     #[must_use]
     pub fn wear(&self, line_addr: u64) -> u64 {
-        self.wear.get(&line_addr).copied().unwrap_or(0)
+        self.cells.get(&line_addr).map_or(0, |cell| cell.wear)
     }
 
     /// The maximum per-line write count — the endurance hot spot.
     #[must_use]
     pub fn max_wear(&self) -> u64 {
-        self.wear.values().copied().max().unwrap_or(0)
+        self.cells.values().map(|cell| cell.wear).max().unwrap_or(0)
     }
 
     /// Total writes absorbed by the medium.
     #[must_use]
     pub fn total_wear(&self) -> u64 {
-        self.wear.values().sum()
+        self.cells.values().map(|cell| cell.wear).sum()
     }
 
     /// Flips one stored bit (targeted fault injection for the ECC recovery
@@ -276,30 +297,183 @@ impl Medium {
     pub fn inject_bit_flip(&mut self, line_addr: u64, byte: usize, bit: u8) -> bool {
         assert!(byte < LINE_BYTES + 8, "byte index out of range");
         assert!(bit < 8, "bit index out of range");
-        // Split the borrow: snapshot before mutating the stored line.
-        if self.lines.contains_key(&line_addr) {
-            if let Some(faults) = self.faults.as_mut() {
-                let stored = self.lines[&line_addr];
-                faults.pristine.entry(line_addr).or_insert(stored);
-            }
+        let Some(Cell { line: stored, .. }) = self.cells.get_mut(&line_addr) else {
+            return false;
+        };
+        if let Some(faults) = self.faults.as_mut() {
+            faults.pristine.entry(line_addr).or_insert(*stored);
         }
-        match self.lines.get_mut(&line_addr) {
-            Some(stored) => {
-                if byte < LINE_BYTES {
-                    stored.data[byte] ^= 1 << bit;
-                } else {
-                    stored.ecc ^= 1u64 << ((byte - LINE_BYTES) * 8 + bit as usize);
-                }
-                true
-            }
-            None => false,
+        if byte < LINE_BYTES {
+            stored.data[byte] ^= 1 << bit;
+        } else {
+            stored.ecc ^= 1u64 << ((byte - LINE_BYTES) * 8 + bit as usize);
         }
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The implementation this module had before `lines` and `wear` became
+    /// one table: two `std` maps (and a third for the pristine shadow),
+    /// kept verbatim as the model the flat one is checked against.
+    mod reference {
+        use super::super::{splitmix64, FaultStats, StoredLine, LINE_BYTES, STORED_BITS};
+        use std::collections::HashMap;
+
+        #[derive(Debug, Clone)]
+        struct TwoMapFaults {
+            rng: u64,
+            threshold: u64,
+            pristine: HashMap<u64, StoredLine>,
+            stats: FaultStats,
+        }
+
+        #[derive(Debug, Clone, Default)]
+        pub struct TwoMapMedium {
+            lines: HashMap<u64, StoredLine>,
+            wear: HashMap<u64, u64>,
+            faults: Option<TwoMapFaults>,
+        }
+
+        impl TwoMapMedium {
+            pub fn enable_fault_injection(&mut self, rber_per_tbit: u64, seed: u64) {
+                // p * 2^64, computed exactly in u128: the Bernoulli threshold for a
+                // uniform u64 draw.
+                let threshold = ((u128::from(rber_per_tbit) << 64) / 1_000_000_000_000) as u64;
+                self.faults = Some(TwoMapFaults {
+                    rng: seed,
+                    threshold,
+                    pristine: HashMap::new(),
+                    stats: FaultStats::default(),
+                });
+            }
+
+            pub fn fault_stats(&self) -> FaultStats {
+                self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
+            }
+
+            pub fn pristine(&self, line_addr: u64) -> Option<&StoredLine> {
+                let faults = self.faults.as_ref()?;
+                faults
+                    .pristine
+                    .get(&line_addr)
+                    .or_else(|| self.lines.get(&line_addr))
+            }
+
+            pub fn store(&mut self, line_addr: u64, data: [u8; LINE_BYTES], ecc: u64) {
+                self.lines.insert(line_addr, StoredLine { data, ecc });
+                *self.wear.entry(line_addr).or_insert(0) += 1;
+                if let Some(faults) = self.faults.as_mut() {
+                    faults.pristine.remove(&line_addr);
+                }
+            }
+
+            pub fn load(&self, line_addr: u64) -> Option<&StoredLine> {
+                self.lines.get(&line_addr)
+            }
+
+            pub fn degrade(&mut self, line_addr: u64) {
+                let Some(faults) = self.faults.as_mut() else {
+                    return;
+                };
+                let Some(stored) = self.lines.get_mut(&line_addr) else {
+                    return;
+                };
+                faults.stats.reads_sampled += 1;
+                if faults.threshold == 0 {
+                    return;
+                }
+                for bit in 0..STORED_BITS {
+                    if splitmix64(&mut faults.rng) < faults.threshold {
+                        // First flip since the last store: snapshot ground truth.
+                        faults.pristine.entry(line_addr).or_insert(*stored);
+                        if bit < LINE_BYTES * 8 {
+                            stored.data[bit / 8] ^= 1 << (bit % 8);
+                            faults.stats.data_bits_flipped += 1;
+                        } else {
+                            stored.ecc ^= 1u64 << (bit - LINE_BYTES * 8);
+                            faults.stats.ecc_bits_flipped += 1;
+                        }
+                    }
+                }
+            }
+
+            pub fn store_scrubbed(&mut self, line_addr: u64, data: [u8; LINE_BYTES], ecc: u64) {
+                let pristine = self
+                    .faults
+                    .as_ref()
+                    .and_then(|f| f.pristine.get(&line_addr).copied());
+                self.store(line_addr, data, ecc);
+                if let (Some(faults), Some(pristine)) = (self.faults.as_mut(), pristine) {
+                    if pristine.data != data {
+                        faults.pristine.insert(line_addr, pristine);
+                    }
+                }
+            }
+
+            pub fn copy_line(&mut self, from: u64, to: u64) {
+                let Some(line) = self.lines.get(&from).copied() else {
+                    return;
+                };
+                let pristine = self
+                    .faults
+                    .as_ref()
+                    .and_then(|f| f.pristine.get(&from).copied());
+                self.store(to, line.data, line.ecc);
+                if let (Some(faults), Some(pristine)) = (self.faults.as_mut(), pristine) {
+                    faults.pristine.insert(to, pristine);
+                }
+            }
+
+            pub fn lines_stored(&self) -> usize {
+                self.lines.len()
+            }
+
+            pub fn addresses_sorted(&self) -> Vec<u64> {
+                let mut addrs: Vec<u64> = self.lines.keys().copied().collect();
+                addrs.sort_unstable();
+                addrs
+            }
+
+            pub fn wear(&self, line_addr: u64) -> u64 {
+                self.wear.get(&line_addr).copied().unwrap_or(0)
+            }
+
+            pub fn max_wear(&self) -> u64 {
+                self.wear.values().copied().max().unwrap_or(0)
+            }
+
+            pub fn total_wear(&self) -> u64 {
+                self.wear.values().sum()
+            }
+
+            pub fn inject_bit_flip(&mut self, line_addr: u64, byte: usize, bit: u8) -> bool {
+                assert!(byte < LINE_BYTES + 8, "byte index out of range");
+                assert!(bit < 8, "bit index out of range");
+                // Split the borrow: snapshot before mutating the stored line.
+                if self.lines.contains_key(&line_addr) {
+                    if let Some(faults) = self.faults.as_mut() {
+                        let stored = self.lines[&line_addr];
+                        faults.pristine.entry(line_addr).or_insert(stored);
+                    }
+                }
+                match self.lines.get_mut(&line_addr) {
+                    Some(stored) => {
+                        if byte < LINE_BYTES {
+                            stored.data[byte] ^= 1 << bit;
+                        } else {
+                            stored.ecc ^= 1u64 << ((byte - LINE_BYTES) * 8 + bit as usize);
+                        }
+                        true
+                    }
+                    None => false,
+                }
+            }
+        }
+    }
 
     #[test]
     fn store_load_round_trip() {
@@ -407,5 +581,88 @@ mod tests {
         m.copy_line(0, 64);
         assert_eq!(m.load(64).unwrap().data[0], 2, "raw cells copied");
         assert_eq!(m.pristine(64).unwrap().data[0], 3, "truth followed the move");
+    }
+
+    #[test]
+    fn flat_medium_matches_the_two_map_model() {
+        use reference::TwoMapMedium;
+        const LINES: u64 = 48; // few enough that every op mostly hits stored lines
+        for seed in 0..48u64 {
+            let mut flat = Medium::new();
+            let mut model = TwoMapMedium::default();
+            // A third of the episodes fault-free, a third tracking pristine
+            // copies only, a third flipping about one bit per sampled read.
+            if seed % 3 != 0 {
+                let rber = (seed % 3 - 1) * 2_000_000_000;
+                flat.enable_fault_injection(rber, seed);
+                model.enable_fault_injection(rber, seed);
+            }
+            let mut rng = seed;
+            for step in 0..4_096 {
+                let draw = splitmix64(&mut rng);
+                let addr = (draw >> 8) % LINES * 64;
+                let other = (draw >> 16) % LINES * 64;
+                let data = [(draw >> 24) as u8; LINE_BYTES];
+                let ecc = draw >> 32;
+                match draw % 8 {
+                    0..=2 => {
+                        flat.store(addr, data, ecc);
+                        model.store(addr, data, ecc);
+                    }
+                    3 => {
+                        flat.degrade(addr);
+                        model.degrade(addr);
+                    }
+                    4 => {
+                        // A scrub that trusted a miscorrected decode.
+                        flat.store_scrubbed(addr, data, ecc);
+                        model.store_scrubbed(addr, data, ecc);
+                    }
+                    5 => {
+                        // A scrub that restored the ground truth.
+                        if let Some(truth) = model.pristine(addr).copied() {
+                            flat.store_scrubbed(addr, truth.data, truth.ecc);
+                            model.store_scrubbed(addr, truth.data, truth.ecc);
+                        }
+                    }
+                    6 => {
+                        flat.copy_line(addr, other);
+                        model.copy_line(addr, other);
+                    }
+                    _ => {
+                        let (byte, bit) = ((draw >> 40) as usize % 72, (draw >> 48) as u8 % 8);
+                        assert_eq!(
+                            flat.inject_bit_flip(addr, byte, bit),
+                            model.inject_bit_flip(addr, byte, bit)
+                        );
+                    }
+                }
+                for a in [addr, other] {
+                    assert_eq!(flat.load(a), model.load(a), "seed {seed} step {step}");
+                    assert_eq!(
+                        flat.pristine(a),
+                        model.pristine(a),
+                        "seed {seed} step {step}"
+                    );
+                    assert_eq!(flat.wear(a), model.wear(a), "seed {seed} step {step}");
+                }
+            }
+            assert_eq!(flat.addresses_sorted(), model.addresses_sorted());
+            for a in flat.addresses_sorted() {
+                assert_eq!(flat.load(a), model.load(a));
+                assert_eq!(flat.pristine(a), model.pristine(a));
+                assert_eq!(flat.wear(a), model.wear(a));
+            }
+            assert_eq!(flat.lines_stored(), model.lines_stored());
+            assert_eq!(flat.max_wear(), model.max_wear());
+            assert_eq!(flat.total_wear(), model.total_wear());
+            assert_eq!(flat.fault_stats(), model.fault_stats());
+            if seed % 3 == 2 {
+                assert!(
+                    flat.fault_stats().bits_flipped() > 0,
+                    "the sampler must fire"
+                );
+            }
+        }
     }
 }

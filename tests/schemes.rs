@@ -11,7 +11,7 @@ use esd::ecc::EccCodec;
 use esd::hash::FingerprintKind;
 use esd::kernels::KernelBackend;
 use esd::sim::{Ps, SystemConfig, WriteLatencyBreakdown};
-use esd::trace::{generate_trace, AccessKind, AppProfile, CacheLine};
+use esd::trace::{generate_trace, Access, AccessKind, AppProfile, CacheLine, Trace};
 use esd_obs::Obs;
 
 fn scheme(kind: SchemeKind) -> Scheme {
@@ -461,6 +461,49 @@ fn breakdown_buckets_partition_every_write_exactly() {
     trusting.write(Ps::ZERO, 0x00, a);
     assert!(trusting.write(Ps::from_us(1), 0x40, b).deduplicated);
     assert_eq!(trusting.read(Ps::from_us(2), 0x40).data, a);
+}
+
+#[test]
+fn verify_shadow_reports_the_first_read_that_returns_aliased_content() {
+    // No generated trace ever makes the shadow fire, so build one that
+    // must: `ESD_NoVerify` trusts ECC equality, and `b` collides with `a`.
+    // Slices are lines modulo the eight banks; 0x000 and 0x200 share one.
+    let (a, b) = ecc_colliding_lines(EccCodec::Hamming);
+    let trace = Trace {
+        name: "hand-built".into(),
+        accesses: vec![
+            Access::write(0x000, a, 10),
+            Access::write(0x040, CacheLine::from_fill(0x77), 10),
+            Access::write(0x200, b, 10), // deduplicated onto `a`
+            Access::read(0x000, 10),
+            Access::read(0x040, 10),
+            Access::read(0x200, 10), // returns `a`
+            Access::write(0x200, a, 10),
+            Access::read(0x200, 10),
+            Access::write(0x200, b, 10),
+            Access::read(0x200, 10), // wrong again, but not the first
+        ],
+    };
+    let config = SystemConfig::default();
+    for shards in [1, 4] {
+        for batch in [1, 64] {
+            let options = RunOptions {
+                shards,
+                batch,
+                quantum: 4,
+                ..RunOptions::default()
+            };
+            let error = replay_with(SchemeKind::EsdNoVerify, &trace, &config, &options)
+                .expect_err("the aliased read must be caught");
+            assert_eq!(
+                (error.scheme, error.addr, error.access_index),
+                (SchemeKind::EsdNoVerify, 0x200, 5),
+                "shards={shards} batch={batch}"
+            );
+            // The verifying scheme reads the candidate back and stays safe.
+            replay_with(SchemeKind::Esd, &trace, &config, &options).expect("verified run");
+        }
+    }
 }
 
 #[test]

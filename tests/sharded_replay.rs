@@ -85,10 +85,10 @@ fn report_is_identical_at_every_batch_size_for_every_scheme() {
     }
 }
 
-/// FNV-1a of the report's `Debug` rendering, the same digest the repo
-/// benchmark pins as `sim.report_digest`.
-fn report_digest(report: &RunReport) -> u64 {
-    format!("{report:?}")
+/// FNV-1a of a `Debug` rendering; of a whole report, the same digest the
+/// repo benchmark pins as `sim.report_digest`.
+fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
+    format!("{value:?}")
         .bytes()
         .fold(0xcbf2_9ce4_8422_2325, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
@@ -102,6 +102,11 @@ fn report_digest(report: &RunReport) -> u64 {
 // 12_875_313_727_373_447_909 and 2_373_682_976_565_372_192.
 const PINNED_DECAY_DIGEST: u64 = 1_152_712_197_559_032_715;
 const PINNED_CRASH_DIGEST: u64 = 17_572_871_077_368_415_657;
+// The crash leg's epoch series, which that commit could not produce: the
+// crash zeroed the EFIT's hit counters under `merge_epochs` and the next
+// epoch's hit delta underflowed. `PINNED_CRASH_DIGEST` is of the report
+// without it, as recorded.
+const PINNED_CRASH_EPOCHS_DIGEST: u64 = 7_482_864_228_856_138_200;
 
 /// ESD on mostly-unique content with a 292-entry EFIT per slice (the
 /// 4 KB floor of `slice_config`) that decays every `decay` operations.
@@ -118,9 +123,6 @@ fn decay_run(decay: u64, shards: u32, batch: u32, crash_at: Option<CrashPoint>) 
     let options = RunOptions {
         crash_at,
         journal_every: crash_at.map(|_| 128),
-        // A crash resets the EFIT's hit counters, which `merge_epochs`
-        // subtracts as if they were cumulative; keep the two apart.
-        epoch_interval: crash_at.map_or(Some(2_048), |_| None),
         ..stress_options(shards, batch)
     };
     run_trace_with(&template, &trace, &config, &options).expect("verified run")
@@ -159,11 +161,23 @@ fn efit_decay_is_deterministic_and_pinned() {
                 "diverged at shards={shards} batch={batch} crash={crash_at:?}"
             );
         }
-        let simulation = RunReport {
+        let mut simulation = RunReport {
             obs: None,
             ..serial.clone()
         };
-        assert_eq!(report_digest(&simulation), pinned, "crash={crash_at:?}");
+        if crash_at.is_some() {
+            // Twelve epochs of 2 048 accesses run before the crash, seven
+            // after; the EFIT's hit and miss counts must stay cumulative
+            // across it (and every rate a ratio of counts, so within 0..=1).
+            let epochs = std::mem::take(&mut simulation.epochs);
+            assert_eq!(epochs.len(), 19);
+            assert!(epochs
+                .iter()
+                .all(|e| (0.0..=1.0).contains(&e.fingerprint_hit_rate)));
+            assert!(epochs[12..].iter().any(|e| e.fingerprint_hit_rate > 0.0));
+            assert_eq!(debug_digest(&epochs), PINNED_CRASH_EPOCHS_DIGEST);
+        }
+        assert_eq!(debug_digest(&simulation), pinned, "crash={crash_at:?}");
         if crash_at.is_none() {
             assert_ne!(
                 serial.stats,
