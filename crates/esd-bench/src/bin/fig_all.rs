@@ -7,7 +7,6 @@
 //! binaries (`fig01`, `fig02`, `fig03`, `fig08`, `fig18`, `config`).
 
 use esd_bench::figures;
-use esd_bench::report_json::{report_path_from_env, write_bench_json, BenchExtras};
 use esd_bench::{print_figure_header, Sweep};
 use esd_core::SchemeKind;
 
@@ -18,22 +17,7 @@ fn main() {
         "full evaluation sweep (single simulation pass)",
         &sweep,
     );
-    let outcome = sweep.run_timed(&SchemeKind::ALL);
-    // Record the sweep's cost alongside the figures (no serial baseline
-    // here; `bench_report` measures that).
-    // Honors ESD_BENCH_OUT like bench_report (a malformed value warns and
-    // falls back to the repo-root default).
-    let report_path = report_path_from_env();
-    match write_bench_json(&report_path, &sweep, &outcome, &BenchExtras::default()) {
-        Ok(()) => eprintln!(
-            "sweep: {:.2}s on {} threads -> {}",
-            outcome.wall.as_secs_f64(),
-            outcome.threads,
-            report_path.display()
-        ),
-        Err(e) => eprintln!("warning: could not write {}: {e}", report_path.display()),
-    }
-    let rows = outcome.rows;
+    let rows = sweep.run(&SchemeKind::ALL);
     figures::print_fig05(&rows);
     figures::print_fig11(&rows);
     figures::print_fig12(&rows);

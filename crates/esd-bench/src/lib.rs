@@ -30,7 +30,6 @@
 //! bit-identical to a build without the reliability subsystem.
 
 pub mod figures;
-pub mod report_json;
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -116,8 +115,8 @@ impl Sweep {
 
     /// The worker-thread count this sweep was asked for, before clamping to
     /// the task count: `ESD_THREADS` if set, else the machine's available
-    /// parallelism. Recorded in `BENCH_sweep.json` next to the effective
-    /// count so a sweep that silently fell back to one thread is visible.
+    /// parallelism. [`SweepOutcome`] carries it next to the effective count,
+    /// so a sweep that silently fell back to one thread is visible.
     #[must_use]
     pub fn requested_threads(&self) -> usize {
         self.threads
@@ -149,8 +148,8 @@ impl Sweep {
     }
 
     /// Like [`Sweep::run`], but also reports wall-clock timing for the
-    /// whole sweep and for each (workload, scheme) replay — the raw
-    /// material of `BENCH_sweep.json`.
+    /// whole sweep and for each (workload, scheme) replay, which is what
+    /// the repo benchmark's `sweep-paper` workload measures.
     ///
     /// # Panics
     ///
@@ -257,8 +256,8 @@ impl Sweep {
 
     /// Single-threaded reference sweep: same task set as [`Sweep::run`],
     /// replayed in order on the calling thread with each trace generated
-    /// once. Used by the determinism test and as the serial baseline in
-    /// `BENCH_sweep.json`.
+    /// once. Used by the determinism test and as the serial baseline of
+    /// the repo benchmark's `bench.sweep.parallel_speedup`.
     ///
     /// # Panics
     ///
@@ -379,7 +378,8 @@ fn env_threads() -> Option<usize> {
     }
 }
 
-/// Prints a figure header in a uniform style.
+/// Prints a figure header in a uniform style. A sweep under fault
+/// injection (`ESD_RBER`) says so, since its figures are not the paper's.
 pub fn print_figure_header(id: &str, caption: &str, sweep: &Sweep) {
     println!("=== {id}: {caption} ===");
     println!(
@@ -388,6 +388,17 @@ pub fn print_figure_header(id: &str, caption: &str, sweep: &Sweep) {
         sweep.accesses,
         sweep.seed
     );
+    if sweep.config.pcm.rber_per_tbit > 0 {
+        println!(
+            "    fault injection ON (rber {} per 10^12 bit-reads, seed {:#x}, {})",
+            sweep.config.pcm.rber_per_tbit,
+            sweep.config.pcm.rber_seed,
+            sweep.scrub_interval.map_or_else(
+                || "scrub off".to_string(),
+                |n| format!("scrub every {n} accesses")
+            )
+        );
+    }
     println!();
 }
 
@@ -468,9 +479,8 @@ mod tests {
     fn requested_threads_are_honored_by_the_pool() {
         // The multithreaded smoke: a sweep that *requests* more than one
         // worker must actually run on that many — an effective count of 1
-        // here is exactly the silent-serial regression the committed
-        // BENCH_sweep.json once shipped. Thread spawning does not depend on
-        // core count, so this holds even on a single-CPU runner.
+        // here is the silent-serial regression. Thread spawning does not
+        // depend on core count, so this holds even on a single-CPU runner.
         let mut sweep = small_sweep(vec![AppProfile::demo()]);
         sweep.threads = Some(4);
         let outcome = sweep.run_timed(&SchemeKind::ALL); // 4 tasks

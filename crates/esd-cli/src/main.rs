@@ -87,6 +87,7 @@ fn usage() -> &'static str {
      esd-cli apps\n  \
      esd-cli config\n\n\
      schemes: baseline, sha1, md5, pde, dewrite, esd, esd-full, esd-noverify\n\
+     \x20        (or the name a report prints, e.g. Dedup_SHA1, ESD_Full; any case)\n\
      parallelism (run/compare/replay): [--shards <threads>] (0 = all cores; results\n\
      \x20                                 are identical at every thread count)\n\
      engine (run/compare/replay):      [--batch <block>] (pipeline block size; results\n\
@@ -125,20 +126,6 @@ fn dispatch(command: &str, rest: Vec<String>) -> Result<(), String> {
         }
         other => Err(format!("unknown command {other:?}")),
     }
-}
-
-fn scheme_by_name(name: &str) -> Result<SchemeKind, String> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "baseline" => SchemeKind::Baseline,
-        "sha1" | "dedup_sha1" => SchemeKind::DedupSha1,
-        "md5" | "dedup_md5" => SchemeKind::DedupMd5,
-        "pde" => SchemeKind::Pde,
-        "dewrite" => SchemeKind::DeWrite,
-        "esd" => SchemeKind::Esd,
-        "esd-full" => SchemeKind::EsdFull,
-        "esd-noverify" => SchemeKind::EsdNoVerify,
-        other => return Err(format!("unknown scheme {other:?}")),
-    })
 }
 
 fn app_by_name(name: &str) -> Result<AppProfile, String> {
@@ -376,7 +363,7 @@ fn cmd_run(rest: Vec<String>) -> Result<(), String> {
     .concat();
     let args = Args::parse(rest, &allowed).map_err(|e| e.to_string())?;
     let app = app_by_name(args.get_or("app", "demo"))?;
-    let kind = scheme_by_name(args.get_or("scheme", "esd"))?;
+    let kind: SchemeKind = args.get_or("scheme", "esd").parse()?;
     let accesses = args.get_parsed_or("accesses", 100_000usize).map_err(|e| e.to_string())?;
     let seed = args.get_parsed_or("seed", 42u64).map_err(|e| e.to_string())?;
     let mut config = SystemConfig::default();
@@ -511,7 +498,7 @@ fn cmd_replay(rest: Vec<String>) -> Result<(), String> {
     let path = args
         .required_positional(0, "<trace-file>")
         .map_err(|e| e.to_string())?;
-    let kind = scheme_by_name(args.get_or("scheme", "esd"))?;
+    let kind: SchemeKind = args.get_or("scheme", "esd").parse()?;
     let trace = load_trace(path)?;
     let mut config = SystemConfig::default();
     let mut options = reliability_options(&args, &mut config)?;

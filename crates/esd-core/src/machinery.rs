@@ -574,8 +574,8 @@ impl Core {
     ///
     /// All recovery traffic is charged as chained NVMM metadata reads (plus
     /// the checkpoint's posted write), so recovery latency and energy scale
-    /// with the journal interval — the tradeoff BENCH_sweep's recovery
-    /// curve measures.
+    /// with the journal interval — the tradeoff the recovery curve in
+    /// EXPERIMENTS.md measures.
     pub fn recover(
         &mut self,
         now: Ps,

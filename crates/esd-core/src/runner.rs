@@ -107,7 +107,7 @@ pub struct RunOptions {
     /// `None` disables journaling: recovery then rebuilds by scanning the
     /// full NVMM-resident metadata regions instead of replaying a bounded
     /// window — correct either way, but recovery time scales with the
-    /// choice (the tradeoff `BENCH_sweep`'s recovery curve measures).
+    /// choice (the tradeoff the recovery curve in EXPERIMENTS.md measures).
     /// Journal writes are posted metadata traffic: they cost energy and
     /// bank occupancy, never write latency. Defaults to the
     /// `ESD_JOURNAL_EVERY` environment variable (unset or `0` → `None`).

@@ -83,6 +83,38 @@ impl std::fmt::Display for SchemeKind {
     }
 }
 
+/// Parses [`SchemeKind::name`] in any case, with `-` accepted for `_`, and
+/// the short forms `sha1` and `md5`.
+///
+/// # Examples
+///
+/// ```
+/// use esd_core::SchemeKind;
+/// assert_eq!("ESD_Full".parse(), Ok(SchemeKind::EsdFull));
+/// assert_eq!("esd-full".parse(), Ok(SchemeKind::EsdFull));
+/// assert_eq!("sha1".parse(), Ok(SchemeKind::DedupSha1));
+/// ```
+impl std::str::FromStr for SchemeKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let wanted = s.trim().replace('-', "_");
+        SchemeKind::EXTENDED
+            .into_iter()
+            .find(|kind| {
+                let name = kind.name();
+                let short = name.strip_prefix("Dedup_").unwrap_or(name);
+                name.eq_ignore_ascii_case(&wanted) || short.eq_ignore_ascii_case(&wanted)
+            })
+            .ok_or_else(|| {
+                format!(
+                    "unknown scheme {s:?} (expected one of: {})",
+                    SchemeKind::EXTENDED.map(SchemeKind::name).join(", ")
+                )
+            })
+    }
+}
+
 /// Outcome of one write through a scheme's critical path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteResult {
@@ -1008,6 +1040,23 @@ mod tests {
         assert_eq!(SchemeKind::Esd.name(), "ESD");
         assert_eq!(SchemeKind::ALL.len(), 4);
         assert_eq!(SchemeKind::Esd.to_string(), "ESD");
+    }
+
+    #[test]
+    fn scheme_kind_parses_its_own_name_and_the_cli_spellings() {
+        for kind in SchemeKind::EXTENDED {
+            let name = kind.name();
+            assert_eq!(name.parse(), Ok(kind));
+            assert_eq!(name.to_ascii_lowercase().parse(), Ok(kind));
+            let dashed = name.to_ascii_uppercase().replace('_', "-");
+            assert_eq!(dashed.parse(), Ok(kind));
+        }
+        assert_eq!("sha1".parse(), Ok(SchemeKind::DedupSha1));
+        assert_eq!("MD5".parse(), Ok(SchemeKind::DedupMd5));
+        assert_eq!(" esd-noverify ".parse(), Ok(SchemeKind::EsdNoVerify));
+        let err = "esd2".parse::<SchemeKind>().unwrap_err();
+        assert!(err.starts_with("unknown scheme \"esd2\""), "{err}");
+        assert!(err.contains("ESD_NoVerify"), "{err}");
     }
 
     #[test]

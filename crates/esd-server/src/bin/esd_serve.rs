@@ -9,7 +9,6 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Mutex;
 
-use esd_core::SchemeKind;
 use esd_server::{run_load, serve_tcp, LoadSpec, Service, ServiceConfig};
 use esd_trace::AppProfile;
 
@@ -39,8 +38,8 @@ connection it arrived on. `--connections N` exits after N sessions have
 closed (default 1).
 
 OPTIONS:
-    --scheme NAME      baseline|sha1|md5|pde|dewrite|esd|esd-full|esd-noverify
-                       (default esd)
+    --scheme NAME      baseline|sha1|md5|pde|dewrite|esd|esd-full|esd-noverify,
+                       or the name a report prints, any case (default esd)
     --tenants N        tenant count (default 4)
     --qps N            per-tenant offered rate, requests per simulated
                        second (default 1000000)
@@ -112,23 +111,9 @@ impl Flags {
     }
 }
 
-fn scheme_by_name(name: &str) -> Result<SchemeKind, String> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "baseline" => SchemeKind::Baseline,
-        "sha1" | "dedup_sha1" => SchemeKind::DedupSha1,
-        "md5" | "dedup_md5" => SchemeKind::DedupMd5,
-        "pde" => SchemeKind::Pde,
-        "dewrite" => SchemeKind::DeWrite,
-        "esd" => SchemeKind::Esd,
-        "esd-full" => SchemeKind::EsdFull,
-        "esd-noverify" => SchemeKind::EsdNoVerify,
-        other => return Err(format!("unknown scheme {other:?}")),
-    })
-}
-
 fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
     let mut config = ServiceConfig {
-        scheme: scheme_by_name(flags.get("scheme").unwrap_or("esd"))?,
+        scheme: flags.get("scheme").unwrap_or("esd").parse()?,
         tenants: flags.get_parsed_or("tenants", 4u32)?,
         queue_depth: flags.get_parsed_or("queue-depth", 64usize)?,
         batch: flags.get_parsed_or("batch", 16usize)?,

@@ -23,8 +23,8 @@
 //! to one stored ciphertext line, while each tenant's own pads differ.
 //!
 //! The deterministic entry point is [`Service::run_events`] (used by the
-//! load generator in [`load`]); the live front ends (in-process channels
-//! and framed TCP) are in [`live`].
+//! load generator in [`load`]); the live front end (framed TCP) is in
+//! [`live`].
 //!
 //! # Examples
 //!
@@ -42,7 +42,7 @@ pub mod load;
 pub mod proto;
 pub mod service;
 
-pub use live::{serve_tcp, ChannelServer, TenantClient};
+pub use live::serve_tcp;
 pub use load::{run_load, LoadReport, LoadSpec};
 pub use proto::{
     decode_request, decode_response, encode_request, encode_response, frame_response, peek_frame,

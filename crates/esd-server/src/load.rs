@@ -142,23 +142,33 @@ mod tests {
 
     #[test]
     fn run_load_reports_every_tenant_and_nonzero_throughput() {
-        let config = ServiceConfig {
-            tenants: 4,
-            ..ServiceConfig::default()
-        };
-        let mut service = Service::new(&config);
-        let spec = LoadSpec {
-            tenants: 4,
-            requests_per_tenant: 200,
-            ..LoadSpec::default()
-        };
-        let report = run_load(&mut service, &spec);
-        assert_eq!(report.summary.tenants.len(), 4);
-        assert!(report.achieved_throughput > 0.0);
-        for t in &report.summary.tenants {
-            assert_eq!(t.offered, 200);
-            assert_eq!(t.offered, t.admitted + t.rejected);
-            assert!(t.writes + t.reads == t.admitted);
+        // The tenants x qps curve of EXPERIMENTS.md, from an idle service
+        // to one whose admission queues overflow.
+        for tenants in [2u32, 4, 8] {
+            for qps in [250_000u64, 1_000_000, 4_000_000] {
+                let config = ServiceConfig {
+                    tenants,
+                    ..ServiceConfig::default()
+                };
+                let mut service = Service::new(&config);
+                let spec = LoadSpec {
+                    tenants,
+                    qps,
+                    ..LoadSpec::default()
+                };
+                let report = run_load(&mut service, &spec);
+                let point = format!("tenants {tenants} qps {qps}");
+                assert_eq!(report.summary.tenants.len(), tenants as usize, "{point}");
+                assert!(report.summary.applied > 0, "{point}");
+                assert!(report.achieved_throughput > 0.0, "{point}");
+                for t in &report.summary.tenants {
+                    assert_eq!(t.offered, spec.requests_per_tenant, "{point}");
+                    assert_eq!(t.offered, t.admitted + t.rejected, "{point}");
+                    assert_eq!(t.writes + t.reads, t.admitted, "{point}");
+                    // Nonzero per-tenant throughput: no tenant is starved.
+                    assert!(t.admitted > 0, "{point}: tenant {} starved", t.tenant);
+                }
+            }
         }
     }
 

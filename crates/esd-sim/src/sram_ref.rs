@@ -5,8 +5,8 @@
 //! `BTreeMap` of recency stamps, O(log n) per touch. The flat LRU must
 //! reproduce its hit/miss/eviction behaviour *exactly* — the equivalence
 //! property test in `tests/properties.rs` drives both with identical
-//! operation sequences — and the `bench_report` binary times the two
-//! against each other.
+//! operation sequences — and `benches/micro.rs` in `esd-bench` times the
+//! two against each other.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
