@@ -11,7 +11,8 @@
 //! all counts so stale entries age out. A plain-LRU mode is provided for the
 //! paper's Figure 18 "without LRCU" ablation.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use esd_collections::U64Map;
 use esd_sim::CacheStats;
@@ -57,16 +58,26 @@ struct Node {
     refer: u8,
 }
 
+/// A `refer >= 2` entry's place in the eviction order: `(refer, stamp,
+/// slot)`.
+type HotKey = (u8, u64, u32);
+
 /// The EFIT: an SRAM-resident ECC-fingerprint index with LRCU replacement.
 ///
 /// Entries live in a slab behind one fingerprint index. Eviction order is
 /// ascending `(refer, stamp)` with unique, monotone stamps, kept in two
 /// parts: an intrusive stamp-ordered list of the `refer == 1` entries
 /// (every entry under [`EfitPolicy::Lru`]), whose head is the victim, and
-/// an ordered set of the LRCU entries with `refer >= 2`, consulted only
-/// when the list is empty. Inserts and LRU refreshes take a fresh stamp
-/// and append; [`Efit::bump_ref`] keeps the stamp, so only it and decay
-/// touch the ordered set.
+/// a min-heap of `(refer, stamp, slot)` keys for the LRCU entries with
+/// `refer >= 2`, consulted only when the list is empty. Inserts and LRU
+/// refreshes take a fresh stamp and append. [`Efit::bump_ref`] keeps the
+/// stamp and pushes the entry's new key, leaving the old one in the heap:
+/// a key is live while its node still carries that `(refer, stamp)`, and
+/// eviction pops past the stale ones. Stamps are never reused and a slot
+/// that changes hands takes a fresh one, so a stale key cannot come back
+/// to life. Decay rebuilds the heap from its live keys, and a heap past
+/// `2 * capacity + 64` keys drops its stale ones, which bounds it whatever
+/// the decay interval.
 ///
 /// # Examples
 ///
@@ -89,8 +100,9 @@ pub struct Efit {
     /// Oldest and newest node of the stamp-ordered list.
     head: u32,
     tail: u32,
-    /// `(refer, stamp, slot)` of the LRCU entries with `refer >= 2`.
-    hot: BTreeSet<(u8, u64, u32)>,
+    /// The key of every LRCU entry with `refer >= 2`, least first, mixed
+    /// with keys that have gone stale; see [`Efit::is_live`].
+    hot: BinaryHeap<Reverse<HotKey>>,
     stamp_counter: u64,
     decay_interval: u64,
     ops_since_decay: u64,
@@ -117,7 +129,7 @@ impl Efit {
             nodes: Vec::new(),
             head: NIL,
             tail: NIL,
-            hot: BTreeSet::new(),
+            hot: BinaryHeap::new(),
             stamp_counter: 0,
             decay_interval: Self::DEFAULT_DECAY_INTERVAL,
             ops_since_decay: 0,
@@ -201,11 +213,19 @@ impl Efit {
         let slot = *self.index.get(fingerprint)?;
         let node = self.nodes[slot as usize];
         let refer = node.refer.saturating_add(1);
-        if self.policy == EfitPolicy::Lrcu && refer != node.refer {
-            self.detach(slot);
-            self.hot.insert((refer, node.stamp, slot));
-        }
         self.nodes[slot as usize].refer = refer;
+        if self.policy == EfitPolicy::Lrcu && refer != node.refer {
+            // Off the list if it was on it; the key it had in the heap
+            // otherwise went stale with the count.
+            if node.refer == 1 {
+                self.unlink(slot);
+            }
+            self.hot.push(Reverse((refer, node.stamp, slot)));
+            if self.hot.len() > self.hot_bound() {
+                let nodes = &self.nodes;
+                self.hot.retain(|&Reverse(key)| Self::is_live(nodes, key));
+            }
+        }
         self.touch(fingerprint, slot);
         Some(refer)
     }
@@ -220,8 +240,12 @@ impl Efit {
     pub fn insert(&mut self, fingerprint: u64, physical: u64) -> Option<u64> {
         self.tick();
         let (slot, displaced) = if let Some(&slot) = self.index.get(fingerprint) {
-            // Replace an existing mapping in place.
-            self.detach(slot);
+            // Replace an existing mapping in place. It comes off the list
+            // if it is on it; a key it has in the heap goes stale with the
+            // fresh stamp below.
+            if self.policy == EfitPolicy::Lru || self.nodes[slot as usize].refer == 1 {
+                self.unlink(slot);
+            }
             (slot, Some(self.nodes[slot as usize].physical))
         } else if self.nodes.len() < self.capacity {
             (self.nodes.len() as u32, None)
@@ -229,12 +253,17 @@ impl Efit {
             // The victim's slot is reused at once, so the slab never has
             // holes and needs no free list.
             let slot = if self.head != NIL {
-                self.head
-            } else {
-                let &(_, _, slot) = self.hot.first().expect("a full table has entries");
+                let slot = self.head;
+                self.unlink(slot);
                 slot
+            } else {
+                loop {
+                    let Reverse(key) = self.hot.pop().expect("a full table has entries");
+                    if Self::is_live(&self.nodes, key) {
+                        break key.2;
+                    }
+                }
             };
-            self.detach(slot);
             let victim = self.nodes[slot as usize];
             self.index.remove(victim.fingerprint);
             self.stats.evictions += 1;
@@ -290,14 +319,18 @@ impl Efit {
         self.index.insert(fingerprint, slot);
     }
 
-    /// Takes `slot` out of whichever order structure holds it.
-    fn detach(&mut self, slot: u32) {
-        let node = self.nodes[slot as usize];
-        if self.policy == EfitPolicy::Lru || node.refer == 1 {
-            self.unlink(slot);
-        } else {
-            self.hot.remove(&(node.refer, node.stamp, slot));
-        }
+    /// Whether `key` is its slot's current key: every change of a node's
+    /// `(refer, stamp)` leaves the key pushed for the old pair stale.
+    fn is_live(nodes: &[Node], (refer, stamp, slot): HotKey) -> bool {
+        let node = &nodes[slot as usize];
+        node.refer == refer && node.stamp == stamp
+    }
+
+    /// Most keys `hot` may hold once a bump returns: at most `capacity` are
+    /// live, so dropping the stale ones of a heap this long at least halves
+    /// it, and the pass costs O(1) per bump.
+    fn hot_bound(&self) -> usize {
+        2 * self.capacity + 64
     }
 
     fn unlink(&mut self, slot: u32) {
@@ -345,18 +378,21 @@ impl Efit {
             return;
         }
         self.ops_since_decay = 0;
-        // One pass over `hot` in order. Counts of 3 and above keep their
-        // relative order one lower. The `refer == 2` run comes first and
-        // in stamp order, so it merges into the list, whose entries were
-        // stamped at any time, with a cursor that only moves forward.
-        let hot = std::mem::take(&mut self.hot);
+        // One pass over the live keys of `hot` in order. Counts of 3 and
+        // above keep their relative order one lower. The `refer == 2` run
+        // comes first and in stamp order, so it merges into the list, whose
+        // entries were stamped at any time, with a cursor that only moves
+        // forward.
+        let mut hot = std::mem::take(&mut self.hot).into_vec();
+        hot.retain(|&Reverse(key)| Self::is_live(&self.nodes, key));
+        hot.sort_unstable_by_key(|&Reverse(key)| key);
         let mut cursor = self.head;
         self.hot = hot
             .into_iter()
-            .filter_map(|(refer, stamp, slot)| {
+            .filter_map(|Reverse((refer, stamp, slot))| {
                 self.nodes[slot as usize].refer = refer - 1;
                 if refer > 2 {
-                    return Some((refer - 1, stamp, slot));
+                    return Some(Reverse((refer - 1, stamp, slot)));
                 }
                 while cursor != NIL && self.nodes[cursor as usize].stamp < stamp {
                     cursor = self.nodes[cursor as usize].next;
@@ -467,6 +503,25 @@ mod tests {
         efit.bump_ref(99); // op 11: absent fingerprints advance the clock too
         efit.bump_ref(99); // op 12: decay
         assert_eq!(refer(&mut efit, 4), Some(1), "counts floor at one");
+    }
+
+    #[test]
+    fn stale_keys_never_outgrow_the_compaction_bound() {
+        let mut efit = small(EfitPolicy::Lrcu);
+        efit.set_decay_interval(u64::MAX); // no rebuild comes to the rescue
+        let bound = efit.hot_bound();
+        assert!(bound < 100, "each entry below pushes more keys than that");
+        for fp in 0..40u64 {
+            efit.insert(fp, fp * 0x40);
+            // To saturation and past it: 254 keys, all but the last stale.
+            for _ in 0..300 {
+                efit.bump_ref(fp);
+                assert!(efit.hot.len() <= bound, "{} keys", efit.hot.len());
+            }
+        }
+        // What is live is still in order: three saturated entries, the
+        // oldest stamp goes first.
+        assert_eq!(efit.insert(99, 0), Some(37 * 0x40));
     }
 
     #[test]

@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn tenant_zero_is_the_legacy_flat_space() {
         // Single-tenant callers keep using raw addresses untouched.
-        assert_eq!(namespaced(0, 0xBEEF_C0), 0xBEEF_C0);
+        assert_eq!(namespaced(0, 0x00BE_EFC0), 0x00BE_EFC0);
     }
 
     #[test]

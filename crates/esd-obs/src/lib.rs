@@ -33,7 +33,7 @@
 mod metrics;
 mod trace;
 
-pub use metrics::{histogram_json, Registry};
+pub use metrics::{histogram_json, CounterId, HistogramId, Registry};
 pub use trace::{EventKind, TraceEvent, Tracer};
 
 use esd_sim::Ps;

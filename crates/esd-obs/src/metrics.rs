@@ -1,8 +1,11 @@
 //! The metrics registry: named counters, gauges and latency histograms.
 //!
-//! Names are `&'static str` and the registry holds a handful of entries,
-//! so lookup is a linear scan over interned pointers — cheaper than
-//! hashing at these sizes and free of dependencies.
+//! Names are `&'static str`, and a call that names its metric finds it by
+//! a linear scan comparing string *contents*: fine for the handful of
+//! metrics a simulator layer records, linear in the entry count for a
+//! caller that has hundreds (the service keeps six per tenant). Such a
+//! caller asks once for a [`CounterId`] or [`HistogramId`] and records
+//! through it in O(1).
 
 use esd_sim::{LatencyHistogram, Ps};
 
@@ -37,6 +40,54 @@ pub(crate) fn json_str(s: &str) -> String {
     out
 }
 
+/// Handle to one counter of the [`Registry`] that issued it (or of a clone
+/// of that registry); see [`Registry::counter_id`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(u32);
+
+/// Handle to one histogram of the [`Registry`] that issued it (or of a
+/// clone of that registry); see [`Registry::histogram_id`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramId(u32);
+
+/// Entry position of a handle nothing has been recorded through yet.
+const UNRESOLVED: u32 = u32::MAX;
+
+/// Entries of one metric kind, in first-recorded order.
+type Entries<T> = Vec<(&'static str, T)>;
+
+/// Where entry `name` is, appended as `init()` if absent.
+fn position<T>(entries: &mut Entries<T>, name: &'static str, init: fn() -> T) -> usize {
+    entries
+        .iter()
+        .position(|(k, _)| *k == name)
+        .unwrap_or_else(|| {
+            entries.push((name, init()));
+            entries.len() - 1
+        })
+}
+
+/// The value of entry `name`, appended as `init()` if absent.
+fn entry<'a, T>(entries: &'a mut Entries<T>, name: &'static str, init: fn() -> T) -> &'a mut T {
+    let at = position(entries, name, init);
+    &mut entries[at].1
+}
+
+/// The value handle `id` stands for. The first call finds or appends the
+/// entry by name and remembers where it is.
+fn resolve<'a, T>(
+    handles: &mut [(&'static str, u32)],
+    entries: &'a mut Entries<T>,
+    id: u32,
+    init: fn() -> T,
+) -> &'a mut T {
+    let (name, at) = &mut handles[id as usize];
+    if *at == UNRESOLVED {
+        *at = position(entries, name, init) as u32;
+    }
+    &mut entries[*at as usize].1
+}
+
 /// A registry of named counters, gauges and log-bucketed latency
 /// histograms.
 ///
@@ -53,11 +104,26 @@ pub(crate) fn json_str(s: &str) -> String {
 /// assert_eq!(r.counter("writes"), Some(2));
 /// assert!(r.to_json().contains("p999_ns"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Registry {
-    counters: Vec<(&'static str, u64)>,
-    gauges: Vec<(&'static str, f64)>,
-    histograms: Vec<(&'static str, LatencyHistogram)>,
+    counters: Entries<u64>,
+    gauges: Entries<f64>,
+    histograms: Entries<LatencyHistogram>,
+    /// Per issued [`CounterId`]: its name and its position in `counters`,
+    /// [`UNRESOLVED`] until the first record through it.
+    counter_handles: Vec<(&'static str, u32)>,
+    /// The same for each [`HistogramId`] and `histograms`.
+    histogram_handles: Vec<(&'static str, u32)>,
+}
+
+/// Registries are equal when they recorded the same things in the same
+/// order; which handles were issued is not part of what was recorded.
+impl PartialEq for Registry {
+    fn eq(&self, other: &Self) -> bool {
+        self.counters == other.counters
+            && self.gauges == other.gauges
+            && self.histograms == other.histograms
+    }
 }
 
 impl Registry {
@@ -75,30 +141,69 @@ impl Registry {
 
     /// Adds `n` to the counter `name`, creating it at zero first.
     pub fn counter_add(&mut self, name: &'static str, n: u64) {
-        match self.counters.iter_mut().find(|(k, _)| *k == name) {
-            Some((_, v)) => *v += n,
-            None => self.counters.push((name, n)),
-        }
+        *entry(&mut self.counters, name, u64::default) += n;
+    }
+
+    /// A handle to the counter `name` for [`Registry::counter_add_by_id`].
+    ///
+    /// Taking a handle records nothing: the counter appears, in
+    /// first-recorded order like any other, when something is first added
+    /// through the handle, and never if nothing is. The handle indexes
+    /// this registry and its clones only.
+    pub fn counter_id(&mut self, name: &'static str) -> CounterId {
+        self.counter_handles.push((name, UNRESOLVED));
+        CounterId(self.counter_handles.len() as u32 - 1)
+    }
+
+    /// Adds `n` to the counter behind `id`: the same effect as
+    /// [`Registry::counter_add`] under the handle's name, without the
+    /// search.
+    ///
+    /// # Panics
+    ///
+    /// May panic on a handle another registry issued.
+    #[inline]
+    pub fn counter_add_by_id(&mut self, id: CounterId, n: u64) {
+        *resolve(
+            &mut self.counter_handles,
+            &mut self.counters,
+            id.0,
+            u64::default,
+        ) += n;
     }
 
     /// Sets the gauge `name` to `value`.
     pub fn gauge_set(&mut self, name: &'static str, value: f64) {
-        match self.gauges.iter_mut().find(|(k, _)| *k == name) {
-            Some((_, v)) => *v = value,
-            None => self.gauges.push((name, value)),
-        }
+        *entry(&mut self.gauges, name, f64::default) = value;
     }
 
     /// Records one latency sample into the histogram `name`.
     pub fn histogram_record(&mut self, name: &'static str, value: Ps) {
-        match self.histograms.iter_mut().find(|(k, _)| *k == name) {
-            Some((_, h)) => h.record(value),
-            None => {
-                let mut h = LatencyHistogram::new();
-                h.record(value);
-                self.histograms.push((name, h));
-            }
-        }
+        entry(&mut self.histograms, name, LatencyHistogram::new).record(value);
+    }
+
+    /// A handle to the histogram `name` for
+    /// [`Registry::histogram_record_by_id`], with the laziness and scope of
+    /// [`Registry::counter_id`].
+    pub fn histogram_id(&mut self, name: &'static str) -> HistogramId {
+        self.histogram_handles.push((name, UNRESOLVED));
+        HistogramId(self.histogram_handles.len() as u32 - 1)
+    }
+
+    /// Records one latency sample into the histogram behind `id`.
+    ///
+    /// # Panics
+    ///
+    /// May panic on a handle another registry issued.
+    #[inline]
+    pub fn histogram_record_by_id(&mut self, id: HistogramId, value: Ps) {
+        resolve(
+            &mut self.histogram_handles,
+            &mut self.histograms,
+            id.0,
+            LatencyHistogram::new,
+        )
+        .record(value);
     }
 
     /// The current value of counter `name`.
@@ -144,10 +249,7 @@ impl Registry {
             self.gauge_set(name, v);
         }
         for (name, h) in &other.histograms {
-            match self.histograms.iter_mut().find(|(k, _)| k == name) {
-                Some((_, mine)) => mine.merge(h),
-                None => self.histograms.push((name, h.clone())),
-            }
+            entry(&mut self.histograms, name, LatencyHistogram::new).merge(h);
         }
     }
 
@@ -246,6 +348,53 @@ mod tests {
         assert_eq!(a.gauge("g"), Some(7.0));
         assert_eq!(a.histogram("h").unwrap().count(), 2);
         assert_eq!(a.histogram("h2").unwrap().count(), 1);
+    }
+
+    #[test]
+    fn handles_record_what_names_record() {
+        let mut by_name = Registry::new();
+        let mut by_id = Registry::new();
+        // Taken in one order, first used in another: the export follows use.
+        let idle = by_id.counter_id("idle");
+        let b = by_id.counter_id("b");
+        let a = by_id.counter_id("a");
+        let silent = by_id.histogram_id("silent");
+        let lat = by_id.histogram_id("lat");
+        for n in 1..=3u64 {
+            by_name.counter_add("a", n);
+            by_id.counter_add_by_id(a, n);
+            by_name.counter_add("b", 1);
+            by_id.counter_add_by_id(b, 1);
+            by_name.histogram_record("lat", Ps::from_ns(10 * n));
+            by_id.histogram_record_by_id(lat, Ps::from_ns(10 * n));
+        }
+        assert_eq!(by_id.to_json(), by_name.to_json());
+        assert_eq!(by_id, by_name);
+        assert_eq!(
+            by_id.counters().map(|(k, _)| k).collect::<Vec<_>>(),
+            ["a", "b"]
+        );
+        // A handle nothing was recorded through leaves no entry.
+        let _ = (idle, silent);
+        assert_eq!(by_id.counter("idle"), None);
+        assert!(by_id.histogram("silent").is_none());
+        assert!(!by_id.to_json().contains("idle") && !by_id.to_json().contains("silent"));
+
+        // A handle and its name are one metric, whichever came first.
+        by_id.counter_add("a", 4);
+        by_id.counter_add("late", 1);
+        let late = by_id.counter_id("late");
+        by_id.counter_add_by_id(late, 1);
+        assert_eq!(by_id.counter("a"), Some(10));
+        assert_eq!(by_id.counter("late"), Some(2));
+        assert_eq!(by_id.counters().count(), 3);
+
+        // Merging goes by name, also into entries a handle created.
+        by_id.merge(&by_name);
+        assert_eq!(by_id.counter("a"), Some(16));
+        assert_eq!(by_id.histogram("lat").unwrap().count(), 6);
+        by_id.counter_add_by_id(a, 1);
+        assert_eq!(by_id.counter("a"), Some(17));
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Mutex;
 
+use esd_core::tenant::MAX_TENANT;
 use esd_server::{run_load, serve_tcp, LoadSpec, Service, ServiceConfig};
 use esd_trace::AppProfile;
 
@@ -21,7 +22,7 @@ USAGE:
               [--queue-depth N] [--batch N] [--workers N] [--seed N]
               [--profile NAME] [--json]
     esd-serve --tcp ADDR [--connections N] [--scheme NAME] [--tenants N]
-              [--queue-depth N] [--batch N] [--workers N]
+              [--queue-depth N] [--batch N] [--workers N] [--json]
 
 Load-generator mode (default) replays tenants × qps open-loop request
 streams through one shared scheme instance and prints per-tenant stats:
@@ -40,7 +41,7 @@ closed (default 1).
 OPTIONS:
     --scheme NAME      baseline|sha1|md5|pde|dewrite|esd|esd-full|esd-noverify,
                        or the name a report prints, any case (default esd)
-    --tenants N        tenant count (default 4)
+    --tenants N        tenant count, at most 65535 (default 4)
     --qps N            per-tenant offered rate, requests per simulated
                        second (default 1000000)
     --requests N       requests per tenant (default 2000)
@@ -49,7 +50,8 @@ OPTIONS:
     --workers N        fingerprint precompute threads (default 1)
     --seed N           base trace seed; tenant t uses seed+t (default 42)
     --profile NAME     trace profile (default demo; see `esd-cli apps`)
-    --json             also print the metrics-registry JSON export
+    --json             also print the metrics-registry JSON export, after
+                       the stat lines (either mode)
     --tcp ADDR         serve the frame protocol on ADDR instead
     --connections N    TCP sessions to serve before exiting (default 1)"
         .to_string()
@@ -123,6 +125,11 @@ fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
     if config.tenants == 0 {
         return Err("--tenants must be at least 1".to_string());
     }
+    if config.tenants > MAX_TENANT {
+        return Err(format!(
+            "--tenants must be at most {MAX_TENANT}: the namespace field is 16 bits wide"
+        ));
+    }
     if config.queue_depth == 0 {
         return Err("--queue-depth must be at least 1".to_string());
     }
@@ -155,6 +162,9 @@ fn run(flags: &Flags) -> Result<(), String> {
         let svc = service.lock().expect("service lock");
         for tenant in 0..svc.tenant_count() {
             println!("{}", svc.stats_line(tenant));
+        }
+        if flags.json {
+            println!("{}", svc.metrics_json());
         }
         return Ok(());
     }
@@ -195,7 +205,7 @@ fn run(flags: &Flags) -> Result<(), String> {
     }
     let mut leak = 0u64;
     for t in &report.summary.tenants {
-        leak += t.offered - (t.admitted + t.rejected);
+        leak += t.offered.abs_diff(t.admitted + t.rejected);
     }
     println!(
         "admission_invariant: {} (leaked={leak})",

@@ -63,8 +63,8 @@ pub struct Envelope {
     pub tenant: u32,
     /// Position in the tenant's stream; responses echo it back.
     pub seq: u64,
-    /// Simulated arrival time; the scheduler applies requests in global
-    /// `(arrival, tenant, seq)` order.
+    /// Simulated arrival time; the service applies requests in global
+    /// `(arrival, seq, tenant)` order.
     pub arrival: Ps,
     /// The operation itself.
     pub request: Request,

@@ -10,7 +10,7 @@
 //! pure precomputation across threads — neither changes the apply order,
 //! the simulated clock evolution, or any admission decision, so per-tenant
 //! stats and the final shared-store state are byte-identical across batch
-//! sizes and worker counts (see the `determinism` integration tests).
+//! sizes and worker counts (see `crates/esd-server/tests/cross_tenant.rs`).
 //!
 //! # Fairness
 //!
@@ -18,16 +18,17 @@
 //! ties by sequence number before tenant id — request `i` of every
 //! tenant runs before request `i + 1` of any tenant, a strict
 //! round-robin interleave rather than burst-at-a-time service. The live
-//! front end ([`crate::live`]) stamps arrivals by
-//! visiting tenant inboxes round-robin, so backlogged tenants share the
-//! scheme in the same rotation.
+//! front end ([`crate::live`]) stamps each request with the clock under
+//! the service lock and drains it at once, so concurrent sessions are
+//! served in the order they win the lock.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
 
 use esd_core::{tenant as ns, FingerprintSpec, Scheme, SchemeKind};
-use esd_obs::Registry;
+use esd_obs::{CounterId, HistogramId, Registry};
 use esd_sim::{Ps, SystemConfig};
 
 use crate::proto::{Envelope, Request, Response};
@@ -89,26 +90,34 @@ fn intern(name: String) -> &'static str {
     leaked
 }
 
-/// The interned registry names of one tenant's metrics.
+/// One tenant's handles into the service registry. A handle records
+/// nothing until it is first used, so a metric still appears in the export
+/// when the tenant first moves it and the export's order, which the state
+/// digest covers, is the order requests were served in.
 #[derive(Debug, Clone, Copy)]
-struct TenantMetricNames {
-    accesses: &'static str,
-    writes: &'static str,
-    reads: &'static str,
-    deduplicated: &'static str,
-    rejected: &'static str,
-    latency: &'static str,
+struct TenantMetrics {
+    accesses: CounterId,
+    writes: CounterId,
+    reads: CounterId,
+    deduplicated: CounterId,
+    rejected: CounterId,
+    latency: HistogramId,
+    /// The name behind `latency`, for reading the histogram back.
+    latency_name: &'static str,
 }
 
-impl TenantMetricNames {
-    fn new(tenant: u32) -> Self {
-        TenantMetricNames {
-            accesses: intern(format!("tenant{tenant}/accesses")),
-            writes: intern(format!("tenant{tenant}/writes")),
-            reads: intern(format!("tenant{tenant}/reads")),
-            deduplicated: intern(format!("tenant{tenant}/deduplicated")),
-            rejected: intern(format!("tenant{tenant}/rejected")),
-            latency: intern(format!("tenant{tenant}/request_latency")),
+impl TenantMetrics {
+    fn new(tenant: u32, registry: &mut Registry) -> Self {
+        let name = |metric: &str| intern(format!("tenant{tenant}/{metric}"));
+        let latency_name = name("request_latency");
+        TenantMetrics {
+            accesses: registry.counter_id(name("accesses")),
+            writes: registry.counter_id(name("writes")),
+            reads: registry.counter_id(name("reads")),
+            deduplicated: registry.counter_id(name("deduplicated")),
+            rejected: registry.counter_id(name("rejected")),
+            latency: registry.histogram_id(latency_name),
+            latency_name,
         }
     }
 }
@@ -128,11 +137,11 @@ struct TenantState {
     writes: u64,
     reads: u64,
     deduplicated: u64,
-    names: TenantMetricNames,
+    metrics: TenantMetrics,
 }
 
 impl TenantState {
-    fn new(tenant: u32) -> Self {
+    fn new(tenant: u32, registry: &mut Registry) -> Self {
         TenantState {
             queue: VecDeque::new(),
             outstanding: 0,
@@ -142,7 +151,7 @@ impl TenantState {
             writes: 0,
             reads: 0,
             deduplicated: 0,
-            names: TenantMetricNames::new(tenant),
+            metrics: TenantMetrics::new(tenant, registry),
         }
     }
 }
@@ -228,6 +237,12 @@ pub struct Service {
     scheme: Scheme,
     spec: Option<FingerprintSpec>,
     tenants: Vec<TenantState>,
+    /// `(arrival, seq, tenant)` of the head of every non-empty queue, least
+    /// first: the next request in global order is on top.
+    heads: BinaryHeap<Reverse<(Ps, u64, u32)>>,
+    /// Requests in the tenants' queues, all told.
+    queued: usize,
+    staging: Staging,
     registry: Registry,
     clock: Ps,
     queue_depth: usize,
@@ -236,6 +251,21 @@ pub struct Service {
     applied: u64,
     /// Sum of pure service latencies, for the retry-hint estimate.
     service_total: Ps,
+}
+
+/// The buffers one stage is built in. They are emptied and refilled stage
+/// after stage, so a service that has seen one full stage allocates nothing
+/// for the next.
+#[derive(Debug, Default)]
+struct Staging {
+    /// The staged requests, in apply order.
+    stage: Vec<Envelope>,
+    /// The precomputed fingerprint key of each staged request, if any.
+    keys: Vec<Option<u64>>,
+    /// The staged writes' lines, their positions in `stage`, and their keys.
+    lines: Vec<[u8; 64]>,
+    slots: Vec<usize>,
+    computed: Vec<u64>,
 }
 
 impl std::fmt::Debug for Service {
@@ -270,11 +300,17 @@ impl Service {
         let mut scheme = Scheme::new(config.scheme, &config.system);
         scheme.tenancy_configure(config.master_key);
         let spec = scheme.fingerprint_spec();
+        let mut registry = Registry::new();
         Service {
             scheme,
             spec,
-            tenants: (0..config.tenants).map(TenantState::new).collect(),
-            registry: Registry::new(),
+            tenants: (0..config.tenants)
+                .map(|tenant| TenantState::new(tenant, &mut registry))
+                .collect(),
+            heads: BinaryHeap::new(),
+            queued: 0,
+            staging: Staging::default(),
+            registry,
             clock: Ps::ZERO,
             queue_depth: config.queue_depth,
             batch: config.batch.max(1),
@@ -299,7 +335,7 @@ impl Service {
     /// Admitted-but-unapplied requests across all tenants.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.tenants.iter().map(|t| t.queue.len()).sum()
+        self.queued
     }
 
     /// The live metrics registry (per-tenant counters and latency
@@ -326,19 +362,23 @@ impl Service {
     /// bounded queue is full (the request is dropped — backpressure is the
     /// client's to handle).
     ///
+    /// One tenant's requests must be offered in arrival order: its queue is
+    /// FIFO, and the service takes the head for the tenant's earliest
+    /// request. Across tenants any order will do.
+    ///
     /// # Panics
     ///
     /// Panics on a tenant id outside `0..tenant_count()`.
     pub fn admit(&mut self, env: Envelope) -> Option<Response> {
-        let estimate = self.service_estimate();
         let state = &mut self.tenants[env.tenant as usize];
         state.offered += 1;
         if state.outstanding >= self.queue_depth {
             state.rejected += 1;
-            self.registry.counter_add(state.names.rejected, 1);
+            let ahead = state.outstanding as u64;
+            self.registry.counter_add_by_id(state.metrics.rejected, 1);
             // Rough deterministic drain estimate: everything ahead of this
             // request at the average observed service latency.
-            let retry_after = estimate * (state.outstanding as u64);
+            let retry_after = self.service_estimate() * ahead;
             return Some(Response::Rejected {
                 seq: env.seq,
                 retry_after,
@@ -346,7 +386,11 @@ impl Service {
         }
         state.admitted += 1;
         state.outstanding += 1;
+        if state.queue.is_empty() {
+            self.heads.push(Reverse((env.arrival, env.seq, env.tenant)));
+        }
         state.queue.push_back(env);
+        self.queued += 1;
         None
     }
 
@@ -358,51 +402,62 @@ impl Service {
         }
     }
 
-    /// Pops up to `batch` queued requests in global `(arrival, seq,
-    /// tenant)` order (per-tenant queues are FIFO, so heads carry each
-    /// tenant's earliest arrival).
-    fn build_stage(&mut self) -> Vec<Envelope> {
-        let mut stage = Vec::new();
+    /// Moves up to `batch` queued requests into the stage in global
+    /// `(arrival, seq, tenant)` order. Per-tenant queues are FIFO, so a
+    /// queue's head is taken for its earliest request, and the least of the
+    /// heads for the next request of all.
+    fn build_stage(&mut self) {
+        let stage = &mut self.staging.stage;
+        stage.clear();
         while stage.len() < self.batch {
-            let mut best: Option<(Ps, u64, usize)> = None;
-            for (i, t) in self.tenants.iter().enumerate() {
-                if let Some(head) = t.queue.front() {
-                    let key = (head.arrival, head.seq, i);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
+            let Some(mut top) = self.heads.peek_mut() else {
+                break;
+            };
+            let Reverse((_, _, tenant)) = *top;
+            let queue = &mut self.tenants[tenant as usize].queue;
+            stage.push(queue.pop_front().expect("a queue with a head is not empty"));
+            match queue.front() {
+                Some(next) => *top = Reverse((next.arrival, next.seq, tenant)),
+                None => {
+                    PeekMut::pop(top);
                 }
             }
-            let Some((_, _, tenant)) = best else { break };
-            let env = self.tenants[tenant].queue.pop_front().expect("head exists");
-            stage.push(env);
         }
-        stage
+        self.queued -= stage.len();
     }
 
-    /// Precomputes write fingerprints for a staged block through the
+    /// Precomputes write fingerprints for the staged block through the
     /// multi-lane kernels, split across the worker threads. Pure
     /// precomputation: bit-exact with what the scheme would compute, and
     /// charged by the scheme exactly as if computed inline.
-    fn precompute_keys(&self, stage: &[Envelope]) -> Vec<Option<u64>> {
-        let mut keys = vec![None; stage.len()];
-        let Some(spec) = self.spec else { return keys };
+    fn precompute_keys(&mut self) {
+        let Staging {
+            stage,
+            keys,
+            lines,
+            slots,
+            computed,
+        } = &mut self.staging;
+        keys.clear();
+        keys.resize(stage.len(), None);
+        let Some(spec) = self.spec else { return };
         if stage.len() < 2 {
-            return keys; // below any useful lane width; the scheme computes inline
+            return; // below any useful lane width; the scheme computes inline
         }
-        let mut lines: Vec<[u8; 64]> = Vec::new();
-        let mut slots: Vec<usize> = Vec::new();
+        lines.clear();
+        slots.clear();
         for (i, env) in stage.iter().enumerate() {
-            if let Request::Write { line, .. } = env.request {
+            if let Request::Write { line, .. } = &env.request {
                 lines.push(*line.as_bytes());
                 slots.push(i);
             }
         }
         if lines.is_empty() {
-            return keys;
+            return;
         }
-        let mut computed = vec![0u64; lines.len()];
+        computed.clear();
         if self.workers > 1 {
+            computed.resize(lines.len(), 0);
             let chunk = lines.len().div_ceil(self.workers);
             std::thread::scope(|scope| {
                 for (line_chunk, key_chunk) in lines.chunks(chunk).zip(computed.chunks_mut(chunk))
@@ -415,101 +470,106 @@ impl Service {
                 }
             });
         } else {
-            let mut out = Vec::with_capacity(lines.len());
-            spec.compute_keys(&lines, &mut out);
-            computed.copy_from_slice(&out);
+            spec.compute_keys(lines, computed);
         }
-        for (slot, key) in slots.into_iter().zip(computed) {
+        for (&slot, &key) in slots.iter().zip(computed.iter()) {
             keys[slot] = Some(key);
         }
-        keys
     }
 
     /// Applies one request against the shared scheme under the tenant's
     /// namespace and key, advancing the simulated clock and recording the
     /// tenant's stats.
-    fn apply(&mut self, env: Envelope, key: Option<u64>) -> (u32, Response) {
+    fn apply(&mut self, env: &Envelope, key: Option<u64>) -> Response {
         let tenant = env.tenant;
         let start = env.arrival.max(self.clock);
         self.scheme.set_active_tenant(tenant);
-        let (response, service_latency) = match env.request {
+        let state = &mut self.tenants[tenant as usize];
+        let metrics = state.metrics;
+        self.registry.counter_add_by_id(metrics.accesses, 1);
+        let (response, request_latency, service_latency) = match env.request {
             Request::Write { local, line } => {
                 let logical = ns::namespaced(tenant, local);
                 let result = self.scheme.write_prepared(start, logical, line, key);
                 self.clock = result.processing_done;
-                let state = &mut self.tenants[tenant as usize];
                 state.writes += 1;
+                self.registry.counter_add_by_id(metrics.writes, 1);
                 if result.deduplicated {
                     state.deduplicated += 1;
+                    self.registry.counter_add_by_id(metrics.deduplicated, 1);
                 }
-                let end = start + result.latency;
-                (
-                    Response::Written {
-                        seq: env.seq,
-                        deduplicated: result.deduplicated,
-                        latency: end - env.arrival,
-                    },
-                    result.latency,
-                )
+                let latency = start + result.latency - env.arrival;
+                let response = Response::Written {
+                    seq: env.seq,
+                    deduplicated: result.deduplicated,
+                    latency,
+                };
+                (response, latency, result.latency)
             }
             Request::Read { local } => {
                 let logical = ns::namespaced(tenant, local);
                 let result = self.scheme.read(start, logical);
                 self.clock = result.finish;
-                self.tenants[tenant as usize].reads += 1;
-                (
-                    Response::Data {
-                        seq: env.seq,
-                        latency: result.finish - env.arrival,
-                        line: result.data,
-                    },
-                    result.finish - start,
-                )
+                state.reads += 1;
+                self.registry.counter_add_by_id(metrics.reads, 1);
+                let latency = result.finish - env.arrival;
+                let response = Response::Data {
+                    seq: env.seq,
+                    latency,
+                    line: result.data,
+                };
+                (response, latency, result.finish - start)
             }
         };
-        let state = &mut self.tenants[tenant as usize];
         state.outstanding -= 1;
         self.applied += 1;
         self.service_total += service_latency;
-        let request_latency = match response {
-            Response::Written { latency, .. } | Response::Data { latency, .. } => latency,
-            Response::Rejected { .. } => unreachable!("apply never rejects"),
-        };
-        let names = state.names;
-        self.registry.counter_add(names.accesses, 1);
-        match env.request {
-            Request::Write { .. } => {
-                self.registry.counter_add(names.writes, 1);
-                if matches!(response, Response::Written { deduplicated: true, .. }) {
-                    self.registry.counter_add(names.deduplicated, 1);
-                }
-            }
-            Request::Read { .. } => self.registry.counter_add(names.reads, 1),
+        self.registry
+            .histogram_record_by_id(metrics.latency, request_latency);
+        response
+    }
+
+    /// Stages up to one batch of queued requests and applies it, handing
+    /// each response to `each` before the next request is applied.
+    fn apply_stage(&mut self, mut each: impl FnMut(&mut Self, u32, Response)) {
+        self.build_stage();
+        self.precompute_keys();
+        // Lent out for the loop; nothing `each` may call stages.
+        let staging = std::mem::take(&mut self.staging);
+        for (env, &key) in staging.stage.iter().zip(&staging.keys) {
+            let response = self.apply(env, key);
+            each(self, env.tenant, response);
         }
-        self.registry.histogram_record(names.latency, request_latency);
-        (tenant, response)
+        self.staging = staging;
     }
 
     /// Stages and applies up to one batch of queued requests, returning
     /// their responses in apply order. Used by the live front end; the
     /// deterministic load path goes through [`Service::run_events`].
     pub fn drain_stage(&mut self) -> Vec<(u32, Response)> {
-        let stage = self.build_stage();
-        let keys = self.precompute_keys(&stage);
-        stage
-            .into_iter()
-            .zip(keys)
-            .map(|(env, key)| self.apply(env, key))
-            .collect()
+        let mut out = Vec::with_capacity(self.queued.min(self.batch));
+        self.apply_stage(|_, tenant, response| out.push((tenant, response)));
+        out
     }
 
     /// Drains every queued request.
     pub fn drain(&mut self) -> Vec<(u32, Response)> {
-        let mut out = Vec::new();
-        while self.pending() > 0 {
-            out.extend(self.drain_stage());
+        let mut out = Vec::with_capacity(self.queued);
+        while self.queued > 0 {
+            self.apply_stage(|_, tenant, response| out.push((tenant, response)));
         }
         out
+    }
+
+    /// Admits the events from `*next` on that have become due, collecting
+    /// the rejections.
+    fn admit_due(&mut self, events: &[Envelope], next: &mut usize, out: &mut Vec<(u32, Response)>) {
+        while let Some(&env) = events.get(*next).filter(|env| env.arrival <= self.clock) {
+            *next += 1;
+            if let Some(rejection) = self.admit(env) {
+                out.push((env.tenant, rejection));
+            }
+        }
     }
 
     /// Runs a complete pre-generated workload deterministically: events
@@ -522,34 +582,19 @@ impl Service {
         let mut next = 0usize;
         let mut out = Vec::with_capacity(events.len());
         loop {
-            // Admit everything that has become due.
-            while next < events.len() && events[next].arrival <= self.clock {
-                let env = events[next];
-                next += 1;
-                if let Some(rejection) = self.admit(env) {
-                    out.push((env.tenant, rejection));
-                }
-            }
-            if self.pending() == 0 {
+            self.admit_due(&events, &mut next, &mut out);
+            if self.queued == 0 {
                 let Some(upcoming) = events.get(next) else { break };
                 // Idle until the next arrival.
                 self.clock = self.clock.max(upcoming.arrival);
                 continue;
             }
-            let stage = self.build_stage();
-            let keys = self.precompute_keys(&stage);
-            for (env, key) in stage.into_iter().zip(keys) {
-                out.push(self.apply(env, key));
+            self.apply_stage(|service, tenant, response| {
+                out.push((tenant, response));
                 // Admissions interleave with applies so queue-full
                 // decisions are independent of the batch size.
-                while next < events.len() && events[next].arrival <= self.clock {
-                    let due = events[next];
-                    next += 1;
-                    if let Some(rejection) = self.admit(due) {
-                        out.push((due.tenant, rejection));
-                    }
-                }
-            }
+                service.admit_due(&events, &mut next, &mut out);
+            });
         }
         out
     }
@@ -562,7 +607,7 @@ impl Service {
     #[must_use]
     pub fn tenant_summary(&self, tenant: u32) -> TenantSummary {
         let state = &self.tenants[tenant as usize];
-        let (p50, p95, p99) = match self.registry.histogram(state.names.latency) {
+        let (p50, p95, p99) = match self.registry.histogram(state.metrics.latency_name) {
             Some(h) => (
                 h.percentile(0.50),
                 h.percentile(0.95),

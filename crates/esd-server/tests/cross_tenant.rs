@@ -129,26 +129,119 @@ fn outcome_is_byte_identical_across_worker_counts_and_batch_sizes() {
     }
 }
 
+/// The input order of `run_events` is not part of the workload: the list
+/// the load generator emits (tenant-major), the sorted list and a shuffle
+/// produce the same responses in the same order.
 #[test]
-fn rejections_never_leak_requests() {
+fn run_events_ignores_the_order_its_input_comes_in() {
+    let run = |events: Vec<Envelope>| {
+        let mut service = Service::new(&ServiceConfig {
+            tenants: 4,
+            queue_depth: 8,
+            ..ServiceConfig::default()
+        });
+        let responses = service.run_events(events);
+        (service.summary(), responses)
+    };
+    let emitted = contended_spec(4).events();
+    let mut sorted = emitted.clone();
+    sorted.sort_by_key(|e| (e.arrival, e.seq, e.tenant));
+    let mut shuffled = emitted.clone();
+    let mut state = 0x5EED_u64;
+    for i in (1..shuffled.len()).rev() {
+        // Fisher-Yates over a 64-bit LCG (Knuth's MMIX constants).
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        shuffled.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    assert_ne!(shuffled, sorted);
+    let reference = run(sorted);
+    assert_eq!(run(shuffled), reference, "shuffled input");
+    assert_eq!(run(emitted), reference, "tenant-major input");
+}
+
+/// Who is served next is decided by `(arrival, seq, tenant)` over the
+/// queue heads, not by the order the queues were filled in.
+#[test]
+fn drain_order_follows_arrival_not_admission() {
     let mut service = Service::new(&ServiceConfig {
-        tenants: 4,
-        queue_depth: 8,
+        tenants: 6,
+        batch: 4,
         ..ServiceConfig::default()
     });
-    let report = run_load(&mut service, &contended_spec(4));
-    for t in &report.summary.tenants {
-        assert_eq!(
-            t.offered,
-            t.admitted + t.rejected,
-            "tenant {} leaked a request",
-            t.tenant
-        );
-        assert_eq!(
-            t.admitted,
-            t.writes + t.reads,
-            "tenant {} admitted a request that never applied",
-            t.tenant
-        );
+    let env = |tenant: u32, seq: u64, arrival_ns: u64| Envelope {
+        tenant,
+        seq,
+        arrival: Ps::from_ns(arrival_ns),
+        request: Request::Write {
+            local: 0x40 * seq,
+            line: CacheLine::from_fill(tenant as u8),
+        },
+    };
+    // Tenant t's first request arrives at 50 - 10t ns: admitted latest
+    // first. Each tenant's own queue is in arrival order, as the service
+    // requires. Tenants 4 and 5 tie on arrival and on sequence number.
+    let mut expected = Vec::new();
+    for tenant in 0..5u32 {
+        let first = 50 - 10 * u64::from(tenant);
+        for (seq, arrival) in [(0, first), (1, first + 25)] {
+            assert!(service.admit(env(tenant, seq, arrival)).is_none());
+            expected.push((Ps::from_ns(arrival), seq, tenant));
+        }
+    }
+    assert!(service.admit(env(5, 0, 10)).is_none());
+    expected.push((Ps::from_ns(10), 0, 5));
+    expected.sort();
+    assert_eq!(service.pending(), expected.len());
+
+    let mut applied = Vec::new();
+    while service.pending() > 0 {
+        let stage = service.drain_stage();
+        assert!(stage.len() <= 4, "a stage is at most one batch");
+        applied.extend(stage.into_iter().map(|(tenant, r)| (r.seq(), tenant)));
+    }
+    let expected: Vec<(u64, u32)> = expected.into_iter().map(|(_, s, t)| (s, t)).collect();
+    assert_eq!(applied, expected);
+    assert_eq!(
+        applied[..2],
+        [(0, 4), (0, 5)],
+        "a tie goes to the lower tenant id"
+    );
+}
+
+#[test]
+fn rejections_never_leak_requests() {
+    // The contended four, and more tenants than requests each: hundreds of
+    // queues that are mostly empty, every one of them overrun when it is not.
+    let many = LoadSpec {
+        requests_per_tenant: 20,
+        ..contended_spec(600)
+    };
+    for spec in [contended_spec(4), many] {
+        let mut service = Service::new(&ServiceConfig {
+            tenants: spec.tenants,
+            queue_depth: 8,
+            ..ServiceConfig::default()
+        });
+        let report = run_load(&mut service, &spec);
+        assert_eq!(service.pending(), 0);
+        for t in &report.summary.tenants {
+            assert_eq!(t.offered, spec.requests_per_tenant);
+            assert_eq!(
+                t.offered,
+                t.admitted + t.rejected,
+                "tenant {} of {} leaked a request",
+                t.tenant,
+                spec.tenants
+            );
+            assert_eq!(
+                t.admitted,
+                t.writes + t.reads,
+                "tenant {} of {} admitted a request that never applied",
+                t.tenant,
+                spec.tenants
+            );
+        }
     }
 }

@@ -4,7 +4,9 @@
 //! `crates/esd-core/tests/efit_model.rs`: it shares the `U64Map` index, so
 //! it also fixes the *order* of `pinned_physicals`, which decides the
 //! allocator's free-list order after a crash and through it every physical
-//! address, bank timing and `RunReport` that follows.
+//! address, bank timing and `RunReport` that follows. It removes and
+//! re-inserts an order key on every bump, so it is also the reference for
+//! the shipped table's lazily-deleted heap of `refer >= 2` entries.
 
 use std::collections::BTreeSet;
 
@@ -249,4 +251,57 @@ fn slab_efit_matches_btreeset_efit_under_lrcu() {
 #[test]
 fn slab_efit_matches_btreeset_efit_under_lru() {
     differential(EfitPolicy::Lru);
+}
+
+/// The dedup-hit path on its own: no decay, every resident entry bumped to
+/// `refer >= 2` before each insert, so every victim comes out of the lazy
+/// heap from under the stale keys of 50 x capacity and more bumps, which is
+/// also enough of them to make a small table's heap drop its stale keys.
+#[test]
+fn bump_dominated_victims_match_btreeset_efit() {
+    for capacity in 1..=8usize {
+        let mut rng = StdRng::seed_from_u64(0xB0B0 ^ capacity as u64);
+        let bytes = (capacity * EFIT_ENTRY_BYTES) as u64;
+        let mut new = Efit::new(bytes, EfitPolicy::Lrcu);
+        let mut old = BTreeEfit::new(bytes, EfitPolicy::Lrcu);
+        new.set_decay_interval(u64::MAX);
+        old.set_decay_interval(u64::MAX);
+        let mut resident: Vec<u64> = Vec::new();
+        let mut evictions = 0u64;
+        for fp in 0..200u64 {
+            let context = format!("capacity {capacity} insert {fp}");
+            for &r in &resident {
+                let refer = new.lookup(r).map(|e| e.refer);
+                assert_eq!(refer, old.lookup(r).map(|e| e.refer), "{context}");
+                assert!(refer >= Some(2), "{context}: {r} is still on the list");
+            }
+            // Physical lines name their fingerprints, so a victim's says
+            // which entry left.
+            let displaced = new.insert(fp, fp * 64);
+            assert_eq!(displaced, old.insert(fp, fp * 64), "{context}: victim");
+            if let Some(physical) = displaced {
+                resident.retain(|&r| r != physical / 64);
+                evictions += 1;
+            }
+            resident.push(fp);
+            assert_eq!(new.bump_ref(fp), old.bump_ref(fp), "{context}");
+            // Without decay the survivors saturate, and a newcomer that
+            // does not is the next victim. Every other one is saturated at
+            // once, which makes the victim the oldest entry or one the
+            // random bumps have not yet carried to the top.
+            let to_newcomer = if rng.gen_bool(0.5) { 254 } else { 0 };
+            for i in 0..to_newcomer + 50 * capacity + rng.gen_range(0..64) {
+                let target = if i < to_newcomer {
+                    fp
+                } else {
+                    resident[rng.gen_range(0..resident.len())]
+                };
+                assert_eq!(new.bump_ref(target), old.bump_ref(target), "{context}");
+            }
+            assert_eq!(new.stats(), old.stats, "{context}");
+            assert_eq!(new.pinned_physicals(), old.pinned_physicals(), "{context}");
+        }
+        assert_eq!(evictions, 200 - capacity as u64, "capacity {capacity}");
+        assert_eq!(new.stats().evictions, evictions, "capacity {capacity}");
+    }
 }
