@@ -11,12 +11,6 @@
 //! esd-cli config
 //! ```
 //!
-//! Parallelism (`run`/`compare`/`replay`): `--shards <threads>` runs the
-//! bank-sharded replay engine on that many worker threads (`0` = all
-//! cores, clamped to the PCM bank count; defaults to the `ESD_SHARDS`
-//! environment variable, else 1). The report is byte-identical at every
-//! thread count.
-//!
 //! Engine knobs (`run`/`compare`/`replay`): `--batch <block>` stages each
 //! quantum through the pipelined write path in blocks of that many
 //! accesses (default `ESD_BATCH`, else 64; `1` = scalar loop; a pure
@@ -88,8 +82,6 @@ fn usage() -> &'static str {
      esd-cli config\n\n\
      schemes: baseline, sha1, md5, pde, dewrite, esd, esd-full, esd-noverify\n\
      \x20        (or the name a report prints, e.g. Dedup_SHA1, ESD_Full; any case)\n\
-     parallelism (run/compare/replay): [--shards <threads>] (0 = all cores; results\n\
-     \x20                                 are identical at every thread count)\n\
      engine (run/compare/replay):      [--batch <block>] (pipeline block size; results\n\
      \x20                                 are identical at every batch size)\n\
      \x20                                 [--quantum <accesses>] (cross-slice sync quantum)\n\
@@ -173,28 +165,6 @@ fn reliability_options(args: &Args, config: &mut SystemConfig) -> Result<RunOpti
         scrub_lines_per_tick: scrub_lines,
         ..RunOptions::default()
     })
-}
-
-/// Applies `--shards`: worker threads for the bank-sharded replay engine.
-/// `0` selects the machine's available parallelism; requests beyond the
-/// PCM bank count are clamped (with a note), since banks are the slice
-/// granularity. The report is identical at every thread count.
-fn shard_options(
-    args: &Args,
-    config: &SystemConfig,
-    options: &mut RunOptions,
-) -> Result<(), String> {
-    options.shards = args
-        .get_parsed_or("shards", options.shards)
-        .map_err(|e| e.to_string())?;
-    let effective = esd_core::effective_shards(options.shards, config);
-    if options.shards > effective {
-        eprintln!(
-            "note: --shards {} clamped to {effective} (PCM has {} banks)",
-            options.shards, config.pcm.banks
-        );
-    }
-    Ok(())
 }
 
 /// Flag names for the batched replay engine, shared by `run`, `compare`
@@ -354,7 +324,7 @@ fn run_one(
 
 fn cmd_run(rest: Vec<String>) -> Result<(), String> {
     let allowed: Vec<&str> = [
-        &["app", "scheme", "accesses", "seed", "shards"][..],
+        &["app", "scheme", "accesses", "seed"][..],
         &ENGINE_FLAGS[..],
         &CRASH_FLAGS[..],
         &RELIABILITY_FLAGS[..],
@@ -368,7 +338,6 @@ fn cmd_run(rest: Vec<String>) -> Result<(), String> {
     let seed = args.get_parsed_or("seed", 42u64).map_err(|e| e.to_string())?;
     let mut config = SystemConfig::default();
     let mut options = reliability_options(&args, &mut config)?;
-    shard_options(&args, &config, &mut options)?;
     crash_options(&args, &mut options)?;
     let outputs = observability_options(&args, &mut options)?;
     let trace = generate_trace(&app, seed, accesses);
@@ -381,7 +350,7 @@ fn cmd_run(rest: Vec<String>) -> Result<(), String> {
 
 fn cmd_compare(rest: Vec<String>) -> Result<(), String> {
     let allowed: Vec<&str> = [
-        &["app", "accesses", "seed", "extended", "shards"][..],
+        &["app", "accesses", "seed", "extended"][..],
         &ENGINE_FLAGS[..],
         &CRASH_FLAGS[..],
         &RELIABILITY_FLAGS[..],
@@ -394,7 +363,6 @@ fn cmd_compare(rest: Vec<String>) -> Result<(), String> {
     let extended: bool = args.get_parsed_or("extended", false).map_err(|e| e.to_string())?;
     let mut config = SystemConfig::default();
     let mut options = reliability_options(&args, &mut config)?;
-    shard_options(&args, &config, &mut options)?;
     crash_options(&args, &mut options)?;
     let trace = generate_trace(&app, seed, accesses);
     engine_options(&args, trace.len(), &mut options)?;
@@ -487,7 +455,7 @@ fn cmd_analyze(rest: Vec<String>) -> Result<(), String> {
 
 fn cmd_replay(rest: Vec<String>) -> Result<(), String> {
     let allowed: Vec<&str> = [
-        &["scheme", "shards"][..],
+        &["scheme"][..],
         &ENGINE_FLAGS[..],
         &CRASH_FLAGS[..],
         &RELIABILITY_FLAGS[..],
@@ -502,7 +470,6 @@ fn cmd_replay(rest: Vec<String>) -> Result<(), String> {
     let trace = load_trace(path)?;
     let mut config = SystemConfig::default();
     let mut options = reliability_options(&args, &mut config)?;
-    shard_options(&args, &config, &mut options)?;
     crash_options(&args, &mut options)?;
     engine_options(&args, trace.len(), &mut options)?;
     let outputs = observability_options(&args, &mut options)?;

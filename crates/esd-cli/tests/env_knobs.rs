@@ -10,7 +10,12 @@ fn run_demo() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_esd-cli"));
     cmd.args(["run", "--app", "demo", "--accesses", "500"]);
     // Start from a clean slate so ambient knobs don't add warnings.
-    for knob in ["ESD_BATCH", "ESD_QUANTUM", "ESD_SHARDS", "ESD_CRASH_AT", "ESD_JOURNAL_EVERY"] {
+    for knob in [
+        "ESD_BATCH",
+        "ESD_QUANTUM",
+        "ESD_CRASH_AT",
+        "ESD_JOURNAL_EVERY",
+    ] {
         cmd.env_remove(knob);
     }
     cmd
@@ -18,7 +23,7 @@ fn run_demo() -> Command {
 
 #[test]
 fn malformed_integer_knobs_warn_and_fall_back() {
-    for knob in ["ESD_BATCH", "ESD_QUANTUM", "ESD_SHARDS"] {
+    for knob in ["ESD_BATCH", "ESD_QUANTUM"] {
         let out = run_demo()
             .env(knob, "4x")
             .output()
@@ -86,4 +91,28 @@ fn well_formed_knobs_are_honored_silently() {
         !stderr.contains("warning: ignoring ESD_"),
         "well-formed knobs must not warn:\n{stderr}"
     );
+}
+
+#[test]
+fn the_retired_shards_knob_is_no_flag_and_no_variable() {
+    let out = run_demo()
+        .args(["--shards", "4"])
+        .output()
+        .expect("esd-cli runs");
+    assert!(!out.status.success(), "--shards must be refused");
+    assert!(out.stdout.is_empty(), "nothing ran");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: unknown option --shards"),
+        "{stderr}"
+    );
+
+    let plain = run_demo().output().expect("esd-cli runs");
+    let ambient = run_demo()
+        .env("ESD_SHARDS", "4")
+        .output()
+        .expect("esd-cli runs");
+    assert!(plain.status.success());
+    assert_eq!(ambient.stdout, plain.stdout);
+    assert_eq!(ambient.stderr, plain.stderr);
 }

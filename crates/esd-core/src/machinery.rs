@@ -42,10 +42,9 @@ pub(crate) struct RemoteEntry {
 ///
 /// The sharded engine owns the one instance. For the length of a quantum
 /// it is frozen and every slice probes it through a shared reference; at
-/// the barrier the merger alone holds it mutably and folds the slices'
-/// publish queues in. No probe ever races a mutation, so the hot path
-/// takes no lock and copies nothing: [`Directory::get`] hands out a
-/// reference into the arena.
+/// the quantum's end the engine holds it mutably and folds the slices'
+/// publish queues in. A probe copies nothing: [`Directory::get`] hands out
+/// a reference into the arena.
 ///
 /// The probed table holds 24-byte `fingerprint → position` slots; the
 /// 68-byte entries sit in an append-only arena beside it, so a probe that
@@ -66,9 +65,8 @@ impl Directory {
     }
 
     /// Folds one slice's queued publishes in, first writer wins: the engine
-    /// calls this in slice order, so which of two slices that advertised
-    /// the same fingerprint in one quantum keeps it never depends on
-    /// scheduling.
+    /// calls this in slice order, so of two slices that advertised the same
+    /// fingerprint in one quantum the lower-numbered keeps it.
     pub(crate) fn merge(&mut self, publishes: impl IntoIterator<Item = (u64, RemoteEntry)>) {
         for (fingerprint, entry) in publishes {
             let next = u32::try_from(self.entries.len()).expect("directory indexes with u32");
@@ -82,8 +80,8 @@ impl Directory {
 
 /// What the sharded replay engine installs into each slice's scheme before
 /// replay: the slice's identity, its outgoing publish queue (drained by
-/// the engine at each barrier), and the plaintext mirror for logical lines
-/// this slice has deduplicated onto remote physical lines. The directory
+/// the engine at each quantum end), and the plaintext mirror for logical
+/// lines this slice has deduplicated onto remote physical lines. The directory
 /// itself is lent to the write path per call (see [`Directory`]).
 #[derive(Debug)]
 pub(crate) struct ShardCtx {
@@ -388,7 +386,7 @@ impl Core {
     /// at most roughly one line per distinct published content is ever
     /// pinned. The physical line gains one permanent reference count (so the
     /// advertised plaintext can never be recycled) and the entry is queued
-    /// for the engine to merge into the directory at the next barrier,
+    /// for the engine to merge into the directory at the quantum's end,
     /// first-writer-wins in slice order. A publish that loses that race
     /// keeps its pin — a deterministic, bounded leak documented in the
     /// design notes.
@@ -836,8 +834,8 @@ mod tests {
         let mut directory = Directory::default();
         assert!(directory.get(7).is_none());
         directory.merge([(7, entry(2, 0xAA)), (9, entry(2, 0xBB))]);
-        // A later merge — a higher slice in the same barrier, or any slice
-        // at a later one — never displaces an entry.
+        // A later merge — a higher slice at the same quantum end, or any
+        // slice at a later one — never displaces an entry.
         directory.merge([(7, entry(5, 0xCC)), (11, entry(5, 0xDD))]);
         let owners = |fp| directory.get(fp).map(|e| (e.owner, e.line));
         assert_eq!(owners(7), Some((2, CacheLine::from_fill(0xAA))));

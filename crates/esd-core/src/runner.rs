@@ -69,12 +69,7 @@ pub struct RunOptions {
     /// Collect a time-series [`esd_obs::EpochSnapshot`] every this many
     /// trace accesses (`None` disables epoch collection).
     pub epoch_interval: Option<u64>,
-    /// Worker threads for the bank-sharded replay engine. `0` selects the
-    /// machine's available parallelism; any value is clamped to the PCM
-    /// bank count. This is purely a *scheduling* knob — the simulation is
-    /// always sliced at bank granularity and the resulting [`RunReport`]
-    /// is byte-identical at every thread count. Defaults to the
-    /// `ESD_SHARDS` environment variable (unset → 1).
+    /// Ignored; kept only until `benchmark/` stops naming it.
     pub shards: u32,
     /// Accesses staged per block through the batched write-path pipeline
     /// (fingerprint → prefetch → execute, each stage running over the whole
@@ -84,12 +79,12 @@ pub struct RunOptions {
     /// batch size. `0` or `1` selects the scalar per-access loop. Defaults
     /// to the `ESD_BATCH` environment variable (unset → 64).
     pub batch: u32,
-    /// Accesses each slice processes between synchronization barriers of
-    /// the sharded engine. Unlike `shards` and `batch` this is a *model*
-    /// knob: cross-slice dedup publishes become visible at barriers, so
-    /// changing the quantum changes which remote duplicates are caught.
+    /// Accesses the trace advances between two merges of the cross-slice
+    /// directory. Unlike `batch` this is a *model* knob: cross-slice dedup
+    /// publishes become visible at quantum ends, so changing the quantum
+    /// changes which remote duplicates are caught.
     /// Degenerate values are clamped by [`effective_quantum`] (`0` → the
-    /// default, values past the trace length → one barrier at the end).
+    /// default, values past the trace length → one merge at the end).
     /// Defaults to the `ESD_QUANTUM` environment variable (unset → 4096,
     /// the engine's historical `SYNC_QUANTUM`).
     pub quantum: u32,
@@ -118,16 +113,16 @@ pub struct RunOptions {
     /// selection. Purely a *host-speed* knob — every SIMD backend is
     /// bit-exact with its scalar reference, so the [`RunReport`] is
     /// byte-identical across backends; only wall-clock changes. Applied
-    /// process-wide (via [`esd_kernels::set_backend`]) before replay
-    /// workers spawn. Defaults to the `ESD_KERNEL` environment variable
+    /// process-wide (via [`esd_kernels::set_backend`]) before the replay
+    /// starts. Defaults to the `ESD_KERNEL` environment variable
     /// (unset → `Auto`; malformed values warn on stderr and fall back).
     pub kernels: esd_kernels::KernelBackend,
 }
 
 impl Default for RunOptions {
-    /// Verification on, everything else off — except the six fields the
-    /// environment can set (`ESD_SHARDS`, `ESD_BATCH`, `ESD_QUANTUM`,
-    /// `ESD_CRASH_AT`, `ESD_JOURNAL_EVERY`, `ESD_KERNEL`), each read through
+    /// Verification on, everything else off — except the five fields the
+    /// environment can set (`ESD_BATCH`, `ESD_QUANTUM`, `ESD_CRASH_AT`,
+    /// `ESD_JOURNAL_EVERY`, `ESD_KERNEL`), each read through
     /// [`esd_kernels::env_parse`]: a malformed value warns on stderr and
     /// falls back to the built-in default.
     fn default() -> Self {
@@ -138,7 +133,7 @@ impl Default for RunOptions {
             observe: false,
             trace_capacity: 0,
             epoch_interval: None,
-            shards: env_or("ESD_SHARDS", 1),
+            shards: 1,
             batch: env_or("ESD_BATCH", DEFAULT_BATCH),
             quantum: env_or("ESD_QUANTUM", DEFAULT_QUANTUM),
             crash_at: env_parse("ESD_CRASH_AT", "crash injection stays off"),
@@ -156,25 +151,10 @@ pub const DEFAULT_BATCH: u32 = 64;
 /// engine hard-coded as `SYNC_QUANTUM` before it became configurable.
 pub const DEFAULT_QUANTUM: u32 = 4096;
 
-/// Resolves a requested shard (worker-thread) count: `0` selects the
-/// machine's available parallelism, and the result is clamped to the PCM
-/// bank count — the engine's slice granularity, beyond which extra threads
-/// would have nothing to own.
-#[must_use]
-pub fn effective_shards(requested: u32, config: &SystemConfig) -> u32 {
-    let banks = config.pcm.banks.max(1);
-    let requested = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get() as u32)
-    } else {
-        requested
-    };
-    requested.min(banks)
-}
-
 /// Resolves a requested sync quantum against a trace of `trace_len`
 /// accesses, clamping degenerate values: `0` falls back to
 /// [`DEFAULT_QUANTUM`], and anything beyond the trace length is capped at
-/// it (one barrier at the end — larger values cannot change the schedule).
+/// it (one merge at the end — larger values cannot change the schedule).
 /// Because the quantum is a model knob (it decides when cross-slice dedup
 /// publishes become visible), callers that clamp should tell the user —
 /// the CLI prints a note when the effective value differs from the request.
@@ -224,15 +204,15 @@ pub fn run_trace(
 /// plus an optional interleaved background scrubber, whose PCM traffic and
 /// repairs land in the report's `reliability` block.
 ///
-/// Replay always runs on the bank-sharded engine: the trace is split by
+/// Replay always runs on the bank-sliced engine: the trace is split by
 /// PCM bank into `config.pcm.banks` slices, each simulated by its own
-/// scheme instance over a one-bank slice of the system, on
-/// [`RunOptions::shards`] worker threads. The passed `scheme` acts as a
-/// **template**: it supplies the scheme kind and construction-time knobs
-/// (EFIT policy and decay interval, codec, wear leveling), every slice is
-/// forked from it, and it is not itself driven — inspect
-/// the returned [`RunReport`] (e.g. [`RunReport::fingerprint_cache`])
-/// rather than the scheme object after the run.
+/// scheme instance over a one-bank slice of the system, one after another
+/// on the calling thread. The passed `scheme` acts as a **template**: it
+/// supplies the scheme kind and construction-time knobs (EFIT policy and
+/// decay interval, codec, wear leveling), every slice is forked from it,
+/// and it is not itself driven — inspect the returned [`RunReport`] (e.g.
+/// [`RunReport::fingerprint_cache`]) rather than the scheme object after
+/// the run.
 ///
 /// # Errors
 ///
@@ -247,12 +227,10 @@ pub fn run_trace_with(
     config: &SystemConfig,
     options: &RunOptions,
 ) -> Result<RunReport, VerifyError> {
-    // Select the kernel backend before any worker threads spawn; dispatch
-    // is a process-global so all slices agree. Bit-exactness of the SIMD
-    // backends keeps the report byte-identical across this choice.
+    // Dispatch is a process-global; bit-exactness of the SIMD backends
+    // keeps the report byte-identical across this choice.
     esd_kernels::set_backend(options.kernels);
-    let threads = effective_shards(options.shards, config) as usize;
-    crate::shard::run_sharded(scheme, trace, config, options, threads)
+    crate::shard::run_sharded(scheme, trace, config, options)
 }
 
 /// Replays an already-generated trace through a fresh scheme of the given

@@ -454,8 +454,7 @@ struct Candidate {
 /// A complete write-path scheme over its own simulated NVMM: one concrete
 /// type for all eight [`SchemeKind`]s. The trace runner drives
 /// [`Scheme::write`] / [`Scheme::read`] in program order; `Scheme` is
-/// `Send`, so the sharded replay engine moves per-slice instances onto
-/// worker threads.
+/// `Send`, so the server's sessions can share one behind a lock.
 ///
 /// # Examples
 ///
@@ -1022,7 +1021,7 @@ impl Scheme {
         }
     }
 
-    /// The directory publishes queued since the last barrier.
+    /// The directory publishes queued since the last quantum end.
     pub(crate) fn queued_publishes(&mut self) -> Option<&mut Vec<(u64, RemoteEntry)>> {
         self.core.shard.as_mut().map(|ctx| &mut ctx.publishes)
     }

@@ -1,6 +1,6 @@
-//! Bank-parallel sharded replay: one trace, split by PCM bank into
-//! independent slices, simulated on worker threads and merged into a single
-//! [`RunReport`] that is **byte-identical at any thread count**.
+//! Bank-sliced replay: one trace, split by PCM bank into independent
+//! slices, simulated one after another on the calling thread and merged
+//! into a single [`RunReport`].
 //!
 //! # Model
 //!
@@ -15,26 +15,19 @@
 //! program time: each slice models "the core plus my bank", stalled only by
 //! its own memory traffic.
 //!
-//! # Determinism
+//! # The quantum and the directory
 //!
-//! Thread count is a *scheduling* knob, never a *model* knob:
-//!
-//! * the slice count is always `banks`, regardless of threads;
-//! * slices are data-independent within a quantum — cross-slice
-//!   deduplication goes through a [`Directory`] the engine owns and lends
-//!   out: shared and frozen to every slice for the length of a quantum,
-//!   exclusive to the merger at the barrier, so hot-path probes take no
-//!   lock;
-//! * at each barrier the designated merger (the worker owning slice 0)
-//!   folds the slices' publish queues into the directory **in slice
-//!   order**, first-writer-wins;
-//! * all statistics are merged by commutative/ordered reduction in slice
-//!   order at the end of the run.
-//!
-//! One worker therefore produces bit-for-bit the same [`RunReport`] as
-//! eight: the single-thread path runs the same per-quantum code inline.
-
-use std::sync::{Barrier, Mutex, RwLock};
+//! The trace advances in quanta of [`RunOptions::quantum`] accesses, and
+//! slices are data-independent within one: cross-slice deduplication goes
+//! through a [`Directory`] the engine owns, lends frozen to each slice in
+//! turn for the length of a quantum, and updates only at the quantum's end,
+//! when it folds the slices' publish queues in, **in slice order**,
+//! first-writer-wins. A slice therefore never sees what another advertised
+//! in the same quantum, not even a slice the loop visited before it: the
+//! report is a function of the slicing and the quantum, which are the
+//! model, and not of the order the host visits slices in. All statistics
+//! are merged by commutative/ordered reduction in slice order at the end of
+//! the run.
 
 use esd_collections::U64Map;
 use esd_obs::{EpochSnapshot, EventKind, Obs, TraceEvent};
@@ -45,7 +38,7 @@ use esd_sim::{
 use esd_trace::{AccessKind, Trace};
 
 use crate::journal::{CrashStage, RecoveryReport, RecoverySummary};
-use crate::machinery::{Directory, RemoteEntry, ShardCtx};
+use crate::machinery::{Directory, ShardCtx};
 use crate::predictor::PredictorStats;
 use crate::report::{ReliabilityReport, RunReport};
 use crate::runner::{RunOptions, VerifyError};
@@ -77,8 +70,7 @@ pub(crate) fn slice_config(config: &SystemConfig, slice: u32, nslices: u32) -> S
     cfg.pcm.banks = 1;
     cfg.pcm.capacity_bytes = share(config.pcm.capacity_bytes, LINE_BYTES as u64);
     // Decorrelate the per-slice fault injectors (golden-ratio mix) while
-    // keeping them a pure function of (seed, slice) — thread count can
-    // never influence which bits flip.
+    // keeping them a pure function of (seed, slice).
     cfg.pcm.rber_seed = config.pcm.rber_seed
         ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(slice) + 1);
     cfg.controller.fingerprint_cache_bytes =
@@ -117,7 +109,6 @@ struct BatchBuffers {
 
 /// Everything one replay slice owns for the duration of the run.
 struct SliceState {
-    index: usize,
     scheme: Scheme,
     cpu: CpuModel,
     scrubber: Option<Scrubber>,
@@ -366,12 +357,11 @@ fn process_quantum(
 /// volatile state and runs recovery from its slice-local current time,
 /// with the core stalled (as a read stall) until recovery finishes. Power
 /// loss is global, so every slice recovers concurrently — the merged
-/// report takes the max latency across slices. `torn_slice` names the
-/// slice whose in-flight metadata write was torn (the owner of the crash
-/// access, when that access is a write and the crash stage mutates durable
+/// report takes the max latency across slices. `torn` marks the slice
+/// whose in-flight metadata write was torn (the owner of the crash access,
+/// when that access is a write and the crash stage mutates durable
 /// metadata) — the crash stage reaches the scheme only through that.
-fn crash_slice(slice: &mut SliceState, torn_slice: Option<usize>) {
-    let torn = torn_slice == Some(slice.index);
+fn crash_slice(slice: &mut SliceState, torn: bool) {
     let now = slice.cpu.now();
     let counters = |scheme: &Scheme| {
         scheme
@@ -385,27 +375,6 @@ fn crash_slice(slice: &mut SliceState, torn_slice: Option<usize>) {
     slice.fp_erased.1 += before.1 - after.1;
     slice.cpu.stall_until(summary.finish);
     slice.recovery = Some(summary);
-}
-
-/// Moves a slice's queued directory publishes into its slot for the merger.
-fn drain_publishes(slice: &mut SliceState, slots: &[Mutex<Vec<(u64, RemoteEntry)>>]) {
-    let index = slice.index;
-    if let Some(publishes) = slice.scheme.queued_publishes() {
-        if !publishes.is_empty() {
-            slots[index]
-                .lock()
-                .expect("publish slot lock")
-                .append(publishes);
-        }
-    }
-}
-
-/// Folds every slot into the directory, in slice order (the deterministic
-/// first-writer-wins tiebreak).
-fn merge_publishes(slots: &[Mutex<Vec<(u64, RemoteEntry)>>], directory: &mut Directory) {
-    for slot in slots {
-        directory.merge(slot.lock().expect("publish slot lock").drain(..));
-    }
 }
 
 /// `num / den`, zero on an empty denominator.
@@ -581,17 +550,15 @@ fn merge_obs(
     merged
 }
 
-/// Runs the bank-sharded replay on `threads` workers (clamped to the slice
-/// count) and merges the slices into one deterministic [`RunReport`].
+/// Runs the bank-sliced replay and merges the slices into one
+/// deterministic [`RunReport`].
 pub(crate) fn run_sharded(
     template: &Scheme,
     trace: &Trace,
     config: &SystemConfig,
     options: &RunOptions,
-    threads: usize,
 ) -> Result<RunReport, VerifyError> {
     let nslices = config.pcm.banks.max(1) as usize;
-    let threads = threads.clamp(1, nslices);
     let epoch_n = options.epoch_interval.map(|n| n.max(1));
     let partition = partition_trace(trace, nslices, epoch_n);
     let num_epochs = partition.instr_at_boundary.len();
@@ -607,7 +574,6 @@ pub(crate) fn run_sharded(
                 *scheme.obs_mut() = Obs::enabled(options.trace_capacity);
             }
             SliceState {
-                index: s,
                 cpu: CpuModel::new(cfg.cpu, cfg.controller.write_buffer_depth),
                 scheme,
                 scrubber: options
@@ -644,7 +610,7 @@ pub(crate) fn run_sharded(
     // resumes *at* `g` — the in-flight access was never acknowledged, so
     // re-executing it is exactly what real hardware sees. The boundary is
     // a pure function of the crash point (quanta are capped at `g`), so
-    // thread count and batch size still cannot change the report.
+    // the batch size still cannot change the report.
     let crash: Option<(u32, CrashStage)> = options.crash_at.and_then(|point| {
         u32::try_from(point.access)
             .ok()
@@ -659,85 +625,30 @@ pub(crate) fn run_sharded(
         (matches!(access.kind, AccessKind::Write) && stage.tears_metadata())
             .then(|| slice_of(access.addr, nslices as u32) as usize)
     });
-    let slots: Vec<Mutex<Vec<(u64, RemoteEntry)>>> =
-        (0..nslices).map(|_| Mutex::new(Vec::new())).collect();
-
-    // The directory is mutated only between quanta, by one thread, so the
-    // slices probe it lock-free: a plain borrow here, and on the threaded
-    // path one uncontended read guard per worker per quantum (the barriers
-    // already order it against the merger's write guard).
-    if threads <= 1 {
-        let mut directory = Directory::default();
-        let mut start = 0u32;
-        while start < total {
-            let mut end = total.min(start.saturating_add(quantum));
-            if let Some((g, _)) = crash {
-                if start == g {
-                    for slice in slices.iter_mut() {
-                        crash_slice(slice, torn_slice);
-                    }
-                } else if start < g && g < end {
-                    end = g;
+    let mut directory = Directory::default();
+    let mut start = 0u32;
+    while start < total {
+        let mut end = total.min(start.saturating_add(quantum));
+        if let Some((g, _)) = crash {
+            if start == g {
+                for (s, slice) in slices.iter_mut().enumerate() {
+                    crash_slice(slice, torn_slice == Some(s));
                 }
+            } else if start < g && g < end {
+                end = g;
             }
-            for slice in slices.iter_mut() {
-                process_quantum(slice, &directory, trace, options, end, batch);
-                drain_publishes(slice, &slots);
-            }
-            merge_publishes(&slots, &mut directory);
-            start = end;
         }
-    } else {
-        let directory = RwLock::new(Directory::default());
-        let barrier = Barrier::new(threads);
-        let base = nslices / threads;
-        let extra = nslices % threads;
-        std::thread::scope(|scope| {
-            let mut rest: &mut [SliceState] = &mut slices;
-            for w in 0..threads {
-                let take = base + usize::from(w < extra);
-                let (chunk, tail) = rest.split_at_mut(take);
-                rest = tail;
-                let barrier = &barrier;
-                let slots = &slots;
-                let directory = &directory;
-                scope.spawn(move || {
-                    let mut start = 0u32;
-                    while start < total {
-                        // Every worker derives the same boundary (and the
-                        // same crash firing) from `start` alone, so the
-                        // barriers stay aligned.
-                        let mut end = total.min(start.saturating_add(quantum));
-                        if let Some((g, _)) = crash {
-                            if start == g {
-                                for slice in chunk.iter_mut() {
-                                    crash_slice(slice, torn_slice);
-                                }
-                            } else if start < g && g < end {
-                                end = g;
-                            }
-                        }
-                        {
-                            let frozen = directory.read().expect("directory lock");
-                            for slice in chunk.iter_mut() {
-                                process_quantum(slice, &frozen, trace, options, end, batch);
-                                drain_publishes(slice, slots);
-                            }
-                        }
-                        barrier.wait();
-                        // The worker owning slice 0 is the designated
-                        // merger: everyone else idles at the second
-                        // barrier, so the directory mutates race-free and
-                        // in slice order.
-                        if w == 0 {
-                            merge_publishes(slots, &mut directory.write().expect("directory lock"));
-                        }
-                        barrier.wait();
-                        start = end;
-                    }
-                });
+        for slice in slices.iter_mut() {
+            process_quantum(slice, &directory, trace, options, end, batch);
+        }
+        // Only now, with every slice through the quantum, do its publishes
+        // become visible — in slice order, the first-writer-wins tiebreak.
+        for slice in slices.iter_mut() {
+            if let Some(publishes) = slice.scheme.queued_publishes() {
+                directory.merge(publishes.drain(..));
             }
-        });
+        }
+        start = end;
     }
 
     // Flush the tail epoch marks every slice still owes (its last owned
@@ -874,26 +785,6 @@ mod tests {
     use esd_trace::{Access, CacheLine};
 
     #[test]
-    fn barrier_merge_resolves_a_same_quantum_race_in_slice_order() {
-        let advert = |owner: u32| {
-            let entry = RemoteEntry {
-                owner,
-                line: CacheLine::from_fill(9),
-            };
-            (7u64, entry)
-        };
-        let slots: Vec<Mutex<Vec<(u64, RemoteEntry)>>> =
-            (0..4).map(|_| Mutex::new(Vec::new())).collect();
-        // Slice 3's worker reached the barrier before slice 1's did.
-        slots[3].lock().unwrap().push(advert(3));
-        slots[1].lock().unwrap().push(advert(1));
-        let mut directory = Directory::default();
-        merge_publishes(&slots, &mut directory);
-        assert_eq!(directory.get(7).map(|e| e.owner), Some(1));
-        assert!(slots.iter().all(|slot| slot.lock().unwrap().is_empty()));
-    }
-
-    #[test]
     fn a_publish_becomes_visible_at_the_next_quantum_not_before() {
         // Three writes of one content to lines in three different slices.
         let line = CacheLine::from_fill(0x5D);
@@ -902,26 +793,22 @@ mod tests {
             trace.accesses.push(Access::write(slice * 64, line, 10));
         }
         let config = SystemConfig::default();
-        let deduplicated = |quantum: u32, shards: u32| {
+        let deduplicated = |quantum: u32| {
             let options = RunOptions {
                 quantum,
-                shards,
                 ..RunOptions::default()
             };
             let template = Scheme::new(SchemeKind::Esd, &config);
-            let report = run_sharded(&template, &trace, &config, &options, shards as usize)
-                .expect("verified run");
+            let report = run_sharded(&template, &trace, &config, &options).expect("verified run");
             assert_eq!(report.stats.writes_received, 3);
             report.stats.writes_deduplicated
         };
-        for shards in [1, 4] {
-            // One quantum: nobody sees anybody's advertisement.
-            assert_eq!(deduplicated(3, shards), 0, "shards={shards}");
-            // The first two share a quantum and both write; the third runs
-            // after the barrier that published them.
-            assert_eq!(deduplicated(2, shards), 1, "shards={shards}");
-            // A barrier after every access: only the first is unique.
-            assert_eq!(deduplicated(1, shards), 2, "shards={shards}");
-        }
+        // One quantum: nobody sees anybody's advertisement.
+        assert_eq!(deduplicated(3), 0);
+        // The first two share a quantum and both write; the third runs
+        // after the merge that published them.
+        assert_eq!(deduplicated(2), 1);
+        // A merge after every access: only the first is unique.
+        assert_eq!(deduplicated(1), 2);
     }
 }

@@ -146,7 +146,7 @@ fn decode(raw: u8) -> KernelBackend {
 /// behind every `ESD_*` knob. Unset yields `None` silently. A set but
 /// malformed value also yields `None`, after one stderr line
 /// `warning: ignoring NAME="raw" (<parse error>); <fallback>`, so a typo
-/// like `ESD_SHARDS=4x` neither aborts the run nor passes unnoticed;
+/// like `ESD_BATCH=4x` neither aborts the run nor passes unnoticed;
 /// `fallback` says what the caller does instead (formatted only if the
 /// warning is printed).
 pub fn env_parse<T>(name: &str, fallback: impl std::fmt::Display) -> Option<T>
@@ -182,7 +182,7 @@ pub fn backend_from_env() -> KernelBackend {
 }
 
 /// Selects the process-wide backend, overriding `ESD_KERNEL` and any
-/// previous selection. Called by the run path before workers spawn;
+/// previous selection. Called by the run path before a replay starts;
 /// benchmarks and tests use it to force a backend mid-process.
 pub fn set_backend(backend: KernelBackend) {
     BACKEND.store(encode(backend), Ordering::Relaxed);

@@ -19,10 +19,10 @@ esd-serve — multi-tenant deduplication service
 
 USAGE:
     esd-serve [--scheme NAME] [--tenants N] [--qps N] [--requests N]
-              [--queue-depth N] [--batch N] [--workers N] [--seed N]
-              [--profile NAME] [--json]
+              [--queue-depth N] [--batch N] [--seed N] [--profile NAME]
+              [--json]
     esd-serve --tcp ADDR [--connections N] [--scheme NAME] [--tenants N]
-              [--queue-depth N] [--batch N] [--workers N] [--json]
+              [--queue-depth N] [--batch N] [--json]
 
 Load-generator mode (default) replays tenants × qps open-loop request
 streams through one shared scheme instance and prints per-tenant stats:
@@ -47,7 +47,6 @@ OPTIONS:
     --requests N       requests per tenant (default 2000)
     --queue-depth N    per-tenant admission bound (default 64)
     --batch N          fingerprint staging batch (default 16)
-    --workers N        fingerprint precompute threads (default 1)
     --seed N           base trace seed; tenant t uses seed+t (default 42)
     --profile NAME     trace profile (default demo; see `esd-cli apps`)
     --json             also print the metrics-registry JSON export, after
@@ -119,7 +118,6 @@ fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
         tenants: flags.get_parsed_or("tenants", 4u32)?,
         queue_depth: flags.get_parsed_or("queue-depth", 64usize)?,
         batch: flags.get_parsed_or("batch", 16usize)?,
-        workers: flags.get_parsed_or("workers", 1usize)?,
         ..ServiceConfig::default()
     };
     if config.tenants == 0 {
@@ -134,7 +132,6 @@ fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
         return Err("--queue-depth must be at least 1".to_string());
     }
     config.batch = config.batch.max(1);
-    config.workers = config.workers.max(1);
     Ok(config)
 }
 
@@ -147,7 +144,6 @@ fn run(flags: &Flags) -> Result<(), String> {
             "tenants",
             "queue-depth",
             "batch",
-            "workers",
         ])?;
         let config = service_config(flags)?;
         let connections = flags.get_parsed_or("connections", 1usize)?;
@@ -159,6 +155,7 @@ fn run(flags: &Flags) -> Result<(), String> {
         println!("esd-serve listening on {bound} ({} tenants)", config.tenants);
         let service = Mutex::new(Service::new(&config));
         serve_tcp(&listener, &service, connections).map_err(|e| format!("serving: {e}"))?;
+        // `serve_tcp` joined every session and would have passed a panic on.
         let svc = service.lock().expect("service lock");
         for tenant in 0..svc.tenant_count() {
             println!("{}", svc.stats_line(tenant));
@@ -176,7 +173,6 @@ fn run(flags: &Flags) -> Result<(), String> {
         "requests",
         "queue-depth",
         "batch",
-        "workers",
         "seed",
         "profile",
     ])?;

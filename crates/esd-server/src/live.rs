@@ -55,6 +55,7 @@ pub fn serve_tcp(
     service: &Mutex<Service>,
     connections: usize,
 ) -> io::Result<()> {
+    // No session exists yet: only the caller's own panic could have poisoned it.
     let tenants = service.lock().expect(LOCK_POISONED).tenant_count();
     std::thread::scope(|scope| {
         for _ in 0..connections {
@@ -171,6 +172,7 @@ fn handle_tcp_session(
         let more = inbound.read_batch();
         if !inbound.batch.is_empty() {
             out.clear();
+            // `Gate::check` passed the whole batch: nothing under the lock panics on client input.
             let mut svc = service.lock().expect(LOCK_POISONED);
             for &env in &inbound.batch {
                 let env = Envelope {

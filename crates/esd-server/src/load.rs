@@ -3,7 +3,7 @@
 //! rate, merged into one event list for [`Service::run_events`].
 
 use esd_sim::Ps;
-use esd_trace::{generate_trace, AccessKind, AppProfile};
+use esd_trace::{generate_trace, AppProfile};
 
 use crate::proto::{Envelope, Request, Response};
 use crate::service::{Service, ServiceSummary};
@@ -59,12 +59,13 @@ impl LoadSpec {
                 self.requests_per_tenant as usize,
             );
             for (i, access) in trace.accesses.iter().enumerate() {
-                let request = match access.kind {
-                    AccessKind::Write => Request::Write {
+                // An access is a write exactly when it carries a line.
+                let request = match access.data {
+                    Some(line) => Request::Write {
                         local: access.addr,
-                        line: access.data.expect("generated writes carry data"),
+                        line,
                     },
-                    AccessKind::Read => Request::Read { local: access.addr },
+                    None => Request::Read { local: access.addr },
                 };
                 events.push(Envelope {
                     tenant,

@@ -127,28 +127,24 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn take<'a>(buf: &mut &'a [u8], n: usize, what: &'static str) -> Result<&'a [u8], DecodeError> {
-    if buf.len() < n {
-        return Err(DecodeError { reason: what });
-    }
-    let (head, rest) = buf.split_at(n);
+fn take<const N: usize>(buf: &mut &[u8], what: &'static str) -> Result<[u8; N], DecodeError> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or(DecodeError { reason: what })?;
     *buf = rest;
-    Ok(head)
+    Ok(*head)
 }
 
 fn take_u32(buf: &mut &[u8], what: &'static str) -> Result<u32, DecodeError> {
-    let b = take(buf, 4, what)?;
-    Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+    take(buf, what).map(u32::from_le_bytes)
 }
 
 fn take_u64(buf: &mut &[u8], what: &'static str) -> Result<u64, DecodeError> {
-    let b = take(buf, 8, what)?;
-    Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+    take(buf, what).map(u64::from_le_bytes)
 }
 
 fn take_line(buf: &mut &[u8]) -> Result<CacheLine, DecodeError> {
-    let b = take(buf, 64, "truncated line payload")?;
-    Ok(CacheLine::new(b.try_into().expect("64 bytes")))
+    take(buf, "truncated line payload").map(CacheLine::new)
 }
 
 /// Encodes a request envelope as one frame payload (no length prefix).
@@ -180,7 +176,7 @@ pub fn encode_request(env: &Envelope) -> Vec<u8> {
 ///
 /// Returns [`DecodeError`] on an unknown tag, truncation, or trailing bytes.
 pub fn decode_request(mut payload: &[u8]) -> Result<Envelope, DecodeError> {
-    let tag = take(&mut payload, 1, "empty frame")?[0];
+    let tag = take::<1>(&mut payload, "empty frame")?[0];
     let tenant = take_u32(&mut payload, "truncated tenant id")?;
     let seq = take_u64(&mut payload, "truncated sequence number")?;
     let local = take_u64(&mut payload, "truncated address")?;
@@ -239,11 +235,11 @@ fn put_response(out: &mut Vec<u8>, resp: &Response) {
 ///
 /// Returns [`DecodeError`] on an unknown tag, truncation, or trailing bytes.
 pub fn decode_response(mut payload: &[u8]) -> Result<Response, DecodeError> {
-    let tag = take(&mut payload, 1, "empty frame")?[0];
+    let tag = take::<1>(&mut payload, "empty frame")?[0];
     let seq = take_u64(&mut payload, "truncated sequence number")?;
     let resp = match tag {
         0x81 => {
-            let dedup = take(&mut payload, 1, "truncated dedup flag")?[0];
+            let dedup = take::<1>(&mut payload, "truncated dedup flag")?[0];
             let latency = Ps(take_u64(&mut payload, "truncated latency")?);
             Response::Written {
                 seq,
@@ -277,6 +273,7 @@ fn append_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len();
     out.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
     payload(out);
+    // A length past `u32` is past `MAX_FRAME_BYTES` too: the panic `write_frame` documents.
     let len = u32::try_from(out.len() - start - FRAME_HEADER_BYTES).expect("frames are tiny");
     assert!(len <= MAX_FRAME_BYTES, "oversized frame");
     out[start..start + FRAME_HEADER_BYTES].copy_from_slice(&len.to_le_bytes());

@@ -6,11 +6,10 @@
 //!
 //! Requests are applied in global `(arrival, seq, tenant)` order. The
 //! batch size only controls how many due requests are *staged* together
-//! for fingerprint precomputation, and the worker count only splits that
-//! pure precomputation across threads — neither changes the apply order,
-//! the simulated clock evolution, or any admission decision, so per-tenant
+//! for fingerprint precomputation — it changes neither the apply order,
+//! the simulated clock evolution, nor any admission decision, so per-tenant
 //! stats and the final shared-store state are byte-identical across batch
-//! sizes and worker counts (see `crates/esd-server/tests/cross_tenant.rs`).
+//! sizes (see `crates/esd-server/tests/cross_tenant.rs`).
 //!
 //! # Fairness
 //!
@@ -50,8 +49,7 @@ pub struct ServiceConfig {
     /// How many due requests are staged together for fingerprint
     /// precomputation before being applied (apply order is unaffected).
     pub batch: usize,
-    /// Worker threads splitting the staged fingerprint precomputation;
-    /// `1` computes inline.
+    /// Ignored; kept only until `benchmark/` stops naming it.
     pub workers: usize,
     /// Master key from which every tenant's CME key is derived.
     pub master_key: [u8; 16],
@@ -78,6 +76,7 @@ impl Default for ServiceConfig {
 /// for every [`Service`] constructed in the same process.
 fn intern(name: String) -> &'static str {
     static TABLE: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
+    // Nothing below can panic with the lock held (a failed allocation aborts).
     let mut table = TABLE
         .get_or_init(|| Mutex::new(HashMap::new()))
         .lock()
@@ -247,7 +246,6 @@ pub struct Service {
     clock: Ps,
     queue_depth: usize,
     batch: usize,
-    workers: usize,
     applied: u64,
     /// Sum of pure service latencies, for the retry-hint estimate.
     service_total: Ps,
@@ -275,7 +273,6 @@ impl std::fmt::Debug for Service {
             .field("clock", &self.clock)
             .field("queue_depth", &self.queue_depth)
             .field("batch", &self.batch)
-            .field("workers", &self.workers)
             .field("applied", &self.applied)
             .finish_non_exhaustive()
     }
@@ -314,7 +311,6 @@ impl Service {
             clock: Ps::ZERO,
             queue_depth: config.queue_depth,
             batch: config.batch.max(1),
-            workers: config.workers.max(1),
             applied: 0,
             service_total: Ps::ZERO,
         }
@@ -415,6 +411,7 @@ impl Service {
             };
             let Reverse((_, _, tenant)) = *top;
             let queue = &mut self.tenants[tenant as usize].queue;
+            // `heads` keys exactly the non-empty queues: `admit` adds, the match below removes.
             stage.push(queue.pop_front().expect("a queue with a head is not empty"));
             match queue.front() {
                 Some(next) => *top = Reverse((next.arrival, next.seq, tenant)),
@@ -427,9 +424,9 @@ impl Service {
     }
 
     /// Precomputes write fingerprints for the staged block through the
-    /// multi-lane kernels, split across the worker threads. Pure
-    /// precomputation: bit-exact with what the scheme would compute, and
-    /// charged by the scheme exactly as if computed inline.
+    /// multi-lane kernels. Pure precomputation: bit-exact with what the
+    /// scheme would compute, and charged by the scheme exactly as if
+    /// computed inline.
     fn precompute_keys(&mut self) {
         let Staging {
             stage,
@@ -456,22 +453,7 @@ impl Service {
             return;
         }
         computed.clear();
-        if self.workers > 1 {
-            computed.resize(lines.len(), 0);
-            let chunk = lines.len().div_ceil(self.workers);
-            std::thread::scope(|scope| {
-                for (line_chunk, key_chunk) in lines.chunks(chunk).zip(computed.chunks_mut(chunk))
-                {
-                    scope.spawn(move || {
-                        let mut out = Vec::with_capacity(line_chunk.len());
-                        spec.compute_keys(line_chunk, &mut out);
-                        key_chunk.copy_from_slice(&out);
-                    });
-                }
-            });
-        } else {
-            spec.compute_keys(lines, computed);
-        }
+        spec.compute_keys(lines, computed);
         for (&slot, &key) in slots.iter().zip(computed.iter()) {
             keys[slot] = Some(key);
         }

@@ -28,21 +28,31 @@ impl Drop for Reaped {
 }
 
 #[test]
-fn a_tenant_count_beyond_the_namespace_field_is_a_usage_error() {
-    for mode in [&[][..], &["--tcp", "127.0.0.1:0"][..]] {
-        let out = esd_serve()
-            .args(mode)
-            .args(["--tenants", "70000"])
-            .output()
-            .expect("esd-serve runs");
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        assert!(!out.status.success(), "{mode:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{mode:?}: nothing was served");
-        assert!(
-            stderr.starts_with("esd-serve: --tenants must be at most 65535"),
-            "{mode:?}: {stderr}"
-        );
-        assert!(!stderr.contains("panicked"), "{mode:?}: {stderr}");
+fn a_flag_it_cannot_serve_is_a_usage_error() {
+    let cases = [
+        (
+            ["--tenants", "70000"],
+            "esd-serve: --tenants must be at most 65535",
+        ),
+        // Retired with the threads behind it; not to come back as a no-op.
+        (["--workers", "2"], "esd-serve: unknown flag --workers"),
+    ];
+    for (flag, complaint) in cases {
+        for mode in [&[][..], &["--tcp", "127.0.0.1:0"][..]] {
+            let out = esd_serve()
+                .args(mode)
+                .args(flag)
+                .output()
+                .expect("esd-serve runs");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert!(!out.status.success(), "{flag:?} {mode:?}: {stderr}");
+            assert!(
+                out.stdout.is_empty(),
+                "{flag:?} {mode:?}: nothing was served"
+            );
+            assert!(stderr.starts_with(complaint), "{flag:?} {mode:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{flag:?} {mode:?}: {stderr}");
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 //! plaintext deduplicates in the shared store while per-tenant keystreams
 //! never coincide (no key leakage), and the outcome — per-tenant stats,
 //! responses, and the final shared-store state — is byte-identical across
-//! server worker counts and fingerprint batch sizes.
+//! fingerprint batch sizes.
 
 use esd_crypto::{derive_tenant_key, CmeEngine};
 use esd_server::{run_load, Envelope, LoadSpec, Request, Response, Service, ServiceConfig};
@@ -91,12 +91,11 @@ fn contended_spec(tenants: u32) -> LoadSpec {
     }
 }
 
-fn run_with(batch: usize, workers: usize) -> (esd_server::ServiceSummary, Vec<(u32, Response)>) {
+fn run_with(batch: usize) -> (esd_server::ServiceSummary, Vec<(u32, Response)>) {
     let config = ServiceConfig {
         tenants: 4,
         queue_depth: 8,
         batch,
-        workers,
         ..ServiceConfig::default()
     };
     let mut service = Service::new(&config);
@@ -109,22 +108,22 @@ fn run_with(batch: usize, workers: usize) -> (esd_server::ServiceSummary, Vec<(u
 }
 
 #[test]
-fn outcome_is_byte_identical_across_worker_counts_and_batch_sizes() {
-    let (reference_summary, reference_responses) = run_with(1, 1);
+fn outcome_is_byte_identical_across_batch_sizes() {
+    let (reference_summary, reference_responses) = run_with(1);
     let rejected: u64 = reference_summary.tenants.iter().map(|t| t.rejected).sum();
     assert!(
         rejected > 0,
         "the contended load must actually exercise rejection"
     );
-    for (batch, workers) in [(4, 1), (16, 2), (64, 4), (16, 8)] {
-        let (summary, responses) = run_with(batch, workers);
+    for batch in [4, 16, 64] {
+        let (summary, responses) = run_with(batch);
         assert_eq!(
             summary, reference_summary,
-            "summary diverged at batch={batch} workers={workers}"
+            "summary diverged at batch={batch}"
         );
         assert_eq!(
             responses, reference_responses,
-            "responses diverged at batch={batch} workers={workers}"
+            "responses diverged at batch={batch}"
         );
     }
 }

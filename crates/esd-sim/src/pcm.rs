@@ -227,8 +227,7 @@ impl PcmDevice {
     /// verify read). The requester pays the uncontended array-plus-bus
     /// latency, the energy, and the busy time in its own counters, but no
     /// local bank or bus horizon moves — the remote bank's contention is
-    /// not modeled here, which keeps shard state disjoint and results
-    /// independent of thread interleaving.
+    /// not modeled here, which keeps shard state disjoint.
     pub fn charge_remote_read(&mut self, now: Ps, class: AccessClass) -> Completion {
         let finish = now + self.config.read_latency + self.config.bus_transfer;
         self.stats.busy_time += finish - now;

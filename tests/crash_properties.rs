@@ -3,8 +3,8 @@
 //! scheme may lose an acknowledged write or leak a reference count.
 //!
 //! 25 proptest cases × 8 schemes = 200 randomized crash/recover/verify
-//! runs per execution, spread across the scalar, sharded (shards=4) and
-//! batched (batch=64) engine configurations.
+//! runs per execution, spread across the scalar and the batched (batch=64)
+//! engine.
 
 use esd::core::{replay_with, CrashPoint, CrashStage, RunOptions, SchemeKind};
 use esd::sim::SystemConfig;
@@ -50,11 +50,9 @@ proptest! {
         crash_frac in 0.0f64..1.0,
         stage_ix in 0usize..CrashStage::ALL.len(),
         journal in prop_oneof![Just(None), (1u64..128).prop_map(Some)],
-        engine_ix in 0usize..4,
+        batch in prop_oneof![Just(1u32), Just(64u32)],
     ) {
         let config = SystemConfig::default();
-        // Engine shapes straddle the scalar, sharded and batched paths.
-        let (shards, batch) = [(1, 1), (4, 64), (1, 64), (4, 1)][engine_ix];
         let access = ((trace.len() - 1) as f64 * crash_frac) as u64;
         let point = CrashPoint {
             access,
@@ -67,7 +65,7 @@ proptest! {
             observe: false,
             trace_capacity: 0,
             epoch_interval: None,
-            shards,
+            shards: 1,
             batch,
             quantum: 64,
             crash_at: Some(point),

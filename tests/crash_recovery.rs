@@ -122,7 +122,7 @@ fn efit_decay_interval_survives_crash() {
     assert!(!miss.deduplicated && hit.deduplicated);
 }
 
-fn crash_options(shards: u32, batch: u32, crash_at: CrashPoint, journal: Option<u64>) -> RunOptions {
+fn crash_options(batch: u32, crash_at: CrashPoint, journal: Option<u64>) -> RunOptions {
     RunOptions {
         verify: true,
         scrub_interval: None,
@@ -130,7 +130,7 @@ fn crash_options(shards: u32, batch: u32, crash_at: CrashPoint, journal: Option<
         observe: false,
         trace_capacity: 0,
         epoch_interval: None,
-        shards,
+        shards: 1,
         batch,
         quantum: 512,
         crash_at: Some(crash_at),
@@ -152,7 +152,7 @@ fn injected_crash_fires_at_every_stage() {
                 access: 2_000,
                 stage,
             };
-            let options = crash_options(1, 1, point, journal);
+            let options = crash_options(1, point, journal);
             let report = replay_with(SchemeKind::Esd, &trace, &config, &options)
                 .unwrap_or_else(|e| panic!("{stage}: {e}"));
             let recovery = report.recovery.expect("crash fired");
@@ -185,7 +185,7 @@ fn journal_bounds_recovery_reads() {
         SchemeKind::Esd,
         &trace,
         &config,
-        &crash_options(1, 1, point, None),
+        &crash_options(1, point, None),
     )
     .expect("verified")
     .recovery
@@ -194,7 +194,7 @@ fn journal_bounds_recovery_reads() {
         SchemeKind::Esd,
         &trace,
         &config,
-        &crash_options(1, 1, point, Some(32)),
+        &crash_options(1, point, Some(32)),
     )
     .expect("verified")
     .recovery
@@ -216,10 +216,10 @@ fn journal_bounds_recovery_reads() {
 }
 
 #[test]
-fn crash_recovery_is_identical_across_shards_and_batch() {
-    // Satellite: the crash boundary is a pure function of the crash point,
-    // so the post-recovery RunReport must stay byte-identical across the
-    // sharded (shards 1 vs 4) and batched (batch 1 vs 64) engine configs.
+fn crash_recovery_is_identical_across_batch_sizes() {
+    // The crash boundary is a pure function of the crash point, so the
+    // post-recovery RunReport must stay byte-identical between the scalar
+    // (batch 1) and the batched (batch 64) engine.
     let config = SystemConfig::default();
     let mut app = AppProfile::demo();
     app.working_set_lines = 2_048;
@@ -230,17 +230,16 @@ fn crash_recovery_is_identical_across_shards_and_batch() {
     };
     for kind in SchemeKind::EXTENDED {
         let mut reference: Option<RunReport> = None;
-        for (shards, batch) in [(1, 1), (1, 64), (4, 1), (4, 64)] {
-            let options = crash_options(shards, batch, point, Some(128));
+        for batch in [1, 64] {
+            let options = crash_options(batch, point, Some(128));
             let report = replay_with(kind, &trace, &config, &options)
-                .unwrap_or_else(|e| panic!("{kind} shards={shards} batch={batch}: {e}"));
+                .unwrap_or_else(|e| panic!("{kind} batch={batch}: {e}"));
             assert!(report.recovery.is_some(), "{kind}: crash must fire");
             match &reference {
                 None => reference = Some(report),
-                Some(reference) => assert_eq!(
-                    reference, &report,
-                    "{kind} diverged at shards={shards} batch={batch}"
-                ),
+                Some(reference) => {
+                    assert_eq!(reference, &report, "{kind} diverged at batch={batch}")
+                }
             }
         }
     }

@@ -27,7 +27,7 @@ fn stress_config() -> SystemConfig {
     config
 }
 
-fn run(kind: SchemeKind, shards: u32, batch: u32, kernels: KernelBackend) -> RunReport {
+fn run(kind: SchemeKind, batch: u32, kernels: KernelBackend) -> RunReport {
     let config = stress_config();
     let mut app = AppProfile::demo();
     app.working_set_lines = 2_048;
@@ -37,7 +37,6 @@ fn run(kind: SchemeKind, shards: u32, batch: u32, kernels: KernelBackend) -> Run
         scrub_interval: Some(1_500),
         scrub_lines_per_tick: 64,
         epoch_interval: Some(2_048),
-        shards,
         batch,
         kernels,
         ..RunOptions::default()
@@ -49,16 +48,13 @@ fn run(kind: SchemeKind, shards: u32, batch: u32, kernels: KernelBackend) -> Run
 fn report_is_byte_identical_between_scalar_and_simd_backends() {
     let _guard = BACKEND.lock().unwrap();
     for kind in SchemeKind::EXTENDED {
-        for shards in [1, 4] {
-            for batch in [1, 64] {
-                let scalar = run(kind, shards, batch, KernelBackend::Scalar);
-                let simd = run(kind, shards, batch, KernelBackend::Simd);
-                assert_eq!(
-                    scalar, simd,
-                    "{kind} diverged between scalar and simd kernels at \
-                     shards={shards} batch={batch}"
-                );
-            }
+        for batch in [1, 64] {
+            let scalar = run(kind, batch, KernelBackend::Scalar);
+            let simd = run(kind, batch, KernelBackend::Simd);
+            assert_eq!(
+                scalar, simd,
+                "{kind} diverged between scalar and simd kernels at batch={batch}"
+            );
         }
     }
     kernels::set_backend(KernelBackend::Auto);

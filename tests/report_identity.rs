@@ -2,7 +2,7 @@
 //! the scheme layer is checked against what the code produced before it,
 //! not only against itself.
 //!
-//! One fixed trace; all eight kinds at shards {1, 4} x batch {1, 64}, plus
+//! One fixed trace; all eight kinds at batch {1, 64}, plus
 //! one journaled crash-and-recover run and one fault-injected, scrubbed run
 //! per kind. Every `RunOptions` field is spelled out, so no `ESD_*`
 //! variable can move a result. The pinned value is an FNV-1a of the
@@ -47,7 +47,7 @@ fn trace() -> Trace {
     generate_trace(&AppProfile::demo(), 14, 6_000)
 }
 
-fn options(shards: u32, batch: u32) -> RunOptions {
+fn options(batch: u32) -> RunOptions {
     RunOptions {
         verify: true,
         scrub_interval: None,
@@ -55,9 +55,9 @@ fn options(shards: u32, batch: u32) -> RunOptions {
         observe: false,
         trace_capacity: 0,
         epoch_interval: Some(1_000),
-        shards,
+        shards: 1,
         batch,
-        // Eleven barriers, so cross-slice publishes become visible mid-run.
+        // Eleven merges, so cross-slice publishes become visible mid-run.
         quantum: 512,
         crash_at: None,
         journal_every: None,
@@ -72,14 +72,12 @@ fn digest(kind: SchemeKind, trace: &Trace, config: &SystemConfig, options: &RunO
 }
 
 #[test]
-fn plain_reports_match_recorded_digests_at_every_shard_and_batch_setting() {
+fn plain_reports_match_recorded_digests_at_every_batch_setting() {
     let (trace, config) = (trace(), config());
     for (kind, expected, _, _) in EXPECTED {
-        for shards in [1, 4] {
-            for batch in [1, 64] {
-                let got = digest(kind, &trace, &config, &options(shards, batch));
-                assert_eq!(got, expected, "{kind} at shards={shards} batch={batch}");
-            }
+        for batch in [1, 64] {
+            let got = digest(kind, &trace, &config, &options(batch));
+            assert_eq!(got, expected, "{kind} at batch={batch}");
         }
     }
 }
@@ -97,10 +95,10 @@ fn crash_recovery_reports_match_recorded_digests() {
             stage: CrashStage::MappingUpdate,
         }),
         journal_every: Some(64),
-        // Not with a crash: `Efit::reset` zeroes the hit counters the epoch
-        // deltas are taken from, and the subtraction underflows.
+        // The crash constants were recorded without an epoch series;
+        // `tests/sharded_replay.rs` pins a crash run with one.
         epoch_interval: None,
-        ..options(4, 64)
+        ..options(64)
     };
     for (kind, _, expected, _) in EXPECTED {
         assert_eq!(digest(kind, &trace, &config, &options), expected, "{kind}");
@@ -117,7 +115,7 @@ fn fault_injected_scrubbed_reports_match_recorded_digests() {
     config.pcm.rber_seed = 0xE5D;
     let options = RunOptions {
         scrub_interval: Some(500),
-        ..options(4, 64)
+        ..options(64)
     };
     for (kind, _, _, expected) in EXPECTED {
         assert_eq!(digest(kind, &trace, &config, &options), expected, "{kind}");

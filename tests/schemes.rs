@@ -485,24 +485,21 @@ fn verify_shadow_reports_the_first_read_that_returns_aliased_content() {
         ],
     };
     let config = SystemConfig::default();
-    for shards in [1, 4] {
-        for batch in [1, 64] {
-            let options = RunOptions {
-                shards,
-                batch,
-                quantum: 4,
-                ..RunOptions::default()
-            };
-            let error = replay_with(SchemeKind::EsdNoVerify, &trace, &config, &options)
-                .expect_err("the aliased read must be caught");
-            assert_eq!(
-                (error.scheme, error.addr, error.access_index),
-                (SchemeKind::EsdNoVerify, 0x200, 5),
-                "shards={shards} batch={batch}"
-            );
-            // The verifying scheme reads the candidate back and stays safe.
-            replay_with(SchemeKind::Esd, &trace, &config, &options).expect("verified run");
-        }
+    for batch in [1, 64] {
+        let options = RunOptions {
+            batch,
+            quantum: 4,
+            ..RunOptions::default()
+        };
+        let error = replay_with(SchemeKind::EsdNoVerify, &trace, &config, &options)
+            .expect_err("the aliased read must be caught");
+        assert_eq!(
+            (error.scheme, error.addr, error.access_index),
+            (SchemeKind::EsdNoVerify, 0x200, 5),
+            "batch={batch}"
+        );
+        // The verifying scheme reads the candidate back and stays safe.
+        replay_with(SchemeKind::Esd, &trace, &config, &options).expect("verified run");
     }
 }
 

@@ -1,10 +1,10 @@
-//! The sharded replay engine's central promise: the [`RunReport`] is
-//! byte-identical at every worker-thread count, because the simulation is
-//! always sliced at bank granularity and merged deterministically.
+//! The bank-sliced replay engine's promises: the [`RunReport`] is
+//! byte-identical at every batch size, EFIT decay and a mid-run crash are
+//! pinned to recorded digests, and epoch occupancies add up across banks.
 //!
 //! The matrix deliberately turns everything on — verification, nonzero
 //! RBER fault injection, background scrubbing, epoch collection and the
-//! observability collector — so any scheduling-dependent divergence in any
+//! observability collector — so a batch-dependent divergence in any
 //! subsystem fails the equality check.
 
 use esd::core::{
@@ -22,7 +22,7 @@ fn stress_config() -> SystemConfig {
     config
 }
 
-fn stress_options(shards: u32, batch: u32) -> RunOptions {
+fn stress_options(batch: u32) -> RunOptions {
     RunOptions {
         verify: true,
         scrub_interval: Some(1_500),
@@ -30,7 +30,7 @@ fn stress_options(shards: u32, batch: u32) -> RunOptions {
         observe: true,
         trace_capacity: 4_096,
         epoch_interval: Some(2_048),
-        shards,
+        shards: 1,
         batch,
         quantum: 4_096,
         crash_at: None,
@@ -39,48 +39,29 @@ fn stress_options(shards: u32, batch: u32) -> RunOptions {
     }
 }
 
-fn run(kind: SchemeKind, shards: u32, batch: u32) -> RunReport {
+fn run(kind: SchemeKind, batch: u32) -> RunReport {
     let config = stress_config();
     let mut app = AppProfile::demo();
     app.working_set_lines = 4_096;
     let trace = generate_trace(&app, 29, 16_000);
-    replay_with(kind, &trace, &config, &stress_options(shards, batch)).expect("verified run")
-}
-
-#[test]
-fn report_is_identical_at_every_thread_count_for_every_scheme() {
-    // Shard counts straddle the interesting boundaries: serial, even
-    // splits, and a count (7) that does not divide the 8 banks evenly.
-    for kind in SchemeKind::EXTENDED {
-        let serial = run(kind, 1, 1);
-        for shards in [2, 4, 7] {
-            let parallel = run(kind, shards, 1);
-            assert_eq!(
-                serial, parallel,
-                "{kind} diverged between 1 and {shards} worker threads"
-            );
-        }
-    }
+    replay_with(kind, &trace, &config, &stress_options(batch)).expect("verified run")
 }
 
 #[test]
 fn report_is_identical_at_every_batch_size_for_every_scheme() {
     // The batched pipeline's contract: batch size is a pure host-speed
     // knob. Stage-pipelining the fingerprint kernels and probe prefetch
-    // must leave the report byte-identical at every (batch, shards)
-    // combination — including lane tails (batch 2) and the full block
-    // (batch 64) — under the same everything-on stress matrix.
+    // must leave the report byte-identical at every batch size —
+    // including lane tails (batch 2) and the full block (batch 64) — under
+    // the everything-on stress matrix.
     for kind in SchemeKind::EXTENDED {
-        let scalar = run(kind, 1, 1);
-        for shards in [1, 4] {
-            for batch in [2, 64] {
-                let batched = run(kind, shards, batch);
-                assert_eq!(
-                    scalar, batched,
-                    "{kind} diverged between scalar and batch={batch} at \
-                     {shards} worker threads"
-                );
-            }
+        let scalar = run(kind, 1);
+        for batch in [2, 64] {
+            assert_eq!(
+                scalar,
+                run(kind, batch),
+                "{kind} diverged between scalar and batch={batch}"
+            );
         }
     }
 }
@@ -110,7 +91,7 @@ const PINNED_CRASH_EPOCHS_DIGEST: u64 = 7_482_864_228_856_138_200;
 
 /// ESD on mostly-unique content with a 292-entry EFIT per slice (the
 /// 4 KB floor of `slice_config`) that decays every `decay` operations.
-fn decay_run(decay: u64, shards: u32, batch: u32, crash_at: Option<CrashPoint>) -> RunReport {
+fn decay_run(decay: u64, batch: u32, crash_at: Option<CrashPoint>) -> RunReport {
     let mut config = SystemConfig::default();
     config.controller.fingerprint_cache_bytes = 32 << 10;
     let mut template = Scheme::new(SchemeKind::Esd, &config);
@@ -123,7 +104,7 @@ fn decay_run(decay: u64, shards: u32, batch: u32, crash_at: Option<CrashPoint>) 
     let options = RunOptions {
         crash_at,
         journal_every: crash_at.map(|_| 128),
-        ..stress_options(shards, batch)
+        ..stress_options(batch)
     };
     run_trace_with(&template, &trace, &config, &options).expect("verified run")
 }
@@ -132,7 +113,7 @@ fn decay_run(decay: u64, shards: u32, batch: u32, crash_at: Option<CrashPoint>) 
 fn efit_decay_is_deterministic_and_pinned() {
     // The default decay interval (65 536 operations per slice) never fires
     // in any other matrix here, so this leg makes it fire every 64. The
-    // report must not depend on the engine configuration, and its digest
+    // report must not depend on the batch size, and its digest
     // is pinned to what the `BTreeSet` EFIT and hash-map refcounts
     // produced at the commit before the slab rewrite: a decay that appends
     // cooled entries instead of merging them by stamp picks other victims
@@ -146,7 +127,7 @@ fn efit_decay_is_deterministic_and_pinned() {
         (None, PINNED_DECAY_DIGEST),
         (Some(crash), PINNED_CRASH_DIGEST),
     ] {
-        let serial = decay_run(64, 1, 1, crash_at);
+        let serial = decay_run(64, 1, crash_at);
         let cache = serial.fingerprint_cache.expect("ESD reports its EFIT");
         assert!(cache.evictions > 1_000, "the small EFIT must overflow");
         assert!(
@@ -154,13 +135,11 @@ fn efit_decay_is_deterministic_and_pinned() {
             "bump_ref must run"
         );
         assert_eq!(serial.recovery.is_some(), crash_at.is_some());
-        for (shards, batch) in [(1, 64), (4, 1), (4, 64)] {
-            assert_eq!(
-                serial,
-                decay_run(64, shards, batch, crash_at),
-                "diverged at shards={shards} batch={batch} crash={crash_at:?}"
-            );
-        }
+        assert_eq!(
+            serial,
+            decay_run(64, 64, crash_at),
+            "diverged at batch=64 crash={crash_at:?}"
+        );
         let mut simulation = RunReport {
             obs: None,
             ..serial.clone()
@@ -181,7 +160,7 @@ fn efit_decay_is_deterministic_and_pinned() {
         if crash_at.is_none() {
             assert_ne!(
                 serial.stats,
-                decay_run(u64::MAX, 1, 1, None).stats,
+                decay_run(u64::MAX, 1, None).stats,
                 "decay every 64 operations must change what the EFIT keeps"
             );
         }
@@ -205,7 +184,6 @@ fn epoch_occupancies_aggregate_across_all_banks() {
     let trace = generate_trace(&app, 41, 40_000);
     let options = RunOptions {
         epoch_interval: Some(1_024),
-        shards: 4,
         ..RunOptions::default()
     };
     let report =
