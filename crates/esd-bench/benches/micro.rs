@@ -91,16 +91,6 @@ fn bench_lane_kernels(c: &mut Criterion) {
     group.bench_function("ecc_encode_line_x4", |b| {
         b.iter(|| black_box(&lines4).map(|l| encode_line(&l)))
     });
-    group.bench_function("ctr_fill_pads_16_lines", |b| {
-        let engine = CmeEngine::new([0x2B; 16]);
-        let pairs: Vec<(u64, u64)> = (0..16u64).map(|i| (i * 64, 1)).collect();
-        let mut pads = Vec::with_capacity(pairs.len());
-        b.iter(|| {
-            pads.clear();
-            engine.fill_pads(black_box(&pairs), &mut pads);
-            pads.len()
-        })
-    });
     group.finish();
 }
 

@@ -11,13 +11,10 @@
 //! esd-cli config
 //! ```
 //!
-//! Engine knobs (`run`/`compare`/`replay`): `--batch <block>` stages each
-//! quantum through the pipelined write path in blocks of that many
-//! accesses (default `ESD_BATCH`, else 64; `1` = scalar loop; a pure
-//! host-speed knob — reports are identical at every batch size), and
-//! `--quantum <accesses>` sets the cross-slice sync quantum (default
-//! `ESD_QUANTUM`, else 4096; a *model* knob — it decides when cross-slice
-//! duplicates become visible; degenerate values are clamped with a note).
+//! Engine knobs (`run`/`compare`/`replay`): `--quantum <accesses>` sets
+//! the cross-slice sync quantum (default `ESD_QUANTUM`, else 4096; a
+//! *model* knob — it decides when cross-slice duplicates become visible;
+//! degenerate values are clamped with a note).
 //! `--kernels <scalar|simd|auto>` picks the compute-kernel backend
 //! (default `ESD_KERNEL`, else `auto`): `simd`/`auto` route AES-128,
 //! SHA-1, MD5 and the Hamming encoder to AES-NI / SHA-NI / AVX2 / SSSE3
@@ -82,9 +79,7 @@ fn usage() -> &'static str {
      esd-cli config\n\n\
      schemes: baseline, sha1, md5, pde, dewrite, esd, esd-full, esd-noverify\n\
      \x20        (or the name a report prints, e.g. Dedup_SHA1, ESD_Full; any case)\n\
-     engine (run/compare/replay):      [--batch <block>] (pipeline block size; results\n\
-     \x20                                 are identical at every batch size)\n\
-     \x20                                 [--quantum <accesses>] (cross-slice sync quantum)\n\
+     engine (run/compare/replay):      [--quantum <accesses>] (cross-slice sync quantum)\n\
      \x20                                 [--kernels <scalar|simd|auto>] (compute-kernel\n\
      \x20                                 backend; bit-exact, default auto)\n\
      reliability (run/compare/replay): [--rber <per-10^12-bit-reads>] [--rber-seed N]\n\
@@ -167,9 +162,9 @@ fn reliability_options(args: &Args, config: &mut SystemConfig) -> Result<RunOpti
     })
 }
 
-/// Flag names for the batched replay engine, shared by `run`, `compare`
-/// and `replay`.
-const ENGINE_FLAGS: [&str; 3] = ["batch", "quantum", "kernels"];
+/// Flag names for the replay engine, shared by `run`, `compare` and
+/// `replay`.
+const ENGINE_FLAGS: [&str; 2] = ["quantum", "kernels"];
 
 /// Flag names for crash injection and journaling, shared by `run`,
 /// `compare` and `replay`.
@@ -191,30 +186,24 @@ fn crash_options(args: &Args, options: &mut RunOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// Applies the engine knobs: `--batch` sets the stage-pipeline block size
-/// (a pure host-speed knob — reports are identical at every batch size),
-/// `--quantum` the cross-slice sync quantum (a model knob), and
-/// `--kernels scalar|simd|auto` the compute-kernel backend (a host-speed
-/// knob: every SIMD kernel is bit-exact with its scalar reference). An
-/// explicit `--kernels` echoes the resolved per-kernel dispatch table on
-/// stderr so runs record which code actually executed. Degenerate values —
-/// `--quantum 0` or beyond the trace length, `--batch 0` — are clamped
-/// with a note.
+/// Applies the engine knobs: `--quantum` sets the cross-slice sync quantum
+/// (a model knob), and `--kernels scalar|simd|auto` the compute-kernel
+/// backend (a host-speed knob: every SIMD kernel is bit-exact with its
+/// scalar reference). An explicit `--kernels` echoes the resolved
+/// per-kernel dispatch table on stderr so runs record which code actually
+/// executed. A degenerate quantum — `0` or beyond the trace length — is
+/// clamped with a note.
 fn engine_options(
     args: &Args,
     trace_len: usize,
     options: &mut RunOptions,
 ) -> Result<(), String> {
-    options.batch = args.get_parsed_or("batch", options.batch).map_err(|e| e.to_string())?;
     options.quantum =
         args.get_parsed_or("quantum", options.quantum).map_err(|e| e.to_string())?;
     if let Some(raw) = args.get("kernels") {
         options.kernels = raw.parse().map_err(|e| format!("--kernels: {e}"))?;
         esd_kernels::set_backend(options.kernels);
         eprintln!("{}", esd_kernels::dispatch_report());
-    }
-    if options.batch == 0 {
-        eprintln!("note: --batch 0 runs the scalar path (batch 1)");
     }
     let requested = options.quantum;
     let effective = esd_core::effective_quantum(requested, trace_len);

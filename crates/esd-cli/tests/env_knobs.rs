@@ -10,12 +10,7 @@ fn run_demo() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_esd-cli"));
     cmd.args(["run", "--app", "demo", "--accesses", "500"]);
     // Start from a clean slate so ambient knobs don't add warnings.
-    for knob in [
-        "ESD_BATCH",
-        "ESD_QUANTUM",
-        "ESD_CRASH_AT",
-        "ESD_JOURNAL_EVERY",
-    ] {
+    for knob in ["ESD_QUANTUM", "ESD_CRASH_AT", "ESD_JOURNAL_EVERY"] {
         cmd.env_remove(knob);
     }
     cmd
@@ -23,22 +18,19 @@ fn run_demo() -> Command {
 
 #[test]
 fn malformed_integer_knobs_warn_and_fall_back() {
-    for knob in ["ESD_BATCH", "ESD_QUANTUM"] {
-        let out = run_demo()
-            .env(knob, "4x")
-            .output()
-            .expect("esd-cli runs");
-        assert!(
-            out.status.success(),
-            "a malformed {knob} must not fail the run"
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains(&format!("warning: ignoring {knob}=\"4x\""))
-                && stderr.contains("using default"),
-            "{knob} stderr must warn about the ignored value:\n{stderr}"
-        );
-    }
+    let out = run_demo()
+        .env("ESD_QUANTUM", "4x")
+        .output()
+        .expect("esd-cli runs");
+    assert!(
+        out.status.success(),
+        "a malformed ESD_QUANTUM must not fail the run"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("warning: ignoring ESD_QUANTUM=\"4x\"") && stderr.contains("using default"),
+        "ESD_QUANTUM stderr must warn about the ignored value:\n{stderr}"
+    );
 }
 
 #[test]
@@ -80,7 +72,6 @@ fn malformed_journal_interval_warns_and_stays_off() {
 #[test]
 fn well_formed_knobs_are_honored_silently() {
     let out = run_demo()
-        .env("ESD_BATCH", "16")
         .env("ESD_QUANTUM", "1024")
         .env("ESD_JOURNAL_EVERY", "64")
         .output()
@@ -94,25 +85,28 @@ fn well_formed_knobs_are_honored_silently() {
 }
 
 #[test]
-fn the_retired_shards_knob_is_no_flag_and_no_variable() {
-    let out = run_demo()
-        .args(["--shards", "4"])
-        .output()
-        .expect("esd-cli runs");
-    assert!(!out.status.success(), "--shards must be refused");
-    assert!(out.stdout.is_empty(), "nothing ran");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.starts_with("error: unknown option --shards"),
-        "{stderr}"
-    );
-
+fn retired_knobs_are_no_flag_and_no_variable() {
     let plain = run_demo().output().expect("esd-cli runs");
-    let ambient = run_demo()
-        .env("ESD_SHARDS", "4")
-        .output()
-        .expect("esd-cli runs");
     assert!(plain.status.success());
-    assert_eq!(ambient.stdout, plain.stdout);
-    assert_eq!(ambient.stderr, plain.stderr);
+    // Each variable at the value that once picked the other code path.
+    for (flag, variable, value) in [("shards", "ESD_SHARDS", "4"), ("batch", "ESD_BATCH", "1")] {
+        let out = run_demo()
+            .args([&format!("--{flag}"), "4"])
+            .output()
+            .expect("esd-cli runs");
+        assert!(!out.status.success(), "--{flag} must be refused");
+        assert!(out.stdout.is_empty(), "nothing ran");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: unknown option --{flag}")),
+            "{stderr}"
+        );
+
+        let ambient = run_demo()
+            .env(variable, value)
+            .output()
+            .expect("esd-cli runs");
+        assert_eq!(ambient.stdout, plain.stdout, "{variable}");
+        assert_eq!(ambient.stderr, plain.stderr, "{variable}");
+    }
 }

@@ -199,29 +199,6 @@ impl FingerprintStore {
         }
     }
 
-    /// Warms the store for a batch of upcoming fingerprints: computes every
-    /// fingerprint's metadata-line address up front (the bucket math the
-    /// batched probe stage hoists out of the per-access loop) and touches
-    /// the authoritative table's buckets so they are resident when
-    /// [`FingerprintStore::lookup`] probes them.
-    ///
-    /// Deliberately side-effect-free on the *model*: no SRAM LRU movement,
-    /// no stats, no simulated latency — those are charged by the `lookup`
-    /// each access still performs in execution order, which is what keeps
-    /// batched reports byte-identical to scalar ones.
-    pub fn prefetch(&self, fingerprints: &[u64]) {
-        let mut checksum = 0u64;
-        for &fp in fingerprints {
-            checksum ^= Self::meta_line_of(fp);
-            if let Some(&physical) = self.table.get(fp) {
-                checksum ^= physical;
-            }
-        }
-        // The probes above exist for their cache side effects; keep the
-        // folded value alive so the loop is not optimized away.
-        std::hint::black_box(checksum);
-    }
-
     /// Inserts a new fingerprint; NVMM index writes are amortized over the
     /// number of entries per 64-byte metadata line.
     ///
@@ -327,23 +304,6 @@ mod tests {
         assert_eq!(hit.source, LookupSource::Nvmm);
         assert_eq!(hit.physical, Some(0x40));
         assert_bijection(&store);
-    }
-
-    #[test]
-    fn prefetch_is_model_side_effect_free() {
-        let mut mem = nvmm();
-        // One-entry cache so LRU order is observable.
-        let mut store = FingerprintStore::new(29, 29);
-        store.insert(Ps::ZERO, 1, 0x40, &mut mem);
-        store.insert(Ps::ZERO, 2, 0x80, &mut mem); // fp 1 evicted from SRAM
-        let cache_before = store.cache_stats();
-        let traffic_before = store.nvmm_traffic();
-        store.prefetch(&[1, 2, 3, 99]);
-        assert_eq!(store.cache_stats(), cache_before);
-        assert_eq!(store.nvmm_traffic(), traffic_before);
-        // fp 1 must still be the SRAM miss it was before the prefetch.
-        let hit = store.lookup(Ps::ZERO, 1, &mut mem);
-        assert_eq!(hit.source, LookupSource::Nvmm);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use journal::{
 pub use predictor::{DupPredictor, PredictorStats};
 pub use report::{Normalized, ReliabilityReport, RunReport};
 pub use runner::{
-    build_scheme, effective_batch, effective_quantum, replay, replay_with, run_app, run_trace,
+    build_scheme, effective_quantum, replay, replay_with, run_app, run_trace,
     run_trace_with, RunOptions, VerifyError, DEFAULT_BATCH, DEFAULT_QUANTUM,
 };
 pub use scheme::{

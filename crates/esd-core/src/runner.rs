@@ -71,18 +71,12 @@ pub struct RunOptions {
     pub epoch_interval: Option<u64>,
     /// Ignored; kept only until `benchmark/` stops naming it.
     pub shards: u32,
-    /// Accesses staged per block through the batched write-path pipeline
-    /// (fingerprint → prefetch → execute, each stage running over the whole
-    /// block). Purely a *host-speed* knob — fingerprints are pure functions
-    /// of line content and all modeled charges happen in the execute stage
-    /// in access order, so the [`RunReport`] is byte-identical at every
-    /// batch size. `0` or `1` selects the scalar per-access loop. Defaults
-    /// to the `ESD_BATCH` environment variable (unset → 64).
+    /// Ignored; kept only until `benchmark/` stops naming it.
     pub batch: u32,
     /// Accesses the trace advances between two merges of the cross-slice
-    /// directory. Unlike `batch` this is a *model* knob: cross-slice dedup
-    /// publishes become visible at quantum ends, so changing the quantum
-    /// changes which remote duplicates are caught.
+    /// directory. This is a *model* knob: cross-slice dedup publishes
+    /// become visible at quantum ends, so changing the quantum changes
+    /// which remote duplicates are caught.
     /// Degenerate values are clamped by [`effective_quantum`] (`0` → the
     /// default, values past the trace length → one merge at the end).
     /// Defaults to the `ESD_QUANTUM` environment variable (unset → 4096,
@@ -120,8 +114,8 @@ pub struct RunOptions {
 }
 
 impl Default for RunOptions {
-    /// Verification on, everything else off — except the five fields the
-    /// environment can set (`ESD_BATCH`, `ESD_QUANTUM`, `ESD_CRASH_AT`,
+    /// Verification on, everything else off — except the four fields the
+    /// environment can set (`ESD_QUANTUM`, `ESD_CRASH_AT`,
     /// `ESD_JOURNAL_EVERY`, `ESD_KERNEL`), each read through
     /// [`esd_kernels::env_parse`]: a malformed value warns on stderr and
     /// falls back to the built-in default.
@@ -134,7 +128,7 @@ impl Default for RunOptions {
             trace_capacity: 0,
             epoch_interval: None,
             shards: 1,
-            batch: env_or("ESD_BATCH", DEFAULT_BATCH),
+            batch: DEFAULT_BATCH,
             quantum: env_or("ESD_QUANTUM", DEFAULT_QUANTUM),
             crash_at: env_parse("ESD_CRASH_AT", "crash injection stays off"),
             journal_every: env_parse("ESD_JOURNAL_EVERY", "journaling stays off")
@@ -144,7 +138,8 @@ impl Default for RunOptions {
     }
 }
 
-/// The built-in batch-block size when `ESD_BATCH` is unset.
+/// Accesses the replay engine gathers into one block before computing the
+/// block's fingerprint keys in one multi-lane kernel call.
 pub const DEFAULT_BATCH: u32 = 64;
 
 /// The built-in sync quantum when `ESD_QUANTUM` is unset — the value the
@@ -167,13 +162,6 @@ pub fn effective_quantum(requested: u32, trace_len: usize) -> u32 {
     };
     let cap = u32::try_from(trace_len.max(1)).unwrap_or(u32::MAX);
     requested.min(cap)
-}
-
-/// Resolves a requested batch-block size: `0` means scalar, which the
-/// engine treats identically to `1`.
-#[must_use]
-pub fn effective_batch(requested: u32) -> u32 {
-    requested.max(1)
 }
 
 /// Replays `trace` through `scheme`, optionally verifying every read
@@ -298,13 +286,6 @@ mod tests {
         // An empty trace still yields a positive quantum.
         assert_eq!(effective_quantum(512, 0), 1);
         assert_eq!(effective_quantum(0, 0), 1);
-    }
-
-    #[test]
-    fn effective_batch_treats_zero_as_scalar() {
-        assert_eq!(effective_batch(0), 1);
-        assert_eq!(effective_batch(1), 1);
-        assert_eq!(effective_batch(64), 64);
     }
 
     #[test]

@@ -274,8 +274,8 @@ impl MetadataFootprint {
 }
 
 /// The fingerprint function a scheme's write path applies to line content,
-/// advertised to the batched replay engine so it can precompute a whole
-/// block of keys through the multi-lane kernels.
+/// advertised to the replay engine so it can precompute a whole block of
+/// keys through the multi-lane kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FingerprintSpec {
     /// A hash/CRC family key, compressed to 64 bits exactly as
@@ -575,36 +575,23 @@ impl Scheme {
 
     /// Processes one LLC eviction arriving at `now`.
     pub fn write(&mut self, now: Ps, logical: u64, line: CacheLine) -> WriteResult {
-        self.write_prepared(now, logical, line, None)
+        self.write_in_slice(None, now, logical, line, None)
     }
 
-    /// [`Scheme::write`] with an optionally precomputed fingerprint key for
-    /// this line, as produced by the kernels named in
-    /// [`Scheme::fingerprint_spec`].
+    /// [`Scheme::write`] as the sharded engine calls it, with the quantum's
+    /// frozen cross-slice `directory` on loan for the length of the call
+    /// (`None` everywhere else: nothing to deduplicate onto and nobody to
+    /// advertise to) and optionally the line's `fingerprint` key, computed
+    /// ahead by the kernels [`Scheme::fingerprint_spec`] names.
     ///
-    /// Exactly the latency, energy and observability of computing the
-    /// fingerprint inline are charged — the precomputation saves host
-    /// wall-clock, never simulated time — so the batched engine's reports
-    /// stay byte-identical to scalar replay.
+    /// A precomputed key saves host wall-clock, never simulated time: the
+    /// latency, energy and observability of computing it inline are charged
+    /// either way.
     ///
     /// This is the one body that charges the write path, for every kind:
     /// each stage runs or not by the scheme's policy row, and every
     /// breakdown bucket is charged through one helper (`Core::charge`),
     /// which also emits the stage's span.
-    pub fn write_prepared(
-        &mut self,
-        now: Ps,
-        logical: u64,
-        line: CacheLine,
-        fingerprint: Option<u64>,
-    ) -> WriteResult {
-        self.write_in_slice(None, now, logical, line, fingerprint)
-    }
-
-    /// [`Scheme::write_prepared`] as the sharded engine calls it, with the
-    /// quantum's frozen cross-slice `directory` on loan for the length of
-    /// the call (`None` everywhere else: nothing to deduplicate onto and
-    /// nobody to advertise to).
     pub(crate) fn write_in_slice(
         &mut self,
         directory: Option<&Directory>,
@@ -882,21 +869,12 @@ impl Scheme {
     }
 
     /// How this scheme derives its write-path fingerprint — always a pure
-    /// function of line content, so the batched engine can precompute it
-    /// with the multi-lane kernels. `None` means the scheme computes no
-    /// fingerprint (Baseline) and the batch fingerprint stage skips it.
+    /// function of line content, so the replay engine can precompute a
+    /// block's keys with the multi-lane kernels. `None` means the scheme
+    /// computes no fingerprint (Baseline) and the engine gathers nothing.
     #[must_use]
     pub fn fingerprint_spec(&self) -> Option<FingerprintSpec> {
         self.policy.fingerprint
-    }
-
-    /// Hints the fingerprints of an upcoming batch so the scheme can warm
-    /// its index structures (host-cache prefetch only — no model side
-    /// effects).
-    pub fn prefetch_fingerprints(&mut self, fingerprints: &[u64]) {
-        if let Index::Store(store) = &self.index {
-            store.prefetch(fingerprints);
-        }
     }
 
     /// Sets the metadata-journal checkpoint interval (in records) before

@@ -41,17 +41,9 @@ use crate::journal::{CrashStage, RecoveryReport, RecoverySummary};
 use crate::machinery::{Directory, ShardCtx};
 use crate::predictor::PredictorStats;
 use crate::report::{ReliabilityReport, RunReport};
-use crate::runner::{RunOptions, VerifyError};
+use crate::runner::{RunOptions, VerifyError, DEFAULT_BATCH};
 use crate::scheme::{elapsed_latency, MetadataFootprint, Scheme, SchemeStats};
 use crate::scrub::{ScrubStats, Scrubber};
-
-/// Smallest batch size worth staging through [`BatchBuffers`]: below the
-/// 4-lane kernel width, the gather/prefetch stages pay their full fixed
-/// cost without ever filling a lane group, which measured *slower* than
-/// the scalar loop (0.955x at `batch=2`). Such batches take the scalar
-/// path instead — the report is byte-identical either way, so this is
-/// purely a host-speed floor.
-pub(crate) const MIN_BATCH: u32 = 4;
 
 /// Which replay slice owns a logical line address.
 #[inline]
@@ -95,10 +87,9 @@ struct SliceMark {
     busy_banks: u64,
 }
 
-/// Reusable struct-of-arrays staging buffers for the batched pipeline:
-/// one block of write lines gathered from the trace and the fingerprint
+/// One block's write lines, gathered from the trace, and the fingerprint
 /// keys the multi-lane kernels computed for them. Kept on the slice so a
-/// run allocates them once, not once per quantum.
+/// run allocates them once, not once per block.
 #[derive(Default)]
 struct BatchBuffers {
     /// The block's write-line payloads, contiguous for the lane kernels.
@@ -197,13 +188,11 @@ fn partition_trace(trace: &Trace, nslices: usize, epoch_n: Option<u64>) -> Parti
 }
 
 /// Replays one owned access: epoch-mark catch-up, CPU execute, scrub tick,
-/// then the memory access itself. This is the serial runner's loop body,
-/// verbatim, over slice-local state.
+/// then the memory access itself, over slice-local state.
 ///
-/// `fingerprint` optionally carries a precomputed fingerprint key for a
-/// write (from the batched pipeline's kernel stage); the scheme charges the
-/// exact same modeled costs either way, so passing `None` and `Some(fp)`
-/// are report-identical.
+/// `fingerprint` carries a write's key from the block's fingerprint stage
+/// (`None` for a scheme without one); the scheme charges the same modeled
+/// cost as if it had computed the key inline.
 fn replay_access(
     slice: &mut SliceState,
     directory: &Directory,
@@ -271,72 +260,49 @@ fn replay_access(
 /// Replays every owned access with global index `< end` (starting from the
 /// slice's cursor), recording epoch marks at each crossed global boundary.
 ///
-/// With `batch >= MIN_BATCH` and a scheme that fingerprints
-/// ([`Scheme::fingerprint_spec`]), the
-/// quantum is staged through the pipeline in blocks of up to `batch`
-/// accesses: gather the block's write lines into a struct-of-arrays
-/// buffer, run the multi-lane fingerprint kernels over the whole block,
-/// probe the fingerprint structures for the whole block, then execute the
-/// block access-by-access in exact trace order with the precomputed keys.
-/// Fingerprints are pure functions of line content and every modeled
-/// latency/energy charge still happens in the execute stage in the same
-/// order, so the report is byte-identical to the scalar path.
+/// The quantum runs in blocks of up to [`DEFAULT_BATCH`] accesses, each in
+/// three stages: gather the block's write lines, compute their keys in one
+/// multi-lane kernel call ([`crate::FingerprintSpec::compute_keys`]), then
+/// execute the block in trace order, handing each write its key. A scheme
+/// without a fingerprint (Baseline) gathers nothing. Keys are pure
+/// functions of line content and the scheme charges the full modeled
+/// fingerprint cost either way, so where the host computes a key never
+/// reaches the report.
 fn process_quantum(
     slice: &mut SliceState,
     directory: &Directory,
     trace: &Trace,
     options: &RunOptions,
     end: u32,
-    batch: u32,
 ) {
-    let spec = if batch >= MIN_BATCH {
-        slice.scheme.fingerprint_spec()
-    } else {
-        None
-    };
-    let Some(spec) = spec else {
-        // Scalar path: `batch < MIN_BATCH`, or the scheme has no
-        // precomputable fingerprint (e.g. Baseline).
-        while slice.cursor < slice.owned.len() {
-            let (g, exec) = slice.owned[slice.cursor];
-            if g >= end {
-                break;
-            }
-            slice.cursor += 1;
-            replay_access(slice, directory, trace, options, g, exec, None);
-        }
-        return;
-    };
-    while slice.cursor < slice.owned.len() {
-        // Stage 1 — gather: scan up to `batch` owned accesses below `end`
-        // and copy their write lines into the contiguous SoA block.
-        slice.buffers.lines.clear();
-        slice.buffers.keys.clear();
+    let spec = slice.scheme.fingerprint_spec();
+    loop {
+        // Gather.
         let from = slice.cursor;
-        let mut upto = from;
-        while upto < slice.owned.len()
-            && upto - from < batch as usize
-            && slice.owned[upto].0 < end
-        {
-            let access = &trace.accesses[slice.owned[upto].0 as usize];
-            if matches!(access.kind, AccessKind::Write) {
-                slice
-                    .buffers
-                    .lines
-                    .push(*access.data.expect("write carries data").as_bytes());
-            }
-            upto += 1;
-        }
+        let block = &slice.owned[from..];
+        let upto = from
+            + block
+                .iter()
+                .take(DEFAULT_BATCH as usize)
+                .take_while(|&&(g, _)| g < end)
+                .count();
         if upto == from {
             break;
         }
-        // Stage 2 — fingerprint: multi-lane hash/ECC kernels over the block.
-        spec.compute_keys(&slice.buffers.lines, &mut slice.buffers.keys);
-        // Stage 3 — probe: warm the fingerprint structures for the block.
-        slice.scheme.prefetch_fingerprints(&slice.buffers.keys);
-        // Stage 4 — execute: exact trace order, consuming keys as writes
-        // come up. The scheme re-charges the full modeled fingerprint cost,
-        // so precomputation is invisible to the report.
+        let BatchBuffers { lines, keys } = &mut slice.buffers;
+        lines.clear();
+        keys.clear();
+        if let Some(spec) = spec {
+            for &(g, _) in &block[..upto - from] {
+                let access = &trace.accesses[g as usize];
+                if matches!(access.kind, AccessKind::Write) {
+                    lines.push(*access.data.expect("write carries data").as_bytes());
+                }
+            }
+            // Fingerprint.
+            spec.compute_keys(lines, keys);
+        }
+        // Execute.
         let mut key_ix = 0usize;
         for i in from..upto {
             let (g, exec) = slice.owned[i];
@@ -598,19 +564,17 @@ pub(crate) fn run_sharded(
         .collect();
 
     let total = trace.len() as u32;
-    // Resolve the engine knobs once: the quantum is a *model* knob (it
-    // decides when cross-slice publishes become visible), the batch a pure
-    // host-speed knob (report-invisible by construction).
+    // The quantum is a *model* knob: it decides when cross-slice publishes
+    // become visible.
     let quantum = crate::runner::effective_quantum(options.quantum, trace.len());
-    let batch = crate::runner::effective_batch(options.batch);
     // Resolve the injected crash once: a point beyond the trace never
     // fires. The crash is a *replay boundary*: every access before it
     // completes and is acknowledged, the power loss hits while access
     // `g` is in flight at the configured stage, recovery runs, and replay
     // resumes *at* `g` — the in-flight access was never acknowledged, so
     // re-executing it is exactly what real hardware sees. The boundary is
-    // a pure function of the crash point (quanta are capped at `g`), so
-    // the batch size still cannot change the report.
+    // a pure function of the crash point: quanta are capped at `g`, and
+    // blocks at quanta, so no block straddles it.
     let crash: Option<(u32, CrashStage)> = options.crash_at.and_then(|point| {
         u32::try_from(point.access)
             .ok()
@@ -639,7 +603,7 @@ pub(crate) fn run_sharded(
             }
         }
         for slice in slices.iter_mut() {
-            process_quantum(slice, &directory, trace, options, end, batch);
+            process_quantum(slice, &directory, trace, options, end);
         }
         // Only now, with every slice through the quantum, do its publishes
         // become visible — in slice order, the first-writer-wins tiebreak.

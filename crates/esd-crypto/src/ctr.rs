@@ -363,23 +363,6 @@ impl CmeEngine {
         pad
     }
 
-    /// Fills `pads` with the keystream pads for a batch of `(addr, counter)`
-    /// pairs, one 64-byte pad per pair, appended in order.
-    ///
-    /// Each line's four counter blocks already ride one [`Aes128::encrypt4`]
-    /// pass, so the batch form's win is staying in the cipher's tables for
-    /// the whole block instead of bouncing through per-access dispatch.
-    /// Bit-exact with per-line pad expansion (and therefore with
-    /// [`CmeEngine::encrypt_line`]'s pads at the same counters); it does not
-    /// consult write counters, touch the pad cache, or count as
-    /// encryption — callers own counter management.
-    pub fn fill_pads(&self, pairs: &[(u64, u64)], pads: &mut Vec<[u8; LINE_BYTES]>) {
-        pads.reserve(pairs.len());
-        for &(addr, counter) in pairs {
-            pads.push(self.generate_pad(addr, counter));
-        }
-    }
-
     fn store_pad(&mut self, addr: u64, counter: u64, pad: &[u8; LINE_BYTES]) {
         if !self.pads.is_empty() {
             self.pads[hash_u64(addr) as usize & self.pad_mask] = PadSlot {
@@ -484,22 +467,6 @@ mod tests {
         let (hits, _) = cached.pad_cache_stats();
         assert!(hits > 0, "the workload must actually exercise the cache");
         assert_eq!(uncached.pad_cache_stats(), (0, 0));
-    }
-
-    #[test]
-    fn fill_pads_matches_encrypt_line_pads() {
-        let mut cme = CmeEngine::new([4u8; 16]);
-        let zero = [0u8; LINE_BYTES];
-        // Encrypting all-zeros exposes the raw pad: cipher == pad.
-        let expected: Vec<[u8; LINE_BYTES]> =
-            (0..9u64).map(|i| cme.encrypt_line(i * 64, &zero)).collect();
-        let pairs: Vec<(u64, u64)> = (0..9u64).map(|i| (i * 64, 1)).collect();
-        let mut pads = Vec::new();
-        cme.fill_pads(&pairs, &mut pads);
-        assert_eq!(pads, expected);
-        // Batch pad generation is side-effect-free.
-        assert_eq!(cme.lines_encrypted(), 9);
-        assert_eq!(cme.counter(0), Some(1));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Batch drivers over the 4-lane hash kernels.
 //!
-//! The batched replay engine hands a whole struct-of-arrays block of cache
+//! The replay engine hands a whole struct-of-arrays block of cache
 //! lines to the fingerprint stage at once. These helpers split such a block
 //! into full 4-line groups for the interleaved kernels and finish the
 //! lane-tail (the final 1–3 lines) with the scalar one-shot functions, so
-//! every batch size produces exactly the digests the scalar path would.
+//! every block length produces exactly the digests the scalar path would.
 
 use crate::{md5, md5_lines4, sha1, sha1_lines4, Md5Digest, Sha1Digest};
 

@@ -146,7 +146,7 @@ fn decode(raw: u8) -> KernelBackend {
 /// behind every `ESD_*` knob. Unset yields `None` silently. A set but
 /// malformed value also yields `None`, after one stderr line
 /// `warning: ignoring NAME="raw" (<parse error>); <fallback>`, so a typo
-/// like `ESD_BATCH=4x` neither aborts the run nor passes unnoticed;
+/// like `ESD_QUANTUM=4x` neither aborts the run nor passes unnoticed;
 /// `fallback` says what the caller does instead (formatted only if the
 /// warning is printed).
 pub fn env_parse<T>(name: &str, fallback: impl std::fmt::Display) -> Option<T>

@@ -19,10 +19,9 @@ esd-serve — multi-tenant deduplication service
 
 USAGE:
     esd-serve [--scheme NAME] [--tenants N] [--qps N] [--requests N]
-              [--queue-depth N] [--batch N] [--seed N] [--profile NAME]
-              [--json]
+              [--queue-depth N] [--seed N] [--profile NAME] [--json]
     esd-serve --tcp ADDR [--connections N] [--scheme NAME] [--tenants N]
-              [--queue-depth N] [--batch N] [--json]
+              [--queue-depth N] [--json]
 
 Load-generator mode (default) replays tenants × qps open-loop request
 streams through one shared scheme instance and prints per-tenant stats:
@@ -46,7 +45,6 @@ OPTIONS:
                        second (default 1000000)
     --requests N       requests per tenant (default 2000)
     --queue-depth N    per-tenant admission bound (default 64)
-    --batch N          fingerprint staging batch (default 16)
     --seed N           base trace seed; tenant t uses seed+t (default 42)
     --profile NAME     trace profile (default demo; see `esd-cli apps`)
     --json             also print the metrics-registry JSON export, after
@@ -113,11 +111,10 @@ impl Flags {
 }
 
 fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
-    let mut config = ServiceConfig {
+    let config = ServiceConfig {
         scheme: flags.get("scheme").unwrap_or("esd").parse()?,
         tenants: flags.get_parsed_or("tenants", 4u32)?,
         queue_depth: flags.get_parsed_or("queue-depth", 64usize)?,
-        batch: flags.get_parsed_or("batch", 16usize)?,
         ..ServiceConfig::default()
     };
     if config.tenants == 0 {
@@ -131,20 +128,12 @@ fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
     if config.queue_depth == 0 {
         return Err("--queue-depth must be at least 1".to_string());
     }
-    config.batch = config.batch.max(1);
     Ok(config)
 }
 
 fn run(flags: &Flags) -> Result<(), String> {
     if let Some(addr) = flags.get("tcp") {
-        flags.known(&[
-            "tcp",
-            "connections",
-            "scheme",
-            "tenants",
-            "queue-depth",
-            "batch",
-        ])?;
+        flags.known(&["tcp", "connections", "scheme", "tenants", "queue-depth"])?;
         let config = service_config(flags)?;
         let connections = flags.get_parsed_or("connections", 1usize)?;
         let listener =
@@ -172,7 +161,6 @@ fn run(flags: &Flags) -> Result<(), String> {
         "qps",
         "requests",
         "queue-depth",
-        "batch",
         "seed",
         "profile",
     ])?;

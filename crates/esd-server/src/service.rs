@@ -1,15 +1,15 @@
 //! The multi-tenant dedup service: one shared scheme instance, per-tenant
 //! namespaces and keys, bounded admission queues, and a deterministic
-//! batched apply path.
+//! apply path.
 //!
 //! # Determinism
 //!
-//! Requests are applied in global `(arrival, seq, tenant)` order. The
-//! batch size only controls how many due requests are *staged* together
-//! for fingerprint precomputation — it changes neither the apply order,
-//! the simulated clock evolution, nor any admission decision, so per-tenant
-//! stats and the final shared-store state are byte-identical across batch
-//! sizes (see `crates/esd-server/tests/cross_tenant.rs`).
+//! Requests are applied one at a time in global `(arrival, seq, tenant)`
+//! order. The batch size only caps how many [`Service::drain_stage`]
+//! applies per call — it changes neither the apply order, the simulated
+//! clock evolution, nor any admission decision, so per-tenant stats and
+//! the final shared-store state are byte-identical across batch sizes (see
+//! `crates/esd-server/tests/cross_tenant.rs`).
 //!
 //! # Fairness
 //!
@@ -26,7 +26,7 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::{Mutex, OnceLock};
 
-use esd_core::{tenant as ns, FingerprintSpec, Scheme, SchemeKind};
+use esd_core::{tenant as ns, Scheme, SchemeKind};
 use esd_obs::{CounterId, HistogramId, Registry};
 use esd_sim::{Ps, SystemConfig};
 
@@ -46,8 +46,8 @@ pub struct ServiceConfig {
     /// Bound on each tenant's admitted-but-incomplete requests; an arrival
     /// beyond it is rejected with a retry hint.
     pub queue_depth: usize,
-    /// How many due requests are staged together for fingerprint
-    /// precomputation before being applied (apply order is unaffected).
+    /// At most this many requests are applied per [`Service::drain_stage`]
+    /// call (apply order is unaffected).
     pub batch: usize,
     /// Ignored; kept only until `benchmark/` stops naming it.
     pub workers: usize,
@@ -124,12 +124,9 @@ impl TenantMetrics {
 /// Per-tenant admission queue and accounting.
 #[derive(Debug)]
 struct TenantState {
-    /// Admitted requests not yet staged, in arrival order.
+    /// Admitted requests not yet applied, in arrival order; the queue
+    /// depth bounds its length.
     queue: VecDeque<Envelope>,
-    /// Admitted-but-incomplete requests (queued **or** staged); this is
-    /// what the queue depth bounds, so staging cannot open admission room
-    /// that batch size would then influence.
-    outstanding: usize,
     offered: u64,
     admitted: u64,
     rejected: u64,
@@ -143,7 +140,6 @@ impl TenantState {
     fn new(tenant: u32, registry: &mut Registry) -> Self {
         TenantState {
             queue: VecDeque::new(),
-            outstanding: 0,
             offered: 0,
             admitted: 0,
             rejected: 0,
@@ -209,8 +205,7 @@ pub struct ServiceSummary {
 }
 
 /// The multi-tenant service: one shared scheme, per-tenant queues, a
-/// deterministic batched apply path, and live stats in an `esd-obs`
-/// registry.
+/// deterministic apply path, and live stats in an `esd-obs` registry.
 ///
 /// # Examples
 ///
@@ -234,14 +229,12 @@ pub struct ServiceSummary {
 /// ```
 pub struct Service {
     scheme: Scheme,
-    spec: Option<FingerprintSpec>,
     tenants: Vec<TenantState>,
     /// `(arrival, seq, tenant)` of the head of every non-empty queue, least
     /// first: the next request in global order is on top.
     heads: BinaryHeap<Reverse<(Ps, u64, u32)>>,
     /// Requests in the tenants' queues, all told.
     queued: usize,
-    staging: Staging,
     registry: Registry,
     clock: Ps,
     queue_depth: usize,
@@ -249,21 +242,6 @@ pub struct Service {
     applied: u64,
     /// Sum of pure service latencies, for the retry-hint estimate.
     service_total: Ps,
-}
-
-/// The buffers one stage is built in. They are emptied and refilled stage
-/// after stage, so a service that has seen one full stage allocates nothing
-/// for the next.
-#[derive(Debug, Default)]
-struct Staging {
-    /// The staged requests, in apply order.
-    stage: Vec<Envelope>,
-    /// The precomputed fingerprint key of each staged request, if any.
-    keys: Vec<Option<u64>>,
-    /// The staged writes' lines, their positions in `stage`, and their keys.
-    lines: Vec<[u8; 64]>,
-    slots: Vec<usize>,
-    computed: Vec<u64>,
 }
 
 impl std::fmt::Debug for Service {
@@ -296,17 +274,14 @@ impl Service {
         assert!(config.queue_depth > 0, "queue depth must be nonzero");
         let mut scheme = Scheme::new(config.scheme, &config.system);
         scheme.tenancy_configure(config.master_key);
-        let spec = scheme.fingerprint_spec();
         let mut registry = Registry::new();
         Service {
             scheme,
-            spec,
             tenants: (0..config.tenants)
                 .map(|tenant| TenantState::new(tenant, &mut registry))
                 .collect(),
             heads: BinaryHeap::new(),
             queued: 0,
-            staging: Staging::default(),
             registry,
             clock: Ps::ZERO,
             queue_depth: config.queue_depth,
@@ -368,9 +343,9 @@ impl Service {
     pub fn admit(&mut self, env: Envelope) -> Option<Response> {
         let state = &mut self.tenants[env.tenant as usize];
         state.offered += 1;
-        if state.outstanding >= self.queue_depth {
+        if state.queue.len() >= self.queue_depth {
             state.rejected += 1;
-            let ahead = state.outstanding as u64;
+            let ahead = state.queue.len() as u64;
             self.registry.counter_add_by_id(state.metrics.rejected, 1);
             // Rough deterministic drain estimate: everything ahead of this
             // request at the average observed service latency.
@@ -381,7 +356,6 @@ impl Service {
             });
         }
         state.admitted += 1;
-        state.outstanding += 1;
         if state.queue.is_empty() {
             self.heads.push(Reverse((env.arrival, env.seq, env.tenant)));
         }
@@ -398,71 +372,33 @@ impl Service {
         }
     }
 
-    /// Moves up to `batch` queued requests into the stage in global
-    /// `(arrival, seq, tenant)` order. Per-tenant queues are FIFO, so a
-    /// queue's head is taken for its earliest request, and the least of the
-    /// heads for the next request of all.
-    fn build_stage(&mut self) {
-        let stage = &mut self.staging.stage;
-        stage.clear();
-        while stage.len() < self.batch {
-            let Some(mut top) = self.heads.peek_mut() else {
-                break;
-            };
+    /// Takes the next request in global `(arrival, seq, tenant)` order off
+    /// its queue and applies it; `None` when every queue is empty.
+    /// Per-tenant queues are FIFO, so a queue's head is the tenant's
+    /// earliest request, and the least of the heads the next of all.
+    fn apply_next(&mut self) -> Option<(u32, Response)> {
+        let env = {
+            let mut top = self.heads.peek_mut()?;
             let Reverse((_, _, tenant)) = *top;
             let queue = &mut self.tenants[tenant as usize].queue;
             // `heads` keys exactly the non-empty queues: `admit` adds, the match below removes.
-            stage.push(queue.pop_front().expect("a queue with a head is not empty"));
+            let env = queue.pop_front().expect("a queue with a head is not empty");
             match queue.front() {
                 Some(next) => *top = Reverse((next.arrival, next.seq, tenant)),
                 None => {
                     PeekMut::pop(top);
                 }
             }
-        }
-        self.queued -= stage.len();
-    }
-
-    /// Precomputes write fingerprints for the staged block through the
-    /// multi-lane kernels. Pure precomputation: bit-exact with what the
-    /// scheme would compute, and charged by the scheme exactly as if
-    /// computed inline.
-    fn precompute_keys(&mut self) {
-        let Staging {
-            stage,
-            keys,
-            lines,
-            slots,
-            computed,
-        } = &mut self.staging;
-        keys.clear();
-        keys.resize(stage.len(), None);
-        let Some(spec) = self.spec else { return };
-        if stage.len() < 2 {
-            return; // below any useful lane width; the scheme computes inline
-        }
-        lines.clear();
-        slots.clear();
-        for (i, env) in stage.iter().enumerate() {
-            if let Request::Write { line, .. } = &env.request {
-                lines.push(*line.as_bytes());
-                slots.push(i);
-            }
-        }
-        if lines.is_empty() {
-            return;
-        }
-        computed.clear();
-        spec.compute_keys(lines, computed);
-        for (&slot, &key) in slots.iter().zip(computed.iter()) {
-            keys[slot] = Some(key);
-        }
+            env
+        };
+        self.queued -= 1;
+        Some((env.tenant, self.apply(&env)))
     }
 
     /// Applies one request against the shared scheme under the tenant's
     /// namespace and key, advancing the simulated clock and recording the
     /// tenant's stats.
-    fn apply(&mut self, env: &Envelope, key: Option<u64>) -> Response {
+    fn apply(&mut self, env: &Envelope) -> Response {
         let tenant = env.tenant;
         let start = env.arrival.max(self.clock);
         self.scheme.set_active_tenant(tenant);
@@ -472,7 +408,7 @@ impl Service {
         let (response, request_latency, service_latency) = match env.request {
             Request::Write { local, line } => {
                 let logical = ns::namespaced(tenant, local);
-                let result = self.scheme.write_prepared(start, logical, line, key);
+                let result = self.scheme.write(start, logical, line);
                 self.clock = result.processing_done;
                 state.writes += 1;
                 self.registry.counter_add_by_id(metrics.writes, 1);
@@ -503,7 +439,6 @@ impl Service {
                 (response, latency, result.finish - start)
             }
         };
-        state.outstanding -= 1;
         self.applied += 1;
         self.service_total += service_latency;
         self.registry
@@ -511,35 +446,20 @@ impl Service {
         response
     }
 
-    /// Stages up to one batch of queued requests and applies it, handing
-    /// each response to `each` before the next request is applied.
-    fn apply_stage(&mut self, mut each: impl FnMut(&mut Self, u32, Response)) {
-        self.build_stage();
-        self.precompute_keys();
-        // Lent out for the loop; nothing `each` may call stages.
-        let staging = std::mem::take(&mut self.staging);
-        for (env, &key) in staging.stage.iter().zip(&staging.keys) {
-            let response = self.apply(env, key);
-            each(self, env.tenant, response);
-        }
-        self.staging = staging;
-    }
-
-    /// Stages and applies up to one batch of queued requests, returning
-    /// their responses in apply order. Used by the live front end; the
+    /// Applies up to one batch of queued requests, returning their
+    /// responses in apply order. Used by the live front end; the
     /// deterministic load path goes through [`Service::run_events`].
     pub fn drain_stage(&mut self) -> Vec<(u32, Response)> {
-        let mut out = Vec::with_capacity(self.queued.min(self.batch));
-        self.apply_stage(|_, tenant, response| out.push((tenant, response)));
+        let n = self.queued.min(self.batch);
+        let mut out = Vec::with_capacity(n);
+        out.extend(std::iter::from_fn(|| self.apply_next()).take(n));
         out
     }
 
     /// Drains every queued request.
     pub fn drain(&mut self) -> Vec<(u32, Response)> {
         let mut out = Vec::with_capacity(self.queued);
-        while self.queued > 0 {
-            self.apply_stage(|_, tenant, response| out.push((tenant, response)));
-        }
+        out.extend(std::iter::from_fn(|| self.apply_next()));
         out
     }
 
@@ -556,27 +476,22 @@ impl Service {
 
     /// Runs a complete pre-generated workload deterministically: events
     /// are admitted in arrival order — interleaved with the applies that
-    /// make them due, so admission decisions see the same queue occupancy
-    /// at every batch size — and applied in global `(arrival, seq,
-    /// tenant)` order. Returns every response (including rejections).
+    /// make them due, so admission decisions see the queue occupancy the
+    /// arrival saw — and applied in global `(arrival, seq, tenant)` order.
+    /// Returns every response (including rejections).
     pub fn run_events(&mut self, mut events: Vec<Envelope>) -> Vec<(u32, Response)> {
         events.sort_by_key(|e| (e.arrival, e.seq, e.tenant));
         let mut next = 0usize;
         let mut out = Vec::with_capacity(events.len());
         loop {
             self.admit_due(&events, &mut next, &mut out);
-            if self.queued == 0 {
-                let Some(upcoming) = events.get(next) else { break };
-                // Idle until the next arrival.
-                self.clock = self.clock.max(upcoming.arrival);
+            if let Some(applied) = self.apply_next() {
+                out.push(applied);
                 continue;
             }
-            self.apply_stage(|service, tenant, response| {
-                out.push((tenant, response));
-                // Admissions interleave with applies so queue-full
-                // decisions are independent of the batch size.
-                service.admit_due(&events, &mut next, &mut out);
-            });
+            let Some(upcoming) = events.get(next) else { break };
+            // Idle until the next arrival.
+            self.clock = self.clock.max(upcoming.arrival);
         }
         out
     }

@@ -36,6 +36,8 @@ fn a_flag_it_cannot_serve_is_a_usage_error() {
         ),
         // Retired with the threads behind it; not to come back as a no-op.
         (["--workers", "2"], "esd-serve: unknown flag --workers"),
+        // Retired with the fingerprint staging it sized.
+        (["--batch", "16"], "esd-serve: unknown flag --batch"),
     ];
     for (flag, complaint) in cases {
         for mode in [&[][..], &["--tcp", "127.0.0.1:0"][..]] {

@@ -1,10 +1,9 @@
 //! Randomized crash→recover→verify loops: whatever the access pattern,
-//! crash point, write-path stage, journal interval and engine shape, no
-//! scheme may lose an acknowledged write or leak a reference count.
+//! crash point, write-path stage and journal interval, no scheme may lose
+//! an acknowledged write or leak a reference count.
 //!
 //! 25 proptest cases × 8 schemes = 200 randomized crash/recover/verify
-//! runs per execution, spread across the scalar and the batched (batch=64)
-//! engine.
+//! runs per execution.
 
 use esd::core::{replay_with, CrashPoint, CrashStage, RunOptions, SchemeKind};
 use esd::sim::SystemConfig;
@@ -40,8 +39,8 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(25))]
 
-    /// Crash anywhere, in any stage, with any journal interval, on any
-    /// engine shape: every acknowledged write survives recovery (the
+    /// Crash anywhere, in any stage, with any journal interval: every
+    /// acknowledged write survives recovery (the
     /// shadow verifier would fail otherwise), the crash is always
     /// reported, and the recovery refcount audit finds zero leaks.
     #[test]
@@ -50,7 +49,6 @@ proptest! {
         crash_frac in 0.0f64..1.0,
         stage_ix in 0usize..CrashStage::ALL.len(),
         journal in prop_oneof![Just(None), (1u64..128).prop_map(Some)],
-        batch in prop_oneof![Just(1u32), Just(64u32)],
     ) {
         let config = SystemConfig::default();
         let access = ((trace.len() - 1) as f64 * crash_frac) as u64;
@@ -66,7 +64,7 @@ proptest! {
             trace_capacity: 0,
             epoch_interval: None,
             shards: 1,
-            batch,
+            batch: 64,
             quantum: 64,
             crash_at: Some(point),
             journal_every: journal,

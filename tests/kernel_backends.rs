@@ -1,10 +1,10 @@
 //! The hardware kernel backends' bit-exactness contract: forcing
 //! `--kernels scalar` and `--kernels simd` must produce byte-identical
-//! [`RunReport`]s for every scheme, shard count and batch size, and every
-//! lane-granular kernel (4-wide SHA-1/MD5, batched ECC encode, batched
-//! pad fill) must agree with its scalar reference at every ragged tail
-//! length. On hosts without the relevant instruction sets the SIMD
-//! backend falls back to scalar and the comparisons hold trivially.
+//! [`RunReport`]s for every scheme, and every lane-granular kernel (4-wide
+//! SHA-1/MD5, batched ECC encode, the 4-lane AES that builds every pad)
+//! must agree with its scalar reference at every ragged tail length. On
+//! hosts without the relevant instruction sets the SIMD backend falls back
+//! to scalar and the comparisons hold trivially.
 
 use std::sync::Mutex;
 
@@ -27,7 +27,7 @@ fn stress_config() -> SystemConfig {
     config
 }
 
-fn run(kind: SchemeKind, batch: u32, kernels: KernelBackend) -> RunReport {
+fn run(kind: SchemeKind, kernels: KernelBackend) -> RunReport {
     let config = stress_config();
     let mut app = AppProfile::demo();
     app.working_set_lines = 2_048;
@@ -37,7 +37,6 @@ fn run(kind: SchemeKind, batch: u32, kernels: KernelBackend) -> RunReport {
         scrub_interval: Some(1_500),
         scrub_lines_per_tick: 64,
         epoch_interval: Some(2_048),
-        batch,
         kernels,
         ..RunOptions::default()
     };
@@ -48,14 +47,12 @@ fn run(kind: SchemeKind, batch: u32, kernels: KernelBackend) -> RunReport {
 fn report_is_byte_identical_between_scalar_and_simd_backends() {
     let _guard = BACKEND.lock().unwrap();
     for kind in SchemeKind::EXTENDED {
-        for batch in [1, 64] {
-            let scalar = run(kind, batch, KernelBackend::Scalar);
-            let simd = run(kind, batch, KernelBackend::Simd);
-            assert_eq!(
-                scalar, simd,
-                "{kind} diverged between scalar and simd kernels at batch={batch}"
-            );
-        }
+        let scalar = run(kind, KernelBackend::Scalar);
+        let simd = run(kind, KernelBackend::Simd);
+        assert_eq!(
+            scalar, simd,
+            "{kind} diverged between scalar and simd kernels"
+        );
     }
     kernels::set_backend(KernelBackend::Auto);
 }
@@ -132,14 +129,16 @@ proptest! {
             prop_assert_eq!(&esd::ecc::encode_line(line), ecc);
         }
 
-        let engine = esd::crypto::CmeEngine::new([0x2B; 16]);
-        let pairs: Vec<(u64, u64)> = (0..n as u64).map(|i| (i * 64, i + 1)).collect();
-        let (pads_scalar, pads_simd) = under_both_backends(|| {
-            let mut pads = Vec::new();
-            engine.fill_pads(&pairs, &mut pads);
-            pads
+        // Every pad is one `encrypt4` over the line's four counter blocks.
+        let aes = esd::crypto::Aes128::new(&[0x2B; 16]);
+        let blocks: Vec<[[u8; 16]; 4]> = lines
+            .iter()
+            .map(|line| std::array::from_fn(|b| line[16 * b..16 * (b + 1)].try_into().unwrap()))
+            .collect();
+        let (aes_scalar, aes_simd) = under_both_backends(|| {
+            blocks.iter().map(|&four| aes.encrypt4(four)).collect::<Vec<_>>()
         });
-        prop_assert_eq!(&pads_scalar, &pads_simd, "fill_pads n={}", n);
+        prop_assert_eq!(&aes_scalar, &aes_simd, "encrypt4 n={}", n);
     }
 
     /// Single-block AES agrees between backends on arbitrary keys/blocks.

@@ -2,11 +2,11 @@
 //! the scheme layer is checked against what the code produced before it,
 //! not only against itself.
 //!
-//! One fixed trace; all eight kinds at batch {1, 64}, plus
-//! one journaled crash-and-recover run and one fault-injected, scrubbed run
-//! per kind. Every `RunOptions` field is spelled out, so no `ESD_*`
-//! variable can move a result. The pinned value is an FNV-1a of the
-//! report's `Debug` rendering, which covers every field.
+//! One fixed trace; all eight kinds, plus one journaled crash-and-recover
+//! run and one fault-injected, scrubbed run per kind. Every `RunOptions`
+//! field is spelled out, so no `ESD_*` variable can move a result. The
+//! pinned value is an FNV-1a of the report's `Debug` rendering, which
+//! covers every field.
 //!
 //! If a constant has to change, the model changed: say so in the PR.
 
@@ -47,7 +47,7 @@ fn trace() -> Trace {
     generate_trace(&AppProfile::demo(), 14, 6_000)
 }
 
-fn options(batch: u32) -> RunOptions {
+fn options() -> RunOptions {
     RunOptions {
         verify: true,
         scrub_interval: None,
@@ -56,7 +56,7 @@ fn options(batch: u32) -> RunOptions {
         trace_capacity: 0,
         epoch_interval: Some(1_000),
         shards: 1,
-        batch,
+        batch: 64,
         // Eleven merges, so cross-slice publishes become visible mid-run.
         quantum: 512,
         crash_at: None,
@@ -72,13 +72,10 @@ fn digest(kind: SchemeKind, trace: &Trace, config: &SystemConfig, options: &RunO
 }
 
 #[test]
-fn plain_reports_match_recorded_digests_at_every_batch_setting() {
+fn plain_reports_match_recorded_digests() {
     let (trace, config) = (trace(), config());
     for (kind, expected, _, _) in EXPECTED {
-        for batch in [1, 64] {
-            let got = digest(kind, &trace, &config, &options(batch));
-            assert_eq!(got, expected, "{kind} at batch={batch}");
-        }
+        assert_eq!(digest(kind, &trace, &config, &options()), expected, "{kind}");
     }
 }
 
@@ -98,7 +95,7 @@ fn crash_recovery_reports_match_recorded_digests() {
         // The crash constants were recorded without an epoch series;
         // `tests/sharded_replay.rs` pins a crash run with one.
         epoch_interval: None,
-        ..options(64)
+        ..options()
     };
     for (kind, _, expected, _) in EXPECTED {
         assert_eq!(digest(kind, &trace, &config, &options), expected, "{kind}");
@@ -115,7 +112,7 @@ fn fault_injected_scrubbed_reports_match_recorded_digests() {
     config.pcm.rber_seed = 0xE5D;
     let options = RunOptions {
         scrub_interval: Some(500),
-        ..options(64)
+        ..options()
     };
     for (kind, _, _, expected) in EXPECTED {
         assert_eq!(digest(kind, &trace, &config, &options), expected, "{kind}");

@@ -342,6 +342,34 @@ fn esd_constructors_carry_their_knobs() {
 }
 
 #[test]
+fn block_keys_equal_the_per_line_fingerprints() {
+    // The replay engine computes a block's keys in one kernel call; the
+    // write path computes a lone line's inline. They must agree for every
+    // spec a scheme has, at lengths around the 4-lane groups and the
+    // 64-access block.
+    let mut specs: Vec<FingerprintSpec> = SchemeKind::EXTENDED
+        .into_iter()
+        .filter_map(|kind| scheme(kind).fingerprint_spec())
+        .collect();
+    specs.push(FingerprintSpec::Ecc(EccCodec::Hsiao));
+    let lines: Vec<[u8; 64]> = (0..65u64)
+        .map(|i| *CacheLine::from_seed(i % 50).as_bytes())
+        .collect();
+    for spec in specs {
+        let inline = |line: &[u8; 64]| match spec {
+            FingerprintSpec::Hash(kind) => kind.compute_key(line).expect("hash kinds have a key"),
+            FingerprintSpec::Ecc(codec) => codec.line_fingerprint(line),
+        };
+        for n in [1, 3, 4, 5, 63, 64, 65] {
+            let mut keys = Vec::new();
+            spec.compute_keys(&lines[..n], &mut keys);
+            let expected: Vec<u64> = lines[..n].iter().map(inline).collect();
+            assert_eq!(keys, expected, "{spec:?} over {n} lines");
+        }
+    }
+}
+
+#[test]
 fn dewrite_counts_both_misprediction_directions() {
     // F4: the cold predictor says non-duplicate for 0x40, so encryption is
     // overlapped with the CRC — and wasted, because the content is one.
@@ -485,22 +513,18 @@ fn verify_shadow_reports_the_first_read_that_returns_aliased_content() {
         ],
     };
     let config = SystemConfig::default();
-    for batch in [1, 64] {
-        let options = RunOptions {
-            batch,
-            quantum: 4,
-            ..RunOptions::default()
-        };
-        let error = replay_with(SchemeKind::EsdNoVerify, &trace, &config, &options)
-            .expect_err("the aliased read must be caught");
-        assert_eq!(
-            (error.scheme, error.addr, error.access_index),
-            (SchemeKind::EsdNoVerify, 0x200, 5),
-            "batch={batch}"
-        );
-        // The verifying scheme reads the candidate back and stays safe.
-        replay_with(SchemeKind::Esd, &trace, &config, &options).expect("verified run");
-    }
+    let options = RunOptions {
+        quantum: 4,
+        ..RunOptions::default()
+    };
+    let error = replay_with(SchemeKind::EsdNoVerify, &trace, &config, &options)
+        .expect_err("the aliased read must be caught");
+    assert_eq!(
+        (error.scheme, error.addr, error.access_index),
+        (SchemeKind::EsdNoVerify, 0x200, 5),
+    );
+    // The verifying scheme reads the candidate back and stays safe.
+    replay_with(SchemeKind::Esd, &trace, &config, &options).expect("verified run");
 }
 
 #[test]

