@@ -21,13 +21,7 @@ fn bench_fingerprints(c: &mut Criterion) {
         b.iter(|| EccFingerprint::of_line(black_box(&line)))
     });
     group.bench_function("sha1", |b| b.iter(|| sha1(black_box(&line))));
-    group.bench_function("sha1_reference", |b| {
-        b.iter(|| esd_hash::reference::sha1(black_box(&line)))
-    });
     group.bench_function("md5", |b| b.iter(|| md5(black_box(&line))));
-    group.bench_function("md5_reference", |b| {
-        b.iter(|| esd_hash::reference::md5(black_box(&line)))
-    });
     group.bench_function("crc32", |b| b.iter(|| crc32(black_box(&line))));
     group.bench_function("crc64", |b| b.iter(|| crc64(black_box(&line))));
     group.finish();

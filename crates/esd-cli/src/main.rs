@@ -11,16 +11,10 @@
 //! esd-cli config
 //! ```
 //!
-//! Engine knobs (`run`/`compare`/`replay`): `--quantum <accesses>` sets
+//! Engine knob (`run`/`compare`/`replay`): `--quantum <accesses>` sets
 //! the cross-slice sync quantum (default `ESD_QUANTUM`, else 4096; a
 //! *model* knob — it decides when cross-slice duplicates become visible;
 //! degenerate values are clamped with a note).
-//! `--kernels <scalar|simd|auto>` picks the compute-kernel backend
-//! (default `ESD_KERNEL`, else `auto`): `simd`/`auto` route AES-128,
-//! SHA-1, MD5 and the Hamming encoder to AES-NI / SHA-NI / AVX2 / SSSE3
-//! where the host supports them, `scalar` forces the portable reference
-//! kernels. A pure host-speed knob — every backend is bit-exact; an
-//! explicit selection echoes the per-kernel dispatch table on stderr.
 //!
 //! Reliability flags: `--rber <flips per 10^12 bit-reads>` enables the
 //! seeded fault injector, `--rber-seed <N>` picks its stream, and
@@ -80,8 +74,6 @@ fn usage() -> &'static str {
      schemes: baseline, sha1, md5, pde, dewrite, esd, esd-full, esd-noverify\n\
      \x20        (or the name a report prints, e.g. Dedup_SHA1, ESD_Full; any case)\n\
      engine (run/compare/replay):      [--quantum <accesses>] (cross-slice sync quantum)\n\
-     \x20                                 [--kernels <scalar|simd|auto>] (compute-kernel\n\
-     \x20                                 backend; bit-exact, default auto)\n\
      reliability (run/compare/replay): [--rber <per-10^12-bit-reads>] [--rber-seed N]\n\
      \x20                                 [--scrub-every <accesses>] [--scrub-lines N]\n\
      crash (run/compare/replay):       [--crash-at <access[:stage]>] (inject a power-loss\n\
@@ -164,7 +156,7 @@ fn reliability_options(args: &Args, config: &mut SystemConfig) -> Result<RunOpti
 
 /// Flag names for the replay engine, shared by `run`, `compare` and
 /// `replay`.
-const ENGINE_FLAGS: [&str; 2] = ["quantum", "kernels"];
+const ENGINE_FLAGS: [&str; 1] = ["quantum"];
 
 /// Flag names for crash injection and journaling, shared by `run`,
 /// `compare` and `replay`.
@@ -186,13 +178,9 @@ fn crash_options(args: &Args, options: &mut RunOptions) -> Result<(), String> {
     Ok(())
 }
 
-/// Applies the engine knobs: `--quantum` sets the cross-slice sync quantum
-/// (a model knob), and `--kernels scalar|simd|auto` the compute-kernel
-/// backend (a host-speed knob: every SIMD kernel is bit-exact with its
-/// scalar reference). An explicit `--kernels` echoes the resolved
-/// per-kernel dispatch table on stderr so runs record which code actually
-/// executed. A degenerate quantum — `0` or beyond the trace length — is
-/// clamped with a note.
+/// Applies the engine knob: `--quantum` sets the cross-slice sync quantum
+/// (a model knob). A degenerate quantum — `0` or beyond the trace length —
+/// is clamped with a note.
 fn engine_options(
     args: &Args,
     trace_len: usize,
@@ -200,11 +188,6 @@ fn engine_options(
 ) -> Result<(), String> {
     options.quantum =
         args.get_parsed_or("quantum", options.quantum).map_err(|e| e.to_string())?;
-    if let Some(raw) = args.get("kernels") {
-        options.kernels = raw.parse().map_err(|e| format!("--kernels: {e}"))?;
-        esd_kernels::set_backend(options.kernels);
-        eprintln!("{}", esd_kernels::dispatch_report());
-    }
     let requested = options.quantum;
     let effective = esd_core::effective_quantum(requested, trace_len);
     if effective != requested {

@@ -1,8 +1,7 @@
 //! CLI-level contract of the `ESD_*` environment knobs: a set-but-malformed
 //! value must warn on stderr and fall back to the default instead of
 //! silently masking the typo or failing the run, and a well-formed value
-//! must be honored silently. Companion to `kernel_flags.rs`, which covers
-//! `ESD_KERNEL`.
+//! must be honored silently.
 
 use std::process::Command;
 
@@ -89,7 +88,11 @@ fn retired_knobs_are_no_flag_and_no_variable() {
     let plain = run_demo().output().expect("esd-cli runs");
     assert!(plain.status.success());
     // Each variable at the value that once picked the other code path.
-    for (flag, variable, value) in [("shards", "ESD_SHARDS", "4"), ("batch", "ESD_BATCH", "1")] {
+    for (flag, variable, value) in [
+        ("shards", "ESD_SHARDS", "4"),
+        ("batch", "ESD_BATCH", "1"),
+        ("kernels", "ESD_KERNEL", "scalar"),
+    ] {
         let out = run_demo()
             .args([&format!("--{flag}"), "4"])
             .output()

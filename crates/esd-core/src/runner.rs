@@ -101,22 +101,20 @@ pub struct RunOptions {
     /// bank occupancy, never write latency. Defaults to the
     /// `ESD_JOURNAL_EVERY` environment variable (unset or `0` → `None`).
     pub journal_every: Option<u64>,
-    /// Which kernel backend the compute kernels (AES-128, SHA-1, MD5,
-    /// Hamming ECC) run on: the portable scalar references, the hardware
-    /// SIMD implementations where the host supports them, or automatic
-    /// selection. Purely a *host-speed* knob — every SIMD backend is
-    /// bit-exact with its scalar reference, so the [`RunReport`] is
-    /// byte-identical across backends; only wall-clock changes. Applied
-    /// process-wide (via [`esd_kernels::set_backend`]) before the replay
-    /// starts. Defaults to the `ESD_KERNEL` environment variable
-    /// (unset → `Auto`; malformed values warn on stderr and fall back).
+    /// Which kernel backend the compute kernels (AES-128, SHA-1, MD5) run
+    /// on: `Scalar` forces the portable implementations, `Auto` (the
+    /// default) takes AES-NI, SHA-NI and AVX2 MD5 where the host has them.
+    /// Purely a *host-speed* knob — every hardware kernel is bit-exact with
+    /// its scalar path, so the [`RunReport`] is byte-identical across
+    /// backends; only wall-clock changes. Applied process-wide (via
+    /// [`esd_kernels::set_backend`]) before the replay starts.
     pub kernels: esd_kernels::KernelBackend,
 }
 
 impl Default for RunOptions {
-    /// Verification on, everything else off — except the four fields the
+    /// Verification on, everything else off — except the three fields the
     /// environment can set (`ESD_QUANTUM`, `ESD_CRASH_AT`,
-    /// `ESD_JOURNAL_EVERY`, `ESD_KERNEL`), each read through
+    /// `ESD_JOURNAL_EVERY`), each read through
     /// [`esd_kernels::env_parse`]: a malformed value warns on stderr and
     /// falls back to the built-in default.
     fn default() -> Self {
@@ -133,7 +131,7 @@ impl Default for RunOptions {
             crash_at: env_parse("ESD_CRASH_AT", "crash injection stays off"),
             journal_every: env_parse("ESD_JOURNAL_EVERY", "journaling stays off")
                 .filter(|&interval: &u64| interval > 0),
-            kernels: esd_kernels::backend_from_env(),
+            kernels: esd_kernels::KernelBackend::Auto,
         }
     }
 }
@@ -215,7 +213,7 @@ pub fn run_trace_with(
     config: &SystemConfig,
     options: &RunOptions,
 ) -> Result<RunReport, VerifyError> {
-    // Dispatch is a process-global; bit-exactness of the SIMD backends
+    // Dispatch is a process-global; bit-exactness of the hardware kernels
     // keeps the report byte-identical across this choice.
     esd_kernels::set_backend(options.kernels);
     crate::shard::run_sharded(scheme, trace, config, options)

@@ -175,7 +175,10 @@ impl Aes128 {
 
     /// Encrypts four independent 16-byte blocks, dispatched like
     /// [`Aes128::encrypt_block`] — the AES-NI backend keeps four `aesenc`
-    /// chains in flight over a single walk of the key schedule.
+    /// chains in flight over a single walk of the key schedule; the scalar
+    /// path is four [`Aes128::encrypt_block_scalar`] calls. Counter mode
+    /// fills a whole cache line's pad (exactly four counter blocks) with
+    /// one call.
     #[must_use]
     pub fn encrypt4(&self, blocks: [[u8; 16]; 4]) -> [[u8; 16]; 4] {
         #[cfg(target_arch = "x86_64")]
@@ -184,7 +187,7 @@ impl Aes128 {
             // at runtime before taking this path.
             return unsafe { crate::aes_ni::encrypt4(&self.round_keys, blocks) };
         }
-        self.encrypt4_scalar(blocks)
+        blocks.map(|block| self.encrypt_block_scalar(block))
     }
 
     /// Encrypts one 16-byte block (scalar T-table fast path).
@@ -253,79 +256,6 @@ impl Aes128 {
         out[8..12].copy_from_slice(&(o2 ^ rk[10][2]).to_be_bytes());
         out[12..16].copy_from_slice(&(o3 ^ rk[10][3]).to_be_bytes());
         out
-    }
-
-    /// Encrypts four independent 16-byte blocks in lockstep through a single
-    /// pass over the key schedule.
-    ///
-    /// The four T-table states are interleaved so every round's key words
-    /// and table lines are touched once for all four blocks — this is what
-    /// lets counter-mode fill a whole cache line's pad (exactly four counter
-    /// blocks) in one walk of the schedule. Bit-exact with four calls to
-    /// [`Aes128::encrypt_block`].
-    #[must_use]
-    pub fn encrypt4_scalar(&self, blocks: [[u8; 16]; 4]) -> [[u8; 16]; 4] {
-        let rk = &self.round_key_words;
-        // s[l] holds lane l's four big-endian column words.
-        let mut s: [[u32; 4]; 4] = std::array::from_fn(|l| {
-            std::array::from_fn(|c| {
-                u32::from_be_bytes(blocks[l][4 * c..4 * c + 4].try_into().expect("4 bytes"))
-                    ^ rk[0][c]
-            })
-        });
-
-        for round in rk.iter().take(10).skip(1) {
-            for state in &mut s {
-                let [s0, s1, s2, s3] = *state;
-                let t0 = TE0[(s0 >> 24) as usize]
-                    ^ TE1[((s1 >> 16) & 0xff) as usize]
-                    ^ TE2[((s2 >> 8) & 0xff) as usize]
-                    ^ TE3[(s3 & 0xff) as usize]
-                    ^ round[0];
-                let t1 = TE0[(s1 >> 24) as usize]
-                    ^ TE1[((s2 >> 16) & 0xff) as usize]
-                    ^ TE2[((s3 >> 8) & 0xff) as usize]
-                    ^ TE3[(s0 & 0xff) as usize]
-                    ^ round[1];
-                let t2 = TE0[(s2 >> 24) as usize]
-                    ^ TE1[((s3 >> 16) & 0xff) as usize]
-                    ^ TE2[((s0 >> 8) & 0xff) as usize]
-                    ^ TE3[(s1 & 0xff) as usize]
-                    ^ round[2];
-                let t3 = TE0[(s3 >> 24) as usize]
-                    ^ TE1[((s0 >> 16) & 0xff) as usize]
-                    ^ TE2[((s1 >> 8) & 0xff) as usize]
-                    ^ TE3[(s2 & 0xff) as usize]
-                    ^ round[3];
-                *state = [t0, t1, t2, t3];
-            }
-        }
-
-        std::array::from_fn(|l| {
-            let [s0, s1, s2, s3] = s[l];
-            let o0 = (u32::from(SBOX[(s0 >> 24) as usize]) << 24)
-                | (u32::from(SBOX[((s1 >> 16) & 0xff) as usize]) << 16)
-                | (u32::from(SBOX[((s2 >> 8) & 0xff) as usize]) << 8)
-                | u32::from(SBOX[(s3 & 0xff) as usize]);
-            let o1 = (u32::from(SBOX[(s1 >> 24) as usize]) << 24)
-                | (u32::from(SBOX[((s2 >> 16) & 0xff) as usize]) << 16)
-                | (u32::from(SBOX[((s3 >> 8) & 0xff) as usize]) << 8)
-                | u32::from(SBOX[(s0 & 0xff) as usize]);
-            let o2 = (u32::from(SBOX[(s2 >> 24) as usize]) << 24)
-                | (u32::from(SBOX[((s3 >> 16) & 0xff) as usize]) << 16)
-                | (u32::from(SBOX[((s0 >> 8) & 0xff) as usize]) << 8)
-                | u32::from(SBOX[(s1 & 0xff) as usize]);
-            let o3 = (u32::from(SBOX[(s3 >> 24) as usize]) << 24)
-                | (u32::from(SBOX[((s0 >> 16) & 0xff) as usize]) << 16)
-                | (u32::from(SBOX[((s1 >> 8) & 0xff) as usize]) << 8)
-                | u32::from(SBOX[(s2 & 0xff) as usize]);
-            let mut out = [0u8; 16];
-            out[0..4].copy_from_slice(&(o0 ^ rk[10][0]).to_be_bytes());
-            out[4..8].copy_from_slice(&(o1 ^ rk[10][1]).to_be_bytes());
-            out[8..12].copy_from_slice(&(o2 ^ rk[10][2]).to_be_bytes());
-            out[12..16].copy_from_slice(&(o3 ^ rk[10][3]).to_be_bytes());
-            out
-        })
     }
 
     /// Encrypts one 16-byte block with the table-free byte-wise round
@@ -532,8 +462,8 @@ mod tests {
     #[test]
     fn dispatched_backend_matches_scalar_tables() {
         // `encrypt_block`/`encrypt4` route through AES-NI wherever the host
-        // supports it; both must agree byte-for-byte with the scalar
-        // T-table path (and transitively the byte-wise reference) on every
+        // supports it; both must agree byte-for-byte with one-block scalar
+        // T-table calls (and transitively the byte-wise reference) on every
         // input, or dispatch would change ciphertext.
         let mut x = 0xDEAD_BEEF_0BAD_CAFEu64;
         let mut step = || {
@@ -554,7 +484,10 @@ mod tests {
             for block in blocks {
                 assert_eq!(aes.encrypt_block(block), aes.encrypt_block_scalar(block));
             }
-            assert_eq!(aes.encrypt4(blocks), aes.encrypt4_scalar(blocks));
+            assert_eq!(
+                aes.encrypt4(blocks),
+                blocks.map(|b| aes.encrypt_block_scalar(b))
+            );
         }
     }
 

@@ -343,8 +343,8 @@ impl CmeEngine {
     }
 
     /// Expands the keystream pad for `(addr, counter)`: four AES blocks
-    /// whose tweaks differ only in byte 15 (the block index), generated in
-    /// one interleaved [`Aes128::encrypt4`] pass over the key schedule.
+    /// whose tweaks differ only in byte 15 (the block index), generated by
+    /// one [`Aes128::encrypt4`] call.
     /// Under tenancy the owning tenant's derived key is used.
     fn generate_pad(&self, addr: u64, counter: u64) -> [u8; LINE_BYTES] {
         let mut tweak = [0u8; 16];

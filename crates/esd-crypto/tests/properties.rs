@@ -72,9 +72,9 @@ proptest! {
         prop_assert_eq!(aes.decrypt_block(aes.encrypt_block(block)), block);
     }
 
-    /// The 4-lane interleaved AES path is bit-exact with four scalar
-    /// T-table encryptions (which are themselves proven against the
-    /// byte-wise reference above) for any key and block set.
+    /// The 4-lane AES path is bit-exact with four one-block encryptions
+    /// (which are themselves proven against the byte-wise reference above)
+    /// for any key and block set.
     #[test]
     fn aes_four_lane_matches_scalar(key in proptest::array::uniform16(any::<u8>()),
                                     a in proptest::array::uniform16(any::<u8>()),

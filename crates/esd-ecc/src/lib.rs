@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Hamming(72,64) SEC-DED error-correcting codes and ECC-based cache-line
 //! fingerprints, as used by the ESD deduplication scheme (HPCA 2023).
@@ -22,6 +23,9 @@
 //!   fingerprint, with the guaranteed *filter property*
 //!   (`fp(a) != fp(b)  =>  a != b`).
 //!
+//! Every encoder here is safe, portable scalar code: a per-byte table fold
+//! that every host runs.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,8 +43,6 @@
 mod hamming;
 pub mod hsiao;
 mod line;
-#[cfg(target_arch = "x86_64")]
-mod simd;
 
 pub use hamming::{
     decode_word, encode_word, encode_word_ref, CorrectedBit, DecodeWordError, WordDecode,

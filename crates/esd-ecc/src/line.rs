@@ -129,27 +129,16 @@ impl fmt::UpperHex for EccFingerprint {
 /// ```
 #[must_use]
 pub fn encode_line(line: &[u8; LINE_BYTES]) -> LineEcc {
-    LineEcc(line_codes(line))
+    LineEcc(line_codes_scalar(line))
 }
 
-/// The eight per-word codes of a line, dispatched to the `pshufb`
-/// nibble-LUT backend when the kernel backend allows SIMD and the host has
-/// it, and the scalar table fold otherwise — bit-exact either way.
+/// The eight per-word codes of a line in one pass over the 64 bytes,
+/// folding each byte's table entry straight into its word's code — no u64
+/// assembly, no per-word parity popcounts. Bit-exact with per-word
+/// `encode_word` (the code is XOR-linear; see `esd-ecc`'s equivalence
+/// tests).
 #[must_use]
-fn line_codes(line: &[u8; LINE_BYTES]) -> [u8; WORDS_PER_LINE] {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::available() {
-        return crate::simd::line_codes(line);
-    }
-    line_codes_scalar(line)
-}
-
-/// Scalar bulk path: one pass over the 64 bytes, folding each byte's table
-/// entry straight into its word's code — no u64 assembly, no per-word
-/// parity popcounts. Bit-exact with per-word `encode_word` (the code is
-/// XOR-linear; see `esd-ecc`'s equivalence tests).
-#[must_use]
-pub(crate) fn line_codes_scalar(line: &[u8; LINE_BYTES]) -> [u8; WORDS_PER_LINE] {
+fn line_codes_scalar(line: &[u8; LINE_BYTES]) -> [u8; WORDS_PER_LINE] {
     let mut words = [0u8; WORDS_PER_LINE];
     for (word, chunk) in words.iter_mut().zip(line.chunks_exact(8)) {
         *word = ENC_TABLE[0][chunk[0] as usize]
@@ -172,13 +161,6 @@ pub(crate) fn line_codes_scalar(line: &[u8; LINE_BYTES]) -> [u8; WORDS_PER_LINE]
 /// [`encode_line`]. Bit-exact with per-line encoding at every block size.
 pub fn encode_lines(lines: &[[u8; LINE_BYTES]], out: &mut Vec<LineEcc>) {
     out.reserve(lines.len());
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::available() {
-        // The SIMD encoder already processes a full line per call (two
-        // 32-byte vectors under AVX2); no cross-line interleave needed.
-        out.extend(lines.iter().map(|line| LineEcc(crate::simd::line_codes(line))));
-        return;
-    }
     let mut groups = lines.chunks_exact(4);
     for group in groups.by_ref() {
         let mut words = [[0u8; WORDS_PER_LINE]; 4];
@@ -273,7 +255,7 @@ pub fn decode_line(
     let mut out = *line;
     let mut corrected_words = 0usize;
     let mut corrected = [None; WORDS_PER_LINE];
-    let expected_codes = line_codes(line);
+    let expected_codes = line_codes_scalar(line);
     for (w, chunk) in line.chunks_exact(8).enumerate() {
         if expected_codes[w] == ecc.0[w] {
             continue;

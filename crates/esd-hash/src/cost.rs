@@ -114,10 +114,9 @@ impl FingerprintKind {
 
     /// Computes this fingerprint's 64-bit key over a whole block of lines,
     /// appending one key per line to `out` in order. SHA-1 and MD5 route
-    /// through the 4-lane interleaved kernels (bit-exact with
+    /// through the 4-lane kernels (bit-exact with
     /// [`FingerprintKind::compute_key`] per line, including lane-tail
-    /// batches); the CRC families stay scalar — their table lookups are
-    /// already cheap enough that interleaving buys nothing.
+    /// batches); the CRC families stay per-line table folds.
     ///
     /// The `Ecc` variant appends nothing, mirroring `compute_key`'s `None`.
     pub fn compute_keys(self, lines: &[[u8; 64]], out: &mut Vec<u64>) {

@@ -2,15 +2,15 @@
 //!
 //! The replay engine hands a whole struct-of-arrays block of cache
 //! lines to the fingerprint stage at once. These helpers split such a block
-//! into full 4-line groups for the interleaved kernels and finish the
-//! lane-tail (the final 1–3 lines) with the scalar one-shot functions, so
-//! every block length produces exactly the digests the scalar path would.
+//! into full 4-line groups for the 4-lane kernels and finish the lane-tail
+//! (the final 1–3 lines) with the one-shot functions, so every block length
+//! produces exactly the per-line digests.
 
 use crate::{md5, md5_lines4, sha1, sha1_lines4, Md5Digest, Sha1Digest};
 
 /// Hashes a block of 64-byte lines with the 4-lane SHA-1 kernel, appending
 /// one digest per line to `out` in order. The tail lines that do not fill a
-/// lane group fall back to the scalar kernel.
+/// lane group go through [`sha1`].
 pub fn sha1_batch(lines: &[[u8; 64]], out: &mut Vec<Sha1Digest>) {
     out.reserve(lines.len());
     let mut groups = lines.chunks_exact(4);
@@ -24,7 +24,7 @@ pub fn sha1_batch(lines: &[[u8; 64]], out: &mut Vec<Sha1Digest>) {
 }
 
 /// Hashes a block of 64-byte lines with the 4-lane MD5 kernel, appending one
-/// digest per line to `out` in order; lane-tail handled by the scalar kernel.
+/// digest per line to `out` in order; lane-tail handled by [`md5`].
 pub fn md5_batch(lines: &[[u8; 64]], out: &mut Vec<Md5Digest>) {
     out.reserve(lines.len());
     let mut groups = lines.chunks_exact(4);

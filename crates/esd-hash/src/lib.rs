@@ -36,7 +36,6 @@ mod cost;
 mod crc;
 mod lanes;
 mod md5;
-pub mod reference;
 mod sha1;
 #[cfg(target_arch = "x86_64")]
 mod simd;
@@ -46,6 +45,9 @@ pub use crc::{crc32, crc64, Crc32, Crc64};
 pub use lanes::{md5_batch, sha1_batch};
 pub use md5::{md5, md5_lines4, Md5, Md5Digest};
 pub use sha1::{sha1, sha1_lines4, Sha1, Sha1Digest};
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -102,13 +102,13 @@ impl Md5 {
             input = &input[take..];
             if self.buffered == 64 {
                 let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &block);
                 self.buffered = 0;
             }
         }
         while input.len() >= 64 {
             let block: [u8; 64] = input[..64].try_into().expect("64-byte block");
-            self.compress(&block);
+            compress(&mut self.state, &block);
             input = &input[64..];
         }
         if !input.is_empty() {
@@ -128,13 +128,8 @@ impl Md5 {
         let start = self.buffered;
         self.buffer[start..start + 8].copy_from_slice(&length_bits.to_le_bytes());
         let block = self.buffer;
-        self.compress(&block);
-
-        let mut out = [0u8; 16];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
-        }
-        Md5Digest(out)
+        compress(&mut self.state, &block);
+        digest(self.state)
     }
 
     fn push_byte(&mut self, byte: u8) {
@@ -142,51 +137,62 @@ impl Md5 {
         self.buffered += 1;
         if self.buffered == 64 {
             let block = self.buffer;
-            self.compress(&block);
+            compress(&mut self.state, &block);
             self.buffered = 0;
         }
     }
+}
 
-    /// The fast block compression: the 64-round loop is split into its four
-    /// phases, removing the per-round `(f, g)` dispatch and letting each
-    /// phase's message-word index progression be computed directly.
-    /// Bit-exact with [`crate::reference::md5_compress`].
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut m = [0u32; 16];
-        for (word, chunk) in m.iter_mut().zip(block.chunks_exact(4)) {
-            *word = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-        }
-
-        let [mut a, mut b, mut c, mut d] = self.state;
-
-        macro_rules! round {
-            ($f:expr, $g:expr, $i:expr) => {{
-                let f = $f.wrapping_add(a).wrapping_add(K[$i]).wrapping_add(m[$g]);
-                a = d;
-                d = c;
-                c = b;
-                b = b.wrapping_add(f.rotate_left(S[$i]));
-            }};
-        }
-
-        for i in 0..16 {
-            round!((b & c) | ((!b) & d), i, i);
-        }
-        for i in 16..32 {
-            round!((d & b) | ((!d) & c), (5 * i + 1) % 16, i);
-        }
-        for i in 32..48 {
-            round!(b ^ c ^ d, (3 * i + 5) % 16, i);
-        }
-        for i in 48..64 {
-            round!(c ^ (b | !d), (7 * i) % 16, i);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+/// One block compression: the 64-round loop is split into its four phases,
+/// removing the per-round `(f, g)` dispatch and letting each phase's
+/// message-word index progression be computed directly. Bit-exact with the
+/// reference formulation the unit tests hold it to. (Single-block MD5 has
+/// no hardware path: each round depends on the previous, so only the
+/// 4-lane shape vectorizes.)
+fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (word, chunk) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
     }
+
+    let [mut a, mut b, mut c, mut d] = *state;
+
+    macro_rules! round {
+        ($f:expr, $g:expr, $i:expr) => {{
+            let f = $f.wrapping_add(a).wrapping_add(K[$i]).wrapping_add(m[$g]);
+            a = d;
+            d = c;
+            c = b;
+            b = b.wrapping_add(f.rotate_left(S[$i]));
+        }};
+    }
+
+    for i in 0..16 {
+        round!((b & c) | ((!b) & d), i, i);
+    }
+    for i in 16..32 {
+        round!((d & b) | ((!d) & c), (5 * i + 1) % 16, i);
+    }
+    for i in 32..48 {
+        round!(b ^ c ^ d, (3 * i + 5) % 16, i);
+    }
+    for i in 48..64 {
+        round!(c ^ (b | !d), (7 * i) % 16, i);
+    }
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+}
+
+/// The digest a final chaining value spells, little-endian word by word.
+fn digest(state: [u32; 4]) -> Md5Digest {
+    let mut out = [0u8; 16];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+    }
+    Md5Digest(out)
 }
 
 /// Computes the MD5 digest of `data` in one shot.
@@ -210,12 +216,10 @@ const MD5_LINE_PAD: [u8; 64] = {
     block
 };
 
-/// One MD5 compression over four independent states, dispatched to the
-/// AVX2 vertical kernel where the host has it and the scalar interleaved
-/// lanes otherwise — bit-exact either way. (Single-block MD5 has no
-/// hardware path: each round depends on the previous, so only the 4-lane
-/// shape vectorizes.)
-fn md5_compress4(states: &mut [[u32; 4]; 4], blocks: [&[u8; 64]; 4]) {
+/// One MD5 compression over four independent states: the AVX2 vertical
+/// kernel where the kernel backend allows it and the host has it, otherwise
+/// four calls of the one scalar compression — bit-exact either way.
+fn compress4(states: &mut [[u32; 4]; 4], blocks: [&[u8; 64]; 4]) {
     #[cfg(target_arch = "x86_64")]
     if crate::simd::avx2_available() {
         // SAFETY: `avx2_available` confirmed the `avx2` CPU feature at
@@ -223,77 +227,20 @@ fn md5_compress4(states: &mut [[u32; 4]; 4], blocks: [&[u8; 64]; 4]) {
         unsafe { crate::simd::md5_compress4_avx2(states, blocks) };
         return;
     }
-    md5_compress4_scalar(states, blocks);
-}
-
-/// One MD5 compression over four independent states in lockstep (see
-/// the SHA-1 counterpart for the interleaving rationale).
-fn md5_compress4_scalar(states: &mut [[u32; 4]; 4], blocks: [&[u8; 64]; 4]) {
-    let mut m = [[0u32; 16]; 4];
-    for (lane, block) in m.iter_mut().zip(blocks) {
-        for (word, chunk) in lane.iter_mut().zip(block.chunks_exact(4)) {
-            *word = u32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-        }
-    }
-
-    let mut a: [u32; 4] = std::array::from_fn(|l| states[l][0]);
-    let mut b: [u32; 4] = std::array::from_fn(|l| states[l][1]);
-    let mut c: [u32; 4] = std::array::from_fn(|l| states[l][2]);
-    let mut d: [u32; 4] = std::array::from_fn(|l| states[l][3]);
-
-    macro_rules! round4 {
-        ($f:expr, $g:expr, $i:expr) => {{
-            for l in 0..4 {
-                let f: fn(u32, u32, u32) -> u32 = $f;
-                let t = f(b[l], c[l], d[l])
-                    .wrapping_add(a[l])
-                    .wrapping_add(K[$i])
-                    .wrapping_add(m[l][$g]);
-                let next_b = b[l].wrapping_add(t.rotate_left(S[$i]));
-                a[l] = d[l];
-                d[l] = c[l];
-                c[l] = b[l];
-                b[l] = next_b;
-            }
-        }};
-    }
-
-    for i in 0..16 {
-        round4!(|b, c, d| (b & c) | ((!b) & d), i, i);
-    }
-    for i in 16..32 {
-        round4!(|b, c, d| (d & b) | ((!d) & c), (5 * i + 1) % 16, i);
-    }
-    for i in 32..48 {
-        round4!(|b, c, d| b ^ c ^ d, (3 * i + 5) % 16, i);
-    }
-    for i in 48..64 {
-        round4!(|b, c, d| c ^ (b | !d), (7 * i) % 16, i);
-    }
-
-    for l in 0..4 {
-        states[l][0] = states[l][0].wrapping_add(a[l]);
-        states[l][1] = states[l][1].wrapping_add(b[l]);
-        states[l][2] = states[l][2].wrapping_add(c[l]);
-        states[l][3] = states[l][3].wrapping_add(d[l]);
+    for (state, block) in states.iter_mut().zip(blocks) {
+        compress(state, block);
     }
 }
 
-/// Hashes four independent 64-byte lines in lockstep — two interleaved
+/// Hashes four independent 64-byte lines in lockstep — two 4-lane
 /// compressions (the data blocks, then the shared constant padding block) —
 /// and returns the four digests. Bit-exact with [`md5`] on each line.
 #[must_use]
 pub fn md5_lines4(lines: &[[u8; 64]; 4]) -> [Md5Digest; 4] {
     let mut states = [MD5_INIT; 4];
-    md5_compress4(&mut states, [&lines[0], &lines[1], &lines[2], &lines[3]]);
-    md5_compress4(&mut states, [&MD5_LINE_PAD; 4]);
-    std::array::from_fn(|l| {
-        let mut out = [0u8; 16];
-        for (i, word) in states[l].iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
-        }
-        Md5Digest(out)
-    })
+    compress4(&mut states, [&lines[0], &lines[1], &lines[2], &lines[3]]);
+    compress4(&mut states, [&MD5_LINE_PAD; 4]);
+    states.map(digest)
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 //! These are the original, deliberately plain formulations — SHA-1 with a
 //! pre-expanded 80-word schedule and a per-round `match` for `(f, k)`, MD5
 //! with a per-round `match` for `(f, g)` — kept verbatim so the unrolled
-//! fast paths in [`crate::Sha1`] and [`crate::Md5`] have an independent
-//! implementation to be property-tested against. Nothing on a hot path
-//! calls into this module.
+//! and hardware paths behind [`crate::sha1`], [`crate::md5`] and the lane
+//! kernels have an independent implementation to be property-tested
+//! against. The module is compiled for the crate's unit tests only.
 
 use crate::{Md5Digest, Sha1Digest};
 
@@ -151,6 +151,7 @@ fn padded_blocks(data: &[u8], little_endian_length: bool) -> Vec<[u8; 64]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn reference_sha1_hits_fips_vectors() {
@@ -170,6 +171,79 @@ mod tests {
         for len in [0usize, 1, 8, 55, 56, 57, 63, 64, 65, 128, 500, 1000] {
             assert_eq!(crate::sha1(&data[..len]), sha1(&data[..len]), "sha1 len {len}");
             assert_eq!(crate::md5(&data[..len]), md5(&data[..len]), "md5 len {len}");
+        }
+    }
+
+    proptest! {
+        /// The unrolled SHA-1 compression (circular 16-word schedule, phase
+        /// split) is bit-exact with the plain reference formulation on random
+        /// inputs of random lengths, including multi-block ones.
+        #[test]
+        fn sha1_fast_path_matches_reference(data in proptest::collection::vec(any::<u8>(), 0..300)) {
+            prop_assert_eq!(crate::sha1(&data), sha1(&data));
+        }
+
+        /// Same for the phase-split MD5 compression.
+        #[test]
+        fn md5_fast_path_matches_reference(data in proptest::collection::vec(any::<u8>(), 0..300)) {
+            prop_assert_eq!(crate::md5(&data), md5(&data));
+        }
+
+        /// The 4-lane SHA-1 kernel is bit-exact with the reference
+        /// implementation on four independent random lines.
+        #[test]
+        fn sha1_four_lane_matches_reference(a in proptest::array::uniform32(any::<u8>()),
+                                            b in proptest::array::uniform32(any::<u8>())) {
+            let mut lines = [[0u8; 64]; 4];
+            for (l, line) in lines.iter_mut().enumerate() {
+                for i in 0..32 {
+                    line[i] = a[i].rotate_left(l as u32);
+                    line[32 + i] = b[i].wrapping_add(l as u8);
+                }
+            }
+            let digests = crate::sha1_lines4(&lines);
+            for (digest, line) in digests.iter().zip(&lines) {
+                prop_assert_eq!(*digest, sha1(line));
+            }
+        }
+
+        /// Same for the 4-lane MD5 kernel.
+        #[test]
+        fn md5_four_lane_matches_reference(a in proptest::array::uniform32(any::<u8>()),
+                                           b in proptest::array::uniform32(any::<u8>())) {
+            let mut lines = [[0u8; 64]; 4];
+            for (l, line) in lines.iter_mut().enumerate() {
+                for i in 0..32 {
+                    line[i] = a[i].wrapping_mul(2 * l as u8 + 1);
+                    line[32 + i] = b[i] ^ (l as u8 * 0x55);
+                }
+            }
+            let digests = crate::md5_lines4(&lines);
+            for (digest, line) in digests.iter().zip(&lines) {
+                prop_assert_eq!(*digest, md5(line));
+            }
+        }
+
+        /// Lane-tail batches (sizes straddling the 4-line groups, including
+        /// 1, 3, 63 and 65) produce digest-for-digest the reference result
+        /// through the batch drivers.
+        #[test]
+        fn hash_batches_match_reference_at_lane_tails(seed in proptest::array::uniform32(any::<u8>()),
+                                                      pick in 0usize..8) {
+            let len = [1usize, 2, 3, 4, 5, 63, 64, 65][pick];
+            let lines: Vec<[u8; 64]> = (0..len)
+                .map(|s| std::array::from_fn(|i| seed[i % 32].wrapping_add((s * 41 + i) as u8)))
+                .collect();
+            let mut sha = Vec::new();
+            crate::sha1_batch(&lines, &mut sha);
+            let mut md = Vec::new();
+            crate::md5_batch(&lines, &mut md);
+            prop_assert_eq!(sha.len(), len);
+            prop_assert_eq!(md.len(), len);
+            for (i, line) in lines.iter().enumerate() {
+                prop_assert_eq!(sha[i], sha1(line));
+                prop_assert_eq!(md[i], md5(line));
+            }
         }
     }
 }

@@ -85,13 +85,13 @@ impl Sha1 {
             input = &input[take..];
             if self.buffered == 64 {
                 let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &block);
                 self.buffered = 0;
             }
         }
         while input.len() >= 64 {
             let block: [u8; 64] = input[..64].try_into().expect("64-byte block");
-            self.compress(&block);
+            compress(&mut self.state, &block);
             input = &input[64..];
         }
         if !input.is_empty() {
@@ -112,13 +112,8 @@ impl Sha1 {
         let block_start = self.buffered;
         self.buffer[block_start..block_start + 8].copy_from_slice(&length_bits.to_be_bytes());
         let block = self.buffer;
-        self.compress(&block);
-
-        let mut out = [0u8; 20];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Sha1Digest(out)
+        compress(&mut self.state, &block);
+        digest(self.state)
     }
 
     fn update_padding_byte(&mut self) {
@@ -126,7 +121,7 @@ impl Sha1 {
         self.buffered += 1;
         if self.buffered == 64 {
             let block = self.buffer;
-            self.compress(&block);
+            compress(&mut self.state, &block);
             self.buffered = 0;
         }
     }
@@ -136,91 +131,99 @@ impl Sha1 {
         self.buffered += 1;
         if self.buffered == 64 {
             let block = self.buffer;
-            self.compress(&block);
+            compress(&mut self.state, &block);
             self.buffered = 0;
         }
     }
+}
 
-    /// One block compression, dispatched to the fastest available backend:
-    /// the SHA-NI rounds when the kernel backend allows SIMD and the host
-    /// has the `sha` feature, otherwise the scalar phase-split loop — both
-    /// bit-exact with [`crate::reference::sha1_compress`].
-    fn compress(&mut self, block: &[u8; 64]) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::sha_ni_available() {
-            // SAFETY: `sha_ni_available` confirmed the `sha`+`ssse3`+`sse2`
-            // CPU features at runtime before taking this path.
-            unsafe { crate::simd::sha1_compress_ni(&mut self.state, block) };
-            return;
-        }
-        self.compress_scalar(block);
+/// One block compression, dispatched to the fastest available backend: the
+/// SHA-NI rounds when the kernel backend allows hardware kernels and the
+/// host has the `sha` feature, otherwise `compress_scalar` — both
+/// bit-exact with the reference formulation the unit tests hold them to.
+fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::sha_ni_available() {
+        // SAFETY: `sha_ni_available` confirmed the `sha`+`ssse3`+`sse2`
+        // CPU features at runtime before taking this path.
+        unsafe { crate::simd::sha1_compress_ni(state, block) };
+        return;
+    }
+    compress_scalar(state, block);
+}
+
+/// The scalar block compression: the 80-round loop is split into its four
+/// phases (removing the per-round `(f, k)` dispatch) and the message
+/// schedule lives in a 16-word circular buffer computed on the fly (instead
+/// of a pre-expanded 80-word array).
+fn compress_scalar(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
     }
 
-    /// The scalar block compression: the 80-round loop is split into its
-    /// four phases (removing the per-round `(f, k)` dispatch) and the
-    /// message schedule lives in a 16-word circular buffer computed on the
-    /// fly (instead of a pre-expanded 80-word array). Bit-exact with
-    /// [`crate::reference::sha1_compress`].
-    fn compress_scalar(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 16];
-        for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
-            *word = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
-        }
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
 
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-
-        // w[i] for i >= 16 is (w[i-3] ^ w[i-8] ^ w[i-14] ^ w[i-16]) <<< 1;
-        // modulo 16 those taps are (i+13), (i+8), (i+2) and i itself.
-        macro_rules! schedule {
-            ($i:expr) => {{
-                let next = (w[($i + 13) & 15] ^ w[($i + 8) & 15] ^ w[($i + 2) & 15] ^ w[$i & 15])
-                    .rotate_left(1);
-                w[$i & 15] = next;
-                next
-            }};
-        }
-        macro_rules! round {
-            ($f:expr, $k:expr, $wi:expr) => {{
-                let temp = a
-                    .rotate_left(5)
-                    .wrapping_add($f)
-                    .wrapping_add(e)
-                    .wrapping_add($k)
-                    .wrapping_add($wi);
-                e = d;
-                d = c;
-                c = b.rotate_left(30);
-                b = a;
-                a = temp;
-            }};
-        }
-
-        for &wi in &w {
-            round!((b & c) | ((!b) & d), 0x5A82_7999, wi);
-        }
-        for i in 16..20 {
-            let wi = schedule!(i);
-            round!((b & c) | ((!b) & d), 0x5A82_7999, wi);
-        }
-        for i in 20..40 {
-            let wi = schedule!(i);
-            round!(b ^ c ^ d, 0x6ED9_EBA1, wi);
-        }
-        for i in 40..60 {
-            let wi = schedule!(i);
-            round!((b & c) | (b & d) | (c & d), 0x8F1B_BCDC, wi);
-        }
-        for i in 60..80 {
-            let wi = schedule!(i);
-            round!(b ^ c ^ d, 0xCA62_C1D6, wi);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+    // w[i] for i >= 16 is (w[i-3] ^ w[i-8] ^ w[i-14] ^ w[i-16]) <<< 1;
+    // modulo 16 those taps are (i+13), (i+8), (i+2) and i itself.
+    macro_rules! schedule {
+        ($i:expr) => {{
+            let next = (w[($i + 13) & 15] ^ w[($i + 8) & 15] ^ w[($i + 2) & 15] ^ w[$i & 15])
+                .rotate_left(1);
+            w[$i & 15] = next;
+            next
+        }};
     }
+    macro_rules! round {
+        ($f:expr, $k:expr, $wi:expr) => {{
+            let temp = a
+                .rotate_left(5)
+                .wrapping_add($f)
+                .wrapping_add(e)
+                .wrapping_add($k)
+                .wrapping_add($wi);
+            e = d;
+            d = c;
+            c = b.rotate_left(30);
+            b = a;
+            a = temp;
+        }};
+    }
+
+    for &wi in &w {
+        round!((b & c) | ((!b) & d), 0x5A82_7999, wi);
+    }
+    for i in 16..20 {
+        let wi = schedule!(i);
+        round!((b & c) | ((!b) & d), 0x5A82_7999, wi);
+    }
+    for i in 20..40 {
+        let wi = schedule!(i);
+        round!(b ^ c ^ d, 0x6ED9_EBA1, wi);
+    }
+    for i in 40..60 {
+        let wi = schedule!(i);
+        round!((b & c) | (b & d) | (c & d), 0x8F1B_BCDC, wi);
+    }
+    for i in 60..80 {
+        let wi = schedule!(i);
+        round!(b ^ c ^ d, 0xCA62_C1D6, wi);
+    }
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+}
+
+/// The digest a final chaining value spells, big-endian word by word.
+fn digest(state: [u32; 5]) -> Sha1Digest {
+    let mut out = [0u8; 20];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    Sha1Digest(out)
 }
 
 /// Computes the SHA-1 digest of `data` in one shot.
@@ -231,144 +234,31 @@ pub fn sha1(data: &[u8]) -> Sha1Digest {
     h.finalize()
 }
 
-/// The standard SHA-1 initial state, shared with the 4-lane kernel.
-pub(crate) const SHA1_INIT: [u32; 5] =
+/// The standard SHA-1 initial state.
+const SHA1_INIT: [u32; 5] =
     [0x6745_2301, 0xEFCD_AB89, 0x98BA_DCFE, 0x1032_5476, 0xC3D2_E1F0];
 
 /// The second compression block of every one-shot 64-byte message is a
 /// constant: the `0x80` terminator, zeros, then the 512-bit message length
 /// big-endian in the last eight bytes.
-pub(crate) const SHA1_LINE_PAD: [u8; 64] = {
+const SHA1_LINE_PAD: [u8; 64] = {
     let mut block = [0u8; 64];
     block[0] = 0x80;
     block[62] = 0x02; // 512 = 0x0200, big-endian
     block
 };
 
-/// One SHA-1 compression over four independent states, dispatched to the
-/// fastest available backend: four SHA-NI single-block compressions where
-/// the host has them, the SSSE3 4-wide vertical kernel otherwise, and the
-/// scalar interleaved lanes as the universal fallback. All bit-exact.
-fn sha1_compress4(states: &mut [[u32; 5]; 4], blocks: [&[u8; 64]; 4]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::simd::sha_ni_available() {
-            for (state, block) in states.iter_mut().zip(blocks) {
-                // SAFETY: `sha_ni_available` confirmed the `sha`+`ssse3`+
-                // `sse2` CPU features at runtime before taking this path.
-                unsafe { crate::simd::sha1_compress_ni(state, block) };
-            }
-            return;
-        }
-        if crate::simd::ssse3_available() {
-            // SAFETY: `ssse3_available` confirmed the `ssse3`+`sse2` CPU
-            // features at runtime before taking this path.
-            unsafe { crate::simd::sha1_compress4_ssse3(states, blocks) };
-            return;
-        }
-    }
-    sha1_compress4_scalar(states, blocks);
-}
-
-/// One SHA-1 compression over four independent states in lockstep: the four
-/// message schedules and round computations are interleaved so each round's
-/// four lane operations are adjacent — the shape the compiler auto-vectorizes
-/// and that keeps all four working sets in registers.
-fn sha1_compress4_scalar(states: &mut [[u32; 5]; 4], blocks: [&[u8; 64]; 4]) {
-    let mut w = [[0u32; 16]; 4];
-    for (lane, block) in w.iter_mut().zip(blocks) {
-        for (word, chunk) in lane.iter_mut().zip(block.chunks_exact(4)) {
-            *word = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
-        }
-    }
-
-    let mut a: [u32; 4] = std::array::from_fn(|l| states[l][0]);
-    let mut b: [u32; 4] = std::array::from_fn(|l| states[l][1]);
-    let mut c: [u32; 4] = std::array::from_fn(|l| states[l][2]);
-    let mut d: [u32; 4] = std::array::from_fn(|l| states[l][3]);
-    let mut e: [u32; 4] = std::array::from_fn(|l| states[l][4]);
-
-    macro_rules! schedule4 {
-        ($i:expr) => {{
-            let mut next = [0u32; 4];
-            for l in 0..4 {
-                let n = (w[l][($i + 13) & 15]
-                    ^ w[l][($i + 8) & 15]
-                    ^ w[l][($i + 2) & 15]
-                    ^ w[l][$i & 15])
-                    .rotate_left(1);
-                w[l][$i & 15] = n;
-                next[l] = n;
-            }
-            next
-        }};
-    }
-    macro_rules! round4 {
-        ($f:expr, $k:expr, $wi:expr) => {{
-            for l in 0..4 {
-                let f: fn(u32, u32, u32) -> u32 = $f;
-                let temp = a[l]
-                    .rotate_left(5)
-                    .wrapping_add(f(b[l], c[l], d[l]))
-                    .wrapping_add(e[l])
-                    .wrapping_add($k)
-                    .wrapping_add($wi[l]);
-                e[l] = d[l];
-                d[l] = c[l];
-                c[l] = b[l].rotate_left(30);
-                b[l] = a[l];
-                a[l] = temp;
-            }
-        }};
-    }
-
-    // `i` walks the message-word axis; iterating `&w` would walk lanes,
-    // the wrong dimension — hence the allow.
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..16 {
-        let wi: [u32; 4] = std::array::from_fn(|l| w[l][i]);
-        round4!(|b, c, d| (b & c) | ((!b) & d), 0x5A82_7999, wi);
-    }
-    for i in 16..20 {
-        let wi = schedule4!(i);
-        round4!(|b, c, d| (b & c) | ((!b) & d), 0x5A82_7999, wi);
-    }
-    for i in 20..40 {
-        let wi = schedule4!(i);
-        round4!(|b, c, d| b ^ c ^ d, 0x6ED9_EBA1, wi);
-    }
-    for i in 40..60 {
-        let wi = schedule4!(i);
-        round4!(|b, c, d| (b & c) | (b & d) | (c & d), 0x8F1B_BCDC, wi);
-    }
-    for i in 60..80 {
-        let wi = schedule4!(i);
-        round4!(|b, c, d| b ^ c ^ d, 0xCA62_C1D6, wi);
-    }
-
-    for l in 0..4 {
-        states[l][0] = states[l][0].wrapping_add(a[l]);
-        states[l][1] = states[l][1].wrapping_add(b[l]);
-        states[l][2] = states[l][2].wrapping_add(c[l]);
-        states[l][3] = states[l][3].wrapping_add(d[l]);
-        states[l][4] = states[l][4].wrapping_add(e[l]);
-    }
-}
-
-/// Hashes four independent 64-byte lines in lockstep — two interleaved
-/// compressions (the data blocks, then the shared constant padding block) —
-/// and returns the four digests. Bit-exact with [`sha1`] on each line.
+/// Hashes four independent 64-byte lines — per line the data block, then
+/// the shared constant padding block, through the one dispatched
+/// compression — and returns the four digests. Bit-exact with [`sha1`] on
+/// each line.
 #[must_use]
 pub fn sha1_lines4(lines: &[[u8; 64]; 4]) -> [Sha1Digest; 4] {
-    let mut states = [SHA1_INIT; 4];
-    sha1_compress4(&mut states, [&lines[0], &lines[1], &lines[2], &lines[3]]);
-    sha1_compress4(&mut states, [&SHA1_LINE_PAD; 4]);
-    std::array::from_fn(|l| {
-        let mut out = [0u8; 20];
-        for (i, word) in states[l].iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Sha1Digest(out)
+    lines.each_ref().map(|line| {
+        let mut state = SHA1_INIT;
+        compress(&mut state, line);
+        compress(&mut state, &SHA1_LINE_PAD);
+        digest(state)
     })
 }
 

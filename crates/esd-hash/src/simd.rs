@@ -1,17 +1,13 @@
-//! Hardware SIMD backends for the SHA-1 and MD5 kernels.
+//! Hardware backends for the SHA-1 and MD5 kernels.
 //!
-//! Three implementations live here, all bit-exact with the scalar kernels
-//! in `sha1.rs`/`md5.rs` (the proptests and in-module tests hold them to
-//! it):
+//! Two implementations live here, both bit-exact with the scalar
+//! compressions in `sha1.rs`/`md5.rs` (the unit tests and proptests hold
+//! them to it):
 //!
 //! * [`sha1_compress_ni`] — one SHA-1 compression through the SHA
 //!   extensions (`sha1rnds4`/`sha1nexte`/`sha1msg1`/`sha1msg2`), the
 //!   canonical Intel round sequence with ABCD packed in one vector and E
-//!   carried separately.
-//! * [`sha1_compress4_ssse3`] — the 4-wide message-schedule fallback for
-//!   hosts without SHA-NI: four independent compressions run vertically,
-//!   one SSE lane per message, exactly mirroring the scalar
-//!   `sha1_compress4` interleave.
+//!   carried separately. The 4-lane SHA-1 kernel is four of these.
 //! * [`md5_compress4_avx2`] — four independent MD5 compressions run
 //!   vertically (AVX2-encoded 128-bit integer ops). Single-block MD5 stays
 //!   scalar: each round depends on the previous, so only the 4-lane shape
@@ -34,12 +30,6 @@ use core::arch::x86_64::{
 #[inline]
 pub(crate) fn sha_ni_available() -> bool {
     esd_kernels::simd_allowed() && esd_kernels::cpu_features().sha
-}
-
-/// Whether the SSSE3 4-wide fallback may run.
-#[inline]
-pub(crate) fn ssse3_available() -> bool {
-    esd_kernels::simd_allowed() && esd_kernels::cpu_features().ssse3
 }
 
 /// Whether the AVX2 4-lane MD5 path may run.
@@ -241,168 +231,10 @@ pub(crate) unsafe fn sha1_compress_ni(state: &mut [u32; 5], block: &[u8; 64]) {
     }
 }
 
-/// Big-endian message word `i` of `block` as an `i32` for `_mm_set_epi32`.
-#[inline]
-fn be_word(block: &[u8; 64], i: usize) -> i32 {
-    u32::from_be_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes")) as i32
-}
-
 /// Little-endian message word `i` of `block` as an `i32`.
 #[inline]
 fn le_word(block: &[u8; 64], i: usize) -> i32 {
     u32::from_le_bytes(block[4 * i..4 * i + 4].try_into().expect("4 bytes")) as i32
-}
-
-/// Four SHA-1 compressions run vertically, one SSE lane per message —
-/// the fallback for SHA-capable workloads on hosts without SHA-NI.
-///
-/// Lane `l` of every vector belongs to message `l`; the 16-word circular
-/// message schedule and the four round phases mirror the scalar
-/// `sha1_compress4` exactly, so the two are bit-identical.
-///
-/// # Safety
-/// The host must support the `ssse3` and `sse2` target features (checked
-/// by [`ssse3_available`]).
-#[target_feature(enable = "ssse3", enable = "sse2")]
-pub(crate) unsafe fn sha1_compress4_ssse3(states: &mut [[u32; 5]; 4], blocks: [&[u8; 64]; 4]) {
-    // Rotate each 32-bit lane left by a constant.
-    macro_rules! rotl {
-        ($v:expr, $n:literal) => {
-            _mm_or_si128(
-                _mm_sll_epi32($v, _mm_set_epi32(0, 0, 0, $n)),
-                _mm_srl_epi32($v, _mm_set_epi32(0, 0, 0, 32 - $n)),
-            )
-        };
-    }
-
-    // SAFETY: only sse2/ssse3 vector ops below, provided by this function's
-    // target_feature gate (upheld by the caller); lane extraction at the end
-    // stores to owned stack arrays.
-    unsafe {
-        // Transposed schedule: w[i] holds word i of all four messages.
-        let mut w = [_mm_set1_epi32(0); 16];
-        for (i, word) in w.iter_mut().enumerate() {
-            *word = _mm_set_epi32(
-                be_word(blocks[3], i),
-                be_word(blocks[2], i),
-                be_word(blocks[1], i),
-                be_word(blocks[0], i),
-            );
-        }
-
-        let mut a = _mm_set_epi32(
-            states[3][0] as i32,
-            states[2][0] as i32,
-            states[1][0] as i32,
-            states[0][0] as i32,
-        );
-        let mut b = _mm_set_epi32(
-            states[3][1] as i32,
-            states[2][1] as i32,
-            states[1][1] as i32,
-            states[0][1] as i32,
-        );
-        let mut c = _mm_set_epi32(
-            states[3][2] as i32,
-            states[2][2] as i32,
-            states[1][2] as i32,
-            states[0][2] as i32,
-        );
-        let mut d = _mm_set_epi32(
-            states[3][3] as i32,
-            states[2][3] as i32,
-            states[1][3] as i32,
-            states[0][3] as i32,
-        );
-        let mut e = _mm_set_epi32(
-            states[3][4] as i32,
-            states[2][4] as i32,
-            states[1][4] as i32,
-            states[0][4] as i32,
-        );
-
-        macro_rules! schedule {
-            ($i:expr) => {{
-                let next = rotl!(
-                    _mm_xor_si128(
-                        _mm_xor_si128(w[($i + 13) & 15], w[($i + 8) & 15]),
-                        _mm_xor_si128(w[($i + 2) & 15], w[$i & 15]),
-                    ),
-                    1
-                );
-                w[$i & 15] = next;
-                next
-            }};
-        }
-        macro_rules! round {
-            ($f:expr, $k:expr, $wi:expr) => {{
-                let temp = _mm_add_epi32(
-                    _mm_add_epi32(rotl!(a, 5), $f),
-                    _mm_add_epi32(_mm_add_epi32(e, _mm_set1_epi32($k)), $wi),
-                );
-                e = d;
-                d = c;
-                c = rotl!(b, 30);
-                b = a;
-                a = temp;
-            }};
-        }
-        // Ch(b, c, d) = (b & c) | (!b & d), as d ^ (b & (c ^ d)).
-        macro_rules! ch {
-            () => {
-                _mm_xor_si128(d, _mm_and_si128(b, _mm_xor_si128(c, d)))
-            };
-        }
-        macro_rules! parity {
-            () => {
-                _mm_xor_si128(b, _mm_xor_si128(c, d))
-            };
-        }
-        // Maj(b, c, d) = (b & c) | (b & d) | (c & d).
-        macro_rules! maj {
-            () => {
-                _mm_or_si128(
-                    _mm_and_si128(b, c),
-                    _mm_and_si128(d, _mm_or_si128(b, c)),
-                )
-            };
-        }
-
-        // The compiler unrolls these; `i` drives the circular schedule.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..16 {
-            let wi = w[i];
-            round!(ch!(), 0x5A82_7999u32 as i32, wi);
-        }
-        for i in 16..20 {
-            let wi = schedule!(i);
-            round!(ch!(), 0x5A82_7999u32 as i32, wi);
-        }
-        for i in 20..40 {
-            let wi = schedule!(i);
-            round!(parity!(), 0x6ED9_EBA1u32 as i32, wi);
-        }
-        for i in 40..60 {
-            let wi = schedule!(i);
-            round!(maj!(), 0x8F1B_BCDCu32 as i32, wi);
-        }
-        for i in 60..80 {
-            let wi = schedule!(i);
-            round!(parity!(), 0xCA62_C1D6u32 as i32, wi);
-        }
-
-        let mut lanes = [[0u32; 4]; 5];
-        _mm_storeu_si128(lanes[0].as_mut_ptr().cast::<__m128i>(), a);
-        _mm_storeu_si128(lanes[1].as_mut_ptr().cast::<__m128i>(), b);
-        _mm_storeu_si128(lanes[2].as_mut_ptr().cast::<__m128i>(), c);
-        _mm_storeu_si128(lanes[3].as_mut_ptr().cast::<__m128i>(), d);
-        _mm_storeu_si128(lanes[4].as_mut_ptr().cast::<__m128i>(), e);
-        for (l, state) in states.iter_mut().enumerate() {
-            for (word, lane) in state.iter_mut().zip(&lanes) {
-                *word = word.wrapping_add(lane[l]);
-            }
-        }
-    }
 }
 
 /// Four MD5 compressions run vertically, one lane per message, compiled
@@ -560,33 +392,6 @@ mod tests {
         }
         assert_eq!(h.finalize(), sha1(&data));
         assert_eq!(sha1(b"abc").to_hex(), "a9993e364706816aba3e25717850c26c9cd0d89d");
-    }
-
-    #[test]
-    fn ssse3_four_lane_matches_scalar_kernel() {
-        if !super::ssse3_available() {
-            return;
-        }
-        for seed in [0x00, 0xA5, 0xFF] {
-            let input = lines(seed);
-            let mut simd_states = [crate::sha1::SHA1_INIT; 4];
-            // SAFETY: ssse3_available confirmed the CPU features.
-            unsafe {
-                super::sha1_compress4_ssse3(
-                    &mut simd_states,
-                    [&input[0], &input[1], &input[2], &input[3]],
-                );
-                super::sha1_compress4_ssse3(&mut simd_states, [&crate::sha1::SHA1_LINE_PAD; 4]);
-            }
-            let expected = std::array::from_fn::<_, 4, _>(|l| sha1(&input[l]));
-            for (l, digest) in expected.iter().enumerate() {
-                let mut out = [0u8; 20];
-                for (i, word) in simd_states[l].iter().enumerate() {
-                    out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-                }
-                assert_eq!(&crate::Sha1Digest(out), digest, "lane {l} seed {seed:#x}");
-            }
-        }
     }
 
     #[test]

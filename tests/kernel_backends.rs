@@ -1,10 +1,10 @@
-//! The hardware kernel backends' bit-exactness contract: forcing
-//! `--kernels scalar` and `--kernels simd` must produce byte-identical
-//! [`RunReport`]s for every scheme, and every lane-granular kernel (4-wide
-//! SHA-1/MD5, batched ECC encode, the 4-lane AES that builds every pad)
-//! must agree with its scalar reference at every ragged tail length. On
-//! hosts without the relevant instruction sets the SIMD backend falls back
-//! to scalar and the comparisons hold trivially.
+//! The hardware kernels' bit-exactness contract: the `Scalar` and `Auto`
+//! backends must produce byte-identical [`RunReport`]s for every scheme,
+//! and every lane-granular kernel (4-lane SHA-1/MD5, batched ECC encode,
+//! the 4-lane AES that builds every pad) must agree with its one-line shape
+//! at every ragged tail length under both. On hosts without the relevant
+//! instruction sets `Auto` runs the scalar kernels too and the comparisons
+//! hold trivially.
 
 use std::sync::Mutex;
 
@@ -20,8 +20,8 @@ static BACKEND: Mutex<()> = Mutex::new(());
 
 fn stress_config() -> SystemConfig {
     let mut config = SystemConfig::default();
-    // Nonzero raw bit-error rate so the ECC decode/correct path (which the
-    // SIMD Hamming encoder feeds) runs during the comparison.
+    // Nonzero raw bit-error rate so the ECC decode/correct path runs
+    // during the comparison.
     config.pcm.rber_per_tbit = 200_000;
     config.pcm.rber_seed = 0xE5D;
     config
@@ -44,28 +44,27 @@ fn run(kind: SchemeKind, kernels: KernelBackend) -> RunReport {
 }
 
 #[test]
-fn report_is_byte_identical_between_scalar_and_simd_backends() {
+fn report_is_byte_identical_between_scalar_and_auto_backends() {
     let _guard = BACKEND.lock().unwrap();
     for kind in SchemeKind::EXTENDED {
         let scalar = run(kind, KernelBackend::Scalar);
-        let simd = run(kind, KernelBackend::Simd);
+        let auto = run(kind, KernelBackend::Auto);
         assert_eq!(
-            scalar, simd,
-            "{kind} diverged between scalar and simd kernels"
+            scalar, auto,
+            "{kind} diverged between scalar and auto kernels"
         );
     }
     kernels::set_backend(KernelBackend::Auto);
 }
 
-/// Runs `op` under the forced scalar backend, then the forced SIMD
+/// Runs `op` under the forced scalar backend, then the default `Auto`
 /// backend, and returns both results for comparison.
 fn under_both_backends<T>(mut op: impl FnMut() -> T) -> (T, T) {
     kernels::set_backend(KernelBackend::Scalar);
     let scalar = op();
-    kernels::set_backend(KernelBackend::Simd);
-    let simd = op();
     kernels::set_backend(KernelBackend::Auto);
-    (scalar, simd)
+    let auto = op();
+    (scalar, auto)
 }
 
 /// Deterministic pseudo-random lines from one seed.
@@ -87,7 +86,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Every batch-lane kernel agrees between the two backends — and with
-    /// the one-shot scalar shape — at the ragged tail lengths that leave
+    /// the one-line shape — at the ragged tail lengths that leave
     /// 4-lane groups partially filled (1, 3) or spill one element past a
     /// full block (63, 65).
     #[test]
@@ -99,32 +98,32 @@ proptest! {
         let n = [1usize, 3, 63, 65][tail.index(4)];
         let lines = lcg_lines(seed, n);
 
-        let (sha_scalar, sha_simd) = under_both_backends(|| {
+        let (sha_scalar, sha_auto) = under_both_backends(|| {
             let mut out = Vec::new();
             esd::hash::sha1_batch(&lines, &mut out);
             out
         });
-        prop_assert_eq!(&sha_scalar, &sha_simd, "sha1_batch n={}", n);
+        prop_assert_eq!(&sha_scalar, &sha_auto, "sha1_batch n={}", n);
         for (line, digest) in lines.iter().zip(&sha_scalar) {
             prop_assert_eq!(&esd::hash::sha1(line), digest);
         }
 
-        let (md5_scalar, md5_simd) = under_both_backends(|| {
+        let (md5_scalar, md5_auto) = under_both_backends(|| {
             let mut out = Vec::new();
             esd::hash::md5_batch(&lines, &mut out);
             out
         });
-        prop_assert_eq!(&md5_scalar, &md5_simd, "md5_batch n={}", n);
+        prop_assert_eq!(&md5_scalar, &md5_auto, "md5_batch n={}", n);
         for (line, digest) in lines.iter().zip(&md5_scalar) {
             prop_assert_eq!(&esd::hash::md5(line), digest);
         }
 
-        let (ecc_scalar, ecc_simd) = under_both_backends(|| {
+        let (ecc_scalar, ecc_auto) = under_both_backends(|| {
             let mut out = Vec::new();
             esd::ecc::encode_lines(&lines, &mut out);
             out
         });
-        prop_assert_eq!(&ecc_scalar, &ecc_simd, "encode_lines n={}", n);
+        prop_assert_eq!(&ecc_scalar, &ecc_auto, "encode_lines n={}", n);
         for (line, ecc) in lines.iter().zip(&ecc_scalar) {
             prop_assert_eq!(&esd::ecc::encode_line(line), ecc);
         }
@@ -135,10 +134,10 @@ proptest! {
             .iter()
             .map(|line| std::array::from_fn(|b| line[16 * b..16 * (b + 1)].try_into().unwrap()))
             .collect();
-        let (aes_scalar, aes_simd) = under_both_backends(|| {
+        let (aes_scalar, aes_auto) = under_both_backends(|| {
             blocks.iter().map(|&four| aes.encrypt4(four)).collect::<Vec<_>>()
         });
-        prop_assert_eq!(&aes_scalar, &aes_simd, "encrypt4 n={}", n);
+        prop_assert_eq!(&aes_scalar, &aes_auto, "encrypt4 n={}", n);
     }
 
     /// Single-block AES agrees between backends on arbitrary keys/blocks.
@@ -149,8 +148,8 @@ proptest! {
     ) {
         let _guard = BACKEND.lock().unwrap();
         let aes = esd::crypto::Aes128::new(&key);
-        let (scalar, simd) = under_both_backends(|| aes.encrypt_block(block));
-        prop_assert_eq!(scalar, simd);
+        let (scalar, auto) = under_both_backends(|| aes.encrypt_block(block));
+        prop_assert_eq!(scalar, auto);
         // Both must equal the out-of-line textbook reference.
         prop_assert_eq!(scalar, aes.encrypt_block_ref(block));
     }

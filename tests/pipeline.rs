@@ -17,7 +17,7 @@ fn every_scheme_preserves_data_under_both_kernel_backends() {
     // byte-identical; this covers the read-back guarantee per scheme.)
     let config = SystemConfig::default();
     let trace = generate_trace(&AppProfile::demo(), 17, ACCESSES);
-    for kernels in [KernelBackend::Scalar, KernelBackend::Simd] {
+    for kernels in [KernelBackend::Scalar, KernelBackend::Auto] {
         for kind in SchemeKind::ALL {
             let options = RunOptions {
                 verify: true,
