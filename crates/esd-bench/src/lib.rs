@@ -36,7 +36,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use esd_core::{replay_with, RunOptions, RunReport, SchemeKind};
-use esd_kernels::env_or;
 use esd_sim::SystemConfig;
 use esd_trace::{generate_trace, AppProfile, Trace};
 
@@ -361,6 +360,27 @@ pub struct TaskTiming {
     pub seconds: f64,
 }
 
+/// Reads the environment variable `name` as a `T` — the one parser behind
+/// every `ESD_*` knob, all of which [`Sweep::new`] reads. Unset yields
+/// `default` silently. A set but malformed value also yields `default`,
+/// after one stderr line
+/// `warning: ignoring NAME="raw" (<parse error>); using default <default>`,
+/// so a typo like `ESD_ACCESSES=4x` neither aborts the run nor passes
+/// unnoticed.
+fn env_or<T>(name: &str, default: T) -> T
+where
+    T: std::str::FromStr + std::fmt::Display,
+    T::Err: std::fmt::Display,
+{
+    let Ok(raw) = std::env::var(name) else {
+        return default;
+    };
+    raw.trim().parse().unwrap_or_else(|err| {
+        eprintln!("warning: ignoring {name}={raw:?} ({err}); using default {default}");
+        default
+    })
+}
+
 /// `ESD_THREADS`: a positive worker-thread cap, or `None` for auto.
 /// An explicit `ESD_THREADS=0` is almost certainly a mistaken attempt to
 /// disable parallelism (that would be `ESD_THREADS=1`), so it warns
@@ -505,6 +525,20 @@ mod tests {
         assert_eq!(claim_task(&queues, 1), Some(2));
         assert_eq!(claim_task(&queues, 0), None);
         assert_eq!(claim_task(&queues, 1), None);
+    }
+
+    #[test]
+    fn env_or_warns_and_falls_back_on_malformed_values() {
+        // Unique variable names: tests in this binary run concurrently and
+        // the environment is process-global.
+        std::env::set_var("ESD_BENCH_TEST_BAD", "4x");
+        assert_eq!(env_or("ESD_BENCH_TEST_BAD", 7u32), 7);
+        std::env::set_var("ESD_BENCH_TEST_GOOD", " 12 ");
+        assert_eq!(env_or("ESD_BENCH_TEST_GOOD", 7u32), 12);
+        assert_eq!(env_or("ESD_BENCH_TEST_UNSET", 7usize), 7);
+        for name in ["BAD", "GOOD"] {
+            std::env::remove_var(format!("ESD_BENCH_TEST_{name}"));
+        }
     }
 
     #[test]

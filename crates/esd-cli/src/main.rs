@@ -11,11 +11,6 @@
 //! esd-cli config
 //! ```
 //!
-//! Engine knob (`run`/`compare`/`replay`): `--quantum <accesses>` sets
-//! the cross-slice sync quantum (default `ESD_QUANTUM`, else 4096; a
-//! *model* knob — it decides when cross-slice duplicates become visible;
-//! degenerate values are clamped with a note).
-//!
 //! Reliability flags: `--rber <flips per 10^12 bit-reads>` enables the
 //! seeded fault injector, `--rber-seed <N>` picks its stream, and
 //! `--scrub-every <accesses>` (with `--scrub-lines <N>` per tick) runs the
@@ -33,6 +28,9 @@
 //! `--trace-events <file>` writes Chrome trace-event JSON (load in Perfetto
 //! or `chrome://tracing`); `--epoch-every <N>` samples a time-series
 //! snapshot every N accesses.
+//!
+//! Every knob is a flag; no `ESD_*` environment variable changes a run.
+//! The cross-slice sync quantum is always `esd_core::DEFAULT_QUANTUM`.
 
 mod args;
 
@@ -73,7 +71,6 @@ fn usage() -> &'static str {
      esd-cli config\n\n\
      schemes: baseline, sha1, md5, pde, dewrite, esd, esd-full, esd-noverify\n\
      \x20        (or the name a report prints, e.g. Dedup_SHA1, ESD_Full; any case)\n\
-     engine (run/compare/replay):      [--quantum <accesses>] (cross-slice sync quantum)\n\
      reliability (run/compare/replay): [--rber <per-10^12-bit-reads>] [--rber-seed N]\n\
      \x20                                 [--scrub-every <accesses>] [--scrub-lines N]\n\
      crash (run/compare/replay):       [--crash-at <access[:stage]>] (inject a power-loss\n\
@@ -154,10 +151,6 @@ fn reliability_options(args: &Args, config: &mut SystemConfig) -> Result<RunOpti
     })
 }
 
-/// Flag names for the replay engine, shared by `run`, `compare` and
-/// `replay`.
-const ENGINE_FLAGS: [&str; 1] = ["quantum"];
-
 /// Flag names for crash injection and journaling, shared by `run`,
 /// `compare` and `replay`.
 const CRASH_FLAGS: [&str; 2] = ["crash-at", "journal-every"];
@@ -171,35 +164,8 @@ fn crash_options(args: &Args, options: &mut RunOptions) -> Result<(), String> {
     if let Some(raw) = args.get("crash-at") {
         options.crash_at = Some(raw.parse().map_err(|e| format!("--crash-at: {e}"))?);
     }
-    let journal: u64 = args
-        .get_parsed_or("journal-every", options.journal_every.unwrap_or(0))
-        .map_err(|e| e.to_string())?;
+    let journal: u64 = args.get_parsed_or("journal-every", 0).map_err(|e| e.to_string())?;
     options.journal_every = (journal > 0).then_some(journal);
-    Ok(())
-}
-
-/// Applies the engine knob: `--quantum` sets the cross-slice sync quantum
-/// (a model knob). A degenerate quantum — `0` or beyond the trace length —
-/// is clamped with a note.
-fn engine_options(
-    args: &Args,
-    trace_len: usize,
-    options: &mut RunOptions,
-) -> Result<(), String> {
-    options.quantum =
-        args.get_parsed_or("quantum", options.quantum).map_err(|e| e.to_string())?;
-    let requested = options.quantum;
-    let effective = esd_core::effective_quantum(requested, trace_len);
-    if effective != requested {
-        if requested == 0 {
-            eprintln!("note: --quantum 0 replaced by the default {effective}");
-        } else {
-            eprintln!(
-                "note: --quantum {requested} clamped to {effective} (trace has \
-                 {trace_len} accesses)"
-            );
-        }
-    }
     Ok(())
 }
 
@@ -297,7 +263,6 @@ fn run_one(
 fn cmd_run(rest: Vec<String>) -> Result<(), String> {
     let allowed: Vec<&str> = [
         &["app", "scheme", "accesses", "seed"][..],
-        &ENGINE_FLAGS[..],
         &CRASH_FLAGS[..],
         &RELIABILITY_FLAGS[..],
         &OBS_FLAGS[..],
@@ -313,7 +278,6 @@ fn cmd_run(rest: Vec<String>) -> Result<(), String> {
     crash_options(&args, &mut options)?;
     let outputs = observability_options(&args, &mut options)?;
     let trace = generate_trace(&app, seed, accesses);
-    engine_options(&args, trace.len(), &mut options)?;
     let report = run_one(kind, &trace, &config, &options)?;
     print!("{}", report.summary());
     write_observability(&report, &outputs)?;
@@ -323,7 +287,6 @@ fn cmd_run(rest: Vec<String>) -> Result<(), String> {
 fn cmd_compare(rest: Vec<String>) -> Result<(), String> {
     let allowed: Vec<&str> = [
         &["app", "accesses", "seed", "extended"][..],
-        &ENGINE_FLAGS[..],
         &CRASH_FLAGS[..],
         &RELIABILITY_FLAGS[..],
     ]
@@ -337,7 +300,6 @@ fn cmd_compare(rest: Vec<String>) -> Result<(), String> {
     let mut options = reliability_options(&args, &mut config)?;
     crash_options(&args, &mut options)?;
     let trace = generate_trace(&app, seed, accesses);
-    engine_options(&args, trace.len(), &mut options)?;
 
     let schemes: &[SchemeKind] = if extended {
         &SchemeKind::EXTENDED
@@ -348,7 +310,7 @@ fn cmd_compare(rest: Vec<String>) -> Result<(), String> {
         "{:<13} {:>10} {:>12} {:>12} {:>7} {:>12}",
         "scheme", "nvmm_wr", "write_avg", "read_avg", "ipc", "energy"
     );
-    let mut baseline: Option<RunReport> = None;
+    let mut reports = Vec::with_capacity(schemes.len());
     for &kind in schemes {
         let report = run_one(kind, &trace, &config, &options)?;
         println!(
@@ -360,18 +322,15 @@ fn cmd_compare(rest: Vec<String>) -> Result<(), String> {
             report.ipc,
             report.total_energy().to_string(),
         );
-        if kind == SchemeKind::Baseline {
-            baseline = Some(report);
-        }
+        reports.push(report);
     }
-    if let Some(base) = baseline {
+    if let Some(base) = reports.iter().find(|r| r.scheme == SchemeKind::Baseline) {
         println!();
-        for &kind in schemes.iter().filter(|&&k| k != SchemeKind::Baseline) {
-            let report = run_one(kind, &trace, &config, &options)?;
-            let n = report.normalized_to(&base);
+        for report in reports.iter().filter(|r| r.scheme != SchemeKind::Baseline) {
+            let n = report.normalized_to(base);
             println!(
                 "{:<13} write {:>5.2}x  read {:>5.2}x  ipc {:>5.2}x  energy {:>5.2}",
-                kind.name(),
+                report.scheme.name(),
                 n.write_speedup,
                 n.read_speedup,
                 n.ipc_ratio,
@@ -428,7 +387,6 @@ fn cmd_analyze(rest: Vec<String>) -> Result<(), String> {
 fn cmd_replay(rest: Vec<String>) -> Result<(), String> {
     let allowed: Vec<&str> = [
         &["scheme"][..],
-        &ENGINE_FLAGS[..],
         &CRASH_FLAGS[..],
         &RELIABILITY_FLAGS[..],
         &OBS_FLAGS[..],
@@ -443,7 +401,6 @@ fn cmd_replay(rest: Vec<String>) -> Result<(), String> {
     let mut config = SystemConfig::default();
     let mut options = reliability_options(&args, &mut config)?;
     crash_options(&args, &mut options)?;
-    engine_options(&args, trace.len(), &mut options)?;
     let outputs = observability_options(&args, &mut options)?;
     let report = run_one(kind, &trace, &config, &options)?;
     print!("{}", report.summary());

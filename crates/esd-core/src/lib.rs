@@ -73,8 +73,8 @@ pub use journal::{
 pub use predictor::{DupPredictor, PredictorStats};
 pub use report::{Normalized, ReliabilityReport, RunReport};
 pub use runner::{
-    build_scheme, effective_quantum, replay, replay_with, run_app, run_trace,
-    run_trace_with, RunOptions, VerifyError, DEFAULT_BATCH, DEFAULT_QUANTUM,
+    build_scheme, replay, replay_with, run_app, run_trace, run_trace_with, RunOptions,
+    VerifyError, DEFAULT_BATCH, DEFAULT_QUANTUM,
 };
 pub use scheme::{
     FingerprintSpec, MetadataFootprint, ReadOutcome, ReadResult, Scheme, SchemeKind, SchemeStats,

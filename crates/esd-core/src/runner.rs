@@ -4,7 +4,6 @@
 use std::error::Error;
 use std::fmt;
 
-use esd_kernels::{env_or, env_parse};
 use esd_sim::SystemConfig;
 use esd_trace::{AppProfile, Trace};
 
@@ -76,11 +75,9 @@ pub struct RunOptions {
     /// Accesses the trace advances between two merges of the cross-slice
     /// directory. This is a *model* knob: cross-slice dedup publishes
     /// become visible at quantum ends, so changing the quantum changes
-    /// which remote duplicates are caught.
-    /// Degenerate values are clamped by [`effective_quantum`] (`0` → the
-    /// default, values past the trace length → one merge at the end).
-    /// Defaults to the `ESD_QUANTUM` environment variable (unset → 4096,
-    /// the engine's historical `SYNC_QUANTUM`).
+    /// which remote duplicates are caught. `0` means [`DEFAULT_QUANTUM`],
+    /// and a value past the trace length means one merge at the end.
+    /// Defaults to [`DEFAULT_QUANTUM`].
     pub quantum: u32,
     /// Inject a power-loss crash at this trace access (and write-path
     /// stage), then run the scheme's recovery routine before the access
@@ -89,8 +86,6 @@ pub struct RunOptions {
     /// once (power loss is global). Recovery cost lands in
     /// [`RunReport::recovery`]. `None` (the default) replays without
     /// injection and leaves the report byte-identical to earlier versions.
-    /// Defaults to the `ESD_CRASH_AT` environment variable
-    /// (`access[:stage]`, unset → `None`).
     pub crash_at: Option<CrashPoint>,
     /// Checkpoint the metadata journal every this many journaled records.
     /// `None` disables journaling: recovery then rebuilds by scanning the
@@ -98,8 +93,7 @@ pub struct RunOptions {
     /// window — correct either way, but recovery time scales with the
     /// choice (the tradeoff the recovery curve in EXPERIMENTS.md measures).
     /// Journal writes are posted metadata traffic: they cost energy and
-    /// bank occupancy, never write latency. Defaults to the
-    /// `ESD_JOURNAL_EVERY` environment variable (unset or `0` → `None`).
+    /// bank occupancy, never write latency. Defaults to `None`.
     pub journal_every: Option<u64>,
     /// Which kernel backend the compute kernels (AES-128, SHA-1, MD5) run
     /// on: `Scalar` forces the portable implementations, `Auto` (the
@@ -112,11 +106,8 @@ pub struct RunOptions {
 }
 
 impl Default for RunOptions {
-    /// Verification on, everything else off — except the three fields the
-    /// environment can set (`ESD_QUANTUM`, `ESD_CRASH_AT`,
-    /// `ESD_JOURNAL_EVERY`), each read through
-    /// [`esd_kernels::env_parse`]: a malformed value warns on stderr and
-    /// falls back to the built-in default.
+    /// Verification on, the [`DEFAULT_QUANTUM`], everything else off. The
+    /// same value in every process: nothing here reads the environment.
     fn default() -> Self {
         RunOptions {
             verify: true,
@@ -127,10 +118,9 @@ impl Default for RunOptions {
             epoch_interval: None,
             shards: 1,
             batch: DEFAULT_BATCH,
-            quantum: env_or("ESD_QUANTUM", DEFAULT_QUANTUM),
-            crash_at: env_parse("ESD_CRASH_AT", "crash injection stays off"),
-            journal_every: env_parse("ESD_JOURNAL_EVERY", "journaling stays off")
-                .filter(|&interval: &u64| interval > 0),
+            quantum: DEFAULT_QUANTUM,
+            crash_at: None,
+            journal_every: None,
             kernels: esd_kernels::KernelBackend::Auto,
         }
     }
@@ -140,19 +130,15 @@ impl Default for RunOptions {
 /// block's fingerprint keys in one multi-lane kernel call.
 pub const DEFAULT_BATCH: u32 = 64;
 
-/// The built-in sync quantum when `ESD_QUANTUM` is unset — the value the
-/// engine hard-coded as `SYNC_QUANTUM` before it became configurable.
+/// The sync quantum of [`RunOptions::default`], in trace accesses.
 pub const DEFAULT_QUANTUM: u32 = 4096;
 
 /// Resolves a requested sync quantum against a trace of `trace_len`
 /// accesses, clamping degenerate values: `0` falls back to
 /// [`DEFAULT_QUANTUM`], and anything beyond the trace length is capped at
 /// it (one merge at the end — larger values cannot change the schedule).
-/// Because the quantum is a model knob (it decides when cross-slice dedup
-/// publishes become visible), callers that clamp should tell the user —
-/// the CLI prints a note when the effective value differs from the request.
 #[must_use]
-pub fn effective_quantum(requested: u32, trace_len: usize) -> u32 {
+pub(crate) fn effective_quantum(requested: u32, trace_len: usize) -> u32 {
     let requested = if requested == 0 {
         DEFAULT_QUANTUM
     } else {
@@ -400,17 +386,6 @@ mod tests {
         assert!(p.total() > 0, "outcomes must be scored");
         let base = replay(SchemeKind::Baseline, &trace, &config).unwrap();
         assert!(base.predictor.is_none(), "Baseline does not predict");
-    }
-
-    #[test]
-    fn crash_and_journal_options_default_off() {
-        // Without the ESD_CRASH_AT / ESD_JOURNAL_EVERY environment knobs,
-        // the new options stay off and replay is unchanged.
-        std::env::remove_var("ESD_CRASH_AT");
-        std::env::remove_var("ESD_JOURNAL_EVERY");
-        let options = RunOptions::default();
-        assert_eq!(options.crash_at, None);
-        assert_eq!(options.journal_every, None);
     }
 
     #[test]

@@ -23,7 +23,6 @@
 use std::fmt;
 
 use esd_collections::{fx::hash_u64, U64Map};
-use serde::{Deserialize, Serialize};
 
 use crate::aes::Aes128;
 
@@ -35,7 +34,7 @@ pub const LINE_BYTES: usize = 64;
 pub const DEFAULT_PAD_CACHE_LINES: usize = 4096;
 
 /// Latency/energy cost model for counter-mode encryption of one line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CmeCostModel {
     /// Latency charged on the write path per encrypted line, in nanoseconds.
     /// A pipelined AES engine processes the four 16-byte blocks of a line in

@@ -4,8 +4,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::hamming::{decode_word, CorrectedBit, DecodeWordError, ENC_TABLE};
 
 /// Size of a cache line in bytes, matching the 64 B line the CPU core evicts.
@@ -18,7 +16,7 @@ pub const WORDS_PER_LINE: usize = 8;
 /// `LineEcc` carries the raw codec material (it can correct errors via
 /// [`decode_line`]); its packed 64-bit form is the dedup fingerprint
 /// ([`EccFingerprint`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LineEcc([u8; WORDS_PER_LINE]);
 
 impl LineEcc {
@@ -74,9 +72,7 @@ impl From<LineEcc> for EccFingerprint {
 /// let ones = EccFingerprint::of_line(&[1u8; 64]);
 /// assert_ne!(zero, ones); // definitely different content
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct EccFingerprint(u64);
 
 impl EccFingerprint {

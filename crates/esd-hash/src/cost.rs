@@ -8,10 +8,8 @@
 //! candidate measurement study the paper cites ([56], Westermann et al.),
 //! scaled to one 64-byte cache line.
 
-use serde::{Deserialize, Serialize};
-
 /// The cost of computing one fingerprint over a 64-byte cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FingerprintCost {
     /// Latency in nanoseconds.
     pub latency_ns: u64,
@@ -22,7 +20,7 @@ pub struct FingerprintCost {
 }
 
 /// The fingerprint families compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FingerprintKind {
     /// The ECC value the memory controller already computed — free.
     Ecc,

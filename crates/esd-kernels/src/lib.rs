@@ -15,9 +15,12 @@
 //! leaf crates consult [`simd_allowed`] plus the cached [`cpu_features`]
 //! on each kernel entry and fall through to scalar whenever the backend
 //! says so or the host lacks the instruction set.
+//!
+//! Kernel dispatch is all this crate does. It reads no environment
+//! variable: the backend is whatever the caller last passed to
+//! [`set_backend`].
 
 use std::fmt;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -101,38 +104,6 @@ pub fn cpu_features() -> CpuFeatures {
 // `set_backend` made on another thread.
 static SCALAR_FORCED: AtomicBool = AtomicBool::new(false);
 
-/// Reads and parses the environment variable `name` — the one parser
-/// behind every `ESD_*` knob. Unset yields `None` silently. A set but
-/// malformed value also yields `None`, after one stderr line
-/// `warning: ignoring NAME="raw" (<parse error>); <fallback>`, so a typo
-/// like `ESD_QUANTUM=4x` neither aborts the run nor passes unnoticed;
-/// `fallback` says what the caller does instead (formatted only if the
-/// warning is printed).
-pub fn env_parse<T>(name: &str, fallback: impl std::fmt::Display) -> Option<T>
-where
-    T: FromStr,
-    T::Err: std::fmt::Display,
-{
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().parse() {
-        Ok(value) => Some(value),
-        Err(err) => {
-            eprintln!("warning: ignoring {name}={raw:?} ({err}); {fallback}");
-            None
-        }
-    }
-}
-
-/// [`env_parse`] for a knob with a printable default: the default is what
-/// the warning names as the fallback.
-pub fn env_or<T>(name: &str, default: T) -> T
-where
-    T: FromStr + std::fmt::Display,
-    T::Err: std::fmt::Display,
-{
-    env_parse(name, format_args!("using default {default}")).unwrap_or(default)
-}
-
 /// Selects the process-wide backend, overriding any previous selection.
 /// Called by the run path before a replay starts; benchmarks and tests use
 /// it to force a backend mid-process.
@@ -194,21 +165,6 @@ mod tests {
         set_backend(KernelBackend::Auto);
         assert!(simd_allowed());
         assert!(dispatch_report().starts_with("kernel dispatch (auto):"));
-    }
-
-    #[test]
-    fn env_parse_warns_and_falls_back_on_malformed_values() {
-        // Unique variable names: tests in this binary run concurrently and
-        // the environment is process-global.
-        std::env::set_var("ESD_KERNELS_TEST_BAD", "4x");
-        assert_eq!(env_or("ESD_KERNELS_TEST_BAD", 7u32), 7);
-        assert_eq!(env_parse::<u64>("ESD_KERNELS_TEST_BAD", "staying off"), None);
-        std::env::set_var("ESD_KERNELS_TEST_GOOD", " 12 ");
-        assert_eq!(env_or("ESD_KERNELS_TEST_GOOD", 7u32), 12);
-        assert_eq!(env_or("ESD_KERNELS_TEST_UNSET", 7usize), 7);
-        for name in ["BAD", "GOOD"] {
-            std::env::remove_var(format!("ESD_KERNELS_TEST_{name}"));
-        }
     }
 
     #[test]

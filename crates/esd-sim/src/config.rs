@@ -1,7 +1,5 @@
 //! System configuration — Table I of the paper.
 
-use serde::{Deserialize, Serialize};
-
 use crate::energy::Energy;
 use crate::time::{Clock, Ps};
 
@@ -10,7 +8,7 @@ pub const LINE_BYTES: usize = 64;
 
 /// One level of the on-chip cache hierarchy (documentation of Table I and
 /// input to the CPU model's hit-time accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheLevelConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,
@@ -21,7 +19,7 @@ pub struct CacheLevelConfig {
 }
 
 /// PCM device timing and energy (Table I: 75 ns / 150 ns, 1.49 nJ / 6.75 nJ).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PcmConfig {
     /// Device capacity in bytes.
     pub capacity_bytes: u64,
@@ -72,7 +70,7 @@ impl Default for PcmConfig {
 }
 
 /// Memory-controller parameters: metadata SRAM and queueing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControllerConfig {
     /// Capacity of the EFIT (or fingerprint) cache in bytes.
     pub fingerprint_cache_bytes: u64,
@@ -103,7 +101,7 @@ impl Default for ControllerConfig {
 }
 
 /// CPU model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
     /// Number of cores (Table I: 8). The simulator models the aggregate
     /// memory stream; `cores` scales the instruction throughput.
@@ -139,7 +137,7 @@ impl Default for CpuConfig {
 /// assert_eq!(config.pcm.read_latency.as_ns(), 75);
 /// assert_eq!(config.pcm.write_latency.as_ns(), 150);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// CPU parameters.
     pub cpu: CpuConfig,

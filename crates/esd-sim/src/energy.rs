@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An amount of energy, in picojoules.
 ///
 /// # Examples
@@ -15,9 +13,7 @@ use serde::{Deserialize, Serialize};
 /// let per_write = Energy::from_nj_milli(6750); // 6.75 nJ
 /// assert_eq!((per_write * 2).as_pj(), 13_500);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Energy(pub u64);
 
 impl Energy {

@@ -33,6 +33,7 @@ mod energy;
 mod medium;
 mod pcm;
 mod sram;
+#[cfg(test)]
 mod sram_ref;
 mod stats;
 mod system;
@@ -47,11 +48,6 @@ pub use energy::Energy;
 pub use medium::{FaultStats, Medium, StoredLine};
 pub use pcm::{AccessClass, Completion, PcmCounters, PcmDevice, PcmOp, PcmStats};
 pub use sram::{CacheStats, LruCache};
-
-/// Reference implementations kept for equivalence tests and microbenches.
-pub mod reference {
-    pub use crate::sram_ref::LruCache;
-}
 pub use stats::{LatencyHistogram, WriteLatencyBreakdown};
 pub use system::NvmmSystem;
 pub use time::{Clock, Ps};

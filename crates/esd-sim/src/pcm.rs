@@ -6,14 +6,12 @@
 //! queueing behind slow (150 ns) writes, and read/write interference on
 //! shared banks — without simulating PCM micro-operations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::{PcmConfig, LINE_BYTES};
 use crate::energy::Energy;
 use crate::time::Ps;
 
 /// Kind of device access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PcmOp {
     /// A 64-byte array read.
     Read,
@@ -24,7 +22,7 @@ pub enum PcmOp {
 /// What an access is for — data or deduplication metadata. Kept separate in
 /// the statistics so metadata traffic (fingerprint NVMM lookups, AMT spills)
 /// can be reported on its own, as the paper's Figure 5 does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessClass {
     /// Application cache-line data.
     Data,
@@ -52,7 +50,7 @@ impl Completion {
 }
 
 /// Per-class access and energy counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PcmCounters {
     /// Number of 64-byte reads serviced.
     pub reads: u64,
@@ -63,7 +61,7 @@ pub struct PcmCounters {
 }
 
 /// Aggregate device statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PcmStats {
     /// Data-class traffic.
     pub data: PcmCounters,

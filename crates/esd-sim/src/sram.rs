@@ -9,17 +9,16 @@
 //! with an intrusive doubly-linked recency list (O(1) touch), and keys are
 //! located through an open-addressed index keyed by an FxHash-style
 //! multiply-xor hash (`esd-collections`). The seed's `HashMap` + `BTreeMap`
-//! implementation — O(log n) per touch — is preserved bit-for-bit in
-//! [`crate::reference::LruCache`]; an equivalence property test drives both
-//! with identical operation sequences.
+//! implementation — O(log n) per touch — is preserved bit-for-bit in the
+//! crate's test code (`sram_ref.rs`); an equivalence property test drives
+//! both with identical operation sequences.
 
 use std::hash::{BuildHasher, Hash};
 
 use esd_collections::FxBuildHasher;
-use serde::{Deserialize, Serialize};
 
 /// Hit/miss counters for a metadata cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found the key.
     pub hits: u64,

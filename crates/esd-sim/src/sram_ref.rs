@@ -1,12 +1,10 @@
 //! The seed's map-based LRU cache, kept as a bit-exact reference for the
-//! flat LRU in [`crate::sram`].
+//! flat LRU in [`crate::sram`]. Test code only.
 //!
 //! This is the original implementation: a `HashMap` of entries plus a
 //! `BTreeMap` of recency stamps, O(log n) per touch. The flat LRU must
 //! reproduce its hit/miss/eviction behaviour *exactly* — the equivalence
-//! property test in `tests/properties.rs` drives both with identical
-//! operation sequences — and `benches/micro.rs` in `esd-bench` times the
-//! two against each other.
+//! property test below drives both with identical operation sequences.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -14,19 +12,6 @@ use std::hash::Hash;
 use crate::sram::CacheStats;
 
 /// The original capacity-bounded LRU cache (reference implementation).
-///
-/// # Examples
-///
-/// ```
-/// use esd_sim::reference::LruCache;
-/// let mut cache: LruCache<u64, &str> = LruCache::new(2);
-/// cache.insert(1, "a");
-/// cache.insert(2, "b");
-/// cache.get(&1);          // 1 is now most recent
-/// cache.insert(3, "c");   // evicts 2
-/// assert!(cache.get(&2).is_none());
-/// assert!(cache.get(&1).is_some());
-/// ```
 #[derive(Debug, Clone)]
 pub struct LruCache<K, V> {
     capacity: usize,
@@ -54,22 +39,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Maximum number of entries.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Hit/miss statistics.
@@ -140,11 +113,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         Some(value)
     }
 
-    /// Iterates over `(key, value)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.entries.iter().map(|(k, (v, _))| (k, v))
-    }
-
     fn bump(&mut self) -> u64 {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
@@ -164,9 +132,71 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone)]
+    enum CacheOp {
+        Get(u64),
+        GetMut(u64),
+        Peek(u64),
+        Insert(u64, u64),
+        Remove(u64),
+    }
+
+    proptest! {
+        /// The flat LRU (slab + intrusive list + open-addressed index) and
+        /// the seed's map-based implementation produce identical results —
+        /// every return value, the hit/miss/eviction counters, and the
+        /// exact victim of every eviction — on arbitrary operation
+        /// sequences.
+        #[test]
+        fn flat_lru_matches_map_based_reference(
+            capacity in 1usize..8,
+            ops in proptest::collection::vec(
+                prop_oneof![
+                    (0u64..16).prop_map(CacheOp::Get),
+                    (0u64..16).prop_map(CacheOp::GetMut),
+                    (0u64..16).prop_map(CacheOp::Peek),
+                    (0u64..16, any::<u64>()).prop_map(|(k, v)| CacheOp::Insert(k, v)),
+                    (0u64..16).prop_map(CacheOp::Remove),
+                ],
+                1..400,
+            ),
+        ) {
+            let mut flat: crate::LruCache<u64, u64> = crate::LruCache::new(capacity);
+            let mut reference: LruCache<u64, u64> = LruCache::new(capacity);
+            for op in &ops {
+                match *op {
+                    CacheOp::Get(k) => {
+                        prop_assert_eq!(flat.get(&k).copied(), reference.get(&k).copied());
+                    }
+                    CacheOp::GetMut(k) => {
+                        let a = flat.get_mut(&k).map(|v| { *v += 1; *v });
+                        let b = reference.get_mut(&k).map(|v| { *v += 1; *v });
+                        prop_assert_eq!(a, b);
+                    }
+                    CacheOp::Peek(k) => {
+                        prop_assert_eq!(flat.peek(&k).copied(), reference.peek(&k).copied());
+                    }
+                    CacheOp::Insert(k, v) => {
+                        // Same displaced entry, including the eviction victim.
+                        prop_assert_eq!(flat.insert(k, v), reference.insert(k, v));
+                    }
+                    CacheOp::Remove(k) => {
+                        prop_assert_eq!(flat.remove(&k), reference.remove(&k));
+                    }
+                }
+                prop_assert_eq!(flat.len(), reference.len());
+                prop_assert_eq!(flat.stats(), reference.stats());
+            }
+            // The survivors match too, not just the observed responses.
+            for (k, v) in flat.iter() {
+                prop_assert_eq!(reference.peek(k), Some(v));
+            }
+        }
+    }
 
     #[test]
     fn reference_still_evicts_least_recently_used() {

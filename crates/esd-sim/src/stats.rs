@@ -1,8 +1,6 @@
 //! Latency statistics: log-linear histograms for percentiles and CDFs, and
 //! the paper's four-bucket write-latency decomposition.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Ps;
 
 /// Sub-buckets per power-of-two range (higher = finer percentiles).
@@ -25,7 +23,7 @@ const SUBBUCKET_BITS: u32 = 4;
 /// assert_eq!(h.count(), 5);
 /// assert!(h.percentile(0.99) >= h.percentile(0.50));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -186,7 +184,7 @@ impl LatencyHistogram {
 /// The buckets partition every write's end-to-end latency exactly: for each
 /// write the per-stage attributions sum to `WriteResult::latency`, so the
 /// merged breakdown of a run equals the sum of its write latencies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WriteLatencyBreakdown {
     /// Time computing fingerprints (SHA-1/MD5/CRC; zero for ECC).
     pub fingerprint_compute: Ps,

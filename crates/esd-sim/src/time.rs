@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time or a duration, in picoseconds.
 ///
 /// # Examples
@@ -19,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let t = Ps::from_ns(75) + Ps::from_ns(150);
 /// assert_eq!(t.as_ns(), 225);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ps(pub u64);
 
 impl Ps {
@@ -138,7 +134,7 @@ impl fmt::Display for Ps {
 }
 
 /// A CPU clock: converts between cycles and picoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Clock {
     /// Period of one cycle in picoseconds.
     cycle_ps: u64,

@@ -8,11 +8,9 @@
 //! stays under a write hot spot. The mapping is computable from the two
 //! registers alone — no table.
 
-use serde::{Deserialize, Serialize};
-
 /// A gap movement: the caller must copy `from`'s content into `to`
 /// (one device read plus one device write).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GapMove {
     /// Physical line index whose content moves.
     pub from: u64,
@@ -35,7 +33,7 @@ pub struct GapMove {
 /// }
 /// assert_ne!(sg.translate(3), before, "mapping rotates over time");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StartGap {
     lines: u64,
     gap: u64,

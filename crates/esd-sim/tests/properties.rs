@@ -44,15 +44,6 @@ enum CacheOp {
     Insert(u64, u64),
 }
 
-#[derive(Debug, Clone)]
-enum FullCacheOp {
-    Get(u64),
-    GetMut(u64),
-    Peek(u64),
-    Insert(u64, u64),
-    Remove(u64),
-}
-
 proptest! {
     /// The LRU cache agrees with the reference on every get under arbitrary
     /// workloads.
@@ -78,57 +69,6 @@ proptest! {
                 }
             }
             prop_assert_eq!(cache.len(), reference.entries.len());
-        }
-    }
-
-    /// The flat LRU (slab + intrusive list + open-addressed index) and the
-    /// seed's map-based implementation produce identical results — every
-    /// return value, the hit/miss/eviction counters, and the exact victim
-    /// of every eviction — on arbitrary operation sequences.
-    #[test]
-    fn flat_lru_matches_map_based_reference(
-        capacity in 1usize..8,
-        ops in proptest::collection::vec(
-            prop_oneof![
-                (0u64..16).prop_map(FullCacheOp::Get),
-                (0u64..16).prop_map(FullCacheOp::GetMut),
-                (0u64..16).prop_map(FullCacheOp::Peek),
-                (0u64..16, any::<u64>()).prop_map(|(k, v)| FullCacheOp::Insert(k, v)),
-                (0u64..16).prop_map(FullCacheOp::Remove),
-            ],
-            1..400,
-        ),
-    ) {
-        let mut flat: LruCache<u64, u64> = LruCache::new(capacity);
-        let mut reference: esd_sim::reference::LruCache<u64, u64> =
-            esd_sim::reference::LruCache::new(capacity);
-        for op in &ops {
-            match *op {
-                FullCacheOp::Get(k) => {
-                    prop_assert_eq!(flat.get(&k).copied(), reference.get(&k).copied());
-                }
-                FullCacheOp::GetMut(k) => {
-                    let a = flat.get_mut(&k).map(|v| { *v += 1; *v });
-                    let b = reference.get_mut(&k).map(|v| { *v += 1; *v });
-                    prop_assert_eq!(a, b);
-                }
-                FullCacheOp::Peek(k) => {
-                    prop_assert_eq!(flat.peek(&k).copied(), reference.peek(&k).copied());
-                }
-                FullCacheOp::Insert(k, v) => {
-                    // Same displaced entry, including the eviction victim.
-                    prop_assert_eq!(flat.insert(k, v), reference.insert(k, v));
-                }
-                FullCacheOp::Remove(k) => {
-                    prop_assert_eq!(flat.remove(&k), reference.remove(&k));
-                }
-            }
-            prop_assert_eq!(flat.len(), reference.len());
-            prop_assert_eq!(flat.stats(), reference.stats());
-        }
-        // The survivors match too, not just the observed responses.
-        for (k, v) in flat.iter() {
-            prop_assert_eq!(reference.peek(k), Some(v));
         }
     }
 

@@ -1,11 +1,9 @@
 //! Memory-access records: the LLC-miss/eviction stream a trace replays.
 
-use serde::{Deserialize, Serialize};
-
 use crate::line::CacheLine;
 
 /// Whether an access is a demand read (LLC miss) or a write-back (eviction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Demand read that missed the whole cache hierarchy.
     Read,
@@ -14,7 +12,7 @@ pub enum AccessKind {
 }
 
 /// One record of the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
     /// Read or write.
     pub kind: AccessKind,
@@ -53,7 +51,7 @@ impl Access {
 
 /// A complete trace: the access stream plus the name of the workload that
 /// produced it.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
     /// Workload name (e.g. `"lbm"`).
     pub name: String,

@@ -3,8 +3,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::access::{AccessKind, Trace};
 use crate::line::CacheLine;
 
@@ -65,7 +63,7 @@ pub fn zero_line_rate(trace: &Trace) -> f64 {
 /// The paper's Figure 3 reference-count buckets: `num1` is content written
 /// exactly once, `num10` 2–10 times, `num100` 11–100, `num1000` 101–1000,
 /// `num1000_plus` more than 1000 times.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefCountBuckets {
     /// Unique contents written exactly once.
     pub num1: u64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Size of a cache line in bytes.
 pub const LINE_BYTES: usize = 64;
 
@@ -17,26 +15,8 @@ pub const LINE_BYTES: usize = 64;
 /// let line = CacheLine::from_fill(0xAB);
 /// assert_eq!(line.as_bytes()[63], 0xAB);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct CacheLine(#[serde(with = "serde_bytes_64")] [u8; LINE_BYTES]);
-
-// Only referenced from the derive expansion, which is a no-op under the
-// vendored serde stub — hence the allow (dead only until real serde is
-// swapped back in).
-#[allow(dead_code)]
-mod serde_bytes_64 {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(bytes: &[u8; 64], ser: S) -> Result<S::Ok, S::Error> {
-        bytes.as_slice().serialize(ser)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(de: D) -> Result<[u8; 64], D::Error> {
-        let v = Vec::<u8>::deserialize(de)?;
-        v.try_into()
-            .map_err(|_| serde::de::Error::custom("cache line must be 64 bytes"))
-    }
-}
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CacheLine([u8; LINE_BYTES]);
 
 impl CacheLine {
     /// The all-zero line — by far the most common duplicate in real traces.

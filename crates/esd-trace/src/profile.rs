@@ -9,10 +9,8 @@
 //! summarized by the statistical profile below and regenerated synthetically
 //! — the substitution recorded in `DESIGN.md`.
 
-use serde::{Deserialize, Serialize};
-
 /// Which benchmark suite an application belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPEC CPU 2017.
     Spec2017,
@@ -30,7 +28,7 @@ impl std::fmt::Display for Suite {
 }
 
 /// Statistical profile of one application's LLC-eviction stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
     /// Application name as used in the paper's figures.
     pub name: String,

@@ -120,6 +120,26 @@ fn efit_decay_interval_survives_crash() {
     assert!(!miss.deduplicated && hit.deduplicated);
 }
 
+#[test]
+fn run_options_default_is_the_same_in_every_environment() {
+    // No crash and no journal unless the caller asks; CI runs this suite
+    // with ESD_QUANTUM, ESD_CRASH_AT and ESD_JOURNAL_EVERY set, so a
+    // library that reads them again fails here.
+    let options = RunOptions::default();
+    assert!(options.verify);
+    assert_eq!(options.scrub_interval, None);
+    assert_eq!(options.scrub_lines_per_tick, 1024);
+    assert!(!options.observe);
+    assert_eq!(options.trace_capacity, 0);
+    assert_eq!(options.epoch_interval, None);
+    assert_eq!(options.shards, 1);
+    assert_eq!(options.batch, esd::core::DEFAULT_BATCH);
+    assert_eq!(options.quantum, esd::core::DEFAULT_QUANTUM);
+    assert_eq!(options.crash_at, None);
+    assert_eq!(options.journal_every, None);
+    assert_eq!(options.kernels, esd::kernels::KernelBackend::Auto);
+}
+
 fn crash_options(crash_at: CrashPoint, journal: Option<u64>) -> RunOptions {
     RunOptions {
         verify: true,
