@@ -45,7 +45,8 @@ OPTIONS:
                        second (default 1000000)
     --requests N       requests per tenant (default 2000)
     --queue-depth N    per-tenant admission bound (default 64)
-    --seed N           base trace seed; tenant t uses seed+t (default 42)
+    --seed N           base trace seed; tenant t uses seed+t, wrapping
+                       (default 42)
     --profile NAME     trace profile (default demo; see `esd-cli apps`)
     --json             also print the metrics-registry JSON export, after
                        the stat lines (either mode)

@@ -3,7 +3,7 @@
 //! rate, merged into one event list for [`Service::run_events`].
 
 use esd_sim::Ps;
-use esd_trace::{generate_trace, AppProfile};
+use esd_trace::{AppProfile, TraceGenerator};
 
 use crate::proto::{Envelope, Request, Response};
 use crate::service::{Service, ServiceSummary};
@@ -22,8 +22,9 @@ pub struct LoadSpec {
     pub requests_per_tenant: u64,
     /// Trace profile each tenant's stream is drawn from.
     pub profile: AppProfile,
-    /// Base seed; tenant `t` uses `seed + t` so streams are distinct but
-    /// share the profile's duplicate population (cross-tenant dedup).
+    /// Base seed; tenant `t` uses `seed + t` (wrapping) so streams are
+    /// distinct but share the profile's duplicate population (cross-tenant
+    /// dedup).
     pub seed: u64,
 }
 
@@ -42,7 +43,11 @@ impl Default for LoadSpec {
 impl LoadSpec {
     /// Generates the merged event list: tenant `t`'s `i`-th request
     /// arrives at `i × (1s / qps)`, with addresses and lines drawn from
-    /// the trace generator under seed `seed + t`.
+    /// the trace generator under seed `seed + t` (wrapping).
+    ///
+    /// One generator serves every tenant, reseeded per tenant, so the
+    /// profile's address distribution is built once per load, and the
+    /// stream fills a list sized up front.
     ///
     /// # Panics
     ///
@@ -51,14 +56,16 @@ impl LoadSpec {
     pub fn events(&self) -> Vec<Envelope> {
         assert!(self.qps > 0, "load needs a nonzero rate");
         let gap = Ps(PS_PER_SECOND / self.qps);
-        let mut events = Vec::new();
+        let per_tenant = self.requests_per_tenant as usize;
+        let mut events = Vec::with_capacity(self.tenants as usize * per_tenant);
+        if self.tenants == 0 {
+            return events; // no stream, so no address distribution to build
+        }
+        let mut generator = TraceGenerator::new(self.profile.clone(), self.seed);
         for tenant in 0..self.tenants {
-            let trace = generate_trace(
-                &self.profile,
-                self.seed + u64::from(tenant),
-                self.requests_per_tenant as usize,
-            );
-            for (i, access) in trace.accesses.iter().enumerate() {
+            generator.reseed(self.seed.wrapping_add(u64::from(tenant)));
+            let stream = generator.by_ref().take(per_tenant).enumerate();
+            events.extend(stream.map(|(i, access)| {
                 // An access is a write exactly when it carries a line.
                 let request = match access.data {
                     Some(line) => Request::Write {
@@ -67,13 +74,13 @@ impl LoadSpec {
                     },
                     None => Request::Read { local: access.addr },
                 };
-                events.push(Envelope {
+                Envelope {
                     tenant,
                     seq: i as u64,
                     arrival: gap * (i as u64),
                     request,
-                });
-            }
+                }
+            }));
         }
         events
     }
@@ -139,6 +146,86 @@ mod tests {
         assert_eq!(events.len(), 8);
         let t0: Vec<&Envelope> = events.iter().filter(|e| e.tenant == 0).collect();
         assert_eq!(t0[1].arrival - t0[0].arrival, Ps::from_us(1));
+    }
+
+    /// The event list as built before the generator was shared: one
+    /// `generate_trace` per tenant, converted access by access.
+    fn events_per_tenant_trace(spec: &LoadSpec) -> Vec<Envelope> {
+        let gap = Ps(PS_PER_SECOND / spec.qps);
+        let mut events = Vec::new();
+        for tenant in 0..spec.tenants {
+            let trace = esd_trace::generate_trace(
+                &spec.profile,
+                spec.seed.wrapping_add(u64::from(tenant)),
+                spec.requests_per_tenant as usize,
+            );
+            for (i, access) in trace.accesses.iter().enumerate() {
+                let request = match access.data {
+                    Some(line) => Request::Write {
+                        local: access.addr,
+                        line,
+                    },
+                    None => Request::Read { local: access.addr },
+                };
+                events.push(Envelope {
+                    tenant,
+                    seq: i as u64,
+                    arrival: gap * (i as u64),
+                    request,
+                });
+            }
+        }
+        events
+    }
+
+    #[test]
+    fn events_equal_one_generated_trace_per_tenant() {
+        let dedup = AppProfile::by_name("dedup").expect("profile of the paper's suite");
+        for profile in [AppProfile::demo(), dedup] {
+            for tenants in [1u32, 3, 8] {
+                for requests_per_tenant in [0u64, 1, 257] {
+                    for seed in [42, u64::MAX - 1] {
+                        let spec = LoadSpec {
+                            tenants,
+                            qps: 1_000_000,
+                            requests_per_tenant,
+                            profile: profile.clone(),
+                            seed,
+                        };
+                        assert_eq!(
+                            spec.events(),
+                            events_per_tenant_trace(&spec),
+                            "{} tenants {tenants} requests {requests_per_tenant} seed {seed}",
+                            profile.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tenant_seeds_wrap_past_the_largest_seed() {
+        let spec = LoadSpec {
+            tenants: 2,
+            requests_per_tenant: 10,
+            seed: u64::MAX,
+            ..LoadSpec::default()
+        };
+        let events = spec.events();
+        assert_eq!(events.len(), 20);
+        let tenant1: Vec<Request> = events
+            .iter()
+            .filter(|e| e.tenant == 1)
+            .map(|e| e.request)
+            .collect();
+        let seed0 = LoadSpec {
+            tenants: 1,
+            seed: 0,
+            ..spec
+        };
+        let seed0: Vec<Request> = seed0.events().iter().map(|e| e.request).collect();
+        assert_eq!(tenant1, seed0, "tenant 1 runs under seed 0");
     }
 
     #[test]

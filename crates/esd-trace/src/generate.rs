@@ -44,6 +44,23 @@ pub fn generate_trace(profile: &AppProfile, seed: u64, accesses: usize) -> Trace
 
 /// Streaming trace generator (use [`generate_trace`] unless you need to pull
 /// records incrementally).
+///
+/// As an [`Iterator`] it is an endless stream of accesses: the first `n` it
+/// yields are exactly the records [`generate`](Self::generate)`(n)` returns.
+/// [`reseed`](Self::reseed) restarts the stream under another seed and
+/// keeps the profile's address distribution, so many streams of one profile
+/// (one per tenant, say) share a single O(working set) build.
+///
+/// ```
+/// use esd_trace::{generate_trace, AppProfile, TraceGenerator};
+/// let profile = AppProfile::demo();
+/// let mut generator = TraceGenerator::new(profile.clone(), 1);
+/// for seed in [7, 8] {
+///     generator.reseed(seed);
+///     let streamed: Vec<_> = generator.by_ref().take(100).collect();
+///     assert_eq!(streamed, generate_trace(&profile, seed, 100).accesses);
+/// }
+/// ```
 #[derive(Debug)]
 pub struct TraceGenerator {
     profile: AppProfile,
@@ -68,26 +85,36 @@ impl TraceGenerator {
         // subset of the working set, which is what keeps the paper's AMT
         // cache hit rate high at 512 KB (Fig. 18b).
         let addr_zipf = Zipf::new(profile.working_set_lines, 1.1);
-        TraceGenerator {
-            rng: StdRng::seed_from_u64(seed ^ hash_name(&profile.name)),
-            unique_namespace: seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(hash_name(&profile.name)),
+        let mut generator = TraceGenerator {
             profile,
+            rng: StdRng::seed_from_u64(seed),
             addr_zipf,
             written: Vec::new(),
             distinct: Vec::new(),
+            unique_namespace: 0,
             fresh_counter: 0,
-        }
+        };
+        generator.reseed(seed);
+        generator
+    }
+
+    /// Restarts the stream as if freshly created with `seed`: resets the
+    /// RNG, the fresh-content namespace and the written history, and keeps
+    /// the profile and its address distribution.
+    pub fn reseed(&mut self, seed: u64) {
+        let name = hash_name(&self.profile.name);
+        self.rng = StdRng::seed_from_u64(seed ^ name);
+        self.unique_namespace = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(name);
+        self.written.clear();
+        self.distinct.clear();
+        self.fresh_counter = 0;
     }
 
     /// Produces the next `n` records as a [`Trace`].
     pub fn generate(&mut self, n: usize) -> Trace {
         let mut trace = Trace::new(self.profile.name.clone());
         trace.accesses.reserve(n);
-        for _ in 0..n {
-            trace.accesses.push(self.next_access());
-        }
+        trace.accesses.extend(self.by_ref().take(n));
         trace
     }
 
@@ -150,6 +177,18 @@ impl TraceGenerator {
     }
 }
 
+impl Iterator for TraceGenerator {
+    type Item = Access;
+
+    fn next(&mut self) -> Option<Access> {
+        Some(self.next_access())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
+    }
+}
+
 fn hash_name(name: &str) -> u64 {
     // FNV-1a, stable across runs and platforms.
     let mut h = 0xCBF2_9CE4_8422_2325u64;
@@ -170,6 +209,22 @@ mod tests {
     fn deterministic_for_same_seed() {
         let p = AppProfile::demo();
         assert_eq!(generate_trace(&p, 1, 500), generate_trace(&p, 1, 500));
+    }
+
+    #[test]
+    fn reseeding_after_streaming_equals_a_fresh_generator() {
+        let paper = ["dedup", "deepsjeng"].map(|name| AppProfile::by_name(name).unwrap());
+        for p in [AppProfile::demo()].into_iter().chain(paper) {
+            let name = p.name.clone();
+            let mut generator = TraceGenerator::new(p.clone(), 3);
+            let _ = generator.generate(5_000);
+            for seed in [3, 4, u64::MAX] {
+                generator.reseed(seed);
+                let streamed: Vec<Access> = generator.by_ref().take(3_000).collect();
+                let fresh = TraceGenerator::new(p.clone(), seed).generate(3_000);
+                assert_eq!(streamed, fresh.accesses, "{name} seed {seed}");
+            }
+        }
     }
 
     #[test]

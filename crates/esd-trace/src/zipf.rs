@@ -19,6 +19,9 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[k]` is the first index whose CDF value is `≥ k/m`, for
+    /// `m = ⌈n/4⌉` buckets (see [`Zipf::sample`]).
+    guide: Vec<usize>,
 }
 
 impl Zipf {
@@ -38,10 +41,19 @@ impl Zipf {
             cdf.push(acc);
         }
         let total = acc;
-        for p in &mut cdf {
+        let buckets = n.div_ceil(4);
+        let mut guide = Vec::with_capacity(buckets);
+        let mut edge = 0.0f64;
+        for (i, p) in cdf.iter_mut().enumerate() {
             *p /= total;
+            // The last value is exactly 1.0, above every edge k/m with
+            // k < m, so all m entries are filled by the end of the loop.
+            while guide.len() < buckets && *p >= edge {
+                guide.push(i);
+                edge = guide.len() as f64 / buckets as f64;
+            }
         }
-        Zipf { cdf }
+        Zipf { cdf, guide }
     }
 
     /// Number of items.
@@ -57,16 +69,33 @@ impl Zipf {
         self.cdf.is_empty()
     }
 
-    /// Draws one index.
+    /// Draws one index: for a uniform draw `u` in `[0, 1)`, the first index
+    /// whose CDF value is `≥ u`, clamped to `n − 1`. That is the index a
+    /// binary search over the CDF returns, found in expected O(1) steps. (A
+    /// binary search could differ only on a draw exactly equal to a value
+    /// the CDF repeats, and the CDF repeats none until a term falls below
+    /// the rounding of the running sum, far past any profile's working set.)
+    ///
+    /// The unit interval is cut into `m = ⌈n/4⌉` equal buckets, and the
+    /// guide table holds, for each bucket `k`, the first index whose CDF
+    /// value is `≥ k/m`. The search starts at the guide entry of `u`'s
+    /// bucket, `⌊u·m⌋`. It steps back while the previous CDF value is still
+    /// `≥ u`, which covers a bucket index that float rounding put one too
+    /// high, then walks forward to the first CDF value `≥ u`. Every bucket
+    /// is drawn with probability `1/m` and the buckets hold `n` items
+    /// between them, so the walk averages about `n/(2m) = 2` steps.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("finite CDF"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        let last = self.cdf.len() - 1;
+        let bucket = ((u * self.guide.len() as f64) as usize).min(self.guide.len() - 1);
+        let mut i = self.guide[bucket];
+        while i > 0 && self.cdf[i - 1] >= u {
+            i -= 1;
         }
+        while i < last && self.cdf[i] < u {
+            i += 1;
+        }
+        i
     }
 }
 
@@ -177,6 +206,110 @@ mod tests {
             // to the last item, not index out of bounds.
             let mut max_draw = FixedBits(u64::MAX);
             assert_eq!(zipf.sample(&mut max_draw), n - 1, "n={n} s={s}");
+        }
+    }
+
+    /// The sampler before the guide table, kept as the reference: a binary
+    /// search over the CDF.
+    fn bisect(cdf: &[f64], u: f64) -> usize {
+        match cdf.binary_search_by(|p| p.partial_cmp(&u).expect("finite CDF")) {
+            Ok(i) => i,
+            Err(i) => i.min(cdf.len() - 1),
+        }
+    }
+
+    const EXPONENTS: [f64; 4] = [0.0, 0.5, 1.1, 2.0];
+
+    /// Largest draw mantissa: `(2^53 − 1) / 2^53` is the largest `u`.
+    const MAX_MANTISSA: u64 = (1 << 53) - 1;
+
+    /// Draws `u = mantissa / 2^53` and checks it against the reference.
+    fn agrees_at(zipf: &Zipf, mantissa: u64) {
+        let bits = mantissa.min(MAX_MANTISSA) << 11;
+        let u: f64 = FixedBits(bits).gen();
+        let (n, m) = (zipf.len(), zipf.guide.len());
+        assert_eq!(
+            zipf.sample(&mut FixedBits(bits)),
+            bisect(&zipf.cdf, u),
+            "n={n} m={m} u={u:e}"
+        );
+    }
+
+    /// Checks the guide invariant, then the sampler against the reference at
+    /// 0, at the largest draw, on and one draw either side of every bucket
+    /// edge k/m, at random draws, and on and beside the CDF values of
+    /// random samples.
+    fn agrees_everywhere(zipf: &Zipf, rng: &mut StdRng, draws: usize) {
+        let (cdf, guide) = (&zipf.cdf, &zipf.guide);
+        assert!(cdf.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
+        assert_eq!(guide.len(), cdf.len().div_ceil(4));
+        let m = guide.len();
+        for (k, &first) in guide.iter().enumerate() {
+            let edge = k as f64 / m as f64;
+            assert!(cdf[first] >= edge && (first == 0 || cdf[first - 1] < edge));
+            let mantissa = (edge * (1u64 << 53) as f64) as u64;
+            for draw in [mantissa.saturating_sub(1), mantissa, mantissa + 1] {
+                agrees_at(zipf, draw);
+            }
+        }
+        agrees_at(zipf, 0);
+        agrees_at(zipf, MAX_MANTISSA);
+        for _ in 0..draws {
+            agrees_at(zipf, rng.gen::<u64>() >> 11);
+            let on_cdf = (cdf[zipf.sample(rng)] * (1u64 << 53) as f64) as u64;
+            for draw in [on_cdf.saturating_sub(1), on_cdf, on_cdf + 1] {
+                agrees_at(zipf, draw);
+            }
+        }
+    }
+
+    #[test]
+    fn guide_table_matches_binary_search_on_every_profile_working_set() {
+        let mut sizes: Vec<usize> = crate::AppProfile::all()
+            .iter()
+            .chain([&crate::AppProfile::demo()])
+            .map(|p| p.working_set_lines)
+            .collect();
+        sizes.sort_unstable();
+        sizes.dedup();
+        let mut rng = StdRng::seed_from_u64(31);
+        for n in sizes {
+            for s in EXPONENTS {
+                agrees_everywhere(&Zipf::new(n, s), &mut rng, 2_000);
+            }
+        }
+    }
+
+    #[test]
+    fn draw_rounded_into_the_next_bucket_steps_back() {
+        // 24 items, so m = 6. The largest draw below the edge 5/6 times 6
+        // rounds to exactly 5.0: bucket 5, whose guide entry is the first
+        // index at or above 5/6. Placing that draw itself in the CDF, one
+        // index earlier, makes the guide entry one past the answer.
+        let u = 5.0 / 6.0 - f64::EPSILON / 2.0;
+        assert_eq!(((u * 6.0) as usize, u < 5.0 / 6.0), (5, true));
+        let mut cdf: Vec<f64> = (1..=24).map(|i| f64::from(i) / 24.0).collect();
+        cdf[19] = u;
+        let m = cdf.len().div_ceil(4);
+        let guide = (0..m)
+            .map(|k| cdf.partition_point(|&p| p < k as f64 / m as f64))
+            .collect();
+        let zipf = Zipf { cdf, guide };
+        assert_eq!(zipf.guide[5], 20);
+        let mantissa = (u * (1u64 << 53) as f64) as u64;
+        assert_eq!(zipf.sample(&mut FixedBits(mantissa << 11)), 19);
+        agrees_everywhere(&zipf, &mut StdRng::seed_from_u64(5), 100);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn guide_table_matches_binary_search_on_small_tables(
+            n in 1usize..5000,
+            s in 0usize..EXPONENTS.len(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let zipf = Zipf::new(n, EXPONENTS[s]);
+            agrees_everywhere(&zipf, &mut StdRng::seed_from_u64(seed), 500);
         }
     }
 }
