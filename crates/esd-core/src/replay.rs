@@ -3,17 +3,23 @@
 //! collected into a [`RunReport`].
 //!
 //! Accesses run in blocks of [`DEFAULT_BATCH`], each in three stages:
-//! gather the block's write lines, compute their keys in one multi-lane
-//! kernel call ([`crate::FingerprintSpec::compute_keys`]), then execute the
-//! block in trace order, handing each write its key. A scheme without a
-//! fingerprint (Baseline) gathers nothing. Keys are pure functions of line
-//! content and the scheme charges the full modeled fingerprint cost either
-//! way, so where the host computes a key never reaches the report.
+//! gather, compute the write lines' keys in one multi-lane kernel call
+//! ([`crate::FingerprintSpec::compute_keys`]), then execute the block in
+//! trace order, handing each write its key and each verified read the line
+//! it must return. Gather is one in-order pass over the block: a write
+//! pushes its line for fingerprinting (a scheme without a fingerprint,
+//! Baseline, pushes nothing) and records its address in the verification
+//! shadow; a verified read looks its address up and copies the last
+//! write's line out of the trace. Those lookups do not depend on each
+//! other, so their cache misses overlap instead of stalling the scheme one
+//! at a time. Keys are pure functions of line content, the scheme charges
+//! the full modeled fingerprint cost either way, and the shadow is host
+//! state only, so nothing gather does reaches the report.
 
 use esd_collections::U64Map;
 use esd_obs::{EpochSnapshot, Obs};
 use esd_sim::{CpuModel, LatencyHistogram, Ps, SystemConfig, LINE_BYTES};
-use esd_trace::{AccessKind, Trace};
+use esd_trace::{AccessKind, CacheLine, Trace};
 
 use crate::journal::{RecoveryReport, RecoverySummary};
 use crate::report::{ReliabilityReport, RunReport};
@@ -42,9 +48,6 @@ struct Replay<'a> {
     scheme: Scheme,
     cpu: CpuModel,
     scrubber: Option<Scrubber>,
-    /// Verification shadow: logical address → trace index of the last
-    /// write to it (whose `data` is what a read must return).
-    shadow: U64Map<u32>,
     write_latency: LatencyHistogram,
     read_latency: LatencyHistogram,
     epochs: Vec<EpochSnapshot>,
@@ -131,8 +134,15 @@ impl Replay<'_> {
 
     /// Replays access `g`: epoch catch-up, CPU execute, scrub tick, then
     /// the memory access itself. `fingerprint` carries a write's key from
-    /// the block's fingerprint stage (`None` for a scheme without one).
-    fn access(&mut self, g: usize, fingerprint: Option<u64>) -> Result<(), VerifyError> {
+    /// the block's fingerprint stage (`None` for a scheme without one);
+    /// `expected` carries a verified read's line from the gather stage
+    /// (`None` when unverified or the address was never written).
+    fn access(
+        &mut self,
+        g: usize,
+        fingerprint: Option<u64>,
+        expected: Option<&CacheLine>,
+    ) -> Result<(), VerifyError> {
         self.catch_up_epochs(g);
         let access = &self.trace.accesses[g];
         self.cpu.execute(u64::from(access.instruction_gap));
@@ -156,25 +166,19 @@ impl Replay<'_> {
                     .device_finish
                     .map_or(result.processing_done, |f| f.max(result.processing_done));
                 self.cpu.admit_write(release);
-                if self.options.verify {
-                    self.shadow.insert(access.addr, g as u32);
-                }
             }
             AccessKind::Read => {
                 let result = self.scheme.read(now, access.addr);
                 self.read_latency
                     .record(elapsed_latency(now, result.finish));
                 self.cpu.complete_read(result.finish);
-                if self.options.verify && result.outcome.is_data_valid() {
-                    if let Some(&written) = self.shadow.get(access.addr) {
-                        if self.trace.accesses[written as usize].data.as_ref() != Some(&result.data)
-                        {
-                            return Err(VerifyError {
-                                scheme: self.scheme.kind(),
-                                addr: access.addr,
-                                access_index: g,
-                            });
-                        }
+                if let Some(expected) = expected {
+                    if result.outcome.is_data_valid() && result.data != *expected {
+                        return Err(VerifyError {
+                            scheme: self.scheme.kind(),
+                            addr: access.addr,
+                            access_index: g,
+                        });
                     }
                 }
             }
@@ -232,10 +236,7 @@ impl Replay<'_> {
             write_latency: self.write_latency,
             read_latency: self.read_latency,
             breakdown: scheme.breakdown(),
-            ipc: ratio(
-                self.trace.total_instructions() as f64,
-                self.config.cpu.clock.ps_to_cycles_f64(self.cpu.now()),
-            ),
+            ipc: self.cpu.ipc(),
             fingerprint_cache: scheme.fingerprint_cache_stats(),
             amt_cache: scheme.amt_cache_stats(),
             metadata: scheme.metadata_footprint(),
@@ -279,11 +280,6 @@ pub(crate) fn run(
         scrubber: options
             .scrub_interval
             .map(|_| Scrubber::new(options.scrub_lines_per_tick)),
-        shadow: if options.verify {
-            U64Map::with_capacity(trace.write_count())
-        } else {
-            U64Map::new()
-        },
         write_latency: LatencyHistogram::new(),
         read_latency: LatencyHistogram::new(),
         epochs: Vec::new(),
@@ -309,6 +305,13 @@ pub(crate) fn run(
 
     let mut lines: Vec<[u8; LINE_BYTES]> = Vec::with_capacity(DEFAULT_BATCH as usize);
     let mut keys: Vec<u64> = Vec::with_capacity(DEFAULT_BATCH as usize);
+    let mut expected: Vec<Option<CacheLine>> = Vec::with_capacity(DEFAULT_BATCH as usize);
+    // Verification shadow, filled by the gather stage: logical address →
+    // trace index of the last write to it gathered so far (whose `data` is
+    // what a later read must return). Empty unless `options.verify`. It
+    // grows from empty: it holds one entry per distinct written address, a
+    // fraction of the write count, and nothing iterates it.
+    let mut shadow: U64Map<u32> = U64Map::new();
     let mut start = 0usize;
     while start < total {
         let mut end = total.min(start + DEFAULT_BATCH as usize);
@@ -320,24 +323,42 @@ pub(crate) fn run(
             }
         }
         let block = &trace.accesses[start..end];
-        // Gather, then fingerprint.
+        // Gather, in trace order: a read sees exactly the writes before it,
+        // its own block's included.
         lines.clear();
         keys.clear();
+        expected.clear();
+        for (g, access) in (start..end).zip(block) {
+            match access.kind {
+                AccessKind::Write => {
+                    if spec.is_some() {
+                        lines.push(*access.data.expect("write carries data").as_bytes());
+                    }
+                    if options.verify {
+                        shadow.insert(access.addr, g as u32);
+                    }
+                }
+                AccessKind::Read if options.verify => expected.push(
+                    shadow
+                        .get(access.addr)
+                        .map(|&w| trace.accesses[w as usize].data.expect("write carries data")),
+                ),
+                AccessKind::Read => {}
+            }
+        }
+        // Fingerprint.
         if let Some(spec) = spec {
-            lines.extend(block.iter().filter_map(|access| match access.kind {
-                AccessKind::Write => Some(*access.data.expect("write carries data").as_bytes()),
-                AccessKind::Read => None,
-            }));
             spec.compute_keys(&lines, &mut keys);
         }
         // Execute.
         let mut block_keys = keys.iter().copied();
+        let mut block_expected = expected.iter().map(Option::as_ref);
         for (g, access) in (start..end).zip(block) {
-            let fingerprint = match access.kind {
-                AccessKind::Write => block_keys.next(),
-                AccessKind::Read => None,
+            let (fingerprint, expected) = match access.kind {
+                AccessKind::Write => (block_keys.next(), None),
+                AccessKind::Read => (None, block_expected.next().flatten()),
             };
-            replay.access(g, fingerprint)?;
+            replay.access(g, fingerprint, expected)?;
         }
         start = end;
     }

@@ -1,0 +1,296 @@
+//! Tier-1 reach into three crates whose own suites run only under
+//! `cargo test --workspace`: the `U64Map` every replay-lifetime table
+//! (the verify shadow included) grows through, the `esd-obs` metrics
+//! export, and the `esd-server` wire codec. Seconds-long in a debug build.
+
+use std::collections::{BTreeMap, HashMap};
+
+use esd::sim::Ps;
+use esd::trace::CacheLine;
+use esd_collections::U64Map;
+use esd_obs::Registry;
+use esd_server::{
+    decode_request, decode_response, encode_request, encode_response, frame_response, peek_frame,
+    read_frame, write_frame, Envelope, Request, Response, FRAME_HEADER_BYTES,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+#[test]
+fn u64map_grown_from_empty_matches_std_hashmap() {
+    // Inserts, overwrites, removes and gets over 64-aligned keys drawn
+    // from a space several times the table's peak size, so every kind of
+    // operation hits both present and absent keys.
+    let mut map: U64Map<u32> = U64Map::new();
+    let mut model: HashMap<u64, u32> = HashMap::new();
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let mut peak = 0;
+    for step in 0..40_000u32 {
+        let key = rng.gen_range(0..2_048u64) * 0x40;
+        match rng.gen_range(0..10u32) {
+            // Insert-heavy for the first half, so the table grows; remove-
+            // heavy after, so backward-shift deletion runs on a full table.
+            0..=5 if step < 20_000 => assert_eq!(map.insert(key, step), model.insert(key, step)),
+            0..=1 => assert_eq!(map.insert(key, step), model.insert(key, step)),
+            2..=5 => assert_eq!(map.remove(key), model.remove(&key), "remove {key:#x}"),
+            _ => assert_eq!(map.get(key), model.get(&key), "get {key:#x}"),
+        }
+        assert_eq!(map.len(), model.len());
+        peak = peak.max(map.len());
+    }
+    // The table starts at 8 slots and doubles at 7/8 load: more than
+    // 7/8 · 256 live entries means at least six growths.
+    assert!(peak > 224, "peak {peak} too small to force five growths");
+    let mut entries: Vec<(u64, u32)> = map.iter().map(|(k, &v)| (k, v)).collect();
+    entries.sort_unstable();
+    let mut expected: Vec<(u64, u32)> = model.into_iter().collect();
+    expected.sort_unstable();
+    assert_eq!(entries, expected);
+}
+
+/// The subset of JSON the metrics export writes: objects, strings with
+/// the export's escapes, and numbers.
+#[derive(Debug)]
+enum Json {
+    Num(f64),
+    Obj(BTreeMap<String, Json>),
+}
+
+impl Json {
+    fn field(&self, name: &str) -> &Json {
+        match self {
+            Json::Obj(fields) => fields
+                .get(name)
+                .unwrap_or_else(|| panic!("no field {name}")),
+            Json::Num(_) => panic!("{name}: not an object"),
+        }
+    }
+
+    fn num(&self) -> f64 {
+        match self {
+            Json::Num(v) => *v,
+            Json::Obj(_) => panic!("not a number"),
+        }
+    }
+
+    fn fields(&self) -> &BTreeMap<String, Json> {
+        match self {
+            Json::Obj(fields) => fields,
+            Json::Num(_) => panic!("not an object"),
+        }
+    }
+}
+
+struct Reader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Reader<'_> {
+    fn parse(text: &str) -> Json {
+        let mut reader = Reader {
+            bytes: text.as_bytes(),
+            at: 0,
+        };
+        let value = reader.value();
+        assert_eq!(reader.at, text.len(), "trailing bytes in {text}");
+        value
+    }
+
+    fn next(&mut self) -> u8 {
+        let b = self.bytes[self.at];
+        self.at += 1;
+        b
+    }
+
+    fn expect(&mut self, want: u8) {
+        let at = self.at;
+        assert_eq!(self.next(), want, "byte {at}");
+    }
+
+    fn value(&mut self) -> Json {
+        if self.bytes[self.at] == b'{' {
+            self.object()
+        } else {
+            self.number()
+        }
+    }
+
+    fn object(&mut self) -> Json {
+        self.expect(b'{');
+        let mut fields = BTreeMap::new();
+        if self.bytes[self.at] == b'}' {
+            self.at += 1;
+            return Json::Obj(fields);
+        }
+        loop {
+            let key = self.string();
+            self.expect(b':');
+            let value = self.value();
+            assert!(fields.insert(key, value).is_none(), "duplicate key");
+            match self.next() {
+                b',' => {}
+                b'}' => return Json::Obj(fields),
+                b => panic!("unexpected {:?} at {}", b as char, self.at - 1),
+            }
+        }
+    }
+
+    fn string(&mut self) -> String {
+        self.expect(b'"');
+        let mut out = String::new();
+        loop {
+            match self.next() {
+                b'"' => return out,
+                b'\\' => out.push(match self.next() {
+                    b'"' => '"',
+                    b'\\' => '\\',
+                    b'n' => '\n',
+                    b'r' => '\r',
+                    b't' => '\t',
+                    b'u' => {
+                        let hex = std::str::from_utf8(&self.bytes[self.at..self.at + 4]).unwrap();
+                        self.at += 4;
+                        char::from_u32(u32::from_str_radix(hex, 16).unwrap()).unwrap()
+                    }
+                    b => panic!("unknown escape {:?}", b as char),
+                }),
+                b => out.push(char::from(b)),
+            }
+        }
+    }
+
+    fn number(&mut self) -> Json {
+        let start = self.at;
+        while matches!(self.bytes[self.at], b'-' | b'.' | b'0'..=b'9') {
+            self.at += 1;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.at]).unwrap();
+        Json::Num(
+            text.parse()
+                .unwrap_or_else(|_| panic!("bad number {text:?}")),
+        )
+    }
+}
+
+#[test]
+fn metrics_export_reads_back_as_recorded() {
+    let mut registry = Registry::new();
+    registry.counter_add("writes", 3);
+    registry.counter_add("writes", 4);
+    registry.counter_add("tenant\"7\\reads\n", 11);
+    let handle = registry.counter_id("by_handle");
+    registry.counter_add_by_id(handle, 5);
+    registry.gauge_set("depth", 2.5);
+    registry.gauge_set("ratio", 1.0 / 3.0);
+    for ns in [10, 20, 30, 40, 1_000] {
+        registry.histogram_record("latency", Ps::from_ns(ns));
+    }
+    let json = Reader::parse(&registry.to_json());
+
+    let counters: BTreeMap<String, f64> = json
+        .field("counters")
+        .fields()
+        .iter()
+        .map(|(k, v)| (k.clone(), v.num()))
+        .collect();
+    let recorded: BTreeMap<String, f64> = registry
+        .counters()
+        .map(|(k, v)| (k.to_owned(), v as f64))
+        .collect();
+    assert_eq!(counters, recorded);
+    assert_eq!(counters["tenant\"7\\reads\n"], 11.0);
+    assert_eq!(counters["by_handle"], 5.0);
+
+    // Gauges and histogram summaries travel with six decimals.
+    let six = |v: f64| format!("{v:.6}").parse::<f64>().unwrap();
+    let gauges = json.field("gauges");
+    assert_eq!(gauges.fields().len(), 2);
+    for (name, value) in registry.gauges() {
+        assert_eq!(gauges.field(name).num(), six(value), "{name}");
+    }
+    let latency = json.field("histograms").field("latency");
+    let recorded = registry.histogram("latency").unwrap();
+    assert_eq!(latency.field("count").num(), 5.0);
+    assert_eq!(
+        latency.field("mean_ns").num(),
+        six(recorded.mean().as_ns_f64())
+    );
+    for (field, q) in [("p50_ns", 0.50), ("p99_ns", 0.99)] {
+        let want = six(recorded.percentile(q).as_ns_f64());
+        assert_eq!(latency.field(field).num(), want, "{field}");
+    }
+}
+
+#[test]
+fn service_codec_round_trips_every_message_shape() {
+    let mut rng = StdRng::seed_from_u64(0xC0DEC);
+    let mut wire = Vec::new();
+    let mut requests = Vec::new();
+    let mut responses = Vec::new();
+    for i in 0..200u64 {
+        let line = CacheLine::from_seed(rng.gen());
+        let local = rng.gen_range(0..1u64 << 40) * 0x40;
+        let env = Envelope {
+            tenant: rng.gen(),
+            seq: i,
+            arrival: Ps::ZERO,
+            request: if i % 2 == 0 {
+                Request::Write { local, line }
+            } else {
+                Request::Read { local }
+            },
+        };
+        // Arrival is not on the wire; decoding stamps `Ps::ZERO`.
+        let payload = encode_request(&env);
+        assert_eq!(decode_request(&payload).unwrap(), env);
+        write_frame(&mut wire, &payload).unwrap();
+        requests.push(env);
+
+        let latency = Ps(rng.gen());
+        let resp = match i % 3 {
+            0 => Response::Written {
+                seq: i,
+                deduplicated: rng.gen_bool(0.5),
+                latency,
+            },
+            1 => Response::Data {
+                seq: i,
+                latency,
+                line,
+            },
+            _ => Response::Rejected {
+                seq: i,
+                retry_after: latency,
+            },
+        };
+        assert_eq!(decode_response(&encode_response(&resp)).unwrap(), resp);
+        responses.push(resp);
+    }
+
+    // Requests back out of one byte stream, in order, then a clean EOF.
+    let mut stream = wire.as_slice();
+    for env in &requests {
+        let payload = read_frame(&mut stream).unwrap().expect("frame present");
+        assert_eq!(decode_request(&payload).unwrap(), *env);
+    }
+    assert_eq!(read_frame(&mut stream).unwrap(), None);
+
+    // Responses batched into one buffer come back frame by frame.
+    let mut batch = Vec::new();
+    for resp in &responses {
+        frame_response(&mut batch, resp);
+    }
+    let mut rest = batch.as_slice();
+    for resp in &responses {
+        let payload = peek_frame(rest).unwrap().expect("whole frame buffered");
+        assert_eq!(decode_response(payload).unwrap(), *resp);
+        rest = &rest[FRAME_HEADER_BYTES + payload.len()..];
+    }
+    assert!(rest.is_empty());
+    // A frame cut anywhere is not yet a frame.
+    let first = &batch[..FRAME_HEADER_BYTES + encode_response(&responses[0]).len()];
+    for cut in 0..first.len() {
+        assert_eq!(peek_frame(&first[..cut]).unwrap(), None, "cut at {cut}");
+    }
+}

@@ -1,7 +1,9 @@
 //! End-to-end pipeline tests: every scheme replays real paper workloads
 //! with full read-back verification (the §III-E "no data loss" guarantee).
 
-use esd::core::{build_scheme, replay_with, run_trace, RunOptions, SchemeKind};
+use esd::core::{
+    build_scheme, replay_with, run_trace, CrashPoint, CrashStage, RunOptions, SchemeKind,
+};
 use esd::kernels::KernelBackend;
 use esd::sim::SystemConfig;
 use esd::trace::{generate_trace, AppProfile};
@@ -145,6 +147,52 @@ fn medium_stores_only_ciphertext() {
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn verification_never_changes_a_report() {
+    // Verification is host-side checking only: with and without an
+    // injected crash, every kind must replay to the same report whether
+    // reads are checked or not. The trace is one `ESD_NoVerify` does not
+    // alias on, so every verified run completes.
+    let config = SystemConfig::default();
+    let trace = generate_trace(&AppProfile::demo(), 23, 3_000);
+    let total = trace.len() as u64;
+    let crashes = [
+        None,
+        Some(CrashPoint {
+            access: total / 2,
+            stage: CrashStage::MappingUpdate,
+        }),
+    ];
+    for kind in SchemeKind::EXTENDED {
+        for crash_at in crashes {
+            let run = |verify| {
+                let options = RunOptions {
+                    verify,
+                    crash_at,
+                    journal_every: crash_at.map(|_| 64),
+                    // One epoch, closed at the end of the run: its end time
+                    // is the clock the IPC divides by.
+                    epoch_interval: Some(total),
+                    ..RunOptions::default()
+                };
+                replay_with(kind, &trace, &config, &options)
+                    .unwrap_or_else(|e| panic!("{kind} (crash {crash_at:?}): {e}"))
+            };
+            let verified = run(true);
+            assert_eq!(verified.recovery.is_some(), crash_at.is_some(), "{kind}");
+            assert_eq!(verified, run(false), "{kind} (crash {crash_at:?})");
+            // Every access executes its instruction gap exactly once, the
+            // one a crash interrupts included.
+            let end = verified.epochs.last().expect("one epoch").end_time;
+            assert_eq!(
+                verified.ipc,
+                trace.total_instructions() as f64 / config.cpu.clock.ps_to_cycles_f64(end),
+                "{kind} (crash {crash_at:?})"
+            );
         }
     }
 }

@@ -4,8 +4,9 @@
 //! numbers.
 
 use esd::core::{
-    replay_with, EfitPolicy, FingerprintSpec, ReadOutcome, RunOptions, Scheme, SchemeKind,
-    AMT_ENTRY_BYTES, DEWRITE_ENTRY_BYTES, EFIT_ENTRY_BYTES, MD5_ENTRY_BYTES, SHA1_ENTRY_BYTES,
+    replay_with, CrashPoint, CrashStage, EfitPolicy, FingerprintSpec, ReadOutcome, RunOptions,
+    Scheme, SchemeKind, VerifyError, AMT_ENTRY_BYTES, DEFAULT_BATCH, DEWRITE_ENTRY_BYTES,
+    EFIT_ENTRY_BYTES, MD5_ENTRY_BYTES, SHA1_ENTRY_BYTES,
 };
 use esd::ecc::EccCodec;
 use esd::hash::FingerprintKind;
@@ -521,6 +522,97 @@ fn verify_shadow_reports_the_first_read_that_returns_aliased_content() {
     );
     // The verifying scheme reads the candidate back and stays safe.
     replay_with(SchemeKind::Esd, &trace, &config, &options).expect("verified run");
+}
+
+/// Reads of never-written addresses: the shadow holds nothing for them, so
+/// they move the aliased accesses to a chosen trace index without being
+/// checked themselves.
+fn filler(n: usize) -> impl Iterator<Item = Access> {
+    (0..n as u64).map(|i| Access::read(0x10_0000 + 0x40 * i, 10))
+}
+
+/// The `VerifyError` an `ESD_NoVerify` replay of `accesses` stops at,
+/// after checking that `ESD` replays them cleanly. The trace's length is
+/// pinned so a filler miscount cannot go unseen.
+fn first_aliased_read(accesses: Vec<Access>, len: usize, options: &RunOptions) -> VerifyError {
+    assert_eq!(accesses.len(), len, "filler miscounted");
+    let trace = Trace {
+        name: "hand-built".into(),
+        accesses,
+    };
+    let config = SystemConfig::default();
+    replay_with(SchemeKind::Esd, &trace, &config, options).expect("verified run");
+    replay_with(SchemeKind::EsdNoVerify, &trace, &config, options)
+        .expect_err("the aliased read must be caught")
+}
+
+#[test]
+fn verify_shadow_fires_at_the_same_read_wherever_the_block_boundaries_fall() {
+    // `b` deduplicates onto `a` under `ESD_NoVerify`, so a read of `b`'s
+    // address returns `a`. Filler places the pair relative to the replay's
+    // blocks of `DEFAULT_BATCH` accesses.
+    let (a, b) = ecc_colliding_lines(EccCodec::Hamming);
+    let batch = DEFAULT_BATCH as usize;
+    assert_eq!(batch, 64, "the indices below assume 64-access blocks");
+    let options = RunOptions::default();
+    let pinned = |error: VerifyError| (error.scheme, error.addr, error.access_index);
+    let at = |index| (SchemeKind::EsdNoVerify, 0x200, index);
+
+    // The aliasing write and the read it corrupts in one block.
+    let mut accesses: Vec<Access> = filler(20).collect();
+    accesses.extend([Access::write(0x000, a, 10), Access::write(0x200, b, 10)]);
+    accesses.extend(filler(5));
+    accesses.push(Access::read(0x200, 10));
+    assert_eq!(pinned(first_aliased_read(accesses, 28, &options)), at(27));
+
+    // The write closes one block (index 63), the read opens the next (64).
+    let mut accesses = vec![Access::write(0x000, a, 10)];
+    accesses.extend(filler(batch - 2));
+    accesses.extend([Access::write(0x200, b, 10), Access::read(0x200, 10)]);
+    assert_eq!(pinned(first_aliased_read(accesses, 65, &options)), at(64));
+
+    // A read ahead of a same-address write in its own block is checked
+    // against the older write. Older `b`, newer `a`: the read fails.
+    let accesses = vec![
+        Access::write(0x000, a, 10),
+        Access::write(0x200, b, 10),
+        Access::read(0x200, 10), // returns `a`, the older write said `b`
+        Access::write(0x200, a, 10),
+        Access::read(0x200, 10),
+    ];
+    assert_eq!(pinned(first_aliased_read(accesses, 5, &options)), at(2));
+    // Older `a`, newer `b`: the read passes, the one after `b` fails.
+    let accesses = vec![
+        Access::write(0x000, a, 10),
+        Access::write(0x200, a, 10),
+        Access::read(0x200, 10),
+        Access::write(0x200, b, 10),
+        Access::read(0x200, 10), // returns `a`
+    ];
+    assert_eq!(pinned(first_aliased_read(accesses, 5, &options)), at(4));
+
+    // A crash inside the block that holds the aliased read (index 100 of
+    // the block 64..128): before the read, and at the read itself. The
+    // alias is durable, so the re-executed read still returns `a`.
+    let mut accesses = vec![Access::write(0x000, a, 10), Access::write(0x200, b, 10)];
+    accesses.extend(filler(98));
+    accesses.push(Access::read(0x200, 10));
+    accesses.extend(filler(27));
+    for crash in [70, 100] {
+        let options = RunOptions {
+            crash_at: Some(CrashPoint {
+                access: crash,
+                stage: CrashStage::MappingUpdate,
+            }),
+            journal_every: Some(16),
+            ..RunOptions::default()
+        };
+        assert_eq!(
+            pinned(first_aliased_read(accesses.clone(), 128, &options)),
+            at(100),
+            "crash at {crash}"
+        );
+    }
 }
 
 #[test]
