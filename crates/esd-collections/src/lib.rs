@@ -14,14 +14,19 @@
 //!   workspace stays dependency-free;
 //! * [`U64Map`] — an open-addressed `u64 → V` table with linear probing and
 //!   tombstone-free (backward-shift) removal, so long-lived tables never
-//!   degrade from deleted-entry litter.
+//!   degrade from deleted-entry litter;
+//! * [`LineTable`] — per-line state keyed by 64-byte line address: an
+//!   indexed array over the dense prefix of line numbers, a [`U64Map`]
+//!   beyond it.
 //!
-//! Both are deterministic: no per-process hash seeding, so replay results
-//! and iteration-free algorithms built on them reproduce exactly across
-//! runs and thread counts.
+//! All three are deterministic: no per-process hash seeding, so replay
+//! results and iteration-free algorithms built on them reproduce exactly
+//! across runs and thread counts.
 
 pub mod fx;
+mod line_table;
 mod map;
 
 pub use fx::{FxBuildHasher, FxHasher};
+pub use line_table::LineTable;
 pub use map::U64Map;

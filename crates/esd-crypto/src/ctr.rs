@@ -22,7 +22,7 @@
 
 use std::fmt;
 
-use esd_collections::{fx::hash_u64, U64Map};
+use esd_collections::{fx::hash_u64, LineTable, U64Map};
 
 use crate::aes::Aes128;
 
@@ -93,22 +93,38 @@ impl PadSlot {
 /// domains from one shared store.
 ///
 /// Each tenant encrypts under its own key derived from `master` (see
-/// [`crate::derive_tenant_key`]); `owners` remembers which tenant's key
-/// protected each line address so reads — including cross-tenant reads of
-/// a deduplicated physical line — regenerate the right pad.
+/// [`crate::derive_tenant_key`]). A line's [`LineKeying::owner`] names the
+/// registered key that protected it last, so reads — including
+/// cross-tenant reads of a deduplicated physical line — regenerate the
+/// right pad.
 #[derive(Debug, Clone)]
 struct Tenancy {
     master: [u8; 16],
-    /// Tenant whose key encrypts subsequent writes; `None` until the first
-    /// [`CmeEngine::set_active_tenant`] call.
+    /// Index into `keys` of the tenant whose key encrypts subsequent
+    /// writes; `None` until the first [`CmeEngine::set_active_tenant`].
     active: Option<u32>,
-    /// Tenant id → derived cipher, filled at registration.
-    ciphers: U64Map<Aes128>,
-    /// Line address → tenant whose key encrypted it last.
-    owners: U64Map<u64>,
+    /// Registered tenants and their derived ciphers, in registration
+    /// order; line owners index it.
+    keys: Vec<(u32, Aes128)>,
+    /// Tenant id → index into `keys`, consulted on activation only.
+    slots: U64Map<u32>,
+}
+
+/// What the engine keeps per line.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineKeying {
+    /// Write counter: 1 after the first encrypt, bumped by every rewrite.
+    counter: u64,
+    /// Index into [`Tenancy::keys`] of the key that encrypted the line
+    /// last; `None` for the engine's base key.
+    owner: Option<u32>,
 }
 
 /// Counter-mode encryption engine with a per-line counter store.
+///
+/// Every `addr` is a 64-byte line address: the per-line state is indexed
+/// by line number (see [`LineTable`]), so an unaligned address would alias
+/// its line, and debug builds assert alignment.
 ///
 /// # Examples
 ///
@@ -126,7 +142,9 @@ struct Tenancy {
 #[derive(Debug, Clone)]
 pub struct CmeEngine {
     cipher: Aes128,
-    counters: U64Map<u64>,
+    /// Write counter and owning key of every line ever encrypted: one
+    /// indexed access per encrypt or decrypt.
+    lines: LineTable<LineKeying>,
     /// Direct-mapped pad memoization; empty when disabled.
     pads: Vec<PadSlot>,
     pad_mask: usize,
@@ -152,7 +170,7 @@ impl CmeEngine {
     pub fn with_cost_model(key: [u8; 16], cost: CmeCostModel) -> Self {
         let mut engine = CmeEngine {
             cipher: Aes128::new(&key),
-            counters: U64Map::new(),
+            lines: LineTable::new(),
             pads: Vec::new(),
             pad_mask: 0,
             pad_hits: 0,
@@ -208,7 +226,7 @@ impl CmeEngine {
     /// Current write counter for a line, if it was ever encrypted.
     #[must_use]
     pub fn counter(&self, addr: u64) -> Option<u64> {
-        self.counters.get(addr).copied()
+        self.lines.get(addr).map(|line| line.counter)
     }
 
     /// Switches the engine into multi-tenant mode: subsequent tenants
@@ -219,16 +237,23 @@ impl CmeEngine {
     /// the engine's base key.
     ///
     /// Idempotent; re-enabling with the same master keeps registered
-    /// tenants and line ownership intact.
+    /// tenants and line ownership intact. A new master drops both: every
+    /// line reverts to the base key, and pads cached under tenant keys go.
     pub fn enable_tenancy(&mut self, master: [u8; 16]) {
         match &self.tenancy {
             Some(t) if t.master == master => {}
-            _ => {
+            previous => {
+                if previous.is_some() {
+                    for (_, line) in self.lines.iter_mut() {
+                        line.owner = None;
+                    }
+                    self.pads.fill(PadSlot::EMPTY);
+                }
                 self.tenancy = Some(Tenancy {
                     master,
                     active: None,
-                    ciphers: U64Map::new(),
-                    owners: U64Map::new(),
+                    keys: Vec::new(),
+                    slots: U64Map::new(),
                 });
             }
         }
@@ -247,20 +272,20 @@ impl CmeEngine {
             .tenancy
             .as_mut()
             .expect("enable_tenancy before set_active_tenant");
-        tenancy.active = Some(tenant);
-        let master = tenancy.master;
-        tenancy
-            .ciphers
-            .get_or_insert_with(u64::from(tenant), || {
-                Aes128::new(&crate::derive_tenant_key(&master, tenant))
-            });
+        let (master, keys) = (tenancy.master, &mut tenancy.keys);
+        let slot = *tenancy.slots.get_or_insert_with(u64::from(tenant), || {
+            keys.push((tenant, Aes128::new(&crate::derive_tenant_key(&master, tenant))));
+            (keys.len() - 1) as u32
+        });
+        tenancy.active = Some(slot);
     }
 
     /// The tenant currently selected for encryption, if tenancy is enabled
     /// and a tenant was activated.
     #[must_use]
     pub fn active_tenant(&self) -> Option<u32> {
-        self.tenancy.as_ref().and_then(|t| t.active)
+        let tenancy = self.tenancy.as_ref()?;
+        tenancy.active.map(|slot| tenancy.keys[slot as usize].0)
     }
 
     /// The tenant whose key encrypted `addr` last, if tenancy is enabled
@@ -268,21 +293,17 @@ impl CmeEngine {
     #[must_use]
     pub fn line_owner(&self, addr: u64) -> Option<u32> {
         let tenancy = self.tenancy.as_ref()?;
-        tenancy.owners.get(addr).map(|&t| t as u32)
+        let slot = self.lines.get(addr)?.owner?;
+        Some(tenancy.keys[slot as usize].0)
     }
 
-    /// The cipher that protects (or will protect) `addr`: the owning
-    /// tenant's derived key when one is recorded, the base key otherwise.
-    fn cipher_for_addr(&self, addr: u64) -> &Aes128 {
-        if let Some(tenancy) = &self.tenancy {
-            if let Some(&owner) = tenancy.owners.get(addr) {
-                return tenancy
-                    .ciphers
-                    .get(owner)
-                    .expect("line owners are always registered tenants");
-            }
+    /// The cipher behind a line's recorded owner: that tenant's derived
+    /// key, or the base key for `None`.
+    fn cipher_for(&self, owner: Option<u32>) -> &Aes128 {
+        match (owner, &self.tenancy) {
+            (Some(slot), Some(tenancy)) => &tenancy.keys[slot as usize].1,
+            _ => &self.cipher,
         }
-        &self.cipher
     }
 
     /// Encrypts a line for the given address, bumping its write counter.
@@ -290,24 +311,16 @@ impl CmeEngine {
     /// The freshly expanded pad replaces any cached pad for this address —
     /// the explicit invalidation-on-bump that keeps the cache coherent.
     pub fn encrypt_line(&mut self, addr: u64, plain: &[u8; LINE_BYTES]) -> [u8; LINE_BYTES] {
-        let counter = self.counters.get_or_insert_with(addr, || 0);
-        *counter += 1;
-        let ctr = *counter;
-        self.lines_encrypted += 1;
         // Under tenancy the active tenant takes (or keeps) ownership of the
         // line, so the pad below — and every future decrypt — uses its key.
-        if let Some(tenancy) = &mut self.tenancy {
-            match tenancy.active {
-                Some(tenant) => {
-                    tenancy.owners.insert(addr, u64::from(tenant));
-                }
-                None => {
-                    tenancy.owners.remove(addr);
-                }
-            }
-        }
-        let pad = self.generate_pad(addr, ctr);
-        self.store_pad(addr, ctr, &pad);
+        let owner = self.tenancy.as_ref().and_then(|t| t.active);
+        let line = self.lines.get_or_default(addr);
+        line.counter += 1;
+        line.owner = owner;
+        let line = *line;
+        self.lines_encrypted += 1;
+        let pad = self.generate_pad(addr, line);
+        self.store_pad(addr, line.counter, &pad);
         xor_line(&pad, plain)
     }
 
@@ -323,21 +336,18 @@ impl CmeEngine {
         addr: u64,
         cipher: &[u8; LINE_BYTES],
     ) -> Result<[u8; LINE_BYTES], UnknownCounterError> {
-        let ctr = *self
-            .counters
-            .get(addr)
-            .ok_or(UnknownCounterError { addr })?;
+        let line = *self.lines.get(addr).ok_or(UnknownCounterError { addr })?;
         self.lines_decrypted += 1;
         if !self.pads.is_empty() {
             let slot = &self.pads[hash_u64(addr) as usize & self.pad_mask];
-            if slot.counter == ctr && slot.addr == addr {
+            if slot.counter == line.counter && slot.addr == addr {
                 self.pad_hits += 1;
                 return Ok(xor_line(&slot.pad, cipher));
             }
             self.pad_misses += 1;
         }
-        let pad = self.generate_pad(addr, ctr);
-        self.store_pad(addr, ctr, &pad);
+        let pad = self.generate_pad(addr, line);
+        self.store_pad(addr, line.counter, &pad);
         Ok(xor_line(&pad, cipher))
     }
 
@@ -345,16 +355,16 @@ impl CmeEngine {
     /// whose tweaks differ only in byte 15 (the block index), generated by
     /// one [`Aes128::encrypt4`] call.
     /// Under tenancy the owning tenant's derived key is used.
-    fn generate_pad(&self, addr: u64, counter: u64) -> [u8; LINE_BYTES] {
+    fn generate_pad(&self, addr: u64, line: LineKeying) -> [u8; LINE_BYTES] {
         let mut tweak = [0u8; 16];
         tweak[..8].copy_from_slice(&addr.to_le_bytes());
-        tweak[8..15].copy_from_slice(&counter.to_le_bytes()[..7]);
+        tweak[8..15].copy_from_slice(&line.counter.to_le_bytes()[..7]);
         let tweaks: [[u8; 16]; 4] = std::array::from_fn(|block| {
             let mut t = tweak;
             t[15] = block as u8;
             t
         });
-        let blocks = self.cipher_for_addr(addr).encrypt4(tweaks);
+        let blocks = self.cipher_for(line.owner).encrypt4(tweaks);
         let mut pad = [0u8; LINE_BYTES];
         for (pad16, block) in pad.chunks_exact_mut(16).zip(&blocks) {
             pad16.copy_from_slice(block);
@@ -423,8 +433,8 @@ mod tests {
     #[test]
     fn decrypt_without_counter_errors() {
         let mut cme = CmeEngine::new([1u8; 16]);
-        let err = cme.decrypt_line(0x1234, &[0u8; LINE_BYTES]).unwrap_err();
-        assert_eq!(err.addr, 0x1234);
+        let err = cme.decrypt_line(0x1240, &[0u8; LINE_BYTES]).unwrap_err();
+        assert_eq!(err.addr, 0x1240);
         assert!(!err.to_string().is_empty());
     }
 
@@ -522,6 +532,31 @@ mod tests {
         let c2 = cme.encrypt_line(0x40, &plain);
         assert_eq!(cme.line_owner(0x40), Some(5));
         assert_eq!(cme.decrypt_line(0x40, &c2).unwrap(), plain);
+    }
+
+    #[test]
+    fn a_new_master_returns_every_line_to_the_base_key() {
+        let plain = [0xD4u8; LINE_BYTES];
+        let mut base = CmeEngine::new([7u8; 16]);
+        let mut cme = CmeEngine::new([7u8; 16]);
+        cme.enable_tenancy([0x99; 16]);
+        cme.set_active_tenant(3);
+        cme.encrypt_line(0x40, &plain);
+        cme.enable_tenancy([0x99; 16]);
+        assert_eq!(cme.line_owner(0x40), Some(3), "same master keeps owners");
+        cme.enable_tenancy([0x77; 16]);
+        assert_eq!(cme.line_owner(0x40), None);
+        assert_eq!(cme.active_tenant(), None);
+        let cipher = base.encrypt_line(0x40, &plain);
+        assert_eq!(cme.decrypt_line(0x40, &cipher).unwrap(), plain);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is not a 64-byte line address")]
+    fn unaligned_addresses_are_refused_in_debug_builds() {
+        let mut cme = CmeEngine::new([7u8; 16]);
+        cme.encrypt_line(0x44, &[0u8; LINE_BYTES]);
     }
 
     #[test]

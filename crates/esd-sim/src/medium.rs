@@ -19,16 +19,9 @@
 //! (ground truth as of its last store), which lets callers detect SEC-DED
 //! *miscorrections*: decodes that claim success but return wrong content.
 
-use std::collections::HashMap;
-
-use esd_collections::FxBuildHasher;
+use esd_collections::{LineTable, U64Map};
 
 use crate::config::LINE_BYTES;
-
-/// Line-address-keyed table under the repo's unseeded multiply-xor hasher:
-/// every consumer of the medium is order-independent, and SipHash-ing a
-/// line address was most of a store.
-type LineMap<V> = HashMap<u64, V, FxBuildHasher>;
 
 /// Stored bits per line that the fault model samples: 512 data bits plus
 /// the 64-bit packed ECC word.
@@ -75,7 +68,7 @@ struct FaultState {
     threshold: u64,
     /// Ground truth for corrupted lines: content as of the last store.
     /// Lines absent from this map have not drifted since their last write.
-    pristine: LineMap<StoredLine>,
+    pristine: U64Map<StoredLine>,
     stats: FaultStats,
 }
 
@@ -90,6 +83,10 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Sparse content store for the PCM array, plus write-wear accounting.
 ///
+/// Every `line_addr` is a 64-byte line address: the cells are indexed by
+/// line number (see [`LineTable`]), so an unaligned address would alias
+/// its line, and debug builds assert alignment.
+///
 /// # Examples
 ///
 /// ```
@@ -101,9 +98,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Medium {
-    /// Every line ever stored, with its write count: one table, so a store
-    /// is one probe.
-    cells: LineMap<Cell>,
+    /// Every line ever stored, with its write count, indexed by line
+    /// number: a store or a load is one indexed access.
+    cells: LineTable<Cell>,
     faults: Option<FaultState>,
 }
 
@@ -112,6 +109,18 @@ pub struct Medium {
 struct Cell {
     line: StoredLine,
     wear: u64,
+}
+
+impl Default for Cell {
+    fn default() -> Self {
+        Cell {
+            line: StoredLine {
+                data: [0; LINE_BYTES],
+                ecc: 0,
+            },
+            wear: 0,
+        }
+    }
 }
 
 impl Medium {
@@ -132,7 +141,7 @@ impl Medium {
         self.faults = Some(FaultState {
             rng: seed,
             threshold,
-            pristine: LineMap::default(),
+            pristine: U64Map::new(),
             stats: FaultStats::default(),
         });
     }
@@ -157,30 +166,25 @@ impl Medium {
         let faults = self.faults.as_ref()?;
         faults
             .pristine
-            .get(&line_addr)
+            .get(line_addr)
             .or_else(|| self.load(line_addr))
     }
 
     /// Stores a line, bumping its wear counter. A store rewrites every cell,
     /// so any accumulated fault drift on the line is cleared.
     pub fn store(&mut self, line_addr: u64, data: [u8; LINE_BYTES], ecc: u64) {
-        let line = StoredLine { data, ecc };
-        self.cells
-            .entry(line_addr)
-            .and_modify(|cell| {
-                cell.line = line;
-                cell.wear += 1;
-            })
-            .or_insert(Cell { line, wear: 1 });
+        let cell = self.cells.get_or_default(line_addr);
+        cell.line = StoredLine { data, ecc };
+        cell.wear += 1;
         if let Some(faults) = self.faults.as_mut() {
-            faults.pristine.remove(&line_addr);
+            faults.pristine.remove(line_addr);
         }
     }
 
     /// Loads a line, or `None` if the address was never written.
     #[must_use]
     pub fn load(&self, line_addr: u64) -> Option<&StoredLine> {
-        self.cells.get(&line_addr).map(|cell| &cell.line)
+        self.cells.get(line_addr).map(|cell| &cell.line)
     }
 
     /// Runs the RBER sampler over one stored line, as part of a read.
@@ -190,7 +194,7 @@ impl Medium {
         let Some(faults) = self.faults.as_mut() else {
             return;
         };
-        let Some(Cell { line: stored, .. }) = self.cells.get_mut(&line_addr) else {
+        let Some(Cell { line: stored, .. }) = self.cells.get_mut(line_addr) else {
             return;
         };
         faults.stats.reads_sampled += 1;
@@ -200,7 +204,7 @@ impl Medium {
         for bit in 0..STORED_BITS {
             if splitmix64(&mut faults.rng) < faults.threshold {
                 // First flip since the last store: snapshot ground truth.
-                faults.pristine.entry(line_addr).or_insert(*stored);
+                faults.pristine.get_or_insert_with(line_addr, || *stored);
                 if bit < LINE_BYTES * 8 {
                     stored.data[bit / 8] ^= 1 << (bit % 8);
                     faults.stats.data_bits_flipped += 1;
@@ -222,7 +226,7 @@ impl Medium {
         let pristine = self
             .faults
             .as_ref()
-            .and_then(|f| f.pristine.get(&line_addr).copied());
+            .and_then(|f| f.pristine.get(line_addr).copied());
         self.store(line_addr, data, ecc);
         if let (Some(faults), Some(pristine)) = (self.faults.as_mut(), pristine) {
             if pristine.data != data {
@@ -242,7 +246,7 @@ impl Medium {
         let pristine = self
             .faults
             .as_ref()
-            .and_then(|f| f.pristine.get(&from).copied());
+            .and_then(|f| f.pristine.get(from).copied());
         self.store(to, line.data, line.ecc);
         if let (Some(faults), Some(pristine)) = (self.faults.as_mut(), pristine) {
             faults.pristine.insert(to, pristine);
@@ -259,7 +263,7 @@ impl Medium {
     /// sorted so walks are deterministic regardless of map iteration).
     #[must_use]
     pub fn addresses_sorted(&self) -> Vec<u64> {
-        let mut addrs: Vec<u64> = self.cells.keys().copied().collect();
+        let mut addrs: Vec<u64> = self.cells.iter().map(|(addr, _)| addr).collect();
         addrs.sort_unstable();
         addrs
     }
@@ -267,19 +271,23 @@ impl Medium {
     /// Write count for a line (endurance accounting).
     #[must_use]
     pub fn wear(&self, line_addr: u64) -> u64 {
-        self.cells.get(&line_addr).map_or(0, |cell| cell.wear)
+        self.cells.get(line_addr).map_or(0, |cell| cell.wear)
     }
 
     /// The maximum per-line write count — the endurance hot spot.
     #[must_use]
     pub fn max_wear(&self) -> u64 {
-        self.cells.values().map(|cell| cell.wear).max().unwrap_or(0)
+        self.cells
+            .iter()
+            .map(|(_, cell)| cell.wear)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Total writes absorbed by the medium.
     #[must_use]
     pub fn total_wear(&self) -> u64 {
-        self.cells.values().map(|cell| cell.wear).sum()
+        self.cells.iter().map(|(_, cell)| cell.wear).sum()
     }
 
     /// Flips one stored bit (targeted fault injection for the ECC recovery
@@ -297,11 +305,11 @@ impl Medium {
     pub fn inject_bit_flip(&mut self, line_addr: u64, byte: usize, bit: u8) -> bool {
         assert!(byte < LINE_BYTES + 8, "byte index out of range");
         assert!(bit < 8, "bit index out of range");
-        let Some(Cell { line: stored, .. }) = self.cells.get_mut(&line_addr) else {
+        let Some(Cell { line: stored, .. }) = self.cells.get_mut(line_addr) else {
             return false;
         };
         if let Some(faults) = self.faults.as_mut() {
-            faults.pristine.entry(line_addr).or_insert(*stored);
+            faults.pristine.get_or_insert_with(line_addr, || *stored);
         }
         if byte < LINE_BYTES {
             stored.data[byte] ^= 1 << bit;
@@ -528,6 +536,14 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is not a 64-byte line address")]
+    fn unaligned_addresses_are_refused_in_debug_builds() {
+        let mut m = Medium::new();
+        m.store(0x48, [0u8; LINE_BYTES], 0);
+    }
+
+    #[test]
     fn degrade_is_inert_without_injection() {
         let mut m = Medium::new();
         m.store(0, [7u8; LINE_BYTES], 9);
@@ -597,11 +613,22 @@ mod tests {
                 flat.enable_fault_injection(rber, seed);
                 model.enable_fault_injection(rber, seed);
             }
+            // A third of the addresses lie far past the lines allocated
+            // from zero, as tenant-namespaced ones do, so the flat
+            // medium's cells span both halves of its table.
+            let place = |x: u64| {
+                let line = x % LINES * 64;
+                if x.is_multiple_of(3) {
+                    ((1 + (x >> 8) % 3) << 48) | line
+                } else {
+                    line
+                }
+            };
             let mut rng = seed;
             for step in 0..4_096 {
                 let draw = splitmix64(&mut rng);
-                let addr = (draw >> 8) % LINES * 64;
-                let other = (draw >> 16) % LINES * 64;
+                let addr = place(draw >> 8);
+                let other = place(draw >> 16);
                 let data = [(draw >> 24) as u8; LINE_BYTES];
                 let ecc = draw >> 32;
                 match draw % 8 {
@@ -657,6 +684,10 @@ mod tests {
             assert_eq!(flat.max_wear(), model.max_wear());
             assert_eq!(flat.total_wear(), model.total_wear());
             assert_eq!(flat.fault_stats(), model.fault_stats());
+            assert!(
+                flat.addresses_sorted().last() > Some(&(1 << 48)),
+                "far addresses were stored"
+            );
             if seed % 3 == 2 {
                 assert!(
                     flat.fault_stats().bits_flipped() > 0,

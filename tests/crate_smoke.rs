@@ -1,13 +1,15 @@
 //! Tier-1 reach into three crates whose own suites run only under
 //! `cargo test --workspace`: the `U64Map` every replay-lifetime table
-//! (the verify shadow included) grows through, the `esd-obs` metrics
-//! export, and the `esd-server` wire codec. Seconds-long in a debug build.
+//! (the verify shadow included) grows through and the `LineTable` the
+//! medium and the encryption counters keep per-line state in, the
+//! `esd-obs` metrics export, and the `esd-server` wire codec.
+//! Seconds-long in a debug build.
 
 use std::collections::{BTreeMap, HashMap};
 
 use esd::sim::Ps;
 use esd::trace::CacheLine;
-use esd_collections::U64Map;
+use esd_collections::{LineTable, U64Map};
 use esd_obs::Registry;
 use esd_server::{
     decode_request, decode_response, encode_request, encode_response, frame_response, peek_frame,
@@ -44,6 +46,58 @@ fn u64map_grown_from_empty_matches_std_hashmap() {
     let mut entries: Vec<(u64, u32)> = map.iter().map(|(k, &v)| (k, v)).collect();
     entries.sort_unstable();
     let mut expected: Vec<(u64, u32)> = model.into_iter().collect();
+    expected.sort_unstable();
+    assert_eq!(entries, expected);
+}
+
+#[test]
+fn line_table_matches_std_hashmap_over_dense_far_and_overtaken_keys() {
+    // Three key populations: lines appended densely from zero, far
+    // tenant-namespaced lines `t << 48`, and a scattered band the dense
+    // prefix grows over only once the appends reach it.
+    let mut table: LineTable<u64> = LineTable::new();
+    let mut model: HashMap<u64, u64> = HashMap::new();
+    let mut rng = StdRng::seed_from_u64(0x11E5);
+    let mut next_line = 0u64;
+    for step in 0..60_000u64 {
+        let addr = match rng.gen_range(0..8u32) {
+            0..=2 => {
+                next_line += 1;
+                (next_line - 1) * 64
+            }
+            3 => (rng.gen_range(1..16u64) << 48) | (rng.gen_range(0..512u64) * 64),
+            4 => rng.gen_range(4_096..12_288u64) * 64,
+            _ => rng.gen_range(0..=next_line) * 64,
+        };
+        match rng.gen_range(0..4u32) {
+            // Insert-or-update.
+            0 | 1 => {
+                *table.get_or_default(addr) += step;
+                *model.entry(addr).or_default() += step;
+            }
+            2 => {
+                if let Some(v) = table.get_mut(addr) {
+                    *v ^= step;
+                }
+                if let Some(v) = model.get_mut(&addr) {
+                    *v ^= step;
+                }
+            }
+            _ => {}
+        }
+        assert_eq!(table.get(addr), model.get(&addr), "step {step} {addr:#x}");
+        assert_eq!(table.len(), model.len());
+    }
+    assert!(next_line > 12_288, "the appends passed the band");
+    for (_, v) in table.iter_mut() {
+        *v = v.wrapping_mul(3);
+    }
+    for v in model.values_mut() {
+        *v = v.wrapping_mul(3);
+    }
+    let mut entries: Vec<(u64, u64)> = table.iter().map(|(k, &v)| (k, v)).collect();
+    entries.sort_unstable();
+    let mut expected: Vec<(u64, u64)> = model.into_iter().collect();
     expected.sort_unstable();
     assert_eq!(entries, expected);
 }
