@@ -16,7 +16,7 @@
 //!   tombstone-free (backward-shift) removal, so long-lived tables never
 //!   degrade from deleted-entry litter;
 //! * [`LineTable`] — per-line state keyed by 64-byte line address: an
-//!   indexed array over the dense prefix of line numbers, a [`U64Map`]
+//!   indexed array over the dense prefix of line numbers, a hash map
 //!   beyond it.
 //!
 //! All three are deterministic: no per-process hash seeding, so replay

@@ -1,7 +1,10 @@
 //! A table keyed by 64-byte line address: an indexed array over the dense
-//! prefix of line numbers, a [`U64Map`] for everything beyond it.
+//! prefix of line numbers, a hash map for everything beyond it.
 
-use crate::map::U64Map;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
+use crate::fx::FxBuildHasher;
 
 /// Bytes per line are `1 << LINE_SHIFT`.
 const LINE_SHIFT: u32 = 6;
@@ -29,15 +32,20 @@ fn width_of(line: u64) -> usize {
 ///
 /// Lines `[0, n)` live in a plain array indexed by line number, so a
 /// look-up is one bounds check, one occupancy bit and one load. Any line at
-/// or beyond `n` lives in a [`U64Map`]. `n` only grows, to the smallest
-/// power of two that covers a new line, and only if the array is then at
-/// least half full; growing moves the map entries it covers into the array.
+/// or beyond `n` lives in a `HashMap` with [`FxBuildHasher`]. `n` only
+/// grows, to the smallest power of two that covers a new line, and only if
+/// the array is then at least half full; growing moves the map entries it
+/// covers into the array.
 /// Addresses handed out densely from zero (the physical allocator's) thus
 /// all land in the array, while scattered ones (identity-mapped logical
 /// addresses, tenant-namespaced ones) stay in the map at what a map costs.
+/// The map is the standard one rather than [`crate::U64Map`] because values
+/// can be large (a medium cell is 80 bytes): it probes one-byte control
+/// tags, where a linear probe over `U64Map`'s slots reads whole values.
 ///
 /// Keys must be multiples of 64: the table indexes by line number, so an
-/// unaligned address would alias its line. Debug builds assert it.
+/// unaligned address would alias its line. Debug builds assert it; callers
+/// refuse unaligned addresses from outside the program where they enter.
 ///
 /// The array reserves room for `n` lines but is filled only up to the
 /// highest line stored, so memory not yet reached is never touched.
@@ -68,7 +76,7 @@ pub struct LineTable<V> {
     /// Lines held in the array.
     dense_count: usize,
     /// Lines at or beyond `span`, keyed by address.
-    sparse: U64Map<V>,
+    sparse: HashMap<u64, V, FxBuildHasher>,
     /// `sparse` entries counted by the bit width of their line number, so
     /// a growth check knows how many entries it would take in without
     /// walking the map.
@@ -90,7 +98,7 @@ impl<V> LineTable<V> {
             dense: Vec::new(),
             present: Vec::new(),
             dense_count: 0,
-            sparse: U64Map::new(),
+            sparse: HashMap::default(),
             sparse_widths: [0; WIDTHS],
         }
     }
@@ -124,7 +132,7 @@ impl<V> LineTable<V> {
     pub fn get(&self, addr: u64) -> Option<&V> {
         match self.dense_index(line_of(addr)) {
             Some(i) => self.is_present(i).then(|| &self.dense[i]),
-            None => self.sparse.get(addr),
+            None => self.sparse.get(&addr),
         }
     }
 
@@ -134,7 +142,7 @@ impl<V> LineTable<V> {
     pub fn get_mut(&mut self, addr: u64) -> Option<&mut V> {
         match self.dense_index(line_of(addr)) {
             Some(i) => self.is_present(i).then(|| &mut self.dense[i]),
-            None => self.sparse.get_mut(addr),
+            None => self.sparse.get_mut(&addr),
         }
     }
 
@@ -146,7 +154,7 @@ impl<V> LineTable<V> {
             .enumerate()
             .filter(|&(i, _)| self.is_present(i))
             .map(|(i, value)| ((i as u64) << LINE_SHIFT, value))
-            .chain(self.sparse.iter())
+            .chain(self.sparse.iter().map(|(&addr, value)| (addr, value)))
     }
 
     /// Iterates over `(address, &mut value)` in [`LineTable::iter`]'s order.
@@ -157,7 +165,7 @@ impl<V> LineTable<V> {
             .enumerate()
             .filter(|&(i, _)| present[i / 64] & (1 << (i % 64)) != 0)
             .map(|(i, value)| ((i as u64) << LINE_SHIFT, value))
-            .chain(self.sparse.iter_mut())
+            .chain(self.sparse.iter_mut().map(|(&addr, value)| (addr, value)))
     }
 }
 
@@ -167,17 +175,16 @@ impl<V: Default> LineTable<V> {
     #[inline]
     pub fn get_or_default(&mut self, addr: u64) -> &mut V {
         let line = line_of(addr);
-        if self.dense_index(line).is_none() {
-            match self.sparse.slot_of(addr) {
-                Ok(slot) => return self.sparse.value_at_mut(slot),
-                Err(vacancy) if !self.grow_over(line) => {
-                    self.sparse_widths[width_of(line)] += 1;
-                    return self.sparse.insert_vacant(vacancy, addr, V::default());
-                }
-                Err(_) => {}
+        if self.dense_index(line).is_some() || self.grow_over(line, addr) {
+            return self.occupy(line as usize);
+        }
+        match self.sparse.entry(addr) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                self.sparse_widths[width_of(line)] += 1;
+                entry.insert(V::default())
             }
         }
-        self.occupy(line as usize)
     }
 
     /// The array slot of line `i < span`, extending the filled part over
@@ -193,18 +200,31 @@ impl<V: Default> LineTable<V> {
         &mut self.dense[i]
     }
 
-    /// Widens the array to the smallest power of two covering `line` if it
+    /// For a line at or beyond the array that the map does not hold yet:
+    /// widens the array to the smallest power of two covering `line` if it
     /// would then be at least half full (counting a new entry at `line`),
     /// moving the map entries it now covers. Returns whether it grew.
-    fn grow_over(&mut self, line: u64) -> bool {
+    #[inline]
+    fn grow_over(&mut self, line: u64, addr: u64) -> bool {
+        // An array covering `line` spans more than `line` slots: it cannot
+        // be half full unless the table holds about `line / 2` lines. Far
+        // keys, the map's usual traffic, stop here.
+        line < (self.len() as u64 + 1) * 2
+            && !self.sparse.contains_key(&addr)
+            && self.grow_to_cover(line)
+    }
+
+    /// [`LineTable::grow_over`] past its first test.
+    #[inline(never)]
+    fn grow_to_cover(&mut self, line: u64) -> bool {
         let span = (line + 1).next_power_of_two();
         if (self.len() + 1) as u64 * 2 < span {
             return false; // too far even if every entry fell below it
         }
-        // The lines below `2^k` are exactly those at most `k` bits wide.
-        let covered: usize = self.sparse_widths[..=span.trailing_zeros() as usize]
-            .iter()
-            .sum();
+        // The map's lines are at least `self.span`, so at least as wide as
+        // it, and the lines below `2^k` are exactly those at most `k` wide.
+        let widths = width_of(self.span as u64)..=span.trailing_zeros() as usize;
+        let covered: usize = self.sparse_widths[widths].iter().sum();
         if (self.dense_count + covered + 1) as u64 * 2 < span {
             return false;
         }
@@ -215,12 +235,13 @@ impl<V: Default> LineTable<V> {
             let moving: Vec<u64> = self
                 .sparse
                 .keys()
+                .copied()
                 .filter(|&addr| line_of(addr) < span)
                 .collect();
             for addr in moving {
                 let line = line_of(addr);
                 self.sparse_widths[width_of(line)] -= 1;
-                let value = self.sparse.remove(addr).expect("a listed key is present");
+                let value = self.sparse.remove(&addr).expect("a listed key is present");
                 *self.occupy(line as usize) = value;
             }
         }

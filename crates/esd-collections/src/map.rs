@@ -109,41 +109,6 @@ impl<V> U64Map<V> {
         self.slots[i].is_some().then_some(i)
     }
 
-    /// `Ok` with the slot holding `key`, or `Err` with the vacancy that
-    /// ends its probe path.
-    #[inline]
-    pub(crate) fn slot_of(&self, key: u64) -> Result<usize, usize> {
-        let i = self.probe(key);
-        if self.slots[i].is_some() {
-            Ok(i)
-        } else {
-            Err(i)
-        }
-    }
-
-    /// The value in an occupied slot that [`U64Map::slot_of`] returned.
-    #[inline]
-    pub(crate) fn value_at_mut(&mut self, slot: usize) -> &mut V {
-        &mut self.slots[slot]
-            .as_mut()
-            .expect("probed slot is occupied")
-            .1
-    }
-
-    /// Inserts an absent `key` at the vacancy [`U64Map::slot_of`] returned
-    /// for it, unless the table is at its load limit: then, as in
-    /// [`U64Map::insert`], it grows first, which moves the vacancy.
-    pub(crate) fn insert_vacant(&mut self, vacancy: usize, key: u64, value: V) -> &mut V {
-        let mut i = vacancy;
-        if (self.len + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-            i = self.probe(key);
-        }
-        self.slots[i] = Some((key, value));
-        self.len += 1;
-        self.value_at_mut(i)
-    }
-
     /// A shared reference to the value for `key`.
     #[inline]
     #[must_use]
@@ -188,12 +153,19 @@ impl<V> U64Map<V> {
     /// A mutable reference to the value for `key`, inserting
     /// `default(key)` first if absent.
     pub fn get_or_insert_with(&mut self, key: u64, default: impl FnOnce() -> V) -> &mut V {
-        // As in `insert`, a table at its load limit grows before it takes
-        // a new key (never on a look-up of a resident one).
-        match self.slot_of(key) {
-            Ok(slot) => self.value_at_mut(slot),
-            Err(vacancy) => self.insert_vacant(vacancy, key, default()),
+        let mut i = self.probe(key);
+        if self.slots[i].is_none() {
+            // As in `insert`, a table at its load limit grows before it
+            // takes a new key (never on a look-up of a resident one), and
+            // growth moves the vacancy.
+            if (self.len + 1) * 8 > self.slots.len() * 7 {
+                self.grow();
+                i = self.probe(key);
+            }
+            self.slots[i] = Some((key, default()));
+            self.len += 1;
         }
+        &mut self.slots[i].as_mut().expect("probed slot is occupied").1
     }
 
     /// Removes `key`, returning its value. Uses backward-shift deletion:

@@ -13,6 +13,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Mutex;
 
 use esd_core::tenant::LOCAL_MASK;
+use esd_sim::LINE_BYTES;
 
 use crate::proto::{
     decode_request, frame_response, peek_frame, read_frame_into, Envelope, Request,
@@ -35,10 +36,11 @@ const READ_BUFFER_BYTES: usize = 64 * 1024;
 /// selects the namespace, and a later frame naming another tenant is a
 /// protocol violation. Requests are answered in order. A frame that does
 /// not decode, an oversized length prefix, a tenant id outside
-/// `0..tenant_count()`, a change of tenant or a local address beyond
-/// [`LOCAL_MASK`] ends *that* connection — after the responses it is
-/// already owed — and nothing else: none of them reaches the service, so
-/// no client can panic a thread that holds the lock.
+/// `0..tenant_count()`, a change of tenant, a local address beyond
+/// [`LOCAL_MASK`] or one that is not a multiple of [`LINE_BYTES`] ends
+/// *that* connection — after the responses it is already owed — and
+/// nothing else: none of them reaches the service, so no client can panic
+/// a thread that holds the lock.
 ///
 /// Returns after `connections` sessions have closed.
 ///
@@ -104,6 +106,9 @@ impl Gate {
         let (Request::Write { local, .. } | Request::Read { local }) = env.request;
         if local > LOCAL_MASK {
             return Err(bad(format!("local address {local:#x} overflows its namespace")));
+        }
+        if !local.is_multiple_of(LINE_BYTES as u64) {
+            return Err(bad(format!("local address {local:#x} is not a line address")));
         }
         Ok(env)
     }

@@ -292,6 +292,7 @@ fn hostile_streams() -> Vec<(&'static str, Vec<u8>)> {
         ("truncated frame", truncated),
         ("oversized length prefix", u32::MAX.to_le_bytes().to_vec()),
         ("local address that would alias another namespace", read(1, LOCAL_MASK + 1)),
+        ("local address inside a line, which would alias that line", read(1, 0x41)),
     ]
 }
 

@@ -28,6 +28,14 @@ pub enum DecodeTraceError {
     BadKind(u8),
     /// The workload name is not valid UTF-8.
     BadName,
+    /// A record's address is not a multiple of [`LINE_BYTES`]: every
+    /// record names a whole line.
+    Unaligned {
+        /// Index of the offending record.
+        record: usize,
+        /// Its address.
+        addr: u64,
+    },
 }
 
 impl fmt::Display for DecodeTraceError {
@@ -39,6 +47,10 @@ impl fmt::Display for DecodeTraceError {
             }
             DecodeTraceError::BadKind(k) => write!(f, "unknown access kind tag {k}"),
             DecodeTraceError::BadName => write!(f, "workload name is not valid UTF-8"),
+            DecodeTraceError::Unaligned { record, addr } => write!(
+                f,
+                "record {record}: address {addr:#x} is not a multiple of {LINE_BYTES}"
+            ),
         }
     }
 }
@@ -81,7 +93,8 @@ pub fn encode_trace(trace: &Trace) -> Bytes {
 /// # Errors
 ///
 /// Returns [`DecodeTraceError`] on bad magic, truncation, unknown record
-/// tags, or a non-UTF-8 workload name.
+/// tags, an address that is not a multiple of [`LINE_BYTES`], or a
+/// non-UTF-8 workload name.
 pub fn decode_trace(mut buf: &[u8]) -> Result<Trace, DecodeTraceError> {
     if buf.remaining() < 4 {
         return Err(DecodeTraceError::BadMagic(0));
@@ -115,6 +128,9 @@ pub fn decode_trace(mut buf: &[u8]) -> Result<Trace, DecodeTraceError> {
         let tag = buf.get_u8();
         let addr = buf.get_u64();
         let gap = buf.get_u32();
+        if !addr.is_multiple_of(LINE_BYTES as u64) {
+            return Err(DecodeTraceError::Unaligned { record: i, addr });
+        }
         let access = match tag {
             0 => Access::read(addr, gap),
             1 => {
@@ -186,12 +202,24 @@ mod tests {
     }
 
     #[test]
+    fn unaligned_addresses_are_refused() {
+        let mut t = Trace::new("x");
+        t.accesses.push(Access::read(0x40, 0));
+        t.accesses.push(Access::write(0x41, CacheLine::from_fill(1), 0));
+        assert_eq!(
+            decode_trace(&encode_trace(&t)),
+            Err(DecodeTraceError::Unaligned { record: 1, addr: 0x41 })
+        );
+    }
+
+    #[test]
     fn error_display_is_nonempty() {
         for e in [
             DecodeTraceError::BadMagic(1),
             DecodeTraceError::Truncated { decoded: 1, expected: 2 },
             DecodeTraceError::BadKind(3),
             DecodeTraceError::BadName,
+            DecodeTraceError::Unaligned { record: 4, addr: 5 },
         ] {
             assert!(!e.to_string().is_empty());
         }

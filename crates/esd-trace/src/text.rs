@@ -36,6 +36,9 @@ pub enum ParseTraceErrorKind {
     BadNumber(String),
     /// Write content was not exactly 128 hex digits.
     BadContent,
+    /// The address is not a multiple of [`LINE_BYTES`]: every record
+    /// names a whole line.
+    Unaligned(u64),
 }
 
 impl fmt::Display for ParseTraceError {
@@ -47,6 +50,9 @@ impl fmt::Display for ParseTraceError {
             ParseTraceErrorKind::BadNumber(field) => write!(f, "unparsable number {field:?}"),
             ParseTraceErrorKind::BadContent => {
                 write!(f, "write content must be {} hex digits", LINE_BYTES * 2)
+            }
+            ParseTraceErrorKind::Unaligned(addr) => {
+                write!(f, "address {addr:#x} is not a multiple of {LINE_BYTES}")
             }
         }
     }
@@ -90,7 +96,7 @@ pub fn render_trace_text(trace: &Trace) -> String {
 /// # Errors
 ///
 /// Returns [`ParseTraceError`] with the offending line number on malformed
-/// input.
+/// input, including an address that is not a multiple of [`LINE_BYTES`].
 pub fn parse_trace_text(name: &str, text: &str) -> Result<Trace, ParseTraceError> {
     let mut trace = Trace::new(name);
     for (idx, raw) in text.lines().enumerate() {
@@ -108,6 +114,9 @@ pub fn parse_trace_text(name: &str, text: &str) -> Result<Trace, ParseTraceError
             .ok_or_else(|| err(ParseTraceErrorKind::MissingField("addr")))?;
         let addr = u64::from_str_radix(addr_str, 16)
             .map_err(|_| err(ParseTraceErrorKind::BadNumber(addr_str.to_owned())))?;
+        if !addr.is_multiple_of(LINE_BYTES as u64) {
+            return Err(err(ParseTraceErrorKind::Unaligned(addr)));
+        }
         let gap_str = fields
             .next()
             .ok_or_else(|| err(ParseTraceErrorKind::MissingField("gap")))?;
@@ -188,6 +197,19 @@ mod tests {
             parse_trace_text("x", "W 40 10 abcd").unwrap_err().kind,
             ParseTraceErrorKind::BadContent
         ));
+    }
+
+    #[test]
+    fn unaligned_addresses_are_refused() {
+        let err = parse_trace_text("x", "R 40 1\nR 41 1").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.kind, ParseTraceErrorKind::Unaligned(0x41));
+        assert!(err.to_string().contains("0x41"));
+        let text = format!("W 7f 2 {}", "00".repeat(64));
+        assert_eq!(
+            parse_trace_text("x", &text).unwrap_err().kind,
+            ParseTraceErrorKind::Unaligned(0x7F)
+        );
     }
 
     #[test]
