@@ -74,17 +74,6 @@ fn bench_lane_kernels(c: &mut Criterion) {
     group.bench_function("aes128_encrypt_block_x4", |b| {
         b.iter(|| black_box(blocks4).map(|blk| aes.encrypt_block(blk)))
     });
-    group.bench_function("ecc_encode_lines4", |b| {
-        let mut codes = Vec::with_capacity(4);
-        b.iter(|| {
-            codes.clear();
-            esd_ecc::encode_lines(black_box(&lines4[..]), &mut codes);
-            codes.len()
-        })
-    });
-    group.bench_function("ecc_encode_line_x4", |b| {
-        b.iter(|| black_box(&lines4).map(|l| encode_line(&l)))
-    });
     group.finish();
 }
 

@@ -228,7 +228,7 @@ impl Core {
             return (finish, unmapped);
         };
         let pristine = self.nvmm.pristine_line(physical).copied();
-        let decoded = decode_stored(&mut self.stats, &stored, pristine.as_ref());
+        let decoded = decode_stored(&mut self.stats, stored, pristine.as_ref());
         match decoded.outcome {
             ReadOutcome::Corrected { .. } => self.obs.instant("ecc", "ecc_corrected", finish),
             ReadOutcome::Uncorrectable => self.obs.instant("ecc", "ecc_uncorrectable", finish),
@@ -421,52 +421,58 @@ struct DecodedStore {
 /// Decodes one stored line, updating the reliability counters.
 fn decode_stored(
     stats: &mut SchemeStats,
-    stored: &esd_sim::StoredLine,
+    stored: esd_sim::StoredLine,
     pristine: Option<&esd_sim::StoredLine>,
 ) -> DecodedStore {
-    match esd_ecc::decode_line(&stored.data, esd_ecc::LineEcc::from_u64(stored.ecc)) {
-        Ok(decoded) => {
-            let mut ecc_bit_corrections = 0u8;
-            if decoded.corrected_words > 0 {
-                stats.reads_corrected += 1;
-                stats.corrected_words += decoded.corrected_words as u64;
-                for (w, c) in decoded.corrected.iter().enumerate() {
-                    if c.is_some() {
-                        stats.corrected_by_word[w] += 1;
-                    }
-                }
-                ecc_bit_corrections = decoded.corrected_ecc_bits() as u8;
-                stats.corrected_ecc_bits += u64::from(ecc_bit_corrections);
-            }
-            // A decode that "succeeds" with wrong bytes is a SEC-DED
-            // miscorrection (three or more flips aliased onto a clean or
-            // correctable syndrome) — only detectable against the fault
-            // injector's pristine shadow.
-            let miscorrected = pristine.is_some_and(|p| decoded.line != p.data);
-            let outcome = if miscorrected {
-                stats.miscorrections += 1;
-                ReadOutcome::Miscorrected
-            } else if decoded.corrected_words > 0 {
-                ReadOutcome::Corrected {
-                    words: decoded.corrected_words as u8,
-                }
-            } else {
-                ReadOutcome::Clean
-            };
-            DecodedStore {
-                cipher: Some(decoded.line),
-                outcome,
-                ecc_bit_corrections,
-            }
-        }
-        Err(_) => {
+    let ecc = esd_ecc::LineEcc::from_u64(stored.ecc);
+    let mut corrected_words = 0;
+    let mut ecc_bit_corrections = 0u8;
+    // The syndrome check first: a line whose recomputed code equals the
+    // stored one is clean — the overwhelmingly common case — and its stored
+    // bytes are the ciphertext as they are. Only a mismatch is decoded.
+    let cipher = if esd_ecc::encode_line(&stored.data) == ecc {
+        stored.data
+    } else {
+        let Ok(decoded) = esd_ecc::decode_line(&stored.data, ecc) else {
             stats.reads_uncorrectable += 1;
-            DecodedStore {
+            return DecodedStore {
                 cipher: None,
                 outcome: ReadOutcome::Uncorrectable,
                 ecc_bit_corrections: 0,
+            };
+        };
+        if decoded.corrected_words > 0 {
+            corrected_words = decoded.corrected_words;
+            stats.reads_corrected += 1;
+            stats.corrected_words += corrected_words as u64;
+            for (w, c) in decoded.corrected.iter().enumerate() {
+                if c.is_some() {
+                    stats.corrected_by_word[w] += 1;
+                }
             }
+            ecc_bit_corrections = decoded.corrected_ecc_bits() as u8;
+            stats.corrected_ecc_bits += u64::from(ecc_bit_corrections);
         }
+        decoded.line
+    };
+    // A decode that "succeeds" with wrong bytes is a SEC-DED miscorrection
+    // (three or more flips aliased onto a clean or correctable syndrome) —
+    // only detectable against the fault injector's pristine shadow.
+    let miscorrected = pristine.is_some_and(|p| cipher != p.data);
+    let outcome = if miscorrected {
+        stats.miscorrections += 1;
+        ReadOutcome::Miscorrected
+    } else if corrected_words > 0 {
+        ReadOutcome::Corrected {
+            words: corrected_words as u8,
+        }
+    } else {
+        ReadOutcome::Clean
+    };
+    DecodedStore {
+        cipher: Some(cipher),
+        outcome,
+        ecc_bit_corrections,
     }
 }
 

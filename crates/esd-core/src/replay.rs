@@ -254,9 +254,9 @@ impl Replay<'_> {
     }
 }
 
-/// Replays `trace` through a fork of `template` over the full `config`.
+/// Replays `trace` through `scheme` over the full `config`.
 pub(crate) fn run(
-    template: &Scheme,
+    mut scheme: Scheme,
     trace: &Trace,
     config: &SystemConfig,
     options: &RunOptions,
@@ -265,7 +265,9 @@ pub(crate) fn run(
         trace.len() <= u32::MAX as usize,
         "the verification shadow indexes accesses with u32"
     );
-    let mut scheme = template.fork(config);
+    // Dispatch is a process-global; bit-exactness of the hardware kernels
+    // keeps the report byte-identical across this choice.
+    esd_kernels::set_backend(options.kernels);
     scheme.journal_configure(options.journal_every);
     if options.observe {
         *scheme.obs_mut() = Obs::enabled(options.trace_capacity);

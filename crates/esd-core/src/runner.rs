@@ -177,10 +177,7 @@ pub fn run_trace_with(
     config: &SystemConfig,
     options: &RunOptions,
 ) -> Result<RunReport, VerifyError> {
-    // Dispatch is a process-global; bit-exactness of the hardware kernels
-    // keeps the report byte-identical across this choice.
-    esd_kernels::set_backend(options.kernels);
-    crate::replay::run(scheme, trace, config, options)
+    crate::replay::run(scheme.fork(config), trace, config, options)
 }
 
 /// Replays an already-generated trace through a fresh scheme of the given
@@ -200,6 +197,8 @@ pub fn replay(
 }
 
 /// [`replay`] with explicit [`RunOptions`] (scrub interval, verification).
+/// The fresh scheme is built once and replayed itself; it is the same
+/// scheme [`run_trace_with`] would fork from a `Scheme::new` template.
 ///
 /// # Errors
 ///
@@ -210,7 +209,7 @@ pub fn replay_with(
     config: &SystemConfig,
     options: &RunOptions,
 ) -> Result<RunReport, VerifyError> {
-    run_trace_with(&Scheme::new(kind, config), trace, config, options)
+    crate::replay::run(Scheme::new(kind, config), trace, config, options)
 }
 
 /// Convenience: generate a workload's trace and replay it through one

@@ -10,6 +10,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::linear::LinearCode;
+
 /// Number of Hamming check bits (excluding the overall parity bit).
 const CHECK_BITS: u32 = 7;
 /// Highest used codeword position (1-indexed).
@@ -70,7 +72,7 @@ fn parity64(x: u64) -> u8 {
 }
 
 /// Const-evaluable mask-and-popcount encoder; the source of truth both
-/// [`encode_word_ref`] and the [`ENC_TABLE`] construction share.
+/// [`encode_word_ref`] and the [`HAMMING`] columns share.
 const fn encode_word_scalar(data: u64) -> u8 {
     let mut ecc = 0u8;
     let mut c = 0usize;
@@ -84,24 +86,19 @@ const fn encode_word_scalar(data: u64) -> u8 {
     ecc | (overall << 7)
 }
 
-/// `ENC_TABLE[j][v]` is the full 8-bit ECC of a word whose byte `j` is `v`
-/// and whose other bytes are zero. The whole code (check bits *and*
-/// overall-parity bit) is XOR-linear in the data, so any word's ECC is the
-/// XOR-fold of eight table lookups — the hot path behind [`encode_word`]
-/// and the bulk line codec.
-pub(crate) const ENC_TABLE: [[u8; 256]; 8] = {
-    let mut t = [[0u8; 256]; 8];
-    let mut j = 0usize;
-    while j < 8 {
-        let mut v = 0usize;
-        while v < 256 {
-            t[j][v] = encode_word_scalar((v as u64) << (8 * j));
-            v += 1;
-        }
-        j += 1;
+/// The code as a [`LinearCode`]: column `i` is the ECC of a word with
+/// only data bit `i` set. The whole code (check bits *and* overall-parity
+/// bit) is XOR-linear in the data, so these 64 columns determine it — the
+/// hot path behind [`encode_word`] and the line codec.
+pub(crate) const HAMMING: LinearCode = LinearCode::from_columns(&{
+    let mut columns = [0u8; 64];
+    let mut i = 0;
+    while i < 64 {
+        columns[i] = encode_word_scalar(1 << i);
+        i += 1;
     }
-    t
-};
+    columns
+});
 
 /// Computes the 8-bit SEC-DED ECC for a 64-bit data word.
 ///
@@ -123,15 +120,7 @@ pub(crate) const ENC_TABLE: [[u8; 256]; 8] = {
 #[must_use]
 #[inline]
 pub fn encode_word(data: u64) -> u8 {
-    let b = data.to_le_bytes();
-    ENC_TABLE[0][b[0] as usize]
-        ^ ENC_TABLE[1][b[1] as usize]
-        ^ ENC_TABLE[2][b[2] as usize]
-        ^ ENC_TABLE[3][b[3] as usize]
-        ^ ENC_TABLE[4][b[4] as usize]
-        ^ ENC_TABLE[5][b[5] as usize]
-        ^ ENC_TABLE[6][b[6] as usize]
-        ^ ENC_TABLE[7][b[7] as usize]
+    HAMMING.word(data)
 }
 
 /// The reference encoder: seven masked parities plus the overall-parity
@@ -289,7 +278,7 @@ mod tests {
 
     #[test]
     fn encoder_is_xor_linear() {
-        // The property ENC_TABLE relies on.
+        // The property the HAMMING columns rely on.
         let (a, b) = (0x1234_5678_9ABC_DEF0u64, 0x0F1E_2D3C_4B5A_6978u64);
         assert_eq!(encode_word_ref(a ^ b), encode_word_ref(a) ^ encode_word_ref(b));
         assert_eq!(encode_word_ref(0), 0);

@@ -11,61 +11,44 @@
 //! Provided as an alternative to [`crate::encode_word`] so the effect of
 //! codec choice on ECC-fingerprint behavior can be measured.
 
-use std::sync::OnceLock;
-
 use crate::hamming::{CorrectedBit, DecodeWordError, WordDecode};
+use crate::linear::LinearCode;
 
 /// The 64 data-bit columns: all 56 weight-3 bytes, then the first 8
 /// weight-5 bytes, in ascending numeric order.
-fn data_columns() -> &'static [u8; 64] {
-    static COLUMNS: OnceLock<[u8; 64]> = OnceLock::new();
-    COLUMNS.get_or_init(|| {
-        let mut cols = [0u8; 64];
-        let mut idx = 0usize;
-        for weight in [3u32, 5] {
-            let mut value = 0u16;
-            while value <= 0xFF && idx < 64 {
-                if (value as u8).count_ones() == weight {
-                    cols[idx] = value as u8;
-                    idx += 1;
-                }
-                value += 1;
+const DATA_COLUMNS: [u8; 64] = {
+    let mut cols = [0u8; 64];
+    let mut idx = 0;
+    let mut weight = 3;
+    while weight <= 5 {
+        let mut value = 0u16;
+        while value <= 0xFF && idx < 64 {
+            if (value as u8).count_ones() == weight {
+                cols[idx] = value as u8;
+                idx += 1;
             }
+            value += 1;
         }
-        assert_eq!(idx, 64, "exactly 64 odd-weight columns");
-        cols
-    })
-}
+        weight += 2;
+    }
+    assert!(idx == 64, "exactly 64 odd-weight columns");
+    cols
+};
 
-/// Check-bit masks: `masks[c]` selects the data bits whose column has row
-/// `c` set.
-fn check_masks() -> &'static [u64; 8] {
-    static MASKS: OnceLock<[u64; 8]> = OnceLock::new();
-    MASKS.get_or_init(|| {
-        let cols = data_columns();
-        let mut masks = [0u64; 8];
-        for (bit, &col) in cols.iter().enumerate() {
-            for (c, mask) in masks.iter_mut().enumerate() {
-                if col & (1 << c) != 0 {
-                    *mask |= 1u64 << bit;
-                }
-            }
-        }
-        masks
-    })
-}
+/// The code as a [`LinearCode`]: a word's check byte is the XOR of its set
+/// data bits' columns.
+const HSIAO: LinearCode = LinearCode::from_columns(&DATA_COLUMNS);
 
 /// Reverse map: column byte -> data bit index + 1 (0 = not a data column).
-fn column_index() -> &'static [u8; 256] {
-    static INDEX: OnceLock<[u8; 256]> = OnceLock::new();
-    INDEX.get_or_init(|| {
-        let mut index = [0u8; 256];
-        for (bit, &col) in data_columns().iter().enumerate() {
-            index[col as usize] = bit as u8 + 1;
-        }
-        index
-    })
-}
+const COLUMN_INDEX: [u8; 256] = {
+    let mut index = [0u8; 256];
+    let mut bit = 0;
+    while bit < 64 {
+        index[DATA_COLUMNS[bit] as usize] = bit as u8 + 1;
+        bit += 1;
+    }
+    index
+};
 
 /// Computes the 8-bit Hsiao SEC-DED check byte for a 64-bit word.
 ///
@@ -78,12 +61,7 @@ fn column_index() -> &'static [u8; 256] {
 /// ```
 #[must_use]
 pub fn encode_word(data: u64) -> u8 {
-    let masks = check_masks();
-    let mut ecc = 0u8;
-    for (c, &mask) in masks.iter().enumerate() {
-        ecc |= (((data & mask).count_ones() & 1) as u8) << c;
-    }
-    ecc
+    HSIAO.word(data)
 }
 
 /// Decodes a word against its stored Hsiao check byte, correcting a single
@@ -113,7 +91,7 @@ pub fn decode_word(data: u64, ecc: u8) -> Result<WordDecode, DecodeWordError> {
             corrected: Some(CorrectedBit::Check(syndrome.trailing_zeros() as u8)),
         });
     }
-    match column_index()[syndrome as usize] {
+    match COLUMN_INDEX[syndrome as usize] {
         0 => Err(DecodeWordError::InvalidSyndrome(syndrome)),
         idx_plus_one => {
             let bit = idx_plus_one - 1;
@@ -125,23 +103,54 @@ pub fn decode_word(data: u64, ecc: u8) -> Result<WordDecode, DecodeWordError> {
     }
 }
 
-/// Computes the packed 64-bit Hsiao line ECC (8 words x 8 bits).
+/// Computes the packed 64-bit Hsiao line ECC (8 words x 8 bits, word `w`
+/// in byte `w`), on the same line kernel as the Hamming code.
 #[must_use]
 pub fn encode_line(line: &[u8; 64]) -> u64 {
-    let mut out = [0u8; 8];
-    for (w, chunk) in line.chunks_exact(8).enumerate() {
-        out[w] = encode_word(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
-    }
-    u64::from_le_bytes(out)
+    HSIAO.line(line)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The per-check-bit definition: check bit `c` is the parity of the
+    /// data bits whose column has row `c` set.
+    fn encode_word_ref(data: u64) -> u8 {
+        let mut ecc = 0u8;
+        for c in 0..8 {
+            let mask = (0..64)
+                .filter(|&bit| DATA_COLUMNS[bit] & (1 << c) != 0)
+                .fold(0u64, |mask, bit| mask | 1 << bit);
+            ecc |= (((data & mask).count_ones() & 1) as u8) << c;
+        }
+        ecc
+    }
+
+    #[test]
+    fn table_encoder_matches_the_popcount_definition() {
+        let mut x = 0x0DDB_1A5E_5BAD_5EEDu64;
+        for _ in 0..4096 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            assert_eq!(encode_word(x), encode_word_ref(x), "data {x:#018x}");
+        }
+        for special in [0u64, u64::MAX, 1, 1 << 63] {
+            assert_eq!(encode_word(special), encode_word_ref(special));
+        }
+        let mut line = [0u8; 64];
+        for (i, b) in line.iter_mut().enumerate() {
+            *b = (i as u8).wrapping_mul(151) ^ 0x3C;
+        }
+        let per_word: Vec<u8> = line
+            .chunks_exact(8)
+            .map(|w| encode_word_ref(u64::from_le_bytes(w.try_into().unwrap())))
+            .collect();
+        assert_eq!(encode_line(&line).to_le_bytes().to_vec(), per_word);
+    }
+
     #[test]
     fn columns_are_odd_weight_and_distinct() {
-        let cols = data_columns();
+        let cols = &DATA_COLUMNS;
         let set: std::collections::HashSet<u8> = cols.iter().copied().collect();
         assert_eq!(set.len(), 64);
         for &c in cols.iter() {

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 //! Hamming(72,64) SEC-DED error-correcting codes and ECC-based cache-line
 //! fingerprints, as used by the ESD deduplication scheme (HPCA 2023).
@@ -23,8 +23,12 @@
 //!   fingerprint, with the guaranteed *filter property*
 //!   (`fp(a) != fp(b)  =>  a != b`).
 //!
-//! Every encoder here is safe, portable scalar code: a per-byte table fold
-//! that every host runs.
+//! Both codes are GF(2)-linear, so one line kernel serves them: a per-byte
+//! table fold that every host runs, and on x86-64 hosts with GFNI and
+//! AVX-512 VBMI a `vpermb` + `vgf2p8affineqb` kernel that computes all
+//! eight word codes at once, bit-exact with the fold. The hardware path is
+//! chosen per call from `esd_kernels::simd_allowed()` and the host's CPUID
+//! bits; its module is the only place `unsafe` is allowed.
 //!
 //! # Examples
 //!
@@ -40,9 +44,13 @@
 //! assert_eq!(fa, EccFingerprint::from(encode_line(&a)));
 //! ```
 
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod gfni;
 mod hamming;
 pub mod hsiao;
 mod line;
+mod linear;
 
 pub use hamming::{
     decode_word, encode_word, encode_word_ref, CorrectedBit, DecodeWordError, WordDecode,
@@ -89,20 +97,10 @@ impl EccCodec {
     /// Computes the packed 64-bit per-line ECC for a whole block of lines,
     /// appending one fingerprint per line to `out` in order.
     ///
-    /// The Hamming codec routes through the 4-line interleaved
-    /// [`encode_lines`] kernel; Hsiao stays scalar. Bit-exact with
-    /// [`EccCodec::line_fingerprint`] per line at every block size.
+    /// Bit-exact with [`EccCodec::line_fingerprint`] per line at every
+    /// block size.
     pub fn line_fingerprints(self, lines: &[[u8; LINE_BYTES]], out: &mut Vec<u64>) {
-        match self {
-            EccCodec::Hamming => {
-                let mut codes = Vec::new();
-                encode_lines(lines, &mut codes);
-                out.extend(codes.iter().map(|c| c.to_u64()));
-            }
-            EccCodec::Hsiao => {
-                out.extend(lines.iter().map(hsiao::encode_line));
-            }
-        }
+        out.extend(lines.iter().map(|line| self.line_fingerprint(line)));
     }
 
     /// Short display name.

@@ -4,7 +4,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::hamming::{decode_word, CorrectedBit, DecodeWordError, ENC_TABLE};
+use crate::hamming::{decode_word, CorrectedBit, DecodeWordError, HAMMING};
 
 /// Size of a cache line in bytes, matching the 64 B line the CPU core evicts.
 pub const LINE_BYTES: usize = 64;
@@ -125,59 +125,13 @@ impl fmt::UpperHex for EccFingerprint {
 /// ```
 #[must_use]
 pub fn encode_line(line: &[u8; LINE_BYTES]) -> LineEcc {
-    LineEcc(line_codes_scalar(line))
-}
-
-/// The eight per-word codes of a line in one pass over the 64 bytes,
-/// folding each byte's table entry straight into its word's code — no u64
-/// assembly, no per-word parity popcounts. Bit-exact with per-word
-/// `encode_word` (the code is XOR-linear; see `esd-ecc`'s equivalence
-/// tests).
-#[must_use]
-fn line_codes_scalar(line: &[u8; LINE_BYTES]) -> [u8; WORDS_PER_LINE] {
-    let mut words = [0u8; WORDS_PER_LINE];
-    for (word, chunk) in words.iter_mut().zip(line.chunks_exact(8)) {
-        *word = ENC_TABLE[0][chunk[0] as usize]
-            ^ ENC_TABLE[1][chunk[1] as usize]
-            ^ ENC_TABLE[2][chunk[2] as usize]
-            ^ ENC_TABLE[3][chunk[3] as usize]
-            ^ ENC_TABLE[4][chunk[4] as usize]
-            ^ ENC_TABLE[5][chunk[5] as usize]
-            ^ ENC_TABLE[6][chunk[6] as usize]
-            ^ ENC_TABLE[7][chunk[7] as usize];
-    }
-    words
+    LineEcc::from_u64(HAMMING.line(line))
 }
 
 /// Encodes a block of cache lines, appending one [`LineEcc`] per line to
-/// `out` in order.
-///
-/// Four lines are interleaved per pass so the eight `ENC_TABLE` rows stay
-/// hot across lanes; the lane-tail (final 1–3 lines) falls back to
-/// [`encode_line`]. Bit-exact with per-line encoding at every block size.
+/// `out` in order. Bit-exact with [`encode_line`] per line.
 pub fn encode_lines(lines: &[[u8; LINE_BYTES]], out: &mut Vec<LineEcc>) {
-    out.reserve(lines.len());
-    let mut groups = lines.chunks_exact(4);
-    for group in groups.by_ref() {
-        let mut words = [[0u8; WORDS_PER_LINE]; 4];
-        for w in 0..WORDS_PER_LINE {
-            for l in 0..4 {
-                let chunk = &group[l][w * 8..w * 8 + 8];
-                words[l][w] = ENC_TABLE[0][chunk[0] as usize]
-                    ^ ENC_TABLE[1][chunk[1] as usize]
-                    ^ ENC_TABLE[2][chunk[2] as usize]
-                    ^ ENC_TABLE[3][chunk[3] as usize]
-                    ^ ENC_TABLE[4][chunk[4] as usize]
-                    ^ ENC_TABLE[5][chunk[5] as usize]
-                    ^ ENC_TABLE[6][chunk[6] as usize]
-                    ^ ENC_TABLE[7][chunk[7] as usize];
-            }
-        }
-        out.extend(words.map(LineEcc));
-    }
-    for line in groups.remainder() {
-        out.push(encode_line(line));
-    }
+    out.extend(lines.iter().map(encode_line));
 }
 
 /// The result of decoding one protected cache line.
@@ -242,16 +196,24 @@ pub fn decode_line(
     line: &[u8; LINE_BYTES],
     ecc: LineEcc,
 ) -> Result<LineDecode, DecodeLineError> {
-    // Bulk path: recompute every word's expected ECC in one table-driven
-    // pass. A stored code that matches exactly proves the word clean (the
-    // code's top bit is the overall parity, so an exact 8-bit match implies
-    // zero syndrome AND clean parity) — the overwhelmingly common case, and
-    // it skips all syndrome analysis. Only mismatching words go through the
-    // full SEC-DED correction logic.
+    // Recompute the whole line's code in one kernel call. A stored code
+    // that matches exactly proves every word clean (each code's top bit is
+    // the overall parity, so an exact match implies zero syndrome AND clean
+    // parity) — the overwhelmingly common case, and it returns before any
+    // per-word work. Only mismatching words go through the full SEC-DED
+    // correction logic.
+    let expected = HAMMING.line(line);
+    if expected == ecc.to_u64() {
+        return Ok(LineDecode {
+            line: *line,
+            corrected_words: 0,
+            corrected: [None; WORDS_PER_LINE],
+        });
+    }
+    let expected_codes = expected.to_le_bytes();
     let mut out = *line;
     let mut corrected_words = 0usize;
     let mut corrected = [None; WORDS_PER_LINE];
-    let expected_codes = line_codes_scalar(line);
     for (w, chunk) in line.chunks_exact(8).enumerate() {
         if expected_codes[w] == ecc.0[w] {
             continue;

@@ -4,8 +4,8 @@
 //! the path every host can run and the reference the tests compare
 //! against — and at most one x86-64 hardware implementation, chosen from
 //! [`cpu_features`] alone: AES-NI for AES-128 (one block and four lanes),
-//! SHA-NI for SHA-1, AVX2 for the 4-lane MD5. The Hamming(72,64) encoder
-//! is scalar on every host. This crate owns the one process-wide switch
+//! SHA-NI for SHA-1, AVX2 for the 4-lane MD5, GFNI with AVX-512 VBMI for
+//! the Hamming(72,64) and Hsiao line codes. This crate owns the one process-wide switch
 //! between the two: a [`KernelBackend`] that starts at `Auto` and changes
 //! only through [`set_backend`] (which `RunOptions::kernels` calls before a
 //! replay starts).
@@ -65,13 +65,16 @@ pub struct CpuFeatures {
     /// SSSE3 (`pshufb`). Reported only: the SHA-NI kernel's byte swaps
     /// need it, and [`CpuFeatures::sha`] already requires it.
     pub ssse3: bool,
+    /// GFNI together with AVX-512 BW and VBMI (`vgf2p8affineqb` and
+    /// `vpermb` on 512-bit registers) — the line-code kernel of `esd-ecc`.
+    pub gfni: bool,
 }
 
 impl CpuFeatures {
     /// No hardware support at all — the non-x86-64 answer and the scalar
     /// baseline for tests.
     pub const NONE: CpuFeatures =
-        CpuFeatures { aes: false, sha: false, avx2: false, ssse3: false };
+        CpuFeatures { aes: false, sha: false, avx2: false, ssse3: false, gfni: false };
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -85,6 +88,10 @@ fn detect_features() -> CpuFeatures {
         avx2: std::arch::is_x86_feature_detected!("avx2"),
         ssse3: std::arch::is_x86_feature_detected!("ssse3")
             && std::arch::is_x86_feature_detected!("sse2"),
+        gfni: std::arch::is_x86_feature_detected!("gfni")
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vbmi"),
     }
 }
 
@@ -138,11 +145,12 @@ pub fn dispatch_report() -> String {
     let simd = simd_allowed();
     let pick = |available: bool, hw: &'static str| if simd && available { hw } else { "scalar" };
     format!(
-        "kernel dispatch ({}): aes128={} sha1={} md5={} hamming=scalar",
+        "kernel dispatch ({}): aes128={} sha1={} md5={} hamming={}",
         backend(),
         pick(features.aes, "aes-ni"),
         pick(features.sha, "sha-ni"),
         pick(features.avx2, "avx2"),
+        pick(features.gfni, "gfni"),
     )
 }
 
@@ -161,6 +169,7 @@ mod tests {
         assert!(!simd_allowed());
         assert_eq!(backend(), KernelBackend::Scalar);
         assert!(dispatch_report().contains("aes128=scalar"));
+        assert!(dispatch_report().ends_with("hamming=scalar"));
 
         set_backend(KernelBackend::Auto);
         assert!(simd_allowed());

@@ -102,9 +102,11 @@ impl CpuModel {
         let throughput = self.config.base_ipc * f64::from(self.config.cores);
         let cycles = instructions as f64 / throughput;
         let exact_ps = cycles * self.config.clock.cycle().as_ps() as f64 + self.carry_ps;
-        let whole = exact_ps.floor();
-        self.carry_ps = exact_ps - whole;
-        let dt = Ps(whole as u64);
+        // `exact_ps` is finite and never negative, so truncation is
+        // `floor` without the libm call, and `whole as f64` is exact.
+        let whole = exact_ps as u64;
+        self.carry_ps = exact_ps - whole as f64;
+        let dt = Ps(whole);
         self.now += dt;
         self.stats.compute_time += dt;
     }
@@ -228,6 +230,46 @@ mod tests {
         }
         // 12 instructions at 12/cycle = 1 cycle = 500ps (±1ps float rounding).
         assert!((499..=501).contains(&cpu.now().as_ps()), "now = {}", cpu.now());
+    }
+
+    #[test]
+    fn truncating_clock_equals_the_floor_formula() {
+        // The formula `execute` used before it truncated instead of calling
+        // `f64::floor`, kept as the reference.
+        struct FloorClock {
+            now: u64,
+            carry_ps: f64,
+        }
+        impl FloorClock {
+            fn execute(&mut self, config: &CpuConfig, instructions: u64) {
+                let throughput = config.base_ipc * f64::from(config.cores);
+                let cycles = instructions as f64 / throughput;
+                let exact_ps = cycles * config.clock.cycle().as_ps() as f64 + self.carry_ps;
+                let whole = exact_ps.floor();
+                self.carry_ps = exact_ps - whole;
+                self.now += whole as u64;
+            }
+        }
+        let configs = [
+            CpuConfig::default(),
+            CpuConfig { base_ipc: 0.7, cores: 3, ..CpuConfig::default() },
+        ];
+        for config in configs {
+            let mut cpu = CpuModel::new(config, 2);
+            let mut reference = FloorClock { now: 0, carry_ps: 0.0 };
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for step in 0..20_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                // Mostly small gaps (the replay's), now and then a huge one.
+                let gap = if step % 97 == 0 { x >> 20 } else { x % 64 };
+                cpu.execute(gap);
+                reference.execute(&config, gap);
+                assert_eq!(cpu.now().as_ps(), reference.now, "step {step}");
+                assert_eq!(cpu.carry_ps.to_bits(), reference.carry_ps.to_bits(), "step {step}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 #
 #     scripts/regenerate-results.sh && git diff --exit-code results/
 #
-# About five minutes on a two-core machine.
+# About two to three minutes on a two-core machine (106-187 s measured).
 set -eu
 cd "$(dirname "$0")/.."
 # Figure binaries read ESD_* knobs from the environment; none may leak in.

@@ -1,12 +1,19 @@
-//! Tier-1 reach into three crates whose own suites run only under
+//! Tier-1 reach into crates whose own suites run only under
 //! `cargo test --workspace`: the `U64Map` every replay-lifetime table
 //! (the verify shadow included) grows through and the `LineTable` the
 //! medium and the encryption counters keep per-line state in, the
+//! dispatched Hamming line codec every PCM read and unique write runs, the
 //! `esd-obs` metrics export, and the `esd-server` wire codec.
 //! Seconds-long in a debug build.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Mutex;
 
+use esd::ecc::{
+    decode_line, decode_word, encode_line, encode_word_ref, LineDecode, LineEcc, LINE_BYTES,
+    WORDS_PER_LINE,
+};
+use esd::kernels::{self, KernelBackend};
 use esd::sim::Ps;
 use esd::trace::CacheLine;
 use esd_collections::{LineTable, U64Map};
@@ -225,6 +232,117 @@ impl Reader<'_> {
                 .unwrap_or_else(|_| panic!("bad number {text:?}")),
         )
     }
+}
+
+/// Seeded random lines, every single-bit line, all zeros and all ones.
+fn ecc_probe_lines() -> Vec<[u8; LINE_BYTES]> {
+    let mut rng = StdRng::seed_from_u64(0xECC);
+    let mut lines = vec![[0u8; LINE_BYTES], [0xFF; LINE_BYTES]];
+    for bit in 0..LINE_BYTES * 8 {
+        let mut line = [0u8; LINE_BYTES];
+        line[bit / 8] = 1 << (bit % 8);
+        lines.push(line);
+    }
+    for _ in 0..512 {
+        let mut line = [0u8; LINE_BYTES];
+        line.iter_mut().for_each(|b| *b = rng.gen());
+        lines.push(line);
+    }
+    lines
+}
+
+fn words_of(line: &[u8; LINE_BYTES]) -> impl Iterator<Item = u64> + '_ {
+    line.chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+}
+
+/// The per-word reference: eight `encode_word_ref` codes.
+fn line_code_ref(line: &[u8; LINE_BYTES]) -> LineEcc {
+    let mut codes = [0u8; WORDS_PER_LINE];
+    for (code, word) in codes.iter_mut().zip(words_of(line)) {
+        *code = encode_word_ref(word);
+    }
+    LineEcc::new(codes)
+}
+
+/// The slow path: every word through `decode_word`, clean or not.
+fn decode_line_ref(line: &[u8; LINE_BYTES], ecc: LineEcc) -> LineDecode {
+    let mut decode = LineDecode {
+        line: [0; LINE_BYTES],
+        corrected_words: 0,
+        corrected: [None; WORDS_PER_LINE],
+    };
+    for (w, word) in words_of(line).enumerate() {
+        let d = decode_word(word, ecc.words()[w]).expect("at most one flip per word");
+        decode.line[w * 8..w * 8 + 8].copy_from_slice(&d.data.to_le_bytes());
+        decode.corrected[w] = d.corrected;
+        decode.corrected_words += usize::from(d.corrected.is_some());
+    }
+    decode
+}
+
+/// Backend selection is process-global: the tests that force it take
+/// turns.
+static BACKEND: Mutex<()> = Mutex::new(());
+
+/// Runs `check` under the forced `Scalar` backend, then under `Auto`,
+/// and says which Hamming kernel `Auto` ran on this host.
+fn under_both_backends(check: impl Fn(KernelBackend)) {
+    let _turn = BACKEND.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
+        kernels::set_backend(backend);
+        check(backend);
+    }
+    kernels::set_backend(KernelBackend::Auto);
+    if !kernels::cpu_features().gfni {
+        println!("no GFNI + AVX-512 VBMI on this host: checked the table fold only");
+    }
+}
+
+#[test]
+fn dispatched_hamming_line_codec_matches_the_per_word_reference() {
+    let lines = ecc_probe_lines();
+    under_both_backends(|backend| {
+        for line in &lines {
+            let ecc = encode_line(line);
+            assert_eq!(ecc, line_code_ref(line), "{backend}: encode {line:02x?}");
+            assert_eq!(
+                decode_line(line, ecc).unwrap(),
+                decode_line_ref(line, ecc),
+                "{backend}: clean decode {line:02x?}"
+            );
+        }
+    });
+}
+
+#[test]
+fn dispatched_hamming_decode_corrects_a_flip_in_every_word() {
+    let lines = ecc_probe_lines();
+    let mut rng = StdRng::seed_from_u64(0xF11B);
+    let flips: Vec<[usize; WORDS_PER_LINE]> = lines
+        .iter()
+        .map(|_| std::array::from_fn(|_| rng.gen_range(0..72)))
+        .collect();
+    under_both_backends(|backend| {
+        for (line, flips) in lines.iter().zip(&flips) {
+            let mut stored = *line;
+            let mut codes = *encode_line(line).words();
+            for (w, &bit) in flips.iter().enumerate() {
+                // Bits 0..64 are data bits of word w, 64..72 its stored code.
+                if bit < 64 {
+                    stored[w * 8 + bit / 8] ^= 1 << (bit % 8);
+                } else {
+                    codes[w] ^= 1 << (bit - 64);
+                }
+            }
+            let ecc = LineEcc::new(codes);
+            let decoded = decode_line(&stored, ecc).unwrap();
+            assert_eq!(decoded, decode_line_ref(&stored, ecc), "{backend}: {flips:?}");
+            assert_eq!(decoded.line, *line, "{backend}: {flips:?}");
+            assert_eq!(decoded.corrected_words, WORDS_PER_LINE, "{backend}: {flips:?}");
+            assert!(decoded.corrected.iter().all(Option::is_some));
+        }
+    });
 }
 
 #[test]
