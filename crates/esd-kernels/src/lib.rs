@@ -5,10 +5,10 @@
 //! against — and at most one x86-64 hardware implementation, chosen from
 //! [`cpu_features`] alone: AES-NI for AES-128 (one block and four lanes),
 //! SHA-NI for SHA-1, AVX2 for the 4-lane MD5, GFNI with AVX-512 VBMI for
-//! the Hamming(72,64) and Hsiao line codes. This crate owns the one process-wide switch
-//! between the two: a [`KernelBackend`] that starts at `Auto` and changes
-//! only through [`set_backend`] (which `RunOptions::kernels` calls before a
-//! replay starts).
+//! the Hamming(72,64) and Hsiao line codes. This crate owns the one
+//! process-wide switch between the two: a [`KernelBackend`] that starts at
+//! `Auto` and changes only through [`set_backend`] (which
+//! `RunOptions::kernels` calls before a replay starts).
 //!
 //! Dispatch never changes results — every hardware kernel is bit-exact
 //! with its scalar path — so the selector only moves wall-clock time. The

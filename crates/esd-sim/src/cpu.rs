@@ -234,8 +234,8 @@ mod tests {
 
     #[test]
     fn truncating_clock_equals_the_floor_formula() {
-        // The formula `execute` used before it truncated instead of calling
-        // `f64::floor`, kept as the reference.
+        // The `f64::floor` formula, the reference the truncating clock
+        // must match bit for bit.
         struct FloorClock {
             now: u64,
             carry_ps: f64,
