@@ -117,17 +117,6 @@ fn bench_cme(c: &mut Criterion) {
 fn bench_structures_vs_reference(c: &mut Criterion) {
     const ENTRIES: u64 = 4096;
     let mut group = c.benchmark_group("structure_vs_reference");
-    group.bench_function("lru_get_hit_flat", |b| {
-        let mut cache: esd_sim::LruCache<u64, u64> = esd_sim::LruCache::new(ENTRIES as usize);
-        for i in 0..ENTRIES {
-            cache.insert(i * 64, i);
-        }
-        let mut k = 0u64;
-        b.iter(|| {
-            k = k.wrapping_add(0x9E37_79B9) % ENTRIES;
-            cache.get(black_box(&(k * 64))).copied()
-        })
-    });
     group.bench_function("u64_table_get_hit", |b| {
         let mut map: U64Map<u64> = U64Map::with_capacity(ENTRIES as usize);
         for i in 0..ENTRIES {

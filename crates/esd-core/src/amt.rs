@@ -6,9 +6,15 @@
 //! buffered in a memory-controller SRAM cache; a miss therefore costs one
 //! metadata read from NVMM on the access path, and dirty evictions cost a
 //! metadata write.
+//!
+//! The simulator keeps one host table: each mapping carries its own SRAM
+//! state (recency stamp, dirty bit; see `sram_cache.rs`), so a cached
+//! translation is one table probe.
 
 use esd_collections::U64Map;
-use esd_sim::{CacheStats, LruCache, NvmmSystem, Ps};
+use esd_sim::{CacheStats, NvmmSystem, Ps};
+
+use crate::sram_cache::{Cached, SramCache};
 
 /// Bytes per AMT entry: `initAddr` (4) + `Addr_base` (4) + `Addr_offsets`
 /// (1), per the paper's Figure 7.
@@ -19,12 +25,6 @@ pub(crate) const AMT_NVMM_BASE: u64 = 1 << 44;
 
 /// AMT entries per 64-byte NVMM line.
 const ENTRIES_PER_LINE: u64 = (64 / AMT_ENTRY_BYTES) as u64;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CachedMapping {
-    physical: u64,
-    dirty: bool,
-}
 
 /// The address-mapping table with its SRAM hot-entry cache.
 ///
@@ -42,10 +42,11 @@ struct CachedMapping {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Amt {
-    /// Authoritative table ("in NVMM"): logical -> physical.
-    table: U64Map<u64>,
-    /// Hot entries buffered in controller SRAM.
-    cache: LruCache<u64, CachedMapping>,
+    /// Authoritative table ("in NVMM"): logical -> physical, each entry
+    /// with its SRAM state.
+    table: U64Map<Cached<u64>>,
+    /// The SRAM cache over `table`'s hot entries.
+    sram: SramCache,
     /// SRAM probe latency.
     sram_latency: Ps,
     /// NVMM metadata traffic counters.
@@ -54,27 +55,20 @@ pub struct Amt {
 }
 
 impl Amt {
-    /// Creates an AMT whose SRAM cache holds `cache_bytes` of entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache_bytes` holds fewer than one entry.
+    /// Creates an AMT whose SRAM cache holds `cache_bytes` of entries; a
+    /// budget below one entry (0 included) gives a one-entry cache.
     #[must_use]
     pub fn new(cache_bytes: u64) -> Self {
         Amt::with_sram_latency(cache_bytes, Ps::from_ns(2))
     }
 
-    /// Creates an AMT with an explicit SRAM probe latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache_bytes` holds fewer than one entry.
+    /// Creates an AMT with an explicit SRAM probe latency; a budget below
+    /// one entry (0 included) gives a one-entry cache.
     #[must_use]
     pub fn with_sram_latency(cache_bytes: u64, sram_latency: Ps) -> Self {
-        let entries = (cache_bytes as usize / AMT_ENTRY_BYTES).max(1);
         Amt {
             table: U64Map::new(),
-            cache: LruCache::new(entries),
+            sram: SramCache::new(cache_bytes as usize / AMT_ENTRY_BYTES),
             sram_latency,
             nvmm_fills: 0,
             nvmm_writebacks: 0,
@@ -84,17 +78,14 @@ impl Amt {
     /// SRAM cache hit/miss statistics.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.sram.stats()
     }
 
     /// Drops every cached (SRAM) entry, as a power-loss event would. The
     /// authoritative NVMM-resident table survives — dirty entries are
     /// assumed flushed by eADR/battery backing, per the paper's §III-E.
     pub fn drop_sram_cache(&mut self) {
-        let keys: Vec<u64> = self.cache.iter().map(|(k, _)| *k).collect();
-        for key in keys {
-            self.cache.remove(&key);
-        }
+        self.sram.drop_all(&mut self.table);
     }
 
     /// Number of mappings in the authoritative table.
@@ -124,13 +115,15 @@ impl Amt {
     /// Current physical mapping without charging any time (test/inspection).
     #[must_use]
     pub fn peek(&self, logical: u64) -> Option<u64> {
-        self.table.get(logical).copied()
+        self.table.get(logical).map(|entry| entry.value)
     }
 
     /// Iterates the authoritative table's `(logical, physical)` mappings
     /// without charging any time (crash-recovery audit).
     pub fn mappings(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.table.iter().map(|(logical, &physical)| (logical, physical))
+        self.table
+            .iter()
+            .map(|(logical, entry)| (logical, entry.value))
     }
 
     /// Translates a logical address, charging SRAM probe time and — on a
@@ -138,27 +131,18 @@ impl Amt {
     ///
     /// Returns the physical address (or `None` for never-mapped logicals)
     /// and the time at which the translation completed.
-    pub fn translate(
-        &mut self,
-        now: Ps,
-        logical: u64,
-        nvmm: &mut NvmmSystem,
-    ) -> (Option<u64>, Ps) {
-        let mut t = now + self.sram_latency;
-        if let Some(cached) = self.cache.get(&logical) {
-            return (Some(cached.physical), t);
+    pub fn translate(&mut self, now: Ps, logical: u64, nvmm: &mut NvmmSystem) -> (Option<u64>, Ps) {
+        let t = now + self.sram_latency;
+        let entry = self.table.get_mut(logical);
+        let physical = entry.as_ref().map(|entry| entry.value);
+        if self.sram.lookup(entry).is_some() || physical.is_none() {
+            return (physical, t);
         }
-        match self.table.get(logical).copied() {
-            Some(physical) => {
-                // Miss: fetch the entry's NVMM metadata line.
-                let completion = nvmm.metadata_read(t, Self::meta_line_of(logical));
-                self.nvmm_fills += 1;
-                t = completion.finish;
-                self.fill(logical, physical, false, t, nvmm);
-                (Some(physical), t)
-            }
-            None => (None, t),
-        }
+        // Miss: fetch the entry's NVMM metadata line.
+        let completion = nvmm.metadata_read(t, Self::meta_line_of(logical));
+        self.nvmm_fills += 1;
+        self.admit(logical, false, completion.finish, nvmm);
+        (physical, completion.finish)
     }
 
     /// Installs or replaces the mapping for `logical`, charging SRAM time;
@@ -167,21 +151,25 @@ impl Amt {
     /// Returns the time at which the update is visible.
     pub fn update(&mut self, now: Ps, logical: u64, physical: u64, nvmm: &mut NvmmSystem) -> Ps {
         let t = now + self.sram_latency;
-        self.table.insert(logical, physical);
-        self.fill(logical, physical, true, t, nvmm);
+        let entry = self
+            .table
+            .get_or_insert_with(logical, || Cached::new(physical));
+        entry.value = physical;
+        if entry.is_resident() {
+            entry.dirty = true;
+            self.sram.touch(entry);
+        } else {
+            self.admit(logical, true, t, nvmm);
+        }
         t
     }
 
-    fn fill(&mut self, logical: u64, physical: u64, dirty: bool, t: Ps, nvmm: &mut NvmmSystem) {
-        if let Some((victim_logical, victim)) =
-            self.cache.insert(logical, CachedMapping { physical, dirty })
-        {
-            // A re-insert of the same key returns the old value; only true
-            // evictions of *other* dirty entries spill to NVMM.
-            if victim_logical != logical && victim.dirty {
-                nvmm.metadata_write(t, Self::meta_line_of(victim_logical));
-                self.nvmm_writebacks += 1;
-            }
+    /// Brings `logical`'s entry into SRAM; evicting a dirty entry writes it
+    /// back to NVMM at `t`.
+    fn admit(&mut self, logical: u64, dirty: bool, t: Ps, nvmm: &mut NvmmSystem) {
+        if let Some((victim, true)) = self.sram.admit(&mut self.table, logical, dirty) {
+            nvmm.metadata_write(t, Self::meta_line_of(victim));
+            self.nvmm_writebacks += 1;
         }
     }
 

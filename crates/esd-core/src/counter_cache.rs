@@ -9,10 +9,17 @@
 //! the access path and dirty evictions add a write-back, exactly as modeled
 //! in secure-memory designs such as SuperMem (MICRO'19).
 //!
+//! Every counter block touched has an entry in one host table, carrying its
+//! SRAM state (recency stamp, dirty bit; see `sram_cache.rs`), the same
+//! mechanism as the AMT's and the fingerprint store's caches.
+//!
 //! Disabled by default (`counter_cache_bytes = 0` in
 //! [`esd_sim::ControllerConfig`]) to preserve the paper's assumption.
 
-use esd_sim::{CacheStats, LruCache, NvmmSystem, Ps};
+use esd_collections::U64Map;
+use esd_sim::{CacheStats, NvmmSystem, Ps};
+
+use crate::sram_cache::{Cached, SramCache};
 
 /// Lines covered by one 64-byte counter block (split-counter layout).
 pub const COUNTER_BLOCK_LINES: u64 = 64;
@@ -37,22 +44,22 @@ const CTR_NVMM_BASE: u64 = 1 << 46;
 /// ```
 #[derive(Debug, Clone)]
 pub struct CounterCache {
-    cache: LruCache<u64, bool>,
+    /// Every counter block touched so far, by block number.
+    blocks: U64Map<Cached<()>>,
+    sram: SramCache,
     sram_latency: Ps,
     fills: u64,
     writebacks: u64,
 }
 
 impl CounterCache {
-    /// Creates a counter cache holding `bytes` of counter blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` holds fewer than one block.
+    /// Creates a counter cache holding `bytes` of counter blocks; a budget
+    /// below one block gives a one-block cache.
     #[must_use]
     pub fn new(bytes: u64) -> Self {
         CounterCache {
-            cache: LruCache::new((bytes as usize / COUNTER_ENTRY_BYTES).max(1)),
+            blocks: U64Map::new(),
+            sram: SramCache::new(bytes as usize / COUNTER_ENTRY_BYTES),
             sram_latency: Ps::from_ns(2),
             fills: 0,
             writebacks: 0,
@@ -62,7 +69,7 @@ impl CounterCache {
     /// Cache statistics.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.sram.stats()
     }
 
     /// NVMM fills and dirty write-backs performed so far.
@@ -75,18 +82,17 @@ impl CounterCache {
     /// which the pad generation can start. Writes bump the counter (dirty).
     pub fn access(&mut self, now: Ps, line_addr: u64, write: bool, nvmm: &mut NvmmSystem) -> Ps {
         let block = line_addr / 64 / COUNTER_BLOCK_LINES;
-        if let Some(dirty) = self.cache.get_mut(&block) {
-            *dirty |= write;
+        let entry = self.blocks.get_or_insert_with(block, || Cached::new(()));
+        if let Some(entry) = self.sram.lookup(Some(entry)) {
+            entry.dirty |= write;
             return now + self.sram_latency;
         }
         // Miss: fetch the counter block from NVMM.
         let completion = nvmm.metadata_read(now + self.sram_latency, Self::block_addr(block));
         self.fills += 1;
-        if let Some((victim_block, dirty)) = self.cache.insert(block, write) {
-            if victim_block != block && dirty {
-                nvmm.metadata_write(completion.finish, Self::block_addr(victim_block));
-                self.writebacks += 1;
-            }
+        if let Some((victim, true)) = self.sram.admit(&mut self.blocks, block, write) {
+            nvmm.metadata_write(completion.finish, Self::block_addr(victim));
+            self.writebacks += 1;
         }
         completion.finish
     }

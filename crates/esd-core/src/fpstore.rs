@@ -5,9 +5,15 @@
 //! therefore forces a fingerprint **NVMM lookup** on the critical write path
 //! — the bottleneck the paper quantifies in Figure 5 and that ESD's
 //! selective deduplication eliminates.
+//!
+//! The SRAM slice is not a second host structure: each table entry carries
+//! its own recency stamp (see `sram_cache.rs`), so a cached lookup is one
+//! table probe.
 
 use esd_collections::U64Map;
-use esd_sim::{CacheStats, LruCache, NvmmSystem, Ps};
+use esd_sim::{CacheStats, NvmmSystem, Ps};
+
+use crate::sram_cache::{Cached, SramCache};
 
 /// Base NVMM address of the fingerprint-store region.
 const FP_NVMM_BASE: u64 = 1 << 45;
@@ -51,9 +57,7 @@ pub struct FpLookup {
 /// use esd_sim::{NvmmSystem, PcmConfig, Ps};
 ///
 /// let mut nvmm = NvmmSystem::new(PcmConfig::default());
-/// // Pre-size the index for the expected number of unique lines so the
-/// // open-addressed tables never rehash mid-replay.
-/// let mut store = FingerprintStore::with_expected_entries(1 << 10, 29, 4096);
+/// let mut store = FingerprintStore::new(1 << 10, 29);
 /// store.insert(Ps::ZERO, 0xFEED, 0x40, &mut nvmm);
 /// let hit = store.lookup(Ps::ZERO, 0xFEED, &mut nvmm);
 /// assert_eq!(hit.physical, Some(0x40));
@@ -61,10 +65,12 @@ pub struct FpLookup {
 /// ```
 #[derive(Debug, Clone)]
 pub struct FingerprintStore {
-    /// Authoritative fingerprint → physical table ("in NVMM").
-    table: U64Map<u64>,
+    /// Authoritative fingerprint → physical table ("in NVMM"), each entry
+    /// with its SRAM state.
+    table: U64Map<Cached<u64>>,
     by_physical: U64Map<u64>,
-    cache: LruCache<u64, u64>,
+    /// The SRAM cache over `table`'s hot entries.
+    sram: SramCache,
     entry_bytes: usize,
     sram_latency: Ps,
     /// Inserts not yet flushed as an NVMM metadata-line write (amortization).
@@ -76,37 +82,18 @@ pub struct FingerprintStore {
 impl FingerprintStore {
     /// Creates a store whose SRAM cache holds `cache_bytes` of entries, each
     /// `entry_bytes` wide (29 B for SHA-1 entries, 17 B for DeWrite's CRC
-    /// entries).
+    /// entries); a budget below one entry gives a one-entry cache.
     ///
     /// # Panics
     ///
-    /// Panics if `entry_bytes` is zero or the cache holds fewer than one
-    /// entry.
+    /// Panics if `entry_bytes` is zero.
     #[must_use]
     pub fn new(cache_bytes: u64, entry_bytes: usize) -> Self {
-        FingerprintStore::with_expected_entries(cache_bytes, entry_bytes, 0)
-    }
-
-    /// Like [`FingerprintStore::new`], but pre-sizes the index tables for
-    /// `expected_entries` unique fingerprints so they never rehash during a
-    /// replay. `0` starts at the minimum size and grows on demand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entry_bytes` is zero or the cache holds fewer than one
-    /// entry.
-    #[must_use]
-    pub fn with_expected_entries(
-        cache_bytes: u64,
-        entry_bytes: usize,
-        expected_entries: usize,
-    ) -> Self {
         assert!(entry_bytes > 0, "entry size must be nonzero");
-        let entries = (cache_bytes as usize / entry_bytes).max(1);
         FingerprintStore {
-            table: U64Map::with_capacity(expected_entries),
-            by_physical: U64Map::with_capacity(expected_entries),
-            cache: LruCache::new(entries),
+            table: U64Map::new(),
+            by_physical: U64Map::new(),
+            sram: SramCache::new(cache_bytes as usize / entry_bytes),
             entry_bytes,
             sram_latency: Ps::from_ns(2),
             pending_inserts: 0,
@@ -118,7 +105,7 @@ impl FingerprintStore {
     /// SRAM cache statistics.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.sram.stats()
     }
 
     /// Total fingerprints stored.
@@ -148,10 +135,7 @@ impl FingerprintStore {
     /// Drops every SRAM-cached entry, as a power-loss event would. The
     /// authoritative NVMM-resident index survives.
     pub fn drop_sram_cache(&mut self) {
-        let keys: Vec<u64> = self.cache.iter().map(|(k, _)| *k).collect();
-        for key in keys {
-            self.cache.remove(&key);
-        }
+        self.sram.drop_all(&mut self.table);
     }
 
     /// Physical lines pinned by index entries (one reference per entry;
@@ -171,9 +155,11 @@ impl FingerprintStore {
     /// one NVMM metadata read (paid whether or not the fingerprint exists).
     pub fn lookup(&mut self, now: Ps, fingerprint: u64, nvmm: &mut NvmmSystem) -> FpLookup {
         let t = now + self.sram_latency;
-        if let Some(&physical) = self.cache.get(&fingerprint) {
+        let entry = self.table.get_mut(fingerprint);
+        let physical = entry.as_ref().map(|entry| entry.value);
+        if self.sram.lookup(entry).is_some() {
             return FpLookup {
-                physical: Some(physical),
+                physical,
                 done: t,
                 source: LookupSource::Cache,
             };
@@ -181,21 +167,16 @@ impl FingerprintStore {
         // Cache miss: the store must be consulted in NVMM.
         let completion = nvmm.metadata_read(t, Self::meta_line_of(fingerprint));
         self.nvmm_lookups += 1;
-        let done = completion.finish;
-        match self.table.get(fingerprint).copied() {
-            Some(physical) => {
-                self.cache.insert(fingerprint, physical);
-                FpLookup {
-                    physical: Some(physical),
-                    done,
-                    source: LookupSource::Nvmm,
-                }
-            }
-            None => FpLookup {
-                physical: None,
-                done,
-                source: LookupSource::Absent,
-            },
+        let source = if physical.is_some() {
+            self.sram.admit(&mut self.table, fingerprint, false);
+            LookupSource::Nvmm
+        } else {
+            LookupSource::Absent
+        };
+        FpLookup {
+            physical,
+            done: completion.finish,
+            source,
         }
     }
 
@@ -207,20 +188,26 @@ impl FingerprintStore {
     /// previously described by another fingerprint, the stale halves of
     /// those pairings are dropped.
     pub fn insert(&mut self, now: Ps, fingerprint: u64, physical: u64, nvmm: &mut NvmmSystem) {
-        if let Some(old_physical) = self.table.insert(fingerprint, physical) {
-            if old_physical != physical
-                && self.by_physical.get(old_physical) == Some(&fingerprint)
-            {
-                self.by_physical.remove(old_physical);
-            }
+        let entry = self
+            .table
+            .get_or_insert_with(fingerprint, || Cached::new(physical));
+        let old_physical = std::mem::replace(&mut entry.value, physical);
+        let resident = entry.is_resident();
+        if resident {
+            self.sram.touch(entry);
+        }
+        if old_physical != physical && self.by_physical.get(old_physical) == Some(&fingerprint) {
+            self.by_physical.remove(old_physical);
         }
         if let Some(old_fp) = self.by_physical.insert(physical, fingerprint) {
             if old_fp != fingerprint {
-                self.table.remove(old_fp);
-                self.cache.remove(&old_fp);
+                self.remove_entry(old_fp);
             }
         }
-        self.cache.insert(fingerprint, physical);
+        // Admitted only after `old_fp` left SRAM: the cache may have room now.
+        if !resident {
+            self.sram.admit(&mut self.table, fingerprint, false);
+        }
         self.pending_inserts += 1;
         let entries_per_line = (64 / self.entry_bytes).max(1);
         if self.pending_inserts >= entries_per_line {
@@ -233,8 +220,14 @@ impl FingerprintStore {
     /// Removes the fingerprint mapped to a freed physical line.
     pub fn remove_physical(&mut self, physical: u64) {
         if let Some(fp) = self.by_physical.remove(physical) {
-            self.table.remove(fp);
-            self.cache.remove(&fp);
+            self.remove_entry(fp);
+        }
+    }
+
+    /// Drops `fingerprint` from the table and from SRAM.
+    fn remove_entry(&mut self, fingerprint: u64) {
+        if let Some(removed) = self.table.remove(fingerprint) {
+            self.sram.forget(&mut self.table, &removed);
         }
     }
 
@@ -255,7 +248,8 @@ mod tests {
     /// Asserts `table` and `by_physical` are exact inverses of each other.
     fn assert_bijection(store: &FingerprintStore) {
         assert_eq!(store.table.len(), store.by_physical.len());
-        for (fp, &physical) in store.table.iter() {
+        for (fp, entry) in store.table.iter() {
+            let physical = entry.value;
             assert_eq!(
                 store.by_physical.get(physical),
                 Some(&fp),
@@ -264,8 +258,8 @@ mod tests {
         }
         for (physical, &fp) in store.by_physical.iter() {
             assert_eq!(
-                store.table.get(fp),
-                Some(&physical),
+                store.table.get(fp).map(|entry| entry.value),
+                Some(physical),
                 "table[{fp:#x}] must point back to physical {physical:#x}"
             );
         }
@@ -379,7 +373,7 @@ mod tests {
     #[test]
     fn tables_stay_consistent_under_churn() {
         let mut mem = nvmm();
-        let mut store = FingerprintStore::with_expected_entries(64 * 29, 29, 32);
+        let mut store = FingerprintStore::new(64 * 29, 29);
         let mut x = 0xDEAD_BEEF_CAFE_F00Du64;
         for _ in 0..2_000 {
             x ^= x << 13;
@@ -404,7 +398,7 @@ mod tests {
         // agree with the authoritative table.
         for fp in store.table.keys().collect::<Vec<_>>() {
             let hit = store.lookup(Ps::ZERO, fp, &mut mem);
-            assert_eq!(hit.physical, store.table.get(fp).copied());
+            assert_eq!(hit.physical, store.table.get(fp).map(|entry| entry.value));
         }
     }
 }

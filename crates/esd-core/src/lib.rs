@@ -60,6 +60,9 @@ mod report;
 mod runner;
 mod scheme;
 mod scrub;
+mod sram_cache;
+#[cfg(test)]
+mod sram_ref;
 pub mod tenant;
 
 pub use alloc::PhysicalAllocator;

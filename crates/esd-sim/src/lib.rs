@@ -2,7 +2,7 @@
 
 //! A cycle-approximate simulator for encrypted non-volatile main memory
 //! (PCM), in the style of NVMain: device timing and energy, bank/bus
-//! contention, a content-bearing medium, controller metadata caches, and a
+//! contention, a content-bearing medium, metadata-cache statistics, and a
 //! CPU model that turns memory stalls into IPC.
 //!
 //! This crate is the substrate under the ESD deduplication schemes
@@ -33,8 +33,6 @@ mod energy;
 mod medium;
 mod pcm;
 mod sram;
-#[cfg(test)]
-mod sram_ref;
 mod stats;
 mod system;
 mod time;
@@ -47,7 +45,7 @@ pub use cpu::{CpuModel, CpuStats};
 pub use energy::Energy;
 pub use medium::{FaultStats, Medium, StoredLine};
 pub use pcm::{AccessClass, Completion, PcmCounters, PcmDevice, PcmOp, PcmStats};
-pub use sram::{CacheStats, LruCache};
+pub use sram::CacheStats;
 pub use stats::{LatencyHistogram, WriteLatencyBreakdown};
 pub use system::NvmmSystem;
 pub use time::{Clock, Ps};
@@ -64,6 +62,5 @@ mod tests {
         assert_send_sync::<CpuModel>();
         assert_send_sync::<LatencyHistogram>();
         assert_send_sync::<SystemConfig>();
-        assert_send_sync::<LruCache<u64, u64>>();
     }
 }

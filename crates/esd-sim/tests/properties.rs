@@ -1,77 +1,11 @@
-//! Property tests for the simulator substrate: the LRU cache against a
-//! reference model, histogram percentiles against exact quantiles, and
-//! device-timing monotonicity.
+//! Property tests for the simulator substrate: histogram percentiles
+//! against exact quantiles, and device-timing monotonicity. (The metadata
+//! caches' LRU is checked against its reference in `esd-core`.)
 
-use esd_sim::{
-    AccessClass, LatencyHistogram, LruCache, PcmConfig, PcmDevice, PcmOp, Ps, StartGap,
-};
+use esd_sim::{AccessClass, LatencyHistogram, PcmConfig, PcmDevice, PcmOp, Ps, StartGap};
 use proptest::prelude::*;
 
-/// Reference LRU: vector ordered most-recent-first.
-struct NaiveLru {
-    entries: Vec<(u64, u64)>,
-    capacity: usize,
-}
-
-impl NaiveLru {
-    fn new(capacity: usize) -> Self {
-        NaiveLru {
-            entries: Vec::new(),
-            capacity,
-        }
-    }
-
-    fn get(&mut self, key: u64) -> Option<u64> {
-        let pos = self.entries.iter().position(|&(k, _)| k == key)?;
-        let entry = self.entries.remove(pos);
-        self.entries.insert(0, entry);
-        Some(entry.1)
-    }
-
-    fn insert(&mut self, key: u64, value: u64) {
-        if let Some(pos) = self.entries.iter().position(|&(k, _)| k == key) {
-            self.entries.remove(pos);
-        } else if self.entries.len() == self.capacity {
-            self.entries.pop();
-        }
-        self.entries.insert(0, (key, value));
-    }
-}
-
-#[derive(Debug, Clone)]
-enum CacheOp {
-    Get(u64),
-    Insert(u64, u64),
-}
-
 proptest! {
-    /// The LRU cache agrees with the reference on every get under arbitrary
-    /// workloads.
-    #[test]
-    fn lru_matches_reference(ops in proptest::collection::vec(
-        prop_oneof![
-            (0u64..16).prop_map(CacheOp::Get),
-            (0u64..16, any::<u64>()).prop_map(|(k, v)| CacheOp::Insert(k, v)),
-        ],
-        1..300,
-    )) {
-        const CAPACITY: usize = 6;
-        let mut cache: LruCache<u64, u64> = LruCache::new(CAPACITY);
-        let mut reference = NaiveLru::new(CAPACITY);
-        for op in &ops {
-            match *op {
-                CacheOp::Get(k) => {
-                    prop_assert_eq!(cache.get(&k).copied(), reference.get(k), "get({})", k);
-                }
-                CacheOp::Insert(k, v) => {
-                    cache.insert(k, v);
-                    reference.insert(k, v);
-                }
-            }
-            prop_assert_eq!(cache.len(), reference.entries.len());
-        }
-    }
-
     /// Histogram percentiles are within one log-linear bucket (6.25%) of the
     /// exact sample quantile.
     #[test]

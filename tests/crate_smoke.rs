@@ -3,18 +3,22 @@
 //! (the verify shadow included) grows through and the `LineTable` the
 //! medium and the encryption counters keep per-line state in, the
 //! dispatched Hamming line codec every PCM read and unique write runs, the
-//! `esd-obs` metrics export, and the `esd-server` wire codec.
+//! `esd-obs` metrics export, the `esd-server` wire codec, and the SRAM
+//! caches of the AMT, the fingerprint store and the counter cache.
 //! Seconds-long in a debug build.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
+use esd::core::{
+    Amt, CounterCache, FingerprintStore, LookupSource, AMT_ENTRY_BYTES, COUNTER_ENTRY_BYTES,
+};
 use esd::ecc::{
     decode_line, decode_word, encode_line, encode_word_ref, LineDecode, LineEcc, LINE_BYTES,
     WORDS_PER_LINE,
 };
 use esd::kernels::{self, KernelBackend};
-use esd::sim::Ps;
+use esd::sim::{CacheStats, NvmmSystem, PcmConfig, Ps};
 use esd::trace::CacheLine;
 use esd_collections::{LineTable, U64Map};
 use esd_obs::Registry;
@@ -231,6 +235,174 @@ impl Reader<'_> {
             text.parse()
                 .unwrap_or_else(|_| panic!("bad number {text:?}")),
         )
+    }
+}
+
+/// The metadata caches' contract in the plainest form: each resident key
+/// with its recency stamp and dirty bit in a `HashMap`; the victim is the
+/// resident key with the least stamp.
+struct StampModel {
+    capacity: usize,
+    clock: u64,
+    resident: HashMap<u64, (u64, bool)>,
+    stats: CacheStats,
+}
+
+impl StampModel {
+    fn new(capacity: usize) -> Self {
+        StampModel {
+            capacity,
+            clock: 0,
+            resident: HashMap::new(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// A counted lookup: a resident key is a hit and becomes the most
+    /// recent; its dirty bit is handed back to be updated.
+    fn lookup(&mut self, key: u64) -> Option<&mut bool> {
+        self.clock += 1;
+        match self.resident.get_mut(&key) {
+            Some((stamp, dirty)) => {
+                self.stats.hits += 1;
+                *stamp = self.clock;
+                Some(dirty)
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Makes `key` resident and most recent (uncounted) with `dirty` set
+    /// (or kept, if `dirty` is false and the key is resident); returns
+    /// whether a dirty victim was evicted.
+    fn put(&mut self, key: u64, dirty: bool) -> bool {
+        self.clock += 1;
+        if let Some((stamp, was_dirty)) = self.resident.get_mut(&key) {
+            (*stamp, *was_dirty) = (self.clock, *was_dirty | dirty);
+            return false;
+        }
+        let mut dirty_victim = false;
+        if self.resident.len() == self.capacity {
+            let (&victim, _) = self.resident.iter().min_by_key(|(_, (stamp, _))| *stamp).unwrap();
+            dirty_victim = self.resident.remove(&victim).unwrap().1;
+            self.stats.evictions += 1;
+        }
+        self.resident.insert(key, (self.clock, dirty));
+        dirty_victim
+    }
+}
+
+#[test]
+fn metadata_caches_match_a_stamp_model() {
+    // Keys from small ranges, so at one to four entries every owner hits,
+    // misses, evicts (clean and dirty) and, for the store, re-points and
+    // drops fingerprints; power losses empty the AMT and the store caches.
+    let mut rng = StdRng::seed_from_u64(0xCAC4E);
+    for capacity in 1..=4usize {
+        let mut nvmm = NvmmSystem::new(PcmConfig::default());
+        let mut amt = Amt::new((capacity * AMT_ENTRY_BYTES) as u64);
+        let mut store = FingerprintStore::new(capacity as u64 * 29, 29);
+        let mut counters = CounterCache::new((capacity * COUNTER_ENTRY_BYTES) as u64);
+        let (mut amt_model, mut store_model, mut counter_model) = (
+            StampModel::new(capacity),
+            StampModel::new(capacity),
+            StampModel::new(capacity),
+        );
+        let mut mappings: HashMap<u64, u64> = HashMap::new();
+        let (mut fps, mut by_physical): (HashMap<u64, u64>, HashMap<u64, u64>) = Default::default();
+        // `(fills, write-backs)`, `(lookups, insert writes)`, `(fills, write-backs)`.
+        let (mut amt_traffic, mut store_traffic, mut counter_traffic) = ((0, 0), (0, 0), (0, 0));
+        let mut pending_inserts = 0;
+        for step in 0..3_000u64 {
+            let now = Ps::from_ns(step * 10);
+            let (key, physical) = (rng.gen_range(0..10u64), rng.gen_range(0..10u64) * 64);
+            match rng.gen_range(0..20u32) {
+                0..=3 => {
+                    let expected = mappings.get(&(key * 64)).copied();
+                    if amt_model.lookup(key * 64).is_none() && expected.is_some() {
+                        amt_traffic.0 += 1;
+                        amt_traffic.1 += u64::from(amt_model.put(key * 64, false));
+                    }
+                    assert_eq!(amt.translate(now, key * 64, &mut nvmm).0, expected);
+                }
+                4..=6 => {
+                    mappings.insert(key * 64, physical);
+                    amt_traffic.1 += u64::from(amt_model.put(key * 64, true));
+                    amt.update(now, key * 64, physical, &mut nvmm);
+                }
+                7..=9 => {
+                    let expected = fps.get(&key).copied();
+                    let hit = store_model.lookup(key).is_some();
+                    if !hit {
+                        store_traffic.0 += 1;
+                        if expected.is_some() {
+                            store_model.put(key, false);
+                        }
+                    }
+                    let found = store.lookup(now, key, &mut nvmm);
+                    assert_eq!(found.physical, expected);
+                    assert_eq!(found.source == LookupSource::Cache, hit);
+                }
+                10..=12 => {
+                    if let Some(old) = fps.insert(key, physical) {
+                        if old != physical && by_physical.get(&old) == Some(&key) {
+                            by_physical.remove(&old);
+                        }
+                    }
+                    if let Some(old_fp) = by_physical.insert(physical, key) {
+                        if old_fp != key {
+                            fps.remove(&old_fp);
+                            store_model.resident.remove(&old_fp);
+                        }
+                    }
+                    store_model.put(key, false);
+                    pending_inserts += 1;
+                    if pending_inserts == 2 {
+                        (pending_inserts, store_traffic.1) = (0, store_traffic.1 + 1);
+                    }
+                    store.insert(now, key, physical, &mut nvmm);
+                }
+                13 => {
+                    if let Some(fp) = by_physical.remove(&physical) {
+                        fps.remove(&fp);
+                        store_model.resident.remove(&fp);
+                    }
+                    store.remove_physical(physical);
+                }
+                14 => {
+                    amt_model.resident.clear();
+                    store_model.resident.clear();
+                    amt.drop_sram_cache();
+                    store.drop_sram_cache();
+                }
+                _ => {
+                    // Lines of eight counter blocks, 64 lines to a block.
+                    let line = key % 8 * 4_096 + physical;
+                    let write = rng.gen_range(0..2u32) == 0;
+                    match counter_model.lookup(line / 4_096) {
+                        Some(dirty) => *dirty |= write,
+                        None => {
+                            counter_traffic.0 += 1;
+                            counter_traffic.1 += u64::from(counter_model.put(line / 4_096, write));
+                        }
+                    }
+                    counters.access(now, line, write, &mut nvmm);
+                }
+            }
+        }
+        assert_eq!(amt.cache_stats(), amt_model.stats, "AMT, capacity {capacity}");
+        assert_eq!(amt.nvmm_traffic(), amt_traffic, "AMT, capacity {capacity}");
+        assert_eq!(store.cache_stats(), store_model.stats, "store, capacity {capacity}");
+        assert_eq!(store.nvmm_traffic(), store_traffic, "store, capacity {capacity}");
+        assert_eq!(counters.stats(), counter_model.stats, "counters, capacity {capacity}");
+        assert_eq!(counters.nvmm_traffic(), counter_traffic, "counters, capacity {capacity}");
+        for stats in [amt_model.stats, store_model.stats, counter_model.stats] {
+            assert!(stats.hits > 0 && stats.misses > 0 && stats.evictions > 0);
+        }
+        assert!(amt_traffic.1 > 0 && counter_traffic.1 > 0, "dirty victims written back");
     }
 }
 

@@ -154,3 +154,62 @@ fn epoch_occupancies_aggregate_across_all_banks() {
          banks busy (got {max_busy})"
     );
 }
+
+/// `(kind, report digest)` of the plain 6 000-access demo run with 4 KiB
+/// fingerprint and mapping caches and a 512 B (seven-block) counter cache.
+const PINNED_COUNTER_CACHE: [(SchemeKind, u64); 8] = [
+    (SchemeKind::Baseline, 2441044101303779848),
+    (SchemeKind::DedupSha1, 9907955484540078860),
+    (SchemeKind::DedupMd5, 16256991358353534100),
+    (SchemeKind::Pde, 7698853309367819027),
+    (SchemeKind::DeWrite, 11379346579231055125),
+    (SchemeKind::Esd, 4297572715276224702),
+    (SchemeKind::EsdFull, 3911976979455445374),
+    (SchemeKind::EsdNoVerify, 18029109457565548895),
+];
+
+#[test]
+fn finite_counter_cache_reports_are_pinned() {
+    // The trace and caches of `tests/report_identity.rs`, plus a counter
+    // cache of seven 64-line blocks: every remapping kind's counters miss,
+    // evict and write back, so those paths are in the pinned result.
+    // Baseline is identity-mapped and gets no counter cache.
+    let trace = generate_trace(&AppProfile::demo(), 14, 6_000);
+    let mut config = SystemConfig::default();
+    config.controller.fingerprint_cache_bytes = 4 << 10;
+    config.controller.mapping_cache_bytes = 4 << 10;
+    let options = RunOptions {
+        scrub_interval: None,
+        observe: false,
+        trace_capacity: 0,
+        epoch_interval: Some(1_000),
+        quantum: 512,
+        ..stress_options()
+    };
+    let mut finite = config;
+    finite.controller.counter_cache_bytes = 512;
+    for (kind, pinned) in PINNED_COUNTER_CACHE {
+        let with = replay_with(kind, &trace, &finite, &options);
+        let without = replay_with(kind, &trace, &config, &options).expect("verified run");
+        let metadata = with.as_ref().map(|r| r.pcm.metadata);
+        let extra = metadata.map(|m| {
+            (
+                m.reads - without.pcm.metadata.reads,
+                m.writes - without.pcm.metadata.writes,
+            )
+        });
+        if kind == SchemeKind::Baseline {
+            assert_eq!(extra, Ok((0, 0)), "{kind}");
+        } else {
+            let (reads, writes) = extra.expect("verified run");
+            assert!(
+                reads > 0 && writes > 0,
+                "{kind}: counter misses and write-backs"
+            );
+        }
+        if kind == SchemeKind::Esd {
+            assert_eq!(extra, Ok((322, 189)));
+        }
+        assert_eq!(debug_digest(&with), pinned, "{kind}");
+    }
+}
