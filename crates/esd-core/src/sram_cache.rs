@@ -193,8 +193,8 @@ impl SramCache {
 
 /// Sorts `(stamp, key)` pairs by stamp, greatest first: one stable counting
 /// pass per byte of the stamps' span, two or three in practice. Every
-/// eviction pays a share of a sort, and at 4 KiB caches a comparison sort
-/// made eviction-heavy sweeps slower than the flat LRU this cache replaced.
+/// eviction pays a share of a sort, so with small caches, where most
+/// misses evict, a comparison sort is a large part of a run's cost.
 fn sort_by_stamp_descending(pairs: &mut Vec<(u64, u64)>) {
     let (low, high) = pairs
         .iter()
