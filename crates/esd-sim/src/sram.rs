@@ -30,3 +30,33 @@ impl CacheStats {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::CacheStats;
+
+    #[test]
+    fn hit_rate_is_hits_over_lookups() {
+        let stats = CacheStats {
+            hits: 1,
+            misses: 2,
+            evictions: 5,
+        };
+        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        let all_hits = CacheStats {
+            hits: 4,
+            ..CacheStats::default()
+        };
+        assert_eq!(all_hits.hit_rate(), 1.0);
+    }
+
+    #[test]
+    fn hit_rate_is_zero_without_lookups() {
+        assert_eq!(CacheStats::default().hit_rate(), 0.0);
+        let evictions_only = CacheStats {
+            evictions: 3,
+            ..CacheStats::default()
+        };
+        assert_eq!(evictions_only.hit_rate(), 0.0);
+    }
+}
