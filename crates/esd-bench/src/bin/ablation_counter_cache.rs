@@ -7,7 +7,7 @@
 //! that assumption is relaxed.
 
 use esd_bench::{format_row, print_figure_header, Sweep};
-use esd_core::{build_scheme, run_trace, SchemeKind};
+use esd_core::{run_trace, RunOptions, Scheme, SchemeKind};
 use esd_trace::{generate_trace, AppProfile};
 
 fn main() {
@@ -40,8 +40,9 @@ fn main() {
         ] {
             let mut config = sweep.config;
             config.controller.counter_cache_bytes = bytes;
-            let scheme = build_scheme(SchemeKind::Esd, &config);
-            let report = run_trace(&scheme, &trace, &config, true).expect("verified");
+            let scheme = Scheme::new(SchemeKind::Esd, &config);
+            let report =
+                run_trace(scheme, &trace, &config, &RunOptions::default()).expect("verified");
             println!(
                 "{}",
                 format_row(

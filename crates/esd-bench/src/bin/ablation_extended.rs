@@ -5,7 +5,7 @@
 //! cryptographic energy on duplicates — the reason the paper rejects it.
 
 use esd_bench::{format_row, print_figure_header, Sweep};
-use esd_core::{build_scheme, run_trace, SchemeKind};
+use esd_core::{run_trace, RunOptions, Scheme, SchemeKind};
 use esd_trace::{generate_trace, AppProfile};
 
 fn main() {
@@ -37,9 +37,12 @@ fn main() {
             )
         );
         for kind in SchemeKind::EXTENDED {
-            let scheme = build_scheme(kind, &sweep.config);
-            let verify = kind != SchemeKind::EsdNoVerify;
-            let report = run_trace(&scheme, &trace, &sweep.config, verify)
+            let scheme = Scheme::new(kind, &sweep.config);
+            let options = RunOptions {
+                verify: kind != SchemeKind::EsdNoVerify,
+                ..RunOptions::default()
+            };
+            let report = run_trace(scheme, &trace, &sweep.config, &options)
                 .unwrap_or_else(|e| panic!("{kind}: {e}"));
             println!(
                 "{}",

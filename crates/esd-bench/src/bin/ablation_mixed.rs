@@ -4,7 +4,7 @@
 //! runs.
 
 use esd_bench::{format_row, print_figure_header, Sweep};
-use esd_core::{build_scheme, run_trace, SchemeKind};
+use esd_core::{run_trace, RunOptions, Scheme, SchemeKind};
 use esd_trace::{generate_trace, interleave_traces, AppProfile};
 
 const MIXES: [[&str; 4]; 3] = [
@@ -40,9 +40,9 @@ fn main() {
             )
         );
         for kind in SchemeKind::ALL {
-            let scheme = build_scheme(kind, &sweep.config);
+            let scheme = Scheme::new(kind, &sweep.config);
             let report =
-                run_trace(&scheme, &mixed, &sweep.config, true).expect("verified");
+                run_trace(scheme, &mixed, &sweep.config, &RunOptions::default()).expect("verified");
             println!(
                 "{}",
                 format_row(

@@ -8,7 +8,7 @@
 //!   colliding lines (run with care; verification is disabled here).
 
 use esd_bench::{format_row, print_figure_header, Sweep};
-use esd_core::{build_scheme, run_trace, SchemeKind};
+use esd_core::{run_trace, RunOptions, Scheme, SchemeKind};
 use esd_trace::{generate_trace, AppProfile};
 
 const SCHEMES: [SchemeKind; 4] = [
@@ -46,11 +46,14 @@ fn main() {
         let trace = generate_trace(app, sweep.seed, sweep.accesses);
         let mut baseline_write = None;
         for kind in SCHEMES {
-            let scheme = build_scheme(kind, &sweep.config);
+            let scheme = Scheme::new(kind, &sweep.config);
             // ESD_NoVerify can alias collided lines; skip verification so
             // the ablation still reports its (unsafe) performance.
-            let verify = kind != SchemeKind::EsdNoVerify;
-            let report = run_trace(&scheme, &trace, &sweep.config, verify)
+            let options = RunOptions {
+                verify: kind != SchemeKind::EsdNoVerify,
+                ..RunOptions::default()
+            };
+            let report = run_trace(scheme, &trace, &sweep.config, &options)
                 .unwrap_or_else(|e| panic!("{kind}: {e}"));
             let write_ns = report.avg_write_latency().as_ns_f64();
             let speedup = match baseline_write {

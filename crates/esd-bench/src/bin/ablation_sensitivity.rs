@@ -5,10 +5,14 @@
 //! choices Table I does not pin down.
 
 use esd_bench::{format_row, print_figure_header, Sweep};
-use esd_core::{build_scheme, run_trace, SchemeKind};
+use esd_core::{run_trace, RunOptions, Scheme, SchemeKind};
 use esd_trace::{generate_trace, AppProfile};
 
 fn main() {
+    let unverified = RunOptions {
+        verify: false,
+        ..RunOptions::default()
+    };
     let mut sweep = Sweep::new(vec![AppProfile::by_name("lbm").expect("paper workload")]);
     sweep.accesses = sweep.accesses.min(300_000);
     print_figure_header(
@@ -33,8 +37,8 @@ fn main() {
         let mut cells = Vec::new();
         let mut ipcs = Vec::new();
         for kind in [SchemeKind::Baseline, SchemeKind::Esd] {
-            let scheme = build_scheme(kind, &config);
-            let report = run_trace(&scheme, &trace, &config, false).expect("run");
+            let scheme = Scheme::new(kind, &config);
+            let report = run_trace(scheme, &trace, &config, &unverified).expect("run");
             cells.push(report.avg_write_latency().to_string());
             ipcs.push(format!("{:.2}", report.ipc));
         }
@@ -56,8 +60,8 @@ fn main() {
         config.pcm.banks = banks;
         let mut latencies = Vec::new();
         for kind in [SchemeKind::Baseline, SchemeKind::Esd] {
-            let scheme = build_scheme(kind, &config);
-            let report = run_trace(&scheme, &trace, &config, false).expect("run");
+            let scheme = Scheme::new(kind, &config);
+            let report = run_trace(scheme, &trace, &config, &unverified).expect("run");
             latencies.push(report.avg_write_latency().as_ns_f64());
         }
         println!(
@@ -83,9 +87,9 @@ fn main() {
     );
     for interval in [1024u64, 4096, 8192, 32768, u64::MAX] {
         let config = sweep.config;
-        let mut scheme = build_scheme(SchemeKind::Esd, &config);
+        let mut scheme = Scheme::new(SchemeKind::Esd, &config);
         scheme.efit_decay_interval(interval);
-        let report = run_trace(&scheme, &gcc_trace, &config, false).expect("run");
+        let report = run_trace(scheme, &gcc_trace, &config, &unverified).expect("run");
         let label = if interval == u64::MAX {
             "never".to_owned()
         } else {

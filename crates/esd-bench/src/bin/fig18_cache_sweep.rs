@@ -6,12 +6,16 @@
 //! plain LRU at every size.
 
 use esd_bench::{format_row, print_figure_header, Sweep};
-use esd_core::{run_trace, EfitPolicy, Scheme, SchemeKind};
+use esd_core::{run_trace, EfitPolicy, RunOptions, Scheme, SchemeKind};
 use esd_trace::{generate_trace, AppProfile};
 
 const SIZES_KB: [u64; 6] = [64, 128, 256, 512, 1024, 2048];
 
 fn main() {
+    let unverified = RunOptions {
+        verify: false,
+        ..RunOptions::default()
+    };
     // The sweep is expensive (6 sizes x 2 policies + 6 AMT sizes); use the
     // paper's 8 CDF applications as the workload sample.
     let apps: Vec<AppProfile> = esd_bench::figures::CDF_APPS
@@ -40,7 +44,8 @@ fn main() {
                 let mut config = sweep.config;
                 config.controller.fingerprint_cache_bytes = kb << 10;
                 let scheme = Scheme::with_policy(&config, policy);
-                let report = run_trace(&scheme, &trace, &config, false).expect("unverified run");
+                let report = run_trace(scheme, &trace, &config, &unverified)
+                    .expect("unverified run");
                 sum += report
                     .fingerprint_cache
                     .expect("ESD has an EFIT")
@@ -67,7 +72,7 @@ fn main() {
             let mut config = sweep.config;
             config.controller.mapping_cache_bytes = kb << 10;
             let scheme = Scheme::new(SchemeKind::Esd, &config);
-            let report = run_trace(&scheme, &trace, &config, false).expect("unverified run");
+            let report = run_trace(scheme, &trace, &config, &unverified).expect("unverified run");
             sum += report.amt_cache.expect("ESD has an AMT").hit_rate();
         }
         let rate = sum / sweep.apps.len() as f64;

@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use esd_core::{replay_with, RunOptions, RunReport, SchemeKind};
+use esd_core::{run_trace, RunOptions, RunReport, Scheme, SchemeKind};
 use esd_sim::SystemConfig;
 use esd_trace::{generate_trace, AppProfile, Trace};
 
@@ -212,8 +212,13 @@ impl Sweep {
                     }));
                     let kind = schemes[s];
                     let t0 = Instant::now();
-                    let report = replay_with(kind, &trace, &self.config, &options)
-                        .unwrap_or_else(|e| panic!("data corruption in {kind}: {e}"));
+                    let report = run_trace(
+                        Scheme::new(kind, &self.config),
+                        &trace,
+                        &self.config,
+                        &options,
+                    )
+                    .unwrap_or_else(|e| panic!("data corruption in {kind}: {e}"));
                     let seconds = t0.elapsed().as_secs_f64();
                     results[task]
                         .set((report, seconds))
@@ -271,8 +276,13 @@ impl Sweep {
                 let reports = schemes
                     .iter()
                     .map(|&kind| {
-                        replay_with(kind, &trace, &self.config, &options)
-                            .unwrap_or_else(|e| panic!("data corruption in {kind}: {e}"))
+                        run_trace(
+                            Scheme::new(kind, &self.config),
+                            &trace,
+                            &self.config,
+                            &options,
+                        )
+                        .unwrap_or_else(|e| panic!("data corruption in {kind}: {e}"))
                     })
                     .collect();
                 AppRow {

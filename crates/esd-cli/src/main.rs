@@ -37,7 +37,7 @@ use std::fs;
 use std::process::ExitCode;
 
 use args::Args;
-use esd_core::{build_scheme, run_trace_with, RunOptions, RunReport, SchemeKind};
+use esd_core::{run_trace, RunOptions, RunReport, Scheme, SchemeKind};
 use esd_sim::SystemConfig;
 use esd_trace::{
     decode_trace, duplicate_rate, encode_trace, generate_trace, parse_trace_text,
@@ -250,13 +250,13 @@ fn run_one(
     config: &SystemConfig,
     options: &RunOptions,
 ) -> Result<RunReport, String> {
-    let scheme = build_scheme(kind, config);
+    let scheme = Scheme::new(kind, config);
     // The no-verify ablation aliases colliding lines by design.
     let options = RunOptions {
         verify: options.verify && kind != SchemeKind::EsdNoVerify,
         ..*options
     };
-    run_trace_with(&scheme, trace, config, &options).map_err(|e| e.to_string())
+    run_trace(scheme, trace, config, &options).map_err(|e| e.to_string())
 }
 
 fn cmd_run(rest: Vec<String>) -> Result<(), String> {

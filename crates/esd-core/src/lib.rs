@@ -28,20 +28,23 @@
 //!   DeWrite, and four variants) only selects which stages run.
 //! * [`Efit`] (LRCU), [`Amt`], [`FingerprintStore`], [`DupPredictor`],
 //!   [`PhysicalAllocator`] — the building blocks.
-//! * [`run_trace`] / [`run_app`] — replay a workload and collect a
-//!   [`RunReport`] with every metric the paper's figures use.
+//! * [`run_trace`] — replay a trace through a scheme, continuing from the
+//!   scheme's current state, and collect a [`RunReport`] with every metric
+//!   the paper's figures use.
 //!
 //! # Examples
 //!
 //! ```
-//! use esd_core::{run_app, SchemeKind};
+//! use esd_core::{run_trace, RunOptions, Scheme, SchemeKind};
 //! use esd_sim::SystemConfig;
-//! use esd_trace::AppProfile;
+//! use esd_trace::{generate_trace, AppProfile};
 //!
 //! let config = SystemConfig::default();
-//! let profile = AppProfile::demo();
-//! let baseline = run_app(SchemeKind::Baseline, &profile, 1, 2_000, &config)?;
-//! let esd = run_app(SchemeKind::Esd, &profile, 1, 2_000, &config)?;
+//! let trace = generate_trace(&AppProfile::demo(), 1, 2_000);
+//! // A fresh scheme of `kind`, every read verified (the default options).
+//! let run = |kind| run_trace(Scheme::new(kind, &config), &trace, &config, &RunOptions::default());
+//! let baseline = run(SchemeKind::Baseline)?;
+//! let esd = run(SchemeKind::Esd)?;
 //! let n = esd.normalized_to(&baseline);
 //! assert!(n.write_traffic_ratio < 1.0, "ESD writes less than Baseline");
 //! # Ok::<(), esd_core::VerifyError>(())
@@ -76,8 +79,7 @@ pub use journal::{
 pub use predictor::{DupPredictor, PredictorStats};
 pub use report::{Normalized, ReliabilityReport, RunReport};
 pub use runner::{
-    build_scheme, replay, replay_with, run_app, run_trace, run_trace_with, RunOptions,
-    VerifyError, DEFAULT_BATCH, DEFAULT_QUANTUM,
+    build_scheme, replay_with, run_trace, RunOptions, VerifyError, DEFAULT_BATCH, DEFAULT_QUANTUM,
 };
 pub use scheme::{
     FingerprintSpec, MetadataFootprint, ReadOutcome, ReadResult, Scheme, SchemeKind, SchemeStats,

@@ -5,14 +5,14 @@ use std::error::Error;
 use std::fmt;
 
 use esd_sim::SystemConfig;
-use esd_trace::{AppProfile, Trace};
+use esd_trace::Trace;
 
 use crate::journal::CrashPoint;
 use crate::report::RunReport;
 use crate::scheme::{Scheme, SchemeKind};
 
-/// Constructs a scheme of the given kind over a fresh simulated system
-/// ([`Scheme::new`] under the name the harnesses use).
+/// [`Scheme::new`] under another name. Kept only until `benchmark/` stops
+/// naming it.
 #[must_use]
 pub fn build_scheme(kind: SchemeKind, config: &SystemConfig) -> Scheme {
     Scheme::new(kind, config)
@@ -128,41 +128,18 @@ pub const DEFAULT_BATCH: u32 = 64;
 /// until `benchmark/` stops naming it.
 pub const DEFAULT_QUANTUM: u32 = 4096;
 
-/// Replays `trace` through `scheme`, optionally verifying every read
-/// against a shadow copy (the paper's "no data loss" guarantee, §III-E).
+/// Replays `trace` through `scheme` and collects a [`RunReport`]: shadow
+/// verification of every read (the paper's "no data loss" guarantee,
+/// §III-E) plus whatever else `options` turns on — an interleaved
+/// background scrubber, whose PCM traffic and repairs land in the report's
+/// `reliability` block, observability, epochs, an injected crash.
 ///
-/// # Errors
-///
-/// With `verify` set, returns [`VerifyError`] if any read returns content
-/// that differs from the most recent write to that logical address.
-pub fn run_trace(
-    scheme: &Scheme,
-    trace: &Trace,
-    config: &SystemConfig,
-    verify: bool,
-) -> Result<RunReport, VerifyError> {
-    run_trace_with(
-        scheme,
-        trace,
-        config,
-        &RunOptions {
-            verify,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// [`run_trace`] with the full set of [`RunOptions`]: shadow verification
-/// plus an optional interleaved background scrubber, whose PCM traffic and
-/// repairs land in the report's `reliability` block.
-///
-/// The whole trace replays in program order through one scheme instance
-/// over the full `config`, with one CPU model. The passed `scheme` acts as
-/// a **template**: it supplies the scheme kind and construction-time knobs
-/// (EFIT policy and decay interval, codec, wear leveling), the replayed
-/// instance is forked from it, and it is not itself driven — inspect the
-/// returned [`RunReport`] (e.g. [`RunReport::fingerprint_cache`]) rather
-/// than the scheme object after the run.
+/// The whole trace replays in program order through `scheme` itself over
+/// the full `config`, with one CPU model. The replay continues from the
+/// scheme's current state: a scheme built with [`Scheme::with_policy`],
+/// tuned with [`Scheme::efit_decay_interval`] or crashed with
+/// [`Scheme::crash_and_recover`] replays as it stands. The scheme is
+/// consumed; read what it ended with from the returned report.
 ///
 /// # Errors
 ///
@@ -171,70 +148,48 @@ pub fn run_trace(
 /// that logical address.
 /// Reads flagged uncorrectable or miscorrected are surfaced through
 /// [`crate::SchemeStats`], not as errors.
-pub fn run_trace_with(
-    scheme: &Scheme,
+pub fn run_trace(
+    scheme: Scheme,
     trace: &Trace,
     config: &SystemConfig,
     options: &RunOptions,
 ) -> Result<RunReport, VerifyError> {
-    crate::replay::run(scheme.fork(config), trace, config, options)
+    crate::replay::run(scheme, trace, config, options)
 }
 
-/// Replays an already-generated trace through a fresh scheme of the given
-/// kind, with verification on. This is the unit of work the parallel sweep
-/// schedules: callers generate each workload's trace once, share it (e.g.
-/// behind an `Arc`), and fan the schemes out over it.
+/// [`run_trace`] over a fresh [`Scheme::new`] of `kind`. Kept only until
+/// `benchmark/` stops naming it.
 ///
 /// # Errors
 ///
 /// Propagates [`VerifyError`] from [`run_trace`].
-pub fn replay(
-    kind: SchemeKind,
-    trace: &Trace,
-    config: &SystemConfig,
-) -> Result<RunReport, VerifyError> {
-    replay_with(kind, trace, config, &RunOptions::default())
-}
-
-/// [`replay`] with explicit [`RunOptions`] (scrub interval, verification).
-/// The fresh scheme is built once and replayed itself; it is the same
-/// scheme [`run_trace_with`] would fork from a `Scheme::new` template.
-///
-/// # Errors
-///
-/// Propagates [`VerifyError`] from [`run_trace_with`].
 pub fn replay_with(
     kind: SchemeKind,
     trace: &Trace,
     config: &SystemConfig,
     options: &RunOptions,
 ) -> Result<RunReport, VerifyError> {
-    crate::replay::run(Scheme::new(kind, config), trace, config, options)
-}
-
-/// Convenience: generate a workload's trace and replay it through one
-/// scheme, with verification on.
-///
-/// # Errors
-///
-/// Propagates [`VerifyError`] from [`run_trace`].
-pub fn run_app(
-    kind: SchemeKind,
-    profile: &AppProfile,
-    seed: u64,
-    accesses: usize,
-    config: &SystemConfig,
-) -> Result<RunReport, VerifyError> {
-    let trace = esd_trace::generate_trace(profile, seed, accesses);
-    run_trace(&Scheme::new(kind, config), &trace, config, true)
+    run_trace(Scheme::new(kind, config), trace, config, options)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esd_trace::AppProfile;
 
     fn demo_trace() -> Trace {
         esd_trace::generate_trace(&AppProfile::demo(), 7, 3_000)
+    }
+
+    /// A verified replay of a fresh `kind` scheme.
+    fn replay(kind: SchemeKind, trace: &Trace, config: &SystemConfig) -> RunReport {
+        run_trace(
+            Scheme::new(kind, config),
+            trace,
+            config,
+            &RunOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{kind}: {e}"))
     }
 
     #[test]
@@ -242,8 +197,7 @@ mod tests {
         let config = SystemConfig::default();
         let trace = demo_trace();
         for kind in SchemeKind::ALL {
-            let report = run_trace(&build_scheme(kind, &config), &trace, &config, true)
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let report = replay(kind, &trace, &config);
             assert_eq!(report.stats.writes_received as usize, trace.write_count());
             assert_eq!(report.stats.reads_served as usize, trace.read_count());
             assert!(report.ipc > 0.0, "{kind} must make progress");
@@ -256,7 +210,7 @@ mod tests {
         let trace = demo_trace();
         let mut reports = Vec::new();
         for kind in SchemeKind::ALL {
-            reports.push(run_trace(&build_scheme(kind, &config), &trace, &config, true).unwrap());
+            reports.push(replay(kind, &trace, &config));
         }
         let baseline_writes = reports[0].nvmm_data_writes();
         for report in &reports[1..] {
@@ -276,18 +230,18 @@ mod tests {
         // never more.
         let config = SystemConfig::default();
         let trace = demo_trace();
-        let r_sha1 = replay(SchemeKind::DedupSha1, &trace, &config).unwrap();
-        let r_esd = replay(SchemeKind::Esd, &trace, &config).unwrap();
+        let r_sha1 = replay(SchemeKind::DedupSha1, &trace, &config);
+        let r_esd = replay(SchemeKind::Esd, &trace, &config);
         assert!(r_esd.write_reduction() <= r_sha1.write_reduction() + 1e-9);
         assert!(r_esd.write_reduction() > 0.0);
     }
 
     #[test]
-    fn run_app_is_deterministic() {
+    fn run_trace_is_deterministic() {
         let config = SystemConfig::default();
-        let p = AppProfile::demo();
-        let a = run_app(SchemeKind::Esd, &p, 3, 2_000, &config).unwrap();
-        let b = run_app(SchemeKind::Esd, &p, 3, 2_000, &config).unwrap();
+        let trace = esd_trace::generate_trace(&AppProfile::demo(), 3, 2_000);
+        let a = replay(SchemeKind::Esd, &trace, &config);
+        let b = replay(SchemeKind::Esd, &trace, &config);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.ipc, b.ipc);
         assert_eq!(a.write_latency, b.write_latency);
@@ -301,7 +255,13 @@ mod tests {
             epoch_interval: Some(500),
             ..RunOptions::default()
         };
-        let report = replay_with(SchemeKind::Esd, &trace, &config, &options).unwrap();
+        let report = run_trace(
+            Scheme::new(SchemeKind::Esd, &config),
+            &trace,
+            &config,
+            &options,
+        )
+        .unwrap();
         assert_eq!(report.epochs.len(), 6);
         for (i, e) in report.epochs.iter().enumerate() {
             assert_eq!(e.index, i as u64);
@@ -324,7 +284,13 @@ mod tests {
             epoch_interval: Some(1_000),
             ..RunOptions::default()
         };
-        let report = replay_with(SchemeKind::Esd, &trace, &config, &options).unwrap();
+        let report = run_trace(
+            Scheme::new(SchemeKind::Esd, &config),
+            &trace,
+            &config,
+            &options,
+        )
+        .unwrap();
         let obs = report.obs.as_ref().expect("observe=true extracts the collector");
         let names: Vec<&str> = obs.tracer().events().map(|e| e.name).collect();
         for expected in ["efit_probe", "device_write", "scrub_tick", "write_buffer_depth"] {
@@ -336,7 +302,13 @@ mod tests {
             observe: false,
             ..options
         };
-        let plain = replay_with(SchemeKind::Esd, &trace, &config, &plain_options).unwrap();
+        let plain = run_trace(
+            Scheme::new(SchemeKind::Esd, &config),
+            &trace,
+            &config,
+            &plain_options,
+        )
+        .unwrap();
         assert_eq!(plain.stats, report.stats);
         assert_eq!(plain.ipc, report.ipc);
         assert_eq!(plain.write_latency, report.write_latency);
@@ -346,10 +318,10 @@ mod tests {
     fn dewrite_report_carries_predictor_stats() {
         let config = SystemConfig::default();
         let trace = demo_trace();
-        let r = replay(SchemeKind::DeWrite, &trace, &config).unwrap();
+        let r = replay(SchemeKind::DeWrite, &trace, &config);
         let p = r.predictor.expect("DeWrite predicts");
         assert!(p.total() > 0, "outcomes must be scored");
-        let base = replay(SchemeKind::Baseline, &trace, &config).unwrap();
+        let base = replay(SchemeKind::Baseline, &trace, &config);
         assert!(base.predictor.is_none(), "Baseline does not predict");
     }
 

@@ -328,12 +328,8 @@ pub(crate) enum IndexPolicy {
     /// in SRAM — with entries this wide. Entries pin their lines for good
     /// (full deduplication never reclaims).
     Store { entry_bytes: usize },
-    /// The selective, SRAM-only [`Efit`]. `decay` overrides the LRCU decay
-    /// interval (sensitivity studies); `None` keeps the built-in one.
-    Efit {
-        policy: EfitPolicy,
-        decay: Option<u64>,
-    },
+    /// The selective, SRAM-only [`Efit`] with this replacement policy.
+    Efit(EfitPolicy),
 }
 
 /// When encryption overlaps fingerprinting instead of following it.
@@ -390,10 +386,7 @@ impl Policy {
         let hash = |kind| Some(FingerprintSpec::Hash(kind));
         let ecc = Some(FingerprintSpec::Ecc(EccCodec::Hamming));
         let store = |entry_bytes| IndexPolicy::Store { entry_bytes };
-        let efit = IndexPolicy::Efit {
-            policy: EfitPolicy::Lrcu,
-            decay: None,
-        };
+        let efit = IndexPolicy::Efit(EfitPolicy::Lrcu);
         // An ECC store entry: 8 B fingerprint + 5 B physical + 1 B refer.
         #[rustfmt::skip]
         let (key, fingerprint, index, verify, overlap) = match kind {
@@ -483,10 +476,7 @@ impl Scheme {
     #[must_use]
     pub fn with_policy(config: &SystemConfig, policy: EfitPolicy) -> Self {
         let mut row = Policy::of(SchemeKind::Esd);
-        row.index = IndexPolicy::Efit {
-            policy,
-            decay: None,
-        };
+        row.index = IndexPolicy::Efit(policy);
         Scheme::from_policy(config, row)
     }
 
@@ -523,13 +513,7 @@ impl Scheme {
             IndexPolicy::Store { entry_bytes } => {
                 Index::Store(FingerprintStore::new(cache_bytes, entry_bytes))
             }
-            IndexPolicy::Efit { policy, decay } => {
-                let mut efit = Efit::new(cache_bytes, policy);
-                if let Some(interval) = decay {
-                    efit.set_decay_interval(interval);
-                }
-                Index::Efit(efit)
-            }
+            IndexPolicy::Efit(policy) => Index::Efit(Efit::new(cache_bytes, policy)),
         };
         Scheme {
             core: Core::new(config, &policy),
@@ -537,20 +521,6 @@ impl Scheme {
             predictor: DupPredictor::new(),
             policy,
         }
-    }
-
-    /// Builds a fresh instance of this scheme over `config`, carrying the
-    /// template's constructor-level knobs — EFIT replacement policy and
-    /// decay interval, fingerprint codec, wear leveling. Replay drives a
-    /// fork, so the caller's scheme is a template that is never written.
-    pub(crate) fn fork(&self, config: &SystemConfig) -> Scheme {
-        let mut fork = Scheme::from_policy(config, self.policy);
-        if let Some(leveler) = self.core.nvmm.wear_leveler() {
-            fork.core
-                .nvmm
-                .enable_wear_leveling(leveler.lines(), leveler.gap_interval());
-        }
-        fork
     }
 
     /// Which scheme this is.
@@ -859,19 +829,16 @@ impl Scheme {
     }
 
     /// Overrides the EFIT's LRCU decay interval (for sensitivity studies);
-    /// the override survives crashes and is carried into replay's fork.
+    /// the override survives crashes.
     ///
     /// # Panics
     ///
     /// Panics if this scheme has no EFIT.
     pub fn efit_decay_interval(&mut self, interval: u64) {
-        let (Index::Efit(efit), IndexPolicy::Efit { decay, .. }) =
-            (&mut self.index, &mut self.policy.index)
-        else {
+        let Index::Efit(efit) = &mut self.index else {
             panic!("{} has no EFIT", self.policy.kind);
         };
         efit.set_decay_interval(interval);
-        *decay = Some(interval);
     }
 
     /// Simulates a power-loss event and recovery, per the paper's §III-E:
@@ -1033,17 +1000,19 @@ mod tests {
     }
 
     #[test]
-    fn fork_carries_constructor_knobs() {
+    fn constructors_apply_their_knobs() {
         let config = SystemConfig::default();
-        let mut template = Scheme::with_policy(&config, EfitPolicy::Lru);
-        template.efit_decay_interval(77);
-        template.nvmm_mut().enable_wear_leveling(1 << 10, 16);
-        let fork = template.fork(&config);
-        let efit = fork.efit().expect("ESD forks keep their EFIT");
+        let mut scheme = Scheme::with_policy(&config, EfitPolicy::Lru);
+        scheme.efit_decay_interval(77);
+        scheme.nvmm_mut().enable_wear_leveling(1 << 10, 16);
+        let efit = scheme.efit().expect("ESD keeps an EFIT");
         assert_eq!(efit.policy(), EfitPolicy::Lru);
         assert_eq!(efit.decay_interval(), 77);
-        assert_eq!(fork.nvmm().wear_leveler().map(|l| l.lines()), Some(1 << 10));
-        let hsiao = Scheme::with_codec(&config, EccCodec::Hsiao).fork(&config);
+        assert_eq!(
+            scheme.nvmm().wear_leveler().map(|l| l.lines()),
+            Some(1 << 10)
+        );
+        let hsiao = Scheme::with_codec(&config, EccCodec::Hsiao);
         assert_eq!(
             hsiao.fingerprint_spec(),
             Some(FingerprintSpec::Ecc(EccCodec::Hsiao))

@@ -1,17 +1,13 @@
 //! AES-128 block cipher (FIPS-197), implemented from scratch.
 //!
-//! Two implementations share one key schedule:
-//!
-//! * [`Aes128::encrypt_block`] — the hot path: a T-table implementation
-//!   (four 1 KiB lookup tables folding SubBytes, ShiftRows and MixColumns
-//!   into one 32-bit lookup per state byte per round). Counter-mode pad
-//!   generation runs four of these per cache line, so this dominates the
-//!   sweep's crypto cost.
-//! * [`Aes128::encrypt_block_ref`] — the original table-free byte-wise
-//!   round transformation, kept as the reference the property tests check
-//!   the fast path against bit-for-bit.
-//!
-//! Both are bit-exact against the FIPS-197 and NIST SP 800-38A vectors.
+//! Only the forward cipher exists: counter-mode memory encryption makes
+//! its pads with it and never runs the inverse cipher. The portable path,
+//! [`Aes128::encrypt_block_scalar`], is a T-table implementation (four
+//! 1 KiB lookup tables folding SubBytes, ShiftRows and MixColumns into one
+//! 32-bit lookup per state byte per round); [`Aes128::encrypt_block`] runs
+//! AES-NI instead where the host has it. The unit tests check both
+//! bit-for-bit against a table-free byte-wise round transformation and
+//! against the FIPS-197 and NIST SP 800-38A vectors.
 //! (Being a simulator, *modelled* encryption latency comes from the latency
 //! model, not from this code's wall-clock speed — but wall-clock speed is
 //! what bounds how fast figure sweeps replay.)
@@ -37,17 +33,6 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb,
     0x16,
 ];
-
-/// The inverse S-box.
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0usize;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
 
 /// Round constants for key expansion.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
@@ -86,20 +71,6 @@ const fn rotate_table(src: &[u32; 256], bits: u32) -> [u32; 256] {
         i += 1;
     }
     t
-}
-
-/// GF(2^8) multiplication (for the inverse MixColumns matrix).
-#[inline]
-fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut acc = 0u8;
-    while b != 0 {
-        if b & 1 != 0 {
-            acc ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    acc
 }
 
 /// An expanded AES-128 key (11 round keys).
@@ -160,8 +131,8 @@ impl Aes128 {
     ///
     /// Runs the AES-NI rounds when the kernel backend allows SIMD and the
     /// host has the `aes` feature ([`esd_kernels`]), otherwise the scalar
-    /// T-table path — both bit-exact with [`Aes128::encrypt_block_ref`],
-    /// so dispatch never changes ciphertext.
+    /// T-table path — the two are bit-exact, so dispatch never changes
+    /// ciphertext.
     #[must_use]
     pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
         #[cfg(target_arch = "x86_64")]
@@ -192,10 +163,10 @@ impl Aes128 {
 
     /// Encrypts one 16-byte block (scalar T-table fast path).
     ///
-    /// Bit-exact with [`Aes128::encrypt_block_ref`]; the state lives in
-    /// four big-endian column words and each round is 16 table lookups plus
-    /// the round-key XOR. Kept public as the portable reference the SIMD
-    /// backend is benchmarked and property-tested against.
+    /// The state lives in four big-endian column words and each round is
+    /// 16 table lookups plus the round-key XOR. Kept public as the portable
+    /// kernel the AES-NI backend is benchmarked and property-tested
+    /// against.
     #[must_use]
     pub fn encrypt_block_scalar(&self, block: [u8; 16]) -> [u8; 16] {
         let rk = &self.round_key_words;
@@ -257,121 +228,63 @@ impl Aes128 {
         out[12..16].copy_from_slice(&(o3 ^ rk[10][3]).to_be_bytes());
         out
     }
-
-    /// Encrypts one 16-byte block with the table-free byte-wise round
-    /// transformations — the reference implementation the T-table path is
-    /// property-tested against.
-    #[must_use]
-    pub fn encrypt_block_ref(&self, block: [u8; 16]) -> [u8; 16] {
-        let mut state = block;
-        add_round_key(&mut state, &self.round_keys[0]);
-        for round in 1..10 {
-            sub_bytes(&mut state);
-            shift_rows(&mut state);
-            mix_columns(&mut state);
-            add_round_key(&mut state, &self.round_keys[round]);
-        }
-        sub_bytes(&mut state);
-        shift_rows(&mut state);
-        add_round_key(&mut state, &self.round_keys[10]);
-        state
-    }
-
-    /// Decrypts one 16-byte block (the FIPS-197 inverse cipher).
-    ///
-    /// Counter-mode memory encryption never needs this direction — the pad
-    /// is always generated with the forward cipher — but a complete AES
-    /// implementation provides it, and the round-trip property anchors the
-    /// correctness of the key schedule.
-    #[must_use]
-    pub fn decrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
-        let mut state = block;
-        add_round_key(&mut state, &self.round_keys[10]);
-        for round in (1..10).rev() {
-            inv_shift_rows(&mut state);
-            inv_sub_bytes(&mut state);
-            add_round_key(&mut state, &self.round_keys[round]);
-            inv_mix_columns(&mut state);
-        }
-        inv_shift_rows(&mut state);
-        inv_sub_bytes(&mut state);
-        add_round_key(&mut state, &self.round_keys[0]);
-        state
-    }
-}
-
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for (s, k) in state.iter_mut().zip(rk.iter()) {
-        *s ^= k;
-    }
-}
-
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-/// State layout is column-major: byte `state[4*c + r]` is row `r`, column `c`.
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * c + r] = s[4 * ((c + r) % 4) + r];
-        }
-    }
-}
-
-#[inline]
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
-#[inline]
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * ((c + r) % 4) + r] = s[4 * c + r];
-        }
-    }
-}
-
-#[inline]
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        state[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-        state[4 * c + 1] =
-            gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-        state[4 * c + 2] =
-            gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-        state[4 * c + 3] =
-            gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
-    }
-}
-
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-        let t = col[0] ^ col[1] ^ col[2] ^ col[3];
-        let orig0 = col[0];
-        state[4 * c] ^= t ^ xtime(col[0] ^ col[1]);
-        state[4 * c + 1] ^= t ^ xtime(col[1] ^ col[2]);
-        state[4 * c + 2] ^= t ^ xtime(col[2] ^ col[3]);
-        state[4 * c + 3] ^= t ^ xtime(col[3] ^ orig0);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encrypts one 16-byte block with the table-free byte-wise round
+    /// transformations of FIPS-197 §5.1 — the reference the T-table and
+    /// AES-NI paths are checked against.
+    fn encrypt_block_ref(aes: &Aes128, block: [u8; 16]) -> [u8; 16] {
+        let mut state = block;
+        add_round_key(&mut state, &aes.round_keys[0]);
+        for round in 1..10 {
+            sub_bytes(&mut state);
+            shift_rows(&mut state);
+            mix_columns(&mut state);
+            add_round_key(&mut state, &aes.round_keys[round]);
+        }
+        sub_bytes(&mut state);
+        shift_rows(&mut state);
+        add_round_key(&mut state, &aes.round_keys[10]);
+        state
+    }
+
+    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+        for (s, k) in state.iter_mut().zip(rk.iter()) {
+            *s ^= k;
+        }
+    }
+
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for b in state.iter_mut() {
+            *b = SBOX[*b as usize];
+        }
+    }
+
+    /// State layout is column-major: byte `state[4*c + r]` is row `r`, column `c`.
+    fn shift_rows(state: &mut [u8; 16]) {
+        let s = *state;
+        for r in 1..4 {
+            for c in 0..4 {
+                state[4 * c + r] = s[4 * ((c + r) % 4) + r];
+            }
+        }
+    }
+
+    fn mix_columns(state: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
+            let t = col[0] ^ col[1] ^ col[2] ^ col[3];
+            let orig0 = col[0];
+            state[4 * c] ^= t ^ xtime(col[0] ^ col[1]);
+            state[4 * c + 1] ^= t ^ xtime(col[1] ^ col[2]);
+            state[4 * c + 2] ^= t ^ xtime(col[2] ^ col[3]);
+            state[4 * c + 3] ^= t ^ xtime(col[3] ^ orig0);
+        }
+    }
 
     #[test]
     fn fips197_appendix_b() {
@@ -405,32 +318,29 @@ mod tests {
     }
 
     #[test]
-    fn fips197_inverse_cipher() {
-        let key: [u8; 16] = (0u8..16).collect::<Vec<_>>().try_into().unwrap();
-        let ciphertext = [
-            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
-            0xc5, 0x5a,
+    fn sp800_38a_ecb_aes128_block_1() {
+        // NIST SP 800-38A, F.1.1 (ECB-AES128.Encrypt), block #1.
+        let key = [
+            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
+            0x4f, 0x3c,
         ];
         let plaintext = [
-            0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd,
-            0xee, 0xff,
+            0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d, 0x7e, 0x11, 0x73, 0x93,
+            0x17, 0x2a,
         ];
-        assert_eq!(Aes128::new(&key).decrypt_block(ciphertext), plaintext);
-    }
-
-    #[test]
-    fn decrypt_inverts_encrypt() {
-        let aes = Aes128::new(&[0x42; 16]);
-        for i in 0..32u8 {
-            let block = [i; 16];
-            assert_eq!(aes.decrypt_block(aes.encrypt_block(block)), block);
-        }
+        let expected = [
+            0x3a, 0xd7, 0x7b, 0xb4, 0x0d, 0x7a, 0x36, 0x60, 0xa8, 0x9e, 0xca, 0xf3, 0x24, 0x66,
+            0xef, 0x97,
+        ];
+        let aes = Aes128::new(&key);
+        assert_eq!(aes.encrypt_block(plaintext), expected);
+        assert_eq!(aes.encrypt_block_scalar(plaintext), expected);
     }
 
     #[test]
     fn table_path_matches_reference_path() {
         // Walk a deterministic pseudo-random sequence of keys and blocks;
-        // the proptest suite covers fully random inputs on top of this.
+        // the property below covers fully random inputs on top of this.
         let mut x = 0x1234_5678_9ABC_DEF0u64;
         let mut step = || {
             x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
@@ -444,7 +354,20 @@ mod tests {
             block[..8].copy_from_slice(&step());
             block[8..].copy_from_slice(&step());
             let aes = Aes128::new(&key);
-            assert_eq!(aes.encrypt_block(block), aes.encrypt_block_ref(block));
+            assert_eq!(aes.encrypt_block(block), encrypt_block_ref(&aes, block));
+        }
+    }
+
+    proptest::proptest! {
+        /// The dispatched path is bit-exact with the byte-wise reference
+        /// round function for any key/block pair.
+        #[test]
+        fn table_path_matches_reference(
+            key in proptest::array::uniform16(proptest::prelude::any::<u8>()),
+            block in proptest::array::uniform16(proptest::prelude::any::<u8>()),
+        ) {
+            let aes = Aes128::new(&key);
+            proptest::prop_assert_eq!(aes.encrypt_block(block), encrypt_block_ref(&aes, block));
         }
     }
 

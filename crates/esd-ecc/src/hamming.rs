@@ -71,8 +71,10 @@ fn parity64(x: u64) -> u8 {
     (x.count_ones() & 1) as u8
 }
 
-/// Const-evaluable mask-and-popcount encoder; the source of truth both
-/// [`encode_word_ref`] and the [`HAMMING`] columns share.
+/// Const-evaluable mask-and-popcount encoder: seven masked parities plus
+/// the overall-parity bit, computed directly from the positional definition
+/// of the code. The [`HAMMING`] columns are built from it, and the unit
+/// tests pin [`encode_word`] to it.
 const fn encode_word_scalar(data: u64) -> u8 {
     let mut ecc = 0u8;
     let mut c = 0usize;
@@ -106,9 +108,8 @@ pub(crate) const HAMMING: LinearCode = LinearCode::from_columns(&{
 /// corresponds to codeword position `1 << c`); bit 7 is the overall parity
 /// over the 71 Hamming codeword bits.
 ///
-/// This is the table-driven fast path (eight byte lookups XOR-folded);
-/// [`encode_word_ref`] is the mask-and-popcount reference it is
-/// property-tested against.
+/// This is the table-driven fast path (eight byte lookups XOR-folded),
+/// property-tested against the mask-and-popcount definition of the code.
 ///
 /// # Examples
 ///
@@ -121,14 +122,6 @@ pub(crate) const HAMMING: LinearCode = LinearCode::from_columns(&{
 #[inline]
 pub fn encode_word(data: u64) -> u8 {
     HAMMING.word(data)
-}
-
-/// The reference encoder: seven masked parities plus the overall-parity
-/// bit, computed directly from the positional definition of the code.
-/// Bit-exact with [`encode_word`] (see the equivalence tests).
-#[must_use]
-pub fn encode_word_ref(data: u64) -> u8 {
-    encode_word_scalar(data)
 }
 
 /// Which codeword bit a successful single-error correction flipped.
@@ -269,10 +262,35 @@ mod tests {
         let mut x = 0x0DDB_1A5E_5BAD_5EEDu64;
         for _ in 0..4096 {
             x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            assert_eq!(encode_word(x), encode_word_ref(x), "data {x:#018x}");
+            assert_eq!(encode_word(x), encode_word_scalar(x), "data {x:#018x}");
         }
         for special in [0u64, u64::MAX, 1, 1 << 63, 0x8080_8080_8080_8080] {
-            assert_eq!(encode_word(special), encode_word_ref(special));
+            assert_eq!(encode_word(special), encode_word_scalar(special));
+        }
+    }
+
+    proptest::proptest! {
+        /// The byte-table word encoder is bit-exact with the scalar
+        /// reference encoder on random words.
+        #[test]
+        fn table_encoder_matches_reference(data in proptest::prelude::any::<u64>()) {
+            proptest::prop_assert_eq!(encode_word(data), encode_word_scalar(data));
+        }
+
+        /// The single-pass line encoder equals the per-word reference
+        /// encoder composed over the line's eight words.
+        #[test]
+        fn line_encoder_matches_per_word_reference(
+            words in proptest::array::uniform8(proptest::prelude::any::<u64>()),
+        ) {
+            let mut line = [0u8; crate::LINE_BYTES];
+            for (chunk, word) in line.chunks_exact_mut(8).zip(words) {
+                chunk.copy_from_slice(&word.to_le_bytes());
+            }
+            let fast = crate::encode_line(&line);
+            for (w, word) in words.into_iter().enumerate() {
+                proptest::prop_assert_eq!(fast.words()[w], encode_word_scalar(word), "word {}", w);
+            }
         }
     }
 
@@ -280,8 +298,11 @@ mod tests {
     fn encoder_is_xor_linear() {
         // The property the HAMMING columns rely on.
         let (a, b) = (0x1234_5678_9ABC_DEF0u64, 0x0F1E_2D3C_4B5A_6978u64);
-        assert_eq!(encode_word_ref(a ^ b), encode_word_ref(a) ^ encode_word_ref(b));
-        assert_eq!(encode_word_ref(0), 0);
+        assert_eq!(
+            encode_word_scalar(a ^ b),
+            encode_word_scalar(a) ^ encode_word_scalar(b)
+        );
+        assert_eq!(encode_word_scalar(0), 0);
     }
 
     #[test]

@@ -52,9 +52,7 @@ pub mod hsiao;
 mod line;
 mod linear;
 
-pub use hamming::{
-    decode_word, encode_word, encode_word_ref, CorrectedBit, DecodeWordError, WordDecode,
-};
+pub use hamming::{decode_word, encode_word, CorrectedBit, DecodeWordError, WordDecode};
 pub use line::{
     decode_line, encode_line, encode_lines, DecodeLineError, EccFingerprint, LineDecode, LineEcc,
     LINE_BYTES, WORDS_PER_LINE,

@@ -70,12 +70,6 @@ impl StartGap {
         self.lines
     }
 
-    /// Writes between consecutive gap movements.
-    #[must_use]
-    pub fn gap_interval(&self) -> u32 {
-        self.gap_interval
-    }
-
     /// Total gap movements so far (each cost one read + one write).
     #[must_use]
     pub fn total_moves(&self) -> u64 {

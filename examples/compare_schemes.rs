@@ -7,7 +7,7 @@
 //! cargo run --release --example compare_schemes gcc 200000
 //! ```
 
-use esd::core::{build_scheme, run_trace, RunReport, SchemeKind};
+use esd::core::{run_trace, RunOptions, RunReport, Scheme, SchemeKind};
 use esd::sim::SystemConfig;
 use esd::trace::{generate_trace, AppProfile};
 
@@ -31,8 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut reports: Vec<RunReport> = Vec::new();
     for kind in SchemeKind::ALL {
-        let scheme = build_scheme(kind, &config);
-        reports.push(run_trace(&scheme, &trace, &config, true)?);
+        let scheme = Scheme::new(kind, &config);
+        reports.push(run_trace(scheme, &trace, &config, &RunOptions::default())?);
     }
 
     println!(

@@ -10,7 +10,7 @@
 //! cargo run --release --example endurance_explorer
 //! ```
 
-use esd::core::{build_scheme, run_trace, SchemeKind};
+use esd::core::{run_trace, RunOptions, Scheme, SchemeKind};
 use esd::sim::SystemConfig;
 use esd::trace::{generate_trace, AppProfile};
 
@@ -32,8 +32,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let mut results = Vec::new();
         for kind in [SchemeKind::Baseline, SchemeKind::Esd, SchemeKind::DedupSha1] {
-            let scheme = build_scheme(kind, &config);
-            results.push(run_trace(&scheme, &trace, &config, true)?);
+            let scheme = Scheme::new(kind, &config);
+            results.push(run_trace(scheme, &trace, &config, &RunOptions::default())?);
         }
         let base = results[0].nvmm_data_writes();
         let esd = &results[1];

@@ -5,9 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use esd::core::{run_app, SchemeKind};
+use esd::core::{run_trace, RunOptions, Scheme, SchemeKind};
 use esd::sim::SystemConfig;
-use esd::trace::AppProfile;
+use esd::trace::{generate_trace, AppProfile};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = SystemConfig::default();
@@ -17,8 +17,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("workload: {} ({}), {} accesses", app.name, app.suite, ACCESSES);
     println!("config:\n{}", config.to_table());
 
-    let baseline = run_app(SchemeKind::Baseline, &app, 42, ACCESSES, &config)?;
-    let esd = run_app(SchemeKind::Esd, &app, 42, ACCESSES, &config)?;
+    // One trace, replayed through a fresh scheme of each kind with every
+    // read verified (the default options).
+    let trace = generate_trace(&app, 42, ACCESSES);
+    let run = |kind| run_trace(Scheme::new(kind, &config), &trace, &config, &RunOptions::default());
+    let baseline = run(SchemeKind::Baseline)?;
+    let esd = run(SchemeKind::Esd)?;
     let n = esd.normalized_to(&baseline);
 
     println!("NVMM writes     : {} -> {} ({:.1}% eliminated)",

@@ -5,7 +5,7 @@
 //! cargo run --release --example secure_lifetime
 //! ```
 
-use esd::core::{run_trace, Scheme, SchemeKind};
+use esd::core::{run_trace, RunOptions, Scheme, SchemeKind};
 use esd::sim::SystemConfig;
 use esd::trace::{generate_trace, AppProfile};
 
@@ -26,12 +26,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         64,
     );
 
+    let options = RunOptions::default();
     let reports = [
-        ("Baseline", run_trace(&baseline, &trace, &config, true)?),
-        ("ESD", run_trace(&esd, &trace, &config, true)?),
+        ("Baseline", run_trace(baseline, &trace, &config, &options)?),
+        ("ESD", run_trace(esd, &trace, &config, &options)?),
         (
             "ESD + Start-Gap",
-            run_trace(&esd_leveled, &trace, &config, true)?,
+            run_trace(esd_leveled, &trace, &config, &options)?,
         ),
     ];
 

@@ -14,14 +14,17 @@
 //! # Quick start
 //!
 //! ```
-//! use esd::core::{run_app, SchemeKind};
+//! use esd::core::{run_trace, RunOptions, Scheme, SchemeKind};
 //! use esd::sim::SystemConfig;
-//! use esd::trace::AppProfile;
+//! use esd::trace::{generate_trace, AppProfile};
 //!
 //! let config = SystemConfig::default();
 //! let app = AppProfile::by_name("lbm").expect("paper workload");
-//! let baseline = run_app(SchemeKind::Baseline, &app, 42, 5_000, &config)?;
-//! let esd = run_app(SchemeKind::Esd, &app, 42, 5_000, &config)?;
+//! let trace = generate_trace(&app, 42, 5_000);
+//! // A fresh scheme of `kind`, every read verified (the default options).
+//! let run = |kind| run_trace(Scheme::new(kind, &config), &trace, &config, &RunOptions::default());
+//! let baseline = run(SchemeKind::Baseline)?;
+//! let esd = run(SchemeKind::Esd)?;
 //! let n = esd.normalized_to(&baseline);
 //! println!("write speedup {:.2}x, energy ratio {:.2}", n.write_speedup, n.energy_ratio);
 //! # Ok::<(), esd::core::VerifyError>(())
@@ -34,7 +37,7 @@
 //! `efit_decay_interval`, `efit()`, `crash_and_recover`).
 //!
 //! ```
-//! use esd::core::{run_trace, Scheme, SchemeKind};
+//! use esd::core::{run_trace, RunOptions, Scheme, SchemeKind};
 //! use esd::sim::{Ps, SystemConfig};
 //! use esd::trace::{generate_trace, AppProfile, CacheLine};
 //!
@@ -44,10 +47,11 @@
 //! let first = esd.write(Ps::ZERO, 0x40, CacheLine::from_fill(7));
 //! let second = esd.write(first.latency, 0x80, CacheLine::from_fill(7));
 //! assert!(second.deduplicated && esd.stats().fingerprint_computations == 0);
-//! // ...or replay a trace through it (the scheme is the template every
-//! // bank slice is forked from) and read the report.
+//! // ...or replay a trace through one and read the report. The replay
+//! // continues from the scheme's current state and consumes the scheme.
 //! let trace = generate_trace(&AppProfile::demo(), 1, 2_000);
-//! let report = run_trace(&Scheme::new(SchemeKind::DeWrite, &config), &trace, &config, true)?;
+//! let dewrite = Scheme::new(SchemeKind::DeWrite, &config);
+//! let report = run_trace(dewrite, &trace, &config, &RunOptions::default())?;
 //! println!("{}", report.summary());
 //! # Ok::<(), esd::core::VerifyError>(())
 //! ```

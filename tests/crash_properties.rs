@@ -5,7 +5,7 @@
 //! 25 proptest cases × 8 schemes = 200 randomized crash/recover/verify
 //! runs per execution.
 
-use esd::core::{replay_with, CrashPoint, CrashStage, RunOptions, SchemeKind};
+use esd::core::{run_trace, CrashPoint, CrashStage, RunOptions, Scheme, SchemeKind};
 use esd::sim::SystemConfig;
 use esd::trace::{Access, CacheLine, Trace};
 use proptest::prelude::*;
@@ -71,7 +71,7 @@ proptest! {
             kernels: esd::kernels::KernelBackend::Auto,
         };
         for kind in SchemeKind::EXTENDED {
-            let result = replay_with(kind, &trace, &config, &options);
+            let result = run_trace(Scheme::new(kind, &config), &trace, &config, &options);
             // A verify failure here IS a lost acknowledged write.
             prop_assert!(
                 result.is_ok(),

@@ -2,7 +2,7 @@
 //! data — the EFIT is advisory (missed dedups only) and the AMT's
 //! authoritative copy lives in NVMM.
 
-use esd::core::{replay_with, run_trace, CrashPoint, CrashStage, RunOptions, Scheme, SchemeKind};
+use esd::core::{run_trace, CrashPoint, CrashStage, RunOptions, Scheme, SchemeKind};
 use esd::sim::{Ps, SystemConfig};
 use esd::trace::{generate_trace, AppProfile, CacheLine};
 
@@ -91,7 +91,7 @@ fn crash_is_idempotent_and_runs_keep_working() {
     let mut esd = Scheme::new(SchemeKind::Esd, &config);
     esd.crash_and_recover();
     esd.crash_and_recover(); // crash with empty state is fine
-    let report = run_trace(&esd, &trace, &config, true).expect("verified run");
+    let report = run_trace(esd, &trace, &config, &RunOptions::default()).expect("verified run");
     assert!(report.stats.writes_received > 0);
 }
 
@@ -171,8 +171,13 @@ fn injected_crash_fires_at_every_stage() {
                 stage,
             };
             let options = crash_options(point, journal);
-            let report = replay_with(SchemeKind::Esd, &trace, &config, &options)
-                .unwrap_or_else(|e| panic!("{stage}: {e}"));
+            let report = run_trace(
+                Scheme::new(SchemeKind::Esd, &config),
+                &trace,
+                &config,
+                &options,
+            )
+            .unwrap_or_else(|e| panic!("{stage}: {e}"));
             let recovery = report.recovery.expect("crash fired");
             assert_eq!(recovery.crash_access, 2_000);
             assert_eq!(recovery.crash_stage, stage);
@@ -199,8 +204,8 @@ fn journal_bounds_recovery_reads() {
         access: 5_000,
         stage: CrashStage::MappingUpdate,
     };
-    let scan = replay_with(
-        SchemeKind::Esd,
+    let scan = run_trace(
+        Scheme::new(SchemeKind::Esd, &config),
         &trace,
         &config,
         &crash_options(point, None),
@@ -208,8 +213,8 @@ fn journal_bounds_recovery_reads() {
     .expect("verified")
     .recovery
     .expect("crash fired");
-    let journaled = replay_with(
-        SchemeKind::Esd,
+    let journaled = run_trace(
+        Scheme::new(SchemeKind::Esd, &config),
         &trace,
         &config,
         &crash_options(point, Some(32)),
@@ -249,7 +254,8 @@ fn crash_recovery_is_reproducible_for_every_scheme() {
     let options = crash_options(point, Some(128));
     for kind in SchemeKind::EXTENDED {
         let run = || {
-            replay_with(kind, &trace, &config, &options).unwrap_or_else(|e| panic!("{kind}: {e}"))
+            run_trace(Scheme::new(kind, &config), &trace, &config, &options)
+                .unwrap_or_else(|e| panic!("{kind}: {e}"))
         };
         let report = run();
         assert!(report.recovery.is_some(), "{kind}: crash must fire");

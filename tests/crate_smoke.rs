@@ -14,7 +14,7 @@ use esd::core::{
     Amt, CounterCache, FingerprintStore, LookupSource, AMT_ENTRY_BYTES, COUNTER_ENTRY_BYTES,
 };
 use esd::ecc::{
-    decode_line, decode_word, encode_line, encode_word_ref, LineDecode, LineEcc, LINE_BYTES,
+    decode_line, decode_word, encode_line, encode_word, LineDecode, LineEcc, LINE_BYTES,
     WORDS_PER_LINE,
 };
 use esd::kernels::{self, KernelBackend};
@@ -428,11 +428,13 @@ fn words_of(line: &[u8; LINE_BYTES]) -> impl Iterator<Item = u64> + '_ {
         .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
 }
 
-/// The per-word reference: eight `encode_word_ref` codes.
+/// The per-word reference: eight `encode_word` codes. `encode_word` is the
+/// table fold on every host, and `esd-ecc`'s unit tests pin it to the
+/// mask-and-popcount definition of the code.
 fn line_code_ref(line: &[u8; LINE_BYTES]) -> LineEcc {
     let mut codes = [0u8; WORDS_PER_LINE];
     for (code, word) in codes.iter_mut().zip(words_of(line)) {
-        *code = encode_word_ref(word);
+        *code = encode_word(word);
     }
     LineEcc::new(codes)
 }

@@ -1,7 +1,7 @@
 //! Cross-scheme invariants: the relationships the paper's evaluation rests
 //! on must hold structurally, not just in one lucky run.
 
-use esd::core::{build_scheme, run_trace, RunReport, SchemeKind};
+use esd::core::{run_trace, RunOptions, RunReport, Scheme, SchemeKind};
 use esd::sim::SystemConfig;
 use esd::trace::{generate_trace, AppProfile, Trace};
 
@@ -11,8 +11,8 @@ fn run_all(trace: &Trace, config: &SystemConfig) -> Vec<RunReport> {
     SchemeKind::ALL
         .iter()
         .map(|&kind| {
-            let scheme = build_scheme(kind, config);
-            run_trace(&scheme, trace, config, true).expect("verified run")
+            let scheme = Scheme::new(kind, config);
+            run_trace(scheme, trace, config, &RunOptions::default()).expect("verified run")
         })
         .collect()
 }
@@ -112,10 +112,10 @@ fn reports_are_reproducible_across_runs() {
     let config = SystemConfig::default();
     let trace = generate_trace(&AppProfile::demo(), 1234, 4_000);
     for kind in SchemeKind::ALL {
-        let a = build_scheme(kind, &config);
-        let b = build_scheme(kind, &config);
-        let ra = run_trace(&a, &trace, &config, true).unwrap();
-        let rb = run_trace(&b, &trace, &config, true).unwrap();
+        let a = Scheme::new(kind, &config);
+        let b = Scheme::new(kind, &config);
+        let ra = run_trace(a, &trace, &config, &RunOptions::default()).unwrap();
+        let rb = run_trace(b, &trace, &config, &RunOptions::default()).unwrap();
         assert_eq!(ra.stats, rb.stats, "{kind}");
         assert_eq!(ra.write_latency, rb.write_latency, "{kind}");
         assert_eq!(ra.pcm, rb.pcm, "{kind}");

@@ -1,14 +1,14 @@
 //! Fault injection: the ECC path must recover single-bit medium errors end
 //! to end, for every scheme, without disturbing deduplication correctness.
 
-use esd::core::{build_scheme, ReadOutcome, SchemeKind};
+use esd::core::{ReadOutcome, Scheme, SchemeKind};
 use esd::sim::{Ps, SystemConfig};
 use esd::trace::CacheLine;
 
 #[test]
 fn baseline_recovers_single_bit_flips_in_any_byte() {
     let config = SystemConfig::default();
-    let mut scheme = build_scheme(SchemeKind::Baseline, &config);
+    let mut scheme = Scheme::new(SchemeKind::Baseline, &config);
     let line = CacheLine::from_seed(99);
     for byte in (0..64).step_by(7) {
         let addr = 0x40 * (byte as u64 + 1);
@@ -22,7 +22,7 @@ fn baseline_recovers_single_bit_flips_in_any_byte() {
 #[test]
 fn esd_recovers_faults_on_deduplicated_lines() {
     let config = SystemConfig::default();
-    let mut esd = build_scheme(SchemeKind::Esd, &config);
+    let mut esd = Scheme::new(SchemeKind::Esd, &config);
     let line = CacheLine::from_fill(0x3C);
     // Three logicals share one physical line after dedup.
     esd.write(Ps::ZERO, 0x000, line);
@@ -41,7 +41,7 @@ fn esd_verify_read_survives_fault_during_dedup_check() {
     // A fault on the stored candidate must not break the byte comparison:
     // ECC corrects the read, the compare still matches, the line dedups.
     let config = SystemConfig::default();
-    let mut esd = build_scheme(SchemeKind::Esd, &config);
+    let mut esd = Scheme::new(SchemeKind::Esd, &config);
     let line = CacheLine::from_seed(5);
     esd.write(Ps::ZERO, 0x000, line);
     assert!(esd.nvmm_mut().medium_mut().inject_bit_flip(0, 0, 0));
@@ -60,7 +60,7 @@ fn double_bit_faults_are_detected_not_silently_returned() {
     // round-trips the written line, and the loss is counted.
     for kind in SchemeKind::ALL {
         let config = SystemConfig::default();
-        let mut scheme = build_scheme(kind, &config);
+        let mut scheme = Scheme::new(kind, &config);
         let line = CacheLine::from_seed(1);
         scheme.write(Ps::ZERO, 0x40, line);
         // Find where the content landed: schemes remap logical 0x40 to a
@@ -94,7 +94,7 @@ fn double_bit_faults_are_detected_not_silently_returned() {
 #[test]
 fn faults_do_not_leak_across_lines() {
     let config = SystemConfig::default();
-    let mut scheme = build_scheme(SchemeKind::Baseline, &config);
+    let mut scheme = Scheme::new(SchemeKind::Baseline, &config);
     let a = CacheLine::from_seed(10);
     let b = CacheLine::from_seed(11);
     scheme.write(Ps::ZERO, 0x000, a);

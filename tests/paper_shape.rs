@@ -5,7 +5,7 @@
 
 use std::sync::OnceLock;
 
-use esd::core::{run_trace, EfitPolicy, RunReport, Scheme, SchemeKind};
+use esd::core::{run_trace, EfitPolicy, RunOptions, RunReport, Scheme, SchemeKind};
 use esd::sim::SystemConfig;
 use esd::trace::{generate_trace, AppProfile};
 use esd_bench::figures::CDF_APPS;
@@ -121,12 +121,16 @@ fn lrcu_hits_at_least_as_often_as_lru_at_every_cache_size() {
     for kib in [64u64, 128, 256, 512, 1024, 2048] {
         let mut config = config();
         config.controller.fingerprint_cache_bytes = (kib << 10) / SCALE;
+        let unverified = RunOptions {
+            verify: false,
+            ..RunOptions::default()
+        };
         let hit_rate = |policy| {
-            let scheme = Scheme::with_policy(&config, policy);
             traces
                 .iter()
                 .map(|trace| {
-                    run_trace(&scheme, trace, &config, false)
+                    let scheme = Scheme::with_policy(&config, policy);
+                    run_trace(scheme, trace, &config, &unverified)
                         .expect("unverified run")
                         .fingerprint_cache
                         .expect("ESD has an EFIT")

@@ -3,9 +3,7 @@
 
 use std::collections::HashSet;
 
-use esd::core::{
-    build_scheme, replay_with, run_trace, CrashPoint, CrashStage, RunOptions, SchemeKind,
-};
+use esd::core::{run_trace, CrashPoint, CrashStage, RunOptions, Scheme, SchemeKind};
 use esd::kernels::KernelBackend;
 use esd::sim::{Ps, SystemConfig};
 use esd::trace::{generate_trace, AppProfile};
@@ -28,9 +26,8 @@ fn every_scheme_preserves_data_under_both_kernel_backends() {
                 kernels,
                 ..RunOptions::default()
             };
-            replay_with(kind, &trace, &config, &options).unwrap_or_else(|e| {
-                panic!("{kind} corrupted data under {kernels} kernels: {e}")
-            });
+            run_trace(Scheme::new(kind, &config), &trace, &config, &options)
+                .unwrap_or_else(|e| panic!("{kind} corrupted data under {kernels} kernels: {e}"));
         }
     }
     esd::kernels::set_backend(KernelBackend::Auto);
@@ -42,8 +39,8 @@ fn every_scheme_preserves_data_on_every_paper_workload() {
     for app in AppProfile::all() {
         let trace = generate_trace(&app, 11, ACCESSES);
         for kind in SchemeKind::ALL {
-            let scheme = build_scheme(kind, &config);
-            run_trace(&scheme, &trace, &config, true)
+            let scheme = Scheme::new(kind, &config);
+            run_trace(scheme, &trace, &config, &RunOptions::default())
                 .unwrap_or_else(|e| panic!("{} corrupted data on {}: {e}", kind, app.name));
         }
     }
@@ -52,13 +49,17 @@ fn every_scheme_preserves_data_on_every_paper_workload() {
 #[test]
 fn dedup_schemes_reduce_write_traffic_on_all_workloads() {
     let config = SystemConfig::default();
+    let unverified = RunOptions {
+        verify: false,
+        ..RunOptions::default()
+    };
     for app in AppProfile::all() {
         let trace = generate_trace(&app, 3, ACCESSES);
-        let baseline = build_scheme(SchemeKind::Baseline, &config);
-        let base = run_trace(&baseline, &trace, &config, false).unwrap();
+        let baseline = Scheme::new(SchemeKind::Baseline, &config);
+        let base = run_trace(baseline, &trace, &config, &unverified).unwrap();
         for kind in [SchemeKind::DedupSha1, SchemeKind::DeWrite, SchemeKind::Esd] {
-            let scheme = build_scheme(kind, &config);
-            let report = run_trace(&scheme, &trace, &config, false).unwrap();
+            let scheme = Scheme::new(kind, &config);
+            let report = run_trace(scheme, &trace, &config, &unverified).unwrap();
             assert!(
                 report.nvmm_data_writes() < base.nvmm_data_writes(),
                 "{kind} did not reduce writes on {}",
@@ -74,8 +75,8 @@ fn esd_never_computes_hashes_or_touches_nvmm_fingerprints() {
     for name in ["lbm", "leela", "deepsjeng", "x264"] {
         let app = AppProfile::by_name(name).unwrap();
         let trace = generate_trace(&app, 5, ACCESSES);
-        let scheme = build_scheme(SchemeKind::Esd, &config);
-        let report = run_trace(&scheme, &trace, &config, true).unwrap();
+        let scheme = Scheme::new(SchemeKind::Esd, &config);
+        let report = run_trace(scheme, &trace, &config, &RunOptions::default()).unwrap();
         assert_eq!(report.stats.fingerprint_computations, 0, "{name}");
         assert_eq!(
             report.breakdown.fingerprint_compute,
@@ -93,8 +94,8 @@ fn full_dedup_schemes_pay_for_fingerprints() {
     let app = AppProfile::by_name("gcc").unwrap();
     let trace = generate_trace(&app, 5, ACCESSES);
     for kind in [SchemeKind::DedupSha1, SchemeKind::DeWrite] {
-        let scheme = build_scheme(kind, &config);
-        let report = run_trace(&scheme, &trace, &config, true).unwrap();
+        let scheme = Scheme::new(kind, &config);
+        let report = run_trace(scheme, &trace, &config, &RunOptions::default()).unwrap();
         assert_eq!(
             report.stats.fingerprint_computations,
             report.stats.writes_received,
@@ -113,8 +114,8 @@ fn zero_heavy_workloads_collapse_to_almost_no_writes() {
     for name in ["deepsjeng", "roms"] {
         let app = AppProfile::by_name(name).unwrap();
         let trace = generate_trace(&app, 9, ACCESSES);
-        let scheme = build_scheme(SchemeKind::Esd, &config);
-        let report = run_trace(&scheme, &trace, &config, true).unwrap();
+        let scheme = Scheme::new(SchemeKind::Esd, &config);
+        let report = run_trace(scheme, &trace, &config, &RunOptions::default()).unwrap();
         assert!(
             report.write_reduction() > 0.97,
             "{name}: reduction only {:.3}",
@@ -138,7 +139,7 @@ fn medium_stores_only_ciphertext() {
         .collect();
     assert!(!plaintexts.is_empty());
     for kind in SchemeKind::ALL {
-        let mut scheme = build_scheme(kind, &config);
+        let mut scheme = Scheme::new(kind, &config);
         let mut now = Ps::ZERO;
         for access in &trace {
             now = match access.data {
@@ -187,7 +188,7 @@ fn verification_never_changes_a_report() {
                     epoch_interval: Some(total),
                     ..RunOptions::default()
                 };
-                replay_with(kind, &trace, &config, &options)
+                run_trace(Scheme::new(kind, &config), &trace, &config, &options)
                     .unwrap_or_else(|e| panic!("{kind} (crash {crash_at:?}): {e}"))
             };
             let verified = run(true);

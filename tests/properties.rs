@@ -1,7 +1,7 @@
 //! Cross-crate property tests: dedup correctness under arbitrary access
 //! patterns, for every scheme.
 
-use esd::core::{build_scheme, run_trace, SchemeKind};
+use esd::core::{run_trace, RunOptions, Scheme, SchemeKind};
 use esd::sim::SystemConfig;
 use esd::trace::{Access, CacheLine, Trace};
 use proptest::prelude::*;
@@ -32,6 +32,14 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
+/// Replay options without the read-back check.
+fn unverified() -> RunOptions {
+    RunOptions {
+        verify: false,
+        ..RunOptions::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -41,8 +49,8 @@ proptest! {
     fn no_scheme_ever_loses_data(trace in arb_trace()) {
         let config = SystemConfig::default();
         for kind in SchemeKind::ALL {
-            let scheme = build_scheme(kind, &config);
-            let result = run_trace(&scheme, &trace, &config, true);
+            let scheme = Scheme::new(kind, &config);
+            let result = run_trace(scheme, &trace, &config, &RunOptions::default());
             prop_assert!(result.is_ok(), "{kind}: {:?}", result.err());
         }
     }
@@ -53,8 +61,8 @@ proptest! {
     fn write_accounting_balances(trace in arb_trace()) {
         let config = SystemConfig::default();
         for kind in SchemeKind::ALL {
-            let scheme = build_scheme(kind, &config);
-            let report = run_trace(&scheme, &trace, &config, false).unwrap();
+            let scheme = Scheme::new(kind, &config);
+            let report = run_trace(scheme, &trace, &config, &unverified()).unwrap();
             prop_assert_eq!(
                 report.stats.writes_unique + report.stats.writes_deduplicated,
                 report.stats.writes_received,
@@ -69,8 +77,8 @@ proptest! {
     #[test]
     fn latency_histograms_are_sane(trace in arb_trace()) {
         let config = SystemConfig::default();
-        let scheme = build_scheme(SchemeKind::Esd, &config);
-        let report = run_trace(&scheme, &trace, &config, false).unwrap();
+        let scheme = Scheme::new(SchemeKind::Esd, &config);
+        let report = run_trace(scheme, &trace, &config, &unverified()).unwrap();
         prop_assert_eq!(report.write_latency.count() as usize, trace.write_count());
         prop_assert_eq!(report.read_latency.count() as usize, trace.read_count());
         prop_assert!(report.write_latency.min() <= report.write_latency.max());

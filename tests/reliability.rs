@@ -2,18 +2,30 @@
 //! typed error contract (no silently fabricated content), SEC-DED's
 //! documented limits, and background scrubbing.
 
-use esd::core::{
-    build_scheme, replay, replay_with, ReadOutcome, RunOptions, SchemeKind,
-};
+use esd::core::{run_trace, ReadOutcome, RunOptions, RunReport, Scheme, SchemeKind, VerifyError};
 use esd::ecc::{decode_word, encode_word, CorrectedBit};
 use esd::sim::{Ps, SystemConfig};
-use esd::trace::{generate_trace, AppProfile, CacheLine};
+use esd::trace::{generate_trace, AppProfile, CacheLine, Trace};
 use proptest::prelude::*;
 
 /// An RBER high enough that a few-thousand-access run sees plenty of
 /// correctable *and* uncorrectable errors: ~2e9 flips per 10^12 bit-reads
 /// is 2e-3 per bit, about 1.15 expected flips per 576-bit line read.
 const HEAVY_RBER: u64 = 2_000_000_000;
+
+/// A verified replay of a fresh `kind` scheme.
+fn replay(
+    kind: SchemeKind,
+    trace: &Trace,
+    config: &SystemConfig,
+) -> Result<RunReport, VerifyError> {
+    run_trace(
+        Scheme::new(kind, config),
+        trace,
+        config,
+        &RunOptions::default(),
+    )
+}
 
 fn faulty_config(rber: u64, seed: u64) -> SystemConfig {
     let mut config = SystemConfig::default();
@@ -32,7 +44,7 @@ proptest! {
     #[test]
     fn single_flip_round_trips_for_any_stored_bit(byte in 0usize..72, bit in 0u8..8) {
         let config = SystemConfig::default();
-        let mut scheme = build_scheme(SchemeKind::Baseline, &config);
+        let mut scheme = Scheme::new(SchemeKind::Baseline, &config);
         let line = CacheLine::from_seed(17);
         scheme.write(Ps::ZERO, 0x40, line);
         let addr = scheme.nvmm().medium().addresses_sorted()[0];
@@ -58,7 +70,7 @@ proptest! {
     ) {
         prop_assume!(a != b);
         let config = SystemConfig::default();
-        let mut scheme = build_scheme(SchemeKind::Baseline, &config);
+        let mut scheme = Scheme::new(SchemeKind::Baseline, &config);
         let line = CacheLine::from_seed(seed);
         scheme.write(Ps::ZERO, 0x40, line);
         let addr = scheme.nvmm().medium().addresses_sorted()[0];
@@ -102,7 +114,7 @@ fn triple_flip_miscorrects_at_the_codec_level() {
 #[test]
 fn scheme_detects_miscorrection_against_ground_truth() {
     let config = SystemConfig::default();
-    let mut scheme = build_scheme(SchemeKind::Baseline, &config);
+    let mut scheme = Scheme::new(SchemeKind::Baseline, &config);
     // Threshold 0: pristine ground-truth tracking without random flips, so
     // the targeted injections below are recorded as drift.
     scheme.nvmm_mut().medium_mut().enable_fault_injection(0, 0);
@@ -205,8 +217,8 @@ fn background_scrub_repairs_drift_and_reduces_loss() {
     let trace = generate_trace(&AppProfile::demo(), 11, 6_000);
     let config = faulty_config(500_000_000, 0xE5D);
     let unscrubbed = replay(SchemeKind::Esd, &trace, &config).unwrap();
-    let scrubbed = replay_with(
-        SchemeKind::Esd,
+    let scrubbed = run_trace(
+        Scheme::new(SchemeKind::Esd, &config),
         &trace,
         &config,
         &RunOptions {

@@ -6,9 +6,7 @@
 //! collection and the observability collector, so a divergence in any of
 //! them moves a digest.
 
-use esd::core::{
-    replay_with, run_trace_with, CrashPoint, CrashStage, RunOptions, RunReport, Scheme, SchemeKind,
-};
+use esd::core::{run_trace, CrashPoint, CrashStage, RunOptions, RunReport, Scheme, SchemeKind};
 use esd::sim::SystemConfig;
 use esd::trace::{generate_trace, AppProfile};
 
@@ -51,8 +49,8 @@ const PINNED_CRASH_EPOCHS_DIGEST: u64 = 17_007_675_376_354_458_071;
 fn decay_run(decay: u64, crash_at: Option<CrashPoint>) -> RunReport {
     let mut config = SystemConfig::default();
     config.controller.fingerprint_cache_bytes = 32 << 10;
-    let mut template = Scheme::new(SchemeKind::Esd, &config);
-    template.efit_decay_interval(decay);
+    let mut esd = Scheme::new(SchemeKind::Esd, &config);
+    esd.efit_decay_interval(decay);
     // A small working set makes overwrites common, which leaves lines that
     // only the EFIT pins: the crash frees those in `pinned_physicals` order.
     let mut app = AppProfile::by_name("leela").expect("paper workload");
@@ -63,7 +61,7 @@ fn decay_run(decay: u64, crash_at: Option<CrashPoint>) -> RunReport {
         journal_every: crash_at.map(|_| 128),
         ..stress_options()
     };
-    run_trace_with(&template, &trace, &config, &options).expect("verified run")
+    run_trace(esd, &trace, &config, &options).expect("verified run")
 }
 
 #[test]
@@ -133,8 +131,13 @@ fn epoch_occupancies_aggregate_across_all_banks() {
         epoch_interval: Some(1_024),
         ..RunOptions::default()
     };
-    let report =
-        replay_with(SchemeKind::Baseline, &trace, &config, &options).expect("verified run");
+    let report = run_trace(
+        Scheme::new(SchemeKind::Baseline, &config),
+        &trace,
+        &config,
+        &options,
+    )
+    .expect("verified run");
     assert!(!report.epochs.is_empty(), "epochs collected");
     let depths = report.epochs.iter().map(|e| e.write_buffer_depth);
     let busy = report.epochs.iter().map(|e| e.busy_banks);
@@ -189,8 +192,9 @@ fn finite_counter_cache_reports_are_pinned() {
     let mut finite = config;
     finite.controller.counter_cache_bytes = 512;
     for (kind, pinned) in PINNED_COUNTER_CACHE {
-        let with = replay_with(kind, &trace, &finite, &options);
-        let without = replay_with(kind, &trace, &config, &options).expect("verified run");
+        let with = run_trace(Scheme::new(kind, &finite), &trace, &finite, &options);
+        let without =
+            run_trace(Scheme::new(kind, &config), &trace, &config, &options).expect("verified run");
         let metadata = with.as_ref().map(|r| r.pcm.metadata);
         let extra = metadata.map(|m| {
             (

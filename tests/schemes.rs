@@ -4,7 +4,7 @@
 //! numbers.
 
 use esd::core::{
-    replay_with, CrashPoint, CrashStage, EfitPolicy, FingerprintSpec, ReadOutcome, RunOptions,
+    run_trace, CrashPoint, CrashStage, EfitPolicy, FingerprintSpec, ReadOutcome, RunOptions,
     Scheme, SchemeKind, VerifyError, AMT_ENTRY_BYTES, DEFAULT_BATCH, DEWRITE_ENTRY_BYTES,
     EFIT_ENTRY_BYTES, MD5_ENTRY_BYTES, SHA1_ENTRY_BYTES,
 };
@@ -514,14 +514,25 @@ fn verify_shadow_reports_the_first_read_that_returns_aliased_content() {
     };
     let config = SystemConfig::default();
     let options = RunOptions::default();
-    let error = replay_with(SchemeKind::EsdNoVerify, &trace, &config, &options)
-        .expect_err("the aliased read must be caught");
+    let error = run_trace(
+        Scheme::new(SchemeKind::EsdNoVerify, &config),
+        &trace,
+        &config,
+        &options,
+    )
+    .expect_err("the aliased read must be caught");
     assert_eq!(
         (error.scheme, error.addr, error.access_index),
         (SchemeKind::EsdNoVerify, 0x200, 5),
     );
     // The verifying scheme reads the candidate back and stays safe.
-    replay_with(SchemeKind::Esd, &trace, &config, &options).expect("verified run");
+    run_trace(
+        Scheme::new(SchemeKind::Esd, &config),
+        &trace,
+        &config,
+        &options,
+    )
+    .expect("verified run");
 }
 
 /// Reads of never-written addresses: the shadow holds nothing for them, so
@@ -541,9 +552,20 @@ fn first_aliased_read(accesses: Vec<Access>, len: usize, options: &RunOptions) -
         accesses,
     };
     let config = SystemConfig::default();
-    replay_with(SchemeKind::Esd, &trace, &config, options).expect("verified run");
-    replay_with(SchemeKind::EsdNoVerify, &trace, &config, options)
-        .expect_err("the aliased read must be caught")
+    run_trace(
+        Scheme::new(SchemeKind::Esd, &config),
+        &trace,
+        &config,
+        options,
+    )
+    .expect("verified run");
+    run_trace(
+        Scheme::new(SchemeKind::EsdNoVerify, &config),
+        &trace,
+        &config,
+        options,
+    )
+    .expect_err("the aliased read must be caught")
 }
 
 #[test]
@@ -695,7 +717,8 @@ fn stage_spans_sum_to_the_breakdown_for_every_kind() {
         kernels: KernelBackend::Auto,
     };
     for kind in SchemeKind::EXTENDED {
-        let mut report = replay_with(kind, &trace, &config, &options).expect("unverified run");
+        let mut report = run_trace(Scheme::new(kind, &config), &trace, &config, &options)
+            .expect("unverified run");
         let obs = report.obs.take().expect("observe extracts the collector");
         assert_eq!(
             obs.tracer().dropped(),
@@ -736,7 +759,7 @@ fn stage_spans_sum_to_the_breakdown_for_every_kind() {
         };
         assert_eq!(
             report,
-            replay_with(kind, &trace, &config, &plain).unwrap(),
+            run_trace(Scheme::new(kind, &config), &trace, &config, &plain).unwrap(),
             "{kind}"
         );
     }
