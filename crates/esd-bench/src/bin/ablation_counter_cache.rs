@@ -27,7 +27,12 @@ fn main() {
         "{}",
         format_row(
             "app/ctr-cache",
-            &["write_avg".into(), "read_avg".into(), "ctr_hit".into(), "meta_rd".into()]
+            &[
+                "write_avg".into(),
+                "read_avg".into(),
+                "ctr_hit".into(),
+                "meta_rd".into()
+            ]
         )
     );
     for app in &sweep.apps {

@@ -36,7 +36,12 @@ fn main() {
             "{}",
             format_row(
                 "scheme",
-                &["write_avg".into(), "read_avg".into(), "ipc".into(), "dedup%".into()]
+                &[
+                    "write_avg".into(),
+                    "read_avg".into(),
+                    "ipc".into(),
+                    "dedup%".into()
+                ]
             )
         );
         for kind in SchemeKind::ALL {

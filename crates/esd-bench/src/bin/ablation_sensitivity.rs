@@ -28,7 +28,12 @@ fn main() {
         "{}",
         format_row(
             "depth",
-            &["base_w_avg".into(), "esd_w_avg".into(), "base_ipc".into(), "esd_ipc".into()]
+            &[
+                "base_w_avg".into(),
+                "esd_w_avg".into(),
+                "base_ipc".into(),
+                "esd_ipc".into()
+            ]
         )
     );
     for depth in [4u32, 8, 16, 32, 64, 128] {
@@ -52,7 +57,11 @@ fn main() {
         "{}",
         format_row(
             "banks",
-            &["base_w_avg".into(), "esd_w_avg".into(), "esd_speedup".into()]
+            &[
+                "base_w_avg".into(),
+                "esd_w_avg".into(),
+                "esd_speedup".into()
+            ]
         )
     );
     for banks in [4u32, 8, 16, 32] {

@@ -22,7 +22,10 @@ fn main() {
             "{}",
             format_row(
                 &app.name,
-                &[format!("{:.1}%", rate * 100.0), format!("{:.1}%", zero * 100.0)]
+                &[
+                    format!("{:.1}%", rate * 100.0),
+                    format!("{:.1}%", zero * 100.0)
+                ]
             )
         );
     }
@@ -30,7 +33,10 @@ fn main() {
         "{}",
         format_row(
             "average",
-            &[format!("{:.1}%", sum / sweep.apps.len() as f64 * 100.0), String::new()]
+            &[
+                format!("{:.1}%", sum / sweep.apps.len() as f64 * 100.0),
+                String::new()
+            ]
         )
     );
 }

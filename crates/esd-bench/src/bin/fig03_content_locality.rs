@@ -10,7 +10,11 @@ use esd_trace::{generate_trace, refcount_buckets};
 
 fn main() {
     let sweep = Sweep::default();
-    print_figure_header("Figure 3", "Content locality (reference-count buckets)", &sweep);
+    print_figure_header(
+        "Figure 3",
+        "Content locality (reference-count buckets)",
+        &sweep,
+    );
 
     let header = vec![
         "num1".to_owned(),
@@ -35,7 +39,9 @@ fn main() {
             "{}",
             format_row(
                 &app.name,
-                &cf.iter().map(|v| format!("{:.2}%", v * 100.0)).collect::<Vec<_>>()
+                &cf.iter()
+                    .map(|v| format!("{:.2}%", v * 100.0))
+                    .collect::<Vec<_>>()
             )
         );
         volume_rows.push((app.name.clone(), buckets.volume_fractions()));
@@ -45,7 +51,10 @@ fn main() {
         "{}",
         format_row(
             "average",
-            &content_sum.iter().map(|s| format!("{:.2}%", s / n * 100.0)).collect::<Vec<_>>()
+            &content_sum
+                .iter()
+                .map(|s| format!("{:.2}%", s / n * 100.0))
+                .collect::<Vec<_>>()
         )
     );
 
@@ -61,7 +70,9 @@ fn main() {
             "{}",
             format_row(
                 name,
-                &vf.iter().map(|v| format!("{:.1}%", v * 100.0)).collect::<Vec<_>>()
+                &vf.iter()
+                    .map(|v| format!("{:.1}%", v * 100.0))
+                    .collect::<Vec<_>>()
             )
         );
     }
@@ -69,7 +80,10 @@ fn main() {
         "{}",
         format_row(
             "average",
-            &volume_sum.iter().map(|s| format!("{:.1}%", s / n * 100.0)).collect::<Vec<_>>()
+            &volume_sum
+                .iter()
+                .map(|s| format!("{:.1}%", s / n * 100.0))
+                .collect::<Vec<_>>()
         )
     );
 }

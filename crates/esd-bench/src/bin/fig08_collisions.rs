@@ -107,7 +107,10 @@ fn main() {
         "{}",
         format_row(
             "fingerprint",
-            &corpora.iter().map(|(n, _)| (*n).to_owned()).collect::<Vec<_>>()
+            &corpora
+                .iter()
+                .map(|(n, _)| (*n).to_owned())
+                .collect::<Vec<_>>()
         )
     );
 

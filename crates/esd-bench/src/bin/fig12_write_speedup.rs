@@ -9,7 +9,11 @@ use esd_core::SchemeKind;
 
 fn main() {
     let sweep = Sweep::default();
-    print_figure_header("Figure 12", "Write speedup normalized to the Baseline", &sweep);
+    print_figure_header(
+        "Figure 12",
+        "Write speedup normalized to the Baseline",
+        &sweep,
+    );
     let rows = sweep.run(&SchemeKind::ALL);
     figures::print_fig12(&rows);
 }

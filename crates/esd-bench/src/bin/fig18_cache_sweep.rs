@@ -31,10 +31,7 @@ fn main() {
     );
 
     println!("(a) EFIT hit rate");
-    println!(
-        "{}",
-        format_row("size", &["LRCU".into(), "LRU".into()])
-    );
+    println!("{}", format_row("size", &["LRCU".into(), "LRU".into()]));
     for kb in SIZES_KB {
         let mut rates = [0.0f64; 2];
         for (i, policy) in [EfitPolicy::Lrcu, EfitPolicy::Lru].into_iter().enumerate() {
@@ -44,8 +41,8 @@ fn main() {
                 let mut config = sweep.config;
                 config.controller.fingerprint_cache_bytes = kb << 10;
                 let scheme = Scheme::with_policy(&config, policy);
-                let report = run_trace(scheme, &trace, &config, &unverified)
-                    .expect("unverified run");
+                let report =
+                    run_trace(scheme, &trace, &config, &unverified).expect("unverified run");
                 sum += report
                     .fingerprint_cache
                     .expect("ESD has an EFIT")
@@ -57,7 +54,10 @@ fn main() {
             "{}",
             format_row(
                 &format!("{kb}KB"),
-                &rates.iter().map(|r| format!("{:.2}%", r * 100.0)).collect::<Vec<_>>()
+                &rates
+                    .iter()
+                    .map(|r| format!("{:.2}%", r * 100.0))
+                    .collect::<Vec<_>>()
             )
         );
     }

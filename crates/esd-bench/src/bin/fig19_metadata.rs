@@ -9,7 +9,11 @@ use esd_core::SchemeKind;
 
 fn main() {
     let sweep = Sweep::default();
-    print_figure_header("Figure 19", "Metadata overhead normalized to Dedup_SHA1", &sweep);
+    print_figure_header(
+        "Figure 19",
+        "Metadata overhead normalized to Dedup_SHA1",
+        &sweep,
+    );
     let rows = sweep.run(&SchemeKind::ALL);
     figures::print_fig19(&rows);
 }

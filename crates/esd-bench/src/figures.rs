@@ -32,7 +32,10 @@ pub fn print_fig11(rows: &[AppRow]) {
     println!("{}", format_row("app", &scheme_header()));
     let mut sums = [0.0f64; 3];
     for row in rows {
-        let base = row.report(SchemeKind::Baseline).expect("baseline").nvmm_data_writes() as f64;
+        let base = row
+            .report(SchemeKind::Baseline)
+            .expect("baseline")
+            .nvmm_data_writes() as f64;
         let cells: Vec<String> = DEDUP_SCHEMES
             .iter()
             .enumerate()
@@ -50,7 +53,10 @@ pub fn print_fig11(rows: &[AppRow]) {
         "{}",
         format_row(
             "average",
-            &sums.iter().map(|s| format!("{:.1}%", s / n * 100.0)).collect::<Vec<_>>()
+            &sums
+                .iter()
+                .map(|s| format!("{:.1}%", s / n * 100.0))
+                .collect::<Vec<_>>()
         )
     );
     println!();
@@ -111,28 +117,30 @@ pub fn print_fig13(rows: &[AppRow]) {
 
 /// Figure 14: IPC normalized to Baseline.
 pub fn print_fig14(rows: &[AppRow]) {
-    print_speedup_figure(
-        rows,
-        "--- Figure 14: IPC normalized to Baseline ---",
-        |n| n.ipc_ratio,
-    );
+    print_speedup_figure(rows, "--- Figure 14: IPC normalized to Baseline ---", |n| {
+        n.ipc_ratio
+    });
 }
 
 /// Figure 15: CDF of write latency for the paper's eight selected
 /// applications.
 pub fn print_fig15(rows: &[AppRow]) {
     println!("--- Figure 15: CDF of write latency (8 selected applications) ---");
-    for row in rows.iter().filter(|r| CDF_APPS.contains(&r.app.name.as_str())) {
+    for row in rows
+        .iter()
+        .filter(|r| CDF_APPS.contains(&r.app.name.as_str()))
+    {
         println!("[{}]", row.app.name);
-        println!(
-            "{}",
-            format_row("percentile", &scheme_header())
-        );
+        println!("{}", format_row("percentile", &scheme_header()));
         for q in [0.50, 0.90, 0.95, 0.99, 0.999] {
             let cells: Vec<String> = DEDUP_SCHEMES
                 .iter()
                 .map(|&kind| {
-                    let p = row.report(kind).expect("scheme").write_latency.percentile(q);
+                    let p = row
+                        .report(kind)
+                        .expect("scheme")
+                        .write_latency
+                        .percentile(q);
                     format!("{:.0}ns", p.as_ns_f64())
                 })
                 .collect();
@@ -202,7 +210,9 @@ pub fn print_fig17(rows: &[AppRow]) {
             "{}",
             format_row(
                 kind.name(),
-                &f.iter().map(|v| format!("{:.1}%", v * 100.0)).collect::<Vec<_>>()
+                &f.iter()
+                    .map(|v| format!("{:.1}%", v * 100.0))
+                    .collect::<Vec<_>>()
             )
         );
     }
@@ -216,7 +226,12 @@ pub fn print_fig19(rows: &[AppRow]) {
         "{}",
         format_row(
             "app",
-            &["Dedup_SHA1".into(), "DeWrite".into(), "ESD".into(), "ESD(NVMM)".into()]
+            &[
+                "Dedup_SHA1".into(),
+                "DeWrite".into(),
+                "ESD".into(),
+                "ESD(NVMM)".into()
+            ]
         )
     );
     let mut sums = [0.0f64; 4];
@@ -226,7 +241,11 @@ pub fn print_fig19(rows: &[AppRow]) {
             .expect("sha1")
             .metadata
             .total_bytes() as f64;
-        let dewrite = row.report(SchemeKind::DeWrite).expect("dewrite").metadata.total_bytes() as f64;
+        let dewrite = row
+            .report(SchemeKind::DeWrite)
+            .expect("dewrite")
+            .metadata
+            .total_bytes() as f64;
         let esd = row.report(SchemeKind::Esd).expect("esd").metadata;
         let cells = [
             1.0,
@@ -250,7 +269,10 @@ pub fn print_fig19(rows: &[AppRow]) {
         "{}",
         format_row(
             "average",
-            &sums.iter().map(|s| format!("{:.2}", s / n)).collect::<Vec<_>>()
+            &sums
+                .iter()
+                .map(|s| format!("{:.2}", s / n))
+                .collect::<Vec<_>>()
         )
     );
     println!();
@@ -296,7 +318,10 @@ pub fn print_fig05(rows: &[AppRow]) {
         "{}",
         format_row(
             "average",
-            &sums.iter().map(|s| format!("{:.1}%", s / n * 100.0)).collect::<Vec<_>>()
+            &sums
+                .iter()
+                .map(|s| format!("{:.1}%", s / n * 100.0))
+                .collect::<Vec<_>>()
         )
     );
     println!();
@@ -309,7 +334,12 @@ pub fn print_wear(rows: &[AppRow]) {
         "{}",
         format_row(
             "app",
-            &["Baseline".into(), "Dedup_SHA1".into(), "DeWrite".into(), "ESD".into()]
+            &[
+                "Baseline".into(),
+                "Dedup_SHA1".into(),
+                "DeWrite".into(),
+                "ESD".into()
+            ]
         )
     );
     for row in rows {

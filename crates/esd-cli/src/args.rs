@@ -131,8 +131,11 @@ mod tests {
 
     #[test]
     fn options_and_positionals() {
-        let args = parse(&["file.trace", "--scheme", "esd", "--accesses", "100"],
-                         &["scheme", "accesses"]).unwrap();
+        let args = parse(
+            &["file.trace", "--scheme", "esd", "--accesses", "100"],
+            &["scheme", "accesses"],
+        )
+        .unwrap();
         assert_eq!(args.positional(0), Some("file.trace"));
         assert_eq!(args.get("scheme"), Some("esd"));
         assert_eq!(args.get_parsed_or("accesses", 0usize).unwrap(), 100);

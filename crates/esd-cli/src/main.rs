@@ -40,8 +40,8 @@ use args::Args;
 use esd_core::{run_trace, RunOptions, RunReport, Scheme, SchemeKind};
 use esd_sim::SystemConfig;
 use esd_trace::{
-    decode_trace, duplicate_rate, encode_trace, generate_trace, parse_trace_text,
-    refcount_buckets, render_trace_text, zero_line_rate, AppProfile, Trace,
+    decode_trace, duplicate_rate, encode_trace, generate_trace, parse_trace_text, refcount_buckets,
+    render_trace_text, zero_line_rate, AppProfile, Trace,
 };
 
 fn main() -> ExitCode {
@@ -116,9 +116,8 @@ fn load_trace(path: &str) -> Result<Trace, String> {
     if let Ok(trace) = decode_trace(&bytes) {
         return Ok(trace);
     }
-    let text = String::from_utf8(bytes).map_err(|_| {
-        format!("{path} is neither a binary ESD trace nor UTF-8 text")
-    })?;
+    let text = String::from_utf8(bytes)
+        .map_err(|_| format!("{path} is neither a binary ESD trace nor UTF-8 text"))?;
     let name = path.rsplit('/').next().unwrap_or(path);
     parse_trace_text(name, &text).map_err(|e| format!("parsing {path}: {e}"))
 }
@@ -136,9 +135,12 @@ fn reliability_options(args: &Args, config: &mut SystemConfig) -> Result<RunOpti
     config.pcm.rber_seed = args
         .get_parsed_or("rber-seed", config.pcm.rber_seed)
         .map_err(|e| e.to_string())?;
-    let scrub_every: u64 = args.get_parsed_or("scrub-every", 0).map_err(|e| e.to_string())?;
-    let scrub_lines: usize =
-        args.get_parsed_or("scrub-lines", 1024).map_err(|e| e.to_string())?;
+    let scrub_every: u64 = args
+        .get_parsed_or("scrub-every", 0)
+        .map_err(|e| e.to_string())?;
+    let scrub_lines: usize = args
+        .get_parsed_or("scrub-lines", 1024)
+        .map_err(|e| e.to_string())?;
     if scrub_lines == 0 {
         return Err("--scrub-lines must be positive".to_owned());
     }
@@ -163,7 +165,9 @@ fn crash_options(args: &Args, options: &mut RunOptions) -> Result<(), String> {
     if let Some(raw) = args.get("crash-at") {
         options.crash_at = Some(raw.parse().map_err(|e| format!("--crash-at: {e}"))?);
     }
-    let journal: u64 = args.get_parsed_or("journal-every", 0).map_err(|e| e.to_string())?;
+    let journal: u64 = args
+        .get_parsed_or("journal-every", 0)
+        .map_err(|e| e.to_string())?;
     options.journal_every = (journal > 0).then_some(journal);
     Ok(())
 }
@@ -181,7 +185,9 @@ struct ObsOutputs {
 /// collection, and either output path (`--metrics-json`, `--trace-events`)
 /// installs the enabled collector into the run.
 fn observability_options(args: &Args, options: &mut RunOptions) -> Result<ObsOutputs, String> {
-    let epoch_every: u64 = args.get_parsed_or("epoch-every", 0).map_err(|e| e.to_string())?;
+    let epoch_every: u64 = args
+        .get_parsed_or("epoch-every", 0)
+        .map_err(|e| e.to_string())?;
     options.epoch_interval = (epoch_every > 0).then_some(epoch_every);
     let outputs = ObsOutputs {
         metrics_json: args.get("metrics-json").map(str::to_owned),
@@ -228,7 +234,8 @@ fn metrics_document(report: &RunReport) -> String {
                 "{{\"correct\":{},\"incorrect\":{},\"accuracy\":{}}}",
                 p.correct,
                 p.incorrect,
-                p.accuracy().map_or("null".to_owned(), |a| format!("{a:.6}")),
+                p.accuracy()
+                    .map_or("null".to_owned(), |a| format!("{a:.6}")),
             ));
         }
         None => out.push_str("null"),
@@ -270,8 +277,12 @@ fn cmd_run(rest: Vec<String>) -> Result<(), String> {
     let args = Args::parse(rest, &allowed).map_err(|e| e.to_string())?;
     let app = app_by_name(args.get_or("app", "demo"))?;
     let kind: SchemeKind = args.get_or("scheme", "esd").parse()?;
-    let accesses = args.get_parsed_or("accesses", 100_000usize).map_err(|e| e.to_string())?;
-    let seed = args.get_parsed_or("seed", 42u64).map_err(|e| e.to_string())?;
+    let accesses = args
+        .get_parsed_or("accesses", 100_000usize)
+        .map_err(|e| e.to_string())?;
+    let seed = args
+        .get_parsed_or("seed", 42u64)
+        .map_err(|e| e.to_string())?;
     let mut config = SystemConfig::default();
     let mut options = reliability_options(&args, &mut config)?;
     crash_options(&args, &mut options)?;
@@ -292,9 +303,15 @@ fn cmd_compare(rest: Vec<String>) -> Result<(), String> {
     .concat();
     let args = Args::parse(rest, &allowed).map_err(|e| e.to_string())?;
     let app = app_by_name(args.get_or("app", "demo"))?;
-    let accesses = args.get_parsed_or("accesses", 100_000usize).map_err(|e| e.to_string())?;
-    let seed = args.get_parsed_or("seed", 42u64).map_err(|e| e.to_string())?;
-    let extended: bool = args.get_parsed_or("extended", false).map_err(|e| e.to_string())?;
+    let accesses = args
+        .get_parsed_or("accesses", 100_000usize)
+        .map_err(|e| e.to_string())?;
+    let seed = args
+        .get_parsed_or("seed", 42u64)
+        .map_err(|e| e.to_string())?;
+    let extended: bool = args
+        .get_parsed_or("extended", false)
+        .map_err(|e| e.to_string())?;
     let mut config = SystemConfig::default();
     let mut options = reliability_options(&args, &mut config)?;
     crash_options(&args, &mut options)?;
@@ -347,8 +364,12 @@ fn cmd_generate(rest: Vec<String>) -> Result<(), String> {
     let out = args
         .get("out")
         .ok_or_else(|| "missing required --out <file>".to_owned())?;
-    let accesses = args.get_parsed_or("accesses", 100_000usize).map_err(|e| e.to_string())?;
-    let seed = args.get_parsed_or("seed", 42u64).map_err(|e| e.to_string())?;
+    let accesses = args
+        .get_parsed_or("accesses", 100_000usize)
+        .map_err(|e| e.to_string())?;
+    let seed = args
+        .get_parsed_or("seed", 42u64)
+        .map_err(|e| e.to_string())?;
     let trace = generate_trace(&app, seed, accesses);
     match args.get_or("format", "bin") {
         "bin" => fs::write(out, encode_trace(&trace)).map_err(|e| e.to_string())?,
@@ -366,14 +387,21 @@ fn cmd_analyze(rest: Vec<String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let trace = load_trace(path)?;
     println!("trace {} ({} records)", trace.name, trace.len());
-    println!("  reads {}, writes {}", trace.read_count(), trace.write_count());
+    println!(
+        "  reads {}, writes {}",
+        trace.read_count(),
+        trace.write_count()
+    );
     println!("  duplicate rate {:.1}%", duplicate_rate(&trace) * 100.0);
     println!("  zero lines     {:.1}%", zero_line_rate(&trace) * 100.0);
     let buckets = refcount_buckets(&trace);
     println!("  unique contents {}", buckets.unique_contents());
     let cf = buckets.content_fractions();
     let vf = buckets.volume_fractions();
-    for (i, label) in ["num1", "num10", "num100", "num1000", "num1000+"].iter().enumerate() {
+    for (i, label) in ["num1", "num10", "num100", "num1000", "num1000+"]
+        .iter()
+        .enumerate()
+    {
         println!(
             "  {label:<9} {:>7.2}% of contents, {:>6.1}% of volume",
             cf[i] * 100.0,
@@ -408,7 +436,10 @@ fn cmd_replay(rest: Vec<String>) -> Result<(), String> {
 }
 
 fn cmd_apps() {
-    println!("{:<14} {:<14} {:>8} {:>7} {:>8} {:>7}", "name", "suite", "dup", "zero", "reads", "gap");
+    println!(
+        "{:<14} {:<14} {:>8} {:>7} {:>8} {:>7}",
+        "name", "suite", "dup", "zero", "reads", "gap"
+    );
     for app in AppProfile::all() {
         println!(
             "{:<14} {:<14} {:>7.1}% {:>6.1}% {:>7.1}% {:>7}",
@@ -420,5 +451,8 @@ fn cmd_apps() {
             app.mean_instruction_gap
         );
     }
-    println!("{:<14} {:<14} {:>7.1}% (synthetic smoke-test profile)", "demo", "-", 60.0);
+    println!(
+        "{:<14} {:<14} {:>7.1}% (synthetic smoke-test profile)",
+        "demo", "-", 60.0
+    );
 }

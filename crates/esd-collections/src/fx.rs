@@ -137,7 +137,11 @@ mod tests {
         for i in 0..1024u64 {
             low.insert(hash_u64(i * 64) & 0x3FF);
         }
-        assert!(low.len() > 512, "only {} distinct low-10-bit values", low.len());
+        assert!(
+            low.len() > 512,
+            "only {} distinct low-10-bit values",
+            low.len()
+        );
     }
 
     #[test]

@@ -120,7 +120,8 @@ impl<V> U64Map<V> {
     #[inline]
     #[must_use]
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        self.find(key).map(|i| &mut self.slots[i].as_mut().unwrap().1)
+        self.find(key)
+            .map(|i| &mut self.slots[i].as_mut().unwrap().1)
     }
 
     /// Whether `key` is present.
@@ -218,10 +219,7 @@ impl<V> U64Map<V> {
 
     fn grow(&mut self) {
         let new_slots = self.slots.len() * 2;
-        let old = std::mem::replace(
-            &mut self.slots,
-            (0..new_slots).map(|_| None).collect(),
-        );
+        let old = std::mem::replace(&mut self.slots, (0..new_slots).map(|_| None).collect());
         self.mask = new_slots - 1;
         for slot in old {
             if let Some((key, _)) = slot {

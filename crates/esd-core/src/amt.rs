@@ -243,7 +243,11 @@ mod tests {
         amt.update(Ps::ZERO, 0x40, 0x3000, &mut mem);
         assert_eq!(amt.peek(0x40), Some(0x3000));
         assert_eq!(amt.len(), 1);
-        assert_eq!(mem.stats().metadata.writes, 0, "self-replacement is not an eviction");
+        assert_eq!(
+            mem.stats().metadata.writes,
+            0,
+            "self-replacement is not an eviction"
+        );
     }
 
     #[test]

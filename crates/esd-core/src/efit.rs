@@ -465,7 +465,11 @@ mod tests {
         let _ = efit.lookup(2); // refresh 2 and 3 under LRU
         let _ = efit.lookup(3);
         let evicted = efit.insert(4, 0x100);
-        assert_eq!(evicted, Some(0x40), "LRU evicts least-recent regardless of refer");
+        assert_eq!(
+            evicted,
+            Some(0x40),
+            "LRU evicts least-recent regardless of refer"
+        );
     }
 
     #[test]

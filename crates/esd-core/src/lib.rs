@@ -52,11 +52,11 @@
 
 mod alloc;
 mod amt;
-mod machinery;
 mod counter_cache;
 mod efit;
 mod fpstore;
 mod journal;
+mod machinery;
 mod predictor;
 mod replay;
 mod report;

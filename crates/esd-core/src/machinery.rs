@@ -367,7 +367,9 @@ impl Core {
         // scheme's index pins.
         let mut expected: U64Map<u64> = U64Map::new();
         let mut expect = |physical: u64| *expected.get_or_insert_with(physical, || 0) += 1;
-        self.amt.mappings().for_each(|(_logical, physical)| expect(physical));
+        self.amt
+            .mappings()
+            .for_each(|(_logical, physical)| expect(physical));
         index_pins.iter().copied().for_each(&mut expect);
         let mut leaked = 0u64;
         for (physical, count) in self.alloc.refcounts() {

@@ -130,7 +130,10 @@ mod tests {
         for i in 0..32u64 {
             p.update(i * 64, true);
         }
-        assert!(p.predict(0xFFFF_0000), "dup-heavy history biases unseen addresses");
+        assert!(
+            p.predict(0xFFFF_0000),
+            "dup-heavy history biases unseen addresses"
+        );
     }
 
     #[test]

@@ -325,7 +325,10 @@ mod tests {
         let base = dummy(SchemeKind::Baseline, 200, 1.0);
         let esd = dummy(SchemeKind::Esd, 100, 2.0);
         let n = esd.normalized_to(&base);
-        assert!((n.write_speedup - 2.0).abs() < 0.15, "bucket rounding tolerated");
+        assert!(
+            (n.write_speedup - 2.0).abs() < 0.15,
+            "bucket rounding tolerated"
+        );
         assert!((n.ipc_ratio - 2.0).abs() < 1e-12);
     }
 

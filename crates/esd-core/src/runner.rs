@@ -291,9 +291,17 @@ mod tests {
             &options,
         )
         .unwrap();
-        let obs = report.obs.as_ref().expect("observe=true extracts the collector");
+        let obs = report
+            .obs
+            .as_ref()
+            .expect("observe=true extracts the collector");
         let names: Vec<&str> = obs.tracer().events().map(|e| e.name).collect();
-        for expected in ["efit_probe", "device_write", "scrub_tick", "write_buffer_depth"] {
+        for expected in [
+            "efit_probe",
+            "device_write",
+            "scrub_tick",
+            "write_buffer_depth",
+        ] {
             assert!(names.contains(&expected), "missing {expected}");
         }
         assert!(!obs.registry().is_empty(), "spans must feed the registry");

@@ -905,7 +905,6 @@ impl Scheme {
         summary.pins_released = pins_released;
         summary
     }
-
 }
 
 #[cfg(test)]

@@ -75,7 +75,10 @@ impl Scrubber {
     /// Panics if `lines_per_tick` is zero.
     #[must_use]
     pub fn new(lines_per_tick: usize) -> Self {
-        assert!(lines_per_tick > 0, "a scrub tick must visit at least one line");
+        assert!(
+            lines_per_tick > 0,
+            "a scrub tick must visit at least one line"
+        );
         Scrubber {
             lines_per_tick,
             cursor: None,
@@ -183,8 +186,8 @@ mod tests {
         // The repaired lines decode clean again (drift cleared).
         for (addr, fill) in [(0x40u64, 2u8), (0x80, 3)] {
             let stored = *nvmm.medium().load(addr).unwrap();
-            let d = esd_ecc::decode_line(&stored.data, esd_ecc::LineEcc::from_u64(stored.ecc))
-                .unwrap();
+            let d =
+                esd_ecc::decode_line(&stored.data, esd_ecc::LineEcc::from_u64(stored.ecc)).unwrap();
             assert_eq!(d.corrected_words, 0, "line {addr:#x} is clean");
             assert_eq!(d.line, [fill; LINE_BYTES]);
         }
@@ -209,7 +212,10 @@ mod tests {
         let s = scrubber.stats();
         assert_eq!(s.ticks, 3);
         assert_eq!(s.lines_scanned, 6);
-        assert_eq!(s.lines_corrected, 6, "three 2-line ticks cover all six lines");
+        assert_eq!(
+            s.lines_corrected, 6,
+            "three 2-line ticks cover all six lines"
+        );
     }
 
     #[test]

@@ -45,8 +45,14 @@ pub const LOCAL_MASK: u64 = (1u64 << TENANT_SHIFT) - 1;
 /// ```
 #[must_use]
 pub fn namespaced(tenant: u32, local: u64) -> u64 {
-    debug_assert!(local <= LOCAL_MASK, "local address {local:#x} overflows its namespace");
-    debug_assert!(tenant <= MAX_TENANT, "tenant id {tenant} exceeds the 16-bit field");
+    debug_assert!(
+        local <= LOCAL_MASK,
+        "local address {local:#x} overflows its namespace"
+    );
+    debug_assert!(
+        tenant <= MAX_TENANT,
+        "tenant id {tenant} exceeds the 16-bit field"
+    );
     (u64::from(tenant) << TENANT_SHIFT) | (local & LOCAL_MASK)
 }
 

@@ -66,7 +66,11 @@ pub struct UnknownCounterError {
 
 impl fmt::Display for UnknownCounterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "no encryption counter recorded for line address {:#x}", self.addr)
+        write!(
+            f,
+            "no encryption counter recorded for line address {:#x}",
+            self.addr
+        )
     }
 }
 
@@ -274,7 +278,10 @@ impl CmeEngine {
             .expect("enable_tenancy before set_active_tenant");
         let (master, keys) = (tenancy.master, &mut tenancy.keys);
         let slot = *tenancy.slots.get_or_insert_with(u64::from(tenant), || {
-            keys.push((tenant, Aes128::new(&crate::derive_tenant_key(&master, tenant))));
+            keys.push((
+                tenant,
+                Aes128::new(&crate::derive_tenant_key(&master, tenant)),
+            ));
             (keys.len() - 1) as u32
         });
         tenancy.active = Some(slot);

@@ -97,6 +97,9 @@ mod tests {
         let mut cme_a = CmeEngine::new(derive_tenant_key(&master, 1));
         let mut cme_b = CmeEngine::new(derive_tenant_key(&master, 2));
         let plain = [0xDB; crate::LINE_BYTES];
-        assert_ne!(cme_a.encrypt_line(0x40, &plain), cme_b.encrypt_line(0x40, &plain));
+        assert_ne!(
+            cme_a.encrypt_line(0x40, &plain),
+            cme_b.encrypt_line(0x40, &plain)
+        );
     }
 }

@@ -249,7 +249,10 @@ mod tests {
         let mut seen = [false; MAX_POS + 1];
         for (i, &p) in POS_OF_DATA.iter().enumerate() {
             let p = p as usize;
-            assert!((3..=MAX_POS).contains(&p), "data bit {i} at bad position {p}");
+            assert!(
+                (3..=MAX_POS).contains(&p),
+                "data bit {i} at bad position {p}"
+            );
             assert!(!p.is_power_of_two());
             assert!(!seen[p], "position {p} reused");
             seen[p] = true;

@@ -175,7 +175,11 @@ pub struct DecodeLineError {
 
 impl fmt::Display for DecodeLineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "uncorrectable error in word {}: {}", self.word, self.source)
+        write!(
+            f,
+            "uncorrectable error in word {}: {}",
+            self.word, self.source
+        )
     }
 }
 
@@ -192,10 +196,7 @@ impl Error for DecodeLineError {
 ///
 /// Returns [`DecodeLineError`] if any word contains a double-bit (or wider)
 /// error.
-pub fn decode_line(
-    line: &[u8; LINE_BYTES],
-    ecc: LineEcc,
-) -> Result<LineDecode, DecodeLineError> {
+pub fn decode_line(line: &[u8; LINE_BYTES], ecc: LineEcc) -> Result<LineDecode, DecodeLineError> {
     // Recompute the whole line's code in one kernel call. A stored code
     // that matches exactly proves every word clean (each code's top bit is
     // the overall parity, so an exact match implies zero syndrome AND clean
@@ -219,8 +220,8 @@ pub fn decode_line(
             continue;
         }
         let data = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        let decoded = decode_word(data, ecc.0[w])
-            .map_err(|source| DecodeLineError { word: w, source })?;
+        let decoded =
+            decode_word(data, ecc.0[w]).map_err(|source| DecodeLineError { word: w, source })?;
         // Any successful decode of a mismatching word corrected a storage
         // error (data, check or parity bit).
         debug_assert!(decoded.corrected.is_some());
@@ -250,7 +251,10 @@ mod tests {
     #[test]
     fn fingerprint_is_deterministic() {
         let line = line_of(|i| (i * 7) as u8);
-        assert_eq!(EccFingerprint::of_line(&line), EccFingerprint::of_line(&line));
+        assert_eq!(
+            EccFingerprint::of_line(&line),
+            EccFingerprint::of_line(&line)
+        );
     }
 
     #[test]

@@ -154,7 +154,11 @@ mod tests {
     fn ecc_is_free_and_hashes_are_not() {
         assert_eq!(FingerprintKind::Ecc.cost().latency_ns, 0);
         assert_eq!(FingerprintKind::Ecc.cost().energy_pj, 0);
-        for kind in [FingerprintKind::Sha1, FingerprintKind::Md5, FingerprintKind::Crc32] {
+        for kind in [
+            FingerprintKind::Sha1,
+            FingerprintKind::Md5,
+            FingerprintKind::Crc32,
+        ] {
             assert!(kind.cost().latency_ns > 0, "{kind} should cost time");
             assert!(kind.cost().energy_pj > 0, "{kind} should cost energy");
         }

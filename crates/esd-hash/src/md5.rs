@@ -13,16 +13,14 @@ pub(crate) const S: [u32; 64] = [
 /// Per-round additive constants (`floor(2^32 * abs(sin(i+1)))`), shared
 /// with the AVX2 4-lane kernel.
 pub(crate) const K: [u32; 64] = [
-    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613,
-    0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193,
-    0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d,
-    0x02441453, 0xd8a1e681, 0xe7d3fbc8, 0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed,
-    0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122,
-    0xfde5380c, 0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
-    0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665, 0xf4292244,
-    0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1,
-    0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb,
-    0xeb86d391,
+    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
+    0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, 0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821,
+    0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
+    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a,
+    0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c, 0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70,
+    0x289b7ec6, 0xeaa127fa, 0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
+    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1,
+    0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
 ];
 
 /// A 128-bit MD5 digest.
@@ -252,7 +250,10 @@ mod tests {
         assert_eq!(md5(b"").to_hex(), "d41d8cd98f00b204e9800998ecf8427e");
         assert_eq!(md5(b"a").to_hex(), "0cc175b9c0f1b6a831c399e269772661");
         assert_eq!(md5(b"abc").to_hex(), "900150983cd24fb0d6963f7d28e17f72");
-        assert_eq!(md5(b"message digest").to_hex(), "f96b697d7cb7938d525a2f31aaf161d0");
+        assert_eq!(
+            md5(b"message digest").to_hex(),
+            "f96b697d7cb7938d525a2f31aaf161d0"
+        );
         assert_eq!(
             md5(b"abcdefghijklmnopqrstuvwxyz").to_hex(),
             "c3fcd3d76192e4007dfb496cca67e13b"
@@ -262,8 +263,10 @@ mod tests {
             "d174ab98d277d9f5a5611c2c9f419d9f"
         );
         assert_eq!(
-            md5(b"12345678901234567890123456789012345678901234567890123456789012345678901234567890")
-                .to_hex(),
+            md5(
+                b"12345678901234567890123456789012345678901234567890123456789012345678901234567890"
+            )
+            .to_hex(),
             "57edf4a22be3c955ac49da2e2107b67a"
         );
     }

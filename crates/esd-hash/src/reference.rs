@@ -155,8 +155,14 @@ mod tests {
 
     #[test]
     fn reference_sha1_hits_fips_vectors() {
-        assert_eq!(sha1(b"").to_hex(), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-        assert_eq!(sha1(b"abc").to_hex(), "a9993e364706816aba3e25717850c26c9cd0d89d");
+        assert_eq!(
+            sha1(b"").to_hex(),
+            "da39a3ee5e6b4b0d3255bfef95601890afd80709"
+        );
+        assert_eq!(
+            sha1(b"abc").to_hex(),
+            "a9993e364706816aba3e25717850c26c9cd0d89d"
+        );
     }
 
     #[test]
@@ -169,7 +175,11 @@ mod tests {
     fn fast_paths_match_reference_across_lengths() {
         let data: Vec<u8> = (0u32..1000).map(|i| (i * 37 % 256) as u8).collect();
         for len in [0usize, 1, 8, 55, 56, 57, 63, 64, 65, 128, 500, 1000] {
-            assert_eq!(crate::sha1(&data[..len]), sha1(&data[..len]), "sha1 len {len}");
+            assert_eq!(
+                crate::sha1(&data[..len]),
+                sha1(&data[..len]),
+                "sha1 len {len}"
+            );
             assert_eq!(crate::md5(&data[..len]), md5(&data[..len]), "md5 len {len}");
         }
     }

@@ -235,8 +235,13 @@ pub fn sha1(data: &[u8]) -> Sha1Digest {
 }
 
 /// The standard SHA-1 initial state.
-const SHA1_INIT: [u32; 5] =
-    [0x6745_2301, 0xEFCD_AB89, 0x98BA_DCFE, 0x1032_5476, 0xC3D2_E1F0];
+const SHA1_INIT: [u32; 5] = [
+    0x6745_2301,
+    0xEFCD_AB89,
+    0x98BA_DCFE,
+    0x1032_5476,
+    0xC3D2_E1F0,
+];
 
 /// The second compression block of every one-shot 64-byte message is a
 /// constant: the `0x80` terminator, zeros, then the 512-bit message length
@@ -268,8 +273,14 @@ mod tests {
 
     #[test]
     fn fips_vectors() {
-        assert_eq!(sha1(b"").to_hex(), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-        assert_eq!(sha1(b"abc").to_hex(), "a9993e364706816aba3e25717850c26c9cd0d89d");
+        assert_eq!(
+            sha1(b"").to_hex(),
+            "da39a3ee5e6b4b0d3255bfef95601890afd80709"
+        );
+        assert_eq!(
+            sha1(b"abc").to_hex(),
+            "a9993e364706816aba3e25717850c26c9cd0d89d"
+        );
         assert_eq!(
             sha1(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
             "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
@@ -283,7 +294,10 @@ mod tests {
         for _ in 0..1000 {
             h.update(&chunk);
         }
-        assert_eq!(h.finalize().to_hex(), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+        assert_eq!(
+            h.finalize().to_hex(),
+            "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
+        );
     }
 
     #[test]
@@ -299,9 +313,8 @@ mod tests {
 
     #[test]
     fn four_lane_matches_scalar() {
-        let lines: [[u8; 64]; 4] = std::array::from_fn(|l| {
-            std::array::from_fn(|i| (l * 64 + i) as u8 ^ 0xA5)
-        });
+        let lines: [[u8; 64]; 4] =
+            std::array::from_fn(|l| std::array::from_fn(|i| (l * 64 + i) as u8 ^ 0xA5));
         let digests = sha1_lines4(&lines);
         for (line, digest) in lines.iter().zip(digests) {
             assert_eq!(digest, sha1(line));

@@ -64,12 +64,18 @@ pub(crate) unsafe fn sha1_compress_ni(state: &mut [u32; 5], block: &[u8; 64]) {
         let e0_save = e0;
 
         let mut msg0 = _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().cast::<__m128i>()), mask);
-        let mut msg1 =
-            _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(16).cast::<__m128i>()), mask);
-        let mut msg2 =
-            _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(32).cast::<__m128i>()), mask);
-        let mut msg3 =
-            _mm_shuffle_epi8(_mm_loadu_si128(block.as_ptr().add(48).cast::<__m128i>()), mask);
+        let mut msg1 = _mm_shuffle_epi8(
+            _mm_loadu_si128(block.as_ptr().add(16).cast::<__m128i>()),
+            mask,
+        );
+        let mut msg2 = _mm_shuffle_epi8(
+            _mm_loadu_si128(block.as_ptr().add(32).cast::<__m128i>()),
+            mask,
+        );
+        let mut msg3 = _mm_shuffle_epi8(
+            _mm_loadu_si128(block.as_ptr().add(48).cast::<__m128i>()),
+            mask,
+        );
 
         // Rounds 0-3.
         e0 = _mm_add_epi32(e0, msg0);
@@ -370,7 +376,7 @@ pub(crate) unsafe fn md5_compress4_avx2(states: &mut [[u32; 4]; 4], blocks: [&[u
 
 #[cfg(test)]
 mod tests {
-    use crate::{md5, sha1, md5_lines4, sha1_lines4, Sha1};
+    use crate::{md5, md5_lines4, sha1, sha1_lines4, Sha1};
 
     fn lines(seed: u8) -> [[u8; 64]; 4] {
         std::array::from_fn(|l| {
@@ -391,7 +397,10 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finalize(), sha1(&data));
-        assert_eq!(sha1(b"abc").to_hex(), "a9993e364706816aba3e25717850c26c9cd0d89d");
+        assert_eq!(
+            sha1(b"abc").to_hex(),
+            "a9993e364706816aba3e25717850c26c9cd0d89d"
+        );
     }
 
     #[test]

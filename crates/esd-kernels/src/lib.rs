@@ -73,8 +73,13 @@ pub struct CpuFeatures {
 impl CpuFeatures {
     /// No hardware support at all — the non-x86-64 answer and the scalar
     /// baseline for tests.
-    pub const NONE: CpuFeatures =
-        CpuFeatures { aes: false, sha: false, avx2: false, ssse3: false, gfni: false };
+    pub const NONE: CpuFeatures = CpuFeatures {
+        aes: false,
+        sha: false,
+        avx2: false,
+        ssse3: false,
+        gfni: false,
+    };
 }
 
 #[cfg(target_arch = "x86_64")]

@@ -209,19 +209,28 @@ impl Registry {
     /// The current value of counter `name`.
     #[must_use]
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(k, _)| *k == name).map(|&(_, v)| v)
+        self.counters
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|&(_, v)| v)
     }
 
     /// The current value of gauge `name`.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(k, _)| *k == name).map(|&(_, v)| v)
+        self.gauges
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|&(_, v)| v)
     }
 
     /// The histogram `name`, if any samples were recorded.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        self.histograms.iter().find(|(k, _)| *k == name).map(|(_, h)| h)
+        self.histograms
+            .iter()
+            .find(|(k, _)| *k == name)
+            .map(|(_, h)| h)
     }
 
     /// All counters, in first-recorded order.
@@ -365,7 +374,14 @@ mod tests {
         r.histogram_record("h", Ps(42));
         let json = r.to_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        for key in ["\"counters\"", "\"gauges\"", "\"histograms\"", "\"c\"", "\"g\"", "\"h\""] {
+        for key in [
+            "\"counters\"",
+            "\"gauges\"",
+            "\"histograms\"",
+            "\"c\"",
+            "\"g\"",
+            "\"h\"",
+        ] {
             assert!(json.contains(key), "missing {key}: {json}");
         }
     }

@@ -213,7 +213,12 @@ mod tests {
     #[test]
     fn span_event_renders_microseconds() {
         let mut t = Tracer::with_capacity(4);
-        t.push_span("write", "device_write", Ps::from_ns(1500), Ps::from_ns(2500));
+        t.push_span(
+            "write",
+            "device_write",
+            Ps::from_ns(1500),
+            Ps::from_ns(2500),
+        );
         let json = t.to_chrome_json();
         assert!(json.contains("\"ph\":\"X\""), "{json}");
         assert!(json.contains("\"ts\":1.500000"), "{json}");

@@ -137,12 +137,14 @@ fn run(flags: &Flags) -> Result<(), String> {
         flags.known(&["tcp", "connections", "scheme", "tenants", "queue-depth"])?;
         let config = service_config(flags)?;
         let connections = flags.get_parsed_or("connections", 1usize)?;
-        let listener =
-            TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
+        let listener = TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
         let bound = listener
             .local_addr()
             .map_err(|e| format!("inspecting listener: {e}"))?;
-        println!("esd-serve listening on {bound} ({} tenants)", config.tenants);
+        println!(
+            "esd-serve listening on {bound} ({} tenants)",
+            config.tenants
+        );
         let service = Mutex::new(Service::new(&config));
         serve_tcp(&listener, &service, connections).map_err(|e| format!("serving: {e}"))?;
         // `serve_tcp` joined every session and would have passed a panic on.

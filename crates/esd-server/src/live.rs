@@ -105,10 +105,14 @@ impl Gate {
         }
         let (Request::Write { local, .. } | Request::Read { local }) = env.request;
         if local > LOCAL_MASK {
-            return Err(bad(format!("local address {local:#x} overflows its namespace")));
+            return Err(bad(format!(
+                "local address {local:#x} overflows its namespace"
+            )));
         }
         if !local.is_multiple_of(LINE_BYTES as u64) {
-            return Err(bad(format!("local address {local:#x} is not a line address")));
+            return Err(bad(format!(
+                "local address {local:#x} is not a line address"
+            )));
         }
         Ok(env)
     }
@@ -126,7 +130,10 @@ impl<R: Read> Inbound<R> {
     fn new(stream: R, tenants: u32) -> Self {
         Inbound {
             reader: BufReader::with_capacity(READ_BUFFER_BYTES, stream),
-            gate: Gate { tenants, pinned: None },
+            gate: Gate {
+                tenants,
+                pinned: None,
+            },
             payload: Vec::with_capacity(MAX_FRAME_BYTES as usize),
             batch: Vec::with_capacity(MAX_BATCH),
         }
@@ -145,7 +152,9 @@ impl<R: Read> Inbound<R> {
         }
         self.batch.push(self.gate.check(&self.payload)?);
         while self.batch.len() < MAX_BATCH {
-            let Some(frame) = peek_frame(self.reader.buffer())? else { break };
+            let Some(frame) = peek_frame(self.reader.buffer())? else {
+                break;
+            };
             let env = self.gate.check(frame)?;
             let consumed = FRAME_HEADER_BYTES + frame.len();
             self.reader.consume(consumed);

@@ -186,10 +186,16 @@ pub fn decode_request(mut payload: &[u8]) -> Result<Envelope, DecodeError> {
             line: take_line(&mut payload)?,
         },
         0x02 => Request::Read { local },
-        _ => return Err(DecodeError { reason: "unknown request tag" }),
+        _ => {
+            return Err(DecodeError {
+                reason: "unknown request tag",
+            })
+        }
     };
     if !payload.is_empty() {
-        return Err(DecodeError { reason: "trailing bytes after request" });
+        return Err(DecodeError {
+            reason: "trailing bytes after request",
+        });
     }
     Ok(Envelope {
         tenant,
@@ -209,7 +215,11 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 
 fn put_response(out: &mut Vec<u8>, resp: &Response) {
     match *resp {
-        Response::Written { seq, deduplicated, latency } => {
+        Response::Written {
+            seq,
+            deduplicated,
+            latency,
+        } => {
             out.push(0x81);
             out.extend_from_slice(&seq.to_le_bytes());
             out.push(u8::from(deduplicated));
@@ -259,10 +269,16 @@ pub fn decode_response(mut payload: &[u8]) -> Result<Response, DecodeError> {
             seq,
             retry_after: Ps(take_u64(&mut payload, "truncated retry hint")?),
         },
-        _ => return Err(DecodeError { reason: "unknown response tag" }),
+        _ => {
+            return Err(DecodeError {
+                reason: "unknown response tag",
+            })
+        }
     };
     if !payload.is_empty() {
-        return Err(DecodeError { reason: "trailing bytes after response" });
+        return Err(DecodeError {
+            reason: "trailing bytes after response",
+        });
     }
     Ok(resp)
 }
@@ -482,9 +498,15 @@ mod tests {
     #[test]
     fn a_frame_leaves_in_one_write() {
         let payload = encode_request(&envelope(Request::Read { local: 0x40 }));
-        let mut w = CountingWriter { writes: 0, bytes: Vec::new() };
+        let mut w = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
         write_frame(&mut w, &payload).unwrap();
-        assert_eq!(w.writes, 1, "prefix and payload must not be separate segments");
+        assert_eq!(
+            w.writes, 1,
+            "prefix and payload must not be separate segments"
+        );
         assert_eq!(read_frame(&mut w.bytes.as_slice()).unwrap(), Some(payload));
     }
 

@@ -489,7 +489,9 @@ impl Service {
                 out.push(applied);
                 continue;
             }
-            let Some(upcoming) = events.get(next) else { break };
+            let Some(upcoming) = events.get(next) else {
+                break;
+            };
             // Idle until the next arrival.
             self.clock = self.clock.max(upcoming.arrival);
         }
@@ -505,11 +507,7 @@ impl Service {
     pub fn tenant_summary(&self, tenant: u32) -> TenantSummary {
         let state = &self.tenants[tenant as usize];
         let (p50, p95, p99) = match self.registry.histogram(state.metrics.latency_name) {
-            Some(h) => (
-                h.percentile(0.50),
-                h.percentile(0.95),
-                h.percentile(0.99),
-            ),
+            Some(h) => (h.percentile(0.50), h.percentile(0.95), h.percentile(0.99)),
             None => (Ps::ZERO, Ps::ZERO, Ps::ZERO),
         };
         TenantSummary {
@@ -551,7 +549,9 @@ impl Service {
     #[must_use]
     pub fn summary(&self) -> ServiceSummary {
         ServiceSummary {
-            tenants: (0..self.tenant_count()).map(|t| self.tenant_summary(t)).collect(),
+            tenants: (0..self.tenant_count())
+                .map(|t| self.tenant_summary(t))
+                .collect(),
             applied: self.applied,
             sim_end: self.clock,
             state_digest: self.state_digest(),
@@ -609,7 +609,10 @@ mod tests {
         assert_eq!(responses.len(), 2);
         assert!(matches!(
             responses[1].1,
-            Response::Written { deduplicated: true, .. }
+            Response::Written {
+                deduplicated: true,
+                ..
+            }
         ));
         assert_eq!(service.scheme().nvmm().stats().data.writes, 1);
     }
@@ -636,14 +639,18 @@ mod tests {
             .iter()
             .find(|(t, r)| *t == 1 && matches!(r, Response::Data { .. }))
             .expect("tenant 1 read completed");
-        let Response::Data { line, .. } = t1_read.1 else { unreachable!() };
+        let Response::Data { line, .. } = t1_read.1 else {
+            unreachable!()
+        };
         assert!(line.is_zero());
         // Tenant 0 reads its own write back.
         let t0_read = responses
             .iter()
             .find(|(t, r)| *t == 0 && matches!(r, Response::Data { .. }))
             .expect("tenant 0 read completed");
-        let Response::Data { line, .. } = t0_read.1 else { unreachable!() };
+        let Response::Data { line, .. } = t0_read.1 else {
+            unreachable!()
+        };
         assert_eq!(line, CacheLine::from_fill(0x55));
     }
 

@@ -19,13 +19,24 @@ fn identical_plaintext_dedups_across_tenants_in_the_shared_store() {
             tenant,
             seq: 0,
             arrival: Ps::from_ns(u64::from(tenant)),
-            request: Request::Write { local: 0x1000, line },
+            request: Request::Write {
+                local: 0x1000,
+                line,
+            },
         })
         .collect();
     let responses = service.run_events(events);
     let dedups = responses
         .iter()
-        .filter(|(_, r)| matches!(r, Response::Written { deduplicated: true, .. }))
+        .filter(|(_, r)| {
+            matches!(
+                r,
+                Response::Written {
+                    deduplicated: true,
+                    ..
+                }
+            )
+        })
         .count();
     assert_eq!(dedups, 3, "three of four identical writes must dedup");
     // One stored line serves all four tenants.

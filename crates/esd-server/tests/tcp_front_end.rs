@@ -55,7 +55,9 @@ fn requests(tenant: u32, n: u64) -> Vec<Envelope> {
             seq,
             arrival: Ps::ZERO,
             request: if seq % 4 == 3 {
-                Request::Read { local: (seq / 2) * 0x40 }
+                Request::Read {
+                    local: (seq / 2) * 0x40,
+                }
             } else {
                 Request::Write {
                     local: seq * 0x40,
@@ -103,7 +105,10 @@ fn lock_step_round_trips_do_not_wait_for_a_delayed_ack() {
     });
     // A response split into two small segments costs a delayed ACK (40 ms)
     // each: 200 of them took 8.8 s.
-    assert!(elapsed < Duration::from_secs(2), "200 round trips took {elapsed:?}");
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 round trips took {elapsed:?}"
+    );
     assert_eq!(service.lock().unwrap().tenant_summary(0).offered, 200);
 }
 
@@ -114,7 +119,9 @@ fn a_burst_of_frames_is_answered_in_order() {
         let mut stream = connect(addr);
         stream.write_all(&wire(&list)).unwrap();
         let mut reader = BufReader::new(stream);
-        (0..list.len()).map(|_| next_response(&mut reader).seq()).collect::<Vec<_>>()
+        (0..list.len())
+            .map(|_| next_response(&mut reader).seq())
+            .collect::<Vec<_>>()
     });
     assert_eq!(got, (0..64).collect::<Vec<u64>>());
 }
@@ -163,7 +170,11 @@ fn summary_at(pace: Pace) -> ServiceSummary {
 fn batch_boundaries_are_invisible_to_the_model() {
     let lock_step = summary_at(Pace::LockStep);
     assert_eq!(lock_step.applied, 240);
-    assert_eq!(summary_at(Pace::Burst), lock_step, "one write of everything");
+    assert_eq!(
+        summary_at(Pace::Burst),
+        lock_step,
+        "one write of everything"
+    );
     assert_eq!(summary_at(Pace::Dribble), lock_step, "one byte per write");
 }
 
@@ -190,10 +201,7 @@ impl Read for ChunkedReader {
 /// every frame already buffered — until it ends. Returns what decoded and
 /// how the stream ended.
 fn read_all(reader: ChunkedReader) -> (Vec<Envelope>, io::Result<()>) {
-    fn frames(
-        reader: &mut BufReader<ChunkedReader>,
-        got: &mut Vec<Envelope>,
-    ) -> io::Result<()> {
+    fn frames(reader: &mut BufReader<ChunkedReader>, got: &mut Vec<Envelope>) -> io::Result<()> {
         let mut payload = Vec::new();
         while read_frame_into(reader, &mut payload)? {
             got.push(decode_request(&payload).unwrap());
@@ -212,18 +220,26 @@ fn read_all(reader: ChunkedReader) -> (Vec<Envelope>, io::Result<()>) {
 }
 
 fn arb_envelope() -> impl Strategy<Value = Envelope> {
-    (any::<u32>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
-        |(tenant, seq, local, seed, write)| Envelope {
+    (
+        any::<u32>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        any::<bool>(),
+    )
+        .prop_map(|(tenant, seq, local, seed, write)| Envelope {
             tenant,
             seq,
             arrival: Ps::ZERO,
             request: if write {
-                Request::Write { local, line: CacheLine::from_seed(seed) }
+                Request::Write {
+                    local,
+                    line: CacheLine::from_seed(seed),
+                }
             } else {
                 Request::Read { local }
             },
-        },
-    )
+        })
 }
 
 proptest! {
@@ -288,11 +304,20 @@ fn hostile_streams() -> Vec<(&'static str, Vec<u8>)> {
     vec![
         ("bad tag", bad_tag),
         ("first tenant id past the configured ones", read(4, 0x40)),
-        ("tenant id that would index far out of bounds", read(u32::MAX, 0x40)),
+        (
+            "tenant id that would index far out of bounds",
+            read(u32::MAX, 0x40),
+        ),
         ("truncated frame", truncated),
         ("oversized length prefix", u32::MAX.to_le_bytes().to_vec()),
-        ("local address that would alias another namespace", read(1, LOCAL_MASK + 1)),
-        ("local address inside a line, which would alias that line", read(1, 0x41)),
+        (
+            "local address that would alias another namespace",
+            read(1, LOCAL_MASK + 1),
+        ),
+        (
+            "local address inside a line, which would alias that line",
+            read(1, 0x41),
+        ),
     ]
 }
 
@@ -301,7 +326,11 @@ fn hostile_streams() -> Vec<(&'static str, Vec<u8>)> {
 /// connection of its own between two of their rounds. One client thread
 /// fixes the order of everything, so the two runs differ in nothing else.
 fn chaos_run(hostile: bool) -> ServiceSummary {
-    let streams = if hostile { hostile_streams() } else { Vec::new() };
+    let streams = if hostile {
+        hostile_streams()
+    } else {
+        Vec::new()
+    };
     let (_, service) = serve(2 + streams.len(), |addr| {
         let lists = [requests(0, 60), requests(1, 60)];
         let mut tenants = [connect(addr), connect(addr)];
@@ -342,7 +371,10 @@ fn a_hostile_connection_costs_the_other_tenants_nothing() {
 fn a_bad_frame_closes_its_connection_after_the_responses_already_owed() {
     let mut list = requests(3, 3);
     // The session is tenant 3's; a frame for tenant 0 does not belong on it.
-    list.push(Envelope { tenant: 0, ..list[0] });
+    list.push(Envelope {
+        tenant: 0,
+        ..list[0]
+    });
     list.extend(requests(3, 2));
     let (answers, service) = serve(2, |addr| {
         let mut stream = connect(addr);
@@ -354,9 +386,20 @@ fn a_bad_frame_closes_its_connection_after_the_responses_already_owed() {
         assert_eq!(next_response(&mut next).seq(), 0);
         answers
     });
-    assert_eq!(answers.iter().map(Response::seq).collect::<Vec<_>>(), [0, 1, 2]);
+    assert_eq!(
+        answers.iter().map(Response::seq).collect::<Vec<_>>(),
+        [0, 1, 2]
+    );
     let svc = service.lock().unwrap();
-    assert_eq!(svc.tenant_summary(3).offered, 3, "nothing after the bad frame");
-    assert_eq!(svc.tenant_summary(0).offered, 0, "the borrowed tenant id reached nothing");
+    assert_eq!(
+        svc.tenant_summary(3).offered,
+        3,
+        "nothing after the bad frame"
+    );
+    assert_eq!(
+        svc.tenant_summary(0).offered,
+        0,
+        "the borrowed tenant id reached nothing"
+    );
     assert_eq!(svc.tenant_summary(1).offered, 1);
 }

@@ -62,7 +62,10 @@ impl CpuModel {
     /// Panics if `write_buffer_depth` is zero or `base_ipc` is not positive.
     #[must_use]
     pub fn new(config: CpuConfig, write_buffer_depth: u32) -> Self {
-        assert!(write_buffer_depth > 0, "write buffer needs at least one slot");
+        assert!(
+            write_buffer_depth > 0,
+            "write buffer needs at least one slot"
+        );
         assert!(config.base_ipc > 0.0, "base IPC must be positive");
         CpuModel {
             config,
@@ -159,7 +162,10 @@ impl CpuModel {
             }
         }
         if self.write_buffer.len() >= self.write_buffer_depth {
-            let Reverse(earliest) = self.write_buffer.pop().expect("buffer full implies nonempty");
+            let Reverse(earliest) = self
+                .write_buffer
+                .pop()
+                .expect("buffer full implies nonempty");
             let free_at = Ps(earliest);
             if free_at > self.now {
                 self.stats.write_stall += free_at - self.now;
@@ -229,7 +235,11 @@ mod tests {
             cpu.execute(1); // each is 1/12 cycle
         }
         // 12 instructions at 12/cycle = 1 cycle = 500ps (±1ps float rounding).
-        assert!((499..=501).contains(&cpu.now().as_ps()), "now = {}", cpu.now());
+        assert!(
+            (499..=501).contains(&cpu.now().as_ps()),
+            "now = {}",
+            cpu.now()
+        );
     }
 
     #[test]
@@ -252,11 +262,18 @@ mod tests {
         }
         let configs = [
             CpuConfig::default(),
-            CpuConfig { base_ipc: 0.7, cores: 3, ..CpuConfig::default() },
+            CpuConfig {
+                base_ipc: 0.7,
+                cores: 3,
+                ..CpuConfig::default()
+            },
         ];
         for config in configs {
             let mut cpu = CpuModel::new(config, 2);
-            let mut reference = FloorClock { now: 0, carry_ps: 0.0 };
+            let mut reference = FloorClock {
+                now: 0,
+                carry_ps: 0.0,
+            };
             let mut x = 0x9E37_79B9_7F4A_7C15u64;
             for step in 0..20_000u64 {
                 x ^= x << 13;
@@ -267,7 +284,11 @@ mod tests {
                 cpu.execute(gap);
                 reference.execute(&config, gap);
                 assert_eq!(cpu.now().as_ps(), reference.now, "step {step}");
-                assert_eq!(cpu.carry_ps.to_bits(), reference.carry_ps.to_bits(), "step {step}");
+                assert_eq!(
+                    cpu.carry_ps.to_bits(),
+                    reference.carry_ps.to_bits(),
+                    "step {step}"
+                );
             }
         }
     }

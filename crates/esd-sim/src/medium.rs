@@ -585,7 +585,11 @@ mod tests {
         assert_eq!(m.load(0).unwrap().data[0], 2, "stored bits drifted");
         assert_eq!(m.pristine(0).unwrap().data[0], 3, "shadow keeps truth");
         m.store(0, [5u8; LINE_BYTES], 2);
-        assert_eq!(m.pristine(0).unwrap().data, [5u8; LINE_BYTES], "rewrite resets");
+        assert_eq!(
+            m.pristine(0).unwrap().data,
+            [5u8; LINE_BYTES],
+            "rewrite resets"
+        );
     }
 
     #[test]
@@ -596,7 +600,11 @@ mod tests {
         m.inject_bit_flip(0, 0, 0);
         m.copy_line(0, 64);
         assert_eq!(m.load(64).unwrap().data[0], 2, "raw cells copied");
-        assert_eq!(m.pristine(64).unwrap().data[0], 3, "truth followed the move");
+        assert_eq!(
+            m.pristine(64).unwrap().data[0],
+            3,
+            "truth followed the move"
+        );
     }
 
     #[test]

@@ -255,7 +255,10 @@ mod tests {
 
         let first = pcm.access(Ps::ZERO, addr, PcmOp::Write, AccessClass::Data);
         let second = pcm.access(Ps::ZERO, same_bank, PcmOp::Read, AccessClass::Data);
-        assert!(second.start >= first.finish, "read must wait behind the write");
+        assert!(
+            second.start >= first.finish,
+            "read must wait behind the write"
+        );
     }
 
     #[test]

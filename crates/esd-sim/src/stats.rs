@@ -135,7 +135,9 @@ impl LatencyHistogram {
         for (idx, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= target {
-                return Ps(Self::bucket_lower_bound(idx).max(self.min_ps).min(self.max_ps));
+                return Ps(Self::bucket_lower_bound(idx)
+                    .max(self.min_ps)
+                    .min(self.max_ps));
             }
         }
         Ps(self.max_ps)
@@ -354,7 +356,10 @@ mod tests {
             WriteLatencyBreakdown::default().fractions(),
             [0.0; WriteLatencyBreakdown::BUCKETS]
         );
-        assert_eq!(WriteLatencyBreakdown::NAMES.len(), WriteLatencyBreakdown::BUCKETS);
+        assert_eq!(
+            WriteLatencyBreakdown::NAMES.len(),
+            WriteLatencyBreakdown::BUCKETS
+        );
     }
 
     #[test]

@@ -136,7 +136,9 @@ impl NvmmSystem {
         ecc: u64,
     ) -> Completion {
         let device = self.device_addr(line_addr);
-        let completion = self.pcm.access(now, device, PcmOp::Write, AccessClass::Data);
+        let completion = self
+            .pcm
+            .access(now, device, PcmOp::Write, AccessClass::Data);
         self.medium.store(device, data, ecc);
         if let Some(mv) = self.leveler.as_mut().and_then(StartGap::on_write) {
             let from = mv.from * LINE_BYTES as u64;
@@ -229,7 +231,11 @@ mod tests {
         assert_eq!(nvmm.stats().metadata.reads, 1);
         assert_eq!(nvmm.stats().metadata.writes, 1);
         assert_eq!(nvmm.stats().data.reads, 0);
-        assert_eq!(nvmm.medium().lines_stored(), 0, "metadata writes carry no content");
+        assert_eq!(
+            nvmm.medium().lines_stored(),
+            0,
+            "metadata writes carry no content"
+        );
     }
 
     #[test]

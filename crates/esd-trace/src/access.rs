@@ -104,7 +104,10 @@ impl Trace {
     /// Total instructions across all gaps.
     #[must_use]
     pub fn total_instructions(&self) -> u64 {
-        self.accesses.iter().map(|a| u64::from(a.instruction_gap)).sum()
+        self.accesses
+            .iter()
+            .map(|a| u64::from(a.instruction_gap))
+            .sum()
     }
 }
 

@@ -126,7 +126,9 @@ pub fn refcount_buckets(trace: &Trace) -> RefCountBuckets {
     let mut counts: HashMap<CacheLine, u64> = HashMap::new();
     for access in trace {
         if access.kind == AccessKind::Write {
-            *counts.entry(access.data.expect("write carries data")).or_insert(0) += 1;
+            *counts
+                .entry(access.data.expect("write carries data"))
+                .or_insert(0) += 1;
         }
     }
     let mut buckets = RefCountBuckets::default();

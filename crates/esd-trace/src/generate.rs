@@ -120,7 +120,8 @@ impl TraceGenerator {
 
     fn next_access(&mut self) -> Access {
         let gap = self.instruction_gap();
-        let is_read = !self.written.is_empty() && self.rng.gen::<f64>() < self.profile.read_fraction;
+        let is_read =
+            !self.written.is_empty() && self.rng.gen::<f64>() < self.profile.read_fraction;
         if is_read {
             // Demand reads favor recently written addresses (temporal
             // locality survives the cache hierarchy at coarse grain), with
@@ -238,7 +239,10 @@ mod tests {
         let p = AppProfile::demo();
         let t = generate_trace(&p, 3, 20_000);
         let reads = t.read_count() as f64 / t.len() as f64;
-        assert!((reads - p.read_fraction).abs() < 0.02, "read fraction {reads}");
+        assert!(
+            (reads - p.read_fraction).abs() < 0.02,
+            "read fraction {reads}"
+        );
     }
 
     #[test]
@@ -291,6 +295,9 @@ mod tests {
             None => (z, w),
         });
         let frac = zeros as f64 / writes as f64;
-        assert!((frac - p.zero_fraction).abs() < 0.03, "zero fraction {frac}");
+        assert!(
+            (frac - p.zero_fraction).abs() < 0.03,
+            "zero fraction {frac}"
+        );
     }
 }

@@ -104,18 +104,27 @@ pub fn decode_trace(mut buf: &[u8]) -> Result<Trace, DecodeTraceError> {
         return Err(DecodeTraceError::BadMagic(magic));
     }
     if buf.remaining() < 2 {
-        return Err(DecodeTraceError::Truncated { decoded: 0, expected: 0 });
+        return Err(DecodeTraceError::Truncated {
+            decoded: 0,
+            expected: 0,
+        });
     }
     let name_len = buf.get_u16() as usize;
     if buf.remaining() < name_len {
-        return Err(DecodeTraceError::Truncated { decoded: 0, expected: 0 });
+        return Err(DecodeTraceError::Truncated {
+            decoded: 0,
+            expected: 0,
+        });
     }
     let name = std::str::from_utf8(&buf[..name_len])
         .map_err(|_| DecodeTraceError::BadName)?
         .to_owned();
     buf.advance(name_len);
     if buf.remaining() < 8 {
-        return Err(DecodeTraceError::Truncated { decoded: 0, expected: 0 });
+        return Err(DecodeTraceError::Truncated {
+            decoded: 0,
+            expected: 0,
+        });
     }
     let expected = buf.get_u64() as usize;
 
@@ -123,7 +132,10 @@ pub fn decode_trace(mut buf: &[u8]) -> Result<Trace, DecodeTraceError> {
     trace.accesses.reserve(expected);
     for i in 0..expected {
         if buf.remaining() < 13 {
-            return Err(DecodeTraceError::Truncated { decoded: i, expected });
+            return Err(DecodeTraceError::Truncated {
+                decoded: i,
+                expected,
+            });
         }
         let tag = buf.get_u8();
         let addr = buf.get_u64();
@@ -135,7 +147,10 @@ pub fn decode_trace(mut buf: &[u8]) -> Result<Trace, DecodeTraceError> {
             0 => Access::read(addr, gap),
             1 => {
                 if buf.remaining() < LINE_BYTES {
-                    return Err(DecodeTraceError::Truncated { decoded: i, expected });
+                    return Err(DecodeTraceError::Truncated {
+                        decoded: i,
+                        expected,
+                    });
                 }
                 let mut line = [0u8; LINE_BYTES];
                 buf.copy_to_slice(&mut line);
@@ -173,7 +188,10 @@ mod tests {
             decode_trace(&[0, 0, 0, 0, 0, 0]),
             Err(DecodeTraceError::BadMagic(0))
         ));
-        assert!(matches!(decode_trace(&[1]), Err(DecodeTraceError::BadMagic(0))));
+        assert!(matches!(
+            decode_trace(&[1]),
+            Err(DecodeTraceError::BadMagic(0))
+        ));
     }
 
     #[test]
@@ -198,17 +216,24 @@ mod tests {
         // Flip the record tag to an invalid value.
         let tag_pos = 4 + 2 + 1 + 8;
         bytes[tag_pos] = 9;
-        assert!(matches!(decode_trace(&bytes), Err(DecodeTraceError::BadKind(9))));
+        assert!(matches!(
+            decode_trace(&bytes),
+            Err(DecodeTraceError::BadKind(9))
+        ));
     }
 
     #[test]
     fn unaligned_addresses_are_refused() {
         let mut t = Trace::new("x");
         t.accesses.push(Access::read(0x40, 0));
-        t.accesses.push(Access::write(0x41, CacheLine::from_fill(1), 0));
+        t.accesses
+            .push(Access::write(0x41, CacheLine::from_fill(1), 0));
         assert_eq!(
             decode_trace(&encode_trace(&t)),
-            Err(DecodeTraceError::Unaligned { record: 1, addr: 0x41 })
+            Err(DecodeTraceError::Unaligned {
+                record: 1,
+                addr: 0x41
+            })
         );
     }
 
@@ -216,7 +241,10 @@ mod tests {
     fn error_display_is_nonempty() {
         for e in [
             DecodeTraceError::BadMagic(1),
-            DecodeTraceError::Truncated { decoded: 1, expected: 2 },
+            DecodeTraceError::Truncated {
+                decoded: 1,
+                expected: 2,
+            },
             DecodeTraceError::BadKind(3),
             DecodeTraceError::BadName,
             DecodeTraceError::Unaligned { record: 4, addr: 5 },

@@ -96,7 +96,11 @@ impl AsRef<[u8]> for CacheLine {
 
 impl fmt::Debug for CacheLine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CacheLine({:02x}{:02x}{:02x}{:02x}..)", self.0[0], self.0[1], self.0[2], self.0[3])
+        write!(
+            f,
+            "CacheLine({:02x}{:02x}{:02x}{:02x}..)",
+            self.0[0], self.0[1], self.0[2], self.0[3]
+        )
     }
 }
 
@@ -114,8 +118,9 @@ mod tests {
     #[test]
     fn seeded_lines_are_deterministic_and_distinct() {
         assert_eq!(CacheLine::from_seed(7), CacheLine::from_seed(7));
-        let lines: std::collections::HashSet<_> =
-            (0u64..1000).map(|s| CacheLine::from_seed(s).into_bytes()).collect();
+        let lines: std::collections::HashSet<_> = (0u64..1000)
+            .map(|s| CacheLine::from_seed(s).into_bytes())
+            .collect();
         assert_eq!(lines.len(), 1000);
     }
 

@@ -35,7 +35,11 @@ pub fn interleave_traces(traces: &[Trace], region_bytes: u64) -> Trace {
 
     let name = format!(
         "mix({})",
-        traces.iter().map(|t| t.name.as_str()).collect::<Vec<_>>().join("+")
+        traces
+            .iter()
+            .map(|t| t.name.as_str())
+            .collect::<Vec<_>>()
+            .join("+")
     );
     let mut mixed = Trace::new(name);
     mixed.accesses.reserve(traces.iter().map(Trace::len).sum());
@@ -116,8 +120,7 @@ mod tests {
         assert!(mix
             .accesses
             .iter()
-            .all(|acc| acc.kind == AccessKind::Write
-                && acc.data == Some(CacheLine::from_fill(1))));
+            .all(|acc| acc.kind == AccessKind::Write && acc.data == Some(CacheLine::from_fill(1))));
         assert!(crate::analysis::duplicate_rate(&mix) > 0.7);
     }
 

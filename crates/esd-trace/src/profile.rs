@@ -67,7 +67,10 @@ impl AppProfile {
     ) -> Self {
         assert!((0.0..=1.0).contains(&dup_rate));
         assert!((0.0..=1.0).contains(&zero_fraction));
-        assert!(zero_fraction <= dup_rate + 1e-9, "zero lines are duplicates");
+        assert!(
+            zero_fraction <= dup_rate + 1e-9,
+            "zero lines are duplicates"
+        );
         assert!((0.0..1.0).contains(&read_fraction));
         AppProfile {
             name: name.to_owned(),

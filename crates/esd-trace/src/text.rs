@@ -107,7 +107,10 @@ pub fn parse_trace_text(name: &str, text: &str) -> Result<Trace, ParseTraceError
         }
         let mut fields = line.split_whitespace();
         let tag = fields.next().expect("non-empty line has a first field");
-        let err = |kind| ParseTraceError { line: line_no, kind };
+        let err = |kind| ParseTraceError {
+            line: line_no,
+            kind,
+        };
 
         let addr_str = fields
             .next()
@@ -130,7 +133,8 @@ pub fn parse_trace_text(name: &str, text: &str) -> Result<Trace, ParseTraceError
                 let content = fields
                     .next()
                     .ok_or_else(|| err(ParseTraceErrorKind::MissingField("content")))?;
-                if content.len() != LINE_BYTES * 2 || !content.bytes().all(|b| b.is_ascii_hexdigit())
+                if content.len() != LINE_BYTES * 2
+                    || !content.bytes().all(|b| b.is_ascii_hexdigit())
                 {
                     return Err(err(ParseTraceErrorKind::BadContent));
                 }

@@ -33,7 +33,10 @@ impl Zipf {
     #[must_use]
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one item");
-        assert!(s.is_finite() && s >= 0.0, "Zipf exponent must be finite and non-negative");
+        assert!(
+            s.is_finite() && s >= 0.0,
+            "Zipf exponent must be finite and non-negative"
+        );
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
         for i in 0..n {
@@ -126,7 +129,11 @@ mod tests {
             }
         }
         // With s=1.2 over 1000 items the top-10 carry well over a third.
-        assert!(head as f64 / N as f64 > 0.35, "head fraction {}", head as f64 / N as f64);
+        assert!(
+            head as f64 / N as f64 > 0.35,
+            "head fraction {}",
+            head as f64 / N as f64
+        );
     }
 
     #[test]
@@ -187,7 +194,11 @@ mod tests {
         // s = 0 over two items: CDF is [0.5, 1.0].
         let zipf = Zipf::new(2, 0.0);
         let mut on_boundary = FixedBits(bits_for_unit_f64(0.5));
-        assert_eq!(zipf.sample(&mut on_boundary), 0, "u == cdf[0] belongs to item 0");
+        assert_eq!(
+            zipf.sample(&mut on_boundary),
+            0,
+            "u == cdf[0] belongs to item 0"
+        );
         let mut below = FixedBits(bits_for_unit_f64(0.5) - (1 << 11));
         assert_eq!(zipf.sample(&mut below), 0);
         let mut above = FixedBits(bits_for_unit_f64(0.5) + (1 << 11));

@@ -18,9 +18,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ecc = encode_word(word);
     let corrupted = word ^ (1 << 42);
     let decoded = esd::ecc::decode_word(corrupted, ecc)?;
-    println!("1. SEC-DED: {word:#018x} corrupted at bit 42 -> corrected {:#018x} ({})",
+    println!(
+        "1. SEC-DED: {word:#018x} corrupted at bit 42 -> corrected {:#018x} ({})",
         decoded.data,
-        decoded.corrected.map_or("clean".to_owned(), |c| c.to_string()),
+        decoded
+            .corrected
+            .map_or("clean".to_owned(), |c| c.to_string()),
     );
 
     // 2. The filter property: different fingerprints prove different lines.
@@ -30,7 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let b = CacheLine::new(bytes);
     let fa = EccFingerprint::of_line(a.as_bytes());
     let fb = EccFingerprint::of_line(b.as_bytes());
-    println!("2. filter property: fp(a)={fa} fp(b)={fb} -> lines provably differ: {}", fa != fb);
+    println!(
+        "2. filter property: fp(a)={fa} fp(b)={fb} -> lines provably differ: {}",
+        fa != fb
+    );
 
     // 3. Counter-mode diffusion: identical plaintext, distinct ciphertext.
     let mut cme = CmeEngine::new([9u8; 16]);
@@ -47,8 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut stored = c1;
     stored[5] ^= 0x10; // a cell error on the medium
     let recovered = decode_line(&stored, line_ecc)?;
-    println!("4. medium fault: 1 flipped bit in stored ciphertext -> corrected {} word(s)",
-        recovered.corrected_words);
+    println!(
+        "4. medium fault: 1 flipped bit in stored ciphertext -> corrected {} word(s)",
+        recovered.corrected_words
+    );
 
     // 5. End to end through the ESD scheme: inject a fault into the
     //    simulated PCM and read back the correct data anyway.
@@ -59,8 +67,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ESD allocates physical lines from 0 upward; flip a bit there.
     assert!(esd.nvmm_mut().medium_mut().inject_bit_flip(0, 3, 6));
     let read = esd.read(Ps::from_us(1), 0x1000);
-    println!("5. end-to-end: bit flipped on PCM, read back {} (ECC corrected: {})",
-        if read.data == data { "correct data" } else { "WRONG DATA" },
+    println!(
+        "5. end-to-end: bit flipped on PCM, read back {} (ECC corrected: {})",
+        if read.data == data {
+            "correct data"
+        } else {
+            "WRONG DATA"
+        },
         read.data == data,
     );
     Ok(())

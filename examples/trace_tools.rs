@@ -9,8 +9,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use esd::trace::{
-    decode_trace, duplicate_rate, encode_trace, generate_trace, parse_trace_text,
-    refcount_buckets, render_trace_text, zero_line_rate, AppProfile,
+    decode_trace, duplicate_rate, encode_trace, generate_trace, parse_trace_text, refcount_buckets,
+    render_trace_text, zero_line_rate, AppProfile,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -19,8 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let accesses: usize = args.next().map_or(Ok(20_000), |v| v.parse())?;
     let out_dir = PathBuf::from(args.next().unwrap_or_else(|| "target/traces".to_owned()));
 
-    let app = AppProfile::by_name(&app_name)
-        .ok_or_else(|| format!("unknown workload {app_name:?}"))?;
+    let app =
+        AppProfile::by_name(&app_name).ok_or_else(|| format!("unknown workload {app_name:?}"))?;
     let trace = generate_trace(&app, 42, accesses);
 
     fs::create_dir_all(&out_dir)?;
@@ -47,8 +47,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cf = buckets.content_fractions();
     let vf = buckets.volume_fractions();
     println!("refcount bucket    contents     volume");
-    for (i, label) in ["num1", "num10", "num100", "num1000", "num1000+"].iter().enumerate() {
-        println!("{label:<15} {:>9.2}% {:>9.1}%", cf[i] * 100.0, vf[i] * 100.0);
+    for (i, label) in ["num1", "num10", "num100", "num1000", "num1000+"]
+        .iter()
+        .enumerate()
+    {
+        println!(
+            "{label:<15} {:>9.2}% {:>9.1}%",
+            cf[i] * 100.0,
+            vf[i] * 100.0
+        );
     }
     Ok(())
 }

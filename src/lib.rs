@@ -60,9 +60,9 @@
 //! for the binaries that regenerate every table and figure of the paper.
 
 pub use esd_core as core;
-pub use esd_kernels as kernels;
 pub use esd_crypto as crypto;
 pub use esd_ecc as ecc;
 pub use esd_hash as hash;
+pub use esd_kernels as kernels;
 pub use esd_sim as sim;
 pub use esd_trace as trace;

@@ -14,8 +14,8 @@ use proptest::prelude::*;
 /// content alphabet — maximizing duplicate/overwrite/remap interleavings,
 /// the regimes where crash-time dedup bookkeeping can go wrong.
 fn arb_trace() -> impl Strategy<Value = Trace> {
-    let access = (any::<bool>(), 0u64..24, 0u8..6, 1u32..200).prop_map(
-        |(is_read, slot, content, gap)| {
+    let access =
+        (any::<bool>(), 0u64..24, 0u8..6, 1u32..200).prop_map(|(is_read, slot, content, gap)| {
             let addr = slot * 64;
             if is_read {
                 Access::read(addr, gap)
@@ -27,8 +27,7 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
                 };
                 Access::write(addr, line, gap)
             }
-        },
-    );
+        });
     proptest::collection::vec(access, 1..400).prop_map(|accesses| {
         let mut t = Trace::new("crash-proptest");
         t.accesses = accesses;

@@ -14,13 +14,21 @@ fn crash_preserves_all_data() {
     for (i, line) in lines.iter().enumerate() {
         // Write each content twice so plenty of dedup state exists.
         esd.write(Ps::from_us(i as u64), (i as u64) * 64, *line);
-        esd.write(Ps::from_us(100 + i as u64), 0x10000 + (i as u64) * 64, *line);
+        esd.write(
+            Ps::from_us(100 + i as u64),
+            0x10000 + (i as u64) * 64,
+            *line,
+        );
     }
 
     esd.crash_and_recover();
 
     for (i, line) in lines.iter().enumerate() {
-        assert_eq!(esd.read(Ps::from_us(300), (i as u64) * 64).data, *line, "line {i}");
+        assert_eq!(
+            esd.read(Ps::from_us(300), (i as u64) * 64).data,
+            *line,
+            "line {i}"
+        );
         assert_eq!(
             esd.read(Ps::from_us(301), 0x10000 + (i as u64) * 64).data,
             *line,
@@ -42,7 +50,10 @@ fn post_crash_writes_rebuild_dedup_state() {
 
     // The EFIT is empty: the first rewrite is a (safe) missed duplicate...
     let miss = esd.write(Ps::from_us(2), 0x80, line);
-    assert!(!miss.deduplicated, "EFIT was lost; dedup opportunity missed");
+    assert!(
+        !miss.deduplicated,
+        "EFIT was lost; dedup opportunity missed"
+    );
     // ...but it repopulates the EFIT, so the next one dedups again.
     let hit = esd.write(Ps::from_us(3), 0xC0, line);
     assert!(hit.deduplicated, "dedup state rebuilds after recovery");

@@ -286,7 +286,11 @@ impl StampModel {
         }
         let mut dirty_victim = false;
         if self.resident.len() == self.capacity {
-            let (&victim, _) = self.resident.iter().min_by_key(|(_, (stamp, _))| *stamp).unwrap();
+            let (&victim, _) = self
+                .resident
+                .iter()
+                .min_by_key(|(_, (stamp, _))| *stamp)
+                .unwrap();
             dirty_victim = self.resident.remove(&victim).unwrap().1;
             self.stats.evictions += 1;
         }
@@ -393,16 +397,39 @@ fn metadata_caches_match_a_stamp_model() {
                 }
             }
         }
-        assert_eq!(amt.cache_stats(), amt_model.stats, "AMT, capacity {capacity}");
+        assert_eq!(
+            amt.cache_stats(),
+            amt_model.stats,
+            "AMT, capacity {capacity}"
+        );
         assert_eq!(amt.nvmm_traffic(), amt_traffic, "AMT, capacity {capacity}");
-        assert_eq!(store.cache_stats(), store_model.stats, "store, capacity {capacity}");
-        assert_eq!(store.nvmm_traffic(), store_traffic, "store, capacity {capacity}");
-        assert_eq!(counters.stats(), counter_model.stats, "counters, capacity {capacity}");
-        assert_eq!(counters.nvmm_traffic(), counter_traffic, "counters, capacity {capacity}");
+        assert_eq!(
+            store.cache_stats(),
+            store_model.stats,
+            "store, capacity {capacity}"
+        );
+        assert_eq!(
+            store.nvmm_traffic(),
+            store_traffic,
+            "store, capacity {capacity}"
+        );
+        assert_eq!(
+            counters.stats(),
+            counter_model.stats,
+            "counters, capacity {capacity}"
+        );
+        assert_eq!(
+            counters.nvmm_traffic(),
+            counter_traffic,
+            "counters, capacity {capacity}"
+        );
         for stats in [amt_model.stats, store_model.stats, counter_model.stats] {
             assert!(stats.hits > 0 && stats.misses > 0 && stats.evictions > 0);
         }
-        assert!(amt_traffic.1 > 0 && counter_traffic.1 > 0, "dirty victims written back");
+        assert!(
+            amt_traffic.1 > 0 && counter_traffic.1 > 0,
+            "dirty victims written back"
+        );
     }
 }
 
@@ -462,7 +489,9 @@ static BACKEND: Mutex<()> = Mutex::new(());
 /// Runs `check` under the forced `Scalar` backend, then under `Auto`,
 /// and says which Hamming kernel `Auto` ran on this host.
 fn under_both_backends(check: impl Fn(KernelBackend)) {
-    let _turn = BACKEND.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let _turn = BACKEND
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     for backend in [KernelBackend::Scalar, KernelBackend::Auto] {
         kernels::set_backend(backend);
         check(backend);
@@ -511,9 +540,16 @@ fn dispatched_hamming_decode_corrects_a_flip_in_every_word() {
             }
             let ecc = LineEcc::new(codes);
             let decoded = decode_line(&stored, ecc).unwrap();
-            assert_eq!(decoded, decode_line_ref(&stored, ecc), "{backend}: {flips:?}");
+            assert_eq!(
+                decoded,
+                decode_line_ref(&stored, ecc),
+                "{backend}: {flips:?}"
+            );
             assert_eq!(decoded.line, *line, "{backend}: {flips:?}");
-            assert_eq!(decoded.corrected_words, WORDS_PER_LINE, "{backend}: {flips:?}");
+            assert_eq!(
+                decoded.corrected_words, WORDS_PER_LINE,
+                "{backend}: {flips:?}"
+            );
             assert!(decoded.corrected.iter().all(Option::is_some));
         }
     });

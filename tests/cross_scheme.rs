@@ -26,7 +26,10 @@ fn full_dedup_schemes_agree_on_eliminated_writes() {
     let reports = run_all(&trace, &config);
     let sha1 = &reports[1];
     let dewrite = &reports[2];
-    let diff = sha1.stats.writes_deduplicated.abs_diff(dewrite.stats.writes_deduplicated);
+    let diff = sha1
+        .stats
+        .writes_deduplicated
+        .abs_diff(dewrite.stats.writes_deduplicated);
     assert!(
         diff * 100 <= sha1.stats.writes_deduplicated.max(1),
         "full-dedup schemes diverged: {} vs {}",
@@ -85,7 +88,11 @@ fn esd_beats_baseline_on_dup_heavy_workloads() {
         let trace = generate_trace(&AppProfile::by_name(name).unwrap(), 8, ACCESSES);
         let reports = run_all(&trace, &config);
         let n = reports[3].normalized_to(&reports[0]);
-        assert!(n.write_speedup > 1.0, "{name}: write {:.2}", n.write_speedup);
+        assert!(
+            n.write_speedup > 1.0,
+            "{name}: write {:.2}",
+            n.write_speedup
+        );
         assert!(n.read_speedup > 1.0, "{name}: read {:.2}", n.read_speedup);
         assert!(n.ipc_ratio >= 1.0, "{name}: ipc {:.2}", n.ipc_ratio);
         assert!(n.energy_ratio < 1.0, "{name}: energy {:.2}", n.energy_ratio);

@@ -64,8 +64,14 @@ fn esd_full_trades_lookups_for_coverage() {
         r_full.stats.writes_deduplicated >= r_sel.stats.writes_deduplicated,
         "the full store can only catch more"
     );
-    assert_eq!(r_sel.pcm.metadata.reads, 0, "selective ESD: no fp NVMM lookups");
-    assert!(r_full.pcm.metadata.reads > 0, "full store pays NVMM lookups");
+    assert_eq!(
+        r_sel.pcm.metadata.reads, 0,
+        "selective ESD: no fp NVMM lookups"
+    );
+    assert!(
+        r_full.pcm.metadata.reads > 0,
+        "full store pays NVMM lookups"
+    );
 }
 
 #[test]

@@ -13,7 +13,10 @@ fn baseline_recovers_single_bit_flips_in_any_byte() {
     for byte in (0..64).step_by(7) {
         let addr = 0x40 * (byte as u64 + 1);
         scheme.write(Ps::ZERO, addr, line);
-        assert!(scheme.nvmm_mut().medium_mut().inject_bit_flip(addr, byte, 3));
+        assert!(scheme
+            .nvmm_mut()
+            .medium_mut()
+            .inject_bit_flip(addr, byte, 3));
         let read = scheme.read(Ps::from_us(1), addr);
         assert_eq!(read.data, line, "byte {byte} not recovered");
     }
@@ -81,7 +84,10 @@ fn double_bit_faults_are_detected_not_silently_returned() {
             "{kind}: double flip must be flagged"
         );
         assert!(!read.outcome.is_data_valid(), "{kind}");
-        assert_ne!(read.data, line, "{kind}: uncorrectable data must not round-trip");
+        assert_ne!(
+            read.data, line,
+            "{kind}: uncorrectable data must not round-trip"
+        );
         let stats = scheme.stats();
         assert_eq!(stats.reads_uncorrectable, 1, "{kind}: loss is counted");
         assert!(
@@ -100,6 +106,14 @@ fn faults_do_not_leak_across_lines() {
     scheme.write(Ps::ZERO, 0x000, a);
     scheme.write(Ps::ZERO, 0x040, b);
     assert!(scheme.nvmm_mut().medium_mut().inject_bit_flip(0x000, 5, 5));
-    assert_eq!(scheme.read(Ps::from_us(1), 0x040).data, b, "neighbor untouched");
-    assert_eq!(scheme.read(Ps::from_us(2), 0x000).data, a, "fault corrected");
+    assert_eq!(
+        scheme.read(Ps::from_us(1), 0x040).data,
+        b,
+        "neighbor untouched"
+    );
+    assert_eq!(
+        scheme.read(Ps::from_us(2), 0x000).data,
+        a,
+        "fault corrected"
+    );
 }

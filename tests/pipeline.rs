@@ -97,8 +97,7 @@ fn full_dedup_schemes_pay_for_fingerprints() {
         let scheme = Scheme::new(kind, &config);
         let report = run_trace(scheme, &trace, &config, &RunOptions::default()).unwrap();
         assert_eq!(
-            report.stats.fingerprint_computations,
-            report.stats.writes_received,
+            report.stats.fingerprint_computations, report.stats.writes_received,
             "{kind} fingerprints every write"
         );
         assert!(

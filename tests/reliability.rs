@@ -103,8 +103,14 @@ fn triple_flip_miscorrects_at_the_codec_level() {
         Some(CorrectedBit::OverallParity),
         "the decoder blames the parity bit"
     );
-    assert_ne!(decoded.data, data, "and returns wrong data — a miscorrection");
-    assert_eq!(decoded.data, corrupted, "the three data flips survive untouched");
+    assert_ne!(
+        decoded.data, data,
+        "and returns wrong data — a miscorrection"
+    );
+    assert_eq!(
+        decoded.data, corrupted,
+        "the three data flips survive untouched"
+    );
 }
 
 /// The same triple-flip vector through a whole scheme: with ground-truth
@@ -129,7 +135,11 @@ fn scheme_detects_miscorrection_against_ground_truth() {
     assert!(!read.outcome.is_data_valid());
     assert_ne!(read.data, line, "miscorrected content is wrong");
     assert_eq!(scheme.stats().miscorrections, 1);
-    assert_eq!(scheme.stats().reads_uncorrectable, 0, "distinct from detected loss");
+    assert_eq!(
+        scheme.stats().reads_uncorrectable,
+        0,
+        "distinct from detected loss"
+    );
 }
 
 /// Seeded injection is exactly reproducible: two runs with the same
@@ -142,10 +152,13 @@ fn seeded_rber_runs_are_deterministic() {
     let a = replay(SchemeKind::Esd, &trace, &config).expect("flagged losses are not errors");
     let b = replay(SchemeKind::Esd, &trace, &config).expect("identical rerun");
     assert_eq!(a, b, "same seed, same faults, same report");
-    assert!(a.reliability.faults.bits_flipped() > 0, "injection actually ran");
+    assert!(
+        a.reliability.faults.bits_flipped() > 0,
+        "injection actually ran"
+    );
 
-    let reseeded = replay(SchemeKind::Esd, &trace, &faulty_config(HEAVY_RBER, 0x5EED))
-        .expect("reseeded run");
+    let reseeded =
+        replay(SchemeKind::Esd, &trace, &faulty_config(HEAVY_RBER, 0x5EED)).expect("reseeded run");
     assert_ne!(
         a.reliability.faults, reseeded.reliability.faults,
         "a different seed draws a different fault pattern"
@@ -231,8 +244,14 @@ fn background_scrub_repairs_drift_and_reduces_loss() {
     let scrub = &scrubbed.reliability.scrub;
     assert!(scrub.ticks > 0 && scrub.lines_scanned > 0, "scrubber ran");
     assert!(scrub.lines_corrected > 0, "scrubber repaired drift");
-    assert!(scrubbed.pcm.scrub.reads > 0, "patrol reads charged to the device");
-    assert!(scrubbed.pcm.scrub.energy.as_pj() > 0, "scrub energy accounted");
+    assert!(
+        scrubbed.pcm.scrub.reads > 0,
+        "patrol reads charged to the device"
+    );
+    assert!(
+        scrubbed.pcm.scrub.energy.as_pj() > 0,
+        "scrub energy accounted"
+    );
     assert!(
         scrubbed.stats.reads_uncorrectable < unscrubbed.stats.reads_uncorrectable,
         "scrubbing reduced demand-read loss: {} vs {}",
@@ -252,8 +271,12 @@ fn esd_counts_fingerprint_drift_on_verify_reads() {
         report.stats.efit_fingerprint_drift > 0,
         "heavy RBER must hit some verify read's stored ECC"
     );
-    let baseline =
-        replay(SchemeKind::Baseline, &trace, &faulty_config(HEAVY_RBER, 0xE5D)).unwrap();
+    let baseline = replay(
+        SchemeKind::Baseline,
+        &trace,
+        &faulty_config(HEAVY_RBER, 0xE5D),
+    )
+    .unwrap();
     assert_eq!(
         baseline.stats.efit_fingerprint_drift, 0,
         "schemes without ECC fingerprints never count drift"

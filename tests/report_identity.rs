@@ -17,14 +17,54 @@ use esd::trace::{generate_trace, AccessKind, AppProfile, Trace};
 
 /// `(kind, plain run, crash run, rber + scrub run)`.
 const EXPECTED: [(SchemeKind, u64, u64, u64); 8] = [
-    (SchemeKind::Baseline, 2441044101303779848, 12942163539312644764, 8435132262847250530),
-    (SchemeKind::DedupSha1, 15815024609141079196, 4552585978358891733, 8800566996716268112),
-    (SchemeKind::DedupMd5, 1870624475821286965, 10725143392519327291, 7345892702312720249),
-    (SchemeKind::Pde, 13589493867306810651, 13140450527854661919, 2813088853286599967),
-    (SchemeKind::DeWrite, 14638145143675745479, 2987692130847642200, 339234592176207422),
-    (SchemeKind::Esd, 10075482278522654725, 8250022262249195329, 16975409700784099578),
-    (SchemeKind::EsdFull, 17788049164336710890, 12594326083922811339, 13360693722110273654),
-    (SchemeKind::EsdNoVerify, 14463496305583745841, 2456985436250985573, 5858293850654076145),
+    (
+        SchemeKind::Baseline,
+        2441044101303779848,
+        12942163539312644764,
+        8435132262847250530,
+    ),
+    (
+        SchemeKind::DedupSha1,
+        15815024609141079196,
+        4552585978358891733,
+        8800566996716268112,
+    ),
+    (
+        SchemeKind::DedupMd5,
+        1870624475821286965,
+        10725143392519327291,
+        7345892702312720249,
+    ),
+    (
+        SchemeKind::Pde,
+        13589493867306810651,
+        13140450527854661919,
+        2813088853286599967,
+    ),
+    (
+        SchemeKind::DeWrite,
+        14638145143675745479,
+        2987692130847642200,
+        339234592176207422,
+    ),
+    (
+        SchemeKind::Esd,
+        10075482278522654725,
+        8250022262249195329,
+        16975409700784099578,
+    ),
+    (
+        SchemeKind::EsdFull,
+        17788049164336710890,
+        12594326083922811339,
+        13360693722110273654,
+    ),
+    (
+        SchemeKind::EsdNoVerify,
+        14463496305583745841,
+        2456985436250985573,
+        5858293850654076145,
+    ),
 ];
 
 fn fnv1a(text: &str) -> u64 {
@@ -74,7 +114,11 @@ fn digest(kind: SchemeKind, trace: &Trace, config: &SystemConfig, options: &RunO
 fn plain_reports_match_recorded_digests() {
     let (trace, config) = (trace(), config());
     for (kind, expected, _, _) in EXPECTED {
-        assert_eq!(digest(kind, &trace, &config, &options()), expected, "{kind}");
+        assert_eq!(
+            digest(kind, &trace, &config, &options()),
+            expected,
+            "{kind}"
+        );
     }
 }
 

@@ -23,7 +23,9 @@ fn serve_one<T>(client: impl FnOnce(TcpStream) -> T) -> T {
         let server = scope.spawn(|| serve_tcp(&listener, &service, 1));
         let stream = TcpStream::connect(addr).unwrap();
         stream.set_nodelay(true).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         let out = client(stream);
         server.join().expect("server thread").expect("serve_tcp");
         out
@@ -58,7 +60,10 @@ fn lock_step_round_trips_do_not_stall() {
         started.elapsed()
     });
     // At one delayed ACK (40 ms) per response this took 2.2 s.
-    assert!(elapsed < Duration::from_secs(1), "50 round trips took {elapsed:?}");
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 round trips took {elapsed:?}"
+    );
 }
 
 #[test]
