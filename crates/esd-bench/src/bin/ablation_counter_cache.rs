@@ -8,7 +8,15 @@
 
 use esd_bench::{format_row, print_figure_header, Sweep};
 use esd_core::{run_trace, RunOptions, Scheme, SchemeKind};
-use esd_trace::{generate_trace, AppProfile};
+use esd_trace::AppProfile;
+
+/// Counter-cache sizes, `0` being the paper's always-resident counters.
+const CACHES: [(&str, u64); 4] = [
+    ("ideal", 0),
+    ("64KB", 64 << 10),
+    ("256KB", 256 << 10),
+    ("1MB", 1 << 20),
+];
 
 fn main() {
     let apps: Vec<AppProfile> = ["gcc", "lbm"]
@@ -35,31 +43,25 @@ fn main() {
             ]
         )
     );
-    for app in &sweep.apps {
-        let trace = generate_trace(app, sweep.seed, sweep.accesses);
-        for (label, bytes) in [
-            ("ideal", 0u64),
-            ("64KB", 64 << 10),
-            ("256KB", 256 << 10),
-            ("1MB", 1 << 20),
-        ] {
-            let mut config = sweep.config;
-            config.controller.counter_cache_bytes = bytes;
-            let scheme = Scheme::new(SchemeKind::Esd, &config);
-            let report =
-                run_trace(scheme, &trace, &config, &RunOptions::default()).expect("verified");
-            println!(
-                "{}",
-                format_row(
-                    &format!("{}/{}", app.name, label),
-                    &[
-                        report.avg_write_latency().to_string(),
-                        report.avg_read_latency().to_string(),
-                        String::from("-"),
-                        report.pcm.metadata.reads.to_string(),
-                    ]
-                )
-            );
+    let rows = sweep.run_tasks(CACHES.len(), |app, trace, c| {
+        let (label, bytes) = CACHES[c];
+        let mut config = sweep.config;
+        config.controller.counter_cache_bytes = bytes;
+        let scheme = Scheme::new(SchemeKind::Esd, &config);
+        let report = run_trace(scheme, trace, &config, &RunOptions::default()).expect("verified");
+        format_row(
+            &format!("{}/{}", app.name, label),
+            &[
+                report.avg_write_latency().to_string(),
+                report.avg_read_latency().to_string(),
+                String::from("-"),
+                report.pcm.metadata.reads.to_string(),
+            ],
+        )
+    });
+    for rows in rows.chunks(CACHES.len()) {
+        for row in rows {
+            println!("{row}");
         }
         println!();
     }

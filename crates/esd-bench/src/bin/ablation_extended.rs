@@ -6,7 +6,7 @@
 
 use esd_bench::{format_row, print_figure_header, Sweep};
 use esd_core::{run_trace, RunOptions, Scheme, SchemeKind};
-use esd_trace::{generate_trace, AppProfile};
+use esd_trace::AppProfile;
 
 fn main() {
     let apps: Vec<AppProfile> = ["deepsjeng", "gcc", "lbm", "leela"]
@@ -20,8 +20,31 @@ fn main() {
         &sweep,
     );
 
-    for app in &sweep.apps {
-        let trace = generate_trace(app, sweep.seed, sweep.accesses);
+    let rows = sweep.run_tasks(SchemeKind::EXTENDED.len(), |_, trace, s| {
+        let kind = SchemeKind::EXTENDED[s];
+        let scheme = Scheme::new(kind, &sweep.config);
+        let options = RunOptions {
+            verify: kind != SchemeKind::EsdNoVerify,
+            ..RunOptions::default()
+        };
+        let report = run_trace(scheme, trace, &sweep.config, &options)
+            .unwrap_or_else(|e| panic!("{kind}: {e}"));
+        format_row(
+            kind.name(),
+            &[
+                report.avg_write_latency().to_string(),
+                report.avg_read_latency().to_string(),
+                format!("{:.2}", report.ipc),
+                format!("{:.1}", report.total_energy().as_uj_f64()),
+                report.stats.writes_deduplicated.to_string(),
+            ],
+        )
+    });
+    for (app, rows) in sweep
+        .apps
+        .iter()
+        .zip(rows.chunks(SchemeKind::EXTENDED.len()))
+    {
         println!("[{}]", app.name);
         println!(
             "{}",
@@ -36,27 +59,8 @@ fn main() {
                 ]
             )
         );
-        for kind in SchemeKind::EXTENDED {
-            let scheme = Scheme::new(kind, &sweep.config);
-            let options = RunOptions {
-                verify: kind != SchemeKind::EsdNoVerify,
-                ..RunOptions::default()
-            };
-            let report = run_trace(scheme, &trace, &sweep.config, &options)
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
-            println!(
-                "{}",
-                format_row(
-                    kind.name(),
-                    &[
-                        report.avg_write_latency().to_string(),
-                        report.avg_read_latency().to_string(),
-                        format!("{:.2}", report.ipc),
-                        format!("{:.1}", report.total_energy().as_uj_f64()),
-                        report.stats.writes_deduplicated.to_string(),
-                    ]
-                )
-            );
+        for row in rows {
+            println!("{row}");
         }
         println!();
     }

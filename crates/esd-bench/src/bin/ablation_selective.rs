@@ -9,7 +9,7 @@
 
 use esd_bench::{format_row, print_figure_header, Sweep};
 use esd_core::{run_trace, RunOptions, Scheme, SchemeKind};
-use esd_trace::{generate_trace, AppProfile};
+use esd_trace::AppProfile;
 
 const SCHEMES: [SchemeKind; 4] = [
     SchemeKind::Baseline,
@@ -42,26 +42,25 @@ fn main() {
             ]
         )
     );
-    for app in &sweep.apps {
-        let trace = generate_trace(app, sweep.seed, sweep.accesses);
-        let mut baseline_write = None;
-        for kind in SCHEMES {
-            let scheme = Scheme::new(kind, &sweep.config);
-            // ESD_NoVerify can alias collided lines; skip verification so
-            // the ablation still reports its (unsafe) performance.
-            let options = RunOptions {
-                verify: kind != SchemeKind::EsdNoVerify,
-                ..RunOptions::default()
-            };
-            let report = run_trace(scheme, &trace, &sweep.config, &options)
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
-            let write_ns = report.avg_write_latency().as_ns_f64();
-            let speedup = match baseline_write {
-                None => {
-                    baseline_write = Some(write_ns);
-                    1.0
-                }
-                Some(base) => base / write_ns,
+    let reports = sweep.run_tasks(SCHEMES.len(), |_, trace, s| {
+        let kind = SCHEMES[s];
+        let scheme = Scheme::new(kind, &sweep.config);
+        // ESD_NoVerify can alias collided lines; skip verification so
+        // the ablation still reports its (unsafe) performance.
+        let options = RunOptions {
+            verify: kind != SchemeKind::EsdNoVerify,
+            ..RunOptions::default()
+        };
+        run_trace(scheme, trace, &sweep.config, &options).unwrap_or_else(|e| panic!("{kind}: {e}"))
+    });
+    for (app, reports) in sweep.apps.iter().zip(reports.chunks(SCHEMES.len())) {
+        // SCHEMES[0] is Baseline: every speedup is against it.
+        let baseline_write = reports[0].avg_write_latency().as_ns_f64();
+        for (i, (kind, report)) in SCHEMES.iter().zip(reports).enumerate() {
+            let speedup = if i == 0 {
+                1.0
+            } else {
+                baseline_write / report.avg_write_latency().as_ns_f64()
             };
             println!(
                 "{}",

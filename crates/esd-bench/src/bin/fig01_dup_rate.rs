@@ -3,7 +3,7 @@
 //! Paper shape: 33.1% (leela) to 99.9% (deepsjeng, roms), average 62.9%.
 
 use esd_bench::{format_row, print_figure_header, Sweep};
-use esd_trace::{duplicate_rate, generate_trace, zero_line_rate};
+use esd_trace::{duplicate_rate, zero_line_rate};
 
 fn main() {
     let sweep = Sweep::default();
@@ -12,11 +12,11 @@ fn main() {
         "{}",
         format_row("app", &["dup_rate".into(), "zero_lines".into()])
     );
+    let rates = sweep.run_tasks(1, |_, trace, _| {
+        (duplicate_rate(trace), zero_line_rate(trace))
+    });
     let mut sum = 0.0;
-    for app in &sweep.apps {
-        let trace = generate_trace(app, sweep.seed, sweep.accesses);
-        let rate = duplicate_rate(&trace);
-        let zero = zero_line_rate(&trace);
+    for (app, &(rate, zero)) in sweep.apps.iter().zip(&rates) {
         sum += rate;
         println!(
             "{}",

@@ -6,7 +6,7 @@
 //! ~0.08% of unique lines but ~42.7% of pre-dedup storage volume.
 
 use esd_bench::{format_row, print_figure_header, Sweep};
-use esd_trace::{generate_trace, refcount_buckets};
+use esd_trace::refcount_buckets;
 
 fn main() {
     let sweep = Sweep::default();
@@ -28,9 +28,8 @@ fn main() {
     println!("{}", format_row("app", &header));
     let mut content_sum = [0.0f64; 5];
     let mut volume_rows = Vec::new();
-    for app in &sweep.apps {
-        let trace = generate_trace(app, sweep.seed, sweep.accesses);
-        let buckets = refcount_buckets(&trace);
+    let all_buckets = sweep.run_tasks(1, |_, trace, _| refcount_buckets(trace));
+    for (app, buckets) in sweep.apps.iter().zip(&all_buckets) {
         let cf = buckets.content_fractions();
         for (s, v) in content_sum.iter_mut().zip(cf.iter()) {
             *s += v;

@@ -7,9 +7,14 @@
 
 use esd_bench::{format_row, print_figure_header, Sweep};
 use esd_core::{run_trace, EfitPolicy, RunOptions, Scheme, SchemeKind};
-use esd_trace::{generate_trace, AppProfile};
+use esd_trace::AppProfile;
 
 const SIZES_KB: [u64; 6] = [64, 128, 256, 512, 1024, 2048];
+const POLICIES: [EfitPolicy; 2] = [EfitPolicy::Lrcu, EfitPolicy::Lru];
+/// Per app, task `k * 2 + p` is the EFIT at `SIZES_KB[k]` under
+/// `POLICIES[p]`; task `EFIT_TASKS + k` is the AMT at `SIZES_KB[k]`.
+const EFIT_TASKS: usize = SIZES_KB.len() * POLICIES.len();
+const TASKS: usize = EFIT_TASKS + SIZES_KB.len();
 
 fn main() {
     let unverified = RunOptions {
@@ -30,55 +35,48 @@ fn main() {
         &sweep,
     );
 
+    let hit_rates = sweep.run_tasks(TASKS, |_, trace, i| {
+        let mut config = sweep.config;
+        if i < EFIT_TASKS {
+            config.controller.fingerprint_cache_bytes = SIZES_KB[i / POLICIES.len()] << 10;
+            let scheme = Scheme::with_policy(&config, POLICIES[i % POLICIES.len()]);
+            let report = run_trace(scheme, trace, &config, &unverified).expect("unverified run");
+            report
+                .fingerprint_cache
+                .expect("ESD has an EFIT")
+                .hit_rate()
+        } else {
+            config.controller.mapping_cache_bytes = SIZES_KB[i - EFIT_TASKS] << 10;
+            let scheme = Scheme::new(SchemeKind::Esd, &config);
+            let report = run_trace(scheme, trace, &config, &unverified).expect("unverified run");
+            report.amt_cache.expect("ESD has an AMT").hit_rate()
+        }
+    });
+    // Task `i`'s hit rate averaged over the apps, summed in app order.
+    let mean = |i: usize| {
+        let sum = hit_rates
+            .iter()
+            .skip(i)
+            .step_by(TASKS)
+            .fold(0.0, |s, r| s + r);
+        sum / sweep.apps.len() as f64
+    };
+    let percent = |rate: f64| format!("{:.2}%", rate * 100.0);
+
     println!("(a) EFIT hit rate");
     println!("{}", format_row("size", &["LRCU".into(), "LRU".into()]));
-    for kb in SIZES_KB {
-        let mut rates = [0.0f64; 2];
-        for (i, policy) in [EfitPolicy::Lrcu, EfitPolicy::Lru].into_iter().enumerate() {
-            let mut sum = 0.0;
-            for app in &sweep.apps {
-                let trace = generate_trace(app, sweep.seed, sweep.accesses);
-                let mut config = sweep.config;
-                config.controller.fingerprint_cache_bytes = kb << 10;
-                let scheme = Scheme::with_policy(&config, policy);
-                let report =
-                    run_trace(scheme, &trace, &config, &unverified).expect("unverified run");
-                sum += report
-                    .fingerprint_cache
-                    .expect("ESD has an EFIT")
-                    .hit_rate();
-            }
-            rates[i] = sum / sweep.apps.len() as f64;
-        }
-        println!(
-            "{}",
-            format_row(
-                &format!("{kb}KB"),
-                &rates
-                    .iter()
-                    .map(|r| format!("{:.2}%", r * 100.0))
-                    .collect::<Vec<_>>()
-            )
-        );
+    for (k, kb) in SIZES_KB.iter().enumerate() {
+        let rates: Vec<String> = (0..POLICIES.len())
+            .map(|p| percent(mean(k * POLICIES.len() + p)))
+            .collect();
+        println!("{}", format_row(&format!("{kb}KB"), &rates));
     }
 
     println!();
     println!("(b) AMT hit rate");
     println!("{}", format_row("size", &["AMT".into()]));
-    for kb in SIZES_KB {
-        let mut sum = 0.0;
-        for app in &sweep.apps {
-            let trace = generate_trace(app, sweep.seed, sweep.accesses);
-            let mut config = sweep.config;
-            config.controller.mapping_cache_bytes = kb << 10;
-            let scheme = Scheme::new(SchemeKind::Esd, &config);
-            let report = run_trace(scheme, &trace, &config, &unverified).expect("unverified run");
-            sum += report.amt_cache.expect("ESD has an AMT").hit_rate();
-        }
-        let rate = sum / sweep.apps.len() as f64;
-        println!(
-            "{}",
-            format_row(&format!("{kb}KB"), &[format!("{:.2}%", rate * 100.0)])
-        );
+    for (k, kb) in SIZES_KB.iter().enumerate() {
+        let rate = percent(mean(EFIT_TASKS + k));
+        println!("{}", format_row(&format!("{kb}KB"), &[rate]));
     }
 }

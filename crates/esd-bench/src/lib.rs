@@ -10,12 +10,17 @@
 //!
 //! # Parallelism
 //!
-//! [`Sweep::run`] schedules one task per (workload, scheme) pair on a
-//! work-stealing pool of scoped threads. Each workload's trace is generated
-//! exactly once — the first task that needs it materializes it into a
-//! shared [`Arc<Trace>`] slot; later tasks (on any thread) reuse it. The
-//! pool is bounded by [`std::thread::available_parallelism`] and can be
-//! pinned with the `ESD_THREADS` environment variable.
+//! [`Sweep::run_tasks`] runs a fixed number of tasks per workload on a
+//! work-stealing pool of scoped threads and returns their results in
+//! (workload, task) order, whatever the thread count. [`Sweep::run`] is
+//! the (workload, scheme) replay on it; the figure binaries that sweep
+//! cache sizes, extra schemes or trace statistics hand it their own tasks.
+//! Each workload's trace is generated exactly once, by the first task that
+//! needs it, shared as one [`Arc<Trace>`] by that workload's other tasks
+//! (on any thread), and dropped when its last task returns: a sweep holds
+//! about one trace per worker, not one per workload. The pool is bounded
+//! by [`std::thread::available_parallelism`] and can be pinned with the
+//! `ESD_THREADS` environment variable.
 //!
 //! Run length and seed can be overridden with the `ESD_ACCESSES` and
 //! `ESD_SEED` environment variables. Unparseable values are reported on
@@ -32,7 +37,8 @@
 pub mod figures;
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use esd_core::{run_trace, RunOptions, RunReport, Scheme, SchemeKind};
@@ -125,7 +131,7 @@ impl Sweep {
             .max(1)
     }
 
-    /// The number of worker threads [`Sweep::run`] will use for `n_tasks`
+    /// The number of worker threads [`Sweep::run_tasks`] will use for `n_tasks`
     /// runnable tasks: `min(n_tasks, cap)` where the cap is
     /// [`Sweep::requested_threads`], and never zero.
     #[must_use]
@@ -155,88 +161,38 @@ impl Sweep {
     /// Panics if a verified run detects data corruption.
     #[must_use]
     pub fn run_timed(&self, schemes: &[SchemeKind]) -> SweepOutcome {
-        let n_apps = self.apps.len();
-        let n_schemes = schemes.len();
-        let n_tasks = n_apps * n_schemes;
         let started = Instant::now();
+        let n_tasks = self.apps.len() * schemes.len();
+        let requested_threads = self.requested_threads();
         if n_tasks == 0 {
             return SweepOutcome {
                 rows: Vec::new(),
                 wall: started.elapsed(),
                 threads: 0,
-                requested_threads: self.requested_threads(),
+                requested_threads,
                 tasks: Vec::new(),
             };
         }
-        let requested = self.requested_threads();
-        let workers = self.worker_count(n_tasks);
-        if workers < requested {
-            eprintln!(
-                "warning: sweep running on {workers} of {requested} requested worker \
-                 threads (only {n_tasks} runnable tasks)"
-            );
-        }
         let options = self.run_options();
-
-        // One shared slot per workload: the first task that needs a trace
-        // generates it; everyone else clones the Arc.
-        let traces: Vec<OnceLock<Arc<Trace>>> = (0..n_apps).map(|_| OnceLock::new()).collect();
-        // One write-once slot per task; no result aggregation channel needed.
-        let results: Vec<OnceLock<(RunReport, f64)>> =
-            (0..n_tasks).map(|_| OnceLock::new()).collect();
-
-        // Task t = app-major pair (t / n_schemes, t % n_schemes). Queues are
-        // seeded with contiguous app-major chunks so each worker starts on
-        // its own workloads (trace generation mostly uncontended); stealing
-        // from the *back* of a victim's queue takes the work farthest from
-        // what the victim is touching now.
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| {
-                let lo = w * n_tasks / workers;
-                let hi = (w + 1) * n_tasks / workers;
-                Mutex::new((lo..hi).collect())
-            })
-            .collect();
-
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let traces = &traces;
-                let results = &results;
-                let queues = &queues;
-                scope.spawn(move || loop {
-                    let task = claim_task(queues, me);
-                    let Some(task) = task else { break };
-                    let (a, s) = (task / n_schemes, task % n_schemes);
-                    let trace = Arc::clone(traces[a].get_or_init(|| {
-                        Arc::new(generate_trace(&self.apps[a], self.seed, self.accesses))
-                    }));
-                    let kind = schemes[s];
-                    let t0 = Instant::now();
-                    let report = run_trace(
-                        Scheme::new(kind, &self.config),
-                        &trace,
-                        &self.config,
-                        &options,
-                    )
-                    .unwrap_or_else(|e| panic!("data corruption in {kind}: {e}"));
-                    let seconds = t0.elapsed().as_secs_f64();
-                    results[task]
-                        .set((report, seconds))
-                        .unwrap_or_else(|_| unreachable!("task {task} claimed twice"));
-                });
-            }
+        let results = self.run_tasks(schemes.len(), |_, trace, s| {
+            let kind = schemes[s];
+            let t0 = Instant::now();
+            let report = run_trace(
+                Scheme::new(kind, &self.config),
+                trace,
+                &self.config,
+                &options,
+            )
+            .unwrap_or_else(|e| panic!("data corruption in {kind}: {e}"));
+            (report, t0.elapsed().as_secs_f64())
         });
 
-        let mut results: Vec<Option<(RunReport, f64)>> =
-            results.into_iter().map(OnceLock::into_inner).collect();
-        let mut rows = Vec::with_capacity(n_apps);
+        let mut results = results.into_iter();
+        let mut rows = Vec::with_capacity(self.apps.len());
         let mut tasks = Vec::with_capacity(n_tasks);
-        for (a, app) in self.apps.iter().enumerate() {
-            let mut reports = Vec::with_capacity(n_schemes);
-            for (s, &kind) in schemes.iter().enumerate() {
-                let (report, seconds) = results[a * n_schemes + s]
-                    .take()
-                    .expect("every task ran exactly once");
+        for app in &self.apps {
+            let mut reports = Vec::with_capacity(schemes.len());
+            for (&kind, (report, seconds)) in schemes.iter().zip(results.by_ref()) {
                 tasks.push(TaskTiming {
                     app: app.name.clone(),
                     scheme: kind,
@@ -252,10 +208,107 @@ impl Sweep {
         SweepOutcome {
             rows,
             wall: started.elapsed(),
-            threads: workers,
-            requested_threads: requested,
+            threads: self.worker_count(n_tasks),
+            requested_threads,
             tasks,
         }
+    }
+
+    /// Runs `tasks_per_app` tasks per workload on a work-stealing pool of
+    /// [`Sweep::worker_count`] scoped threads and returns their results in
+    /// (app, task) order, whatever the thread count: result
+    /// `a * tasks_per_app + i` is `task(&apps[a], &trace_a, i)`.
+    ///
+    /// Each workload's trace is generated once, by the first of its tasks
+    /// to run, and every task of that workload gets the same [`Arc`]. The
+    /// pool drops it as soon as the workload's last task returns, so a
+    /// sweep holds about one trace per worker (plus one a thief is working
+    /// on), not one per workload.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of any task.
+    pub fn run_tasks<T, F>(&self, tasks_per_app: usize, task: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&AppProfile, &Arc<Trace>, usize) -> T + Sync,
+    {
+        let n_tasks = self.apps.len() * tasks_per_app;
+        if n_tasks == 0 {
+            return Vec::new();
+        }
+        let requested = self.requested_threads();
+        let workers = self.worker_count(n_tasks);
+        if workers < requested {
+            eprintln!(
+                "warning: sweep running on {workers} of {requested} requested worker \
+                 threads (only {n_tasks} runnable tasks)"
+            );
+        }
+
+        let slots: Vec<TraceSlot> = (0..self.apps.len())
+            .map(|_| TraceSlot {
+                trace: Mutex::new(None),
+                pending: AtomicUsize::new(tasks_per_app),
+            })
+            .collect();
+
+        // Task t = app-major pair (t / tasks_per_app, t % tasks_per_app).
+        // Queues are seeded with contiguous app-major chunks so each worker
+        // starts on its own workloads (trace generation mostly uncontended);
+        // stealing from the *back* of a victim's queue takes the work
+        // farthest from what the victim is touching now.
+        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
+            .map(|w| {
+                let lo = w * n_tasks / workers;
+                let hi = (w + 1) * n_tasks / workers;
+                Mutex::new((lo..hi).collect())
+            })
+            .collect();
+
+        let done: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|me| {
+                    let (slots, queues, task) = (&slots, &queues, &task);
+                    scope.spawn(move || {
+                        let mut done = Vec::new();
+                        while let Some(t) = claim_task(queues, me) {
+                            let (a, i) = (t / tasks_per_app, t % tasks_per_app);
+                            let app = &self.apps[a];
+                            let slot = &slots[a];
+                            let trace =
+                                Arc::clone(
+                                    slot.trace.lock().expect("trace slot").get_or_insert_with(
+                                        || Arc::new(generate_trace(app, self.seed, self.accesses)),
+                                    ),
+                                );
+                            done.push((t, task(app, &trace, i)));
+                            drop(trace);
+                            if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                                *slot.trace.lock().expect("trace slot") = None;
+                            }
+                        }
+                        done
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
+        });
+
+        let mut results: Vec<Option<T>> = (0..n_tasks).map(|_| None).collect();
+        for (t, value) in done.into_iter().flatten() {
+            results[t] = Some(value);
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every task ran exactly once"))
+            .collect()
     }
 
     /// Single-threaded reference sweep: same task set as [`Sweep::run`],
@@ -292,6 +345,13 @@ impl Sweep {
             })
             .collect()
     }
+}
+
+/// One workload's trace while its tasks run: filled by the first task that
+/// needs it, emptied when `pending` (tasks not yet returned) reaches zero.
+struct TraceSlot {
+    trace: Mutex<Option<Arc<Trace>>>,
+    pending: AtomicUsize,
 }
 
 /// Pops the next task for worker `me`: front of its own queue, else steal
@@ -492,6 +552,69 @@ mod tests {
         let outcome = sweep.run_timed(&SchemeKind::ALL);
         assert!(outcome.rows.is_empty());
         assert!(outcome.tasks.is_empty());
+    }
+
+    /// What a task sees: its app, the trace it was handed and its index.
+    fn task_view(app: &AppProfile, trace: &Trace, i: usize) -> (String, String, usize, usize) {
+        (app.name.clone(), trace.name.clone(), trace.write_count(), i)
+    }
+
+    #[test]
+    fn run_tasks_returns_app_task_order_at_any_thread_count() {
+        let apps: Vec<AppProfile> = AppProfile::all().into_iter().take(5).collect();
+        let expected: Vec<_> = apps
+            .iter()
+            .flat_map(|app| {
+                let trace = generate_trace(app, DEFAULT_SEED, 1_000);
+                (0..3).map(move |i| task_view(app, &trace, i))
+            })
+            .collect();
+        for threads in [1, 2, 8] {
+            let mut sweep = small_sweep(apps.clone());
+            sweep.seed = DEFAULT_SEED;
+            sweep.threads = Some(threads);
+            let got = sweep.run_tasks(3, |app, trace, i| task_view(app, trace, i));
+            assert_eq!(got, expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn run_tasks_hands_every_task_of_an_app_the_same_trace() {
+        let mut sweep = small_sweep(AppProfile::all().into_iter().take(4).collect());
+        sweep.threads = Some(4);
+        let traces = sweep.run_tasks(5, |_, trace, _| Arc::clone(trace));
+        for (a, app) in traces.chunks(5).enumerate() {
+            assert!(app.iter().all(|t| Arc::ptr_eq(t, &app[0])), "app {a}");
+        }
+        for (a, b) in traces
+            .iter()
+            .step_by(5)
+            .zip(traces.iter().step_by(5).skip(1))
+        {
+            assert!(!Arc::ptr_eq(a, b), "two apps shared one trace");
+        }
+    }
+
+    #[test]
+    fn run_tasks_releases_a_trace_after_its_last_task() {
+        let mut sweep = small_sweep(AppProfile::all().into_iter().take(4).collect());
+        sweep.threads = Some(1);
+        let seen: Mutex<Vec<std::sync::Weak<Trace>>> = Mutex::new(Vec::new());
+        let released = sweep.run_tasks(3, |_, trace, i| {
+            let mut seen = seen.lock().expect("seen");
+            let previous_gone = i != 0 || seen.last().is_none_or(|w| w.upgrade().is_none());
+            if i == 0 {
+                seen.push(Arc::downgrade(trace));
+            }
+            previous_gone
+        });
+        assert_eq!(released, vec![true; 12]);
+        let seen = seen.into_inner().expect("seen");
+        assert_eq!(seen.len(), 4);
+        assert!(
+            seen.iter().all(|w| w.upgrade().is_none()),
+            "a trace outlived the sweep"
+        );
     }
 
     #[test]

@@ -8,44 +8,62 @@ const CRC32_POLY: u32 = 0xEDB8_8320;
 /// Reflected CRC-64 polynomial (ECMA-182, as used by XZ): reversed.
 const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
 
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ CRC32_POLY
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
+/// Slicing-by-8 tables: `CRC32_TABLES[0][b]` is the CRC register after
+/// byte `b` (the byte-at-a-time table), and `CRC32_TABLES[k][b]` the register
+/// after `b` followed by `k` zero bytes. Eight lookups, one per byte of an
+/// 8-byte word, then fold the word in one step.
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+/// The byte-at-a-time CRC-64 table.
+const CRC64_TABLE: [u64; 256] = crc64_table();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ CRC32_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-fn crc64_table() -> &'static [u64; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u64; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut crc = i as u64;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ CRC64_POLY
-                } else {
-                    crc >> 1
-                };
-            }
-            *entry = crc;
+const fn crc64_table() -> [u64; 256] {
+    let mut table = [0u64; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u64;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ CRC64_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        table[i] = crc;
+        i += 1;
+    }
+    table
 }
 
 /// Streaming CRC-32 (IEEE) checksummer.
@@ -74,12 +92,27 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
-    /// Absorbs `data`.
+    /// Absorbs `data`, eight bytes per step and the tail byte by byte.
     pub fn update(&mut self, data: &[u8]) {
-        let table = crc32_table();
-        for &byte in data {
-            self.0 = (self.0 >> 8) ^ table[((self.0 ^ u32::from(byte)) & 0xFF) as usize];
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
+        let mut crc = self.0;
+        let mut words = data.chunks_exact(8);
+        for word in &mut words {
+            let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+            let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+            crc = t7[(lo & 0xFF) as usize]
+                ^ t6[((lo >> 8) & 0xFF) as usize]
+                ^ t5[((lo >> 16) & 0xFF) as usize]
+                ^ t4[(lo >> 24) as usize]
+                ^ t3[(hi & 0xFF) as usize]
+                ^ t2[((hi >> 8) & 0xFF) as usize]
+                ^ t1[((hi >> 16) & 0xFF) as usize]
+                ^ t0[(hi >> 24) as usize];
         }
+        for &byte in words.remainder() {
+            crc = (crc >> 8) ^ t0[((crc ^ u32::from(byte)) & 0xFF) as usize];
+        }
+        self.0 = crc;
     }
 
     /// Returns the final checksum.
@@ -123,9 +156,8 @@ impl Crc64 {
 
     /// Absorbs `data`.
     pub fn update(&mut self, data: &[u8]) {
-        let table = crc64_table();
         for &byte in data {
-            self.0 = (self.0 >> 8) ^ table[((self.0 ^ u64::from(byte)) & 0xFF) as usize];
+            self.0 = (self.0 >> 8) ^ CRC64_TABLE[((self.0 ^ u64::from(byte)) & 0xFF) as usize];
         }
     }
 

@@ -5,7 +5,9 @@
 //! with a per-round `match` for `(f, g)` — kept verbatim so the unrolled
 //! and hardware paths behind [`crate::sha1`], [`crate::md5`] and the lane
 //! kernels have an independent implementation to be property-tested
-//! against. The module is compiled for the crate's unit tests only.
+//! against, and CRC-32 as bit-at-a-time polynomial division for the
+//! slicing-by-8 kernel behind [`crate::crc32`]. The module is compiled for
+//! the crate's unit tests only.
 
 use crate::{Md5Digest, Sha1Digest};
 
@@ -129,6 +131,20 @@ pub fn md5(data: &[u8]) -> Md5Digest {
     Md5Digest(out)
 }
 
+/// One-shot reference CRC-32 (IEEE, reflected): one polynomial step per
+/// bit, no table.
+#[must_use]
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &byte in data {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
 /// Merkle–Damgård padding: 0x80, zeros to 56 mod 64, then the bit length
 /// (little-endian for MD5, big-endian for SHA-1).
 fn padded_blocks(data: &[u8], little_endian_length: bool) -> Vec<[u8; 64]> {
@@ -172,6 +188,12 @@ mod tests {
     }
 
     #[test]
+    fn reference_crc32_hits_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
     fn fast_paths_match_reference_across_lengths() {
         let data: Vec<u8> = (0u32..1000).map(|i| (i * 37 % 256) as u8).collect();
         for len in [0usize, 1, 8, 55, 56, 57, 63, 64, 65, 128, 500, 1000] {
@@ -191,6 +213,21 @@ mod tests {
         #[test]
         fn sha1_fast_path_matches_reference(data in proptest::collection::vec(any::<u8>(), 0..300)) {
             prop_assert_eq!(crate::sha1(&data), sha1(&data));
+        }
+
+        /// The slicing-by-8 CRC-32, one-shot and streamed in two pieces cut
+        /// anywhere (so both word-aligned and ragged tails), is bit-exact
+        /// with the bit-at-a-time polynomial division.
+        #[test]
+        fn crc32_matches_reference(data in proptest::collection::vec(any::<u8>(), 0..201),
+                                   cut in any::<prop::sample::Index>()) {
+            let expected = crc32(&data);
+            prop_assert_eq!(crate::crc32(&data), expected);
+            let split = cut.index(data.len() + 1);
+            let mut streamed = crate::Crc32::new();
+            streamed.update(&data[..split]);
+            streamed.update(&data[split..]);
+            prop_assert_eq!(streamed.finalize(), expected);
         }
 
         /// Same for the phase-split MD5 compression.

@@ -3,15 +3,17 @@
 //! (the verify shadow included) grows through and the `LineTable` the
 //! medium and the encryption counters keep per-line state in, the
 //! dispatched Hamming line codec every PCM read and unique write runs, the
-//! `esd-obs` metrics export, the `esd-server` wire codec, and the SRAM
-//! caches of the AMT, the fingerprint store and the counter cache.
+//! `esd-obs` metrics export, the `esd-server` wire codec, the SRAM
+//! caches of the AMT, the fingerprint store and the counter cache, and the
+//! `esd-bench` task pool every figure binary runs on.
 //! Seconds-long in a debug build.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
 use esd::core::{
-    Amt, CounterCache, FingerprintStore, LookupSource, AMT_ENTRY_BYTES, COUNTER_ENTRY_BYTES,
+    run_trace, Amt, CounterCache, FingerprintStore, LookupSource, Scheme, SchemeKind,
+    AMT_ENTRY_BYTES, COUNTER_ENTRY_BYTES,
 };
 use esd::ecc::{
     decode_line, decode_word, encode_line, encode_word, LineDecode, LineEcc, LINE_BYTES,
@@ -19,7 +21,8 @@ use esd::ecc::{
 };
 use esd::kernels::{self, KernelBackend};
 use esd::sim::{CacheStats, NvmmSystem, PcmConfig, Ps};
-use esd::trace::CacheLine;
+use esd::trace::{AppProfile, CacheLine};
+use esd_bench::Sweep;
 use esd_collections::{LineTable, U64Map};
 use esd_obs::Registry;
 use esd_server::{
@@ -674,5 +677,32 @@ fn service_codec_round_trips_every_message_shape() {
     let first = &batch[..FRAME_HEADER_BYTES + encode_response(&responses[0]).len()];
     for cut in 0..first.len() {
         assert_eq!(peek_frame(&first[..cut]).unwrap(), None, "cut at {cut}");
+    }
+}
+
+#[test]
+fn sweep_pool_matches_the_serial_sweep_at_any_thread_count() {
+    // The pool hands each task its app's shared trace and returns results
+    // in (app, task) order, whatever the schedule: replaying scheme `s` as
+    // task `s` must give `run_serial`'s reports, in its order.
+    let mut sweep = Sweep::new(AppProfile::all().into_iter().take(3).collect());
+    sweep.accesses = 2_000;
+    sweep.seed = 11;
+    let expected: Vec<_> = sweep
+        .run_serial(&SchemeKind::ALL)
+        .into_iter()
+        .flat_map(|row| row.reports)
+        .collect();
+    let options = sweep.run_options();
+    for threads in [1, 2, 8] {
+        sweep.threads = Some(threads);
+        let reports = sweep.run_tasks(SchemeKind::ALL.len(), |_, trace, s| {
+            let scheme = Scheme::new(SchemeKind::ALL[s], &sweep.config);
+            run_trace(scheme, trace, &sweep.config, &options).expect("verified replay")
+        });
+        assert!(
+            reports == expected,
+            "{threads} threads reordered or changed a report"
+        );
     }
 }
