@@ -266,7 +266,7 @@ impl Sweep {
             })
             .collect();
 
-        let done: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+        let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|me| {
                     let (slots, queues, task) = (&slots, &queues, &task);
@@ -276,14 +276,16 @@ impl Sweep {
                             let (a, i) = (t / tasks_per_app, t % tasks_per_app);
                             let app = &self.apps[a];
                             let slot = &slots[a];
-                            let trace =
-                                Arc::clone(
-                                    slot.trace.lock().expect("trace slot").get_or_insert_with(
-                                        || Arc::new(generate_trace(app, self.seed, self.accesses)),
-                                    ),
-                                );
+                            let trace = {
+                                let mut held = slot.trace.lock().expect("trace slot");
+                                Arc::clone(held.get_or_insert_with(|| {
+                                    Arc::new(generate_trace(app, self.seed, self.accesses))
+                                }))
+                            };
                             done.push((t, task(app, &trace, i)));
-                            drop(trace);
+                            // The mutex guards the slot; the count only elects
+                            // the app's last task to empty it, after every
+                            // other task of the app took its clone.
                             if slot.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                                 *slot.trace.lock().expect("trace slot") = None;
                             }
@@ -294,21 +296,15 @@ impl Sweep {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| {
+                .flat_map(|h| {
                     h.join()
                         .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
                 })
                 .collect()
         });
-
-        let mut results: Vec<Option<T>> = (0..n_tasks).map(|_| None).collect();
-        for (t, value) in done.into_iter().flatten() {
-            results[t] = Some(value);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every task ran exactly once"))
-            .collect()
+        // Every task index was claimed exactly once.
+        done.sort_unstable_by_key(|&(t, _)| t);
+        done.into_iter().map(|(_, value)| value).collect()
     }
 
     /// Single-threaded reference sweep: same task set as [`Sweep::run`],
