@@ -5,7 +5,8 @@
 #
 #     scripts/regenerate-results.sh && git diff --exit-code results/
 #
-# About two to three minutes on a two-core machine (106-187 s measured).
+# About a minute and a half on a two-core machine (76 s measured with the
+# build cached; the per-workload figure loops share one trace pool).
 set -eu
 cd "$(dirname "$0")/.."
 # Figure binaries read ESD_* knobs from the environment; none may leak in.
