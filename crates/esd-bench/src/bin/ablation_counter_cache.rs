@@ -59,8 +59,8 @@ fn main() {
             ],
         )
     });
-    for rows in rows.chunks(CACHES.len()) {
-        for row in rows {
+    for app_rows in rows.chunks(CACHES.len()) {
+        for row in app_rows {
             println!("{row}");
         }
         println!();

@@ -40,7 +40,7 @@ fn main() {
             ],
         )
     });
-    for (app, rows) in sweep
+    for (app, app_rows) in sweep
         .apps
         .iter()
         .zip(rows.chunks(SchemeKind::EXTENDED.len()))
@@ -59,7 +59,7 @@ fn main() {
                 ]
             )
         );
-        for row in rows {
+        for row in app_rows {
             println!("{row}");
         }
         println!();

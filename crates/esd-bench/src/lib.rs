@@ -228,6 +228,7 @@ impl Sweep {
     /// # Panics
     ///
     /// Re-raises the panic of any task.
+    #[must_use]
     pub fn run_tasks<T, F>(&self, tasks_per_app: usize, task: F) -> Vec<T>
     where
         T: Send,

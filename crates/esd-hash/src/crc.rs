@@ -10,8 +10,8 @@ const CRC64_POLY: u64 = 0xC96C_5795_D787_0F42;
 
 /// Slicing-by-8 tables: `CRC32_TABLES[0][b]` is the CRC register after
 /// byte `b` (the byte-at-a-time table), and `CRC32_TABLES[k][b]` the register
-/// after `b` followed by `k` zero bytes. Eight lookups, one per byte of an
-/// 8-byte word, then fold the word in one step.
+/// after `b` followed by `k` zero bytes, so an 8-byte word folds in with
+/// eight independent lookups instead of eight dependent ones.
 const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 /// The byte-at-a-time CRC-64 table.
 const CRC64_TABLE: [u64; 256] = crc64_table();
