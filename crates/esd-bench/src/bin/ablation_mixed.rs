@@ -23,14 +23,18 @@ fn main() {
     );
 
     for mix_apps in MIXES {
-        let traces: Vec<_> = mix_apps
-            .iter()
-            .map(|name| {
-                let app = AppProfile::by_name(name).expect("paper workload");
-                generate_trace(&app, sweep.seed, sweep.accesses)
-            })
-            .collect();
-        let mixed = interleave_traces(&traces, 1 << 36);
+        // The component traces go as soon as they are interleaved: only
+        // the mix is replayed.
+        let mixed = {
+            let traces: Vec<_> = mix_apps
+                .iter()
+                .map(|name| {
+                    let app = AppProfile::by_name(name).expect("paper workload");
+                    generate_trace(&app, sweep.seed, sweep.accesses)
+                })
+                .collect();
+            interleave_traces(&traces, 1 << 36)
+        };
         println!("[{}] ({} accesses)", mixed.name, mixed.len());
         println!(
             "{}",

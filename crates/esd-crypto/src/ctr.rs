@@ -22,7 +22,7 @@
 
 use std::fmt;
 
-use esd_collections::{fx::hash_u64, LineTable, U64Map};
+use esd_collections::{fx::hash_u64, LineTable};
 
 use crate::aes::Aes128;
 
@@ -110,9 +110,13 @@ struct Tenancy {
     /// Registered tenants and their derived ciphers, in registration
     /// order; line owners index it.
     keys: Vec<(u32, Aes128)>,
-    /// Tenant id → index into `keys`, consulted on activation only.
-    slots: U64Map<u32>,
+    /// Index into `keys` of each tenant id's key, [`NO_SLOT`] for a
+    /// tenant never activated; grown to the largest id activated.
+    slots: Vec<u32>,
 }
+
+/// [`Tenancy::slots`] entry of a tenant with no registered key.
+const NO_SLOT: u32 = u32::MAX;
 
 /// What the engine keeps per line.
 #[derive(Debug, Clone, Copy, Default)]
@@ -257,7 +261,7 @@ impl CmeEngine {
                     master,
                     active: None,
                     keys: Vec::new(),
-                    slots: U64Map::new(),
+                    slots: Vec::new(),
                 });
             }
         }
@@ -265,7 +269,9 @@ impl CmeEngine {
 
     /// Selects the tenant whose derived key encrypts subsequent
     /// [`CmeEngine::encrypt_line`] calls, deriving and caching the key on
-    /// first use.
+    /// first use. Keys are found by indexing with the tenant id, so the
+    /// index takes 4 bytes per id up to the largest one activated (the
+    /// service's ids are 16-bit).
     ///
     /// # Panics
     ///
@@ -276,15 +282,16 @@ impl CmeEngine {
             .tenancy
             .as_mut()
             .expect("enable_tenancy before set_active_tenant");
-        let (master, keys) = (tenancy.master, &mut tenancy.keys);
-        let slot = *tenancy.slots.get_or_insert_with(u64::from(tenant), || {
-            keys.push((
-                tenant,
-                Aes128::new(&crate::derive_tenant_key(&master, tenant)),
-            ));
-            (keys.len() - 1) as u32
-        });
-        tenancy.active = Some(slot);
+        let index = tenant as usize;
+        if index >= tenancy.slots.len() {
+            tenancy.slots.resize(index + 1, NO_SLOT);
+        }
+        if tenancy.slots[index] == NO_SLOT {
+            tenancy.slots[index] = tenancy.keys.len() as u32;
+            let key = crate::derive_tenant_key(&tenancy.master, tenant);
+            tenancy.keys.push((tenant, Aes128::new(&key)));
+        }
+        tenancy.active = Some(tenancy.slots[index]);
     }
 
     /// The tenant currently selected for encryption, if tenancy is enabled

@@ -1,11 +1,15 @@
 //! The metrics registry: named counters, gauges and latency histograms.
 //!
-//! Names are `&'static str`, and a call that names its metric finds it by
-//! a linear scan comparing string *contents*: fine for the handful of
-//! metrics a simulator layer records, linear in the entry count for a
-//! caller that has hundreds (the service keeps six per tenant). Such a
-//! caller asks once for a [`CounterId`] or [`HistogramId`] and records
-//! through it in O(1).
+//! The registry owns its names as `Cow<'static, str>`: a simulator layer
+//! records under a string literal and nothing is copied, a caller that
+//! composes names at run time (the service's `tenant3/writes`) hands over
+//! a `String`. A call finds its metric by a linear scan comparing string
+//! contents, which suits the handful of metrics a layer records. A caller
+//! with hundreds of them keeps its own counts on the hot path and builds a
+//! registry when it exports, as `esd-server`'s service does.
+
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 use esd_sim::{LatencyHistogram, Ps};
 
@@ -40,52 +44,46 @@ pub(crate) fn json_str(s: &str) -> String {
     out
 }
 
-/// Handle to one counter of the [`Registry`] that issued it (or of a clone
-/// of that registry); see [`Registry::counter_id`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(u32);
-
-/// Handle to one histogram of the [`Registry`] that issued it (or of a
-/// clone of that registry); see [`Registry::histogram_id`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(u32);
-
-/// Entry position of a handle nothing has been recorded through yet.
-const UNRESOLVED: u32 = u32::MAX;
-
 /// Entries of one metric kind, in first-recorded order.
-type Entries<T> = Vec<(&'static str, T)>;
-
-/// Where entry `name` is, appended as `init()` if absent.
-fn position<T>(entries: &mut Entries<T>, name: &'static str, init: fn() -> T) -> usize {
-    entries
-        .iter()
-        .position(|(k, _)| *k == name)
-        .unwrap_or_else(|| {
-            entries.push((name, init()));
-            entries.len() - 1
-        })
-}
+type Entries<T> = Vec<(Cow<'static, str>, T)>;
 
 /// The value of entry `name`, appended as `init()` if absent.
-fn entry<'a, T>(entries: &'a mut Entries<T>, name: &'static str, init: fn() -> T) -> &'a mut T {
-    let at = position(entries, name, init);
+fn entry<'a, T>(
+    entries: &'a mut Entries<T>,
+    name: Cow<'static, str>,
+    init: fn() -> T,
+) -> &'a mut T {
+    let at = match entries.iter().position(|(k, _)| *k == name) {
+        Some(at) => at,
+        None => {
+            entries.push((name, init()));
+            entries.len() - 1
+        }
+    };
     &mut entries[at].1
 }
 
-/// The value handle `id` stands for. The first call finds or appends the
-/// entry by name and remembers where it is.
-fn resolve<'a, T>(
-    handles: &mut [(&'static str, u32)],
-    entries: &'a mut Entries<T>,
-    id: u32,
+/// Folds each `(name, value)` into entry `name` with `fold`, appending the
+/// name as `init()` first if absent: one [`entry`] call per item, with
+/// names found through a hash index built once instead of a scan each.
+fn fold_all<T>(
+    entries: &mut Entries<T>,
+    items: impl Iterator<Item = (Cow<'static, str>, T)>,
     init: fn() -> T,
-) -> &'a mut T {
-    let (name, at) = &mut handles[id as usize];
-    if *at == UNRESOLVED {
-        *at = position(entries, name, init) as u32;
+    fold: fn(&mut T, T),
+) {
+    let mut index: HashMap<Cow<'static, str>, usize> = entries
+        .iter()
+        .enumerate()
+        .map(|(at, (name, _))| (name.clone(), at))
+        .collect();
+    for (name, value) in items {
+        let at = *index.entry(name).or_insert_with_key(|name| {
+            entries.push((name.clone(), init()));
+            entries.len() - 1
+        });
+        fold(&mut entries[at].1, value);
     }
-    &mut entries[*at as usize].1
 }
 
 /// A registry of named counters, gauges and log-bucketed latency
@@ -104,26 +102,11 @@ fn resolve<'a, T>(
 /// assert_eq!(r.counter("writes"), Some(2));
 /// assert!(r.to_json().contains("p999_ns"));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     counters: Entries<u64>,
     gauges: Entries<f64>,
     histograms: Entries<LatencyHistogram>,
-    /// Per issued [`CounterId`]: its name and its position in `counters`,
-    /// [`UNRESOLVED`] until the first record through it.
-    counter_handles: Vec<(&'static str, u32)>,
-    /// The same for each [`HistogramId`] and `histograms`.
-    histogram_handles: Vec<(&'static str, u32)>,
-}
-
-/// Registries are equal when they recorded the same things in the same
-/// order; which handles were issued is not part of what was recorded.
-impl PartialEq for Registry {
-    fn eq(&self, other: &Self) -> bool {
-        self.counters == other.counters
-            && self.gauges == other.gauges
-            && self.histograms == other.histograms
-    }
 }
 
 impl Registry {
@@ -140,70 +123,48 @@ impl Registry {
     }
 
     /// Adds `n` to the counter `name`, creating it at zero first.
-    pub fn counter_add(&mut self, name: &'static str, n: u64) {
-        *entry(&mut self.counters, name, u64::default) += n;
-    }
-
-    /// A handle to the counter `name` for [`Registry::counter_add_by_id`].
-    ///
-    /// Taking a handle records nothing: the counter appears, in
-    /// first-recorded order like any other, when something is first added
-    /// through the handle, and never if nothing is. The handle indexes
-    /// this registry and its clones only.
-    pub fn counter_id(&mut self, name: &'static str) -> CounterId {
-        self.counter_handles.push((name, UNRESOLVED));
-        CounterId(self.counter_handles.len() as u32 - 1)
-    }
-
-    /// Adds `n` to the counter behind `id`: the same effect as
-    /// [`Registry::counter_add`] under the handle's name, without the
-    /// search.
-    ///
-    /// # Panics
-    ///
-    /// May panic on a handle another registry issued.
-    #[inline]
-    pub fn counter_add_by_id(&mut self, id: CounterId, n: u64) {
-        *resolve(
-            &mut self.counter_handles,
-            &mut self.counters,
-            id.0,
-            u64::default,
-        ) += n;
+    pub fn counter_add(&mut self, name: impl Into<Cow<'static, str>>, n: u64) {
+        *entry(&mut self.counters, name.into(), u64::default) += n;
     }
 
     /// Sets the gauge `name` to `value`.
-    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
-        *entry(&mut self.gauges, name, f64::default) = value;
+    pub fn gauge_set(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {
+        *entry(&mut self.gauges, name.into(), f64::default) = value;
     }
 
     /// Records one latency sample into the histogram `name`.
-    pub fn histogram_record(&mut self, name: &'static str, value: Ps) {
-        entry(&mut self.histograms, name, LatencyHistogram::new).record(value);
+    pub fn histogram_record(&mut self, name: impl Into<Cow<'static, str>>, value: Ps) {
+        entry(&mut self.histograms, name.into(), LatencyHistogram::new).record(value);
     }
 
-    /// A handle to the histogram `name` for
-    /// [`Registry::histogram_record_by_id`], with the laziness and scope of
-    /// [`Registry::counter_id`].
-    pub fn histogram_id(&mut self, name: &'static str) -> HistogramId {
-        self.histogram_handles.push((name, UNRESOLVED));
-        HistogramId(self.histogram_handles.len() as u32 - 1)
+    /// Adds each `(name, n)` in order, as one [`Registry::counter_add`]
+    /// per item would, but finds the names by hashing: for a caller that
+    /// keeps its own counts and exports thousands of them at once.
+    pub fn counters_add<N: Into<Cow<'static, str>>>(
+        &mut self,
+        counters: impl IntoIterator<Item = (N, u64)>,
+    ) {
+        let items = counters.into_iter().map(|(name, n)| (name.into(), n));
+        fold_all(&mut self.counters, items, u64::default, |c, n| *c += n);
     }
 
-    /// Records one latency sample into the histogram behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// May panic on a handle another registry issued.
-    #[inline]
-    pub fn histogram_record_by_id(&mut self, id: HistogramId, value: Ps) {
-        resolve(
-            &mut self.histogram_handles,
+    /// Sets each histogram `name` in order to the one given, replacing
+    /// whatever was recorded under it, with the lookup of
+    /// [`Registry::counters_add`]: for a caller that keeps its own
+    /// histograms and exports them whole.
+    pub fn histograms_set<N: Into<Cow<'static, str>>>(
+        &mut self,
+        histograms: impl IntoIterator<Item = (N, LatencyHistogram)>,
+    ) {
+        let items = histograms.into_iter().map(|(name, h)| (name.into(), h));
+        fold_all(
             &mut self.histograms,
-            id.0,
+            items,
             LatencyHistogram::new,
-        )
-        .record(value);
+            |h, new| {
+                *h = new;
+            },
+        );
     }
 
     /// The current value of counter `name`.
@@ -234,18 +195,18 @@ impl Registry {
     }
 
     /// All counters, in first-recorded order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().copied()
+    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+        self.counters.iter().map(|(k, v)| (&**k, *v))
     }
 
     /// All gauges, in first-recorded order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.gauges.iter().copied()
+    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
+        self.gauges.iter().map(|(k, v)| (&**k, *v))
     }
 
     /// All histograms, in first-recorded order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &LatencyHistogram)> {
-        self.histograms.iter().map(|(k, h)| (*k, h))
+    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LatencyHistogram)> {
+        self.histograms.iter().map(|(k, h)| (&**k, h))
     }
 
     /// Renders the registry as a JSON object with `counters`, `gauges`
@@ -327,43 +288,52 @@ mod tests {
     }
 
     #[test]
-    fn handles_record_what_names_record() {
-        let mut by_name = Registry::new();
-        let mut by_id = Registry::new();
-        // Taken in one order, first used in another: the export follows use.
-        let idle = by_id.counter_id("idle");
-        let b = by_id.counter_id("b");
-        let a = by_id.counter_id("a");
-        let silent = by_id.histogram_id("silent");
-        let lat = by_id.histogram_id("lat");
-        for n in 1..=3u64 {
-            by_name.counter_add("a", n);
-            by_id.counter_add_by_id(a, n);
-            by_name.counter_add("b", 1);
-            by_id.counter_add_by_id(b, 1);
-            by_name.histogram_record("lat", Ps::from_ns(10 * n));
-            by_id.histogram_record_by_id(lat, Ps::from_ns(10 * n));
+    fn owned_and_static_names_are_one_metric() {
+        let mut r = Registry::new();
+        for tenant in 0..2 {
+            r.counter_add(format!("tenant{tenant}/writes"), 1);
         }
-        assert_eq!(by_id.to_json(), by_name.to_json());
-        assert_eq!(by_id, by_name);
+        r.counter_add("tenant1/writes", 2);
+        r.counter_add(String::from("tenant0/writes"), 4);
+        assert_eq!(r.counter("tenant0/writes"), Some(5));
+        assert_eq!(r.counter("tenant1/writes"), Some(3));
         assert_eq!(
-            by_id.counters().map(|(k, _)| k).collect::<Vec<_>>(),
-            ["a", "b"]
+            r.counters().map(|(k, _)| k).collect::<Vec<_>>(),
+            ["tenant0/writes", "tenant1/writes"]
         );
-        // A handle nothing was recorded through leaves no entry.
-        let _ = (idle, silent);
-        assert_eq!(by_id.counter("idle"), None);
-        assert!(by_id.histogram("silent").is_none());
-        assert!(!by_id.to_json().contains("idle") && !by_id.to_json().contains("silent"));
+    }
 
-        // A handle and its name are one metric, whichever came first.
-        by_id.counter_add("a", 4);
-        by_id.counter_add("late", 1);
-        let late = by_id.counter_id("late");
-        by_id.counter_add_by_id(late, 1);
-        assert_eq!(by_id.counter("a"), Some(10));
-        assert_eq!(by_id.counter("late"), Some(2));
-        assert_eq!(by_id.counters().count(), 3);
+    #[test]
+    fn bulk_exports_record_what_one_call_per_item_records() {
+        let mut one_by_one = Registry::new();
+        let mut bulk = Registry::new();
+        one_by_one.counter_add("early", 1);
+        bulk.counter_add("early", 1);
+        // Repeated and already-present names, in first-recorded order.
+        let counters = [("b", 2), ("early", 3), ("a", 1), ("b", 5)];
+        for (name, n) in counters {
+            one_by_one.counter_add(name, n);
+        }
+        bulk.counters_add(counters.map(|(name, n)| (String::from(name), n)));
+
+        // A set histogram replaces what was recorded, in its old place.
+        one_by_one.histogram_record("stale", Ps::from_ns(1));
+        bulk.histogram_record("stale", Ps::from_ns(99));
+        let mut stale = LatencyHistogram::new();
+        stale.record(Ps::from_ns(1));
+        let mut lat = LatencyHistogram::new();
+        for ns in [10, 20, 30] {
+            one_by_one.histogram_record("lat", Ps::from_ns(ns));
+            lat.record(Ps::from_ns(ns));
+        }
+        bulk.histograms_set([("lat", lat), ("stale", stale)]);
+
+        assert_eq!(bulk, one_by_one);
+        assert_eq!(bulk.to_json(), one_by_one.to_json());
+        assert_eq!(
+            bulk.counters().collect::<Vec<_>>(),
+            [("early", 4), ("b", 7), ("a", 1)]
+        );
     }
 
     #[test]

@@ -12,10 +12,15 @@
 //! * a **private CME key** — derived from the service master key with
 //!   [`esd_crypto::derive_tenant_key`], so on-device ciphertext never
 //!   shares a keystream across tenants even when plaintext deduplicates;
-//! * a **bounded admission queue** — a full queue rejects with a
-//!   deterministic retry hint instead of queueing unboundedly;
-//! * **live stats** — per-tenant counters and request-latency histograms
-//!   in an [`esd_obs::Registry`].
+//! * **bounded admission** — a request from a tenant that already has
+//!   `queue_depth` requests outstanding is rejected with a deterministic
+//!   retry hint instead of queueing unboundedly;
+//! * **live stats** — per-tenant counters and request-latency histograms,
+//!   exported as an [`esd_obs::Registry`] built when asked for.
+//!
+//! Admitted requests of every tenant wait in one queue ordered by
+//! `(arrival, seq, tenant)` and are applied from its front, one at a time,
+//! whichever entry point drives the service.
 //!
 //! Deduplication happens on *plaintext* before counter-mode encryption
 //! (the ESD pipeline order), which is what makes cross-tenant dedup sound

@@ -1,6 +1,5 @@
 //! The multi-tenant dedup service: one shared scheme instance, per-tenant
-//! namespaces and keys, bounded admission queues, and a deterministic
-//! apply path.
+//! namespaces and keys, bounded admission, and a deterministic apply path.
 //!
 //! # Determinism
 //!
@@ -21,14 +20,11 @@
 //! the service lock and drains it at once, so concurrent sessions are
 //! served in the order they win the lock.
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::{Mutex, OnceLock};
+use std::collections::VecDeque;
 
 use esd_core::{tenant as ns, Scheme, SchemeKind};
-use esd_obs::{CounterId, HistogramId, Registry};
-use esd_sim::{Ps, SystemConfig};
+use esd_obs::Registry;
+use esd_sim::{LatencyHistogram, Ps, SystemConfig};
 
 use crate::proto::{Envelope, Request, Response};
 
@@ -71,84 +67,77 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Interns a metric name, so the `&'static str` names the `esd-obs`
-/// registry requires can be built per tenant without leaking a fresh copy
-/// for every [`Service`] constructed in the same process.
-fn intern(name: String) -> &'static str {
-    static TABLE: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
-    // Nothing below can panic with the lock held (a failed allocation aborts).
-    let mut table = TABLE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("intern table lock");
-    if let Some(&s) = table.get(&name) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-    table.insert(name, leaked);
-    leaked
-}
-
-/// One tenant's handles into the service registry. A handle records
-/// nothing until it is first used, so a metric still appears in the export
-/// when the tenant first moves it and the export's order, which the state
-/// digest covers, is the order requests were served in.
+/// One of a tenant's exported metrics; exported as `tenant{id}/{name}`.
 #[derive(Debug, Clone, Copy)]
-struct TenantMetrics {
-    accesses: CounterId,
-    writes: CounterId,
-    reads: CounterId,
-    deduplicated: CounterId,
-    rejected: CounterId,
-    latency: HistogramId,
-    /// The name behind `latency`, for reading the histogram back.
-    latency_name: &'static str,
+enum Metric {
+    Accesses,
+    Writes,
+    Reads,
+    Deduplicated,
+    Rejected,
+    Latency,
 }
 
-impl TenantMetrics {
-    fn new(tenant: u32, registry: &mut Registry) -> Self {
-        let name = |metric: &str| intern(format!("tenant{tenant}/{metric}"));
-        let latency_name = name("request_latency");
-        TenantMetrics {
-            accesses: registry.counter_id(name("accesses")),
-            writes: registry.counter_id(name("writes")),
-            reads: registry.counter_id(name("reads")),
-            deduplicated: registry.counter_id(name("deduplicated")),
-            rejected: registry.counter_id(name("rejected")),
-            latency: registry.histogram_id(latency_name),
-            latency_name,
+impl Metric {
+    fn name(self) -> &'static str {
+        match self {
+            Metric::Accesses => "accesses",
+            Metric::Writes => "writes",
+            Metric::Reads => "reads",
+            Metric::Deduplicated => "deduplicated",
+            Metric::Rejected => "rejected",
+            Metric::Latency => "request_latency",
         }
     }
 }
 
-/// Per-tenant admission queue and accounting.
+/// One tenant's admission state and accounting.
 #[derive(Debug)]
 struct TenantState {
-    /// Admitted requests not yet applied, in arrival order; the queue
-    /// depth bounds its length.
-    queue: VecDeque<Envelope>,
+    /// This tenant's requests in the service queue; the queue depth bounds
+    /// it.
+    queued: usize,
     offered: u64,
     admitted: u64,
     rejected: u64,
     writes: u64,
     reads: u64,
     deduplicated: u64,
-    metrics: TenantMetrics,
+    /// Simulated latency (queue wait + service) of every applied request.
+    latency: LatencyHistogram,
 }
 
 impl TenantState {
-    fn new(tenant: u32, registry: &mut Registry) -> Self {
+    fn new() -> Self {
         TenantState {
-            queue: VecDeque::new(),
+            queued: 0,
             offered: 0,
             admitted: 0,
             rejected: 0,
             writes: 0,
             reads: 0,
             deduplicated: 0,
-            metrics: TenantMetrics::new(tenant, registry),
+            latency: LatencyHistogram::new(),
         }
     }
+
+    /// The value of a counter metric (of the latency histogram: its
+    /// sample count).
+    fn count(&self, metric: Metric) -> u64 {
+        match metric {
+            Metric::Accesses => self.writes + self.reads,
+            Metric::Writes => self.writes,
+            Metric::Reads => self.reads,
+            Metric::Deduplicated => self.deduplicated,
+            Metric::Rejected => self.rejected,
+            Metric::Latency => self.latency.count(),
+        }
+    }
+}
+
+/// The key requests are applied in.
+fn order_key(env: &Envelope) -> (Ps, u64, u32) {
+    (env.arrival, env.seq, env.tenant)
 }
 
 /// Stats summary of one tenant, with simulated request-latency tail
@@ -204,8 +193,9 @@ pub struct ServiceSummary {
     pub state_digest: u64,
 }
 
-/// The multi-tenant service: one shared scheme, per-tenant queues, a
-/// deterministic apply path, and live stats in an `esd-obs` registry.
+/// The multi-tenant service: one shared scheme, one ordered admission
+/// queue with a per-tenant bound, a deterministic apply path, and
+/// per-tenant stats exported as an `esd-obs` registry.
 ///
 /// # Examples
 ///
@@ -230,12 +220,13 @@ pub struct ServiceSummary {
 pub struct Service {
     scheme: Scheme,
     tenants: Vec<TenantState>,
-    /// `(arrival, seq, tenant)` of the head of every non-empty queue, least
-    /// first: the next request in global order is on top.
-    heads: BinaryHeap<Reverse<(Ps, u64, u32)>>,
-    /// Requests in the tenants' queues, all told.
-    queued: usize,
-    registry: Registry,
+    /// Every tenant's admitted, unapplied requests in global
+    /// `(arrival, seq, tenant)` order, equal keys in admission order: the
+    /// next request to apply is at the front.
+    queue: VecDeque<Envelope>,
+    /// Each `(tenant, metric)` in the order it first left zero, which is
+    /// the order the export lists it in (and the state digest covers).
+    first_moved: Vec<(u32, Metric)>,
     clock: Ps,
     queue_depth: usize,
     batch: usize,
@@ -258,7 +249,7 @@ impl std::fmt::Debug for Service {
 
 impl Service {
     /// Builds the shared scheme, enables per-tenant keys, and registers
-    /// `config.tenants` empty queues.
+    /// `config.tenants` tenants with nothing queued.
     ///
     /// # Panics
     ///
@@ -274,15 +265,11 @@ impl Service {
         assert!(config.queue_depth > 0, "queue depth must be nonzero");
         let mut scheme = Scheme::new(config.scheme, &config.system);
         scheme.tenancy_configure(config.master_key);
-        let mut registry = Registry::new();
         Service {
             scheme,
-            tenants: (0..config.tenants)
-                .map(|tenant| TenantState::new(tenant, &mut registry))
-                .collect(),
-            heads: BinaryHeap::new(),
-            queued: 0,
-            registry,
+            tenants: (0..config.tenants).map(|_| TenantState::new()).collect(),
+            queue: VecDeque::new(),
+            first_moved: Vec::new(),
             clock: Ps::ZERO,
             queue_depth: config.queue_depth,
             batch: config.batch.max(1),
@@ -306,20 +293,40 @@ impl Service {
     /// Admitted-but-unapplied requests across all tenants.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.queued
+        self.queue.len()
     }
 
-    /// The live metrics registry (per-tenant counters and latency
-    /// histograms).
+    /// The metrics registry: per-tenant counters (`tenant{id}/accesses`,
+    /// `writes`, `reads`, `deduplicated`, `rejected`) and request-latency
+    /// histograms (`tenant{id}/request_latency`), each listed from the
+    /// moment it first moved, in that order. Built on each call from the
+    /// tenants' own counts.
     #[must_use]
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+    pub fn registry(&self) -> Registry {
+        let name = |tenant: u32, metric: Metric| format!("tenant{tenant}/{}", metric.name());
+        let state = |tenant: u32| &self.tenants[tenant as usize];
+        let (histograms, counters): (Vec<_>, Vec<_>) = self
+            .first_moved
+            .iter()
+            .partition(|(_, metric)| matches!(metric, Metric::Latency));
+        let mut registry = Registry::new();
+        registry.counters_add(
+            counters
+                .into_iter()
+                .map(|&(t, metric)| (name(t, metric), state(t).count(metric))),
+        );
+        registry.histograms_set(
+            histograms
+                .into_iter()
+                .map(|&(t, metric)| (name(t, metric), state(t).latency.clone())),
+        );
+        registry
     }
 
-    /// The live metrics as a JSON object (the `esd-obs` registry export).
+    /// The metrics as a JSON object (the `esd-obs` registry export).
     #[must_use]
     pub fn metrics_json(&self) -> String {
-        self.registry.to_json()
+        self.registry().to_json()
     }
 
     /// The shared scheme, for store-level inspection.
@@ -329,13 +336,17 @@ impl Service {
     }
 
     /// Offers one request for admission. Returns `None` when it was
-    /// queued, or `Some(Rejected)` with a retry hint when the tenant's
-    /// bounded queue is full (the request is dropped — backpressure is the
-    /// client's to handle).
+    /// queued, or `Some(Rejected)` with a retry hint when the tenant
+    /// already has `queue_depth` requests queued (the request is dropped —
+    /// backpressure is the client's to handle).
     ///
-    /// One tenant's requests must be offered in arrival order: its queue is
-    /// FIFO, and the service takes the head for the tenant's earliest
-    /// request. Across tenants any order will do.
+    /// Requests are applied in `(arrival, seq, tenant)` order, equal keys
+    /// in the order they were admitted. One tenant's requests must be
+    /// offered in that order: the service then applies each tenant's
+    /// requests first in, first out, and the next request of all is the
+    /// least of the tenants' earliest. Across tenants any order will do: a
+    /// request whose key is below a queued one's is slotted in after every
+    /// queued request whose key is not greater than its own.
     ///
     /// # Panics
     ///
@@ -343,10 +354,12 @@ impl Service {
     pub fn admit(&mut self, env: Envelope) -> Option<Response> {
         let state = &mut self.tenants[env.tenant as usize];
         state.offered += 1;
-        if state.queue.len() >= self.queue_depth {
+        if state.queued >= self.queue_depth {
+            if state.rejected == 0 {
+                self.first_moved.push((env.tenant, Metric::Rejected));
+            }
             state.rejected += 1;
-            let ahead = state.queue.len() as u64;
-            self.registry.counter_add_by_id(state.metrics.rejected, 1);
+            let ahead = state.queued as u64;
             // Rough deterministic drain estimate: everything ahead of this
             // request at the average observed service latency.
             let retry_after = self.service_estimate() * ahead;
@@ -356,11 +369,16 @@ impl Service {
             });
         }
         state.admitted += 1;
-        if state.queue.is_empty() {
-            self.heads.push(Reverse((env.arrival, env.seq, env.tenant)));
+        state.queued += 1;
+        let key = order_key(&env);
+        if self.queue.back().is_none_or(|last| order_key(last) <= key) {
+            self.queue.push_back(env);
+        } else {
+            let at = self
+                .queue
+                .partition_point(|queued| order_key(queued) <= key);
+            self.queue.insert(at, env);
         }
-        state.queue.push_back(env);
-        self.queued += 1;
         None
     }
 
@@ -372,26 +390,11 @@ impl Service {
         }
     }
 
-    /// Takes the next request in global `(arrival, seq, tenant)` order off
-    /// its queue and applies it; `None` when every queue is empty.
-    /// Per-tenant queues are FIFO, so a queue's head is the tenant's
-    /// earliest request, and the least of the heads the next of all.
+    /// Takes the next request in global order off the queue and applies
+    /// it; `None` when nothing is queued.
     fn apply_next(&mut self) -> Option<(u32, Response)> {
-        let env = {
-            let mut top = self.heads.peek_mut()?;
-            let Reverse((_, _, tenant)) = *top;
-            let queue = &mut self.tenants[tenant as usize].queue;
-            // `heads` keys exactly the non-empty queues: `admit` adds, the match below removes.
-            let env = queue.pop_front().expect("a queue with a head is not empty");
-            match queue.front() {
-                Some(next) => *top = Reverse((next.arrival, next.seq, tenant)),
-                None => {
-                    PeekMut::pop(top);
-                }
-            }
-            env
-        };
-        self.queued -= 1;
+        let env = self.queue.pop_front()?;
+        self.tenants[env.tenant as usize].queued -= 1;
         Some((env.tenant, self.apply(&env)))
     }
 
@@ -403,18 +406,24 @@ impl Service {
         let start = env.arrival.max(self.clock);
         self.scheme.set_active_tenant(tenant);
         let state = &mut self.tenants[tenant as usize];
-        let metrics = state.metrics;
-        self.registry.counter_add_by_id(metrics.accesses, 1);
+        let moved = &mut self.first_moved;
+        if state.writes + state.reads == 0 {
+            moved.push((tenant, Metric::Accesses));
+        }
         let (response, request_latency, service_latency) = match env.request {
             Request::Write { local, line } => {
                 let logical = ns::namespaced(tenant, local);
                 let result = self.scheme.write(start, logical, line);
                 self.clock = result.processing_done;
+                if state.writes == 0 {
+                    moved.push((tenant, Metric::Writes));
+                }
                 state.writes += 1;
-                self.registry.counter_add_by_id(metrics.writes, 1);
                 if result.deduplicated {
+                    if state.deduplicated == 0 {
+                        moved.push((tenant, Metric::Deduplicated));
+                    }
                     state.deduplicated += 1;
-                    self.registry.counter_add_by_id(metrics.deduplicated, 1);
                 }
                 let latency = start + result.latency - env.arrival;
                 let response = Response::Written {
@@ -428,8 +437,10 @@ impl Service {
                 let logical = ns::namespaced(tenant, local);
                 let result = self.scheme.read(start, logical);
                 self.clock = result.finish;
+                if state.reads == 0 {
+                    moved.push((tenant, Metric::Reads));
+                }
                 state.reads += 1;
-                self.registry.counter_add_by_id(metrics.reads, 1);
                 let latency = result.finish - env.arrival;
                 let response = Response::Data {
                     seq: env.seq,
@@ -439,10 +450,12 @@ impl Service {
                 (response, latency, result.finish - start)
             }
         };
+        if state.latency.count() == 0 {
+            moved.push((tenant, Metric::Latency));
+        }
+        state.latency.record(request_latency);
         self.applied += 1;
         self.service_total += service_latency;
-        self.registry
-            .histogram_record_by_id(metrics.latency, request_latency);
         response
     }
 
@@ -450,7 +463,7 @@ impl Service {
     /// responses in apply order. Used by the live front end; the
     /// deterministic load path goes through [`Service::run_events`].
     pub fn drain_stage(&mut self) -> Vec<(u32, Response)> {
-        let n = self.queued.min(self.batch);
+        let n = self.queue.len().min(self.batch);
         let mut out = Vec::with_capacity(n);
         out.extend(std::iter::from_fn(|| self.apply_next()).take(n));
         out
@@ -458,20 +471,9 @@ impl Service {
 
     /// Drains every queued request.
     pub fn drain(&mut self) -> Vec<(u32, Response)> {
-        let mut out = Vec::with_capacity(self.queued);
+        let mut out = Vec::with_capacity(self.queue.len());
         out.extend(std::iter::from_fn(|| self.apply_next()));
         out
-    }
-
-    /// Admits the events from `*next` on that have become due, collecting
-    /// the rejections.
-    fn admit_due(&mut self, events: &[Envelope], next: &mut usize, out: &mut Vec<(u32, Response)>) {
-        while let Some(&env) = events.get(*next).filter(|env| env.arrival <= self.clock) {
-            *next += 1;
-            if let Some(rejection) = self.admit(env) {
-                out.push((env.tenant, rejection));
-            }
-        }
     }
 
     /// Runs a complete pre-generated workload deterministically: events
@@ -479,21 +481,49 @@ impl Service {
     /// make them due, so admission decisions see the queue occupancy the
     /// arrival saw — and applied in global `(arrival, seq, tenant)` order.
     /// Returns every response (including rejections).
-    pub fn run_events(&mut self, mut events: Vec<Envelope>) -> Vec<(u32, Response)> {
-        events.sort_by_key(|e| (e.arrival, e.seq, e.tenant));
-        let mut next = 0usize;
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than `u32::MAX` events.
+    pub fn run_events(&mut self, events: Vec<Envelope>) -> Vec<(u32, Response)> {
+        // Sorting keys with the event's index moves a quarter of the bytes
+        // the events themselves would. The sort is stable, so it merges the
+        // sorted runs a load is made of (one per tenant) instead of sorting
+        // from scratch. Only the order outlives it, so the keys are freed
+        // before the responses are allocated.
+        let mut keys: Vec<(Ps, u64, u32, u32)> = events
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let i = u32::try_from(i).expect("at most u32::MAX events");
+                (e.arrival, e.seq, e.tenant, i)
+            })
+            .collect();
+        keys.sort();
+        let order: Vec<u32> = keys.iter().map(|&(.., i)| i).collect();
+        drop(keys);
+        let mut next = 0;
         let mut out = Vec::with_capacity(events.len());
         loop {
-            self.admit_due(&events, &mut next, &mut out);
+            while let Some(&i) = order.get(next) {
+                let env = events[i as usize];
+                if env.arrival > self.clock {
+                    break;
+                }
+                next += 1;
+                if let Some(rejection) = self.admit(env) {
+                    out.push((env.tenant, rejection));
+                }
+            }
             if let Some(applied) = self.apply_next() {
                 out.push(applied);
                 continue;
             }
-            let Some(upcoming) = events.get(next) else {
+            let Some(&i) = order.get(next) else {
                 break;
             };
             // Idle until the next arrival.
-            self.clock = self.clock.max(upcoming.arrival);
+            self.clock = self.clock.max(events[i as usize].arrival);
         }
         out
     }
@@ -506,10 +536,6 @@ impl Service {
     #[must_use]
     pub fn tenant_summary(&self, tenant: u32) -> TenantSummary {
         let state = &self.tenants[tenant as usize];
-        let (p50, p95, p99) = match self.registry.histogram(state.metrics.latency_name) {
-            Some(h) => (h.percentile(0.50), h.percentile(0.95), h.percentile(0.99)),
-            None => (Ps::ZERO, Ps::ZERO, Ps::ZERO),
-        };
         TenantSummary {
             tenant,
             offered: state.offered,
@@ -518,9 +544,9 @@ impl Service {
             writes: state.writes,
             reads: state.reads,
             deduplicated: state.deduplicated,
-            p50,
-            p95,
-            p99,
+            p50: state.latency.percentile(0.50),
+            p95: state.latency.percentile(0.95),
+            p99: state.latency.percentile(0.99),
         }
     }
 
@@ -575,7 +601,7 @@ impl Service {
         eat(format!("{:?}", self.scheme.breakdown()).as_bytes());
         eat(format!("{:?}", self.scheme.metadata_footprint()).as_bytes());
         eat(format!("{:?}", self.scheme.nvmm().stats()).as_bytes());
-        eat(self.registry.to_json().as_bytes());
+        eat(self.metrics_json().as_bytes());
         eat(&self.clock.as_ps().to_le_bytes());
         hash
     }
@@ -585,6 +611,7 @@ impl Service {
 mod tests {
     use super::*;
     use esd_trace::CacheLine;
+    use proptest::prelude::*;
 
     fn write_env(tenant: u32, seq: u64, arrival: Ps, local: u64, fill: u8) -> Envelope {
         Envelope {
@@ -726,6 +753,157 @@ mod tests {
         let service = Service::new(&ServiceConfig::default());
         for t in 0..service.tenant_count() {
             assert!(service.stats_line(t).starts_with(&format!("tenant {t}:")));
+        }
+    }
+
+    /// The rule the ordered queue replaced, kept as its reference: one
+    /// bounded FIFO per tenant, and the next request of all is the least
+    /// `(arrival, seq, tenant)` among the queue heads.
+    struct PerTenantFifos {
+        queues: Vec<VecDeque<Envelope>>,
+        depth: usize,
+    }
+
+    impl PerTenantFifos {
+        /// Whether `env` was admitted.
+        fn admit(&mut self, env: Envelope) -> bool {
+            let queue = &mut self.queues[env.tenant as usize];
+            let admitted = queue.len() < self.depth;
+            if admitted {
+                queue.push_back(env);
+            }
+            admitted
+        }
+
+        fn pop(&mut self) -> Option<Envelope> {
+            let (_, tenant) = self
+                .queues
+                .iter()
+                .enumerate()
+                .filter_map(|(t, queue)| Some((order_key(queue.front()?), t)))
+                .min()?;
+            self.queues[tenant].pop_front()
+        }
+
+        fn len(&self) -> usize {
+            self.queues.iter().map(VecDeque::len).sum()
+        }
+    }
+
+    /// A service and its reference driven side by side.
+    struct Twins {
+        service: Service,
+        model: PerTenantFifos,
+        /// Each tenant's last offered `(arrival_ns, seq)`.
+        last: Vec<(u64, u64)>,
+        /// Requests each tenant has offered.
+        offered: Vec<u64>,
+    }
+
+    impl Twins {
+        /// Offers `tenant`'s next request at `key` to both; they must agree
+        /// on whether it is rejected. A tenant's requests alternate between
+        /// writes and reads, which tells equal keys of one tenant apart.
+        fn offer(&mut self, tenant: u32, (arrival, seq): (u64, u64)) {
+            let t = tenant as usize;
+            self.last[t] = (arrival, seq);
+            let local = 0x40 * (seq % 4);
+            let request = if self.offered[t].is_multiple_of(2) {
+                Request::Write {
+                    local,
+                    line: CacheLine::from_fill(seq as u8),
+                }
+            } else {
+                Request::Read { local }
+            };
+            self.offered[t] += 1;
+            let env = Envelope {
+                tenant,
+                seq,
+                arrival: Ps::from_ns(arrival),
+                request,
+            };
+            let rejected = self.service.admit(env).is_some();
+            assert_eq!(rejected, !self.model.admit(env), "{env:?}");
+        }
+    }
+
+    /// The apply order as `(tenant, seq, is_write)`.
+    fn responses_as(responses: &[(u32, Response)]) -> Vec<(u32, u64, bool)> {
+        responses
+            .iter()
+            .map(|(t, r)| (*t, r.seq(), matches!(r, Response::Written { .. })))
+            .collect()
+    }
+
+    /// The reference's apply order in the same terms.
+    fn model_as(applied: impl Iterator<Item = Envelope>) -> Vec<(u32, u64, bool)> {
+        applied
+            .map(|env| {
+                let write = matches!(env.request, Request::Write { .. });
+                (env.tenant, env.seq, write)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random interleavings of admissions and drains, each tenant's
+        /// requests in key order, tenants admitted out of order with each
+        /// other, equal `(arrival, seq)` across tenants and equal keys
+        /// within one: the ordered queue applies and rejects exactly what
+        /// the per-tenant FIFOs do.
+        #[test]
+        fn ordered_queue_matches_per_tenant_fifos(
+            depth in 1usize..=4,
+            batch in 1usize..=6,
+            ops in prop::collection::vec((0u8..10, 0u32..4, 0u64..3, 0u64..=1), 1..300),
+        ) {
+            const TENANTS: u32 = 4;
+            let config = ServiceConfig {
+                tenants: TENANTS,
+                queue_depth: depth,
+                batch,
+                ..ServiceConfig::default()
+            };
+            let mut twins = Twins {
+                service: Service::new(&config),
+                model: PerTenantFifos {
+                    queues: vec![VecDeque::new(); TENANTS as usize],
+                    depth,
+                },
+                last: vec![(0, 0); TENANTS as usize],
+                offered: vec![0; TENANTS as usize],
+            };
+            for (op, tenant, arrival_step, seq_step) in ops {
+                match op {
+                    // One tenant's next request. Each tenant's arrivals move
+                    // at their own pace, so admissions cross in time.
+                    0..=6 => {
+                        let (arrival, seq) = twins.last[tenant as usize];
+                        let pace = u64::from(tenant + 1);
+                        twins.offer(tenant, (arrival + arrival_step * pace, seq + seq_step));
+                    }
+                    // Every tenant offers one and the same `(arrival, seq)`.
+                    7 => {
+                        let key = twins.last.iter().copied().max().expect("tenants");
+                        for tenant in 0..TENANTS {
+                            twins.offer(tenant, key);
+                        }
+                    }
+                    _ => {
+                        let applied = responses_as(&twins.service.drain_stage());
+                        let model = &mut twins.model;
+                        let expected = model_as(std::iter::from_fn(|| model.pop()).take(batch));
+                        prop_assert_eq!(applied, expected);
+                    }
+                }
+                prop_assert_eq!(twins.service.pending(), twins.model.len());
+            }
+            let applied = responses_as(&twins.service.drain());
+            let model = &mut twins.model;
+            prop_assert_eq!(applied, model_as(std::iter::from_fn(|| model.pop())));
         }
     }
 }

@@ -168,8 +168,8 @@ fn run_events_ignores_the_order_its_input_comes_in() {
     assert_eq!(run(emitted), reference, "tenant-major input");
 }
 
-/// Who is served next is decided by `(arrival, seq, tenant)` over the
-/// queue heads, not by the order the queues were filled in; the batch size
+/// Who is served next is decided by `(arrival, seq, tenant)` over every
+/// queued request, not by the order the requests were admitted in; the batch size
 /// only decides how many of them one `drain_stage` call applies.
 #[test]
 fn drain_order_follows_arrival_not_admission() {

@@ -3,7 +3,8 @@
 //! (the verify shadow included) grows through and the `LineTable` the
 //! medium and the encryption counters keep per-line state in, the
 //! dispatched Hamming line codec every PCM read and unique write runs, the
-//! `esd-obs` metrics export, the `esd-server` wire codec, the SRAM
+//! `esd-obs` metrics export, the `esd-server` wire codec and contended
+//! multi-tenant service, the SRAM
 //! caches of the AMT, the fingerprint store and the counter cache, and the
 //! `esd-bench` task pool every figure binary runs on.
 //! Seconds-long in a debug build.
@@ -27,7 +28,8 @@ use esd_collections::{LineTable, U64Map};
 use esd_obs::Registry;
 use esd_server::{
     decode_request, decode_response, encode_request, encode_response, frame_response, peek_frame,
-    read_frame, write_frame, Envelope, Request, Response, FRAME_HEADER_BYTES,
+    read_frame, write_frame, Envelope, LoadSpec, Request, Response, Service, ServiceConfig,
+    FRAME_HEADER_BYTES,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -564,8 +566,7 @@ fn metrics_export_reads_back_as_recorded() {
     registry.counter_add("writes", 3);
     registry.counter_add("writes", 4);
     registry.counter_add("tenant\"7\\reads\n", 11);
-    let handle = registry.counter_id("by_handle");
-    registry.counter_add_by_id(handle, 5);
+    registry.counter_add(String::from("by_handle"), 5);
     registry.gauge_set("depth", 2.5);
     registry.gauge_set("ratio", 1.0 / 3.0);
     for ns in [10, 20, 30, 40, 1_000] {
@@ -678,6 +679,52 @@ fn service_codec_round_trips_every_message_shape() {
     for cut in 0..first.len() {
         assert_eq!(peek_frame(&first[..cut]).unwrap(), None, "cut at {cut}");
     }
+}
+
+#[test]
+fn contended_service_run_matches_its_recorded_outcome() {
+    // Four tenants offering about 1.6x what the shared store applies, so
+    // the admission bound rejects over a third of the load. The state
+    // digest covers the store, the clock and the registry export; the
+    // response digest every answer in order. Both are recorded values: a
+    // change to the queue, the counters or the export must reproduce them
+    // byte for byte.
+    let spec = LoadSpec {
+        tenants: 4,
+        qps: 6_000_000,
+        requests_per_tenant: 4_000,
+        profile: AppProfile::by_name("dedup").expect("profile of the paper's suite"),
+        seed: 42,
+    };
+    let config = ServiceConfig {
+        tenants: spec.tenants,
+        queue_depth: 16,
+        ..ServiceConfig::default()
+    };
+    let mut service = Service::new(&config);
+    let responses = service.run_events(spec.events());
+    let summary = service.summary();
+    for t in &summary.tenants {
+        assert_eq!(t.offered, spec.requests_per_tenant, "tenant {}", t.tenant);
+        assert_eq!(t.offered, t.admitted + t.rejected, "tenant {}", t.tenant);
+        assert!(t.rejected > 0, "tenant {} is contended", t.tenant);
+    }
+    assert_eq!(responses.len() as u64, 4 * spec.requests_per_tenant);
+
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (tenant, response) in &responses {
+        for b in tenant
+            .to_le_bytes()
+            .into_iter()
+            .chain(encode_response(response))
+        {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    assert_eq!(summary.applied, 10_053);
+    assert_eq!(summary.state_digest, 10_931_206_002_070_200_972);
+    assert_eq!(hash, 0x840c_8f15_0691_5c6c);
 }
 
 #[test]
