@@ -3,10 +3,12 @@
 //! The registry owns its names as `Cow<'static, str>`: a simulator layer
 //! records under a string literal and nothing is copied, a caller that
 //! composes names at run time (the service's `tenant3/writes`) hands over
-//! a `String`. A call finds its metric by a linear scan comparing string
-//! contents, which suits the handful of metrics a layer records. A caller
-//! with hundreds of them keeps its own counts on the hot path and builds a
-//! registry when it exports, as `esd-server`'s service does.
+//! a `String`. Each kind keeps its entries in first-recorded order, the
+//! export order, beside an index from name to position, so a call costs
+//! one hash of its name however many metrics are recorded. The registry
+//! holds no handles: a caller that counts on a hot path keeps its own
+//! counts and builds a registry when it exports, as `esd-server`'s
+//! service does.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -44,45 +46,49 @@ pub(crate) fn json_str(s: &str) -> String {
     out
 }
 
-/// Entries of one metric kind, in first-recorded order.
-type Entries<T> = Vec<(Cow<'static, str>, T)>;
-
-/// The value of entry `name`, appended as `init()` if absent.
-fn entry<'a, T>(
-    entries: &'a mut Entries<T>,
-    name: Cow<'static, str>,
-    init: fn() -> T,
-) -> &'a mut T {
-    let at = match entries.iter().position(|(k, _)| *k == name) {
-        Some(at) => at,
-        None => {
-            entries.push((name, init()));
-            entries.len() - 1
-        }
-    };
-    &mut entries[at].1
+/// Entries of one metric kind in first-recorded order, with an index
+/// from each name to its position.
+#[derive(Debug, Clone, PartialEq)]
+struct Entries<T> {
+    list: Vec<(Cow<'static, str>, T)>,
+    index: HashMap<Cow<'static, str>, usize>,
 }
 
-/// Folds each `(name, value)` into entry `name` with `fold`, appending the
-/// name as `init()` first if absent: one [`entry`] call per item, with
-/// names found through a hash index built once instead of a scan each.
-fn fold_all<T>(
-    entries: &mut Entries<T>,
-    items: impl Iterator<Item = (Cow<'static, str>, T)>,
-    init: fn() -> T,
-    fold: fn(&mut T, T),
-) {
-    let mut index: HashMap<Cow<'static, str>, usize> = entries
-        .iter()
-        .enumerate()
-        .map(|(at, (name, _))| (name.clone(), at))
-        .collect();
-    for (name, value) in items {
-        let at = *index.entry(name).or_insert_with_key(|name| {
-            entries.push((name.clone(), init()));
-            entries.len() - 1
-        });
-        fold(&mut entries[at].1, value);
+impl<T> Default for Entries<T> {
+    fn default() -> Self {
+        Entries {
+            list: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
+}
+
+impl<T> Entries<T> {
+    /// The value of entry `name`, appended as `init()` if absent.
+    fn entry(&mut self, name: Cow<'static, str>, init: fn() -> T) -> &mut T {
+        let at = match self.index.get(&*name) {
+            Some(&at) => at,
+            None => {
+                self.index.insert(name.clone(), self.list.len());
+                self.list.push((name, init()));
+                self.list.len() - 1
+            }
+        };
+        &mut self.list[at].1
+    }
+
+    /// The value of entry `name`, if any.
+    fn get(&self, name: &str) -> Option<&T> {
+        self.index.get(name).map(|&at| &self.list[at].1)
+    }
+
+    /// All entries, in first-recorded order.
+    fn iter(&self) -> impl Iterator<Item = (&str, &T)> {
+        self.list.iter().map(|(k, v)| (&**k, v))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.list.is_empty()
     }
 }
 
@@ -124,89 +130,59 @@ impl Registry {
 
     /// Adds `n` to the counter `name`, creating it at zero first.
     pub fn counter_add(&mut self, name: impl Into<Cow<'static, str>>, n: u64) {
-        *entry(&mut self.counters, name.into(), u64::default) += n;
+        *self.counters.entry(name.into(), u64::default) += n;
     }
 
     /// Sets the gauge `name` to `value`.
     pub fn gauge_set(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {
-        *entry(&mut self.gauges, name.into(), f64::default) = value;
+        *self.gauges.entry(name.into(), f64::default) = value;
     }
 
     /// Records one latency sample into the histogram `name`.
     pub fn histogram_record(&mut self, name: impl Into<Cow<'static, str>>, value: Ps) {
-        entry(&mut self.histograms, name.into(), LatencyHistogram::new).record(value);
+        self.histograms
+            .entry(name.into(), LatencyHistogram::new)
+            .record(value);
     }
 
-    /// Adds each `(name, n)` in order, as one [`Registry::counter_add`]
-    /// per item would, but finds the names by hashing: for a caller that
-    /// keeps its own counts and exports thousands of them at once.
-    pub fn counters_add<N: Into<Cow<'static, str>>>(
-        &mut self,
-        counters: impl IntoIterator<Item = (N, u64)>,
-    ) {
-        let items = counters.into_iter().map(|(name, n)| (name.into(), n));
-        fold_all(&mut self.counters, items, u64::default, |c, n| *c += n);
-    }
-
-    /// Sets each histogram `name` in order to the one given, replacing
-    /// whatever was recorded under it, with the lookup of
-    /// [`Registry::counters_add`]: for a caller that keeps its own
-    /// histograms and exports them whole.
-    pub fn histograms_set<N: Into<Cow<'static, str>>>(
-        &mut self,
-        histograms: impl IntoIterator<Item = (N, LatencyHistogram)>,
-    ) {
-        let items = histograms.into_iter().map(|(name, h)| (name.into(), h));
-        fold_all(
-            &mut self.histograms,
-            items,
-            LatencyHistogram::new,
-            |h, new| {
-                *h = new;
-            },
-        );
+    /// Sets the histogram `name` to `h`, replacing whatever was recorded
+    /// under it: for a caller that keeps its own histogram and exports it
+    /// whole.
+    pub fn histogram_set(&mut self, name: impl Into<Cow<'static, str>>, h: LatencyHistogram) {
+        *self.histograms.entry(name.into(), LatencyHistogram::new) = h;
     }
 
     /// The current value of counter `name`.
     #[must_use]
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|&(_, v)| v)
+        self.counters.get(name).copied()
     }
 
     /// The current value of gauge `name`.
     #[must_use]
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|&(_, v)| v)
+        self.gauges.get(name).copied()
     }
 
     /// The histogram `name`, if any samples were recorded.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        self.histograms
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, h)| h)
+        self.histograms.get(name)
     }
 
     /// All counters, in first-recorded order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (&**k, *v))
+        self.counters.iter().map(|(k, &v)| (k, v))
     }
 
     /// All gauges, in first-recorded order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (&**k, *v))
+        self.gauges.iter().map(|(k, &v)| (k, v))
     }
 
     /// All histograms, in first-recorded order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &LatencyHistogram)> {
-        self.histograms.iter().map(|(k, h)| (&**k, h))
+        self.histograms.iter()
     }
 
     /// Renders the registry as a JSON object with `counters`, `gauges`
@@ -304,35 +280,21 @@ mod tests {
     }
 
     #[test]
-    fn bulk_exports_record_what_one_call_per_item_records() {
-        let mut one_by_one = Registry::new();
-        let mut bulk = Registry::new();
-        one_by_one.counter_add("early", 1);
-        bulk.counter_add("early", 1);
-        // Repeated and already-present names, in first-recorded order.
-        let counters = [("b", 2), ("early", 3), ("a", 1), ("b", 5)];
-        for (name, n) in counters {
-            one_by_one.counter_add(name, n);
-        }
-        bulk.counters_add(counters.map(|(name, n)| (String::from(name), n)));
-
-        // A set histogram replaces what was recorded, in its old place.
-        one_by_one.histogram_record("stale", Ps::from_ns(1));
-        bulk.histogram_record("stale", Ps::from_ns(99));
-        let mut stale = LatencyHistogram::new();
-        stale.record(Ps::from_ns(1));
+    fn a_set_histogram_replaces_in_place() {
+        let mut r = Registry::new();
+        r.histogram_record("stale", Ps::from_ns(99));
+        r.histogram_record("kept", Ps::from_ns(5));
         let mut lat = LatencyHistogram::new();
         for ns in [10, 20, 30] {
-            one_by_one.histogram_record("lat", Ps::from_ns(ns));
             lat.record(Ps::from_ns(ns));
         }
-        bulk.histograms_set([("lat", lat), ("stale", stale)]);
-
-        assert_eq!(bulk, one_by_one);
-        assert_eq!(bulk.to_json(), one_by_one.to_json());
+        r.histogram_set("stale", lat.clone());
+        r.histogram_set(String::from("new"), lat.clone());
+        assert_eq!(r.histogram("stale"), Some(&lat));
+        assert_eq!(r.histogram("kept").map(LatencyHistogram::count), Some(1));
         assert_eq!(
-            bulk.counters().collect::<Vec<_>>(),
-            [("early", 4), ("b", 7), ("a", 1)]
+            r.histograms().map(|(k, _)| k).collect::<Vec<_>>(),
+            ["stale", "kept", "new"]
         );
     }
 

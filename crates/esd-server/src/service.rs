@@ -303,23 +303,15 @@ impl Service {
     /// tenants' own counts.
     #[must_use]
     pub fn registry(&self) -> Registry {
-        let name = |tenant: u32, metric: Metric| format!("tenant{tenant}/{}", metric.name());
-        let state = |tenant: u32| &self.tenants[tenant as usize];
-        let (histograms, counters): (Vec<_>, Vec<_>) = self
-            .first_moved
-            .iter()
-            .partition(|(_, metric)| matches!(metric, Metric::Latency));
         let mut registry = Registry::new();
-        registry.counters_add(
-            counters
-                .into_iter()
-                .map(|&(t, metric)| (name(t, metric), state(t).count(metric))),
-        );
-        registry.histograms_set(
-            histograms
-                .into_iter()
-                .map(|&(t, metric)| (name(t, metric), state(t).latency.clone())),
-        );
+        for &(tenant, metric) in &self.first_moved {
+            let name = format!("tenant{tenant}/{}", metric.name());
+            let state = &self.tenants[tenant as usize];
+            match metric {
+                Metric::Latency => registry.histogram_set(name, state.latency.clone()),
+                counter => registry.counter_add(name, state.count(counter)),
+            }
+        }
         registry
     }
 
@@ -371,6 +363,9 @@ impl Service {
         state.admitted += 1;
         state.queued += 1;
         let key = order_key(&env);
+        // `partition_point` alone would place it the same, but the back
+        // check spares every in-order admission the binary search, which
+        // cost `serve-events-overload` 11 % of its throughput.
         if self.queue.back().is_none_or(|last| order_key(last) <= key) {
             self.queue.push_back(env);
         } else {
