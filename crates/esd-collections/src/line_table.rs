@@ -103,6 +103,40 @@ impl<V> LineTable<V> {
         }
     }
 
+    /// Creates an empty table whose array already covers lines `[0, n)`,
+    /// `n` being `lines` rounded up to a power of two (zero for zero), as
+    /// if that many lines had been stored. For a caller that knows its keys
+    /// fall densely in that range before it has stored them: the half-full
+    /// rule would otherwise leave the high part of the range in the map
+    /// until the table holds half of it. The array's memory is still
+    /// touched only up to the highest line stored; lines from `n` on go to
+    /// the map and grow the array by the usual rule.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use esd_collections::LineTable;
+    /// let mut table: LineTable<u32> = LineTable::with_dense_span(1_000);
+    /// *table.get_or_default(1_023 * 64) = 7; // the array's last line
+    /// *table.get_or_default(1_024 * 64) = 8; // the map's first
+    /// assert_eq!(table.get(1_023 * 64), Some(&7));
+    /// assert_eq!(table.len(), 2);
+    /// ```
+    #[must_use]
+    pub fn with_dense_span(lines: usize) -> Self {
+        let span = if lines == 0 {
+            0
+        } else {
+            lines.next_power_of_two()
+        };
+        LineTable {
+            span,
+            dense: Vec::with_capacity(span),
+            present: vec![0; span.div_ceil(64)],
+            ..LineTable::new()
+        }
+    }
+
     /// Number of lines holding a value.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -333,6 +367,25 @@ mod tests {
         assert_eq!(table.len(), 4);
         let keys: Vec<u64> = table.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, [0, 2 * 64, 5 * 64, 7 * 64]);
+    }
+
+    #[test]
+    fn a_preset_span_holds_its_lines_in_the_array_from_the_first() {
+        let mut table: LineTable<u32> = LineTable::with_dense_span(100);
+        assert_eq!(table.span, 128);
+        assert!(table.dense.is_empty(), "nothing is filled before a store");
+        *table.get_or_default(127 * 64) = 1;
+        *table.get_or_default(128 * 64) = 2;
+        *table.get_or_default(3 << 48) = 3;
+        assert_eq!(table.dense_count, 1);
+        assert_eq!(table.sparse.len(), 2);
+        assert_eq!(table.span, 128);
+        let entries: Vec<(u64, u32)> = table.iter().map(|(k, &v)| (k, v)).collect();
+        assert_eq!(entries[0], (127 * 64, 1));
+        assert_eq!(table.get(128 * 64), Some(&2));
+        assert_eq!(table.get(3 << 48), Some(&3));
+        assert_eq!(table.get(0), None);
+        assert_eq!(LineTable::<u32>::with_dense_span(0).span, 0);
     }
 
     #[test]

@@ -3,20 +3,24 @@
 //! collected into a [`RunReport`].
 //!
 //! Accesses run in blocks of [`DEFAULT_BATCH`], each in three stages:
-//! gather, compute the write lines' keys in one multi-lane kernel call
+//! gather, compute the write lines' keys in one call over the block
 //! ([`crate::FingerprintSpec::compute_keys`]), then execute the block in
 //! trace order, handing each write its key and each verified read the line
 //! it must return. Gather is one in-order pass over the block: a write
 //! pushes its line for fingerprinting (a scheme without a fingerprint,
-//! Baseline, pushes nothing) and records its address in the verification
-//! shadow; a verified read looks its address up and copies the last
-//! write's line out of the trace. Those lookups do not depend on each
-//! other, so their cache misses overlap instead of stalling the scheme one
-//! at a time. Keys are pure functions of line content, the scheme charges
-//! the full modeled fingerprint cost either way, and the shadow is host
-//! state only, so nothing gather does reaches the report.
+//! Baseline, pushes nothing) and records its trace index in the
+//! verification shadow; a verified read looks its address up and copies
+//! the last write's line out of the trace. The shadow is a
+//! [`LineTable`] whose array covers, from the start, as many lines as the
+//! trace has accesses, so for a trace drawn from a working set below that
+//! a verified write is one array store and a verified read one array load;
+//! far or sparse addresses go to its map. The reads' loads do not depend
+//! on each other, so their cache misses overlap instead of stalling the
+//! scheme one at a time. Keys are pure functions of line content, the
+//! scheme charges the full modeled fingerprint cost either way, and the
+//! shadow is host state only, so nothing gather does reaches the report.
 
-use esd_collections::U64Map;
+use esd_collections::LineTable;
 use esd_obs::{EpochSnapshot, Obs};
 use esd_sim::{CpuModel, LatencyHistogram, Ps, SystemConfig, LINE_BYTES};
 use esd_trace::{AccessKind, CacheLine, Trace};
@@ -310,10 +314,12 @@ pub(crate) fn run(
     let mut expected: Vec<Option<CacheLine>> = Vec::with_capacity(DEFAULT_BATCH as usize);
     // Verification shadow, filled by the gather stage: logical address →
     // trace index of the last write to it gathered so far (whose `data` is
-    // what a later read must return). Empty unless `options.verify`. It
-    // grows from empty: it holds one entry per distinct written address, a
-    // fraction of the write count, and nothing iterates it.
-    let mut shadow: U64Map<u32> = U64Map::new();
+    // what a later read must return). Empty unless `options.verify`. A
+    // trace of `total` accesses touches at most `total` lines, so its array
+    // covers that many (rounded up to a power of two) from the start; it
+    // is filled only up to the highest line written, and nothing iterates
+    // it.
+    let mut shadow: LineTable<u32> = LineTable::with_dense_span(total);
     let mut start = 0usize;
     while start < total {
         let mut end = total.min(start + DEFAULT_BATCH as usize);
@@ -337,7 +343,7 @@ pub(crate) fn run(
                         lines.push(*access.data.expect("write carries data").as_bytes());
                     }
                     if options.verify {
-                        shadow.insert(access.addr, g as u32);
+                        *shadow.get_or_default(access.addr) = g as u32;
                     }
                 }
                 AccessKind::Read if options.verify => expected.push(

@@ -121,7 +121,7 @@ impl Default for RunOptions {
 }
 
 /// Accesses the replay engine gathers into one block before computing the
-/// block's fingerprint keys in one multi-lane kernel call.
+/// block's fingerprint keys in one call over the block.
 pub const DEFAULT_BATCH: u32 = 64;
 
 /// [`RunOptions::quantum`]'s default. Ignored like the field; kept only

@@ -275,7 +275,7 @@ impl MetadataFootprint {
 
 /// The fingerprint function a scheme's write path applies to line content,
 /// advertised to the replay engine so it can precompute a whole block of
-/// keys through the multi-lane kernels.
+/// keys in one call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FingerprintSpec {
     /// A hash/CRC family key, compressed to 64 bits exactly as
@@ -789,7 +789,7 @@ impl Scheme {
 
     /// How this scheme derives its write-path fingerprint — always a pure
     /// function of line content, so the replay engine can precompute a
-    /// block's keys with the multi-lane kernels. `None` means the scheme
+    /// block's keys in one call. `None` means the scheme
     /// computes no fingerprint (Baseline) and the engine gathers nothing.
     #[must_use]
     pub fn fingerprint_spec(&self) -> Option<FingerprintSpec> {

@@ -133,13 +133,11 @@ impl Aes128 {
     /// ciphertext.
     #[must_use]
     pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
+        let scalar = |block| self.encrypt_block_scalar(block);
         #[cfg(target_arch = "x86_64")]
-        if crate::aes_ni::available() {
-            // SAFETY: `available` confirmed the `aes`+`sse2` CPU features
-            // at runtime before taking this path.
-            return unsafe { crate::aes_ni::encrypt_block(&self.round_keys, block) };
-        }
-        self.encrypt_block_scalar(block)
+        return crate::aes_ni::encrypt_block(&self.round_keys, block, scalar);
+        #[cfg(not(target_arch = "x86_64"))]
+        scalar(block)
     }
 
     /// Encrypts four independent 16-byte blocks, dispatched like
@@ -150,13 +148,11 @@ impl Aes128 {
     /// one call.
     #[must_use]
     pub fn encrypt4(&self, blocks: [[u8; 16]; 4]) -> [[u8; 16]; 4] {
+        let scalar = |blocks: [[u8; 16]; 4]| blocks.map(|block| self.encrypt_block_scalar(block));
         #[cfg(target_arch = "x86_64")]
-        if crate::aes_ni::available() {
-            // SAFETY: `available` confirmed the `aes`+`sse2` CPU features
-            // at runtime before taking this path.
-            return unsafe { crate::aes_ni::encrypt4(&self.round_keys, blocks) };
-        }
-        blocks.map(|block| self.encrypt_block_scalar(block))
+        return crate::aes_ni::encrypt4(&self.round_keys, blocks, scalar);
+        #[cfg(not(target_arch = "x86_64"))]
+        scalar(blocks)
     }
 
     /// Encrypts one 16-byte block (scalar T-table fast path).

@@ -7,10 +7,12 @@
 //! scalar T-table path and this module are interchangeable by
 //! construction, and the proptests in `aes.rs` hold them to that.
 //!
-//! All `unsafe` in the crate lives here. Every function is
-//! `#[target_feature]`-gated and must only be reached through
-//! [`available`], which checks both the process kernel-backend selector
-//! and the host CPUID bits.
+//! All `unsafe` in the crate lives here (the crate denies it elsewhere).
+//! Every kernel is `#[target_feature]`-gated and reached only through the
+//! safe entry points [`encrypt_block`] and [`encrypt4`], which check both
+//! the process kernel-backend selector and the host CPUID bits first and
+//! run the scalar fallback they are handed when the hardware path may not
+//! run.
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use core::arch::x86_64::{
@@ -21,8 +23,45 @@ use core::arch::x86_64::{
 /// Whether the AES-NI path may run: the backend allows SIMD and the host
 /// reports the `aes` (and `sse2`) CPUID bits.
 #[inline]
-pub(crate) fn available() -> bool {
+fn available() -> bool {
     esd_kernels::simd_allowed() && esd_kernels::cpu_features().aes
+}
+
+/// One block encrypted with the hardware rounds when the backend allows
+/// SIMD and the host has AES-NI, otherwise with `scalar`. The fallback is
+/// a parameter, not an `Option` return, so the result is written straight
+/// into the caller's return slot.
+#[inline]
+pub(crate) fn encrypt_block(
+    round_keys: &[[u8; 16]; 11],
+    block: [u8; 16],
+    scalar: impl FnOnce([u8; 16]) -> [u8; 16],
+) -> [u8; 16] {
+    if available() {
+        // SAFETY: `available` confirmed the `aes`+`sse2` CPU features at
+        // runtime.
+        unsafe { encrypt_block_ni(round_keys, block) }
+    } else {
+        scalar(block)
+    }
+}
+
+/// Four independent blocks encrypted in lockstep with the hardware rounds
+/// when the backend allows SIMD and the host has AES-NI, otherwise with
+/// `scalar`.
+#[inline]
+pub(crate) fn encrypt4(
+    round_keys: &[[u8; 16]; 11],
+    blocks: [[u8; 16]; 4],
+    scalar: impl FnOnce([[u8; 16]; 4]) -> [[u8; 16]; 4],
+) -> [[u8; 16]; 4] {
+    if available() {
+        // SAFETY: `available` confirmed the `aes`+`sse2` CPU features at
+        // runtime.
+        unsafe { encrypt4_ni(round_keys, blocks) }
+    } else {
+        scalar(blocks)
+    }
 }
 
 /// Loads one 16-byte round key into a vector register.
@@ -41,9 +80,9 @@ unsafe fn load(bytes: &[u8; 16]) -> __m128i {
 ///
 /// # Safety
 /// The host must support the `aes` and `sse2` target features (checked by
-/// [`available`]).
+/// the entry points through [`available`]).
 #[target_feature(enable = "aes", enable = "sse2")]
-pub(crate) unsafe fn encrypt_block(round_keys: &[[u8; 16]; 11], block: [u8; 16]) -> [u8; 16] {
+unsafe fn encrypt_block_ni(round_keys: &[[u8; 16]; 11], block: [u8; 16]) -> [u8; 16] {
     // SAFETY: all intrinsics below require only aes+sse2, which this
     // function's target_feature gate (upheld by the caller) provides; all
     // loads/stores are in-bounds 16-byte accesses on owned arrays.
@@ -65,10 +104,10 @@ pub(crate) unsafe fn encrypt_block(round_keys: &[[u8; 16]; 11], block: [u8; 16])
 ///
 /// # Safety
 /// The host must support the `aes` and `sse2` target features (checked by
-/// [`available`]).
+/// the entry points through [`available`]).
 #[target_feature(enable = "aes", enable = "sse2")]
-pub(crate) unsafe fn encrypt4(round_keys: &[[u8; 16]; 11], blocks: [[u8; 16]; 4]) -> [[u8; 16]; 4] {
-    // SAFETY: as in `encrypt_block` — aes+sse2 only, in-bounds unaligned
+unsafe fn encrypt4_ni(round_keys: &[[u8; 16]; 11], blocks: [[u8; 16]; 4]) -> [[u8; 16]; 4] {
+    // SAFETY: as in `encrypt_block_ni` — aes+sse2 only, in-bounds unaligned
     // 16-byte loads/stores on owned arrays.
     unsafe {
         let rk0 = load(&round_keys[0]);

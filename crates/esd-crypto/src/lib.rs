@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! Counter-mode encryption (CME) for encrypted non-volatile main memory.
 //!
@@ -30,6 +31,7 @@
 
 mod aes;
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod aes_ni;
 mod ctr;
 mod kdf;

@@ -103,7 +103,7 @@ impl FingerprintKind {
     pub fn compute_key(self, line: &[u8; 64]) -> Option<u64> {
         match self {
             FingerprintKind::Ecc => None,
-            FingerprintKind::Sha1 => Some(crate::sha1(line).to_u64()),
+            FingerprintKind::Sha1 => Some(crate::sha1_line(line).to_u64()),
             FingerprintKind::Md5 => Some(crate::md5(line).to_u64()),
             FingerprintKind::Crc32 => Some(u64::from(crate::crc32(line))),
             FingerprintKind::Crc64 => Some(crate::crc64(line)),
@@ -111,19 +111,18 @@ impl FingerprintKind {
     }
 
     /// Computes this fingerprint's 64-bit key over a whole block of lines,
-    /// appending one key per line to `out` in order. SHA-1 and MD5 route
-    /// through the 4-lane kernels (bit-exact with
-    /// [`FingerprintKind::compute_key`] per line, including lane-tail
-    /// batches); the CRC families stay per-line table folds.
+    /// appending one key per line to `out` in order, each equal to
+    /// [`FingerprintKind::compute_key`]'s. SHA-1 hashes line by line with
+    /// [`crate::sha1_line`]; MD5 routes through the 4-lane kernel
+    /// (lane-tail batches included); the CRC families stay per-line table
+    /// folds.
     ///
     /// The `Ecc` variant appends nothing, mirroring `compute_key`'s `None`.
     pub fn compute_keys(self, lines: &[[u8; 64]], out: &mut Vec<u64>) {
         match self {
             FingerprintKind::Ecc => {}
             FingerprintKind::Sha1 => {
-                let mut digests = Vec::new();
-                crate::sha1_batch(lines, &mut digests);
-                out.extend(digests.iter().map(|d| d.to_u64()));
+                out.extend(lines.iter().map(|l| crate::sha1_line(l).to_u64()));
             }
             FingerprintKind::Md5 => {
                 let mut digests = Vec::new();

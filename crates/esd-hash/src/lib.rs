@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! Cryptographic and cyclic-redundancy fingerprint functions used by the
 //! deduplication baselines that ESD is compared against.
@@ -38,13 +39,14 @@ mod lanes;
 mod md5;
 mod sha1;
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod simd;
 
 pub use cost::{FingerprintCost, FingerprintKind};
 pub use crc::{crc32, crc64, Crc32, Crc64};
-pub use lanes::{md5_batch, sha1_batch};
+pub use lanes::md5_batch;
 pub use md5::{md5, md5_lines4, Md5, Md5Digest};
-pub use sha1::{sha1, sha1_lines4, Sha1, Sha1Digest};
+pub use sha1::{sha1, sha1_line, Sha1, Sha1Digest};
 
 #[cfg(test)]
 mod reference;

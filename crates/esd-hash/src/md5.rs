@@ -218,16 +218,15 @@ const MD5_LINE_PAD: [u8; 64] = {
 /// kernel where the kernel backend allows it and the host has it, otherwise
 /// four calls of the one scalar compression — bit-exact either way.
 fn compress4(states: &mut [[u32; 4]; 4], blocks: [&[u8; 64]; 4]) {
+    let scalar = |states: &mut [[u32; 4]; 4], blocks: [&[u8; 64]; 4]| {
+        for (state, block) in states.iter_mut().zip(blocks) {
+            compress(state, block);
+        }
+    };
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_available() {
-        // SAFETY: `avx2_available` confirmed the `avx2` CPU feature at
-        // runtime before taking this path.
-        unsafe { crate::simd::md5_compress4_avx2(states, blocks) };
-        return;
-    }
-    for (state, block) in states.iter_mut().zip(blocks) {
-        compress(state, block);
-    }
+    crate::simd::md5_compress4(states, blocks, scalar);
+    #[cfg(not(target_arch = "x86_64"))]
+    scalar(states, blocks);
 }
 
 /// Hashes four independent 64-byte lines in lockstep — two 4-lane

@@ -236,25 +236,20 @@ mod tests {
             prop_assert_eq!(crate::md5(&data), md5(&data));
         }
 
-        /// The 4-lane SHA-1 kernel is bit-exact with the reference
-        /// implementation on four independent random lines.
+        /// The line hash (the line's block, then the precomputed padding
+        /// block) is bit-exact with the reference implementation on random
+        /// lines.
         #[test]
-        fn sha1_four_lane_matches_reference(a in proptest::array::uniform32(any::<u8>()),
-                                            b in proptest::array::uniform32(any::<u8>())) {
-            let mut lines = [[0u8; 64]; 4];
-            for (l, line) in lines.iter_mut().enumerate() {
-                for i in 0..32 {
-                    line[i] = a[i].rotate_left(l as u32);
-                    line[32 + i] = b[i].wrapping_add(l as u8);
-                }
-            }
-            let digests = crate::sha1_lines4(&lines);
-            for (digest, line) in digests.iter().zip(&lines) {
-                prop_assert_eq!(*digest, sha1(line));
-            }
+        fn sha1_line_matches_reference(a in proptest::array::uniform32(any::<u8>()),
+                                       b in proptest::array::uniform32(any::<u8>())) {
+            let mut line = [0u8; 64];
+            line[..32].copy_from_slice(&a);
+            line[32..].copy_from_slice(&b);
+            prop_assert_eq!(crate::sha1_line(&line), sha1(&line));
         }
 
-        /// Same for the 4-lane MD5 kernel.
+        /// The 4-lane MD5 kernel is bit-exact with the reference
+        /// implementation on four independent random lines.
         #[test]
         fn md5_four_lane_matches_reference(a in proptest::array::uniform32(any::<u8>()),
                                            b in proptest::array::uniform32(any::<u8>())) {
@@ -271,9 +266,10 @@ mod tests {
             }
         }
 
-        /// Lane-tail batches (sizes straddling the 4-line groups, including
-        /// 1, 3, 63 and 65) produce digest-for-digest the reference result
-        /// through the batch drivers.
+        /// Blocks of every size straddling the MD5 kernel's 4-line groups
+        /// (1, 3, 63 and 65 included) produce key-for-key the reference
+        /// digests' keys through `compute_keys`, for SHA-1 and MD5 alike,
+        /// and digest-for-digest through the MD5 batch driver.
         #[test]
         fn hash_batches_match_reference_at_lane_tails(seed in proptest::array::uniform32(any::<u8>()),
                                                       pick in 0usize..8) {
@@ -282,13 +278,17 @@ mod tests {
                 .map(|s| std::array::from_fn(|i| seed[i % 32].wrapping_add((s * 41 + i) as u8)))
                 .collect();
             let mut sha = Vec::new();
-            crate::sha1_batch(&lines, &mut sha);
+            crate::FingerprintKind::Sha1.compute_keys(&lines, &mut sha);
+            let mut md_keys = Vec::new();
+            crate::FingerprintKind::Md5.compute_keys(&lines, &mut md_keys);
             let mut md = Vec::new();
             crate::md5_batch(&lines, &mut md);
             prop_assert_eq!(sha.len(), len);
+            prop_assert_eq!(md_keys.len(), len);
             prop_assert_eq!(md.len(), len);
             for (i, line) in lines.iter().enumerate() {
-                prop_assert_eq!(sha[i], sha1(line));
+                prop_assert_eq!(sha[i], sha1(line).to_u64());
+                prop_assert_eq!(md_keys[i], md5(line).to_u64());
                 prop_assert_eq!(md[i], md5(line));
             }
         }

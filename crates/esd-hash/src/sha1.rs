@@ -143,37 +143,45 @@ impl Sha1 {
 /// bit-exact with the reference formulation the unit tests hold them to.
 fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::sha_ni_available() {
-        // SAFETY: `sha_ni_available` confirmed the `sha`+`ssse3`+`sse2`
-        // CPU features at runtime before taking this path.
-        unsafe { crate::simd::sha1_compress_ni(state, block) };
-        return;
-    }
+    crate::simd::sha1_compress(state, block, compress_scalar);
+    #[cfg(not(target_arch = "x86_64"))]
     compress_scalar(state, block);
 }
 
-/// The scalar block compression: the 80-round loop is split into its four
-/// phases (removing the per-round `(f, k)` dispatch) and the message
-/// schedule lives in a 16-word circular buffer computed on the fly (instead
-/// of a pre-expanded 80-word array).
+/// The scalar block compression: the block's message schedule, then the
+/// rounds over it.
 fn compress_scalar(state: &mut [u32; 5], block: &[u8; 64]) {
-    let mut w = [0u32; 16];
-    for (word, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
-        *word = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
-    }
+    rounds(state, &schedule(block));
+}
 
+/// The 80-word message schedule of one block: the 16 big-endian words,
+/// then `w[i] = (w[i-3] ^ w[i-8] ^ w[i-14] ^ w[i-16]) <<< 1`. A `const fn`,
+/// so the constant padding block's schedule is computed at compile time.
+const fn schedule(block: &[u8; 64]) -> [u32; 80] {
+    let mut w = [0u32; 80];
+    let mut i = 0;
+    while i < 16 {
+        w[i] = u32::from_be_bytes([
+            block[4 * i],
+            block[4 * i + 1],
+            block[4 * i + 2],
+            block[4 * i + 3],
+        ]);
+        i += 1;
+    }
+    while i < 80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        i += 1;
+    }
+    w
+}
+
+/// The 80 rounds over a block's schedule `w`, folded into `state`. The
+/// loop is split into its four phases, removing the per-round `(f, k)`
+/// dispatch.
+fn rounds(state: &mut [u32; 5], w: &[u32; 80]) {
     let [mut a, mut b, mut c, mut d, mut e] = *state;
 
-    // w[i] for i >= 16 is (w[i-3] ^ w[i-8] ^ w[i-14] ^ w[i-16]) <<< 1;
-    // modulo 16 those taps are (i+13), (i+8), (i+2) and i itself.
-    macro_rules! schedule {
-        ($i:expr) => {{
-            let next = (w[($i + 13) & 15] ^ w[($i + 8) & 15] ^ w[($i + 2) & 15] ^ w[$i & 15])
-                .rotate_left(1);
-            w[$i & 15] = next;
-            next
-        }};
-    }
     macro_rules! round {
         ($f:expr, $k:expr, $wi:expr) => {{
             let temp = a
@@ -190,23 +198,16 @@ fn compress_scalar(state: &mut [u32; 5], block: &[u8; 64]) {
         }};
     }
 
-    for &wi in &w {
+    for &wi in &w[..20] {
         round!((b & c) | ((!b) & d), 0x5A82_7999, wi);
     }
-    for i in 16..20 {
-        let wi = schedule!(i);
-        round!((b & c) | ((!b) & d), 0x5A82_7999, wi);
-    }
-    for i in 20..40 {
-        let wi = schedule!(i);
+    for &wi in &w[20..40] {
         round!(b ^ c ^ d, 0x6ED9_EBA1, wi);
     }
-    for i in 40..60 {
-        let wi = schedule!(i);
+    for &wi in &w[40..60] {
         round!((b & c) | (b & d) | (c & d), 0x8F1B_BCDC, wi);
     }
-    for i in 60..80 {
-        let wi = schedule!(i);
+    for &wi in &w[60..] {
         round!(b ^ c ^ d, 0xCA62_C1D6, wi);
     }
 
@@ -235,7 +236,7 @@ pub fn sha1(data: &[u8]) -> Sha1Digest {
 }
 
 /// The standard SHA-1 initial state.
-const SHA1_INIT: [u32; 5] = [
+pub(crate) const SHA1_INIT: [u32; 5] = [
     0x6745_2301,
     0xEFCD_AB89,
     0x98BA_DCFE,
@@ -246,25 +247,32 @@ const SHA1_INIT: [u32; 5] = [
 /// The second compression block of every one-shot 64-byte message is a
 /// constant: the `0x80` terminator, zeros, then the 512-bit message length
 /// big-endian in the last eight bytes.
-const SHA1_LINE_PAD: [u8; 64] = {
+pub(crate) const SHA1_LINE_PAD: [u8; 64] = {
     let mut block = [0u8; 64];
     block[0] = 0x80;
     block[62] = 0x02; // 512 = 0x0200, big-endian
     block
 };
 
-/// Hashes four independent 64-byte lines — per line the data block, then
-/// the shared constant padding block, through the one dispatched
-/// compression — and returns the four digests. Bit-exact with [`sha1`] on
-/// each line.
+/// [`SHA1_LINE_PAD`]'s message schedule, the same for every line.
+pub(crate) const SHA1_LINE_PAD_SCHEDULE: [u32; 80] = schedule(&SHA1_LINE_PAD);
+
+/// The SHA-1 digest of one 64-byte line: the line's own block, then the
+/// constant padding block, whose schedule is precomputed. One backend
+/// check per line picks the SHA-NI rounds or the scalar ones; bit-exact
+/// with [`sha1`] either way.
 #[must_use]
-pub fn sha1_lines4(lines: &[[u8; 64]; 4]) -> [Sha1Digest; 4] {
-    lines.each_ref().map(|line| {
+pub fn sha1_line(line: &[u8; 64]) -> Sha1Digest {
+    let scalar = |line: &[u8; 64]| {
         let mut state = SHA1_INIT;
-        compress(&mut state, line);
-        compress(&mut state, &SHA1_LINE_PAD);
-        digest(state)
-    })
+        compress_scalar(&mut state, line);
+        rounds(&mut state, &SHA1_LINE_PAD_SCHEDULE);
+        state
+    };
+    #[cfg(target_arch = "x86_64")]
+    return digest(crate::simd::sha1_line(line, scalar));
+    #[cfg(not(target_arch = "x86_64"))]
+    digest(scalar(line))
 }
 
 #[cfg(test)]
@@ -312,13 +320,25 @@ mod tests {
     }
 
     #[test]
-    fn four_lane_matches_scalar() {
-        let lines: [[u8; 64]; 4] =
-            std::array::from_fn(|l| std::array::from_fn(|i| (l * 64 + i) as u8 ^ 0xA5));
-        let digests = sha1_lines4(&lines);
-        for (line, digest) in lines.iter().zip(digests) {
-            assert_eq!(digest, sha1(line));
+    fn line_hash_matches_one_shot() {
+        for seed in 0..64u8 {
+            let line: [u8; 64] = std::array::from_fn(|i| (i as u8 ^ 0xA5).wrapping_mul(seed));
+            assert_eq!(sha1_line(&line), sha1(&line), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn padding_block_schedule_is_the_computed_one() {
+        // The textbook expansion, written out independently of `schedule`.
+        let mut w = [0u32; 80];
+        for (i, chunk) in SHA1_LINE_PAD.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
+        }
+        for i in 16..80 {
+            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        }
+        assert_eq!(SHA1_LINE_PAD_SCHEDULE, w);
+        assert_eq!(schedule(&SHA1_LINE_PAD), w);
     }
 
     #[test]

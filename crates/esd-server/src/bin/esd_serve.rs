@@ -208,7 +208,7 @@ fn run(flags: &Flags) -> Result<(), String> {
         report.summary.sim_end.as_ns(),
     );
     if flags.json {
-        println!("{}", service.metrics_json());
+        println!("{}", report.metrics_json);
     }
     if leak != 0 {
         return Err(format!("{leak} offered requests unaccounted for"));

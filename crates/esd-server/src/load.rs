@@ -96,6 +96,10 @@ pub struct LoadReport {
     pub qps: u64,
     /// Per-tenant and whole-service stats after the run.
     pub summary: ServiceSummary,
+    /// The service's metrics-registry export after the run
+    /// ([`Service::metrics_json`]), rendered once for both the summary's
+    /// digest and the caller.
+    pub metrics_json: String,
     /// Applied requests per simulated second, across all tenants.
     pub achieved_throughput: f64,
 }
@@ -114,7 +118,8 @@ pub fn run_load(service: &mut Service, spec: &LoadSpec) -> LoadReport {
             .all(|(t, r)| matches!(r, Response::Rejected { .. }) || *t < spec.tenants),
         "responses must carry valid tenant ids"
     );
-    let summary = service.summary();
+    let metrics_json = service.metrics_json();
+    let summary = service.summary_with(&metrics_json);
     let sim_seconds = summary.sim_end.as_ps() as f64 / PS_PER_SECOND as f64;
     let achieved_throughput = if sim_seconds > 0.0 {
         summary.applied as f64 / sim_seconds
@@ -125,6 +130,7 @@ pub fn run_load(service: &mut Service, spec: &LoadSpec) -> LoadReport {
         tenants: spec.tenants,
         qps: spec.qps,
         summary,
+        metrics_json,
         achieved_throughput,
     }
 }
@@ -249,6 +255,12 @@ mod tests {
                 assert_eq!(report.summary.tenants.len(), tenants as usize, "{point}");
                 assert!(report.summary.applied > 0, "{point}");
                 assert!(report.achieved_throughput > 0.0, "{point}");
+                assert_eq!(report.metrics_json, service.metrics_json(), "{point}");
+                assert_eq!(
+                    report.summary.state_digest,
+                    service.state_digest(),
+                    "{point}"
+                );
                 for t in &report.summary.tenants {
                     assert_eq!(t.offered, spec.requests_per_tenant, "{point}");
                     assert_eq!(t.offered, t.admitted + t.rejected, "{point}");

@@ -569,13 +569,19 @@ impl Service {
     /// Whole-service summary with the state digest.
     #[must_use]
     pub fn summary(&self) -> ServiceSummary {
+        self.summary_with(&self.metrics_json())
+    }
+
+    /// [`Service::summary`] with the registry export already rendered, so
+    /// a caller that prints the export renders it once.
+    pub(crate) fn summary_with(&self, metrics_json: &str) -> ServiceSummary {
         ServiceSummary {
             tenants: (0..self.tenant_count())
                 .map(|t| self.tenant_summary(t))
                 .collect(),
             applied: self.applied,
             sim_end: self.clock,
-            state_digest: self.state_digest(),
+            state_digest: self.state_digest_with(metrics_json),
         }
     }
 
@@ -585,6 +591,12 @@ impl Service {
     /// outcomes at this granularity.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
+        self.state_digest_with(&self.metrics_json())
+    }
+
+    /// [`Service::state_digest`] over an export `metrics_json` the caller
+    /// rendered from this service as it stands.
+    fn state_digest_with(&self, metrics_json: &str) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |bytes: &[u8]| {
             for &b in bytes {
@@ -596,7 +608,7 @@ impl Service {
         eat(format!("{:?}", self.scheme.breakdown()).as_bytes());
         eat(format!("{:?}", self.scheme.metadata_footprint()).as_bytes());
         eat(format!("{:?}", self.scheme.nvmm().stats()).as_bytes());
-        eat(self.metrics_json().as_bytes());
+        eat(metrics_json.as_bytes());
         eat(&self.clock.as_ps().to_le_bytes());
         hash
     }

@@ -1,8 +1,8 @@
 //! The hardware kernels' bit-exactness contract: the `Scalar` and `Auto`
 //! backends must produce byte-identical [`RunReport`]s for every scheme,
-//! and every lane-granular kernel (4-lane SHA-1/MD5, batched ECC encode,
-//! the 4-lane AES that builds every pad) must agree with its one-line shape
-//! at every ragged tail length under both. On hosts without the relevant
+//! and every block-granular kernel (SHA-1 keys of a block of lines, 4-lane
+//! MD5, batched ECC encode, the 4-lane AES that builds every pad) must
+//! agree with its one-line shape at every ragged tail length under both. On hosts without the relevant
 //! instruction sets `Auto` runs the scalar kernels too and the comparisons
 //! hold trivially.
 
@@ -98,14 +98,24 @@ proptest! {
         let n = [1usize, 3, 63, 65][tail.index(4)];
         let lines = lcg_lines(seed, n);
 
+        // SHA-1 keys: the block call, the per-line call and the full line
+        // digest behind them.
+        let sha1 = esd::hash::FingerprintKind::Sha1;
         let (sha_scalar, sha_auto) = under_both_backends(|| {
-            let mut out = Vec::new();
-            esd::hash::sha1_batch(&lines, &mut out);
-            out
+            let mut keys = Vec::new();
+            sha1.compute_keys(&lines, &mut keys);
+            let per_line: Vec<Option<u64>> = lines.iter().map(|l| sha1.compute_key(l)).collect();
+            let digests: Vec<_> = lines.iter().map(esd::hash::sha1_line).collect();
+            (keys, per_line, digests)
         });
-        prop_assert_eq!(&sha_scalar, &sha_auto, "sha1_batch n={}", n);
-        for (line, digest) in lines.iter().zip(&sha_scalar) {
-            prop_assert_eq!(&esd::hash::sha1(line), digest);
+        prop_assert_eq!(&sha_scalar, &sha_auto, "sha1 keys n={}", n);
+        let (keys, per_line, digests) = sha_scalar;
+        prop_assert_eq!(keys.len(), n);
+        for (i, line) in lines.iter().enumerate() {
+            let streamed = esd::hash::sha1(line);
+            prop_assert_eq!(digests[i], streamed);
+            prop_assert_eq!(keys[i], streamed.to_u64());
+            prop_assert_eq!(per_line[i], Some(keys[i]));
         }
 
         let (md5_scalar, md5_auto) = under_both_backends(|| {

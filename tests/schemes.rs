@@ -535,6 +535,45 @@ fn verify_shadow_reports_the_first_read_that_returns_aliased_content() {
     .expect("verified run");
 }
 
+#[test]
+fn verify_shadow_fires_at_far_addresses_as_at_near_ones() {
+    // The shadow's array covers as many lines as the trace has accesses,
+    // rounded up to a power of two; every other address takes its map. The
+    // aliasing trace above, moved from 0x200 to a tenant-namespaced address
+    // and to the first line past the array, must stop at the same read.
+    let (a, b) = ecc_colliding_lines(EccCodec::Hamming);
+    let aliased_at = |addr: u64| {
+        vec![
+            Access::write(0x000, a, 10),
+            Access::write(0x040, CacheLine::from_fill(0x77), 10),
+            Access::write(addr, b, 10), // deduplicated onto `a`
+            Access::read(0x000, 10),
+            Access::read(0x040, 10),
+            Access::read(addr, 10), // returns `a`
+            Access::write(addr, a, 10),
+            Access::read(addr, 10),
+            Access::write(addr, b, 10),
+            Access::read(addr, 10),
+        ]
+    };
+    let len = 10usize;
+    let past_the_array = len.next_power_of_two() as u64 * 64;
+    let options = RunOptions::default();
+    let near = first_aliased_read(aliased_at(0x200), len, &options);
+    assert_eq!(
+        (near.scheme, near.addr, near.access_index),
+        (SchemeKind::EsdNoVerify, 0x200, 5),
+    );
+    for addr in [(1 << 48) | 0x200, past_the_array] {
+        let error = first_aliased_read(aliased_at(addr), len, &options);
+        assert_eq!(
+            (error.scheme, error.addr, error.access_index),
+            (near.scheme, addr, near.access_index),
+            "aliasing pair at {addr:#x}"
+        );
+    }
+}
+
 /// Reads of never-written addresses: the shadow holds nothing for them, so
 /// they move the aliased accesses to a chosen trace index without being
 /// checked themselves.
