@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! The benchmark harness that regenerates every table and figure of the
 //! ESD paper (HPCA 2023).

@@ -1,3 +1,5 @@
+#![deny(unsafe_code)]
+
 //! `esd-cli` — drive the ESD encrypted-NVMM deduplication simulator from
 //! the command line.
 //!

@@ -89,6 +89,14 @@ impl<V> U64Map<V> {
         hash_u64(key) as usize & self.mask
     }
 
+    /// Hints the cache line of the slot a probe of `key` starts at (see
+    /// [`crate::prefetch`]). Reads no slot, moves nothing and counts
+    /// nothing: the map is exactly as it was.
+    #[inline]
+    pub fn prefetch(&self, key: u64) {
+        crate::prefetch(&self.slots[self.ideal(key)]);
+    }
+
     /// Index of the slot holding `key`, or of the vacancy that ends its
     /// probe path (where an insert would put it).
     #[inline]
@@ -319,6 +327,35 @@ mod tests {
             *two_step.get_mut(key).unwrap() += 1;
         }
         assert!(one_probe.iter().eq(two_step.iter()));
+    }
+
+    #[test]
+    fn a_prefetch_leaves_the_map_as_it_was() {
+        let snapshot = |map: &U64Map<u64>| map.iter().map(|(k, &v)| (k, v)).collect::<Vec<_>>();
+        // Empty, and at its 7/8 growth point: the next new key doubles it.
+        let empty: U64Map<u64> = U64Map::new();
+        empty.prefetch(0);
+        empty.prefetch(u64::MAX);
+        assert!(empty.is_empty());
+        assert_eq!(empty.slots.len(), MIN_SLOTS);
+        let mut map = U64Map::new();
+        let mut twin = U64Map::new();
+        for key in 0..7u64 {
+            map.insert(key << 6, key);
+            twin.insert(key << 6, key);
+        }
+        let before = snapshot(&map);
+        for key in (0..7u64).chain(100..140) {
+            map.prefetch(key << 6);
+        }
+        assert_eq!(map.len(), 7);
+        assert_eq!(map.slots.len(), MIN_SLOTS);
+        assert_eq!(snapshot(&map), before);
+        // It grows when, and into the order, a map that never saw one does.
+        map.insert(7 << 6, 7);
+        twin.insert(7 << 6, 7);
+        assert_eq!(map.slots.len(), 2 * MIN_SLOTS);
+        assert_eq!(snapshot(&map), snapshot(&twin));
     }
 
     #[test]

@@ -118,6 +118,12 @@ impl Amt {
         self.table.get(logical).map(|entry| entry.value)
     }
 
+    /// Hints the table slot a translation of `logical` probes first; no
+    /// time is charged and nothing moves (see [`U64Map::prefetch`]).
+    pub(crate) fn prefetch(&self, logical: u64) {
+        self.table.prefetch(logical);
+    }
+
     /// Iterates the authoritative table's `(logical, physical)` mappings
     /// without charging any time (crash-recovery audit).
     pub fn mappings(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
@@ -186,6 +192,35 @@ mod tests {
 
     fn nvmm() -> NvmmSystem {
         NvmmSystem::new(PcmConfig::default())
+    }
+
+    #[test]
+    fn a_prefetch_moves_no_stat_and_no_mapping() {
+        // Room for three cached entries, so the cache evicts.
+        let mut hinted = Amt::new((3 * AMT_ENTRY_BYTES) as u64);
+        let mut plain = hinted.clone();
+        let (mut mem_hinted, mut mem_plain) = (nvmm(), nvmm());
+        let mut now = Ps::ZERO;
+        for step in 0..200u64 {
+            let logical = ((step * 7) % 23) << 6;
+            for probe in [logical, logical + (1 << 40), u64::MAX - step] {
+                hinted.prefetch(probe);
+            }
+            assert_eq!(hinted.cache_stats(), plain.cache_stats());
+            assert!(hinted.mappings().eq(plain.mappings()));
+            now = if step % 3 == 0 {
+                let done = hinted.update(now, logical, step << 6, &mut mem_hinted);
+                assert_eq!(plain.update(now, logical, step << 6, &mut mem_plain), done);
+                done
+            } else {
+                let translated = hinted.translate(now, logical, &mut mem_hinted);
+                assert_eq!(plain.translate(now, logical, &mut mem_plain), translated);
+                translated.1
+            };
+        }
+        assert_eq!(hinted.cache_stats(), plain.cache_stats());
+        assert!(hinted.mappings().eq(plain.mappings()));
+        assert_eq!(hinted.nvmm_traffic(), plain.nvmm_traffic());
     }
 
     #[test]

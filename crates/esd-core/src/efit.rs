@@ -204,6 +204,12 @@ impl Efit {
         })
     }
 
+    /// Hints the index slot a look-up of `fingerprint` probes first; no
+    /// statistic, stamp or entry moves (see [`U64Map::prefetch`]).
+    pub(crate) fn prefetch(&self, fingerprint: u64) {
+        self.index.prefetch(fingerprint);
+    }
+
     /// Increments a fingerprint's reference count, returning the new value
     /// (saturating at [`REFER_MAX`]).
     ///
@@ -411,6 +417,32 @@ mod tests {
     fn small(policy: EfitPolicy) -> Efit {
         // 3 entries.
         Efit::new((EFIT_ENTRY_BYTES * 3) as u64, policy)
+    }
+
+    #[test]
+    fn a_prefetch_moves_no_stat_and_no_entry() {
+        // Seven entries: the index was sized for them, and eviction starts
+        // at the eighth distinct key.
+        let mut hinted = Efit::new((EFIT_ENTRY_BYTES * 7) as u64, EfitPolicy::Lrcu);
+        let mut plain = hinted.clone();
+        for step in 0..200u64 {
+            let fp = (step * 0x9E37_79B9) % 13;
+            for probe in [fp, fp + 1_000, u64::MAX - step] {
+                hinted.prefetch(probe);
+            }
+            assert_eq!(hinted.stats(), plain.stats());
+            assert_eq!(hinted.pinned_physicals(), plain.pinned_physicals());
+            for efit in [&mut hinted, &mut plain] {
+                if efit.lookup(fp).is_some() {
+                    efit.bump_ref(fp);
+                } else {
+                    efit.insert(fp, fp << 6);
+                }
+            }
+        }
+        assert_eq!(hinted.stats(), plain.stats());
+        assert_eq!(hinted.pinned_physicals(), plain.pinned_physicals());
+        assert!(hinted.stats().evictions > 0);
     }
 
     #[test]

@@ -180,6 +180,12 @@ impl FingerprintStore {
         }
     }
 
+    /// Hints the table slot a look-up of `fingerprint` probes first; no
+    /// time is charged and nothing moves (see [`U64Map::prefetch`]).
+    pub(crate) fn prefetch(&self, fingerprint: u64) {
+        self.table.prefetch(fingerprint);
+    }
+
     /// Inserts a new fingerprint; NVMM index writes are amortized over the
     /// number of entries per 64-byte metadata line.
     ///

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! ESD: ECC-assisted and Selective Deduplication for encrypted non-volatile
 //! main memory — a full reproduction of the HPCA 2023 paper's scheme and its

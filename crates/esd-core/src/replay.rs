@@ -9,18 +9,33 @@
 //! it must return. Gather is one in-order pass over the block: a write
 //! pushes its line for fingerprinting (a scheme without a fingerprint,
 //! Baseline, pushes nothing) and records its trace index in the
-//! verification shadow; a verified read looks its address up and copies
-//! the last write's line out of the trace. The shadow is a
-//! [`LineTable`] whose array covers, from the start, as many lines as the
-//! trace has accesses, so for a trace drawn from a working set below that
-//! a verified write is one array store and a verified read one array load;
-//! far or sparse addresses go to its map. The reads' loads do not depend
-//! on each other, so their cache misses overlap instead of stalling the
-//! scheme one at a time. Keys are pure functions of line content, the
-//! scheme charges the full modeled fingerprint cost either way, and the
-//! shadow is host state only, so nothing gather does reaches the report.
+//! verification shadow; a verified read looks its address up and records
+//! the index of the last write to it. The shadow is a [`LineTable`] whose
+//! array covers, from the start, as many lines as the trace has accesses,
+//! so for a trace drawn from a working set below that a verified write is
+//! one array store and a verified read one array load; far or sparse
+//! addresses go to its map.
+//!
+//! Gather runs one block ahead of execute, with the two blocks' lines,
+//! keys and expected indices double-buffered, and it issues cache hints
+//! ([`esd_collections::prefetch`]) where the next block will miss: the
+//! line of each verified read's expected write, somewhere in the trace,
+//! and the AMT slot of each access and the EFIT or store slot of each
+//! write's key. A hint blocks nothing, so the misses of a whole block are
+//! in flight while the block before it executes, and execute compares each
+//! read against the trace's line in place. A hint reads no table, moves no
+//! stamp, counts nothing and allocates nothing, and a table that grows
+//! before the block executes only makes a hint useless. Keys are pure
+//! functions of line content, the scheme charges the full modeled
+//! fingerprint cost either way, and the shadow is host state only, so
+//! nothing gather does reaches the report. Block bounds depend on the
+//! trace and the crash point only: a block ends after [`DEFAULT_BATCH`]
+//! accesses or at the crash point, and the crash fires just before the
+//! block that starts there executes.
 
-use esd_collections::LineTable;
+use std::ops::Range;
+
+use esd_collections::{prefetch, LineTable};
 use esd_obs::{EpochSnapshot, Obs};
 use esd_sim::{CpuModel, LatencyHistogram, Ps, SystemConfig, LINE_BYTES};
 use esd_trace::{AccessKind, CacheLine, Trace};
@@ -28,7 +43,7 @@ use esd_trace::{AccessKind, CacheLine, Trace};
 use crate::journal::{RecoveryReport, RecoverySummary};
 use crate::report::{ReliabilityReport, RunReport};
 use crate::runner::{RunOptions, VerifyError, DEFAULT_BATCH};
-use crate::scheme::{elapsed_latency, Scheme};
+use crate::scheme::{elapsed_latency, FingerprintSpec, Scheme};
 use crate::scrub::Scrubber;
 
 /// Cumulative state at the last epoch boundary, the base of the next
@@ -139,8 +154,8 @@ impl Replay<'_> {
     /// Replays access `g`: epoch catch-up, CPU execute, scrub tick, then
     /// the memory access itself. `fingerprint` carries a write's key from
     /// the block's fingerprint stage (`None` for a scheme without one);
-    /// `expected` carries a verified read's line from the gather stage
-    /// (`None` when unverified or the address was never written).
+    /// `expected` is the trace line of the write a verified read must
+    /// return (`None` when unverified or the address was never written).
     fn access(
         &mut self,
         g: usize,
@@ -258,6 +273,115 @@ impl Replay<'_> {
     }
 }
 
+/// One block of accesses as gather leaves it for execute.
+#[derive(Default)]
+struct Block {
+    /// The block's trace indices.
+    range: Range<usize>,
+    /// The block's write lines, in order (none for a scheme without a
+    /// fingerprint).
+    lines: Vec<[u8; LINE_BYTES]>,
+    /// Their keys.
+    keys: Vec<u64>,
+    /// Each verified read's expected line, in order: the trace index of the
+    /// last write to its address before it, `None` if there was none.
+    expected: Vec<Option<u32>>,
+}
+
+impl Block {
+    /// Executes the block in trace order, handing each write its key and
+    /// each verified read the trace line it must return, compared in place.
+    fn execute(&self, replay: &mut Replay<'_>) -> Result<(), VerifyError> {
+        let trace = replay.trace;
+        let mut keys = self.keys.iter().copied();
+        let mut expected = self.expected.iter().copied();
+        for (g, access) in self.range.clone().zip(&trace.accesses[self.range.clone()]) {
+            let (fingerprint, expected) = match access.kind {
+                AccessKind::Write => (keys.next(), None),
+                AccessKind::Read => (
+                    None,
+                    expected.next().flatten().map(|w| {
+                        trace.accesses[w as usize]
+                            .data
+                            .as_ref()
+                            .expect("write carries data")
+                    }),
+                ),
+            };
+            replay.access(g, fingerprint, expected)?;
+        }
+        Ok(())
+    }
+}
+
+/// The gather stage: what it reads, and the verification shadow it keeps
+/// across blocks.
+struct Gather<'a> {
+    trace: &'a Trace,
+    /// The scheme's fingerprint, `None` for a scheme without one.
+    spec: Option<FingerprintSpec>,
+    verify: bool,
+    /// Logical address → trace index of the last write to it gathered so
+    /// far (whose `data` is what a later read must return). Empty unless
+    /// `verify`. A trace touches at most as many lines as it has accesses,
+    /// so the array covers that many (rounded up to a power of two) from
+    /// the start; it is filled only up to the highest line written, and
+    /// nothing iterates it.
+    shadow: LineTable<u32>,
+}
+
+impl Gather<'_> {
+    /// Gathers accesses `range` into `block`, in trace order so a read sees
+    /// exactly the writes before it, its own block's included: a write
+    /// records its index in the shadow and pushes its line for
+    /// fingerprinting; a verified read records the index of the write it
+    /// must return. Then the block's keys are computed in one call. What
+    /// the block will read first gets a cache hint instead of a load: each
+    /// expected line, and each access's mapping and index slot in
+    /// `scheme`, which nothing here changes.
+    fn block(&mut self, range: Range<usize>, scheme: &Scheme, block: &mut Block) {
+        block.lines.clear();
+        block.keys.clear();
+        block.expected.clear();
+        let accesses = &self.trace.accesses[range.clone()];
+        for (g, access) in range.clone().zip(accesses) {
+            match access.kind {
+                AccessKind::Write => {
+                    if self.spec.is_some() {
+                        block
+                            .lines
+                            .push(*access.data.expect("write carries data").as_bytes());
+                    }
+                    if self.verify {
+                        *self.shadow.get_or_default(access.addr) = g as u32;
+                    }
+                }
+                AccessKind::Read if self.verify => {
+                    let w = self.shadow.get(access.addr).copied();
+                    if let Some(w) = w {
+                        prefetch(&self.trace.accesses[w as usize].data);
+                    }
+                    block.expected.push(w);
+                }
+                AccessKind::Read => {}
+            }
+        }
+        // Only a scheme with a fingerprint has an AMT and an index to hint.
+        if let Some(spec) = self.spec {
+            spec.compute_keys(&block.lines, &mut block.keys);
+            let mut keys = block.keys.iter().copied();
+            for access in accesses {
+                let key = match access.kind {
+                    AccessKind::Write => keys.next(),
+                    AccessKind::Read => None,
+                };
+                scheme.prefetch(access.addr, key);
+            }
+        }
+        block.range = range;
+    }
+}
+
 /// Replays `trace` through `scheme` over the full `config`.
 pub(crate) fn run(
     mut scheme: Scheme,
@@ -309,66 +433,33 @@ pub(crate) fn run(
         Some((g, torn))
     });
 
-    let mut lines: Vec<[u8; LINE_BYTES]> = Vec::with_capacity(DEFAULT_BATCH as usize);
-    let mut keys: Vec<u64> = Vec::with_capacity(DEFAULT_BATCH as usize);
-    let mut expected: Vec<Option<CacheLine>> = Vec::with_capacity(DEFAULT_BATCH as usize);
-    // Verification shadow, filled by the gather stage: logical address →
-    // trace index of the last write to it gathered so far (whose `data` is
-    // what a later read must return). Empty unless `options.verify`. A
-    // trace of `total` accesses touches at most `total` lines, so its array
-    // covers that many (rounded up to a power of two) from the start; it
-    // is filled only up to the highest line written, and nothing iterates
-    // it.
-    let mut shadow: LineTable<u32> = LineTable::with_dense_span(total);
-    let mut start = 0usize;
-    while start < total {
-        let mut end = total.min(start + DEFAULT_BATCH as usize);
+    let block_end = |start: usize| {
+        let end = total.min(start + DEFAULT_BATCH as usize);
+        match crash {
+            Some((g, _)) if start < g && g < end => g,
+            _ => end,
+        }
+    };
+    let mut gather = Gather {
+        trace,
+        spec,
+        verify: options.verify,
+        shadow: LineTable::with_dense_span(total),
+    };
+    let (mut current, mut next) = (Block::default(), Block::default());
+    gather.block(0..block_end(0), &replay.scheme, &mut current);
+    while current.range.start < total {
+        // Gather runs a block ahead, so its hints are in flight while this
+        // block executes.
+        let start = current.range.end;
+        gather.block(start..block_end(start), &replay.scheme, &mut next);
         if let Some((g, torn)) = crash {
-            if start == g {
+            if g == current.range.start {
                 replay.crash(torn);
-            } else if start < g && g < end {
-                end = g;
             }
         }
-        let block = &trace.accesses[start..end];
-        // Gather, in trace order: a read sees exactly the writes before it,
-        // its own block's included.
-        lines.clear();
-        keys.clear();
-        expected.clear();
-        for (g, access) in (start..end).zip(block) {
-            match access.kind {
-                AccessKind::Write => {
-                    if spec.is_some() {
-                        lines.push(*access.data.expect("write carries data").as_bytes());
-                    }
-                    if options.verify {
-                        *shadow.get_or_default(access.addr) = g as u32;
-                    }
-                }
-                AccessKind::Read if options.verify => expected.push(
-                    shadow
-                        .get(access.addr)
-                        .map(|&w| trace.accesses[w as usize].data.expect("write carries data")),
-                ),
-                AccessKind::Read => {}
-            }
-        }
-        // Fingerprint.
-        if let Some(spec) = spec {
-            spec.compute_keys(&lines, &mut keys);
-        }
-        // Execute.
-        let mut block_keys = keys.iter().copied();
-        let mut block_expected = expected.iter().map(Option::as_ref);
-        for (g, access) in (start..end).zip(block) {
-            let (fingerprint, expected) = match access.kind {
-                AccessKind::Write => (block_keys.next(), None),
-                AccessKind::Read => (None, block_expected.next().flatten()),
-            };
-            replay.access(g, fingerprint, expected)?;
-        }
-        start = end;
+        current.execute(&mut replay)?;
+        std::mem::swap(&mut current, &mut next);
     }
     // Close the epochs whose boundaries the last access did not reach.
     replay.catch_up_epochs(total);

@@ -796,6 +796,21 @@ impl Scheme {
         self.policy.fingerprint
     }
 
+    /// Hints the slots an access to `logical` will probe first: its AMT
+    /// mapping and, for a write with its `fingerprint` key, the EFIT or
+    /// store slot of the key. Charges nothing and changes nothing a report
+    /// sees. Baseline has neither structure, and replay skips it.
+    pub(crate) fn prefetch(&self, logical: u64, fingerprint: Option<u64>) {
+        if self.policy.mapping == Mapping::Amt {
+            self.core.amt.prefetch(logical);
+        }
+        match (&self.index, fingerprint) {
+            (Index::Store(store), Some(fp)) => store.prefetch(fp),
+            (Index::Efit(efit), Some(fp)) => efit.prefetch(fp),
+            _ => {}
+        }
+    }
+
     /// Sets the metadata-journal checkpoint interval (in records) before
     /// replay starts; `None` disables journaling, making recovery pay a
     /// full metadata scan instead of a journal-tail replay. A scheme with

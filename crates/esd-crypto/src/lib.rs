@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! Counter-mode encryption (CME) for encrypted non-volatile main memory.
 //!

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! Hamming(72,64) SEC-DED error-correcting codes and ECC-based cache-line
 //! fingerprints, as used by the ESD deduplication scheme (HPCA 2023).

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! Cryptographic and cyclic-redundancy fingerprint functions used by the
 //! deduplication baselines that ESD is compared against.

@@ -1,3 +1,5 @@
+#![deny(unsafe_code)]
+
 //! Runtime kernel-backend selection for the ESD hot kernels.
 //!
 //! Each compute kernel keeps exactly one portable scalar implementation —

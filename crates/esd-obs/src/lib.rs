@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! Dependency-free observability for the ESD simulator stack.
 //!

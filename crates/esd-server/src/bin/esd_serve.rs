@@ -1,3 +1,5 @@
+#![deny(unsafe_code)]
+
 //! `esd-serve` — run the multi-tenant dedup service.
 //!
 //! Default mode drives the built-in load generator (`tenants × qps`)

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! Multi-tenant deduplication service over one shared encrypted-NVMM
 //! scheme instance.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! A cycle-approximate simulator for encrypted non-volatile main memory
 //! (PCM), in the style of NVMain: device timing and energy, bank/bus

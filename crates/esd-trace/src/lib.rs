@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! Synthetic workload generation for deduplication studies on NVMM.
 //!

@@ -1,3 +1,5 @@
+#![deny(unsafe_code)]
+
 //! ESD — ECC-assisted and Selective Deduplication for encrypted
 //! non-volatile main memory.
 //!

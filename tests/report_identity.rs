@@ -3,7 +3,8 @@
 //! not only against itself.
 //!
 //! One fixed trace; all eight kinds, plus one journaled crash-and-recover
-//! run and one fault-injected, scrubbed run per kind. Every `RunOptions`
+//! run and one fault-injected, scrubbed run per kind, and a shorter trace
+//! crashed at the edges of the replay's 64-access blocks. Every `RunOptions`
 //! field is spelled out, so no `ESD_*` variable can move a result. The
 //! pinned value is an FNV-1a of the report's `Debug` rendering, which
 //! covers every field.
@@ -159,5 +160,46 @@ fn fault_injected_scrubbed_reports_match_recorded_digests() {
     };
     for (kind, _, _, expected) in EXPECTED {
         assert_eq!(digest(kind, &trace, &config, &options), expected, "{kind}");
+    }
+}
+
+/// `(kind, digest of the block-edge crash runs)`: one digest over every
+/// crash point and stage, in order.
+const EDGE_EXPECTED: [(SchemeKind, u64); 8] = [
+    (SchemeKind::Baseline, 13435308963040575365),
+    (SchemeKind::DedupSha1, 14846166325469761708),
+    (SchemeKind::DedupMd5, 9629066546887941566),
+    (SchemeKind::Pde, 12055887827229461974),
+    (SchemeKind::DeWrite, 12137281019443130464),
+    (SchemeKind::Esd, 17729646782350920850),
+    (SchemeKind::EsdFull, 5785271627211762731),
+    (SchemeKind::EsdNoVerify, 2737623686047339002),
+];
+
+#[test]
+fn crashes_at_block_edges_match_recorded_digests() {
+    // Replay runs in blocks of 64 accesses and a crash splits the block it
+    // falls in, so these points sit on, before and after the first two
+    // edges, plus the first and the last access. `MappingUpdate` tears a
+    // write's metadata; `SramProbe` does not. Verification is on.
+    let trace = generate_trace(&AppProfile::demo(), 14, 1_000);
+    let config = config();
+    let last = trace.len() as u64 - 1;
+    for (kind, expected) in EDGE_EXPECTED {
+        let mut runs = String::new();
+        for access in [0, 63, 64, 65, 127, 128, last] {
+            for stage in [CrashStage::MappingUpdate, CrashStage::SramProbe] {
+                let options = RunOptions {
+                    crash_at: Some(CrashPoint { access, stage }),
+                    journal_every: Some(64),
+                    ..options()
+                };
+                runs.push_str(&format!(
+                    "{:?}",
+                    replay_with(kind, &trace, &config, &options)
+                ));
+            }
+        }
+        assert_eq!(fnv1a(&runs), expected, "{kind}");
     }
 }

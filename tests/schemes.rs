@@ -652,6 +652,31 @@ fn verify_shadow_fires_at_the_same_read_wherever_the_block_boundaries_fall() {
     ];
     assert_eq!(pinned(first_aliased_read(accesses, 5, &options)), at(4));
 
+    // The read closes a block (63) and a write to its address opens the
+    // next (64). Replay gathers the block at 64 before the read executes;
+    // the read is still checked against the older write, `b`.
+    let mut accesses = vec![Access::write(0x000, a, 10), Access::write(0x200, b, 10)];
+    accesses.extend(filler(batch - 3));
+    accesses.extend([
+        Access::read(0x200, 10), // returns `a`, the older write said `b`
+        Access::write(0x200, a, 10),
+        Access::read(0x200, 10),
+    ]);
+    assert_eq!(pinned(first_aliased_read(accesses, 66, &options)), at(63));
+
+    // The aliased read closes the second block (127); the write it aliases
+    // onto is at index 0 and the one it must return at 1, both in the first
+    // block, and the third block, gathered before the read executes,
+    // rewrites its address.
+    let mut accesses = vec![Access::write(0x000, a, 10), Access::write(0x200, b, 10)];
+    accesses.extend(filler(2 * batch - 3));
+    accesses.extend([
+        Access::read(0x200, 10), // returns `a`
+        Access::write(0x200, a, 10),
+        Access::read(0x200, 10),
+    ]);
+    assert_eq!(pinned(first_aliased_read(accesses, 130, &options)), at(127));
+
     // A crash inside the block that holds the aliased read (index 100 of
     // the block 64..128): before the read, and at the read itself. The
     // alias is durable, so the re-executed read still returns `a`.
