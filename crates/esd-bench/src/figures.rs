@@ -1,8 +1,7 @@
-//! Printers for every figure of the paper's evaluation, shared by the
-//! per-figure binaries and the all-in-one `fig_all` binary.
+//! Printers for the figures of the paper's evaluation that share one
+//! 20-workload x 4-scheme sweep, all of which `fig_all` prints.
 
 use esd_core::SchemeKind;
-use esd_sim::Ps;
 
 use crate::{format_row, geomean, AppRow};
 
@@ -350,17 +349,4 @@ pub fn print_wear(rows: &[AppRow]) {
         println!("{}", format_row(&row.app.name, &cells));
     }
     println!();
-}
-
-/// Helper for Figure 15's full CDF dump (optional verbose mode).
-pub fn print_full_cdf(rows: &[AppRow], app: &str) {
-    for row in rows.iter().filter(|r| r.app.name == app) {
-        for &kind in &DEDUP_SCHEMES {
-            let r = row.report(kind).expect("scheme");
-            println!("[{} / {}]", app, kind);
-            for (lat, frac) in r.write_latency.cdf() {
-                println!("{:.1} {:.5}", Ps(lat.as_ps()).as_ns_f64(), frac);
-            }
-        }
-    }
 }

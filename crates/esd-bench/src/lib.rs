@@ -1,41 +1,42 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-//! The benchmark harness that regenerates every table and figure of the
-//! ESD paper (HPCA 2023).
+//! The harness that regenerates every table and figure of the ESD paper
+//! (HPCA 2023).
 //!
-//! Each `fig*` binary in `src/bin/` replays the 20 SPEC CPU 2017 / PARSEC
-//! workload profiles through the four schemes (Baseline, Dedup_SHA1,
-//! DeWrite, ESD) and prints the corresponding figure's rows or series. This
-//! library holds the shared sweep/formatting machinery.
+//! [`FIGURES`] names every figure `esd-cli fig <name>` prints: each
+//! replays its workloads (most of the 20 SPEC CPU 2017 / PARSEC profiles)
+//! through its schemes and prints the figure's rows or series. Run length,
+//! seed, thread count and fault injection are the [`Sweep`]'s fields, set
+//! by the caller; nothing here reads the environment.
 //!
 //! # Parallelism
 //!
 //! [`Sweep::run_tasks`] runs a fixed number of tasks per workload on a
 //! work-stealing pool of scoped threads and returns their results in
 //! (workload, task) order, whatever the thread count. [`Sweep::run`] is
-//! the (workload, scheme) replay on it; the figure binaries that sweep
-//! cache sizes, extra schemes or trace statistics hand it their own tasks.
-//! Each workload's trace is generated exactly once, by the first task that
+//! the (workload, scheme) replay on it; the figures that sweep cache sizes,
+//! extra schemes or trace statistics hand it their own tasks. Each
+//! workload's trace is generated exactly once, by the first task that
 //! needs it, shared as one [`Arc<Trace>`] by that workload's other tasks
 //! (on any thread), and dropped when its last task returns: a sweep holds
 //! about one trace per worker, not one per workload. The pool is bounded
-//! by [`std::thread::available_parallelism`] and can be pinned with the
-//! `ESD_THREADS` environment variable.
-//!
-//! Run length and seed can be overridden with the `ESD_ACCESSES` and
-//! `ESD_SEED` environment variables. Unparseable values are reported on
-//! stderr and the default is used.
+//! by [`std::thread::available_parallelism`] unless [`Sweep::threads`]
+//! pins it.
 //!
 //! # Fault injection
 //!
-//! `ESD_RBER` (expected flipped bits per 10^12 bit-reads) turns on the
-//! seeded fault injector for every run in the sweep; `ESD_RBER_SEED`
-//! re-seeds it and `ESD_SCRUB_EVERY` interleaves a background scrub tick
-//! every N trace accesses. All three default to off, leaving the sweep
-//! bit-identical to a build without the reliability subsystem.
+//! A non-zero `config.pcm.rber_per_tbit` (expected flipped bits per 10^12
+//! bit-reads) turns on the seeded fault injector for every run in the
+//! sweep, `config.pcm.rber_seed` seeds it, and [`Sweep::scrub_interval`]
+//! interleaves a background scrub tick every N trace accesses. All three
+//! default to off, leaving the sweep bit-identical to a build without the
+//! reliability subsystem.
 
+mod catalog;
 pub mod figures;
+
+pub use catalog::{fig15_cdf, figure, Figure, FIGURES};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,12 +47,12 @@ use esd_core::{run_trace, RunOptions, RunReport, Scheme, SchemeKind};
 use esd_sim::SystemConfig;
 use esd_trace::{generate_trace, AppProfile, Trace};
 
-/// Default accesses replayed per workload (overridable via `ESD_ACCESSES`).
+/// Default accesses replayed per workload.
 pub const DEFAULT_ACCESSES: usize = 1_000_000;
-/// Default RNG seed (overridable via `ESD_SEED`).
+/// Default trace-generation seed.
 pub const DEFAULT_SEED: u64 = 42;
 
-/// Sweep parameters shared by all figure binaries.
+/// Sweep parameters shared by all figures.
 #[derive(Debug, Clone)]
 pub struct Sweep {
     /// Workloads to replay.
@@ -63,15 +64,13 @@ pub struct Sweep {
     /// System configuration (Table I defaults).
     pub config: SystemConfig,
     /// Worker-thread cap; `None` means use the machine's available
-    /// parallelism. Populated from `ESD_THREADS` by [`Sweep::new`].
+    /// parallelism.
     pub threads: Option<usize>,
     /// Background-scrub cadence in trace accesses (`None` disables
-    /// scrubbing). Populated from `ESD_SCRUB_EVERY` by [`Sweep::new`].
+    /// scrubbing).
     pub scrub_interval: Option<u64>,
-    /// Epoch time-series cadence in trace accesses. Defaults to a tenth of
-    /// the run (ten snapshots per task); override with `ESD_EPOCH_EVERY`
-    /// (`0` disables collection). Epoch collection is read-only: it never
-    /// perturbs the simulation itself.
+    /// Epoch time-series cadence in trace accesses (`None` collects none).
+    /// Epoch collection is read-only: it never perturbs the simulation.
     pub epoch_interval: Option<u64>,
 }
 
@@ -82,28 +81,20 @@ impl Default for Sweep {
 }
 
 impl Sweep {
-    /// Creates a sweep over the given workloads with environment-tunable
-    /// length, seed and thread count.
+    /// Creates a sweep over the given workloads with the defaults:
+    /// [`DEFAULT_ACCESSES`] accesses, seed [`DEFAULT_SEED`], Table I with
+    /// the fault injector off, no scrub, no epochs, and the machine's
+    /// parallelism.
     #[must_use]
     pub fn new(apps: Vec<AppProfile>) -> Self {
-        let mut config = SystemConfig::default();
-        config.pcm.rber_per_tbit = env_or("ESD_RBER", config.pcm.rber_per_tbit);
-        config.pcm.rber_seed = env_or("ESD_RBER_SEED", config.pcm.rber_seed);
-        let accesses = env_or("ESD_ACCESSES", DEFAULT_ACCESSES);
         Sweep {
             apps,
-            accesses,
-            seed: env_or("ESD_SEED", DEFAULT_SEED),
-            config,
-            threads: env_threads(),
-            scrub_interval: match env_or("ESD_SCRUB_EVERY", 0) {
-                0 => None,
-                n => Some(n),
-            },
-            epoch_interval: match env_or("ESD_EPOCH_EVERY", (accesses as u64 / 10).max(1)) {
-                0 => None,
-                n => Some(n),
-            },
+            accesses: DEFAULT_ACCESSES,
+            seed: DEFAULT_SEED,
+            config: SystemConfig::default(),
+            threads: None,
+            scrub_interval: None,
+            epoch_interval: None,
         }
     }
 
@@ -120,9 +111,10 @@ impl Sweep {
     }
 
     /// The worker-thread count this sweep was asked for, before clamping to
-    /// the task count: `ESD_THREADS` if set, else the machine's available
-    /// parallelism. [`SweepOutcome`] carries it next to the effective count,
-    /// so a sweep that silently fell back to one thread is visible.
+    /// the task count: [`Sweep::threads`] if set, else the machine's
+    /// available parallelism. [`SweepOutcome`] carries it next to the
+    /// effective count, so a sweep that silently fell back to one thread is
+    /// visible.
     #[must_use]
     pub fn requested_threads(&self) -> usize {
         self.threads
@@ -392,8 +384,8 @@ pub struct SweepOutcome {
     pub wall: Duration,
     /// Worker threads actually used.
     pub threads: usize,
-    /// Worker threads requested (`ESD_THREADS` or machine parallelism)
-    /// before clamping to the task count.
+    /// Worker threads requested ([`Sweep::threads`] or machine
+    /// parallelism) before clamping to the task count.
     pub requested_threads: usize,
     /// Per-(workload, scheme) replay timings, in row-major sweep order.
     pub tasks: Vec<TaskTiming>,
@@ -428,46 +420,9 @@ pub struct TaskTiming {
     pub seconds: f64,
 }
 
-/// Reads the environment variable `name` as a `T` — the one parser behind
-/// every `ESD_*` knob, all of which [`Sweep::new`] reads. Unset yields
-/// `default` silently. A set but malformed value also yields `default`,
-/// after one stderr line
-/// `warning: ignoring NAME="raw" (<parse error>); using default <default>`,
-/// so a typo like `ESD_ACCESSES=4x` neither aborts the run nor passes
-/// unnoticed.
-fn env_or<T>(name: &str, default: T) -> T
-where
-    T: std::str::FromStr + std::fmt::Display,
-    T::Err: std::fmt::Display,
-{
-    let Ok(raw) = std::env::var(name) else {
-        return default;
-    };
-    raw.trim().parse().unwrap_or_else(|err| {
-        eprintln!("warning: ignoring {name}={raw:?} ({err}); using default {default}");
-        default
-    })
-}
-
-/// `ESD_THREADS`: a positive worker-thread cap, or `None` for auto.
-/// An explicit `ESD_THREADS=0` is almost certainly a mistaken attempt to
-/// disable parallelism (that would be `ESD_THREADS=1`), so it warns
-/// instead of being silently treated as auto.
-fn env_threads() -> Option<usize> {
-    if std::env::var("ESD_THREADS").is_ok_and(|raw| raw.parse() == Ok(0usize)) {
-        eprintln!(
-            "warning: ESD_THREADS=0 means auto (machine parallelism), not serial; \
-             use ESD_THREADS=1 to pin a single worker"
-        );
-    }
-    match env_or::<usize>("ESD_THREADS", 0) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
 /// Prints a figure header in a uniform style. A sweep under fault
-/// injection (`ESD_RBER`) says so, since its figures are not the paper's.
+/// injection (a non-zero `config.pcm.rber_per_tbit`, `esd-cli fig
+/// --rber`) says so, since its figures are not the paper's.
 pub fn print_figure_header(id: &str, caption: &str, sweep: &Sweep) {
     println!("=== {id}: {caption} ===");
     println!(
@@ -656,20 +611,6 @@ mod tests {
         assert_eq!(claim_task(&queues, 1), Some(2));
         assert_eq!(claim_task(&queues, 0), None);
         assert_eq!(claim_task(&queues, 1), None);
-    }
-
-    #[test]
-    fn env_or_warns_and_falls_back_on_malformed_values() {
-        // Unique variable names: tests in this binary run concurrently and
-        // the environment is process-global.
-        std::env::set_var("ESD_BENCH_TEST_BAD", "4x");
-        assert_eq!(env_or("ESD_BENCH_TEST_BAD", 7u32), 7);
-        std::env::set_var("ESD_BENCH_TEST_GOOD", " 12 ");
-        assert_eq!(env_or("ESD_BENCH_TEST_GOOD", 7u32), 12);
-        assert_eq!(env_or("ESD_BENCH_TEST_UNSET", 7usize), 7);
-        for name in ["BAD", "GOOD"] {
-            std::env::remove_var(format!("ESD_BENCH_TEST_{name}"));
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use esd_core::SchemeKind;
 use esd_trace::AppProfile;
 
 fn test_sweep(threads: Option<usize>) -> Sweep {
-    // Fixed parameters, independent of the ESD_* environment: the point is
+    // Fixed parameters (`Sweep::new` reads no environment): the point is
     // to compare schedules, not configurations.
     let mut sweep = Sweep::new(AppProfile::all().into_iter().take(4).collect());
     sweep.accesses = 2_000;

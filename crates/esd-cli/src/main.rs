@@ -11,7 +11,18 @@
 //! esd-cli replay   <trace-file> --scheme esd [reliability flags]
 //! esd-cli apps
 //! esd-cli config
+//! esd-cli fig      <figure> [--accesses N] [--seed N] [--threads N] [reliability flags]
+//! esd-cli fig      fig15_cdf --app <app> [the same flags]
 //! ```
+//!
+//! `config` prints Table I. `fig` prints one of the paper's figures (the
+//! names in [`esd_bench::FIGURES`]; `results/<figure>.txt` holds each at
+//! the defaults), or with `fig15_cdf` one Figure 15 application's full
+//! write-latency CDF. Its flags set the figure's sweep: accesses per
+//! workload (default 1 000 000; some figures cap it), trace seed (42),
+//! worker threads (default the machine's parallelism; results are
+//! byte-identical at any count) and the reliability flags below, all but
+//! `--scrub-lines`.
 //!
 //! Reliability flags: `--rber <flips per 10^12 bit-reads>` enables the
 //! seeded fault injector, `--rber-seed <N>` picks its stream, and
@@ -39,6 +50,7 @@ use std::fs;
 use std::process::ExitCode;
 
 use args::Args;
+use esd_bench::Sweep;
 use esd_core::{run_trace, RunOptions, RunReport, Scheme, SchemeKind};
 use esd_sim::SystemConfig;
 use esd_trace::{
@@ -61,15 +73,21 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage() -> &'static str {
-    "usage:\n  \
+fn usage() -> String {
+    let figures: Vec<&str> = esd_bench::FIGURES.iter().map(|(name, _)| *name).collect();
+    format!(
+        "usage:\n  \
      esd-cli run      --app <name> --scheme <scheme> [--accesses N] [--seed N]\n  \
      esd-cli compare  --app <name> [--accesses N] [--seed N] [--extended true]\n  \
      esd-cli generate --app <name> --out <file> [--format bin|text] [--accesses N] [--seed N]\n  \
      esd-cli analyze  <trace-file>\n  \
      esd-cli replay   <trace-file> --scheme <scheme>\n  \
      esd-cli apps\n  \
-     esd-cli config\n\n\
+     esd-cli config\n  \
+     esd-cli fig      <figure> [--accesses N] [--seed N] [--threads N]\n  \
+     \x20                [--rber N] [--rber-seed N] [--scrub-every N]\n  \
+     esd-cli fig      fig15_cdf --app <{}> [the same flags]\n\n\
+     figures: {}\n\
      schemes: baseline, sha1, md5, pde, dewrite, esd, esd-full, esd-noverify\n\
      \x20        (or the name a report prints, e.g. Dedup_SHA1, ESD_Full; any case)\n\
      reliability (run/compare/replay): [--rber <per-10^12-bit-reads>] [--rber-seed N]\n\
@@ -79,7 +97,10 @@ fn usage() -> &'static str {
      \x20                                 [--journal-every <records>] (metadata journal\n\
      \x20                                 checkpoint interval; 0 = off, scan on recovery)\n\
      observability (run/replay): [--metrics-json <file>] [--trace-events <file>]\n\
-     \x20                           [--epoch-every <accesses>]"
+     \x20                           [--epoch-every <accesses>]",
+        esd_bench::figures::CDF_APPS.join("|"),
+        figures.join(", ")
+    )
 }
 
 fn dispatch(command: &str, rest: Vec<String>) -> Result<(), String> {
@@ -97,6 +118,7 @@ fn dispatch(command: &str, rest: Vec<String>) -> Result<(), String> {
             print!("{}", SystemConfig::default().to_table());
             Ok(())
         }
+        "fig" => cmd_fig(rest),
         "help" | "--help" | "-h" => {
             println!("{}", usage());
             Ok(())
@@ -435,6 +457,53 @@ fn cmd_replay(rest: Vec<String>) -> Result<(), String> {
     print!("{}", report.summary());
     write_observability(&report, &outputs)?;
     Ok(())
+}
+
+/// Flags of `fig`: the knobs of the figure's sweep.
+const FIG_FLAGS: [&str; 6] = [
+    "accesses",
+    "seed",
+    "threads",
+    "rber",
+    "rber-seed",
+    "scrub-every",
+];
+
+fn cmd_fig(rest: Vec<String>) -> Result<(), String> {
+    let allowed = [&FIG_FLAGS[..], &["app"]].concat();
+    let args = Args::parse(rest, &allowed).map_err(|e| e.to_string())?;
+    let name = args
+        .required_positional(0, "<figure>")
+        .map_err(|e| e.to_string())?;
+    let mut sweep = Sweep::default();
+    sweep.accesses = args
+        .get_parsed_or("accesses", sweep.accesses)
+        .map_err(|e| e.to_string())?;
+    sweep.seed = args
+        .get_parsed_or("seed", sweep.seed)
+        .map_err(|e| e.to_string())?;
+    sweep.threads = match args
+        .get_parsed_or("threads", 0usize)
+        .map_err(|e| e.to_string())?
+    {
+        0 if args.get("threads").is_some() => {
+            return Err("--threads must be at least 1 (1 = serial; omit it for all cores)".into())
+        }
+        0 => None,
+        n => Some(n),
+    };
+    sweep.scrub_interval = reliability_options(&args, &mut sweep.config)?.scrub_interval;
+    match (name, args.get("app")) {
+        ("fig15_cdf", Some(app)) => esd_bench::fig15_cdf(sweep, app),
+        ("fig15_cdf", None) => Err("fig15_cdf needs --app <application>".to_owned()),
+        (_, Some(_)) => Err("--app belongs to fig15_cdf only".to_owned()),
+        (_, None) => {
+            let figure =
+                esd_bench::figure(name).ok_or_else(|| format!("unknown figure {name:?}"))?;
+            figure(sweep);
+            Ok(())
+        }
+    }
 }
 
 fn cmd_apps() {

@@ -5,20 +5,17 @@
 #
 #     scripts/regenerate-results.sh && git diff --exit-code results/
 #
-# About a minute and a half on a two-core machine (76 s measured with the
-# build cached; the per-workload figure loops share one trace pool).
+# About a minute on a two-core machine with the build cached (the
+# per-workload figure loops share one trace pool).
 set -eu
 cd "$(dirname "$0")/.."
-# Figure binaries read ESD_* knobs from the environment; none may leak in.
-unset ESD_ACCESSES ESD_SEED ESD_THREADS ESD_RBER ESD_RBER_SEED ESD_SCRUB_EVERY \
-    ESD_EPOCH_EVERY
-cargo build --release -q -p esd-bench -p esd-cli -p esd-server
+cargo build --release -q -p esd-cli -p esd-server
 bin=target/release
 
 for figure in fig_all fig01_dup_rate fig02_worst_case fig03_content_locality \
     fig08_collisions fig18_cache_sweep ablation_counter_cache ablation_extended \
     ablation_mixed ablation_selective ablation_sensitivity ablation_wear_leveling; do
-    "$bin/$figure" > "results/$figure.txt"
+    "$bin/esd-cli" fig "$figure" > "results/$figure.txt"
 done
 
 # The recovery curve and the service curve of EXPERIMENTS.md.
