@@ -4,7 +4,8 @@
 //! workloads, with the run length, seed, thread count and fault-injection
 //! settings it was given), replaces its workloads with the figure's own
 //! list and caps its run length where the figure is expensive. The
-//! collision and wear-leveling figures replay no workload and ignore it.
+//! collision and wear-leveling figures replay no workload ([`SWEEPLESS`]):
+//! `esd-cli` refuses every sweep flag for them.
 
 use std::collections::HashMap;
 
@@ -41,6 +42,10 @@ pub const FIGURES: [(&str, Figure); 12] = [
     ("ablation_sensitivity", ablation_sensitivity),
     ("ablation_wear_leveling", ablation_wear_leveling),
 ];
+
+/// The figures that replay no workload: no knob of the sweep reaches
+/// them.
+pub const SWEEPLESS: [&str; 2] = ["fig08_collisions", "ablation_wear_leveling"];
 
 /// The figure called `name`, if [`FIGURES`] has one.
 #[must_use]
@@ -99,16 +104,18 @@ pub fn fig15_cdf(mut sweep: Sweep, app: &str) -> Result<(), String> {
             CDF_APPS.join(", ")
         ));
     }
+    // The header names the figure's sweep; only `app` is replayed, and
+    // its trace depends on nothing but its profile and the seed.
     sweep.apps = apps(&CDF_APPS);
     print_figure_header("Figure 15", "CDF of write latency", &sweep);
-    let rows = sweep.run(&SchemeKind::ALL);
-    for row in rows.iter().filter(|r| r.app.name == app) {
-        for &kind in &DEDUP_SCHEMES {
-            let r = row.report(kind).expect("scheme");
-            println!("[{app} / {kind}]");
-            for (lat, frac) in r.write_latency.cdf() {
-                println!("{:.1} {:.5}", Ps(lat.as_ps()).as_ns_f64(), frac);
-            }
+    sweep.apps = apps(&[app]);
+    for (&kind, r) in DEDUP_SCHEMES
+        .iter()
+        .zip(&sweep.run(&DEDUP_SCHEMES)[0].reports)
+    {
+        println!("[{app} / {kind}]");
+        for (lat, frac) in r.write_latency.cdf() {
+            println!("{:.1} {:.5}", Ps(lat.as_ps()).as_ns_f64(), frac);
         }
     }
     Ok(())

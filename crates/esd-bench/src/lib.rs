@@ -36,7 +36,7 @@
 mod catalog;
 pub mod figures;
 
-pub use catalog::{fig15_cdf, figure, Figure, FIGURES};
+pub use catalog::{fig15_cdf, figure, Figure, FIGURES, SWEEPLESS};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};

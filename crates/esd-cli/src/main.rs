@@ -22,7 +22,8 @@
 //! workload (default 1 000 000; some figures cap it), trace seed (42),
 //! worker threads (default the machine's parallelism; results are
 //! byte-identical at any count) and the reliability flags below, all but
-//! `--scrub-lines`.
+//! `--scrub-lines`. The two figures that replay no workload
+//! ([`esd_bench::SWEEPLESS`]) take none of them.
 //!
 //! Reliability flags: `--rber <flips per 10^12 bit-reads>` enables the
 //! seeded fault injector, `--rber-seed <N>` picks its stream, and
@@ -475,6 +476,11 @@ fn cmd_fig(rest: Vec<String>) -> Result<(), String> {
     let name = args
         .required_positional(0, "<figure>")
         .map_err(|e| e.to_string())?;
+    if esd_bench::SWEEPLESS.contains(&name) {
+        if let Some(flag) = FIG_FLAGS.iter().find(|&&flag| args.get(flag).is_some()) {
+            return Err(format!("{name} replays no workload and takes no --{flag}"));
+        }
+    }
     let mut sweep = Sweep::default();
     sweep.accesses = args
         .get_parsed_or("accesses", sweep.accesses)

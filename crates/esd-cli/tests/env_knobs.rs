@@ -101,4 +101,35 @@ fn a_figure_refuses_what_it_cannot_serve() {
         "unknown option --epoch-every",
     );
     assert_usage_error(&out(&["fig"]), "missing required argument <figure>");
+    // Two figures replay no workload: a sweep flag would be ignored, so
+    // each is refused before anything is printed.
+    let sweep_flags = [
+        ("accesses", "5"),
+        ("seed", "9"),
+        ("threads", "1"),
+        ("rber", "1000"),
+        ("rber-seed", "3"),
+        ("scrub-every", "100"),
+    ];
+    for figure in ["fig08_collisions", "ablation_wear_leveling"] {
+        for (flag, value) in sweep_flags {
+            assert_usage_error(
+                &out(&["fig", figure, &format!("--{flag}"), value]),
+                &format!("{figure} replays no workload and takes no --{flag}"),
+            );
+        }
+        assert_usage_error(
+            &out(&[
+                "fig",
+                figure,
+                "--seed",
+                "9",
+                "--accesses",
+                "5",
+                "--rber",
+                "1000",
+            ]),
+            &format!("{figure} replays no workload and takes no --accesses"),
+        );
+    }
 }

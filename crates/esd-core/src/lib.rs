@@ -88,6 +88,10 @@ pub use scheme::{
 };
 pub use scrub::{ScrubStats, Scrubber};
 
+/// The cache hint [`Scheme::prefetch`] issues, for callers that hint their
+/// own inputs ahead of a write.
+pub use esd_collections::prefetch;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -296,8 +296,10 @@ impl FingerprintSpec {
         }
     }
 
-    /// The key of one line.
-    fn compute_key(self, line: &[u8; 64]) -> u64 {
+    /// The key of one line: what [`Scheme::write`] computes inline, and
+    /// what [`Scheme::write_keyed`] takes precomputed.
+    #[must_use]
+    pub fn compute_key(self, line: &[u8; 64]) -> u64 {
         match self {
             FingerprintSpec::Hash(kind) => {
                 kind.compute_key(line).expect("hash kinds compute a key")
@@ -534,9 +536,11 @@ impl Scheme {
         self.write_keyed(now, logical, line, None)
     }
 
-    /// [`Scheme::write`] as replay calls it, optionally with the line's
-    /// `fingerprint` key, computed ahead by the kernels
-    /// [`Scheme::fingerprint_spec`] names.
+    /// [`Scheme::write`] as replay and the service call it, optionally
+    /// with the line's `fingerprint` key, computed ahead by the kernels
+    /// [`Scheme::fingerprint_spec`] names. The key must be the one
+    /// [`FingerprintSpec::compute_key`] gives for `line`; `None` computes
+    /// it here.
     ///
     /// A precomputed key saves host wall-clock, never simulated time: the
     /// latency, energy and observability of computing it inline are charged
@@ -546,7 +550,7 @@ impl Scheme {
     /// each stage runs or not by the scheme's policy row, and every
     /// breakdown bucket is charged through one helper (`Core::charge`),
     /// which also emits the stage's span.
-    pub(crate) fn write_keyed(
+    pub fn write_keyed(
         &mut self,
         now: Ps,
         logical: u64,
@@ -798,9 +802,10 @@ impl Scheme {
 
     /// Hints the slots an access to `logical` will probe first: its AMT
     /// mapping and, for a write with its `fingerprint` key, the EFIT or
-    /// store slot of the key. Charges nothing and changes nothing a report
-    /// sees. Baseline has neither structure, and replay skips it.
-    pub(crate) fn prefetch(&self, logical: u64, fingerprint: Option<u64>) {
+    /// store slot of the key. Charges nothing, reads no table and changes
+    /// nothing a report sees. Baseline has neither structure, and replay
+    /// skips it.
+    pub fn prefetch(&self, logical: u64, fingerprint: Option<u64>) {
         if self.policy.mapping == Mapping::Amt {
             self.core.amt.prefetch(logical);
         }

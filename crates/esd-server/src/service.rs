@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use esd_core::{tenant as ns, Scheme, SchemeKind};
+use esd_core::{prefetch, tenant as ns, Scheme, SchemeKind};
 use esd_obs::Registry;
 use esd_sim::{LatencyHistogram, Ps, SystemConfig};
 
@@ -31,6 +31,15 @@ use crate::proto::{Envelope, Request, Response};
 /// Fallback per-request service estimate used for retry hints before the
 /// first request completes.
 const DEFAULT_SERVICE_ESTIMATE: Ps = Ps(200_000); // 200 ns
+
+/// How far ahead in its merged order [`Service::run_events`] hints an
+/// envelope: far enough that the miss on a 104-byte envelope in a list
+/// larger than the caches is over by the time it is read.
+const ENVELOPE_AHEAD: usize = 16;
+
+/// How many applies ahead the apply path hints the AMT and index slots a
+/// queued request will probe, through [`Scheme::prefetch`].
+const SLOTS_AHEAD: usize = 16;
 
 /// Configuration of a [`Service`] instance.
 #[derive(Debug, Clone)]
@@ -140,6 +149,14 @@ fn order_key(env: &Envelope) -> (Ps, u64, u32) {
     (env.arrival, env.seq, env.tenant)
 }
 
+/// An admitted request with, for a write to a scheme that fingerprints,
+/// its line's key, computed once at admission.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    env: Envelope,
+    key: Option<u64>,
+}
+
 /// Stats summary of one tenant, with simulated request-latency tail
 /// percentiles.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -223,7 +240,7 @@ pub struct Service {
     /// Every tenant's admitted, unapplied requests in global
     /// `(arrival, seq, tenant)` order, equal keys in admission order: the
     /// next request to apply is at the front.
-    queue: VecDeque<Envelope>,
+    queue: VecDeque<Queued>,
     /// Each `(tenant, metric)` in the order it first left zero, which is
     /// the order the export lists it in (and the state digest covers).
     first_moved: Vec<(u32, Metric)>,
@@ -332,6 +349,12 @@ impl Service {
     /// already has `queue_depth` requests queued (the request is dropped —
     /// backpressure is the client's to handle).
     ///
+    /// Admitting a write computes its line's fingerprint key, once, and
+    /// queues it with the request: the apply path hints the index slot of
+    /// the key ahead and hands it to [`Scheme::write_keyed`]. A rejected
+    /// request computes none. The key saves host time only; the scheme
+    /// charges the fingerprint's simulated cost when the write is applied.
+    ///
     /// Requests are applied in `(arrival, seq, tenant)` order, equal keys
     /// in the order they were admitted. One tenant's requests must be
     /// offered in that order: the service then applies each tenant's
@@ -362,17 +385,27 @@ impl Service {
         }
         state.admitted += 1;
         state.queued += 1;
-        let key = order_key(&env);
+        let key = match env.request {
+            Request::Write { line, .. } => self
+                .scheme
+                .fingerprint_spec()
+                .map(|spec| spec.compute_key(line.as_bytes())),
+            Request::Read { .. } => None,
+        };
+        let queued = Queued { env, key };
+        let order = order_key(&env);
         // `partition_point` alone would place it the same, but the back
         // check spares every in-order admission the binary search, which
         // cost `serve-events-overload` 11 % of its throughput.
-        if self.queue.back().is_none_or(|last| order_key(last) <= key) {
-            self.queue.push_back(env);
+        if self
+            .queue
+            .back()
+            .is_none_or(|last| order_key(&last.env) <= order)
+        {
+            self.queue.push_back(queued);
         } else {
-            let at = self
-                .queue
-                .partition_point(|queued| order_key(queued) <= key);
-            self.queue.insert(at, env);
+            let at = self.queue.partition_point(|q| order_key(&q.env) <= order);
+            self.queue.insert(at, queued);
         }
         None
     }
@@ -386,17 +419,25 @@ impl Service {
     }
 
     /// Takes the next request in global order off the queue and applies
-    /// it; `None` when nothing is queued.
+    /// it; `None` when nothing is queued. First it hints the slots the
+    /// request [`SLOTS_AHEAD`] applies later will probe, so their misses
+    /// overlap the applies in between.
     fn apply_next(&mut self) -> Option<(u32, Response)> {
-        let env = self.queue.pop_front()?;
+        let Queued { env, key } = self.queue.pop_front()?;
         self.tenants[env.tenant as usize].queued -= 1;
-        Some((env.tenant, self.apply(&env)))
+        if let Some(ahead) = self.queue.get(SLOTS_AHEAD - 1) {
+            let (Request::Write { local, .. } | Request::Read { local }) = ahead.env.request;
+            self.scheme
+                .prefetch(ns::namespaced(ahead.env.tenant, local), ahead.key);
+        }
+        Some((env.tenant, self.apply(&env, key)))
     }
 
     /// Applies one request against the shared scheme under the tenant's
     /// namespace and key, advancing the simulated clock and recording the
-    /// tenant's stats.
-    fn apply(&mut self, env: &Envelope) -> Response {
+    /// tenant's stats. `key` is the written line's fingerprint key, as
+    /// admission computed it.
+    fn apply(&mut self, env: &Envelope, key: Option<u64>) -> Response {
         let tenant = env.tenant;
         let start = env.arrival.max(self.clock);
         self.scheme.set_active_tenant(tenant);
@@ -408,7 +449,7 @@ impl Service {
         let (response, request_latency, service_latency) = match env.request {
             Request::Write { local, line } => {
                 let logical = ns::namespaced(tenant, local);
-                let result = self.scheme.write(start, logical, line);
+                let result = self.scheme.write_keyed(start, logical, line, key);
                 self.clock = result.processing_done;
                 if state.writes == 0 {
                     moved.push((tenant, Metric::Writes));
@@ -506,6 +547,9 @@ impl Service {
                     break;
                 }
                 next += 1;
+                if let Some(&ahead) = order.get(next + ENVELOPE_AHEAD) {
+                    prefetch(&events[ahead as usize]);
+                }
                 if let Some(rejection) = self.admit(env) {
                     out.push((env.tenant, rejection));
                 }
