@@ -8,6 +8,7 @@
 //! `esd-cli` refuses every sweep flag for them.
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 
 use esd_core::{run_trace, EfitPolicy, RunOptions, Scheme, SchemeKind};
 use esd_ecc::EccFingerprint;
@@ -15,7 +16,7 @@ use esd_hash::FingerprintKind;
 use esd_sim::{AccessClass, PcmConfig, PcmDevice, PcmOp, Ps, StartGap};
 use esd_trace::{
     duplicate_rate, generate_trace, interleave_traces, refcount_buckets, zero_line_rate,
-    AppProfile, CacheLine, RefCountBuckets, Zipf,
+    AppProfile, CacheLine, RefCountBuckets, TraceGenerator, Zipf,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,8 +24,9 @@ use rand::{Rng, SeedableRng};
 use crate::figures::{self, CDF_APPS, DEDUP_SCHEMES};
 use crate::{format_row, print_figure_header, Sweep};
 
-/// A figure: prints itself from the sweep it is handed.
-pub type Figure = fn(Sweep);
+/// A figure: writes itself to `out` from the sweep it is handed, stopping
+/// at the first write that fails.
+pub type Figure = fn(Sweep, &mut dyn Write) -> io::Result<()>;
 
 /// The figures, in the order `scripts/regenerate-results.sh` writes them
 /// to `results/<name>.txt`.
@@ -71,23 +73,25 @@ fn unverified() -> RunOptions {
 
 /// Figures 5, 11–17 and 19 plus the endurance summary, from one 20-workload
 /// x 4-scheme sweep.
-fn fig_all(sweep: Sweep) {
+fn fig_all(sweep: Sweep, out: &mut dyn Write) -> io::Result<()> {
     print_figure_header(
+        out,
         "Figures 5, 11-17, 19",
         "full evaluation sweep (single simulation pass)",
         &sweep,
-    );
+    )?;
     let rows = sweep.run(&SchemeKind::ALL);
-    figures::print_fig05(&rows);
-    figures::print_fig11(&rows);
-    figures::print_fig12(&rows);
-    figures::print_fig13(&rows);
-    figures::print_fig14(&rows);
-    figures::print_fig15(&rows);
-    figures::print_fig16(&rows);
-    figures::print_fig17(&rows);
-    figures::print_fig19(&rows);
-    figures::print_wear(&rows);
+    figures::print_fig05(&rows, out)?;
+    figures::print_fig11(&rows, out)?;
+    figures::print_fig12(&rows, out)?;
+    figures::print_fig13(&rows, out)?;
+    figures::print_fig14(&rows, out)?;
+    figures::print_fig15(&rows, out)?;
+    figures::print_fig16(&rows, out)?;
+    figures::print_fig17(&rows, out)?;
+    figures::print_fig19(&rows, out)?;
+    figures::print_wear(&rows, out)?;
+    Ok(())
 }
 
 /// Figure 15's full write-latency CDF of one of [`CDF_APPS`], one
@@ -95,27 +99,25 @@ fn fig_all(sweep: Sweep) {
 ///
 /// # Errors
 ///
-/// An `app` outside [`CDF_APPS`] is refused before anything is printed or
-/// replayed.
-pub fn fig15_cdf(mut sweep: Sweep, app: &str) -> Result<(), String> {
-    if !CDF_APPS.contains(&app) {
-        return Err(format!(
-            "fig15_cdf plots one of {}, not {app:?}",
-            CDF_APPS.join(", ")
-        ));
-    }
+/// The first write to `out` that fails.
+///
+/// # Panics
+///
+/// Panics if `app` is not one of [`CDF_APPS`].
+pub fn fig15_cdf(mut sweep: Sweep, app: &str, out: &mut dyn Write) -> io::Result<()> {
+    assert!(CDF_APPS.contains(&app), "fig15_cdf plots no {app:?}");
     // The header names the figure's sweep; only `app` is replayed, and
     // its trace depends on nothing but its profile and the seed.
     sweep.apps = apps(&CDF_APPS);
-    print_figure_header("Figure 15", "CDF of write latency", &sweep);
+    print_figure_header(out, "Figure 15", "CDF of write latency", &sweep)?;
     sweep.apps = apps(&[app]);
     for (&kind, r) in DEDUP_SCHEMES
         .iter()
         .zip(&sweep.run(&DEDUP_SCHEMES)[0].reports)
     {
-        println!("[{app} / {kind}]");
+        writeln!(out, "[{app} / {kind}]")?;
         for (lat, frac) in r.write_latency.cdf() {
-            println!("{:.1} {:.5}", Ps(lat.as_ps()).as_ns_f64(), frac);
+            writeln!(out, "{:.1} {:.5}", Ps(lat.as_ps()).as_ns_f64(), frac)?;
         }
     }
     Ok(())
@@ -124,19 +126,21 @@ pub fn fig15_cdf(mut sweep: Sweep, app: &str) -> Result<(), String> {
 /// Figure 1: duplicate rate of cache lines across the 20 applications.
 ///
 /// Paper shape: 33.1% (leela) to 99.9% (deepsjeng, roms), average 62.9%.
-fn fig01_dup_rate(sweep: Sweep) {
-    print_figure_header("Figure 1", "Duplicate rate of cache lines", &sweep);
-    println!(
+fn fig01_dup_rate(sweep: Sweep, out: &mut dyn Write) -> io::Result<()> {
+    print_figure_header(out, "Figure 1", "Duplicate rate of cache lines", &sweep)?;
+    writeln!(
+        out,
         "{}",
         format_row("app", &["dup_rate".into(), "zero_lines".into()])
-    );
+    )?;
     let rates = sweep.run_tasks(1, |_, trace, _| {
         (duplicate_rate(trace), zero_line_rate(trace))
     });
     let mut sum = 0.0;
     for (app, &(rate, zero)) in sweep.apps.iter().zip(&rates) {
         sum += rate;
-        println!(
+        writeln!(
+            out,
             "{}",
             format_row(
                 &app.name,
@@ -145,9 +149,10 @@ fn fig01_dup_rate(sweep: Sweep) {
                     format!("{:.1}%", zero * 100.0)
                 ]
             )
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         format_row(
             "average",
@@ -156,7 +161,7 @@ fn fig01_dup_rate(sweep: Sweep) {
                 String::new()
             ]
         )
-    );
+    )
 }
 
 /// Figure 2: the dedup schemes' IPC normalized to the Baseline in the
@@ -165,21 +170,23 @@ fn fig01_dup_rate(sweep: Sweep) {
 /// Paper shape: naive inline deduplication (Dedup_SHA1) *degrades*
 /// performance substantially on these workloads; that observation
 /// motivates ESD.
-fn fig02_worst_case(mut sweep: Sweep) {
+fn fig02_worst_case(mut sweep: Sweep, out: &mut dyn Write) -> io::Result<()> {
     sweep.apps = apps(&["leela", "lbm"]);
     print_figure_header(
+        out,
         "Figure 2",
         "Worst-case performance normalized to Baseline (IPC ratio)",
         &sweep,
-    );
+    )?;
     let rows = sweep.run(&SchemeKind::ALL);
-    println!(
+    writeln!(
+        out,
         "{}",
         format_row(
             "app",
             &["Dedup_SHA1".into(), "DeWrite".into(), "ESD".into()]
         )
-    );
+    )?;
     for row in &rows {
         let base = row.report(SchemeKind::Baseline).expect("baseline");
         let cells: Vec<String> = DEDUP_SCHEMES
@@ -189,8 +196,9 @@ fn fig02_worst_case(mut sweep: Sweep) {
                 format!("{:.2}", n.ipc_ratio)
             })
             .collect();
-        println!("{}", format_row(&row.app.name, &cells));
+        writeln!(out, "{}", format_row(&row.app.name, &cells))?;
     }
+    Ok(())
 }
 
 /// Figure 3: (a) the cache-line distribution before deduplication and (b)
@@ -199,20 +207,25 @@ fn fig02_worst_case(mut sweep: Sweep) {
 ///
 /// Paper shape: strong content locality — lines referenced >1000 times are
 /// ~0.08% of unique lines but ~42.7% of pre-dedup storage volume.
-fn fig03_content_locality(sweep: Sweep) {
+fn fig03_content_locality(sweep: Sweep, out: &mut dyn Write) -> io::Result<()> {
     print_figure_header(
+        out,
         "Figure 3",
         "Content locality (reference-count buckets)",
         &sweep,
-    );
+    )?;
     let header: Vec<String> = ["num1", "num10", "num100", "num1000", "num1000+"]
         .map(str::to_owned)
         .to_vec();
     let all_buckets = sweep.run_tasks(1, |_, trace, _| refcount_buckets(trace));
     let n = sweep.apps.len() as f64;
-    let table = |title: &str, decimals: usize, fractions: fn(&RefCountBuckets) -> [f64; 5]| {
-        println!("{title}");
-        println!("{}", format_row("app", &header));
+    let table = |out: &mut dyn Write,
+                 title: &str,
+                 decimals: usize,
+                 fractions: fn(&RefCountBuckets) -> [f64; 5]|
+     -> io::Result<()> {
+        writeln!(out, "{title}")?;
+        writeln!(out, "{}", format_row("app", &header))?;
         let mut sum = [0.0f64; 5];
         for (app, buckets) in sweep.apps.iter().zip(&all_buckets) {
             let f = fractions(buckets);
@@ -223,25 +236,27 @@ fn fig03_content_locality(sweep: Sweep) {
                 .iter()
                 .map(|v| format!("{:.decimals$}%", v * 100.0))
                 .collect();
-            println!("{}", format_row(&app.name, &cells));
+            writeln!(out, "{}", format_row(&app.name, &cells))?;
         }
         let averages: Vec<String> = sum
             .iter()
             .map(|s| format!("{:.decimals$}%", s / n * 100.0))
             .collect();
-        println!("{}", format_row("average", &averages));
+        writeln!(out, "{}", format_row("average", &averages))
     };
     table(
+        out,
         "(a) unique-line distribution before deduplication",
         2,
         RefCountBuckets::content_fractions,
-    );
-    println!();
+    )?;
+    writeln!(out)?;
     table(
+        out,
         "(b) pre-dedup storage volume by reference-count bucket",
         1,
         RefCountBuckets::volume_fractions,
-    );
+    )
 }
 
 /// Lines per collision corpus.
@@ -328,10 +343,13 @@ fn fingerprint_of(name: &str) -> impl Fn(&[u8; 64]) -> u64 + '_ {
 /// than CRC-32 under small byte-granularity edits. ESD remains correct
 /// regardless (collisions only cost a verify read); EXPERIMENTS.md
 /// discusses it.
-fn fig08_collisions(_: Sweep) {
-    println!("=== Figure 8: fingerprint collision rates (normalized to CRC32) ===");
-    println!("    (corpus: {CORPUS_LINES} lines per variant)");
-    println!();
+fn fig08_collisions(_: Sweep, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "=== Figure 8: fingerprint collision rates (normalized to CRC32) ==="
+    )?;
+    writeln!(out, "    (corpus: {CORPUS_LINES} lines per variant)")?;
+    writeln!(out)?;
 
     let families = ["ECC", "ECC-Hsiao", "CRC32", "CRC64", "MD5", "SHA1"];
     let corpora = [
@@ -339,10 +357,11 @@ fn fig08_collisions(_: Sweep) {
         ("bit-flip", Mutation::BitFlips),
         ("byte-mut", Mutation::ByteRewrites),
     ];
-    println!(
+    writeln!(
+        out,
         "{}",
         format_row("fingerprint", &corpora.map(|(n, _)| n.to_owned()))
-    );
+    )?;
     for family in families {
         let row: Vec<String> = corpora
             .iter()
@@ -350,14 +369,26 @@ fn fig08_collisions(_: Sweep) {
                 collisions(&corpus(mutation, 7), fingerprint_of(family)).to_string()
             })
             .collect();
-        println!("{}", format_row(family, &row));
+        writeln!(out, "{}", format_row(family, &row))?;
     }
 
-    println!();
-    println!("colliding pairs, absolute. SEC-DED distance 4 makes ECC immune to");
-    println!("1-2 bit flips; localized byte rewrites can land on Hamming codewords,");
-    println!("where ECC collides more than CRC32 — a divergence from the paper's");
-    println!("idealized Figure 8 that ESD's verify read absorbs without data loss.");
+    writeln!(out)?;
+    writeln!(
+        out,
+        "colliding pairs, absolute. SEC-DED distance 4 makes ECC immune to"
+    )?;
+    writeln!(
+        out,
+        "1-2 bit flips; localized byte rewrites can land on Hamming codewords,"
+    )?;
+    writeln!(
+        out,
+        "where ECC collides more than CRC32 — a divergence from the paper's"
+    )?;
+    writeln!(
+        out,
+        "idealized Figure 8 that ESD's verify read absorbs without data loss."
+    )
 }
 
 const SIZES_KB: [u64; 6] = [64, 128, 256, 512, 1024, 2048];
@@ -374,14 +405,15 @@ const CACHE_TASKS: usize = EFIT_TASKS + SIZES_KB.len();
 /// Paper shape: hit rates climb steeply until ~512 KB and then flatten —
 /// the justification for Table I's 512 KB metadata caches — and LRCU beats
 /// plain LRU at every size.
-fn fig18_cache_sweep(mut sweep: Sweep) {
+fn fig18_cache_sweep(mut sweep: Sweep, out: &mut dyn Write) -> io::Result<()> {
     sweep.apps = apps(&CDF_APPS);
     sweep.accesses = sweep.accesses.min(500_000);
     print_figure_header(
+        out,
         "Figure 18",
         "EFIT (a) and AMT (b) hit rates vs cache size",
         &sweep,
-    );
+    )?;
 
     let hit_rates = sweep.run_tasks(CACHE_TASKS, |_, trace, i| {
         let mut config = sweep.config;
@@ -411,22 +443,27 @@ fn fig18_cache_sweep(mut sweep: Sweep) {
     };
     let percent = |rate: f64| format!("{:.2}%", rate * 100.0);
 
-    println!("(a) EFIT hit rate");
-    println!("{}", format_row("size", &["LRCU".into(), "LRU".into()]));
+    writeln!(out, "(a) EFIT hit rate")?;
+    writeln!(
+        out,
+        "{}",
+        format_row("size", &["LRCU".into(), "LRU".into()])
+    )?;
     for (k, kb) in SIZES_KB.iter().enumerate() {
         let rates: Vec<String> = (0..POLICIES.len())
             .map(|p| percent(mean(k * POLICIES.len() + p)))
             .collect();
-        println!("{}", format_row(&format!("{kb}KB"), &rates));
+        writeln!(out, "{}", format_row(&format!("{kb}KB"), &rates))?;
     }
 
-    println!();
-    println!("(b) AMT hit rate");
-    println!("{}", format_row("size", &["AMT".into()]));
+    writeln!(out)?;
+    writeln!(out, "(b) AMT hit rate")?;
+    writeln!(out, "{}", format_row("size", &["AMT".into()]))?;
     for (k, kb) in SIZES_KB.iter().enumerate() {
         let rate = percent(mean(EFIT_TASKS + k));
-        println!("{}", format_row(&format!("{kb}KB"), &[rate]));
+        writeln!(out, "{}", format_row(&format!("{kb}KB"), &[rate]))?;
     }
+    Ok(())
 }
 
 /// Counter-cache sizes, `0` being the paper's always-resident counters.
@@ -445,16 +482,18 @@ const COUNTER_CACHES: [(&str, u64); 4] = [
 /// memories cache counters and pay an NVMM read on a miss (split-counter
 /// layout, as in SuperMem). This measures how ESD's results move when that
 /// assumption is relaxed.
-fn ablation_counter_cache(mut sweep: Sweep) {
+fn ablation_counter_cache(mut sweep: Sweep, out: &mut dyn Write) -> io::Result<()> {
     sweep.apps = apps(&["gcc", "lbm"]);
     sweep.accesses = sweep.accesses.min(300_000);
     print_figure_header(
+        out,
         "Ablation: counter cache",
         "ESD under finite encryption-counter caches",
         &sweep,
-    );
+    )?;
 
-    println!(
+    writeln!(
+        out,
         "{}",
         format_row(
             "app/ctr-cache",
@@ -465,7 +504,7 @@ fn ablation_counter_cache(mut sweep: Sweep) {
                 "meta_rd".into()
             ]
         )
-    );
+    )?;
     let rows = sweep.run_tasks(COUNTER_CACHES.len(), |app, trace, c| {
         let (label, bytes) = COUNTER_CACHES[c];
         let mut config = sweep.config;
@@ -484,12 +523,18 @@ fn ablation_counter_cache(mut sweep: Sweep) {
     });
     for app_rows in rows.chunks(COUNTER_CACHES.len()) {
         for row in app_rows {
-            println!("{row}");
+            writeln!(out, "{row}")?;
         }
-        println!();
+        writeln!(out)?;
     }
-    println!("the ideal row reproduces the paper's assumption; finite caches add");
-    println!("counter-fill reads to the access path, shrinking (not erasing) ESD's win.");
+    writeln!(
+        out,
+        "the ideal row reproduces the paper's assumption; finite caches add"
+    )?;
+    writeln!(
+        out,
+        "counter-fill reads to the access path, shrinking (not erasing) ESD's win."
+    )
 }
 
 /// Verification on, except for `ESD_NoVerify`, which aliases colliding
@@ -507,13 +552,14 @@ fn options_for(kind: SchemeKind) -> RunOptions {
 ///
 /// PDE hides hash latency behind encryption for every line but wastes
 /// cryptographic energy on duplicates — the reason the paper rejects it.
-fn ablation_extended(mut sweep: Sweep) {
+fn ablation_extended(mut sweep: Sweep, out: &mut dyn Write) -> io::Result<()> {
     sweep.apps = apps(&["deepsjeng", "gcc", "lbm", "leela"]);
     print_figure_header(
+        out,
         "Extended comparison",
         "all eight schemes (incl. Dedup_MD5 and PDE)",
         &sweep,
-    );
+    )?;
 
     let rows = sweep.run_tasks(SchemeKind::EXTENDED.len(), |_, trace, s| {
         let kind = SchemeKind::EXTENDED[s];
@@ -536,8 +582,9 @@ fn ablation_extended(mut sweep: Sweep) {
         .iter()
         .zip(rows.chunks(SchemeKind::EXTENDED.len()))
     {
-        println!("[{}]", app.name);
-        println!(
+        writeln!(out, "[{}]", app.name)?;
+        writeln!(
+            out,
             "{}",
             format_row(
                 "scheme",
@@ -549,12 +596,13 @@ fn ablation_extended(mut sweep: Sweep) {
                     "dedup".into(),
                 ]
             )
-        );
+        )?;
         for row in app_rows {
-            println!("{row}");
+            writeln!(out, "{row}")?;
         }
-        println!();
+        writeln!(out)?;
     }
+    Ok(())
 }
 
 const MIXES: [[&str; 4]; 3] = [
@@ -568,27 +616,35 @@ const MIXES: [[&str; 4]; 3] = [
 /// content at once — the closest this harness gets to the paper's 8-core
 /// full-system runs. At most 250 000 accesses per component; the mixes
 /// replay one after another on the calling thread.
-fn ablation_mixed(mut sweep: Sweep) {
+fn ablation_mixed(mut sweep: Sweep, out: &mut dyn Write) -> io::Result<()> {
     sweep.apps = Vec::new();
     sweep.accesses = sweep.accesses.min(250_000);
     print_figure_header(
+        out,
         "Mixed workloads",
         "four co-running applications per mix",
         &sweep,
-    );
+    )?;
 
-    for mix_apps in MIXES {
+    // Every component's address distribution is cut from one set of
+    // running sums, built for the largest working set of any mix.
+    let mixes = MIXES.map(|mix_apps| apps(&mix_apps));
+    let sums = TraceGenerator::address_sums(mixes.iter().flatten());
+    for mix_apps in mixes {
         // The component traces go as soon as they are interleaved: only
         // the mix is replayed.
         let mixed = {
-            let traces: Vec<_> = apps(&mix_apps)
-                .iter()
-                .map(|app| generate_trace(app, sweep.seed, sweep.accesses))
+            let traces: Vec<_> = mix_apps
+                .into_iter()
+                .map(|app| {
+                    TraceGenerator::with_sums(app, sweep.seed, &sums).generate(sweep.accesses)
+                })
                 .collect();
             interleave_traces(&traces, 1 << 36)
         };
-        println!("[{}] ({} accesses)", mixed.name, mixed.len());
-        println!(
+        writeln!(out, "[{}] ({} accesses)", mixed.name, mixed.len())?;
+        writeln!(
+            out,
             "{}",
             format_row(
                 "scheme",
@@ -599,12 +655,13 @@ fn ablation_mixed(mut sweep: Sweep) {
                     "dedup%".into()
                 ]
             )
-        );
+        )?;
         for kind in SchemeKind::ALL {
             let scheme = Scheme::new(kind, &sweep.config);
             let report =
                 run_trace(scheme, &mixed, &sweep.config, &RunOptions::default()).expect("verified");
-            println!(
+            writeln!(
+                out,
                 "{}",
                 format_row(
                     kind.name(),
@@ -615,10 +672,11 @@ fn ablation_mixed(mut sweep: Sweep) {
                         format!("{:.1}%", report.write_reduction() * 100.0),
                     ]
                 )
-            );
+            )?;
         }
-        println!();
+        writeln!(out)?;
     }
+    Ok(())
 }
 
 const SELECTIVE_SCHEMES: [SchemeKind; 4] = [
@@ -637,15 +695,17 @@ const SELECTIVE_SCHEMES: [SchemeKind; 4] = [
 /// * **The verify read** — `ESD_NoVerify` trusts ECC equality outright.
 ///   It shaves the compare read off the dedup path but silently aliases
 ///   colliding lines (its replay is not verified).
-fn ablation_selective(mut sweep: Sweep) {
+fn ablation_selective(mut sweep: Sweep, out: &mut dyn Write) -> io::Result<()> {
     sweep.apps = apps(&["gcc", "leela", "lbm", "x264"]);
     print_figure_header(
+        out,
         "Ablation: selectivity and verify read",
         "ESD vs full-store ESD vs no-verify ESD",
         &sweep,
-    );
+    )?;
 
-    println!(
+    writeln!(
+        out,
         "{}",
         format_row(
             "app/scheme",
@@ -656,7 +716,7 @@ fn ablation_selective(mut sweep: Sweep) {
                 "meta_nvmm_B".into(),
             ]
         )
-    );
+    )?;
     let reports = sweep.run_tasks(SELECTIVE_SCHEMES.len(), |_, trace, s| {
         let kind = SELECTIVE_SCHEMES[s];
         let scheme = Scheme::new(kind, &sweep.config);
@@ -676,7 +736,8 @@ fn ablation_selective(mut sweep: Sweep) {
             } else {
                 baseline_write / report.avg_write_latency().as_ns_f64()
             };
-            println!(
+            writeln!(
+                out,
                 "{}",
                 format_row(
                     &format!("{}/{}", app.name, kind.name()),
@@ -687,30 +748,38 @@ fn ablation_selective(mut sweep: Sweep) {
                         report.metadata.nvmm_bytes.to_string(),
                     ]
                 )
-            );
+            )?;
         }
-        println!();
+        writeln!(out)?;
     }
-    println!("reading: selectivity trades some dedup count for zero fingerprint");
-    println!("NVMM reads; the verify read costs little and buys correctness.");
+    writeln!(
+        out,
+        "reading: selectivity trades some dedup count for zero fingerprint"
+    )?;
+    writeln!(
+        out,
+        "NVMM reads; the verify read costs little and buys correctness."
+    )
 }
 
 /// Sensitivity to the simulator's structural parameters that Table I does
 /// not pin down: write-buffer depth and PCM bank count (lbm, Baseline vs
 /// ESD), and the EFIT decay interval (gcc), at most 300 000 accesses, one
 /// replay after another on the calling thread.
-fn ablation_sensitivity(mut sweep: Sweep) {
+fn ablation_sensitivity(mut sweep: Sweep, out: &mut dyn Write) -> io::Result<()> {
     sweep.apps = apps(&["lbm"]);
     sweep.accesses = sweep.accesses.min(300_000);
     print_figure_header(
+        out,
         "Sensitivity",
         "write-buffer depth and bank count (lbm, Baseline vs ESD)",
         &sweep,
-    );
+    )?;
     let trace = generate_trace(&sweep.apps[0], sweep.seed, sweep.accesses);
 
-    println!("(a) write-buffer depth");
-    println!(
+    writeln!(out, "(a) write-buffer depth")?;
+    writeln!(
+        out,
         "{}",
         format_row(
             "depth",
@@ -721,7 +790,7 @@ fn ablation_sensitivity(mut sweep: Sweep) {
                 "esd_ipc".into()
             ]
         )
-    );
+    )?;
     for depth in [4u32, 8, 16, 32, 64, 128] {
         let mut config = sweep.config;
         config.controller.write_buffer_depth = depth;
@@ -734,12 +803,13 @@ fn ablation_sensitivity(mut sweep: Sweep) {
             ipcs.push(format!("{:.2}", report.ipc));
         }
         cells.extend(ipcs);
-        println!("{}", format_row(&depth.to_string(), &cells));
+        writeln!(out, "{}", format_row(&depth.to_string(), &cells))?;
     }
 
-    println!();
-    println!("(b) PCM bank count");
-    println!(
+    writeln!(out)?;
+    writeln!(out, "(b) PCM bank count")?;
+    writeln!(
+        out,
         "{}",
         format_row(
             "banks",
@@ -749,7 +819,7 @@ fn ablation_sensitivity(mut sweep: Sweep) {
                 "esd_speedup".into()
             ]
         )
-    );
+    )?;
     for banks in [4u32, 8, 16, 32] {
         let mut config = sweep.config;
         config.pcm.banks = banks;
@@ -761,7 +831,8 @@ fn ablation_sensitivity(mut sweep: Sweep) {
                 report.avg_write_latency().as_ns_f64()
             })
             .collect();
-        println!(
+        writeln!(
+            out,
             "{}",
             format_row(
                 &banks.to_string(),
@@ -771,16 +842,17 @@ fn ablation_sensitivity(mut sweep: Sweep) {
                     format!("{:.2}x", latencies[0] / latencies[1]),
                 ]
             )
-        );
+        )?;
     }
 
-    println!();
-    println!("(c) EFIT decay interval (LRCU refresh, gcc)");
+    writeln!(out)?;
+    writeln!(out, "(c) EFIT decay interval (LRCU refresh, gcc)")?;
     let gcc_trace = generate_trace(&apps(&["gcc"])[0], sweep.seed, sweep.accesses);
-    println!(
+    writeln!(
+        out,
         "{}",
         format_row("interval", &["dedup".into(), "efit_hit".into()])
-    );
+    )?;
     for interval in [1024u64, 4096, 8192, 32768, u64::MAX] {
         let mut scheme = Scheme::new(SchemeKind::Esd, &sweep.config);
         scheme.efit_decay_interval(interval);
@@ -790,7 +862,8 @@ fn ablation_sensitivity(mut sweep: Sweep) {
         } else {
             interval.to_string()
         };
-        println!(
+        writeln!(
+            out,
             "{}",
             format_row(
                 &label,
@@ -802,8 +875,9 @@ fn ablation_sensitivity(mut sweep: Sweep) {
                     ),
                 ]
             )
-        );
+        )?;
     }
+    Ok(())
 }
 
 const WEAR_LINES: u64 = 4096;
@@ -850,14 +924,18 @@ fn wear_run(gap_interval: Option<u32>) -> (u64, f64, u64) {
 /// Deduplication reduces total writes; wear leveling spreads the remainder.
 /// This reports the peak per-line wear with and without Start-Gap, plus the
 /// extra copy traffic the leveler costs.
-fn ablation_wear_leveling(_: Sweep) {
-    println!("=== Ablation: Start-Gap wear leveling ===");
-    println!("    ({WEAR_WRITES} Zipf(1.1) writes over {WEAR_LINES} lines)");
-    println!();
-    println!(
+fn ablation_wear_leveling(_: Sweep, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "=== Ablation: Start-Gap wear leveling ===")?;
+    writeln!(
+        out,
+        "    ({WEAR_WRITES} Zipf(1.1) writes over {WEAR_LINES} lines)"
+    )?;
+    writeln!(out)?;
+    writeln!(
+        out,
         "{:<16} {:>10} {:>10} {:>12} {:>12}",
         "config", "max_wear", "mean_wear", "max/mean", "extra_ops"
-    );
+    )?;
     for (label, interval) in [
         ("no leveling", None),
         ("gap every 128", Some(128u32)),
@@ -865,16 +943,20 @@ fn ablation_wear_leveling(_: Sweep) {
         ("gap every 8", Some(8)),
     ] {
         let (max, mean, extra) = wear_run(interval);
-        println!(
+        writeln!(
+            out,
             "{:<16} {:>10} {:>10.1} {:>12.2} {:>12}",
             label,
             max,
             mean,
             max as f64 / mean,
             extra
-        );
+        )?;
     }
-    println!();
-    println!("smaller gap intervals flatten the wear distribution (max/mean -> 1)");
-    println!("at the price of proportionally more copy traffic.");
+    writeln!(out)?;
+    writeln!(
+        out,
+        "smaller gap intervals flatten the wear distribution (max/mean -> 1)"
+    )?;
+    writeln!(out, "at the price of proportionally more copy traffic.")
 }

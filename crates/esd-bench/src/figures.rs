@@ -1,6 +1,8 @@
 //! Printers for the figures of the paper's evaluation that share one
 //! 20-workload x 4-scheme sweep, all of which `fig_all` prints.
 
+use std::io::{self, Write};
+
 use esd_core::SchemeKind;
 
 use crate::{format_row, geomean, AppRow};
@@ -26,9 +28,12 @@ fn scheme_header() -> Vec<String> {
 }
 
 /// Figure 11: write reduction vs Baseline.
-pub fn print_fig11(rows: &[AppRow]) {
-    println!("--- Figure 11: NVMM write reduction vs Baseline (higher is better) ---");
-    println!("{}", format_row("app", &scheme_header()));
+pub fn print_fig11(rows: &[AppRow], out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "--- Figure 11: NVMM write reduction vs Baseline (higher is better) ---"
+    )?;
+    writeln!(out, "{}", format_row("app", &scheme_header()))?;
     let mut sums = [0.0f64; 3];
     for row in rows {
         let base = row
@@ -45,10 +50,11 @@ pub fn print_fig11(rows: &[AppRow]) {
                 format!("{:.1}%", reduction * 100.0)
             })
             .collect();
-        println!("{}", format_row(&row.app.name, &cells));
+        writeln!(out, "{}", format_row(&row.app.name, &cells))?;
     }
     let n = rows.len() as f64;
-    println!(
+    writeln!(
+        out,
         "{}",
         format_row(
             "average",
@@ -57,17 +63,18 @@ pub fn print_fig11(rows: &[AppRow]) {
                 .map(|s| format!("{:.1}%", s / n * 100.0))
                 .collect::<Vec<_>>()
         )
-    );
-    println!();
+    )?;
+    writeln!(out)
 }
 
 fn print_speedup_figure(
     rows: &[AppRow],
     title: &str,
     metric: impl Fn(&esd_core::Normalized) -> f64,
-) {
-    println!("{title}");
-    println!("{}", format_row("app", &scheme_header()));
+    out: &mut dyn Write,
+) -> io::Result<()> {
+    writeln!(out, "{title}")?;
+    writeln!(out, "{}", format_row("app", &scheme_header()))?;
     let mut per_scheme: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for row in rows {
         let base = row.report(SchemeKind::Baseline).expect("baseline");
@@ -81,9 +88,10 @@ fn print_speedup_figure(
                 format!("{v:.2}x")
             })
             .collect();
-        println!("{}", format_row(&row.app.name, &cells));
+        writeln!(out, "{}", format_row(&row.app.name, &cells))?;
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         format_row(
             "geomean",
@@ -92,45 +100,53 @@ fn print_speedup_figure(
                 .map(|v| format!("{:.2}x", geomean(v)))
                 .collect::<Vec<_>>()
         )
-    );
-    println!();
+    )?;
+    writeln!(out)
 }
 
 /// Figure 12: write speedup normalized to Baseline.
-pub fn print_fig12(rows: &[AppRow]) {
+pub fn print_fig12(rows: &[AppRow], out: &mut dyn Write) -> io::Result<()> {
     print_speedup_figure(
         rows,
         "--- Figure 12: write speedup normalized to Baseline ---",
         |n| n.write_speedup,
-    );
+        out,
+    )
 }
 
 /// Figure 13: read speedup normalized to Baseline.
-pub fn print_fig13(rows: &[AppRow]) {
+pub fn print_fig13(rows: &[AppRow], out: &mut dyn Write) -> io::Result<()> {
     print_speedup_figure(
         rows,
         "--- Figure 13: read speedup normalized to Baseline ---",
         |n| n.read_speedup,
-    );
+        out,
+    )
 }
 
 /// Figure 14: IPC normalized to Baseline.
-pub fn print_fig14(rows: &[AppRow]) {
-    print_speedup_figure(rows, "--- Figure 14: IPC normalized to Baseline ---", |n| {
-        n.ipc_ratio
-    });
+pub fn print_fig14(rows: &[AppRow], out: &mut dyn Write) -> io::Result<()> {
+    print_speedup_figure(
+        rows,
+        "--- Figure 14: IPC normalized to Baseline ---",
+        |n| n.ipc_ratio,
+        out,
+    )
 }
 
 /// Figure 15: CDF of write latency for the paper's eight selected
 /// applications.
-pub fn print_fig15(rows: &[AppRow]) {
-    println!("--- Figure 15: CDF of write latency (8 selected applications) ---");
+pub fn print_fig15(rows: &[AppRow], out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "--- Figure 15: CDF of write latency (8 selected applications) ---"
+    )?;
     for row in rows
         .iter()
         .filter(|r| CDF_APPS.contains(&r.app.name.as_str()))
     {
-        println!("[{}]", row.app.name);
-        println!("{}", format_row("percentile", &scheme_header()));
+        writeln!(out, "[{}]", row.app.name)?;
+        writeln!(out, "{}", format_row("percentile", &scheme_header()))?;
         for q in [0.50, 0.90, 0.95, 0.99, 0.999] {
             let cells: Vec<String> = DEDUP_SCHEMES
                 .iter()
@@ -144,16 +160,20 @@ pub fn print_fig15(rows: &[AppRow]) {
                 })
                 .collect();
             let label = format!("p{}", q * 100.0);
-            println!("{}", format_row(&label, &cells));
+            writeln!(out, "{}", format_row(&label, &cells))?;
         }
-        println!();
+        writeln!(out)?;
     }
+    Ok(())
 }
 
 /// Figure 16: energy consumption normalized to Baseline (lower is better).
-pub fn print_fig16(rows: &[AppRow]) {
-    println!("--- Figure 16: energy normalized to Baseline (lower is better) ---");
-    println!("{}", format_row("app", &scheme_header()));
+pub fn print_fig16(rows: &[AppRow], out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "--- Figure 16: energy normalized to Baseline (lower is better) ---"
+    )?;
+    writeln!(out, "{}", format_row("app", &scheme_header()))?;
     let mut per_scheme: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for row in rows {
         let base = row.report(SchemeKind::Baseline).expect("baseline");
@@ -166,9 +186,10 @@ pub fn print_fig16(rows: &[AppRow]) {
                 format!("{:.2}", n.energy_ratio)
             })
             .collect();
-        println!("{}", format_row(&row.app.name, &cells));
+        writeln!(out, "{}", format_row(&row.app.name, &cells))?;
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         format_row(
             "geomean",
@@ -177,14 +198,18 @@ pub fn print_fig16(rows: &[AppRow]) {
                 .map(|v| format!("{:.2}", geomean(v)))
                 .collect::<Vec<_>>()
         )
-    );
-    println!();
+    )?;
+    writeln!(out)
 }
 
 /// Figure 17: write-latency decomposition (fractions of total write time).
-pub fn print_fig17(rows: &[AppRow]) {
-    println!("--- Figure 17: write latency profile (aggregated over workloads) ---");
-    println!(
+pub fn print_fig17(rows: &[AppRow], out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "--- Figure 17: write latency profile (aggregated over workloads) ---"
+    )?;
+    writeln!(
+        out,
         "{}",
         format_row(
             "scheme",
@@ -193,7 +218,7 @@ pub fn print_fig17(rows: &[AppRow]) {
                 .map(|n| (*n).to_owned())
                 .collect::<Vec<_>>()
         )
-    );
+    )?;
     for &kind in &[
         SchemeKind::Baseline,
         SchemeKind::DedupSha1,
@@ -205,7 +230,8 @@ pub fn print_fig17(rows: &[AppRow]) {
             total.merge(&row.report(kind).expect("scheme").breakdown);
         }
         let f = total.fractions();
-        println!(
+        writeln!(
+            out,
             "{}",
             format_row(
                 kind.name(),
@@ -213,15 +239,19 @@ pub fn print_fig17(rows: &[AppRow]) {
                     .map(|v| format!("{:.1}%", v * 100.0))
                     .collect::<Vec<_>>()
             )
-        );
+        )?;
     }
-    println!();
+    writeln!(out)
 }
 
 /// Figure 19: metadata space overhead normalized to Dedup_SHA1.
-pub fn print_fig19(rows: &[AppRow]) {
-    println!("--- Figure 19: metadata overhead normalized to Dedup_SHA1 (lower is better) ---");
-    println!(
+pub fn print_fig19(rows: &[AppRow], out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "--- Figure 19: metadata overhead normalized to Dedup_SHA1 (lower is better) ---"
+    )?;
+    writeln!(
+        out,
         "{}",
         format_row(
             "app",
@@ -232,7 +262,7 @@ pub fn print_fig19(rows: &[AppRow]) {
                 "ESD(NVMM)".into()
             ]
         )
-    );
+    )?;
     let mut sums = [0.0f64; 4];
     for row in rows {
         let sha1 = row
@@ -255,16 +285,18 @@ pub fn print_fig19(rows: &[AppRow]) {
         for (s, c) in sums.iter_mut().zip(cells.iter()) {
             *s += c;
         }
-        println!(
+        writeln!(
+            out,
             "{}",
             format_row(
                 &row.app.name,
                 &cells.iter().map(|v| format!("{v:.2}")).collect::<Vec<_>>()
             )
-        );
+        )?;
     }
     let n = rows.len() as f64;
-    println!(
+    writeln!(
+        out,
         "{}",
         format_row(
             "average",
@@ -273,22 +305,26 @@ pub fn print_fig19(rows: &[AppRow]) {
                 .map(|s| format!("{:.2}", s / n))
                 .collect::<Vec<_>>()
         )
-    );
-    println!();
+    )?;
+    writeln!(out)
 }
 
 /// Figure 5: duplicate lines filtered by cache- vs NVMM-resident
 /// fingerprints, and the NVMM-lookup share of write latency, for the
 /// full-deduplication scheme (Dedup_SHA1).
-pub fn print_fig05(rows: &[AppRow]) {
-    println!("--- Figure 5: dup filtering source and NVMM-lookup overhead (Dedup_SHA1) ---");
-    println!(
+pub fn print_fig05(rows: &[AppRow], out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "--- Figure 5: dup filtering source and NVMM-lookup overhead (Dedup_SHA1) ---"
+    )?;
+    writeln!(
+        out,
         "{}",
         format_row(
             "app",
             &["cache_filt".into(), "nvmm_filt".into(), "lookup_lat".into()]
         )
-    );
+    )?;
     let mut sums = [0.0f64; 3];
     for row in rows {
         let r = row.report(SchemeKind::DedupSha1).expect("sha1");
@@ -300,7 +336,8 @@ pub fn print_fig05(rows: &[AppRow]) {
         sums[0] += cache;
         sums[1] += nvmm;
         sums[2] += lookup_share;
-        println!(
+        writeln!(
+            out,
             "{}",
             format_row(
                 &row.app.name,
@@ -310,10 +347,11 @@ pub fn print_fig05(rows: &[AppRow]) {
                     format!("{:.1}%", lookup_share * 100.0),
                 ]
             )
-        );
+        )?;
     }
     let n = rows.len() as f64;
-    println!(
+    writeln!(
+        out,
         "{}",
         format_row(
             "average",
@@ -322,14 +360,18 @@ pub fn print_fig05(rows: &[AppRow]) {
                 .map(|s| format!("{:.1}%", s / n * 100.0))
                 .collect::<Vec<_>>()
         )
-    );
-    println!();
+    )?;
+    writeln!(out)
 }
 
 /// Endurance summary (companion to Figure 11): peak per-line wear.
-pub fn print_wear(rows: &[AppRow]) {
-    println!("--- Endurance: peak per-line write count (lower is better) ---");
-    println!(
+pub fn print_wear(rows: &[AppRow], out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "--- Endurance: peak per-line write count (lower is better) ---"
+    )?;
+    writeln!(
+        out,
         "{}",
         format_row(
             "app",
@@ -340,13 +382,13 @@ pub fn print_wear(rows: &[AppRow]) {
                 "ESD".into()
             ]
         )
-    );
+    )?;
     for row in rows {
         let cells: Vec<String> = SchemeKind::ALL
             .iter()
             .map(|&kind| row.report(kind).expect("scheme").max_wear.to_string())
             .collect();
-        println!("{}", format_row(&row.app.name, &cells));
+        writeln!(out, "{}", format_row(&row.app.name, &cells))?;
     }
-    println!();
+    writeln!(out)
 }

@@ -39,13 +39,14 @@ pub mod figures;
 pub use catalog::{fig15_cdf, figure, Figure, FIGURES, SWEEPLESS};
 
 use std::collections::VecDeque;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use esd_core::{run_trace, RunOptions, RunReport, Scheme, SchemeKind};
 use esd_sim::SystemConfig;
-use esd_trace::{generate_trace, AppProfile, Trace};
+use esd_trace::{AppProfile, Trace, TraceGenerator, ZipfSums};
 
 /// Default accesses replayed per workload.
 pub const DEFAULT_ACCESSES: usize = 1_000_000;
@@ -240,6 +241,9 @@ impl Sweep {
             );
         }
 
+        // One set of running sums for the whole sweep: every workload's
+        // address distribution is a prefix of the largest one's.
+        let sums = TraceGenerator::address_sums(&self.apps);
         let slots: Vec<TraceSlot> = (0..self.apps.len())
             .map(|_| TraceSlot {
                 trace: Mutex::new(None),
@@ -263,7 +267,7 @@ impl Sweep {
         let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|me| {
-                    let (slots, queues, task) = (&slots, &queues, &task);
+                    let (sums, slots, queues, task) = (&sums, &slots, &queues, &task);
                     scope.spawn(move || {
                         let mut done = Vec::new();
                         while let Some(t) = claim_task(queues, me) {
@@ -272,9 +276,9 @@ impl Sweep {
                             let slot = &slots[a];
                             let trace = {
                                 let mut held = slot.trace.lock().expect("trace slot");
-                                Arc::clone(held.get_or_insert_with(|| {
-                                    Arc::new(generate_trace(app, self.seed, self.accesses))
-                                }))
+                                Arc::clone(
+                                    held.get_or_insert_with(|| Arc::new(self.generate(sums, app))),
+                                )
                             };
                             done.push((t, task(app, &trace, i)));
                             // The mutex guards the slot; the count only elects
@@ -312,10 +316,11 @@ impl Sweep {
     #[must_use]
     pub fn run_serial(&self, schemes: &[SchemeKind]) -> Vec<AppRow> {
         let options = self.run_options();
+        let sums = TraceGenerator::address_sums(&self.apps);
         self.apps
             .iter()
             .map(|app| {
-                let trace = generate_trace(app, self.seed, self.accesses);
+                let trace = self.generate(&sums, app);
                 let reports = schemes
                     .iter()
                     .map(|&kind| {
@@ -334,6 +339,12 @@ impl Sweep {
                 }
             })
             .collect()
+    }
+
+    /// `app`'s trace, identical to [`esd_trace::generate_trace`]'s, with its
+    /// address distribution cut from the sweep's shared `sums`.
+    fn generate(&self, sums: &ZipfSums, app: &AppProfile) -> Trace {
+        TraceGenerator::with_sums(app.clone(), self.seed, sums).generate(self.accesses)
     }
 }
 
@@ -420,19 +431,26 @@ pub struct TaskTiming {
     pub seconds: f64,
 }
 
-/// Prints a figure header in a uniform style. A sweep under fault
+/// Writes a figure header in a uniform style to `out`. A sweep under fault
 /// injection (a non-zero `config.pcm.rber_per_tbit`, `esd-cli fig
 /// --rber`) says so, since its figures are not the paper's.
-pub fn print_figure_header(id: &str, caption: &str, sweep: &Sweep) {
-    println!("=== {id}: {caption} ===");
-    println!(
+pub fn print_figure_header(
+    out: &mut dyn Write,
+    id: &str,
+    caption: &str,
+    sweep: &Sweep,
+) -> io::Result<()> {
+    writeln!(out, "=== {id}: {caption} ===")?;
+    writeln!(
+        out,
         "    ({} workloads x {} accesses, seed {})",
         sweep.apps.len(),
         sweep.accesses,
         sweep.seed
-    );
+    )?;
     if sweep.config.pcm.rber_per_tbit > 0 {
-        println!(
+        writeln!(
+            out,
             "    fault injection ON (rber {} per 10^12 bit-reads, seed {:#x}, {})",
             sweep.config.pcm.rber_per_tbit,
             sweep.config.pcm.rber_seed,
@@ -440,9 +458,9 @@ pub fn print_figure_header(id: &str, caption: &str, sweep: &Sweep) {
                 || "scrub off".to_string(),
                 |n| format!("scrub every {n} accesses")
             )
-        );
+        )?;
     }
-    println!();
+    writeln!(out)
 }
 
 /// Formats a table row: a left-aligned label plus fixed-width numeric cells.
@@ -470,6 +488,7 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esd_trace::generate_trace;
 
     fn small_sweep(apps: Vec<AppProfile>) -> Sweep {
         let mut sweep = Sweep::new(apps);

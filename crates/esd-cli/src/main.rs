@@ -48,9 +48,11 @@
 mod args;
 
 use std::fs;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use args::Args;
+use esd_bench::figures::CDF_APPS;
 use esd_bench::Sweep;
 use esd_core::{run_trace, RunOptions, RunReport, Scheme, SchemeKind};
 use esd_sim::SystemConfig;
@@ -63,9 +65,16 @@ fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().unwrap_or_else(|| "help".to_owned());
     let rest: Vec<String> = argv.collect();
-    match dispatch(&command, rest) {
+    let mut out = io::stdout().lock();
+    match dispatch(&command, rest, &mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        // A reader that closed the pipe early (`| head`) has all it wanted.
+        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Output(e)) => {
+            eprintln!("error: writing output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Usage(message)) => {
             eprintln!("error: {message}");
             eprintln!();
             eprintln!("{}", usage());
@@ -73,6 +82,29 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// Why a command stopped short.
+enum Failure {
+    /// A bad command line or input, reported with the usage text.
+    Usage(String),
+    /// Writing standard output failed.
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Usage(message)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(error: io::Error) -> Self {
+        Failure::Output(error)
+    }
+}
+
+/// What a command returns.
+type Outcome = Result<(), Failure>;
 
 fn usage() -> String {
     let figures: Vec<&str> = esd_bench::FIGURES.iter().map(|(name, _)| *name).collect();
@@ -99,32 +131,23 @@ fn usage() -> String {
      \x20                                 checkpoint interval; 0 = off, scan on recovery)\n\
      observability (run/replay): [--metrics-json <file>] [--trace-events <file>]\n\
      \x20                           [--epoch-every <accesses>]",
-        esd_bench::figures::CDF_APPS.join("|"),
+        CDF_APPS.join("|"),
         figures.join(", ")
     )
 }
 
-fn dispatch(command: &str, rest: Vec<String>) -> Result<(), String> {
+fn dispatch(command: &str, rest: Vec<String>, out: &mut dyn Write) -> Outcome {
     match command {
-        "run" => cmd_run(rest),
-        "compare" => cmd_compare(rest),
-        "generate" => cmd_generate(rest),
-        "analyze" => cmd_analyze(rest),
-        "replay" => cmd_replay(rest),
-        "apps" => {
-            cmd_apps();
-            Ok(())
-        }
-        "config" => {
-            print!("{}", SystemConfig::default().to_table());
-            Ok(())
-        }
-        "fig" => cmd_fig(rest),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
+        "run" => cmd_run(rest, out),
+        "compare" => cmd_compare(rest, out),
+        "generate" => cmd_generate(rest, out),
+        "analyze" => cmd_analyze(rest, out),
+        "replay" => cmd_replay(rest, out),
+        "apps" => Ok(cmd_apps(out)?),
+        "config" => Ok(write!(out, "{}", SystemConfig::default().to_table())?),
+        "fig" => cmd_fig(rest, out),
+        "help" | "--help" | "-h" => Ok(writeln!(out, "{}", usage())?),
+        other => Err(format!("unknown command {other:?}").into()),
     }
 }
 
@@ -223,7 +246,7 @@ fn observability_options(args: &Args, options: &mut RunOptions) -> Result<ObsOut
 }
 
 /// Writes the requested observability artifacts for one finished run.
-fn write_observability(report: &RunReport, outputs: &ObsOutputs) -> Result<(), String> {
+fn write_observability(report: &RunReport, outputs: &ObsOutputs, out: &mut dyn Write) -> Outcome {
     if let Some(path) = &outputs.trace_events {
         let json = report
             .obs
@@ -231,11 +254,14 @@ fn write_observability(report: &RunReport, outputs: &ObsOutputs) -> Result<(), S
             .map(esd_obs::Obs::to_chrome_json)
             .unwrap_or_else(|| "{\"traceEvents\":[]}".to_owned());
         fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote Chrome trace events to {path} (load in Perfetto or chrome://tracing)");
+        writeln!(
+            out,
+            "wrote Chrome trace events to {path} (load in Perfetto or chrome://tracing)"
+        )?;
     }
     if let Some(path) = &outputs.metrics_json {
         fs::write(path, metrics_document(report)).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote metrics to {path}");
+        writeln!(out, "wrote metrics to {path}")?;
     }
     Ok(())
 }
@@ -291,7 +317,7 @@ fn run_one(
     run_trace(scheme, trace, config, &options).map_err(|e| e.to_string())
 }
 
-fn cmd_run(rest: Vec<String>) -> Result<(), String> {
+fn cmd_run(rest: Vec<String>, out: &mut dyn Write) -> Outcome {
     let allowed: Vec<&str> = [
         &["app", "scheme", "accesses", "seed"][..],
         &CRASH_FLAGS[..],
@@ -314,12 +340,12 @@ fn cmd_run(rest: Vec<String>) -> Result<(), String> {
     let outputs = observability_options(&args, &mut options)?;
     let trace = generate_trace(&app, seed, accesses);
     let report = run_one(kind, &trace, &config, &options)?;
-    print!("{}", report.summary());
-    write_observability(&report, &outputs)?;
+    write!(out, "{}", report.summary())?;
+    write_observability(&report, &outputs, out)?;
     Ok(())
 }
 
-fn cmd_compare(rest: Vec<String>) -> Result<(), String> {
+fn cmd_compare(rest: Vec<String>, out: &mut dyn Write) -> Outcome {
     let allowed: Vec<&str> = [
         &["app", "accesses", "seed", "extended"][..],
         &CRASH_FLAGS[..],
@@ -347,14 +373,16 @@ fn cmd_compare(rest: Vec<String>) -> Result<(), String> {
     } else {
         &SchemeKind::ALL
     };
-    println!(
+    writeln!(
+        out,
         "{:<13} {:>10} {:>12} {:>12} {:>7} {:>12}",
         "scheme", "nvmm_wr", "write_avg", "read_avg", "ipc", "energy"
-    );
+    )?;
     let mut reports = Vec::with_capacity(schemes.len());
     for &kind in schemes {
         let report = run_one(kind, &trace, &config, &options)?;
-        println!(
+        writeln!(
+            out,
             "{:<13} {:>10} {:>12} {:>12} {:>7.2} {:>12}",
             kind.name(),
             report.nvmm_data_writes(),
@@ -362,31 +390,32 @@ fn cmd_compare(rest: Vec<String>) -> Result<(), String> {
             report.avg_read_latency().to_string(),
             report.ipc,
             report.total_energy().to_string(),
-        );
+        )?;
         reports.push(report);
     }
     if let Some(base) = reports.iter().find(|r| r.scheme == SchemeKind::Baseline) {
-        println!();
+        writeln!(out)?;
         for report in reports.iter().filter(|r| r.scheme != SchemeKind::Baseline) {
             let n = report.normalized_to(base);
-            println!(
+            writeln!(
+                out,
                 "{:<13} write {:>5.2}x  read {:>5.2}x  ipc {:>5.2}x  energy {:>5.2}",
                 report.scheme.name(),
                 n.write_speedup,
                 n.read_speedup,
                 n.ipc_ratio,
                 n.energy_ratio
-            );
+            )?;
         }
     }
     Ok(())
 }
 
-fn cmd_generate(rest: Vec<String>) -> Result<(), String> {
+fn cmd_generate(rest: Vec<String>, out: &mut dyn Write) -> Outcome {
     let args = Args::parse(rest, &["app", "out", "format", "accesses", "seed"])
         .map_err(|e| e.to_string())?;
     let app = app_by_name(args.get_or("app", "demo"))?;
-    let out = args
+    let path = args
         .get("out")
         .ok_or_else(|| "missing required --out <file>".to_owned())?;
     let accesses = args
@@ -397,46 +426,55 @@ fn cmd_generate(rest: Vec<String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let trace = generate_trace(&app, seed, accesses);
     match args.get_or("format", "bin") {
-        "bin" => fs::write(out, encode_trace(&trace)).map_err(|e| e.to_string())?,
-        "text" => fs::write(out, render_trace_text(&trace)).map_err(|e| e.to_string())?,
-        other => return Err(format!("unknown format {other:?} (bin|text)")),
+        "bin" => fs::write(path, encode_trace(&trace)).map_err(|e| e.to_string())?,
+        "text" => fs::write(path, render_trace_text(&trace)).map_err(|e| e.to_string())?,
+        other => return Err(format!("unknown format {other:?} (bin|text)").into()),
     }
-    println!("wrote {} records to {out}", trace.len());
-    Ok(())
+    Ok(writeln!(out, "wrote {} records to {path}", trace.len())?)
 }
 
-fn cmd_analyze(rest: Vec<String>) -> Result<(), String> {
+fn cmd_analyze(rest: Vec<String>, out: &mut dyn Write) -> Outcome {
     let args = Args::parse(rest, &[]).map_err(|e| e.to_string())?;
     let path = args
         .required_positional(0, "<trace-file>")
         .map_err(|e| e.to_string())?;
     let trace = load_trace(path)?;
-    println!("trace {} ({} records)", trace.name, trace.len());
-    println!(
+    writeln!(out, "trace {} ({} records)", trace.name, trace.len())?;
+    writeln!(
+        out,
         "  reads {}, writes {}",
         trace.read_count(),
         trace.write_count()
-    );
-    println!("  duplicate rate {:.1}%", duplicate_rate(&trace) * 100.0);
-    println!("  zero lines     {:.1}%", zero_line_rate(&trace) * 100.0);
+    )?;
+    writeln!(
+        out,
+        "  duplicate rate {:.1}%",
+        duplicate_rate(&trace) * 100.0
+    )?;
+    writeln!(
+        out,
+        "  zero lines     {:.1}%",
+        zero_line_rate(&trace) * 100.0
+    )?;
     let buckets = refcount_buckets(&trace);
-    println!("  unique contents {}", buckets.unique_contents());
+    writeln!(out, "  unique contents {}", buckets.unique_contents())?;
     let cf = buckets.content_fractions();
     let vf = buckets.volume_fractions();
     for (i, label) in ["num1", "num10", "num100", "num1000", "num1000+"]
         .iter()
         .enumerate()
     {
-        println!(
+        writeln!(
+            out,
             "  {label:<9} {:>7.2}% of contents, {:>6.1}% of volume",
             cf[i] * 100.0,
             vf[i] * 100.0
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_replay(rest: Vec<String>) -> Result<(), String> {
+fn cmd_replay(rest: Vec<String>, out: &mut dyn Write) -> Outcome {
     let allowed: Vec<&str> = [
         &["scheme"][..],
         &CRASH_FLAGS[..],
@@ -455,8 +493,8 @@ fn cmd_replay(rest: Vec<String>) -> Result<(), String> {
     crash_options(&args, &mut options)?;
     let outputs = observability_options(&args, &mut options)?;
     let report = run_one(kind, &trace, &config, &options)?;
-    print!("{}", report.summary());
-    write_observability(&report, &outputs)?;
+    write!(out, "{}", report.summary())?;
+    write_observability(&report, &outputs, out)?;
     Ok(())
 }
 
@@ -470,7 +508,7 @@ const FIG_FLAGS: [&str; 6] = [
     "scrub-every",
 ];
 
-fn cmd_fig(rest: Vec<String>) -> Result<(), String> {
+fn cmd_fig(rest: Vec<String>, out: &mut dyn Write) -> Outcome {
     let allowed = [&FIG_FLAGS[..], &["app"]].concat();
     let args = Args::parse(rest, &allowed).map_err(|e| e.to_string())?;
     let name = args
@@ -478,7 +516,7 @@ fn cmd_fig(rest: Vec<String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     if esd_bench::SWEEPLESS.contains(&name) {
         if let Some(flag) = FIG_FLAGS.iter().find(|&&flag| args.get(flag).is_some()) {
-            return Err(format!("{name} replays no workload and takes no --{flag}"));
+            return Err(format!("{name} replays no workload and takes no --{flag}").into());
         }
     }
     let mut sweep = Sweep::default();
@@ -493,32 +531,44 @@ fn cmd_fig(rest: Vec<String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?
     {
         0 if args.get("threads").is_some() => {
-            return Err("--threads must be at least 1 (1 = serial; omit it for all cores)".into())
+            return Err(
+                "--threads must be at least 1 (1 = serial; omit it for all cores)"
+                    .to_owned()
+                    .into(),
+            )
         }
         0 => None,
         n => Some(n),
     };
     sweep.scrub_interval = reliability_options(&args, &mut sweep.config)?.scrub_interval;
     match (name, args.get("app")) {
-        ("fig15_cdf", Some(app)) => esd_bench::fig15_cdf(sweep, app),
-        ("fig15_cdf", None) => Err("fig15_cdf needs --app <application>".to_owned()),
-        (_, Some(_)) => Err("--app belongs to fig15_cdf only".to_owned()),
+        ("fig15_cdf", Some(app)) if CDF_APPS.contains(&app) => {
+            Ok(esd_bench::fig15_cdf(sweep, app, out)?)
+        }
+        ("fig15_cdf", Some(app)) => Err(format!(
+            "fig15_cdf plots one of {}, not {app:?}",
+            CDF_APPS.join(", ")
+        )
+        .into()),
+        ("fig15_cdf", None) => Err("fig15_cdf needs --app <application>".to_owned().into()),
+        (_, Some(_)) => Err("--app belongs to fig15_cdf only".to_owned().into()),
         (_, None) => {
             let figure =
                 esd_bench::figure(name).ok_or_else(|| format!("unknown figure {name:?}"))?;
-            figure(sweep);
-            Ok(())
+            Ok(figure(sweep, out)?)
         }
     }
 }
 
-fn cmd_apps() {
-    println!(
+fn cmd_apps(out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
         "{:<14} {:<14} {:>8} {:>7} {:>8} {:>7}",
         "name", "suite", "dup", "zero", "reads", "gap"
-    );
+    )?;
     for app in AppProfile::all() {
-        println!(
+        writeln!(
+            out,
             "{:<14} {:<14} {:>7.1}% {:>6.1}% {:>7.1}% {:>7}",
             app.name,
             app.suite.to_string(),
@@ -526,10 +576,11 @@ fn cmd_apps() {
             app.zero_fraction * 100.0,
             app.read_fraction * 100.0,
             app.mean_instruction_gap
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "{:<14} {:<14} {:>7.1}% (synthetic smoke-test profile)",
         "demo", "-", 60.0
-    );
+    )
 }

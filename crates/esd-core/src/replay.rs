@@ -70,6 +70,9 @@ struct Replay<'a> {
     write_latency: LatencyHistogram,
     read_latency: LatencyHistogram,
     epochs: Vec<EpochSnapshot>,
+    /// Access index at which the next epoch closes (`usize::MAX` with
+    /// epochs off), so each access checks for a boundary with one compare.
+    next_epoch: usize,
     mark: Mark,
     /// Fingerprint-cache `(hits, misses)` the crash erased from the
     /// scheme's own counters (the EFIT's reset with its contents), kept so
@@ -78,6 +81,15 @@ struct Replay<'a> {
     /// What recovery cost after the injected crash (`None` when no crash
     /// fired).
     recovery: Option<RecoverySummary>,
+}
+
+/// The access index at which epoch `index` of `interval` accesses closes,
+/// `usize::MAX` when epochs are off or the boundary lies past any trace.
+fn epoch_end(interval: Option<u64>, index: usize) -> usize {
+    interval.map_or(usize::MAX, |n| {
+        let end = (index as u64 + 1).saturating_mul(n.max(1));
+        usize::try_from(end).unwrap_or(usize::MAX)
+    })
 }
 
 /// `num / den`, zero on an empty denominator.
@@ -143,12 +155,14 @@ impl Replay<'_> {
     }
 
     /// Closes every epoch whose boundary lies at or before access `g`.
+    #[cold]
     fn catch_up_epochs(&mut self, g: usize) {
         if let Some(n) = self.options.epoch_interval.map(|n| n.max(1)) {
             while (self.epochs.len() as u64 + 1) * n <= g as u64 {
                 self.record_epoch(n);
             }
         }
+        self.next_epoch = epoch_end(self.options.epoch_interval, self.epochs.len());
     }
 
     /// Replays access `g`: epoch catch-up, CPU execute, scrub tick, then
@@ -162,7 +176,9 @@ impl Replay<'_> {
         fingerprint: Option<u64>,
         expected: Option<&CacheLine>,
     ) -> Result<(), VerifyError> {
-        self.catch_up_epochs(g);
+        if g >= self.next_epoch {
+            self.catch_up_epochs(g);
+        }
         let access = &self.trace.accesses[g];
         self.cpu.execute(u64::from(access.instruction_gap));
         let now = self.cpu.now();
@@ -413,6 +429,7 @@ pub(crate) fn run(
         write_latency: LatencyHistogram::new(),
         read_latency: LatencyHistogram::new(),
         epochs: Vec::new(),
+        next_epoch: epoch_end(options.epoch_interval, 0),
         mark: Mark::default(),
         fp_erased: (0, 0),
         recovery: None,

@@ -7,6 +7,7 @@
 //! lines the CI smoke job greps. `--tcp ADDR` instead listens for framed
 //! protocol connections (see `esd_server::proto`).
 
+use std::io::{self, Write};
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Mutex;
@@ -134,7 +135,27 @@ fn service_config(flags: &Flags) -> Result<ServiceConfig, String> {
     Ok(config)
 }
 
-fn run(flags: &Flags) -> Result<(), String> {
+/// Why a run stopped short.
+enum Failure {
+    /// A bad flag or a failed run, reported on standard error.
+    Message(String),
+    /// Writing standard output failed.
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(error: io::Error) -> Self {
+        Failure::Output(error)
+    }
+}
+
+fn run(flags: &Flags, out: &mut dyn Write) -> Result<(), Failure> {
     if let Some(addr) = flags.get("tcp") {
         flags.known(&["tcp", "connections", "scheme", "tenants", "queue-depth"])?;
         let config = service_config(flags)?;
@@ -143,19 +164,20 @@ fn run(flags: &Flags) -> Result<(), String> {
         let bound = listener
             .local_addr()
             .map_err(|e| format!("inspecting listener: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "esd-serve listening on {bound} ({} tenants)",
             config.tenants
-        );
+        )?;
         let service = Mutex::new(Service::new(&config));
         serve_tcp(&listener, &service, connections).map_err(|e| format!("serving: {e}"))?;
         // `serve_tcp` joined every session and would have passed a panic on.
         let svc = service.lock().expect("service lock");
         for tenant in 0..svc.tenant_count() {
-            println!("{}", svc.stats_line(tenant));
+            writeln!(out, "{}", svc.stats_line(tenant))?;
         }
         if flags.json {
-            println!("{}", svc.metrics_json());
+            writeln!(out, "{}", svc.metrics_json())?;
         }
         return Ok(());
     }
@@ -185,22 +207,24 @@ fn run(flags: &Flags) -> Result<(), String> {
         seed: flags.get_parsed_or("seed", 42u64)?,
     };
     if spec.qps == 0 {
-        return Err("--qps must be at least 1".to_string());
+        return Err("--qps must be at least 1".to_string().into());
     }
     let mut service = Service::new(&config);
     let report = run_load(&mut service, &spec);
     for tenant in &report.summary.tenants {
-        println!("{}", service.stats_line(tenant.tenant));
+        writeln!(out, "{}", service.stats_line(tenant.tenant))?;
     }
     let mut leak = 0u64;
     for t in &report.summary.tenants {
         leak += t.offered.abs_diff(t.admitted + t.rejected);
     }
-    println!(
+    writeln!(
+        out,
         "admission_invariant: {} (leaked={leak})",
         if leak == 0 { "ok" } else { "VIOLATED" }
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "service: scheme={} tenants={} qps={} applied={} throughput_rps={:.0} sim_end_ns={}",
         flags.get("scheme").unwrap_or("esd").to_ascii_lowercase(),
         report.tenants,
@@ -208,32 +232,41 @@ fn run(flags: &Flags) -> Result<(), String> {
         report.summary.applied,
         report.achieved_throughput,
         report.summary.sim_end.as_ns(),
-    );
+    )?;
     if flags.json {
-        println!("{}", report.metrics_json);
+        writeln!(out, "{}", report.metrics_json)?;
     }
     if leak != 0 {
-        return Err(format!("{leak} offered requests unaccounted for"));
+        return Err(format!("{leak} offered requests unaccounted for").into());
     }
     Ok(())
 }
 
 fn main() -> ExitCode {
+    let mut out = io::stdout().lock();
     let flags = match Flags::parse(std::env::args().skip(1)) {
         Ok(Some(flags)) => flags,
-        Ok(None) => {
-            println!("{}", usage());
-            return ExitCode::SUCCESS;
-        }
+        Ok(None) => return exit(writeln!(out, "{}", usage()).map_err(Failure::from)),
         Err(e) => {
             eprintln!("esd-serve: {e}");
             eprintln!("run `esd-serve --help` for usage");
             return ExitCode::FAILURE;
         }
     };
-    match run(&flags) {
+    exit(run(&flags, &mut out).and_then(|()| Ok(out.flush()?)))
+}
+
+/// The exit status of a run that ended with `result`.
+fn exit(result: Result<(), Failure>) -> ExitCode {
+    match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // A reader that closed the pipe early (`| head`) has all it wanted.
+        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Output(e)) => {
+            eprintln!("esd-serve: writing output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(e)) => {
             eprintln!("esd-serve: {e}");
             ExitCode::FAILURE
         }

@@ -115,3 +115,32 @@ fn tcp_mode_prints_the_metrics_export_after_the_stat_lines() {
         "{json}"
     );
 }
+
+#[test]
+fn a_reader_that_stops_after_one_line_ends_the_run_quietly() {
+    // 600 stat lines overflow the pipe, so the run writes into a pipe
+    // whose reader is gone.
+    let mut child = esd_serve()
+        .args(["--tenants", "600", "--requests", "50"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("esd-serve starts");
+    let mut line = String::new();
+    {
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        stdout.read_line(&mut line).expect("first line");
+    } // the reader and the pipe close here
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("stderr");
+    let status = child.wait().expect("esd-serve exits");
+    assert!(line.starts_with("tenant 0: offered=50 "), "{line}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(status.code(), Some(101), "{stderr}");
+    assert_eq!(status.code(), Some(0), "{stderr}");
+}

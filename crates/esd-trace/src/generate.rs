@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use crate::access::{Access, Trace};
 use crate::line::CacheLine;
 use crate::profile::AppProfile;
-use crate::zipf::Zipf;
+use crate::zipf::{Zipf, ZipfSums};
 
 /// Fraction of duplicate draws that target a *uniformly random* previously
 /// written content rather than the age-biased hot head. These "cold
@@ -24,6 +24,11 @@ use crate::zipf::Zipf;
 /// deduplication still catches but ESD deliberately misses (the paper's
 /// ~18% selectivity gap).
 const COLD_DUP_FRACTION: f64 = 0.30;
+
+/// Zipf exponent of every profile's address distribution. The post-LLC
+/// stream still concentrates on a hot subset of the working set, which is
+/// what keeps the paper's AMT cache hit rate high at 512 KB (Fig. 18b).
+const ADDRESS_EXPONENT: f64 = 1.1;
 
 /// Generates a reproducible synthetic trace.
 ///
@@ -81,10 +86,50 @@ impl TraceGenerator {
     /// Creates a generator for one workload.
     #[must_use]
     pub fn new(profile: AppProfile, seed: u64) -> Self {
-        // Address skew: the post-LLC stream still concentrates on a hot
-        // subset of the working set, which is what keeps the paper's AMT
-        // cache hit rate high at 512 KB (Fig. 18b).
-        let addr_zipf = Zipf::new(profile.working_set_lines, 1.1);
+        let addr_zipf = Zipf::new(profile.working_set_lines, ADDRESS_EXPONENT);
+        TraceGenerator::with_zipf(profile, seed, addr_zipf)
+    }
+
+    /// Creates the generator [`TraceGenerator::new`] does, with the address
+    /// distribution cut from `sums` (see [`TraceGenerator::address_sums`])
+    /// instead of built from scratch: the streams are identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sums` were built with another exponent than the address
+    /// distribution's, or cover fewer items than the profile's working set.
+    #[must_use]
+    pub fn with_sums(profile: AppProfile, seed: u64, sums: &ZipfSums) -> Self {
+        assert!(
+            sums.exponent().to_bits() == ADDRESS_EXPONENT.to_bits(),
+            "address sums need exponent {ADDRESS_EXPONENT}, not {}",
+            sums.exponent()
+        );
+        assert!(
+            sums.len() >= profile.working_set_lines,
+            "address sums over {} lines, short of {}'s working set of {}",
+            sums.len(),
+            profile.name,
+            profile.working_set_lines
+        );
+        let addr_zipf = sums.zipf(profile.working_set_lines);
+        TraceGenerator::with_zipf(profile, seed, addr_zipf)
+    }
+
+    /// The running sums every profile of `profiles` can cut its address
+    /// distribution from: over the largest working set among them, built
+    /// once (none when `profiles` is empty).
+    #[must_use]
+    pub fn address_sums<'a>(profiles: impl IntoIterator<Item = &'a AppProfile>) -> ZipfSums {
+        let lines = profiles
+            .into_iter()
+            .map(|p| p.working_set_lines)
+            .max()
+            .unwrap_or(0);
+        ZipfSums::new(lines, ADDRESS_EXPONENT)
+    }
+
+    fn with_zipf(profile: AppProfile, seed: u64, addr_zipf: Zipf) -> Self {
         let mut generator = TraceGenerator {
             profile,
             rng: StdRng::seed_from_u64(seed),

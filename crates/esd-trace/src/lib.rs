@@ -45,7 +45,7 @@ pub use line::{CacheLine, LINE_BYTES};
 pub use mix::interleave_traces;
 pub use profile::{AppProfile, Suite};
 pub use text::{parse_trace_text, render_trace_text, ParseTraceError, ParseTraceErrorKind};
-pub use zipf::Zipf;
+pub use zipf::{Zipf, ZipfSums};
 
 #[cfg(test)]
 mod tests {
