@@ -102,9 +102,10 @@ fn ratio(num: f64, den: f64) -> f64 {
 }
 
 impl Replay<'_> {
-    /// Closes the epoch ending at the current instant: deltas against the
-    /// previous boundary, occupancies as they stand now.
-    fn record_epoch(&mut self, interval: u64) {
+    /// Closes the epoch ending at access `next_epoch`, at the current
+    /// instant: deltas against the previous boundary, occupancies as they
+    /// stand now.
+    fn record_epoch(&mut self) {
         let now = self.cpu.now();
         let stats = self.scheme.stats();
         let (hits, misses) = self
@@ -130,7 +131,7 @@ impl Replay<'_> {
         let d_lookups = d_hits + (mark.fp_misses - prev.fp_misses);
         let epoch = EpochSnapshot {
             index: self.epochs.len() as u64,
-            end_access: (self.epochs.len() as u64 + 1) * interval,
+            end_access: self.next_epoch as u64,
             end_time: now,
             ipc: ratio((mark.instructions - prev.instructions) as f64, d_cycles),
             dedup_rate: ratio(
@@ -157,12 +158,10 @@ impl Replay<'_> {
     /// Closes every epoch whose boundary lies at or before access `g`.
     #[cold]
     fn catch_up_epochs(&mut self, g: usize) {
-        if let Some(n) = self.options.epoch_interval.map(|n| n.max(1)) {
-            while (self.epochs.len() as u64 + 1) * n <= g as u64 {
-                self.record_epoch(n);
-            }
+        while self.next_epoch <= g {
+            self.record_epoch();
+            self.next_epoch = epoch_end(self.options.epoch_interval, self.epochs.len());
         }
-        self.next_epoch = epoch_end(self.options.epoch_interval, self.epochs.len());
     }
 
     /// Replays access `g`: epoch catch-up, CPU execute, scrub tick, then
