@@ -45,10 +45,12 @@ pub struct FpLookup {
 
 /// A full fingerprint index: authoritative table in NVMM, hot slice in SRAM.
 ///
-/// The forward table (`fingerprint → physical`) and the reverse table
-/// (`physical → fingerprint`) are kept mutually consistent as a bijection:
-/// re-pointing a fingerprint drops its stale reverse entry, and re-claiming
-/// a physical line drops the stale fingerprint that used to describe it.
+/// One table, `fingerprint → physical`, that only grows. An entry is
+/// written once, for a fingerprint the store does not hold, at a freshly
+/// allocated line, and it pins that line for good: full deduplication
+/// never reclaims (the space cost Figure 19 charges these schemes for). So
+/// no entry is ever re-pointed or removed, and no two entries name one
+/// line.
 ///
 /// # Examples
 ///
@@ -68,7 +70,6 @@ pub struct FingerprintStore {
     /// Authoritative fingerprint → physical table ("in NVMM"), each entry
     /// with its SRAM state.
     table: U64Map<Cached<u64>>,
-    by_physical: U64Map<u64>,
     /// The SRAM cache over `table`'s hot entries.
     sram: SramCache,
     entry_bytes: usize,
@@ -92,7 +93,6 @@ impl FingerprintStore {
         assert!(entry_bytes > 0, "entry size must be nonzero");
         FingerprintStore {
             table: U64Map::new(),
-            by_physical: U64Map::new(),
             sram: SramCache::new(cache_bytes as usize / entry_bytes),
             entry_bytes,
             sram_latency: Ps::from_ns(2),
@@ -138,11 +138,11 @@ impl FingerprintStore {
         self.sram.drop_all(&mut self.table);
     }
 
-    /// Physical lines pinned by index entries (one reference per entry;
-    /// full-dedup indexes never release their lines).
+    /// Physical lines pinned by index entries, in no particular order (one
+    /// reference per entry; full-dedup indexes never release their lines).
     #[must_use]
     pub fn pinned_physicals(&self) -> Vec<u64> {
-        self.by_physical.keys().collect()
+        self.table.values().map(|entry| entry.value).collect()
     }
 
     /// NVMM lines a journal-less recovery must scan to rebuild this index.
@@ -186,54 +186,22 @@ impl FingerprintStore {
         self.table.prefetch(fingerprint);
     }
 
-    /// Inserts a new fingerprint; NVMM index writes are amortized over the
-    /// number of entries per 64-byte metadata line.
-    ///
-    /// The forward and reverse tables stay a bijection: if `fingerprint`
-    /// previously mapped to another physical line, or `physical` was
-    /// previously described by another fingerprint, the stale halves of
-    /// those pairings are dropped.
+    /// Inserts a fingerprint the store does not hold, mapped to a line no
+    /// entry names (debug builds check the first); NVMM index writes are
+    /// amortized over the number of entries per 64-byte metadata line.
     pub fn insert(&mut self, now: Ps, fingerprint: u64, physical: u64, nvmm: &mut NvmmSystem) {
-        let entry = self
-            .table
-            .get_or_insert_with(fingerprint, || Cached::new(physical));
-        let old_physical = std::mem::replace(&mut entry.value, physical);
-        let resident = entry.is_resident();
-        if resident {
-            self.sram.touch(entry);
-        }
-        if old_physical != physical && self.by_physical.get(old_physical) == Some(&fingerprint) {
-            self.by_physical.remove(old_physical);
-        }
-        if let Some(old_fp) = self.by_physical.insert(physical, fingerprint) {
-            if old_fp != fingerprint {
-                self.remove_entry(old_fp);
-            }
-        }
-        // Admitted only after `old_fp` left SRAM: the cache may have room now.
-        if !resident {
-            self.sram.admit(&mut self.table, fingerprint, false);
-        }
+        let previous = self.table.insert(fingerprint, Cached::new(physical));
+        debug_assert!(
+            previous.is_none(),
+            "fingerprint {fingerprint:#x} is already stored"
+        );
+        self.sram.admit(&mut self.table, fingerprint, false);
         self.pending_inserts += 1;
         let entries_per_line = (64 / self.entry_bytes).max(1);
         if self.pending_inserts >= entries_per_line {
             self.pending_inserts = 0;
             nvmm.metadata_write(now, Self::meta_line_of(fingerprint));
             self.nvmm_insert_writes += 1;
-        }
-    }
-
-    /// Removes the fingerprint mapped to a freed physical line.
-    pub fn remove_physical(&mut self, physical: u64) {
-        if let Some(fp) = self.by_physical.remove(physical) {
-            self.remove_entry(fp);
-        }
-    }
-
-    /// Drops `fingerprint` from the table and from SRAM.
-    fn remove_entry(&mut self, fingerprint: u64) {
-        if let Some(removed) = self.table.remove(fingerprint) {
-            self.sram.forget(&mut self.table, &removed);
         }
     }
 
@@ -249,26 +217,6 @@ mod tests {
 
     fn nvmm() -> NvmmSystem {
         NvmmSystem::new(PcmConfig::default())
-    }
-
-    /// Asserts `table` and `by_physical` are exact inverses of each other.
-    fn assert_bijection(store: &FingerprintStore) {
-        assert_eq!(store.table.len(), store.by_physical.len());
-        for (fp, entry) in store.table.iter() {
-            let physical = entry.value;
-            assert_eq!(
-                store.by_physical.get(physical),
-                Some(&fp),
-                "by_physical[{physical:#x}] must point back to fp {fp:#x}"
-            );
-        }
-        for (physical, &fp) in store.by_physical.iter() {
-            assert_eq!(
-                store.table.get(fp).map(|entry| entry.value),
-                Some(physical),
-                "table[{fp:#x}] must point back to physical {physical:#x}"
-            );
-        }
     }
 
     #[test]
@@ -303,7 +251,6 @@ mod tests {
         let hit = store.lookup(Ps::ZERO, 1, &mut mem);
         assert_eq!(hit.source, LookupSource::Nvmm);
         assert_eq!(hit.physical, Some(0x40));
-        assert_bijection(&store);
     }
 
     #[test]
@@ -315,18 +262,6 @@ mod tests {
         store.insert(Ps::ZERO, 2, 0x80, &mut mem);
         assert_eq!(mem.stats().metadata.writes, 1);
         assert_eq!(store.nvmm_traffic().1, 1);
-    }
-
-    #[test]
-    fn remove_physical_drops_fingerprint() {
-        let mut mem = nvmm();
-        let mut store = FingerprintStore::new(1024, 17);
-        store.insert(Ps::ZERO, 7, 0x40, &mut mem);
-        store.remove_physical(0x40);
-        assert!(store.is_empty());
-        let miss = store.lookup(Ps::ZERO, 7, &mut mem);
-        assert_eq!(miss.source, LookupSource::Absent);
-        assert_bijection(&store);
     }
 
     #[test]
@@ -343,68 +278,12 @@ mod tests {
     }
 
     #[test]
-    fn insert_overwrite_drops_stale_reverse_entry() {
-        // Re-pointing fp 7 from line 0x40 to 0x80 must not leave
-        // by_physical[0x40] referring to it; freeing 0x40 afterwards would
-        // otherwise delete the live mapping.
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "is already stored")]
+    fn inserting_a_stored_fingerprint_panics() {
         let mut mem = nvmm();
         let mut store = FingerprintStore::new(1024, 29);
         store.insert(Ps::ZERO, 7, 0x40, &mut mem);
         store.insert(Ps::ZERO, 7, 0x80, &mut mem);
-        assert_bijection(&store);
-        assert_eq!(store.len(), 1);
-        store.remove_physical(0x40); // stale address: must be a no-op
-        let hit = store.lookup(Ps::ZERO, 7, &mut mem);
-        assert_eq!(hit.physical, Some(0x80));
-        assert_bijection(&store);
-    }
-
-    #[test]
-    fn duplicate_physical_evicts_stale_fingerprint() {
-        // Line 0x40 is rewritten with new content (fp 8): the old
-        // fingerprint (fp 7) no longer describes any line and must leave
-        // both the table and the SRAM cache.
-        let mut mem = nvmm();
-        let mut store = FingerprintStore::new(1024, 29);
-        store.insert(Ps::ZERO, 7, 0x40, &mut mem);
-        store.insert(Ps::ZERO, 8, 0x40, &mut mem);
-        assert_bijection(&store);
-        assert_eq!(store.len(), 1);
-        let stale = store.lookup(Ps::ZERO, 7, &mut mem);
-        assert_eq!(stale.source, LookupSource::Absent);
-        let live = store.lookup(Ps::ZERO, 8, &mut mem);
-        assert_eq!(live.physical, Some(0x40));
-    }
-
-    #[test]
-    fn tables_stay_consistent_under_churn() {
-        let mut mem = nvmm();
-        let mut store = FingerprintStore::new(64 * 29, 29);
-        let mut x = 0xDEAD_BEEF_CAFE_F00Du64;
-        for _ in 0..2_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let fp = x % 48;
-            let physical = ((x >> 8) % 48) * 64;
-            match x % 4 {
-                0 => {
-                    store.remove_physical(physical);
-                }
-                1 => {
-                    store.lookup(Ps::ZERO, fp, &mut mem);
-                }
-                _ => {
-                    store.insert(Ps::ZERO, fp, physical, &mut mem);
-                }
-            }
-        }
-        assert_bijection(&store);
-        // Every cached entry (including those refilled by lookups) must
-        // agree with the authoritative table.
-        for fp in store.table.keys().collect::<Vec<_>>() {
-            let hit = store.lookup(Ps::ZERO, fp, &mut mem);
-            assert_eq!(hit.physical, store.table.get(fp).map(|entry| entry.value));
-        }
     }
 }

@@ -175,7 +175,6 @@ impl FromStr for CrashPoint {
 pub struct MetadataJournal {
     interval: Option<u64>,
     records_since_checkpoint: u64,
-    records_total: u64,
     checkpoints: u64,
     pending_records: u64,
     next_line: u64,
@@ -188,7 +187,6 @@ impl MetadataJournal {
         MetadataJournal {
             interval: interval.filter(|&i| i > 0),
             records_since_checkpoint: 0,
-            records_total: 0,
             checkpoints: 0,
             pending_records: 0,
             next_line: 0,
@@ -213,12 +211,6 @@ impl MetadataJournal {
         self.records_since_checkpoint
     }
 
-    /// Total records appended over the run.
-    #[must_use]
-    pub fn records_total(&self) -> u64 {
-        self.records_total
-    }
-
     /// Checkpoints taken over the run.
     #[must_use]
     pub fn checkpoints(&self) -> u64 {
@@ -232,7 +224,6 @@ impl MetadataJournal {
         if !self.enabled() {
             return;
         }
-        self.records_total += 1;
         self.records_since_checkpoint += 1;
         self.pending_records += 1;
         if self.pending_records >= RECORDS_PER_LINE {
@@ -406,7 +397,7 @@ mod tests {
         for _ in 0..100 {
             journal.record(Ps::ZERO, &mut mem);
         }
-        assert_eq!(journal.records_total(), 0);
+        assert_eq!(journal.records_since_checkpoint(), 0);
         assert_eq!(journal.replay_reads(), 0);
         assert_eq!(mem.stats().metadata.writes, 0);
     }
@@ -425,7 +416,7 @@ mod tests {
         // Replay window grows with the tail and includes the partial line.
         journal.record(Ps::ZERO, &mut mem);
         assert_eq!(journal.replay_reads(), 2, "checkpoint root + 1 tail line");
-        assert_eq!(journal.records_total(), 9);
+        assert_eq!(journal.records_since_checkpoint(), 1);
     }
 
     #[test]

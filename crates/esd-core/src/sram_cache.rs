@@ -131,23 +131,6 @@ impl SramCache {
         evicted
     }
 
-    /// Releases the SRAM slot of an entry just removed from `table`: its key
-    /// is swap-removed from the resident list, and the key moved into its
-    /// place learns its new position.
-    pub fn forget<V>(&mut self, table: &mut U64Map<Cached<V>>, removed: &Cached<V>) {
-        if !removed.is_resident() {
-            return;
-        }
-        let pos = removed.pos;
-        self.resident.swap_remove(pos as usize);
-        if let Some(&moved) = self.resident.get(pos as usize) {
-            table
-                .get_mut(moved)
-                .expect("resident key is in the table")
-                .pos = pos;
-        }
-    }
-
     /// Empties the cache, as a power loss does: entries leave SRAM without
     /// write-backs, and the statistics stay.
     pub fn drop_all<V>(&mut self, table: &mut U64Map<Cached<V>>) {
@@ -168,8 +151,8 @@ impl SramCache {
                 self.snapshot(table);
                 continue;
             };
-            // A pair is stale if its entry was touched, dropped or removed
-            // (and perhaps re-admitted with a newer stamp) since the snapshot.
+            // A pair is stale if its entry was touched or dropped (and perhaps
+            // re-admitted with a newer stamp) since the snapshot.
             let Some(entry) = table.get_mut(key).filter(|e| e.stamp == stamp) else {
                 continue;
             };

@@ -140,7 +140,7 @@ mod tests {
 
     /// A table whose SRAM part is an [`SramCache`], driven through the
     /// reference's API. Entries stay in the table when evicted, as the
-    /// AMT's and the store's do; `remove` takes them out of the table.
+    /// AMT's and the store's do.
     struct Stamped {
         table: U64Map<Cached<u64>>,
         sram: SramCache,
@@ -176,14 +176,6 @@ mod tests {
             let (victim, victim_dirty) = self.sram.admit(&mut self.table, key, dirty)?;
             Some((victim, (self.table.get(victim)?.value, victim_dirty)))
         }
-
-        fn remove(&mut self, key: u64) -> Option<(u64, bool)> {
-            let removed = self.table.remove(key)?;
-            self.sram.forget(&mut self.table, &removed);
-            removed
-                .is_resident()
-                .then_some((removed.value, removed.dirty))
-        }
     }
 
     #[derive(Debug, Clone)]
@@ -192,13 +184,11 @@ mod tests {
         GetMut(u64),
         Peek(u64),
         Insert(u64, u64, bool),
-        Remove(u64),
-        RemoveReinsert(u64, u64),
         /// Power loss: every entry leaves SRAM.
         DropAll,
     }
 
-    /// Operations over keys `0..keys`; one pick in `7 * drop_one_in` is a
+    /// Operations over keys `0..keys`; one pick in `5 * drop_one_in` is a
     /// power loss.
     fn ops(
         keys: u64,
@@ -212,8 +202,6 @@ mod tests {
                 (0..keys).prop_map(CacheOp::Peek),
                 (0..keys, any::<u64>(), any::<bool>())
                     .prop_map(|(k, v, d)| CacheOp::Insert(k, v, d)),
-                (0..keys).prop_map(CacheOp::Remove),
-                (0..keys, any::<u64>()).prop_map(|(k, v)| CacheOp::RemoveReinsert(k, v)),
                 (0..drop_one_in, 0..keys).prop_map(|(n, k)| match n {
                     0 => CacheOp::DropAll,
                     _ => CacheOp::Get(k),
@@ -250,13 +238,6 @@ mod tests {
                 CacheOp::Insert(k, v, d) => {
                     prop_assert_eq!(stamped.insert(k, v, d), reference.insert(k, (v, d)));
                 }
-                CacheOp::Remove(k) => {
-                    prop_assert_eq!(stamped.remove(k), reference.remove(&k));
-                }
-                CacheOp::RemoveReinsert(k, v) => {
-                    prop_assert_eq!(stamped.remove(k), reference.remove(&k));
-                    prop_assert_eq!(stamped.insert(k, v, false), reference.insert(k, (v, false)));
-                }
                 CacheOp::DropAll => {
                     stamped.sram.drop_all(&mut stamped.table);
                     for k in 0..keys {
@@ -277,8 +258,7 @@ mod tests {
 
     proptest! {
         /// Small caches over few keys: every operation hits both resident
-        /// and absent keys, and evictions, removals and power losses
-        /// interleave closely.
+        /// and absent keys, and evictions and power losses interleave closely.
         #[test]
         fn stamped_lru_matches_map_based_reference(
             capacity in 1usize..8,

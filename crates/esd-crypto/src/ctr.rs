@@ -159,8 +159,6 @@ pub struct CmeEngine {
     pad_hits: u64,
     pad_misses: u64,
     cost: CmeCostModel,
-    lines_encrypted: u64,
-    lines_decrypted: u64,
     /// Per-tenant key state; `None` outside the multi-tenant service mode.
     tenancy: Option<Tenancy>,
 }
@@ -184,8 +182,6 @@ impl CmeEngine {
             pad_hits: 0,
             pad_misses: 0,
             cost,
-            lines_encrypted: 0,
-            lines_decrypted: 0,
             tenancy: None,
         };
         engine.set_pad_cache_lines(DEFAULT_PAD_CACHE_LINES);
@@ -217,18 +213,6 @@ impl CmeEngine {
     #[must_use]
     pub fn cost_model(&self) -> CmeCostModel {
         self.cost
-    }
-
-    /// Number of lines encrypted so far.
-    #[must_use]
-    pub fn lines_encrypted(&self) -> u64 {
-        self.lines_encrypted
-    }
-
-    /// Number of lines decrypted so far.
-    #[must_use]
-    pub fn lines_decrypted(&self) -> u64 {
-        self.lines_decrypted
     }
 
     /// Current write counter for a line, if it was ever encrypted.
@@ -332,7 +316,6 @@ impl CmeEngine {
         line.counter += 1;
         line.owner = owner;
         let line = *line;
-        self.lines_encrypted += 1;
         let pad = self.generate_pad(addr, line);
         self.store_pad(addr, line.counter, &pad);
         xor_line(&pad, plain)
@@ -351,7 +334,6 @@ impl CmeEngine {
         cipher: &[u8; LINE_BYTES],
     ) -> Result<[u8; LINE_BYTES], UnknownCounterError> {
         let line = *self.lines.get(addr).ok_or(UnknownCounterError { addr })?;
-        self.lines_decrypted += 1;
         if !self.pads.is_empty() {
             let slot = &self.pads[hash_u64(addr) as usize & self.pad_mask];
             if slot.counter == line.counter && slot.addr == addr {
@@ -419,8 +401,6 @@ mod tests {
             let cipher = cme.encrypt_line(addr, &plain);
             assert_eq!(cme.decrypt_line(addr, &cipher).unwrap(), plain);
         }
-        assert_eq!(cme.lines_encrypted(), 64);
-        assert_eq!(cme.lines_decrypted(), 64);
     }
 
     #[test]

@@ -146,12 +146,6 @@ impl Medium {
         });
     }
 
-    /// Whether the RBER injector (and pristine tracking) is active.
-    #[must_use]
-    pub fn fault_injection_enabled(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Fault-injector counters (all zero when injection is disabled).
     #[must_use]
     pub fn fault_stats(&self) -> FaultStats {

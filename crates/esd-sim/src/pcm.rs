@@ -150,12 +150,6 @@ impl PcmDevice {
         ((line_addr / LINE_BYTES as u64) % u64::from(self.config.banks)) as usize
     }
 
-    /// Earliest instant at which the bank for `line_addr` is free.
-    #[must_use]
-    pub fn bank_free_at(&self, line_addr: u64) -> Ps {
-        self.bank_busy_until[self.bank_of(line_addr)]
-    }
-
     /// Number of banks still servicing an access at instant `now`.
     #[must_use]
     pub fn busy_banks(&self, now: Ps) -> usize {

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Rebuilds every file under results/ from the current source, at the
-# default seed (42) and the default trace lengths, then lists what moved.
-# Every file is deterministic, so a clean tree stays clean:
+# default seed (42) and the default trace lengths. Every file is
+# deterministic, so a clean tree stays clean:
 #
 #     scripts/regenerate-results.sh && git diff --exit-code results/
 #
@@ -26,5 +26,3 @@ done > results/ablation_recovery.txt
 for tenants in 2 4 8; do for qps in 250000 1000000 4000000; do
     "$bin/esd-serve" --tenants "$tenants" --qps "$qps" --requests 2000
 done; done > results/ablation_service.txt
-
-git status --short results/

@@ -306,9 +306,12 @@ impl StampModel {
 
 #[test]
 fn metadata_caches_match_a_stamp_model() {
-    // Keys from small ranges, so at one to four entries every owner hits,
-    // misses, evicts (clean and dirty) and, for the store, re-points and
-    // drops fingerprints; power losses empty the AMT and the store caches.
+    // AMT and counter keys from small ranges, and store lookups among the
+    // last eight fingerprints stored, so at one to four entries every owner
+    // hits, misses and evicts (clean and dirty); power losses empty the AMT
+    // and the store caches. The store is driven as production drives it:
+    // each insert is a fresh fingerprint at a fresh line, and nothing is
+    // re-pointed or removed, so its model is one map.
     let mut rng = StdRng::seed_from_u64(0xCAC4E);
     for capacity in 1..=4usize {
         let mut nvmm = NvmmSystem::new(PcmConfig::default());
@@ -321,7 +324,9 @@ fn metadata_caches_match_a_stamp_model() {
             StampModel::new(capacity),
         );
         let mut mappings: HashMap<u64, u64> = HashMap::new();
-        let (mut fps, mut by_physical): (HashMap<u64, u64>, HashMap<u64, u64>) = Default::default();
+        // Stored fingerprints (top bit clear) → lines, and their insert order.
+        let (mut fps, mut stored): (HashMap<u64, u64>, Vec<u64>) = Default::default();
+        let mut sources: HashMap<LookupSource, u32> = HashMap::new();
         // `(fills, write-backs)`, `(lookups, insert writes)`, `(fills, write-backs)`.
         let (mut amt_traffic, mut store_traffic, mut counter_traffic) = ((0, 0), (0, 0), (0, 0));
         let mut pending_inserts = 0;
@@ -342,44 +347,43 @@ fn metadata_caches_match_a_stamp_model() {
                     amt_traffic.1 += u64::from(amt_model.put(key * 64, true));
                     amt.update(now, key * 64, physical, &mut nvmm);
                 }
-                7..=9 => {
-                    let expected = fps.get(&key).copied();
-                    let hit = store_model.lookup(key).is_some();
+                7..=10 => {
+                    // One of the last eight fingerprints stored, or one
+                    // never stored (top bit set).
+                    let back = rng.gen_range(0..10usize);
+                    let fp = match stored.len().checked_sub(back + 1) {
+                        Some(i) if back < 8 => stored[i],
+                        _ => rng.gen::<u64>() | 1 << 63,
+                    };
+                    let expected = fps.get(&fp).copied();
+                    let hit = store_model.lookup(fp).is_some();
                     if !hit {
                         store_traffic.0 += 1;
                         if expected.is_some() {
-                            store_model.put(key, false);
+                            store_model.put(fp, false);
                         }
                     }
-                    let found = store.lookup(now, key, &mut nvmm);
+                    let found = store.lookup(now, fp, &mut nvmm);
                     assert_eq!(found.physical, expected);
                     assert_eq!(found.source == LookupSource::Cache, hit);
+                    *sources.entry(found.source).or_default() += 1;
                 }
-                10..=12 => {
-                    if let Some(old) = fps.insert(key, physical) {
-                        if old != physical && by_physical.get(&old) == Some(&key) {
-                            by_physical.remove(&old);
+                11..=13 => {
+                    let fp = loop {
+                        let fp = rng.gen::<u64>() >> 1;
+                        if !fps.contains_key(&fp) {
+                            break fp;
                         }
-                    }
-                    if let Some(old_fp) = by_physical.insert(physical, key) {
-                        if old_fp != key {
-                            fps.remove(&old_fp);
-                            store_model.resident.remove(&old_fp);
-                        }
-                    }
-                    store_model.put(key, false);
+                    };
+                    let line = fps.len() as u64 * 64;
+                    fps.insert(fp, line);
+                    stored.push(fp);
+                    store_model.put(fp, false);
                     pending_inserts += 1;
                     if pending_inserts == 2 {
                         (pending_inserts, store_traffic.1) = (0, store_traffic.1 + 1);
                     }
-                    store.insert(now, key, physical, &mut nvmm);
-                }
-                13 => {
-                    if let Some(fp) = by_physical.remove(&physical) {
-                        fps.remove(&fp);
-                        store_model.resident.remove(&fp);
-                    }
-                    store.remove_physical(physical);
+                    store.insert(now, fp, line, &mut nvmm);
                 }
                 14 => {
                     amt_model.resident.clear();
@@ -417,6 +421,17 @@ fn metadata_caches_match_a_stamp_model() {
             store.nvmm_traffic(),
             store_traffic,
             "store, capacity {capacity}"
+        );
+        assert_eq!(
+            sources.len(),
+            3,
+            "store lookups resolved everywhere: {sources:?}"
+        );
+        let mut pinned = store.pinned_physicals();
+        pinned.sort_unstable();
+        assert_eq!(
+            pinned,
+            (0..fps.len() as u64).map(|i| i * 64).collect::<Vec<_>>()
         );
         assert_eq!(
             counters.stats(),
